@@ -119,7 +119,6 @@ class UniversalAttack:
         dim = self.estimator.input_dim
         self.restart_losses_ = []
         self.restart_inputs_ = []
-        best_w = None
         for r in range(cfg.restarts):
             rng = derive_rng(cfg.seed, "testgen", "universal", str(r))
             w = Tensor(rng.normal(0.0, 0.1, size=(1, dim)))
@@ -129,11 +128,9 @@ class UniversalAttack:
             final = float(universal_loss(w, self.estimator).data)
             self.restart_losses_.append(final)
             self.restart_inputs_.append(reparam(Tensor(w.data)).data.reshape(-1))
-            if best_w is None or final < min(self.restart_losses_[:-1]):
-                best_w = w.data.copy()
         self.best_restart_ = int(np.argmin(self.restart_losses_))
         self.best_loss_ = self.restart_losses_[self.best_restart_]
-        return reparam(Tensor(best_w)).data.reshape(-1)
+        return self.restart_inputs_[self.best_restart_].copy()
 
 
 def generate(mode, x, config, estimator):

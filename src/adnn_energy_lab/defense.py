@@ -24,7 +24,7 @@ from .models import EarlyExitNet, GatedSkipNet
 from .nn import Dense, ResidualBlock, cross_entropy, uniform_cross_entropy
 from .optim import Adam
 from .seeding import derive_rng
-from .validation import as_sample_matrix, check_same_length
+from .validation import as_label_array, as_sample_matrix, check_same_length
 
 __all__ = [
     "FilterModel",
@@ -97,7 +97,7 @@ class FilterModel(ParamsMixin):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        y = np.asarray(y, dtype=np.int64)
+        y = as_label_array(y, n=len(X), num_classes=self.num_classes)
         rng = derive_rng(self.seed, "filter-init")
         self.stem_ = Dense.init(rng, self.input_dim, self.width)
         self.blocks_ = [ResidualBlock.init(rng, self.width)

@@ -75,12 +75,12 @@ def energy_of_trace(model, trace, rng=None):
     """One energy sample for a trace: step value plus Gaussian read noise.
 
     Noise perturbs the final reading, not individual blocks, and the
-    result is clamped at zero.
+    result is clamped at zero. A noisy model needs an rng to draw from.
     """
     value = model.noiseless_energy(trace)
     if model.noise_sigma > 0:
         if rng is None:
-            rng = derive_rng(model.seed, "energy")
+            raise ValueError("a noisy energy model needs an rng to sample from")
         value += rng.normal(0.0, model.noise_sigma)
     return max(value, 0.0)
 
@@ -122,29 +122,28 @@ def filter_outliers(samples, protocol=MeasurementProtocol()):
 
 
 def measure_energy(adnn, energy_model, x, protocol=MeasurementProtocol()):
-    """Repeat inference, sample energy each time, reject outliers, average.
+    """Infer once, sample energy `repetitions` times, reject outliers, average.
 
-    The noise stream is derived from the model seed and the input's
-    fingerprint, so measuring different inputs concurrently stays
-    reproducible and order-independent.
+    The adnn's `infer` must be deterministic: only the read noise is resampled.
+    Its stream is keyed by the model seed and the input's fingerprint, so the
+    order and batching of measured inputs do not change the result.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    rng = derive_rng(energy_model.seed, "measure", array_fingerprint(x))
-    raw = []
-    for _ in range(protocol.repetitions):
-        trace = adnn.infer(x)
-        raw.append(energy_of_trace(energy_model, trace, rng))
-    retained = filter_outliers(raw, protocol)
-    return EnergyMeasurement(
-        raw_samples=tuple(raw),
-        retained=tuple(retained),
-        mean=float(np.mean(retained)),
-    )
+    return measure_many(adnn, energy_model, np.ravel(x), protocol)[0]
 
 
 def measure_many(adnn, energy_model, inputs, protocol=MeasurementProtocol()):
-    """Measurement per input row; returns a list of EnergyMeasurement."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 1:
-        inputs = inputs[None, :]
-    return [measure_energy(adnn, energy_model, row, protocol) for row in inputs]
+    """`measure_energy` for every input row; returns a list of EnergyMeasurement.
+
+    The whole batch is inferred in one `infer` call, which must be
+    deterministic: the repetitions resample only the read noise.
+    """
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    measurements = []
+    for x, trace in zip(inputs, adnn.infer(inputs)):
+        rng = derive_rng(energy_model.seed, "measure", array_fingerprint(x))
+        noise = rng.normal(0.0, energy_model.noise_sigma, size=protocol.repetitions)
+        raw = np.maximum(energy_model.noiseless_energy(trace) + noise, 0.0).tolist()
+        retained = filter_outliers(raw, protocol)
+        measurements.append(EnergyMeasurement(
+            tuple(raw), tuple(retained), float(np.mean(retained))))
+    return measurements

@@ -25,7 +25,7 @@ from .nn import Dense, ResidualBlock, cross_entropy, xavier_uniform
 from .optim import Adam
 from .seeding import derive_rng
 from .serialize import DataFormatError, array_from_json, array_to_json, dump_json, load_json
-from .validation import as_sample_matrix
+from .validation import as_label_array, as_sample_matrix
 
 
 def entropy(p):
@@ -35,8 +35,13 @@ def entropy(p):
         raise ValueError("entropy expects a single probability vector")
     if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("entropy needs a normalized probability vector")
+    return float(_entropies(p))
+
+
+def _entropies(p):
+    """Entropy along the last axis of probabilities known to be normalized."""
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return float(-terms.sum())
+    return -terms.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -211,14 +216,16 @@ class GatedSkipNet(ParamsMixin):
         X = as_sample_matrix(x, "x", feature_dim=self.input_dim)
         logits, gates, decisions = self.forward(Tensor(X), mode="hard")
         values = np.concatenate([g.data.reshape(-1, 1) for g in gates], axis=1)
+        flops = self.base_flops + decisions.sum(axis=1) * self.block_flops
+        signature = self.signature
         traces = [
             ExecutionTrace(
                 kind="skip",
-                flops=self.base_flops + int(decisions[i].sum()) * self.block_flops,
+                flops=int(flops[i]),
                 logits=logits.data[i].copy(),
-                signature=self.signature,
-                gate_values=tuple(float(v) for v in values[i]),
-                gate_decisions=tuple(bool(d) for d in decisions[i]),
+                signature=signature,
+                gate_values=tuple(values[i].tolist()),
+                gate_decisions=tuple(decisions[i].tolist()),
             )
             for i in range(len(X))
         ]
@@ -238,7 +245,7 @@ class GatedSkipNet(ParamsMixin):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        y = np.asarray(y, dtype=np.int64)
+        y = as_label_array(y, n=len(X), num_classes=self.num_classes)
         self._build(derive_rng(self.seed, "skip-init"))
         self._calibrate_gates(X)
         order_rng = derive_rng(self.seed, "skip-batches")
@@ -434,25 +441,24 @@ class EarlyExitNet(ParamsMixin):
     def infer(self, x):
         X = as_sample_matrix(x, "x", feature_dim=self.input_dim)
         all_logits = self.forward_exits(Tensor(X))
-        probs = [softmax(l).data for l in all_logits]
-        traces = []
-        for i in range(len(X)):
-            entropies = tuple(entropy(p[i]) for p in probs)
-            exit_index = self.num_segments - 1
-            for e, h_e in enumerate(entropies):
-                if h_e < self.entropy_threshold:
-                    exit_index = e
-                    break
-            traces.append(
-                ExecutionTrace(
-                    kind="exit",
-                    flops=self.trace_flops(exit_index),
-                    logits=all_logits[exit_index].data[i].copy(),
-                    signature=self.signature,
-                    exit_index=exit_index,
-                    exit_entropies=entropies,
-                )
+        logits = np.stack([l.data for l in all_logits], axis=1)
+        probs = np.stack([softmax(l).data for l in all_logits], axis=1)
+        entropies = _entropies(probs)
+        below = entropies < self.entropy_threshold
+        exits = np.where(below.any(axis=1), below.argmax(axis=1), self.num_segments - 1)
+        flops = [self.trace_flops(e) for e in range(self.num_segments)]
+        signature = self.signature
+        traces = [
+            ExecutionTrace(
+                kind="exit",
+                flops=flops[e],
+                logits=logits[i, e].copy(),
+                signature=signature,
+                exit_index=e,
+                exit_entropies=tuple(entropies[i].tolist()),
             )
+            for i, e in enumerate(exits.tolist())
+        ]
         return traces[0] if np.asarray(x).ndim == 1 else traces
 
     def predict(self, X):
@@ -469,7 +475,7 @@ class EarlyExitNet(ParamsMixin):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        y = np.asarray(y, dtype=np.int64)
+        y = as_label_array(y, n=len(X), num_classes=self.num_classes)
         self._build(derive_rng(self.seed, "exit-init"))
         order_rng = derive_rng(self.seed, "exit-batches")
         opt = Adam(self._params(), lr=self.lr)

@@ -39,7 +39,8 @@ def check_unit_range(x, name="x", tol=0.0):
     return arr
 
 
-def as_label_array(y, name="y", n=None):
+def as_label_array(y, name="y", n=None, num_classes=None):
+    """Coerce to 1-D int64 labels, optionally of length n and in [0, num_classes)."""
     arr = np.asarray(y)
     if arr.ndim != 1:
         raise ValueError("%s must be 1-D, got shape %s" % (name, arr.shape))
@@ -52,6 +53,11 @@ def as_label_array(y, name="y", n=None):
         arr = arr.astype(np.int64)
     if n is not None and arr.shape[0] != n:
         raise ValueError("%s has length %d, expected %d" % (name, arr.shape[0], n))
+    if num_classes is not None and arr.size and (arr.min() < 0 or arr.max() >= num_classes):
+        raise ValueError(
+            "%s must lie in [0, %d), got range [%d, %d]"
+            % (name, num_classes, arr.min(), arr.max())
+        )
     return arr
 
 

@@ -45,6 +45,29 @@ def filter_outliers_reference(samples, factor=1.5):
     return [v for v in samples if v <= factor * med]
 
 
+def measure_sequential_reference(adnn, x, rng, base_joules, per_block_joules,
+                                 noise_sigma, repetitions=20, factor=1.5):
+    """Repeat-and-reject measurement with one inference per repetition.
+
+    Each repetition infers x again and takes one noisy reading of the step
+    energy (base plus a scalar per-block cost for every block run or segment
+    consumed), clamped at 0. `rng` is the input's own noise stream. Returns
+    (raw, retained, mean).
+    """
+    raw = []
+    for _ in range(repetitions):
+        trace = adnn.infer(x)
+        if trace.kind == "exit":
+            value = base_joules + sum([per_block_joules] * (trace.exit_index + 1))
+        else:
+            value = base_joules + per_block_joules * int(sum(trace.gate_decisions))
+        if noise_sigma > 0:
+            value += rng.normal(0.0, noise_sigma)
+        raw.append(max(value, 0.0))
+    retained = filter_outliers_reference(raw, factor)
+    return tuple(raw), tuple(retained), float(np.mean(retained))
+
+
 def auc_reference(scores, labels):
     """All-pairs probability that a positive outranks a negative, ties 1/2."""
     pos = [s for s, l in zip(scores, labels) if l == 1]

@@ -208,6 +208,18 @@ class TestUniversalGeneration:
         assert attack.best_loss_ == min(attack.restart_losses_)
         assert attack.best_restart_ == int(np.argmin(attack.restart_losses_))
 
+    def test_returns_best_restart_input(self, trained_estimator):
+        cfg = GenConfig(mode="universal", iterations=10, restarts=6)
+        attack = UniversalAttack(trained_estimator, cfg)
+        f = attack.generate()
+        assert np.array_equal(f, attack.restart_inputs_[attack.best_restart_])
+        # ties go to the first restart
+        tied = UniversalAttack(ConstantEstimator(2.0),
+                               GenConfig(mode="universal", iterations=2, restarts=3))
+        f = tied.generate()
+        assert tied.best_restart_ == 0
+        assert np.array_equal(f, tied.restart_inputs_[0])
+
     def test_deterministic(self, trained_estimator):
         cfg = GenConfig(mode="universal", iterations=8, restarts=3)
         a = UniversalAttack(trained_estimator, cfg).generate()

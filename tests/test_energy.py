@@ -13,9 +13,9 @@ from adnn_energy_lab.energy import (
     measure_many,
 )
 from adnn_energy_lab.models import ExecutionTrace, make_scripted
-from adnn_energy_lab.seeding import derive_rng
+from adnn_energy_lab.seeding import array_fingerprint, derive_rng
 
-from oracles import filter_outliers_reference
+from oracles import filter_outliers_reference, measure_sequential_reference
 
 SCRIPTED = make_scripted(4, [0.2, 0.4, 0.6, 0.8], 100, 256)
 
@@ -73,6 +73,11 @@ class TestEnergyOfTrace:
         rng = derive_rng(3, "energy")
         samples = [energy_of_trace(model, skip_trace(0), rng) for _ in range(200)]
         assert min(samples) == 0.0
+
+    def test_noisy_model_needs_rng(self):
+        model = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.1)
+        with pytest.raises(ValueError):
+            energy_of_trace(model, skip_trace(2))
 
     def test_block_trace_needs_scalar_steps(self):
         model = EnergyModel(base_joules=1.0, per_block_joules=[1, 1], noise_sigma=0.0)
@@ -197,3 +202,40 @@ class TestMeasureEnergy:
         row = EnergyMeasurement((1.0, 2.0), (1.0,), 1.0).to_json_row("x07")
         assert row == {"input_id": "x07", "raw": [1.0, 2.0], "retained": [1.0],
                        "mean": 1.0}
+
+
+class TestMeasureMatchesSequentialReference:
+    """One inference per batch must equal one inference per repetition."""
+
+    @pytest.fixture(params=["trained_skip", "trained_exit", "scripted"])
+    def case(self, request):
+        if request.param == "scripted":
+            return SCRIPTED, derive_rng(2, "scripted-inputs").uniform(0, 1, size=(24, 64))
+        dataset = "skip_dataset" if request.param == "trained_skip" else "exit_dataset"
+        X = request.getfixturevalue(dataset).inputs[:16]
+        noise = derive_rng(3, "off-distribution").uniform(0, 1, size=(8, 64))
+        return request.getfixturevalue(request.param), np.concatenate([X, noise])
+
+    @staticmethod
+    def reference(adnn, em, x):
+        rng = derive_rng(em.seed, "measure", array_fingerprint(x))
+        raw, retained, mean = measure_sequential_reference(
+            adnn, x, rng, em.base_joules, em.per_block_joules, em.noise_sigma)
+        return EnergyMeasurement(raw, retained, mean)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.6])
+    def test_batch_and_single_match_reference(self, case, sigma):
+        adnn, X = case
+        em = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=sigma,
+                         seed=4)
+        expected = [self.reference(adnn, em, x) for x in X]
+        assert measure_many(adnn, em, X) == expected
+        assert [measure_energy(adnn, em, x) for x in X[:4]] == expected[:4]
+        assert measure_many(adnn, em, X[0]) == expected[:1]
+        if sigma > 0:
+            assert len({m.mean for m in expected}) > 1
+
+    def test_empty_batch(self, case):
+        adnn, _ = case
+        em = EnergyModel(noise_sigma=0.05)
+        assert measure_many(adnn, em, np.empty((0, 64))) == []

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from adnn_energy_lab.autodiff import Tensor, relu
+from adnn_energy_lab.autodiff import Tensor, relu, softmax
 from adnn_energy_lab.base import NotFittedError
 from adnn_energy_lab.data import generate_dataset
+from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.models import (
     EarlyExitNet,
     ExecutionTrace,
@@ -256,6 +257,21 @@ class TestEarlyExitNet:
             indices = [net.infer(x).exit_index for net in variants]
             assert all(b <= a for a, b in zip(indices, indices[1:]))
 
+    @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.8, 1.3])
+    def test_batched_trace_matches_per_row_entropy(self, trained_exit, exit_dataset,
+                                                  threshold):
+        net = copy.copy(trained_exit)
+        net.entropy_threshold = threshold
+        X = np.concatenate([exit_dataset.inputs[:48],
+                            derive_rng(8, "exit-noise").uniform(0, 1, size=(16, 64))])
+        all_logits = [l.data for l in net.forward_exits(Tensor(X))]
+        probs = [softmax(Tensor(l)).data for l in all_logits]
+        for i, trace in enumerate(net.infer(X)):
+            entropies = tuple(entropy(p[i]) for p in probs)
+            assert trace.exit_entropies == entropies
+            assert trace.flops == net.trace_flops(trace.exit_index)
+            assert np.array_equal(trace.logits, all_logits[trace.exit_index][i])
+
     def test_trained_fixture_uses_multiple_exits(self, trained_exit, exit_dataset):
         indices = {t.exit_index for t in trained_exit.infer(exit_dataset.inputs)}
         assert len(indices) >= 2
@@ -283,6 +299,24 @@ class TestEarlyExitNet:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             EarlyExitNet(entropy_threshold=-0.1)
+
+
+class TestLabelValidation:
+    """Bad labels fail before the first epoch, not mid-fit or in score."""
+
+    @pytest.mark.parametrize("make", [GatedSkipNet, EarlyExitNet, FilterModel])
+    @pytest.mark.parametrize("labels", [
+        np.zeros(19, dtype=int),
+        np.zeros(21, dtype=int),
+        np.full(20, -1),
+        np.full(20, 4),
+    ], ids=["short", "long", "negative", "past-last-class"])
+    def test_bad_labels_rejected_before_training(self, make, labels):
+        model = make(num_classes=4, epochs=1)
+        X = generate_dataset(20, seed=3).inputs
+        with pytest.raises(ValueError):
+            model.fit(X, labels)
+        assert model.stem_ is None
 
 
 class TestSerialization:
