@@ -89,12 +89,14 @@ class InputBasedAttack:
         opt = Adam([w], lr=cfg.lr)
         self.history_ = []
         best = (np.inf, w.data.copy())
+        loss = input_based_loss(w, x, cfg.c, self.estimator)
         for _ in range(cfg.iterations):
-            loss = opt.step_loss(input_based_loss(w, x, cfg.c, self.estimator))
-            self.history_.append(loss)
-            if loss < best[0]:
-                best = (loss, w.data.copy())
-        final = float(input_based_loss(w, x, cfg.c, self.estimator).data)
+            # one graph per iterate: it scores the iterate, then steps it
+            if loss.data < best[0]:
+                best = (float(loss.data), w.data.copy())
+            self.history_.append(opt.step_loss(loss))
+            loss = input_based_loss(w, x, cfg.c, self.estimator)
+        final = float(loss.data)
         if final < best[0]:
             best = (final, w.data.copy())
         self.final_loss_ = final
@@ -106,6 +108,10 @@ class InputBasedAttack:
 class UniversalAttack:
     """Chase predicted energy from many random starts; keep the best run.
 
+    All restarts run as the rows of one (restarts, d) modifier under one
+    Adam, so the estimator's `predict_tensor` must treat batch rows
+    independently. Restart r keeps its own seeded start and its final loss
+    is scored on its row alone, within float rounding of a one-row run.
     The restart whose final loss is lowest wins; per-restart losses and
     final inputs are kept on the instance for inspection.
     """
@@ -117,17 +123,15 @@ class UniversalAttack:
     def generate(self):
         cfg = self.config
         dim = self.estimator.input_dim
-        self.restart_losses_ = []
-        self.restart_inputs_ = []
-        for r in range(cfg.restarts):
-            rng = derive_rng(cfg.seed, "testgen", "universal", str(r))
-            w = Tensor(rng.normal(0.0, 0.1, size=(1, dim)))
-            opt = Adam([w], lr=cfg.lr)
-            for _ in range(cfg.iterations):
-                opt.step_loss(universal_loss(w, self.estimator))
-            final = float(universal_loss(w, self.estimator).data)
-            self.restart_losses_.append(final)
-            self.restart_inputs_.append(reparam(Tensor(w.data)).data.reshape(-1))
+        w = Tensor(np.concatenate([
+            derive_rng(cfg.seed, "testgen", "universal", str(r)).normal(0.0, 0.1, size=(1, dim))
+            for r in range(cfg.restarts)]))
+        opt = Adam([w], lr=cfg.lr)
+        for _ in range(cfg.iterations):
+            opt.step_loss(universal_loss(w, self.estimator))
+        self.restart_losses_ = [float(universal_loss(Tensor(row[None]), self.estimator).data)
+                                for row in w.data]
+        self.restart_inputs_ = list(reparam(Tensor(w.data)).data)
         self.best_restart_ = int(np.argmin(self.restart_losses_))
         self.best_loss_ = self.restart_losses_[self.best_restart_]
         return self.restart_inputs_[self.best_restart_].copy()
@@ -197,7 +201,8 @@ class IlfoAttack:
     Minimizes squared distance to the seed plus c times the hinge loss of
     the chosen intermediate target, differentiating through the soft
     forward pass. The modifier starts at zero perturbation (arctanh of the
-    seed) and the minimum-loss iterate is returned.
+    seed) and the minimum-loss iterate is returned. Each iterate costs one
+    soft forward: the graph that scores it also gives the next step.
     """
 
     def __init__(self, model, config=None):
@@ -240,12 +245,14 @@ class IlfoAttack:
         xt = Tensor(x)
         w = Tensor(_to_modifier(x))
         opt = Adam([w], lr=cfg.lr)
-        best_loss = float(self._loss(w, xt).data)
+        loss = self._loss(w, xt)
+        best_loss = float(loss.data)
         best_w = w.data.copy()
         self.min_losses_ = [best_loss]
         for _ in range(cfg.iterations):
-            opt.step_loss(self._loss(w, xt))
-            current = float(self._loss(w, xt).data)
+            opt.step_loss(loss)
+            loss = self._loss(w, xt)
+            current = float(loss.data)
             if current < best_loss:
                 best_loss = current
                 best_w = w.data.copy()
@@ -282,16 +289,11 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     if len(chosen) == 0:
         raise ValueError("no inputs selected for attack replay")
 
-    test_inputs = []
-    records = []
-    excluded = 0
-    for x in chosen:
-        f = IlfoAttack(surrogate, config).generate(x)
-        test_inputs.append(f)
-        base_before = surrogate.infer(x).flops
-        base_after = surrogate.infer(f).flops
-        target_before = target.infer(x).flops
-        target_after = target.infer(f).flops
+    test_inputs = [IlfoAttack(surrogate, config).generate(x) for x in chosen]
+    flops = [[t.flops for t in model.infer(batch)] for model in (surrogate, target)
+             for batch in (chosen, np.array(test_inputs))]
+    records, excluded = [], 0
+    for base_before, base_after, target_before, target_after in zip(*flops):
         if base_before == surrogate.max_flops or target_before == target.max_flops:
             excluded += 1
             continue

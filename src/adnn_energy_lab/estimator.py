@@ -16,7 +16,7 @@ from .base import ParamsMixin, check_is_fitted
 from .nn import Dense, ResidualBlock
 from .optim import Adam
 from .seeding import derive_rng
-from .serialize import array_from_json, array_to_json
+from .serialize import array_to_json, payload_config
 from .validation import as_sample_matrix, check_same_length
 
 
@@ -165,22 +165,16 @@ class EnergyEstimator(ParamsMixin):
 
     @classmethod
     def from_payload(cls, payload):
-        config = payload["config"]
+        config = payload_config(payload, ("input_dim", "width", "num_blocks",
+                                          "energy_mean", "energy_scale"))
         est = cls(input_dim=config["input_dim"], width=config["width"],
                   num_blocks=config["num_blocks"],
                   target_id=config.get("target_id"))
-        params = {k: array_from_json(v) for k, v in payload["params"].items()}
-        est.stem_ = Dense(params["stem.weight"], params["stem.bias"])
-        est.blocks_ = [
-            ResidualBlock(
-                Dense(params["block%d.lin1.weight" % i],
-                      params["block%d.lin1.bias" % i]),
-                Dense(params["block%d.lin2.weight" % i],
-                      params["block%d.lin2.bias" % i]),
-            )
-            for i in range(config["num_blocks"])
-        ]
-        est.head_ = Dense(params["head.weight"], params["head.bias"])
+        w = config["width"]
+        est.stem_ = Dense.from_payload(payload, "stem", config["input_dim"], w)
+        est.blocks_ = [ResidualBlock.from_payload(payload, "block%d" % i, w)
+                       for i in range(config["num_blocks"])]
+        est.head_ = Dense.from_payload(payload, "head", w, 1)
         est.energy_mean_ = float(config["energy_mean"])
         est.energy_scale_ = float(config["energy_scale"])
         return est

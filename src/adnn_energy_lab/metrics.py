@@ -161,17 +161,29 @@ def pearson(xs, ys, n_perm=10000, seed=0):
 
 
 def auc(scores, labels):
-    """Rank-statistic ROC AUC: P(positive outranks negative), ties half."""
+    """Rank-statistic ROC AUC: P(positive outranks negative), ties half.
+
+    Mann-Whitney form: the positives' rank sum, tied scores sharing their
+    average rank, less its least value n_pos (n_pos + 1) / 2. The ranks are
+    half-integers, so the sum is exact and equals the all-pairs count of
+    wins plus half the ties. Rows labelled other than 0 or 1 are ignored.
+    """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     check_same_length(scores, labels, "scores", "labels")
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
+    if not np.isfinite(scores).all():
+        raise ValueError("auc needs finite scores")
+    keep = (labels == 0) | (labels == 1)
+    scores, positive = scores[keep], labels[keep] == 1
+    n_pos = int(positive.sum())
+    n_neg = len(scores) - n_pos
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # the k tied scores ending at rank c share the rank c - (k - 1) / 2
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group.reshape(-1)]
+    wins = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(wins / (n_pos * n_neg))
 
 
 @dataclass(frozen=True)

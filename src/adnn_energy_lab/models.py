@@ -24,7 +24,8 @@ from .base import ParamsMixin, check_is_fitted
 from .nn import Dense, ResidualBlock, cross_entropy, xavier_uniform
 from .optim import Adam
 from .seeding import derive_rng
-from .serialize import DataFormatError, array_from_json, array_to_json, dump_json, load_json
+from .serialize import (DataFormatError, array_to_json, dump_json, load_json,
+                        param_from_json, payload_config)
 from .validation import as_label_array, as_sample_matrix
 
 
@@ -301,45 +302,19 @@ class GatedSkipNet(ParamsMixin):
 
     @classmethod
     def from_payload(cls, payload):
-        cfg = payload["config"]
-        model = cls(
-            input_dim=cfg["input_dim"],
-            width=cfg["width"],
-            num_blocks=cfg["num_blocks"],
-            num_classes=cfg["num_classes"],
-            gate_threshold=cfg["gate_threshold"],
-        )
-        model._input_pool = Tensor(np.full((cfg["input_dim"], 1), 1.0 / cfg["input_dim"]))
-        p = payload["params"]
-        model.stem_ = Dense(
-            array_from_json(p["stem.weight"], "stem.weight"),
-            array_from_json(p["stem.bias"], "stem.bias"),
-        )
-        model.head_ = Dense(
-            array_from_json(p["head.weight"], "head.weight"),
-            array_from_json(p["head.bias"], "head.bias"),
-        )
-        model.blocks_ = [
-            ResidualBlock(
-                Dense(
-                    array_from_json(p["blocks.%d.lin1.weight" % i]),
-                    array_from_json(p["blocks.%d.lin1.bias" % i]),
-                ),
-                Dense(
-                    array_from_json(p["blocks.%d.lin2.weight" % i]),
-                    array_from_json(p["blocks.%d.lin2.bias" % i]),
-                ),
-            )
-            for i in range(cfg["num_blocks"])
-        ]
-        model.gate_weights_ = [
-            Tensor(array_from_json(p["gates.%d.weight" % i]).reshape(()))
-            for i in range(cfg["num_blocks"])
-        ]
-        model.gate_biases_ = [
-            Tensor(array_from_json(p["gates.%d.bias" % i]).reshape(()))
-            for i in range(cfg["num_blocks"])
-        ]
+        keys = ("input_dim", "width", "num_blocks", "num_classes", "gate_threshold")
+        cfg = payload_config(payload, keys)
+        model = cls(**{k: cfg[k] for k in keys})
+        d, w, n = cfg["input_dim"], cfg["width"], cfg["num_blocks"]
+        model._input_pool = Tensor(np.full((d, 1), 1.0 / d))
+        model.stem_ = Dense.from_payload(payload, "stem", d, w)
+        model.head_ = Dense.from_payload(payload, "head", w, cfg["num_classes"])
+        model.blocks_ = [ResidualBlock.from_payload(payload, "blocks.%d" % i, w)
+                         for i in range(n)]
+        model.gate_weights_ = [Tensor(param_from_json(payload, "gates.%d.weight" % i, ()))
+                               for i in range(n)]
+        model.gate_biases_ = [Tensor(param_from_json(payload, "gates.%d.bias" % i, ()))
+                              for i in range(n)]
         return model
 
 
@@ -528,36 +503,15 @@ class EarlyExitNet(ParamsMixin):
 
     @classmethod
     def from_payload(cls, payload):
-        cfg = payload["config"]
-        model = cls(
-            input_dim=cfg["input_dim"],
-            width=cfg["width"],
-            num_segments=cfg["num_segments"],
-            num_classes=cfg["num_classes"],
-            entropy_threshold=cfg["entropy_threshold"],
-        )
-        p = payload["params"]
-        model.stem_ = Dense(array_from_json(p["stem.weight"]), array_from_json(p["stem.bias"]))
-        model.segments_ = [
-            ResidualBlock(
-                Dense(
-                    array_from_json(p["segments.%d.lin1.weight" % i]),
-                    array_from_json(p["segments.%d.lin1.bias" % i]),
-                ),
-                Dense(
-                    array_from_json(p["segments.%d.lin2.weight" % i]),
-                    array_from_json(p["segments.%d.lin2.bias" % i]),
-                ),
-            )
-            for i in range(cfg["num_segments"])
-        ]
-        model.exit_heads_ = [
-            Dense(
-                array_from_json(p["exits.%d.weight" % i]),
-                array_from_json(p["exits.%d.bias" % i]),
-            )
-            for i in range(cfg["num_segments"])
-        ]
+        keys = ("input_dim", "width", "num_segments", "num_classes", "entropy_threshold")
+        cfg = payload_config(payload, keys)
+        model = cls(**{k: cfg[k] for k in keys})
+        w, n = cfg["width"], cfg["num_segments"]
+        model.stem_ = Dense.from_payload(payload, "stem", cfg["input_dim"], w)
+        model.segments_ = [ResidualBlock.from_payload(payload, "segments.%d" % i, w)
+                           for i in range(n)]
+        model.exit_heads_ = [Dense.from_payload(payload, "exits.%d" % i, w, cfg["num_classes"])
+                             for i in range(n)]
         return model
 
 
@@ -670,13 +624,13 @@ def model_to_payload(model):
 
 
 def model_from_payload(payload):
-    kind = payload.get("kind")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "skip":
         return GatedSkipNet.from_payload(payload)
     if kind == "exit":
         return EarlyExitNet.from_payload(payload)
     if kind == "scripted":
-        cfg = payload["config"]
+        cfg = payload_config(payload, ("thresholds", "base_flops", "block_flops"))
         return ScriptedAdnn(
             cfg["thresholds"],
             base_flops=cfg["base_flops"],

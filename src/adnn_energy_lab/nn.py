@@ -8,6 +8,7 @@ treated as free; only affine maps carry cost.
 import numpy as np
 
 from .autodiff import Tensor, add, log_softmax, matmul, mul, relu, softmax, tmean, tsum
+from .serialize import param_from_json
 
 
 def xavier_uniform(rng, fan_in, fan_out):
@@ -30,6 +31,12 @@ class Dense:
     @classmethod
     def init(cls, rng, fan_in, fan_out):
         return cls(xavier_uniform(rng, fan_in, fan_out), np.zeros(fan_out))
+
+    @classmethod
+    def from_payload(cls, payload, prefix, fan_in, fan_out):
+        """The layer stored under `prefix` in a model payload."""
+        return cls(param_from_json(payload, prefix + ".weight", (fan_in, fan_out)),
+                   param_from_json(payload, prefix + ".bias", (fan_out,)))
 
     @property
     def fan_in(self):
@@ -61,6 +68,11 @@ class ResidualBlock:
     @classmethod
     def init(cls, rng, width):
         return cls(Dense.init(rng, width, width), Dense.init(rng, width, width))
+
+    @classmethod
+    def from_payload(cls, payload, prefix, width):
+        return cls(Dense.from_payload(payload, prefix + ".lin1", width, width),
+                   Dense.from_payload(payload, prefix + ".lin2", width, width))
 
     @property
     def flops(self):

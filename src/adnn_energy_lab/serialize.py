@@ -34,6 +34,29 @@ def array_from_json(obj, name="array"):
     return data.reshape(shape)
 
 
+def payload_config(payload, keys):
+    """A model payload's config object, checked to carry every key in `keys`."""
+    config = payload.get("config") if isinstance(payload, dict) else None
+    if not isinstance(config, dict):
+        raise DataFormatError("payload needs a 'config' object")
+    missing = [k for k in keys if k not in config]
+    if missing:
+        raise DataFormatError("payload config lacks %s" % ", ".join(missing))
+    return config
+
+
+def param_from_json(payload, key, shape):
+    """Parameter `key` of a model payload, in the shape its config implies."""
+    params = payload.get("params")
+    if not isinstance(params, dict) or key not in params:
+        raise DataFormatError("payload lacks parameter %r" % key)
+    arr = array_from_json(params[key], key)
+    if arr.shape != tuple(shape):
+        raise DataFormatError("%s has shape %s, the config implies %s"
+                              % (key, list(arr.shape), list(shape)))
+    return arr
+
+
 def dump_json(obj, path):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)

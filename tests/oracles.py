@@ -200,3 +200,126 @@ def random_op_mix_graph(rng):
         if valid(arrays):
             return build, arrays
     raise RuntimeError("could not find kink-free leaf values")
+
+
+# -- sequential forms of the batched attack and defense loops -------------
+#
+# These keep the one-input-at-a-time loops the library used to run. They
+# call the library's per-input pieces (losses, Adam, inference, features),
+# so they check the batching and bookkeeping around those pieces, not the
+# pieces themselves, which have their own oracles above.
+
+
+def ilfo_two_forward_reference(attack, x):
+    """ILFO with two soft forwards per step: one graph for the update, a
+    fresh one to score the new iterate. Returns (input, min_losses)."""
+    from adnn_energy_lab.attacks import reparam
+    from adnn_energy_lab.autodiff import Tensor
+    from adnn_energy_lab.optim import Adam
+
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    xt = Tensor(x)
+    w = Tensor(np.arctanh(2.0 * np.clip(x, 1e-6, 1.0 - 1e-6) - 1.0))
+    opt = Adam([w], lr=attack.config.lr)
+    best_loss = float(attack._loss(w, xt).data)
+    best_w = w.data.copy()
+    min_losses = [best_loss]
+    for _ in range(attack.config.iterations):
+        opt.step_loss(attack._loss(w, xt))
+        current = float(attack._loss(w, xt).data)
+        if current < best_loss:
+            best_loss = current
+            best_w = w.data.copy()
+        min_losses.append(best_loss)
+    return reparam(Tensor(best_w)).data.reshape(-1), min_losses
+
+
+def universal_per_restart_reference(estimator, config):
+    """Each universal restart as its own one-row Adam run.
+
+    Returns (restart inputs, restart final losses).
+    """
+    from adnn_energy_lab.attacks import reparam, universal_loss
+    from adnn_energy_lab.autodiff import Tensor
+    from adnn_energy_lab.optim import Adam
+    from adnn_energy_lab.seeding import derive_rng
+
+    inputs, losses = [], []
+    for r in range(config.restarts):
+        rng = derive_rng(config.seed, "testgen", "universal", str(r))
+        w = Tensor(rng.normal(0.0, 0.1, size=(1, estimator.input_dim)))
+        opt = Adam([w], lr=config.lr)
+        for _ in range(config.iterations):
+            opt.step_loss(universal_loss(w, estimator))
+        losses.append(float(universal_loss(w, estimator).data))
+        inputs.append(reparam(Tensor(w.data)).data.reshape(-1))
+    return inputs, losses
+
+
+def surrogate_records_reference(target, surrogate, inputs, config, num_attack):
+    """Surrogate study with four one-row replays per attacked input.
+
+    Fits `surrogate` on the target's labels, like the library does.
+    Returns (test inputs, transfer records, excluded count).
+    """
+    from adnn_energy_lab.attacks import IlfoAttack
+    from adnn_energy_lab.metrics import TransferRecord, inc_rf
+
+    labels = np.array([target.infer(x).label for x in inputs])
+    surrogate.fit(inputs, labels)
+    tests, records, excluded = [], [], 0
+    for x in inputs[:num_attack]:
+        f = IlfoAttack(surrogate, config).generate(x)
+        tests.append(f)
+        base_before = surrogate.infer(x).flops
+        base_after = surrogate.infer(f).flops
+        target_before = target.infer(x).flops
+        target_after = target.infer(f).flops
+        if base_before == surrogate.max_flops or target_before == target.max_flops:
+            excluded += 1
+            continue
+        records.append(TransferRecord(
+            base_inc_rf=inc_rf(base_before, base_after, surrogate.max_flops),
+            target_inc_rf=inc_rf(target_before, target_after, target.max_flops),
+            base_flops_before=base_before, base_flops_after=base_after,
+            target_flops_before=target_before, target_flops_after=target_after,
+        ))
+    return tests, records, excluded
+
+
+def evaluate_defense_sequential_reference(adnn, svm, energy_model, benign,
+                                          labels, adversarial):
+    """The defense report built input by input through guarded_inference.
+
+    Every input is scored, then guarded and inferred on its own, so each
+    one's feature is computed twice and its model run twice; the AUC is the
+    all-pairs form.
+    """
+    from adnn_energy_lab.defense import (gradient_feature, guarded_inference,
+                                         svm_score)
+
+    scores_b = [svm_score(svm, gradient_feature(adnn, x)) for x in benign]
+    scores_a = [svm_score(svm, gradient_feature(adnn, x)) for x in adversarial]
+    correct_plain = correct_guarded = 0
+    benign_inc = []
+    for x, label in zip(benign, labels):
+        result = guarded_inference(adnn, svm, x, energy_model)
+        trace = adnn.infer(x)
+        plain = energy_model.noiseless_energy(trace)
+        benign_inc.append(100.0 * (result.energy - plain) / plain)
+        correct_plain += trace.label == label
+        if result.verdict == "benign" and int(np.argmax(result.logits)) == label:
+            correct_guarded += 1
+    adv_dec = []
+    for x in adversarial:
+        result = guarded_inference(adnn, svm, x, energy_model)
+        plain = energy_model.noiseless_energy(adnn.infer(x))
+        adv_dec.append(100.0 * (plain - result.energy) / plain)
+    n = len(benign)
+    return {
+        "detection_pct": 100.0 * float(np.mean(np.array(scores_a) > 0.0)),
+        "auc": auc_reference(scores_b + scores_a, [0] * n + [1] * len(scores_a)),
+        "acc_drop_pct": 100.0 * (correct_plain / n - correct_guarded / n),
+        "adv_energy_dec_pct": float(np.mean(adv_dec)),
+        "benign_energy_inc_pct": float(np.mean(benign_inc)),
+    }

@@ -33,6 +33,12 @@ from adnn_energy_lab.models import (
 )
 from adnn_energy_lab.seeding import derive_rng
 
+from oracles import (
+    ilfo_two_forward_reference,
+    surrogate_records_reference,
+    universal_per_restart_reference,
+)
+
 SCRIPTED = make_scripted(8, [(i + 0.5) / 8 for i in range(8)], 2176, 1024)
 NOISELESS = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
 
@@ -187,6 +193,28 @@ class TestInputBasedGeneration:
         assert attack.best_loss_ <= attack.final_loss_
         assert len(attack.history_) == 40
 
+    def test_track_best_returns_the_best_iterate(self, trained_estimator):
+        # a large step makes the loss climb back after its minimum
+        x = np.full(64, 0.1)
+        cfg = GenConfig(mode="input_based", c=1.0, lr=0.8, iterations=40,
+                        track_best=True)
+        attack = InputBasedAttack(trained_estimator, cfg)
+        f = attack.generate(x)
+        assert attack.best_loss_ < attack.final_loss_
+        recomputed = (float(np.linalg.norm(f - x))
+                      - float(trained_estimator.predict(f)[0]))
+        assert abs(recomputed - attack.best_loss_) < 1e-9
+
+    def test_history_holds_the_loss_before_each_step(self, trained_estimator):
+        cfg = GenConfig(mode="input_based", iterations=3)
+        attack = InputBasedAttack(trained_estimator, cfg)
+        x = np.full(64, 0.3)
+        attack.generate(x)
+        start = InputBasedAttack(trained_estimator,
+                                 GenConfig(mode="input_based", iterations=0))
+        start.generate(x)
+        assert attack.history_[0] == start.final_loss_
+
     def test_raises_energy_on_min_energy_seed(self, trained_estimator):
         x = np.full(64, 0.02)
         cfg = GenConfig(mode="input_based", c=100.0, iterations=150)
@@ -219,6 +247,29 @@ class TestUniversalGeneration:
         f = tied.generate()
         assert tied.best_restart_ == 0
         assert np.array_equal(f, tied.restart_inputs_[0])
+
+    def test_batched_restarts_match_per_restart_reference(self, trained_estimator):
+        cfg = GenConfig(mode="universal", iterations=30, restarts=5, seed=3)
+        attack = UniversalAttack(trained_estimator, cfg)
+        f = attack.generate()
+        inputs, losses = universal_per_restart_reference(trained_estimator, cfg)
+        assert len(attack.restart_inputs_) == len(inputs) == 5
+        for got, want in zip(attack.restart_inputs_, inputs):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(np.subtract(attack.restart_losses_, losses))) <= 1e-12
+        assert attack.best_restart_ == int(np.argmin(losses))
+        assert np.array_equal(f, attack.restart_inputs_[attack.best_restart_])
+
+    def test_stub_restarts_equal_per_restart_reference(self):
+        # the mean stub's gradient is the same constant for every row, so
+        # the batched run is exact
+        cfg = GenConfig(mode="universal", iterations=5, restarts=3, lr=0.1)
+        attack = UniversalAttack(PixelMeanEstimator(), cfg)
+        attack.generate()
+        inputs, losses = universal_per_restart_reference(PixelMeanEstimator(), cfg)
+        assert attack.restart_losses_ == losses
+        for got, want in zip(attack.restart_inputs_, inputs):
+            assert np.array_equal(got, want)
 
     def test_deterministic(self, trained_estimator):
         cfg = GenConfig(mode="universal", iterations=8, restarts=3)
@@ -372,6 +423,28 @@ class TestIlfoAttack:
         assert np.array_equal(a, b)
 
 
+class TestIlfoSequentialReference:
+    @pytest.mark.parametrize("iterations", [0, 1, 40])
+    def test_gate_target_equals_two_forward_loop(self, trained_skip,
+                                                 skip_dataset, iterations):
+        attack = IlfoAttack(trained_skip, IlfoConfig(iterations=iterations))
+        x = skip_dataset.inputs[3]
+        f = attack.generate(x)
+        want, min_losses = ilfo_two_forward_reference(attack, x)
+        assert np.array_equal(f, want)
+        assert attack.min_losses_ == min_losses
+        assert attack.best_loss_ == min_losses[-1]
+
+    def test_exit_target_equals_two_forward_loop(self, trained_exit,
+                                                 exit_dataset):
+        attack = IlfoAttack(trained_exit, IlfoConfig(target="exit", iterations=40))
+        x = exit_dataset.inputs[5]
+        f = attack.generate(x)
+        want, min_losses = ilfo_two_forward_reference(attack, x)
+        assert np.array_equal(f, want)
+        assert attack.min_losses_ == min_losses
+
+
 class FrozenSurrogate(GatedSkipNet):
     """Surrogate stand-in whose training is a no-op, for same-weights
     transfer sanity checks."""
@@ -422,6 +495,23 @@ class TestSurrogatePipeline:
         assert report["excluded"] == 1
         assert len(report["records"]) == 3
         assert len(tests) == 4
+
+    def test_records_equal_one_row_replay(self, trained_skip, skip_dataset):
+        inputs = skip_dataset.inputs[:24]
+        cfg = IlfoConfig(iterations=30)
+
+        def surrogate():
+            return GatedSkipNet(width=8, num_blocks=4, epochs=5, seed=0)
+
+        tests, report = surrogate_pipeline(trained_skip, surrogate(), inputs,
+                                           cfg, num_attack=4)
+        want_tests, records, excluded = surrogate_records_reference(
+            trained_skip, surrogate(), inputs, cfg, num_attack=4)
+        assert report["records"] == records
+        assert report["excluded"] == excluded
+        assert len(tests) == len(want_tests) == 4
+        for got, want in zip(tests, want_tests):
+            assert np.array_equal(got, want)
 
     def test_empty_replay_set_raises(self):
         surrogate = frozen_analogue([0.3, 0.5])

@@ -15,6 +15,7 @@ from adnn_energy_lab.estimator import (
     train_estimator,
 )
 from adnn_energy_lab.models import make_scripted
+from adnn_energy_lab.serialize import DataFormatError
 
 from oracles import finite_difference, max_relative_error
 
@@ -142,6 +143,32 @@ class TestSerialization:
         assert clone.target_id == "scripted-8"
         assert clone.energy_mean_ == est.energy_mean_
         assert clone.energy_scale_ == est.energy_scale_
+
+    @pytest.fixture
+    def payload(self):
+        X, y = measured_corpus(25, seed=12)
+        return EnergyEstimator(epochs=1, seed=0).fit(X, y).to_payload()
+
+    def test_missing_config_rejected(self, payload):
+        with pytest.raises(DataFormatError):
+            EnergyEstimator.from_payload({"kind": "estimator"})
+        config = dict(payload["config"])
+        del config["energy_scale"]
+        with pytest.raises(DataFormatError):
+            EnergyEstimator.from_payload(dict(payload, config=config))
+
+    def test_missing_parameter_rejected(self, payload):
+        params = dict(payload["params"])
+        del params["block2.lin1.bias"]
+        with pytest.raises(DataFormatError):
+            EnergyEstimator.from_payload(dict(payload, params=params))
+
+    @pytest.mark.parametrize("shape", [(64, 65), (63, 64)])
+    def test_stem_shape_disagreeing_with_config_rejected(self, payload, shape):
+        params = dict(payload["params"], **{"stem.weight": {
+            "shape": list(shape), "data": [0.0] * (shape[0] * shape[1])}})
+        with pytest.raises(DataFormatError):
+            EnergyEstimator.from_payload(dict(payload, params=params))
 
     def test_unfitted_payload_rejected(self):
         with pytest.raises(NotFittedError):

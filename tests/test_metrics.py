@@ -259,6 +259,37 @@ class TestAuc:
                                                         labels.tolist())
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)),
+                    min_size=2, max_size=60))
+    def test_rank_form_equals_pairwise_form_with_heavy_ties(self, rows):
+        # four distinct scores at most, so most pairs tie
+        scores = [s / 4.0 for s, _ in rows]
+        labels = [l for _, l in rows]
+        if len(set(labels)) < 2:
+            with pytest.raises(ValueError):
+                auc(scores, labels)
+            return
+        assert auc(scores, labels) == auc_reference(scores, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(0, 1)),
+                    min_size=2, max_size=60))
+    def test_rank_form_equals_pairwise_form(self, rows):
+        scores = [s for s, _ in rows]
+        labels = [l for _, l in rows]
+        if len(set(labels)) < 2:
+            return
+        assert auc(scores, labels) == auc_reference(scores, labels)
+
+    def test_labels_other_than_zero_and_one_are_ignored(self):
+        assert auc([0.9, 0.1, 0.5, 0.7], [1, 0, 2, -1]) == 1.0
+
+    def test_non_finite_score_rejected(self):
+        with pytest.raises(ValueError):
+            auc([0.9, float("nan"), 0.1], [1, 1, 0])
+
+
 class TestRobustnessScores:
     def setup_method(self):
         self.model = make_scripted(4, [0.2, 0.4, 0.6, 0.8], 100, 256)

@@ -20,6 +20,8 @@ from adnn_energy_lab.models import (
     flops_of_trace,
     load_model,
     make_scripted,
+    model_from_payload,
+    model_to_payload,
     save_model,
     scripted_gate_analogue,
 )
@@ -351,6 +353,39 @@ class TestSerialization:
         path.write_text('{"kind": "mystery", "config": {}, "params": {}}\n')
         with pytest.raises(DataFormatError):
             load_model(path)
+
+    @pytest.fixture(params=["skip", "exit"])
+    def payload(self, request, trained_skip, trained_exit):
+        model = trained_skip if request.param == "skip" else trained_exit
+        return model_to_payload(model)
+
+    def test_missing_config_rejected(self, payload):
+        with pytest.raises(DataFormatError):
+            model_from_payload({"kind": payload["kind"]})
+        with pytest.raises(DataFormatError):
+            model_from_payload(dict(payload, config={"width": 16}))
+
+    def test_missing_parameter_rejected(self, payload):
+        prefix = "blocks" if payload["kind"] == "skip" else "segments"
+        params = dict(payload["params"])
+        del params[prefix + ".2.lin1.bias"]
+        with pytest.raises(DataFormatError):
+            model_from_payload(dict(payload, params=params))
+
+    @pytest.mark.parametrize("shape", [(64, 17), (63, 16)])
+    def test_stem_shape_disagreeing_with_config_rejected(self, payload, shape):
+        params = dict(payload["params"], **{"stem.weight": {
+            "shape": list(shape), "data": [0.0] * (shape[0] * shape[1])}})
+        with pytest.raises(DataFormatError):
+            model_from_payload(dict(payload, params=params))
+
+    def test_scripted_missing_config_rejected(self):
+        with pytest.raises(DataFormatError):
+            model_from_payload({"kind": "scripted", "config": {"thresholds": [0.5]}})
+
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(DataFormatError):
+            model_from_payload(["skip"])
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "trunc.json"
