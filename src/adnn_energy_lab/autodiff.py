@@ -6,10 +6,21 @@ from, a vector-Jacobian closure. Calling an op builds the graph implicitly;
 per-parent contributions in a side table, so evaluation never mutates nodes
 and a finished graph is safe to read from multiple threads.
 
-The operator set is deliberately small: affine maps, relu / sigmoid / tanh,
-softmax, elementwise arithmetic, reductions, max against a constant, the
-Euclidean norm, and log. Everything downstream (losses, entropy, attack
-objectives) is composed from these.
+The operator set is deliberately small: the affine map `affine` (x @ w + b)
+and the fused residual branch `residual_branch` (relu(h @ w1 + b1) @ w2 + b2),
+each one graph node, plus matmul, relu / sigmoid / tanh, softmax, elementwise
+arithmetic, reductions, max against a constant, the Euclidean norm, and log.
+Everything downstream (layers, losses, entropy, attack objectives) is composed
+from these.
+
+`gradients` evaluates only the vector-Jacobian products on paths from the
+output to a tensor in `wrt`: an input-gradient step computes no parameter
+gradients, and a training step computes no gradient of its input batch.
+
+Finiteness contract: an op whose value is NaN or infinite raises
+`NonFiniteError`, and so does every gradient contribution `gradients`
+computes. The fused residual branch also checks its hidden pre-activation,
+so a relu cannot mask a non-finite value there.
 """
 
 import numpy as np
@@ -143,6 +154,61 @@ def matmul(a, b):
     return Tensor(out, ((a, grad_a), (b, grad_b)), "matmul")
 
 
+def _check_affine(op, x_shape, w, b):
+    if len(x_shape) not in (1, 2) or w.ndim != 2 or x_shape[-1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError("%s got shapes %s, %s and %s" % (op, x_shape, w.shape, b.shape))
+
+
+def _weight_grad(x, g):
+    """Gradient of x @ w with respect to w, for a 1-D or 2-D `x`."""
+    return np.outer(x, g) if x.ndim == 1 else x.T @ g
+
+
+def _bias_grad(g):
+    return g if g.ndim == 1 else g.sum(axis=0)
+
+
+def affine(x, w, b):
+    """x @ w + b as one node; `x` is a vector or a batch of rows."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_affine("affine", x.shape, w, b)
+    xd, wd = x.data, w.data
+    return Tensor(xd @ wd + b.data, (
+        (x, lambda g: g @ wd.T),
+        (w, lambda g: _weight_grad(xd, g)),
+        (b, _bias_grad),
+    ), "affine")
+
+
+def residual_branch(h, w1, b1, w2, b2):
+    """relu(h @ w1 + b1) @ w2 + b2 as one node.
+
+    The hidden pre-activation is checked for finiteness too, because the
+    relu would otherwise hide a -inf or NaN there. Each parent's closure
+    recomputes the hidden gradient it needs, so the closures stay pure.
+    """
+    h, w1, b1, w2, b2 = (as_tensor(t) for t in (h, w1, b1, w2, b2))
+    _check_affine("residual_branch", h.shape, w1, b1)
+    _check_affine("residual_branch", h.shape[:-1] + w1.shape[1:], w2, b2)
+    hd, w1d, w2d = h.data, w1.data, w2.data
+    z1 = hd @ w1d + b1.data
+    _require_finite(z1, "residual_branch")
+    mask = z1 > 0.0
+    a = np.where(mask, z1, 0.0)
+
+    def grad_z1(g):
+        return (g @ w2d.T) * mask
+
+    return Tensor(a @ w2d + b2.data, (
+        (h, lambda g: grad_z1(g) @ w1d.T),
+        (w1, lambda g: _weight_grad(hd, grad_z1(g))),
+        (b1, lambda g: _bias_grad(grad_z1(g))),
+        (w2, lambda g: _weight_grad(a, g)),
+        (b2, _bias_grad),
+    ), "residual_branch")
+
+
 def relu(x):
     x = as_tensor(x)
     mask = x.data > 0.0
@@ -241,12 +307,16 @@ def l2_norm(x, axis=None):
     return Tensor(out, ((x, grad_x),), "l2_norm")
 
 
-def _topo_order(root):
-    order, seen, stack = [], set(), [(root, False)]
+def _topo_order(root, wrt_ids):
+    """Post-order of the graph under `root` (parents before children), and
+    the ids of the nodes at or above some tensor whose id is in `wrt_ids`."""
+    order, seen, needed, stack = [], set(), set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
+            if id(node) in wrt_ids or any(id(p) in needed for p, _ in node._vjps):
+                needed.add(id(node))
             continue
         if id(node) in seen:
             continue
@@ -255,15 +325,17 @@ def _topo_order(root):
         for parent, _ in node._vjps:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    return order
+    return order, needed
 
 
 def gradients(output, wrt):
     """Gradients of a scalar `output` with respect to each tensor in `wrt`.
 
     Returns a list of ndarrays aligned with `wrt`; tensors the output does
-    not depend on get zeros. Accumulation happens in a side table keyed by
-    node identity, so the graph itself is left untouched.
+    not depend on get zeros. Only the vector-Jacobian products on paths from
+    `output` to a tensor in `wrt` are evaluated, and each contribution they
+    make is checked for finiteness. Accumulation happens in a side table
+    keyed by node identity, so the graph itself is left untouched.
     """
     output = as_tensor(output)
     if output.size != 1:
@@ -272,18 +344,21 @@ def gradients(output, wrt):
         )
     table = {id(output): np.ones_like(output.data)}
     grads = {id(t): None for t in wrt}
+    order, needed = _topo_order(output, grads)
     # reverse topological order: every consumer of a node is processed
     # before the node itself, so its table entry is complete when read
-    for node in reversed(_topo_order(output)):
+    for node in reversed(order):
         g = table.get(id(node))
         if g is None:
             continue
         if id(node) in grads:
             grads[id(node)] = g
         for parent, vjp in node._vjps:
+            key = id(parent)
+            if key not in needed:
+                continue
             contribution = vjp(g)
             _require_finite(contribution, node.op + ".grad")
-            key = id(parent)
             if key in table:
                 table[key] = table[key] + contribution
             else:

@@ -166,15 +166,16 @@ def auc(scores, labels):
     Mann-Whitney form: the positives' rank sum, tied scores sharing their
     average rank, less its least value n_pos (n_pos + 1) / 2. The ranks are
     half-integers, so the sum is exact and equals the all-pairs count of
-    wins plus half the ties. Rows labelled other than 0 or 1 are ignored.
+    wins plus half the ties. Labels must be 0 (negative) or 1 (positive).
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     check_same_length(scores, labels, "scores", "labels")
     if not np.isfinite(scores).all():
         raise ValueError("auc needs finite scores")
-    keep = (labels == 0) | (labels == 1)
-    scores, positive = scores[keep], labels[keep] == 1
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("auc needs labels 0 (negative) or 1 (positive)")
+    positive = labels == 1
     n_pos = int(positive.sum())
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:

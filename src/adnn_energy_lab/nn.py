@@ -7,7 +7,8 @@ treated as free; only affine maps carry cost.
 
 import numpy as np
 
-from .autodiff import Tensor, add, log_softmax, matmul, mul, relu, softmax, tmean, tsum
+from .autodiff import (Tensor, add, affine, log_softmax, mul, residual_branch, softmax,
+                       tmean, tsum)
 from .serialize import param_from_json
 
 
@@ -55,7 +56,7 @@ class Dense:
         return [self.weight, self.bias]
 
     def __call__(self, x):
-        return add(matmul(x, self.weight), self.bias)
+        return affine(x, self.weight, self.bias)
 
 
 class ResidualBlock:
@@ -83,7 +84,7 @@ class ResidualBlock:
         return self.lin1.params + self.lin2.params
 
     def branch(self, h):
-        return self.lin2(relu(self.lin1(h)))
+        return residual_branch(h, *self.lin1.params, *self.lin2.params)
 
     def __call__(self, h):
         return add(h, self.branch(h))

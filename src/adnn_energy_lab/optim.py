@@ -1,9 +1,14 @@
 """Adam with bias correction.
 
-Parameters are leaf Tensors; `step` rebinds their `.data` in place between
-graph constructions. With bias correction the very first update has magnitude
-close to `lr` in every coordinate with a nonzero gradient, which makes the
-step size directly interpretable.
+Parameters are leaf Tensors. `step` updates all of them as one flat vector:
+the moments `m` and `v` are single flat arrays, the gradients and the current
+`p.data` of every parameter are concatenated, the update runs once, and each
+`p.data` is rebound to its slice of the new vector between graph
+constructions. A parameter's old array is never written, and `p.data` is
+read afresh on every step, so a caller may rebind it (say, to restore a
+checkpoint) between steps. With bias correction the very first update has
+magnitude close to `lr` in every coordinate with a nonzero gradient, which
+makes the step size directly interpretable.
 """
 
 import numpy as np
@@ -21,23 +26,37 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        size = sum(p.data.size for p in self.params)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
 
     def step(self, grads):
         if len(grads) != len(self.params):
             raise ValueError("got %d gradients for %d parameters" % (len(grads), len(self.params)))
+        for p, g in zip(self.params, grads):
+            if np.shape(g) != p.data.shape:
+                raise ValueError("gradient of shape %s for a parameter of shape %s"
+                                 % (np.shape(g), p.data.shape))
         self.t += 1
+        if not self.params:
+            return
+        g = np.concatenate([np.ravel(g) for g in grads])
+        data = np.concatenate([p.data.ravel() for p in self.params])
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - self.lr * update
+        m, v = self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        data = data - self.lr * update
+        start = 0
+        for p in self.params:
+            end = start + p.data.size
+            p.data = data[start:end].reshape(p.data.shape)
+            start = end
 
     def step_loss(self, loss):
         """Backward pass on `loss` followed by one update; returns the loss."""

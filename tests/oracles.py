@@ -133,6 +133,26 @@ def adam_reference_steps(p0, grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
     return trail
 
 
+def adam_per_parameter_steps(values, grads, state, lr=0.01, beta1=0.9,
+                             beta2=0.999, eps=1e-8):
+    """One Adam step run parameter by parameter on plain arrays.
+
+    `values` and `grads` are lists of arrays; `state` is a dict holding the
+    step count and per-parameter moments, created empty and carried between
+    calls. Returns the new values as fresh arrays.
+    """
+    t = state["t"] = state.get("t", 0) + 1
+    ms = state.setdefault("m", [np.zeros(np.shape(v)) for v in values])
+    vs = state.setdefault("v", [np.zeros(np.shape(v)) for v in values])
+    out = []
+    for i, (p, g) in enumerate(zip(values, grads)):
+        ms[i] = beta1 * ms[i] + (1.0 - beta1) * g
+        vs[i] = beta2 * vs[i] + (1.0 - beta2) * (g * g)
+        update = (ms[i] / (1.0 - beta1**t)) / (np.sqrt(vs[i] / (1.0 - beta2**t)) + eps)
+        out.append(p - lr * update)
+    return out
+
+
 def random_op_mix_graph(rng):
     """A random scalar graph touching every primitive op, plus its leaves.
 
@@ -173,13 +193,16 @@ def random_op_mix_graph(rng):
         gap = ad.sub(h2, anchor)
         dist = ad.l2_norm(gap)
         gate = ad.tmean(ad.sigmoid(h1))
+        # the fused ops share `pre` as their hidden pre-activation
+        fused = ad.add(ad.tmean(ad.residual_branch(x, w1, b1, w2, b2)),
+                       ad.tmean(ad.affine(h2, w2, b2)))
         if record is not None:
             record.append(("kink", pre.data))
             record.append(("kink", h1.data - 0.3 - 0.1))
             record.append(("prob", probs.data))
             record.append(("norm", gap.data))
         return ad.add(
-            ad.add(ad.tmean(picked), dist),
+            ad.add(ad.add(ad.tmean(picked), dist), fused),
             ad.add(ad.mul(ad.tsum(clipped), 0.3), gate),
         )
 

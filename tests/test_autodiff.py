@@ -10,9 +10,11 @@ from adnn_energy_lab.autodiff import (
     Tensor,
     gradients,
 )
+from adnn_energy_lab.nn import Dense, ResidualBlock
 from adnn_energy_lab.optim import Adam
 
 from oracles import (
+    adam_per_parameter_steps,
     adam_reference_steps,
     finite_difference,
     max_relative_error,
@@ -215,3 +217,198 @@ def test_adam_converges_on_quadratic():
         diff = ad.sub(p, 3.0)
         opt.step_loss(ad.tsum(ad.mul(diff, diff)))
     assert abs(float(p.data[0]) - 3.0) < 1e-3
+
+
+# -- fused ops ----------------------------------------------------------------
+
+X_SHAPES = [(6,), (1, 6), (32, 6)]
+
+
+def unfused_affine(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def unfused_residual_branch(h, w1, b1, w2, b2):
+    return unfused_affine(ad.relu(unfused_affine(h, w1, b1)), w2, b2)
+
+
+def fused_case(rng, x_shape, fused):
+    """Leaf arrays of an affine map (6 -> 5) or residual branch (6 -> 5 -> 4),
+    plus weights that mix the output into a scalar."""
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(6, 5)), rng.normal(size=(5,))]
+    if fused is ad.residual_branch:
+        arrays += [rng.normal(size=(5, 4)), rng.normal(size=(4,))]
+    out_dim = arrays[-1].shape[0]
+    return arrays, rng.uniform(0.5, 1.5, size=x_shape[:-1] + (out_dim,))
+
+
+@pytest.mark.parametrize("fused, unfused", [(ad.affine, unfused_affine),
+                                            (ad.residual_branch, unfused_residual_branch)])
+@pytest.mark.parametrize("x_shape", X_SHAPES)
+def test_fused_op_equals_unfused_composition_bit_for_bit(fused, unfused, x_shape):
+    arrays, mix = fused_case(np.random.default_rng(sum(x_shape)), x_shape, fused)
+    results = []
+    for build in (fused, unfused):
+        tensors = [Tensor(a) for a in arrays]
+        out = build(*tensors)
+        grads = gradients(ad.tsum(ad.mul(out, mix)), tensors)
+        results.append([out.data.tobytes()] + [g.tobytes() for g in grads])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("fused", [ad.affine, ad.residual_branch])
+@pytest.mark.parametrize("x_shape", X_SHAPES)
+def test_fused_op_gradients_match_finite_differences(fused, x_shape):
+    arrays, mix = fused_case(np.random.default_rng(x_shape[0] + 99), x_shape, fused)
+    fd_check(lambda ts: ad.tsum(ad.mul(fused(*ts), mix)), arrays)
+
+
+def test_fused_ops_check_shapes():
+    x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+    with pytest.raises(ShapeError, match="affine"):
+        ad.affine(x, Tensor(np.ones((2, 4))), b)
+    with pytest.raises(ShapeError, match="affine"):
+        ad.affine(x, w, Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="affine"):
+        ad.affine(Tensor(np.ones((2, 2, 3))), w, b)
+    with pytest.raises(ShapeError, match="residual_branch"):
+        ad.residual_branch(x, w, b, Tensor(np.ones((3, 3))), Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="residual_branch"):
+        ad.residual_branch(x, w, b, Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
+
+
+def test_layers_build_one_node_per_affine_map_and_branch():
+    rng = np.random.default_rng(10)
+    h = Tensor(rng.normal(size=(3, 4)))
+    assert Dense.init(rng, 4, 2)(h).op == "affine"
+    block = ResidualBlock.init(rng, 4)
+    parents = [p for p, _ in block.branch(h)._vjps]
+    assert block.branch(h).op == "residual_branch"
+    assert len(parents) == 5 and all(a is b for a, b in zip(parents, [h] + block.params))
+    (skip, _), (branch, _) = block(h)._vjps
+    assert skip is h and branch.op == "residual_branch"
+
+
+# -- finiteness contract ------------------------------------------------------
+# numpy's overflow warning is silenced here, as outside a test run, so the
+# library's own check is what raises.
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_affine_overflow_raises_nonfinite_error():
+    with pytest.raises(NonFiniteError, match="affine"):
+        ad.affine(Tensor(np.full(4, 1e200)), Tensor(np.full((4, 2), 1e200)), Tensor(np.zeros(2)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_residual_branch_hidden_overflow_masked_by_relu_raises():
+    # the hidden pre-activation is -inf, which the relu would turn into 0
+    h = Tensor(np.full((2, 3), 1e200))
+    w1, b1 = Tensor(np.full((3, 3), -1e200)), Tensor(np.zeros(3))
+    w2, b2 = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
+    with pytest.raises(NonFiniteError, match="residual_branch"):
+        ad.residual_branch(h, w1, b1, w2, b2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backward_overflow_raises_nonfinite_error():
+    x, w, b = Tensor([1e-300]), Tensor([[1e308, 1e308]]), Tensor(np.zeros(2))
+    loss = ad.tsum(ad.affine(x, w, b))  # finite: 2e8
+    assert np.isfinite(loss.item())
+    # d loss / dx = 1e308 + 1e308 overflows
+    with pytest.raises(NonFiniteError, match="affine.grad"):
+        gradients(loss, [x])
+    # the weight gradient is finite, and the overflowing product toward x
+    # lies on no path to w, so it is not evaluated
+    (gw,) = gradients(loss, [w])
+    assert gw.tolist() == [[1e-300, 1e-300]]
+
+
+# -- gradients toward a subset of leaves --------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.booleans(), min_size=7, max_size=7))
+def test_gradients_of_subset_equal_entries_of_full_set(seed, picks):
+    build, arrays = random_op_mix_graph(np.random.default_rng(seed))
+    tensors = [Tensor(a) for a in arrays]
+    loss = build(tensors)
+    full = gradients(loss, tensors)
+    subset = [i for i, pick in enumerate(picks) if pick]
+    part = gradients(loss, [tensors[i] for i in subset])
+    assert [g.tobytes() for g in part] == [full[i].tobytes() for i in subset]
+
+
+def test_gradients_of_subset_on_a_soft_model_forward(trained_skip):
+    x = Tensor(np.linspace(0.0, 1.0, 2 * trained_skip.input_dim).reshape(2, -1))
+    logits, _, _ = trained_skip.forward(x, mode="soft")
+    loss = ad.tsum(ad.mul(ad.log_softmax(logits), -1.0))
+    params = [trained_skip.stem_.weight] + trained_skip.blocks_[-1].params
+    full = gradients(loss, [x] + params)
+    for subset in ([x], params, [params[0]]):
+        part = gradients(loss, subset)
+        expected = [full[([x] + params).index(t)] for t in subset]
+        assert [g.tobytes() for g in part] == [g.tobytes() for g in expected]
+
+
+def test_vjp_toward_a_parent_off_every_path_to_wrt_is_not_called():
+    def unreachable(g):
+        raise AssertionError("evaluated a VJP whose parent cannot reach wrt")
+
+    x, const = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+    prod = Tensor(x.data * const.data, ((x, lambda g: g * const.data), (const, unreachable)), "mul")
+    (gx,) = gradients(ad.tsum(prod), [x])
+    assert gx.tolist() == [3.0, 4.0]
+
+
+# -- flat Adam ----------------------------------------------------------------
+
+
+def test_adam_rejects_gradient_of_wrong_shape():
+    p = Tensor(np.zeros(3))
+    opt = Adam([p])
+    with pytest.raises(ValueError, match="shape"):
+        opt.step([np.array(1.0)])
+    with pytest.raises(ValueError, match="shape"):
+        opt.step([np.zeros((3, 1))])
+    assert p.data.tolist() == [0.0, 0.0, 0.0] and opt.t == 0
+
+
+def test_flat_adam_equals_per_parameter_loop_with_rebinding():
+    rng = np.random.default_rng(11)
+    shapes = [(), (3,), (2, 4), (1,), (4, 1)]
+    params = [Tensor(rng.normal(size=s)) for s in shapes]
+    opt = Adam(params, lr=0.05)
+    state = {}
+    for step in range(6):
+        if step == 3:
+            # a checkpoint restore between steps, as the estimator's fit does
+            for p in params:
+                p.data = rng.normal(size=p.data.shape)
+        grads = [rng.normal(size=s) for s in shapes]
+        before = [p.data for p in params]
+        snapshot = [b.copy() for b in before]
+        expected = adam_per_parameter_steps(snapshot, grads, state, lr=0.05)
+        opt.step(grads)
+        for p, old, snap, exp in zip(params, before, snapshot, expected):
+            assert p.data.shape == exp.shape
+            assert p.data.tobytes() == exp.tobytes()
+            assert p.data is not old and old.tobytes() == snap.tobytes()
+
+
+def test_flat_adam_matches_scalar_recurrence_per_coordinate():
+    rng = np.random.default_rng(12)
+    shapes = [(), (3,), (2, 2)]
+    starts = [rng.normal(size=s) for s in shapes]
+    params = [Tensor(a) for a in starts]
+    steps = [[rng.normal(size=s) for s in shapes] for _ in range(5)]
+    opt = Adam(params, lr=0.01)
+    trails = [[] for _ in shapes]
+    for grads in steps:
+        opt.step(grads)
+        for trail, p in zip(trails, params):
+            trail.append(p.data.copy())
+    for i, start in enumerate(starts):
+        for j in np.ndindex(start.shape):
+            expected = adam_reference_steps(start[j], [g[i][j] for g in steps], lr=0.01)
+            assert np.allclose([t[j] for t in trails[i]], expected, rtol=0, atol=1e-15)

@@ -282,8 +282,10 @@ class TestAuc:
             return
         assert auc(scores, labels) == auc_reference(scores, labels)
 
-    def test_labels_other_than_zero_and_one_are_ignored(self):
-        assert auc([0.9, 0.1, 0.5, 0.7], [1, 0, 2, -1]) == 1.0
+    def test_labels_other_than_zero_and_one_rejected(self):
+        for bad in ([1, 0, 2, 0], [1, 0, 1, -1], [1, 0, 0.5, 1]):
+            with pytest.raises(ValueError):
+                auc([0.9, 0.1, 0.5, 0.7], bad)
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError):
