@@ -9,6 +9,7 @@ forward pass. All modes craft inputs through a tanh reparameterization so
 pixels stay inside [0, 1] by construction.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 
@@ -208,6 +209,7 @@ class IlfoAttack:
     def __init__(self, model, config=None):
         self.model = model
         self.config = config or IlfoConfig()
+        _check_ilfo_target(model, self.config)
 
     def _threshold(self):
         if self.config.threshold is not None:
@@ -225,14 +227,9 @@ class IlfoAttack:
                 total = total + ilfo_gate_loss(gate, level)
             return total
         logits = self.model.forward_exits(f)
-        total = None
-        for exit_logits in logits[:-1]:
-            term = ilfo_exit_loss(entropy_from_logits(exit_logits), level,
-                                  self.config.margin)
-            total = term if total is None else total + term
-        if total is None:
-            raise ValueError("model has no constrained early exits")
-        return total
+        terms = [ilfo_exit_loss(entropy_from_logits(exit_logits), level, self.config.margin)
+                 for exit_logits in logits[:-1]]
+        return sum(terms[1:], terms[0])
 
     def _loss(self, w, x):
         f = reparam(w)
@@ -261,6 +258,32 @@ class IlfoAttack:
         return reparam(Tensor(best_w)).data.reshape(-1)
 
 
+def _check_ilfo_target(model, config):
+    """Reject a model that lacks the intermediate outputs `config.target` attacks.
+
+    A gate target needs a soft `forward(x, mode)`; an exit target needs
+    `forward_exits` and at least two exits, since the last one carries no
+    constraint. Either needs the model's threshold unless the config sets one.
+    """
+    name = type(model).__name__
+    if config.target == "gate":
+        forward = getattr(model, "forward", None)
+        if not callable(forward) or "mode" not in inspect.signature(forward).parameters:
+            raise ValueError("target 'gate' needs a soft forward(x, mode), which %s lacks"
+                             % name)
+        threshold = "gate_threshold"
+    else:
+        if not callable(getattr(model, "forward_exits", None)):
+            raise ValueError("target 'exit' needs forward_exits, which %s lacks" % name)
+        exits = getattr(model, "num_segments", 0)
+        if exits < 2:
+            raise ValueError("target 'exit' needs at least 2 exits, %s has %d" % (name, exits))
+        threshold = "entropy_threshold"
+    if config.threshold is None and not hasattr(model, threshold):
+        raise ValueError("target %r needs a threshold: %s has no %s and the config sets none"
+                         % (config.target, name, threshold))
+
+
 def ilfo_attack(model, x, config=None):
     """Functional wrapper around IlfoAttack."""
     return IlfoAttack(model, config).generate(x)
@@ -282,6 +305,7 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or len(inputs) == 0:
         raise ValueError("inputs must be a non-empty sample matrix")
+    attack = IlfoAttack(surrogate, config)
     labels = np.array([t.label for t in target.infer(inputs)])
     surrogate.fit(inputs, labels)
 
@@ -289,7 +313,7 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     if len(chosen) == 0:
         raise ValueError("no inputs selected for attack replay")
 
-    test_inputs = [IlfoAttack(surrogate, config).generate(x) for x in chosen]
+    test_inputs = [attack.generate(x) for x in chosen]
     flops = [[t.flops for t in model.infer(batch)] for model in (surrogate, target)
              for batch in (chosen, np.array(test_inputs))]
     records, excluded = [], 0

@@ -3,24 +3,41 @@
 A Tensor wraps an ndarray and remembers, for each parent it was computed
 from, a vector-Jacobian closure. Calling an op builds the graph implicitly;
 `gradients` walks it once in reverse topological order and accumulates
-per-parent contributions in a side table, so evaluation never mutates nodes
-and a finished graph is safe to read from multiple threads.
+per-parent contributions in a side table, so evaluation never mutates nodes.
 
-The operator set is deliberately small: the affine map `affine` (x @ w + b)
-and the fused residual branch `residual_branch` (relu(h @ w1 + b1) @ w2 + b2),
-each one graph node, plus matmul, relu / sigmoid / tanh, softmax, elementwise
+The small subgraphs every training step rebuilds are fused ops, one graph
+node each with hand-written vector-Jacobian products:
+
+- `affine`: x @ w + b;
+- `sigmoid_gate`: sigmoid(x * w + b), a skip gate;
+- `residual_step`: h + s * (relu(h @ w1 + b1) @ w2 + b2), where `s` is a soft
+  gate, a hard fire mask or absent;
+- `softmax_cross_entropy`, `squared_error` and `mean_of_means`: the
+  classification, regression and gate-sparsity losses.
+
+The rest is primitive: matmul, relu / sigmoid / tanh, softmax, elementwise
 arithmetic, reductions, max against a constant, the Euclidean norm, and log.
 Everything downstream (layers, losses, entropy, attack objectives) is composed
-from these.
+from these. Each fused op gives the value and gradients of its unfused
+composition bit for bit.
 
 `gradients` evaluates only the vector-Jacobian products on paths from the
 output to a tensor in `wrt`: an input-gradient step computes no parameter
 gradients, and a training step computes no gradient of its input batch.
 
+The residual step computes what its products share once per backward: the
+branch gradient g * s and the hidden gradient (g * s) @ w2.T * mask. They sit
+in a per-node memo keyed on the identity of the incoming gradient array and
+held, with that array, in one tuple that is read and written whole. So a
+finished graph is still safe to differentiate from several threads at once:
+each `gradients` call passes its own arrays, and a thread finds either its
+own entry or none.
+
 Finiteness contract: an op whose value is NaN or infinite raises
 `NonFiniteError`, and so does every gradient contribution `gradients`
-computes. The fused residual branch also checks its hidden pre-activation,
-so a relu cannot mask a non-finite value there.
+computes. The fused ops also check their hidden values (the pre-activation
+of the gate and of the residual step's relu, and the log-probabilities of
+the cross-entropy), where a sigmoid or a relu could hide a non-finite value.
 """
 
 import numpy as np
@@ -181,32 +198,110 @@ def affine(x, w, b):
     ), "affine")
 
 
-def residual_branch(h, w1, b1, w2, b2):
-    """relu(h @ w1 + b1) @ w2 + b2 as one node.
+def _once_per_gradient(fn):
+    """`fn(g)`, computed once for each incoming gradient `g` and shared by the
+    vector-Jacobian products of one node.
 
-    The hidden pre-activation is checked for finiteness too, because the
-    relu would otherwise hide a -inf or NaN there. Each parent's closure
-    recomputes the hidden gradient it needs, so the closures stay pure.
+    The memo is one `(g, fn(g))` tuple, read and written whole, and keyed on
+    the identity of `g`. It holds `g` itself, so no other array can take over
+    its id while the entry lives. Two threads running `gradients` on one graph
+    pass different `g` arrays, so each either finds its own entry or computes
+    its own value; neither can read the other's.
+    """
+    memo = (None, None)
+
+    def cached(g):
+        nonlocal memo
+        key, value = memo
+        if key is not g:
+            value = fn(g)
+            memo = (g, value)
+        return value
+
+    return cached
+
+
+def sigmoid_gate(x, w, b):
+    """sigmoid(x * w + b) as one node; a skip gate has a scalar weight and
+    bias, and the operands broadcast as in `mul` and `add`.
+
+    The pre-activation is checked for finiteness too, because the sigmoid
+    would otherwise turn an infinite one into 0 or 1.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd = x.data, w.data
+    try:
+        z = xd * wd + b.data
+    except ValueError:
+        raise ShapeError("sigmoid_gate cannot broadcast shapes %s, %s and %s"
+                         % (x.shape, w.shape, b.shape)) from None
+    _require_finite(z, "sigmoid_gate")
+    # exp overflow at very negative inputs still yields the right limit (0.0)
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-z))
+
+    def grad_z(g):
+        return g * out * (1.0 - out)
+
+    return Tensor(out, (
+        (x, lambda g: _unbroadcast(grad_z(g) * wd, x.shape)),
+        (w, lambda g: _unbroadcast(grad_z(g) * xd, w.shape)),
+        (b, lambda g: _unbroadcast(grad_z(g), b.shape)),
+    ), "sigmoid_gate")
+
+
+def residual_step(h, w1, b1, w2, b2, s=None):
+    """h + s * (relu(h @ w1 + b1) @ w2 + b2) as one node.
+
+    `s` scales the branch: a soft gate Tensor, a hard 0/1 fire mask, or None
+    for the plain residual block `h + branch`. The hidden pre-activation is
+    checked for finiteness too, because the relu would otherwise hide a -inf
+    or NaN there. The branch gradient `g * s` and the hidden gradient
+    `(g * s) @ w2.T * mask` are computed once per backward and shared by the
+    products toward `h`, `w1`, `b1`, `w2` and `b2`.
     """
     h, w1, b1, w2, b2 = (as_tensor(t) for t in (h, w1, b1, w2, b2))
-    _check_affine("residual_branch", h.shape, w1, b1)
-    _check_affine("residual_branch", h.shape[:-1] + w1.shape[1:], w2, b2)
+    _check_affine("residual_step", h.shape, w1, b1)
+    _check_affine("residual_step", h.shape[:-1] + w1.shape[1:], w2, b2)
+    if w2.shape[1] != h.shape[-1]:
+        raise ShapeError("residual_step maps width %d back to %d"
+                         % (h.shape[-1], w2.shape[1]))
     hd, w1d, w2d = h.data, w1.data, w2.data
     z1 = hd @ w1d + b1.data
-    _require_finite(z1, "residual_branch")
+    _require_finite(z1, "residual_step")
     mask = z1 > 0.0
     a = np.where(mask, z1, 0.0)
+    branch = a @ w2d + b2.data
+    if s is None:
+        out, sd, parents = hd + branch, None, ()
+    else:
+        s = as_tensor(s)
+        sd = s.data
+        try:
+            out = hd + sd * branch
+        except ValueError:
+            out = None
+        if out is None or out.shape != hd.shape:
+            raise ShapeError("residual_step cannot scale a branch of shape %s by %s"
+                             % (branch.shape, s.shape))
+        parents = ((s, lambda g: _unbroadcast(g * branch, s.shape)),)
 
-    def grad_z1(g):
-        return (g @ w2d.T) * mask
+    @_once_per_gradient
+    def grads(g):
+        """(branch gradient, hidden pre-activation gradient)."""
+        g_branch = g if sd is None else g * sd
+        return g_branch, (g_branch @ w2d.T) * mask
 
-    return Tensor(a @ w2d + b2.data, (
-        (h, lambda g: grad_z1(g) @ w1d.T),
-        (w1, lambda g: _weight_grad(hd, grad_z1(g))),
-        (b1, lambda g: _bias_grad(grad_z1(g))),
-        (w2, lambda g: _weight_grad(a, g)),
-        (b2, _bias_grad),
-    ), "residual_branch")
+    # the skip path and the branch reach `h` as two products, so `gradients`
+    # adds them to h's other contributions in the unfused order
+    return Tensor(out, (
+        (h, lambda g: g),
+        (h, lambda g: grads(g)[1] @ w1d.T),
+        (w1, lambda g: _weight_grad(hd, grads(g)[1])),
+        (b1, lambda g: _bias_grad(grads(g)[1])),
+        (w2, lambda g: _weight_grad(a, grads(g)[0])),
+        (b2, lambda g: _bias_grad(grads(g)[0])),
+    ) + parents, "residual_step")
 
 
 def relu(x):
@@ -261,6 +356,80 @@ def log_softmax(x):
         return g - np.exp(out) * g.sum(axis=-1, keepdims=True)
 
     return Tensor(out, ((x, grad_x),), "log_softmax")
+
+
+def _batch_scale(rows, op):
+    """1 / the number of rows a mean runs over."""
+    if rows.size == 0:
+        raise ShapeError("%s needs at least one row" % op)
+    return 1.0 / rows.size
+
+
+def _constant_like(value, t, op):
+    """`value` as a float array of the shape of Tensor `t`."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != t.shape:
+        raise ShapeError("%s got shapes %s and %s" % (op, t.shape, arr.shape))
+    return arr
+
+
+def softmax_cross_entropy(logits, targets):
+    """Mean over rows of -sum(targets * log_softmax(logits)), as one node.
+
+    `targets` is a constant array of the logits' shape (one-hot labels, say)
+    and takes no gradient. The log-probabilities are checked for finiteness
+    too, so an overflow is reported where it happens.
+    """
+    logits = as_tensor(logits)
+    t = _constant_like(targets, logits, "softmax_cross_entropy")
+    x = logits.data
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    _require_finite(logp, "softmax_cross_entropy")
+    picked = (logp * t).sum(axis=-1)
+    scale = _batch_scale(picked, "softmax_cross_entropy")
+
+    def grad_logits(g):
+        g_logp = g * -1.0 * scale * t
+        return g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
+
+    return Tensor(picked.sum() * scale * -1.0, ((logits, grad_logits),),
+                  "softmax_cross_entropy")
+
+
+def squared_error(pred, target):
+    """Mean over rows of the row-summed squared error, as one node:
+    mean(sum((pred - target) ** 2, axis=-1)). `target` is a constant array
+    of the prediction's shape and takes no gradient."""
+    pred = as_tensor(pred)
+    err = pred.data - _constant_like(target, pred, "squared_error")
+    rows = (err * err).sum(axis=-1)
+    scale = _batch_scale(rows, "squared_error")
+
+    def grad_pred(g):
+        half = g * scale * err
+        return half + half
+
+    return Tensor(rows.sum() * scale, ((pred, grad_pred),), "squared_error")
+
+
+def mean_of_means(tensors):
+    """The mean over `tensors` of each one's mean, as one node."""
+    tensors = [as_tensor(t) for t in tensors]
+    if not tensors or any(t.size == 0 for t in tensors):
+        raise ShapeError("mean_of_means needs non-empty tensors")
+    scales = [1.0 / t.size for t in tensors]
+    total = tensors[0].data.sum() * scales[0]
+    for t, scale in zip(tensors[1:], scales[1:]):
+        total = total + t.data.sum() * scale
+    inv_count = 1.0 / len(tensors)
+
+    def grad(t, scale):
+        return lambda g: np.full(t.shape, g * inv_count * scale)
+
+    return Tensor(total * inv_count,
+                  tuple((t, grad(t, scale)) for t, scale in zip(tensors, scales)),
+                  "mean_of_means")
 
 
 def tsum(x, axis=None):

@@ -90,6 +90,9 @@ class FilterModel(ParamsMixin):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         return np.argmax(self.forward(Tensor(X)).data, axis=-1)
 
+    def _batch_loss(self, X, y):
+        return cross_entropy(self.forward(Tensor(X)), y, self.num_classes)
+
     def score(self, X, y):
         return float(np.mean(self.predict(X) == np.asarray(y)))
 
@@ -115,8 +118,7 @@ class FilterModel(ParamsMixin):
             epoch_loss = 0.0
             for start in range(0, len(X), self.batch_size):
                 idx = perm[start : start + self.batch_size]
-                loss = cross_entropy(self.forward(Tensor(X[idx])), y[idx],
-                                     self.num_classes)
+                loss = self._batch_loss(X[idx], y[idx])
                 opt.step_loss(loss)
                 epoch_loss += loss.item() * len(idx)
             history.append(epoch_loss / len(X))

@@ -11,12 +11,12 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, relu, tmean, tsum
+from .autodiff import Tensor, relu, squared_error
 from .base import ParamsMixin, check_is_fitted
 from .nn import Dense, ResidualBlock
 from .optim import Adam
 from .seeding import derive_rng
-from .serialize import array_to_json, payload_config
+from .serialize import POSITIVE, REAL, SIZE, array_to_json, payload_config
 from .validation import as_sample_matrix, check_same_length
 
 
@@ -67,6 +67,10 @@ class EnergyEstimator(ParamsMixin):
             h = block(h)
         return self.head_(h)
 
+    def _batch_loss(self, X, targets):
+        """Mean over the batch of the squared error in normalized joules."""
+        return squared_error(self._forward_normalized(Tensor(X)), targets.reshape(-1, 1))
+
     # -- training ----------------------------------------------------------
 
     def fit(self, X, y):
@@ -104,9 +108,7 @@ class EnergyEstimator(ParamsMixin):
             epoch_loss = 0.0
             for start in range(0, len(perm), self.batch_size):
                 batch = train_idx[perm[start:start + self.batch_size]]
-                pred = self._forward_normalized(Tensor(X[batch]))
-                err = pred - Tensor(targets[batch].reshape(-1, 1))
-                loss = tmean(tsum(err * err, axis=1))
+                loss = self._batch_loss(X[batch], targets[batch])
                 epoch_loss += opt.step_loss(loss) * len(batch)
             self.history_.append(epoch_loss / len(train_idx))
             val_norm = self._forward_normalized(Tensor(X[val_idx])).data.reshape(-1)
@@ -165,8 +167,8 @@ class EnergyEstimator(ParamsMixin):
 
     @classmethod
     def from_payload(cls, payload):
-        config = payload_config(payload, ("input_dim", "width", "num_blocks",
-                                          "energy_mean", "energy_scale"))
+        config = payload_config(payload, {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE,
+                                          "energy_mean": REAL, "energy_scale": POSITIVE})
         est = cls(input_dim=config["input_dim"], width=config["width"],
                   num_blocks=config["num_blocks"],
                   target_id=config.get("target_id"))

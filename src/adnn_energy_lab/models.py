@@ -19,13 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, mul, relu, sigmoid, softmax, tmean
+from .autodiff import Tensor, add, matmul, mean_of_means, mul, relu, sigmoid_gate, softmax
 from .base import ParamsMixin, check_is_fitted
 from .nn import Dense, ResidualBlock, cross_entropy, xavier_uniform
 from .optim import Adam
 from .seeding import derive_rng
-from .serialize import (DataFormatError, array_to_json, dump_json, load_json,
-                        param_from_json, payload_config)
+from .serialize import (COUNT, REAL, REALS, SIZE, DataFormatError, array_to_json, dump_json,
+                        from_config, load_json, param_from_json, payload_config)
 from .validation import as_label_array, as_sample_matrix
 
 
@@ -201,14 +201,14 @@ class GatedSkipNet(ParamsMixin):
         gate_values = []
         decisions = []
         for block, gw, gb in zip(self.blocks_, self.gate_weights_, self.gate_biases_):
-            gate = sigmoid(add(mul(pooled, gw), gb))
+            gate = sigmoid_gate(pooled, gw, gb)
             fire = gate.data >= self.gate_threshold
             gate_values.append(gate)
             decisions.append(fire.reshape(-1))
             if mode == "soft":
-                h = add(h, mul(gate, block.branch(h)))
+                h = block(h, gate)
             elif fire.any():
-                h = add(h, mul(Tensor(fire.astype(np.float64)), block.branch(h)))
+                h = block(h, fire.astype(np.float64))
         logits = self.head_(h)
         return logits, gate_values, np.stack(decisions, axis=-1)
 
@@ -242,6 +242,15 @@ class GatedSkipNet(ParamsMixin):
 
     # -- training -----------------------------------------------------
 
+    def _batch_loss(self, X, y):
+        """Training loss of one batch: soft-mode cross-entropy plus the
+        sparsity penalty on the mean gate value."""
+        logits, gates, _ = self.forward(Tensor(X), mode="soft")
+        loss = cross_entropy(logits, y, self.num_classes)
+        if self.sparsity_weight:
+            loss = add(loss, mul(mean_of_means(gates), self.sparsity_weight))
+        return loss
+
     def fit(self, X, y):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         if len(X) == 0:
@@ -258,11 +267,7 @@ class GatedSkipNet(ParamsMixin):
             epoch_loss = 0.0
             for start in range(0, len(X), self.batch_size):
                 idx = perm[start : start + self.batch_size]
-                logits, gates, _ = self.forward(Tensor(X[idx]), mode="soft")
-                loss = cross_entropy(logits, y[idx], self.num_classes)
-                if self.sparsity_weight:
-                    gate_mean = mul(add_many([tmean(g) for g in gates]), 1.0 / len(gates))
-                    loss = add(loss, mul(gate_mean, self.sparsity_weight))
+                loss = self._batch_loss(X[idx], y[idx])
                 opt.step_loss(loss)
                 epoch_loss += loss.item() * len(idx)
             history.append(epoch_loss / len(X))
@@ -302,12 +307,14 @@ class GatedSkipNet(ParamsMixin):
 
     @classmethod
     def from_payload(cls, payload):
-        keys = ("input_dim", "width", "num_blocks", "num_classes", "gate_threshold")
-        cfg = payload_config(payload, keys)
-        model = cls(**{k: cfg[k] for k in keys})
+        spec = {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE, "num_classes": SIZE,
+                "gate_threshold": REAL}
+        cfg = payload_config(payload, spec)
+        model = from_config(cls, **{k: cfg[k] for k in spec})
         d, w, n = cfg["input_dim"], cfg["width"], cfg["num_blocks"]
-        model._input_pool = Tensor(np.full((d, 1), 1.0 / d))
         model.stem_ = Dense.from_payload(payload, "stem", d, w)
+        # sized only once the stem has confirmed input_dim
+        model._input_pool = Tensor(np.full((d, 1), 1.0 / d))
         model.head_ = Dense.from_payload(payload, "head", w, cfg["num_classes"])
         model.blocks_ = [ResidualBlock.from_payload(payload, "blocks.%d" % i, w)
                          for i in range(n)]
@@ -316,13 +323,6 @@ class GatedSkipNet(ParamsMixin):
         model.gate_biases_ = [Tensor(param_from_json(payload, "gates.%d.bias" % i, ()))
                               for i in range(n)]
         return model
-
-
-def add_many(tensors):
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = add(total, t)
-    return total
 
 
 class EarlyExitNet(ParamsMixin):
@@ -446,6 +446,11 @@ class EarlyExitNet(ParamsMixin):
     def score(self, X, y):
         return float(np.mean(self.predict(X) == np.asarray(y)))
 
+    def _batch_loss(self, X, y):
+        """Training loss of one batch: the sum of every exit's cross-entropy."""
+        losses = [cross_entropy(l, y, self.num_classes) for l in self.forward_exits(Tensor(X))]
+        return sum(losses[1:], losses[0])
+
     def fit(self, X, y):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         if len(X) == 0:
@@ -460,9 +465,7 @@ class EarlyExitNet(ParamsMixin):
             epoch_loss = 0.0
             for start in range(0, len(X), self.batch_size):
                 idx = perm[start : start + self.batch_size]
-                all_logits = self.forward_exits(Tensor(X[idx]))
-                losses = [cross_entropy(l, y[idx], self.num_classes) for l in all_logits]
-                loss = add_many(losses)
+                loss = self._batch_loss(X[idx], y[idx])
                 opt.step_loss(loss)
                 epoch_loss += loss.item() * len(idx)
             history.append(epoch_loss / len(X))
@@ -503,9 +506,10 @@ class EarlyExitNet(ParamsMixin):
 
     @classmethod
     def from_payload(cls, payload):
-        keys = ("input_dim", "width", "num_segments", "num_classes", "entropy_threshold")
-        cfg = payload_config(payload, keys)
-        model = cls(**{k: cfg[k] for k in keys})
+        spec = {"input_dim": SIZE, "width": SIZE, "num_segments": SIZE, "num_classes": SIZE,
+                "entropy_threshold": REAL}
+        cfg = payload_config(payload, spec)
+        model = from_config(cls, **{k: cfg[k] for k in spec})
         w, n = cfg["width"], cfg["num_segments"]
         model.stem_ = Dense.from_payload(payload, "stem", cfg["input_dim"], w)
         model.segments_ = [ResidualBlock.from_payload(payload, "segments.%d" % i, w)
@@ -630,9 +634,12 @@ def model_from_payload(payload):
     if kind == "exit":
         return EarlyExitNet.from_payload(payload)
     if kind == "scripted":
-        cfg = payload_config(payload, ("thresholds", "base_flops", "block_flops"))
-        return ScriptedAdnn(
-            cfg["thresholds"],
+        cfg = payload_config(payload, {"thresholds": REALS, "base_flops": COUNT,
+                                       "block_flops": COUNT, "num_classes": SIZE},
+                             optional=("num_classes",))
+        return from_config(
+            ScriptedAdnn,
+            thresholds=cfg["thresholds"],
             base_flops=cfg["base_flops"],
             block_flops=cfg["block_flops"],
             num_classes=cfg.get("num_classes", 4),

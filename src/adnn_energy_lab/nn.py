@@ -7,8 +7,8 @@ treated as free; only affine maps carry cost.
 
 import numpy as np
 
-from .autodiff import (Tensor, add, affine, log_softmax, mul, residual_branch, softmax,
-                       tmean, tsum)
+from .autodiff import (Tensor, affine, log_softmax, mul, residual_step, softmax,
+                       softmax_cross_entropy, tmean, tsum)
 from .serialize import param_from_json
 
 
@@ -60,7 +60,11 @@ class Dense:
 
 
 class ResidualBlock:
-    """h + lin2(relu(lin1(h))), both affine maps width -> width."""
+    """h + s * lin2(relu(lin1(h))), both affine maps width -> width.
+
+    `s` scales the branch: a soft gate Tensor, a hard 0/1 fire mask, or None
+    for the plain block. Each call is one `autodiff.residual_step` node.
+    """
 
     def __init__(self, lin1, lin2):
         self.lin1 = lin1
@@ -83,11 +87,8 @@ class ResidualBlock:
     def params(self):
         return self.lin1.params + self.lin2.params
 
-    def branch(self, h):
-        return residual_branch(h, *self.lin1.params, *self.lin2.params)
-
-    def __call__(self, h):
-        return add(h, self.branch(h))
+    def __call__(self, h, s=None):
+        return residual_step(h, *self.lin1.params, *self.lin2.params, s)
 
 
 def one_hot(labels, num_classes):
@@ -100,8 +101,7 @@ def one_hot(labels, num_classes):
 
 def cross_entropy(logits, labels, num_classes):
     """Mean negative log-likelihood of integer labels under softmax(logits)."""
-    picked = tsum(mul(log_softmax(logits), one_hot(labels, num_classes)), axis=-1)
-    return mul(tmean(picked), -1.0)
+    return softmax_cross_entropy(logits, one_hot(labels, num_classes))
 
 
 def uniform_cross_entropy(logits):

@@ -154,7 +154,7 @@ def adam_per_parameter_steps(values, grads, state, lr=0.01, beta1=0.9,
 
 
 def random_op_mix_graph(rng):
-    """A random scalar graph touching every primitive op, plus its leaves.
+    """A random scalar graph touching every primitive and fused op, plus its leaves.
 
     Returns (build, arrays): `build` maps a list of leaf Tensors to a scalar
     Tensor, `arrays` holds leaf values. Leaves are redrawn until every relu /
@@ -168,9 +168,12 @@ def random_op_mix_graph(rng):
     k = int(rng.integers(2, 5))
     batch = int(rng.integers(1, 4))
     use_batch = bool(rng.integers(0, 2))
+    x_shape = (batch, n) if use_batch else (n,)
+    # constants of the loss ops, which take no gradient
+    targets = np.eye(k)[rng.integers(0, k, size=x_shape[:-1])]
+    anchor_rows = rng.uniform(-0.5, 0.5, size=x_shape[:-1] + (m,))
 
     def draw():
-        x_shape = (batch, n) if use_batch else (n,)
         return [
             rng.uniform(-1.2, 1.2, size=x_shape),   # x
             rng.uniform(-0.9, 0.9, size=(n, m)),    # W1
@@ -179,10 +182,11 @@ def random_op_mix_graph(rng):
             rng.uniform(-0.5, 0.5, size=(k,)),      # b2
             rng.uniform(0.1, 1.0, size=(k,)),       # mixing weights
             rng.uniform(-0.8, 0.8, size=(m,)),      # norm anchor
+            rng.uniform(-0.9, 0.9, size=(k, m)),    # W3, from k back to width m
         ]
 
     def build(tensors, record=None):
-        x, w1, b1, w2, b2, mix, anchor = tensors
+        x, w1, b1, w2, b2, mix, anchor, w3 = tensors
         pre = ad.add(ad.matmul(x, w1), b1)
         h1 = ad.relu(pre)
         h2 = ad.tanh(pre)
@@ -193,11 +197,17 @@ def random_op_mix_graph(rng):
         gap = ad.sub(h2, anchor)
         dist = ad.l2_norm(gap)
         gate = ad.tmean(ad.sigmoid(h1))
-        # the fused ops share `pre` as their hidden pre-activation
-        fused = ad.add(ad.tmean(ad.residual_branch(x, w1, b1, w2, b2)),
-                       ad.tmean(ad.affine(h2, w2, b2)))
+        # the residual steps' hidden pre-activation is `logits`
+        soft = ad.sigmoid_gate(h1, anchor, b1)
+        steps = ad.add(ad.tmean(ad.residual_step(h2, w2, b2, w3, b1, soft)),
+                       ad.tmean(ad.residual_step(h2, w2, b2, w3, b1)))
+        losses = ad.add(ad.softmax_cross_entropy(logits, targets),
+                        ad.squared_error(h2, anchor_rows))
+        fused = ad.add(ad.add(ad.tmean(ad.affine(h2, w2, b2)), steps),
+                       ad.add(losses, ad.mean_of_means([h1, soft, probs])))
         if record is not None:
             record.append(("kink", pre.data))
+            record.append(("kink", logits.data))
             record.append(("kink", h1.data - 0.3 - 0.1))
             record.append(("prob", probs.data))
             record.append(("norm", gap.data))
@@ -223,6 +233,106 @@ def random_op_mix_graph(rng):
         if valid(arrays):
             return build, arrays
     raise RuntimeError("could not find kink-free leaf values")
+
+
+# -- unfused forms of the fused ops and of the training losses -------------
+#
+# Each builds from the primitive ops (matmul, add, mul, relu, sigmoid,
+# log_softmax, tsum, tmean) the graph the fused op stands for, in the order
+# the layers composed them before fusion.
+
+
+def unfused_affine(x, w, b):
+    from adnn_energy_lab import autodiff as ad
+    return ad.add(ad.matmul(x, w), b)
+
+
+def unfused_residual_step(h, w1, b1, w2, b2, s=None):
+    from adnn_energy_lab import autodiff as ad
+    branch = unfused_affine(ad.relu(unfused_affine(h, w1, b1)), w2, b2)
+    return ad.add(h, branch if s is None else ad.mul(s, branch))
+
+
+def unfused_sigmoid_gate(x, w, b):
+    from adnn_energy_lab import autodiff as ad
+    return ad.sigmoid(ad.add(ad.mul(x, w), b))
+
+
+def unfused_softmax_cross_entropy(logits, targets):
+    from adnn_energy_lab import autodiff as ad
+    picked = ad.tsum(ad.mul(ad.log_softmax(logits), targets), axis=-1)
+    return ad.mul(ad.tmean(picked), -1.0)
+
+
+def unfused_squared_error(pred, target):
+    from adnn_energy_lab import autodiff as ad
+    err = ad.sub(pred, target)
+    return ad.tmean(ad.tsum(ad.mul(err, err), axis=-1))
+
+
+def unfused_mean_of_means(tensors):
+    from adnn_energy_lab import autodiff as ad
+    total = ad.tmean(tensors[0])
+    for t in tensors[1:]:
+        total = ad.add(total, ad.tmean(t))
+    return ad.mul(total, 1.0 / len(tensors))
+
+
+def _unfused_trunk(stem, blocks, x):
+    from adnn_energy_lab import autodiff as ad
+    h = ad.relu(unfused_affine(x, *stem.params))
+    for block in blocks:
+        h = unfused_residual_step(h, *block.params)
+    return h
+
+
+def _unfused_labels_loss(logits, y, num_classes):
+    return unfused_softmax_cross_entropy(logits, np.eye(num_classes)[np.asarray(y)])
+
+
+def unfused_skip_loss(net, X, y):
+    """A GatedSkipNet's soft-mode training loss on one batch, unfused."""
+    from adnn_energy_lab import autodiff as ad
+    x = ad.Tensor(X)
+    pooled = ad.matmul(x, ad.Tensor(np.full((net.input_dim, 1), 1.0 / net.input_dim)))
+    h = ad.relu(unfused_affine(x, *net.stem_.params))
+    gates = []
+    for block, gw, gb in zip(net.blocks_, net.gate_weights_, net.gate_biases_):
+        gates.append(unfused_sigmoid_gate(pooled, gw, gb))
+        h = unfused_residual_step(h, *block.params, gates[-1])
+    loss = _unfused_labels_loss(unfused_affine(h, *net.head_.params), y, net.num_classes)
+    if net.sparsity_weight:
+        loss = ad.add(loss, ad.mul(unfused_mean_of_means(gates), net.sparsity_weight))
+    return loss
+
+
+def unfused_exit_loss(net, X, y):
+    """An EarlyExitNet's training loss on one batch: every exit's
+    cross-entropy, summed left to right, unfused."""
+    from adnn_energy_lab import autodiff as ad
+    h = ad.relu(unfused_affine(ad.Tensor(X), *net.stem_.params))
+    total = None
+    for seg, head in zip(net.segments_, net.exit_heads_):
+        h = unfused_residual_step(h, *seg.params)
+        loss = _unfused_labels_loss(unfused_affine(h, *head.params), y, net.num_classes)
+        total = loss if total is None else ad.add(total, loss)
+    return total
+
+
+def unfused_estimator_loss(est, X, targets):
+    """An EnergyEstimator's training loss on one batch of normalized targets."""
+    from adnn_energy_lab import autodiff as ad
+    pred = unfused_affine(_unfused_trunk(est.stem_, est.blocks_, ad.Tensor(X)),
+                          *est.head_.params)
+    return unfused_squared_error(pred, ad.Tensor(np.reshape(targets, (-1, 1))))
+
+
+def unfused_filter_loss(filt, X, y):
+    """A FilterModel's training loss on one batch, unfused."""
+    from adnn_energy_lab import autodiff as ad
+    logits = unfused_affine(_unfused_trunk(filt.stem_, filt.blocks_, ad.Tensor(X)),
+                            *filt.head_.params)
+    return _unfused_labels_loss(logits, y, filt.num_classes)
 
 
 # -- sequential forms of the batched attack and defense loops -------------

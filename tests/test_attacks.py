@@ -23,6 +23,7 @@ from adnn_energy_lab.attacks import (
 )
 from adnn_energy_lab.autodiff import Tensor, gradients, tsum
 from adnn_energy_lab.data import estimator_corpus
+from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.energy import EnergyModel, measure_energy
 from adnn_energy_lab.estimator import EnergyEstimator, predict_energy
 from adnn_energy_lab.models import (
@@ -421,6 +422,52 @@ class TestIlfoAttack:
         a = ilfo_attack(net, x, IlfoConfig(iterations=20))
         b = ilfo_attack(net, x, IlfoConfig(iterations=20))
         assert np.array_equal(a, b)
+
+
+class TestIlfoTargetCheck:
+    """IlfoAttack rejects, when it is built, a model its target cannot attack."""
+
+    @pytest.mark.parametrize("model, target, match", [
+        (EarlyExitNet(), "gate", "soft forward"),
+        (FilterModel(), "gate", "soft forward"),
+        (make_scripted(2, [0.3, 0.6], 100, 50), "gate", "soft forward"),
+        (GatedSkipNet(), "exit", "forward_exits"),
+        (EarlyExitNet(num_segments=1), "exit", "at least 2 exits"),
+    ])
+    def test_model_without_the_target_is_rejected(self, model, target, match):
+        with pytest.raises(ValueError, match=match):
+            IlfoAttack(model, IlfoConfig(target=target))
+
+    @pytest.mark.parametrize("target, attr", [("gate", "gate_threshold"),
+                                              ("exit", "entropy_threshold")])
+    def test_missing_threshold_is_rejected(self, target, attr):
+        net = scripted_gate_analogue([0.3, 0.6]) if target == "gate" else EarlyExitNet()
+        delattr(net, attr)
+        with pytest.raises(ValueError, match=attr):
+            IlfoAttack(net, IlfoConfig(target=target))
+
+    def test_config_threshold_stands_in_for_the_model_threshold(self):
+        net = EarlyExitNet(width=8, num_segments=2)._build(derive_rng(0, "exit-threshold"))
+        del net.entropy_threshold
+        attack = IlfoAttack(net, IlfoConfig(target="exit", threshold=0.5, iterations=2))
+        assert attack.generate(np.full(64, 0.2)).shape == (64,)
+
+    @pytest.mark.parametrize("model, target", [
+        (scripted_gate_analogue([0.3, 0.6]), "gate"),
+        (EarlyExitNet(num_segments=2), "exit"),
+    ])
+    def test_model_with_the_target_is_accepted(self, model, target):
+        assert IlfoAttack(model, IlfoConfig(target=target)).model is model
+
+    def test_surrogate_pipeline_rejects_before_fitting(self):
+        class UnfittableExitNet(EarlyExitNet):
+            def fit(self, X, y):
+                raise AssertionError("the surrogate was fitted")
+
+        inputs = np.full((3, 64), 0.2)
+        with pytest.raises(ValueError, match="soft forward"):
+            surrogate_pipeline(make_scripted(2, [0.3, 0.6], 100, 50),
+                               UnfittableExitNet(), inputs, IlfoConfig(iterations=5))
 
 
 class TestIlfoSequentialReference:

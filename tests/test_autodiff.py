@@ -1,3 +1,7 @@
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,11 @@ from adnn_energy_lab.autodiff import (
     Tensor,
     gradients,
 )
-from adnn_energy_lab.nn import Dense, ResidualBlock
+from adnn_energy_lab.data import estimator_corpus, generate_dataset
+from adnn_energy_lab.defense import FilterModel
+from adnn_energy_lab.estimator import EnergyEstimator
+from adnn_energy_lab.models import EarlyExitNet, GatedSkipNet
+from adnn_energy_lab.nn import Dense, ResidualBlock, cross_entropy
 from adnn_energy_lab.optim import Adam
 
 from oracles import (
@@ -19,6 +27,16 @@ from oracles import (
     finite_difference,
     max_relative_error,
     random_op_mix_graph,
+    unfused_affine,
+    unfused_estimator_loss,
+    unfused_exit_loss,
+    unfused_filter_loss,
+    unfused_mean_of_means,
+    unfused_residual_step,
+    unfused_sigmoid_gate,
+    unfused_skip_loss,
+    unfused_softmax_cross_entropy,
+    unfused_squared_error,
 )
 
 
@@ -224,29 +242,57 @@ def test_adam_converges_on_quadratic():
 X_SHAPES = [(6,), (1, 6), (32, 6)]
 
 
-def unfused_affine(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
+def _one_hot_rows(rng, shape):
+    return np.eye(shape[-1])[rng.integers(0, shape[-1], size=shape[:-1])]
 
 
-def unfused_residual_branch(h, w1, b1, w2, b2):
-    return unfused_affine(ad.relu(unfused_affine(h, w1, b1)), w2, b2)
+def _bind_constant(fused, unfused, leaf, constant):
+    return (lambda t: fused(t, constant), lambda t: unfused(t, constant), [leaf])
 
 
-def fused_case(rng, x_shape, fused):
-    """Leaf arrays of an affine map (6 -> 5) or residual branch (6 -> 5 -> 4),
-    plus weights that mix the output into a scalar."""
-    arrays = [rng.normal(size=x_shape), rng.normal(size=(6, 5)), rng.normal(size=(5,))]
-    if fused is ad.residual_branch:
-        arrays += [rng.normal(size=(5, 4)), rng.normal(size=(4,))]
-    out_dim = arrays[-1].shape[0]
-    return arrays, rng.uniform(0.5, 1.5, size=x_shape[:-1] + (out_dim,))
+# name -> (fused op, unfused composition, leaf arrays for an input of x_shape);
+# constants the loss ops take without a gradient are bound into the builders
+FUSED_CASES = {
+    "affine": lambda rng, x_shape: (
+        ad.affine, unfused_affine,
+        [rng.normal(size=x_shape), rng.normal(size=(6, 5)), rng.normal(size=(5,))]),
+    "residual_step": lambda rng, x_shape: (
+        ad.residual_step, unfused_residual_step,
+        [rng.normal(size=x_shape), rng.normal(size=(6, 5)), rng.normal(size=(5,)),
+         rng.normal(size=(5, 6)), rng.normal(size=(6,))]),
+    "residual_step_gated": lambda rng, x_shape: (
+        ad.residual_step, unfused_residual_step,
+        [rng.normal(size=x_shape), rng.normal(size=(6, 5)), rng.normal(size=(5,)),
+         rng.normal(size=(5, 6)), rng.normal(size=(6,)),
+         rng.uniform(0.0, 1.0, size=x_shape[:-1] + (1,))]),
+    "sigmoid_gate": lambda rng, x_shape: (
+        ad.sigmoid_gate, unfused_sigmoid_gate,
+        [rng.uniform(0.0, 1.0, size=x_shape[:-1] + (1,)), rng.normal(scale=3.0, size=()),
+         rng.normal(size=())]),
+    "softmax_cross_entropy": lambda rng, x_shape: _bind_constant(
+        ad.softmax_cross_entropy, unfused_softmax_cross_entropy,
+        rng.normal(scale=2.0, size=x_shape), _one_hot_rows(rng, x_shape)),
+    "squared_error": lambda rng, x_shape: _bind_constant(
+        ad.squared_error, unfused_squared_error,
+        rng.normal(size=x_shape), rng.normal(size=x_shape)),
+    "mean_of_means": lambda rng, x_shape: (
+        lambda *ts: ad.mean_of_means(ts), lambda *ts: unfused_mean_of_means(ts),
+        [rng.normal(size=x_shape), rng.normal(size=(3,)), rng.normal(size=())]),
+}
 
 
-@pytest.mark.parametrize("fused, unfused", [(ad.affine, unfused_affine),
-                                            (ad.residual_branch, unfused_residual_branch)])
+def fused_case(name, x_shape, seed):
+    """The case's ops and leaves, plus weights that mix its output into a scalar."""
+    rng = np.random.default_rng(seed)
+    fused, unfused, arrays = FUSED_CASES[name](rng, x_shape)
+    out_shape = fused(*[Tensor(a) for a in arrays]).shape
+    return fused, unfused, arrays, rng.uniform(0.5, 1.5, size=out_shape)
+
+
+@pytest.mark.parametrize("name", FUSED_CASES, ids=lambda name: "%s-unfused_%s" % (name, name))
 @pytest.mark.parametrize("x_shape", X_SHAPES)
-def test_fused_op_equals_unfused_composition_bit_for_bit(fused, unfused, x_shape):
-    arrays, mix = fused_case(np.random.default_rng(sum(x_shape)), x_shape, fused)
+def test_fused_op_equals_unfused_composition_bit_for_bit(name, x_shape):
+    fused, unfused, arrays, mix = fused_case(name, x_shape, sum(x_shape))
     results = []
     for build in (fused, unfused):
         tensors = [Tensor(a) for a in arrays]
@@ -256,10 +302,10 @@ def test_fused_op_equals_unfused_composition_bit_for_bit(fused, unfused, x_shape
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("fused", [ad.affine, ad.residual_branch])
+@pytest.mark.parametrize("name", FUSED_CASES)
 @pytest.mark.parametrize("x_shape", X_SHAPES)
-def test_fused_op_gradients_match_finite_differences(fused, x_shape):
-    arrays, mix = fused_case(np.random.default_rng(x_shape[0] + 99), x_shape, fused)
+def test_fused_op_gradients_match_finite_differences(name, x_shape):
+    fused, _, arrays, mix = fused_case(name, x_shape, x_shape[0] + 99)
     fd_check(lambda ts: ad.tsum(ad.mul(fused(*ts), mix)), arrays)
 
 
@@ -271,10 +317,25 @@ def test_fused_ops_check_shapes():
         ad.affine(x, w, Tensor(np.ones(3)))
     with pytest.raises(ShapeError, match="affine"):
         ad.affine(Tensor(np.ones((2, 2, 3))), w, b)
-    with pytest.raises(ShapeError, match="residual_branch"):
-        ad.residual_branch(x, w, b, Tensor(np.ones((3, 3))), Tensor(np.ones(3)))
-    with pytest.raises(ShapeError, match="residual_branch"):
-        ad.residual_branch(x, w, b, Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
+    w2, b2 = Tensor(np.ones((4, 3))), Tensor(np.ones(3))
+    with pytest.raises(ShapeError, match="residual_step"):
+        ad.residual_step(x, w, b, Tensor(np.ones((3, 3))), b2)
+    with pytest.raises(ShapeError, match="residual_step"):
+        ad.residual_step(x, w, b, Tensor(np.ones((4, 4))), b)
+    with pytest.raises(ShapeError, match="residual_step"):
+        ad.residual_step(x, w, b, w2, b2, Tensor(np.ones((3, 1))))
+    with pytest.raises(ShapeError, match="residual_step"):
+        ad.residual_step(x, w, b, w2, b2, Tensor(np.ones((4, 2, 1))))
+    with pytest.raises(ShapeError, match="sigmoid_gate"):
+        ad.sigmoid_gate(x, Tensor(np.ones(2)), Tensor(0.0))
+    with pytest.raises(ShapeError, match="softmax_cross_entropy"):
+        ad.softmax_cross_entropy(x, np.ones((2, 4)))
+    with pytest.raises(ShapeError, match="softmax_cross_entropy"):
+        ad.softmax_cross_entropy(Tensor(np.ones((0, 3))), np.ones((0, 3)))
+    with pytest.raises(ShapeError, match="squared_error"):
+        ad.squared_error(x, np.ones(3))
+    with pytest.raises(ShapeError, match="mean_of_means"):
+        ad.mean_of_means([])
 
 
 def test_layers_build_one_node_per_affine_map_and_branch():
@@ -282,11 +343,113 @@ def test_layers_build_one_node_per_affine_map_and_branch():
     h = Tensor(rng.normal(size=(3, 4)))
     assert Dense.init(rng, 4, 2)(h).op == "affine"
     block = ResidualBlock.init(rng, 4)
-    parents = [p for p, _ in block.branch(h)._vjps]
-    assert block.branch(h).op == "residual_branch"
-    assert len(parents) == 5 and all(a is b for a, b in zip(parents, [h] + block.params))
-    (skip, _), (branch, _) = block(h)._vjps
-    assert skip is h and branch.op == "residual_branch"
+    # the skip path and the branch are two products toward h in one node
+    out = block(h)
+    assert out.op == "residual_step"
+    parents = [p for p, _ in out._vjps]
+    assert len(parents) == 6 and all(a is b for a, b in zip(parents, [h, h] + block.params))
+    gate = Tensor(rng.uniform(size=(3, 1)))
+    gated = block(h, gate)
+    gated_parents = [p for p, _ in gated._vjps]
+    assert gated.op == "residual_step" and len(gated_parents) == 7
+    assert all(a is b for a, b in zip(gated_parents, parents + [gate]))
+
+
+def graph_nodes(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(parent for parent, _ in node._vjps)
+    return nodes
+
+
+def test_skip_training_graph_has_one_node_per_gate_step_and_loss(trained_skip, skip_dataset):
+    X, y = skip_dataset.inputs[:32], skip_dataset.labels[:32]
+    ops = Counter(node.op for node in graph_nodes(trained_skip._batch_loss(X, y)))
+    blocks = trained_skip.num_blocks
+    assert ops["sigmoid_gate"] == ops["residual_step"] == blocks
+    assert ops["softmax_cross_entropy"] == ops["mean_of_means"] == 1
+    assert sum(ops.values()) == 79
+
+
+def test_residual_step_computes_its_hidden_gradient_once_per_incoming_gradient():
+    rng = np.random.default_rng(13)
+    block = ResidualBlock.init(rng, 4)
+    out = block(Tensor(rng.normal(size=4)))
+    # for a 1-D input the b1 product returns the shared hidden gradient itself
+    (_, grad_b1) = out._vjps[3]
+    g = rng.normal(size=4)
+    assert grad_b1(g) is grad_b1(g)
+    again = grad_b1(g.copy())
+    assert again is not grad_b1(g) and again.tobytes() == grad_b1(g).tobytes()
+
+
+def _step_losses(net, X, y):
+    """Two losses that share one soft forward of `net`."""
+    logits, gates, _ = net.forward(Tensor(X), mode="soft")
+    return [cross_entropy(logits, y, net.num_classes),
+            ad.add(ad.mul(ad.mean_of_means(gates), 3.0), ad.tsum(ad.tanh(logits)))]
+
+
+def test_two_threads_on_one_graph_get_the_serial_gradients(trained_skip, skip_dataset):
+    X, y = skip_dataset.inputs[:32], skip_dataset.labels[:32]
+    params = trained_skip._params()
+    # each reference loss on a graph of its own, so no memo entry is shared
+    serial = [[g.tobytes() for g in gradients(_step_losses(trained_skip, X, y)[i], params)]
+              for i in range(2)]
+    losses = _step_losses(trained_skip, X, y)
+    seen = [[] for _ in range(4)]
+
+    def worker(i):
+        for _ in range(25):
+            seen[i].append([g.tobytes() for g in gradients(losses[i % 2], params)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, runs in enumerate(seen):
+        assert len(runs) == 25 and all(r == serial[i % 2] for r in runs)
+
+
+@pytest.fixture(scope="module")
+def training_step_cases():
+    """A briefly fitted model of each kind, its parameters, one batch and
+    the oracle that builds the batch's loss unfused."""
+    data = generate_dataset(64, seed=3)
+    X, y = data.inputs[:32], data.labels[:32]
+    skip = GatedSkipNet(epochs=2, sparsity_weight=0.05, seed=1).fit(data.inputs, data.labels)
+    exit_net = EarlyExitNet(epochs=2, seed=1).fit(data.inputs, data.labels)
+    corpus = estimator_corpus(40, seed=3)
+    est = EnergyEstimator(epochs=2, seed=1).fit(corpus, corpus.mean(axis=1))
+    targets = (corpus.mean(axis=1)[:32] - est.energy_mean_) / est.energy_scale_
+    filt = FilterModel(epochs=2, seed=1).fit(data.inputs, data.labels % 2)
+    filt_params = filt.stem_.params + [p for b in filt.blocks_ for p in b.params] + filt.head_.params
+    return {
+        "skip": (skip, skip._params(), X, y, unfused_skip_loss),
+        "exit": (exit_net, exit_net._params(), X, y, unfused_exit_loss),
+        "estimator": (est, est._parameters(), corpus[:32], targets, unfused_estimator_loss),
+        "filter": (filt, filt_params, X, y % 2, unfused_filter_loss),
+    }
+
+
+@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+def test_training_step_equals_unfused_oracle_graph(training_step_cases, kind):
+    model, params, X, y, oracle = training_step_cases[kind]
+    results = []
+    for loss in (model._batch_loss(X, y), oracle(model, X, y)):
+        results.append([loss.data.tobytes()] + [g.tobytes() for g in gradients(loss, params)])
+    assert results[0] == results[1]
 
 
 # -- finiteness contract ------------------------------------------------------
@@ -301,13 +464,28 @@ def test_affine_overflow_raises_nonfinite_error():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_residual_branch_hidden_overflow_masked_by_relu_raises():
+def test_residual_step_hidden_overflow_masked_by_relu_raises():
     # the hidden pre-activation is -inf, which the relu would turn into 0
     h = Tensor(np.full((2, 3), 1e200))
     w1, b1 = Tensor(np.full((3, 3), -1e200)), Tensor(np.zeros(3))
-    w2, b2 = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
-    with pytest.raises(NonFiniteError, match="residual_branch"):
-        ad.residual_branch(h, w1, b1, w2, b2)
+    w2, b2 = Tensor(np.ones((3, 3))), Tensor(np.zeros(3))
+    for s in (None, Tensor(np.ones((2, 1)))):
+        with pytest.raises(NonFiniteError, match="residual_step"):
+            ad.residual_step(h, w1, b1, w2, b2, s)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sigmoid_gate_infinite_pre_activation_raises():
+    # sigmoid(-inf) would read as a closed gate, 0.0
+    with pytest.raises(NonFiniteError, match="sigmoid_gate"):
+        ad.sigmoid_gate(Tensor([[1e200]]), Tensor(-1e200), Tensor(0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_softmax_cross_entropy_infinite_log_probability_raises():
+    # the second class's log-probability overflows to -inf
+    with pytest.raises(NonFiniteError, match="softmax_cross_entropy"):
+        ad.softmax_cross_entropy(Tensor([[1e308, -1e308]]), np.array([[1.0, 0.0]]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -328,7 +506,7 @@ def test_backward_overflow_raises_nonfinite_error():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.lists(st.booleans(), min_size=7, max_size=7))
+@given(st.integers(0, 10_000), st.lists(st.booleans(), min_size=8, max_size=8))
 def test_gradients_of_subset_equal_entries_of_full_set(seed, picks):
     build, arrays = random_op_mix_graph(np.random.default_rng(seed))
     tensors = [Tensor(a) for a in arrays]

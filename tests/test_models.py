@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adnn_energy_lab.autodiff import Tensor, relu, softmax
 from adnn_energy_lab.base import NotFittedError
 from adnn_energy_lab.data import generate_dataset
 from adnn_energy_lab.defense import FilterModel
+from adnn_energy_lab.estimator import EnergyEstimator
 from adnn_energy_lab.models import (
     EarlyExitNet,
     ExecutionTrace,
@@ -392,3 +395,88 @@ class TestSerialization:
         path.write_text('{"kind": "skip", "config"')
         with pytest.raises(DataFormatError):
             load_model(path)
+
+
+def _small_payloads():
+    """A valid payload of every loader's kind, small enough to mutate anywhere."""
+    rng = derive_rng(0, "payload-fuzz")
+    skip = GatedSkipNet(input_dim=3, width=2, num_blocks=2, num_classes=2)._build(rng)
+    exit_net = EarlyExitNet(input_dim=3, width=2, num_segments=2, num_classes=2)._build(rng)
+    est = EnergyEstimator(input_dim=3, width=2, num_blocks=1, target_id="t")
+    est._build(rng)
+    est.energy_mean_, est.energy_scale_ = 2.0, 0.5
+    return {
+        "skip": model_to_payload(skip),
+        "exit": model_to_payload(exit_net),
+        "scripted": model_to_payload(make_scripted(2, [0.25, 0.5], 100, 50)),
+        "estimator": est.to_payload(),
+    }
+
+
+PAYLOADS = _small_payloads()
+
+
+def _load(kind, payload):
+    if kind == "estimator":
+        return EnergyEstimator.from_payload(payload)
+    return model_from_payload(payload)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON tree, the root's children first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestLoaderFuzz:
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_valid_small_payload_loads(self, kind):
+        _load(kind, copy.deepcopy(PAYLOADS[kind]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_payload_raises_only_data_format_error(self, data):
+        kind = data.draw(st.sampled_from(sorted(PAYLOADS)))
+        payload = copy.deepcopy(PAYLOADS[kind])
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(payload))))
+            parent = payload
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(json_values)
+        try:
+            _load(kind, payload)
+        except DataFormatError:
+            pass
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("skip", "gate_threshold", 2), ("skip", "gate_threshold", "0.5"),
+        ("skip", "input_dim", 0), ("skip", "width", 2.0), ("skip", "num_blocks", True),
+        ("exit", "entropy_threshold", -1.0), ("exit", "num_segments", None),
+        ("scripted", "thresholds", [0.5, 0.25]), ("scripted", "thresholds", [float("nan")]),
+        ("scripted", "block_flops", -1), ("scripted", "num_classes", 0),
+        ("estimator", "energy_mean", "x"), ("estimator", "energy_scale", float("inf")),
+        ("estimator", "energy_scale", 0.0), ("estimator", "energy_scale", -1.0),
+        ("estimator", "num_blocks", -2),
+    ])
+    def test_bad_config_value_rejected_before_any_parameter(self, kind, key, value):
+        payload = copy.deepcopy(PAYLOADS[kind])
+        payload["config"][key] = value
+        # parameters that cannot parse: the config must be rejected first
+        payload["params"] = {name: "not an array" for name in payload["params"]}
+        with pytest.raises(DataFormatError, match="config"):
+            _load(kind, payload)
