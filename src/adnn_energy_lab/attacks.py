@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, l2_norm, relu, tanh, tsum
-from .nn import entropy_from_logits
+from .autodiff import Tensor, entropy_hinge_sum, hinge_sum, l2_norm, relu, tanh_unit, tsum
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
 from .validation import as_float_array
@@ -25,10 +24,8 @@ _ATANH_CLIP = 1e-6
 
 
 def reparam(w):
-    """Map unconstrained weights to an image: (tanh(w) + 1) / 2."""
-    if not isinstance(w, Tensor):
-        w = Tensor(w)
-    return (tanh(w) + 1.0) * 0.5
+    """Map unconstrained weights to an image: (tanh(w) + 1) / 2, one node."""
+    return tanh_unit(w)
 
 
 def _to_modifier(x):
@@ -203,7 +200,9 @@ class IlfoAttack:
     the chosen intermediate target, differentiating through the soft
     forward pass. The modifier starts at zero perturbation (arctanh of the
     seed) and the minimum-loss iterate is returned. Each iterate costs one
-    soft forward: the graph that scores it also gives the next step.
+    soft forward: the graph that scores it also gives the next step. The
+    model's `forward_all` gives that forward as one node, logits first and
+    gate values last, and the objective is one node on top of it.
     """
 
     def __init__(self, model, config=None):
@@ -219,17 +218,16 @@ class IlfoAttack:
         return self.model.entropy_threshold
 
     def _intermediate_loss(self, f):
+        """The summed hinge of every gate, or of every early exit's entropy,
+        as one node on the model's one-node soft forward."""
         level = self._threshold()
+        model = self.model
+        out = model.forward_all(f)
         if self.config.target == "gate":
-            _, gates, _ = self.model.forward(f, mode="soft")
-            total = ilfo_gate_loss(gates[0], level)
-            for gate in gates[1:]:
-                total = total + ilfo_gate_loss(gate, level)
-            return total
-        logits = self.model.forward_exits(f)
-        terms = [ilfo_exit_loss(entropy_from_logits(exit_logits), level, self.config.margin)
-                 for exit_logits in logits[:-1]]
-        return sum(terms[1:], terms[0])
+            c = model.num_classes
+            return hinge_sum(out, level, c, c + model.num_blocks)
+        return entropy_hinge_sum(out, level + self.config.margin, model.num_classes,
+                                 model.num_segments - 1)
 
     def _loss(self, w, x):
         f = reparam(w)
@@ -263,18 +261,22 @@ def _check_ilfo_target(model, config):
 
     A gate target needs a soft `forward(x, mode)`; an exit target needs
     `forward_exits` and at least two exits, since the last one carries no
-    constraint. Either needs the model's threshold unless the config sets one.
+    constraint. Either needs `forward_all`, the one-node soft forward, and
+    the model's threshold unless the config sets one.
     """
     name = type(model).__name__
     if config.target == "gate":
         forward = getattr(model, "forward", None)
-        if not callable(forward) or "mode" not in inspect.signature(forward).parameters:
-            raise ValueError("target 'gate' needs a soft forward(x, mode), which %s lacks"
-                             % name)
+        if not callable(forward) or "mode" not in inspect.signature(forward).parameters \
+                or not callable(getattr(model, "forward_all", None)):
+            raise ValueError("target 'gate' needs a soft forward(x, mode) and forward_all, "
+                             "which %s lacks" % name)
         threshold = "gate_threshold"
     else:
-        if not callable(getattr(model, "forward_exits", None)):
-            raise ValueError("target 'exit' needs forward_exits, which %s lacks" % name)
+        if not callable(getattr(model, "forward_exits", None)) \
+                or not callable(getattr(model, "forward_all", None)):
+            raise ValueError("target 'exit' needs forward_exits and forward_all, which %s lacks"
+                             % name)
         exits = getattr(model, "num_segments", 0)
         if exits < 2:
             raise ValueError("target 'exit' needs at least 2 exits, %s has %d" % (name, exits))

@@ -5,39 +5,45 @@ from, a vector-Jacobian closure. Calling an op builds the graph implicitly;
 `gradients` walks it once in reverse topological order and accumulates
 per-parent contributions in a side table, so evaluation never mutates nodes.
 
-The small subgraphs every training step rebuilds are fused ops, one graph
-node each with hand-written vector-Jacobian products:
+Parameters live in flat leaves. `pack` puts many parameter values back to
+back in one `FlatLeaf`, and hands out a `View` per parameter: a leaf that
+reads (and, by copy-on-write, writes) its slice. An optimizer steps the
+flat leaf; `gradients` gives a view the matching slice of its flat leaf's
+gradient, plus whatever it gets as a leaf of its own.
 
-- `affine`: x @ w + b;
-- `sigmoid_gate`: sigmoid(x * w + b), a skip gate;
-- `residual_step`: h + s * (relu(h @ w1 + b1) @ w2 + b2), where `s` is a soft
-  gate, a hard fire mask or absent;
-- `softmax_cross_entropy`, `squared_error` and `mean_of_means`: the
-  classification, regression and gate-sparsity losses.
+The graphs that training and test generation rebuild every step are a
+handful of one-node ops with hand-written vector-Jacobian products:
+
+- a whole residual MLP, stem to heads, is one node over its input and its
+  flat leaf (`nn.ResidualMLP`);
+- `columns` cuts a block of columns out of it;
+- `softmax_cross_entropy`, `squared_error` and `mean_of_column_means`: the
+  classification, regression and gate-sparsity losses;
+- `hinge_sum`, `entropy_hinge_sum` and `tanh_unit`: the white-box attack's
+  gate and exit-entropy hinges and the attacks' pixel reparameterization.
 
 The rest is primitive: matmul, relu / sigmoid / tanh, softmax, elementwise
 arithmetic, reductions, max against a constant, the Euclidean norm, and log.
-Everything downstream (layers, losses, entropy, attack objectives) is composed
-from these. Each fused op gives the value and gradients of its unfused
-composition bit for bit.
+Each one-node op gives the value and gradients of its unfused composition
+bit for bit.
 
 `gradients` evaluates only the vector-Jacobian products on paths from the
-output to a tensor in `wrt`: an input-gradient step computes no parameter
-gradients, and a training step computes no gradient of its input batch.
+output to a tensor in `wrt` (or a view's flat leaf): an input-gradient step
+computes no parameter gradients, and a training step computes no gradient
+of its input batch.
 
-The residual step computes what its products share once per backward: the
-branch gradient g * s and the hidden gradient (g * s) @ w2.T * mask. They sit
-in a per-node memo keyed on the identity of the incoming gradient array and
-held, with that array, in one tuple that is read and written whole. So a
-finished graph is still safe to differentiate from several threads at once:
-each `gradients` call passes its own arrays, and a thread finds either its
-own entry or none.
+A node whose products share work computes it once per backward, in a memo
+keyed on the identity of the incoming gradient array and held, with that
+array, in one tuple that is read and written whole. So a finished graph is
+still safe to differentiate from several threads at once: each `gradients`
+call passes its own arrays, and a thread finds either its own entry or none.
 
 Finiteness contract: an op whose value is NaN or infinite raises
 `NonFiniteError`, and so does every gradient contribution `gradients`
-computes. The fused ops also check their hidden values (the pre-activation
-of the gate and of the residual step's relu, and the log-probabilities of
-the cross-entropy), where a sigmoid or a relu could hide a non-finite value.
+computes. The one-node ops also check their hidden values (every relu and
+sigmoid pre-activation of a network, and the log-probabilities of the
+cross-entropy and the entropy hinge), where a sigmoid or a relu could hide a
+non-finite value.
 """
 
 import numpy as np
@@ -113,6 +119,90 @@ class Tensor:
         return matmul(self, other)
 
 
+class FlatLeaf(Tensor):
+    """A leaf holding many parameters back to back, made by `pack`.
+
+    An optimizer steps the one flat vector; each `View` reads its slice of
+    whatever array the leaf holds at the time. The leaf keeps only the
+    views' layout, not the views, so a dropped model leaves no reference
+    cycle behind.
+    """
+
+    __slots__ = ("layout", "_split")
+
+    def holds(self, tensors):
+        """Whether `tensors` are views of this leaf that cover it in order."""
+        return len(tensors) == len(self.layout) and all(
+            type(t) is View and t.flat is self and t.start == start
+            for t, (start, _, _) in zip(tensors, self.layout))
+
+    def split(self):
+        """Each view's current value, as slices of the present `data`.
+
+        Computed once per array the leaf holds: the memo is one
+        `(data, arrays)` tuple, read and written whole.
+        """
+        data = self.data
+        memo = self._split
+        if memo is None or memo[0] is not data:
+            memo = (data, [data[start:stop].reshape(shape)
+                           for start, stop, shape in self.layout])
+            self._split = memo
+        return memo[1]
+
+
+class View(Tensor):
+    """A leaf whose value is a slice of a `FlatLeaf`, reshaped.
+
+    Reading `data` reads the flat leaf's current array. Assigning `data`
+    gives the flat leaf a copy of its array with this slice replaced, so an
+    array already handed out is never written. `gradients` gives a view the
+    matching slice of its flat leaf's gradient.
+    """
+
+    __slots__ = ("flat", "start", "stop", "_shape")
+
+    def __init__(self, flat, start, shape):
+        self.flat = flat
+        self.start = start
+        self._shape = tuple(shape)
+        self.stop = start + int(np.prod(self._shape, dtype=np.int64))
+        self.op = "leaf"
+        self._vjps = ()
+
+    @property
+    def data(self):
+        return self.flat.data[self.start:self.stop].reshape(self._shape)
+
+    @data.setter
+    def data(self, value):
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != self._shape:
+            raise ShapeError("cannot set a view of shape %s to shape %s"
+                             % (self._shape, value.shape))
+        _require_finite(value, "leaf")
+        flat = self.flat.data.copy()
+        flat[self.start:self.stop] = value.reshape(-1)
+        self.flat.data = flat
+
+    @property
+    def shape(self):
+        return self._shape
+
+
+def pack(tensors):
+    """The values of `tensors` back to back in a new `FlatLeaf`, and a view
+    of it standing for each tensor, in order."""
+    flat = FlatLeaf(np.concatenate([np.ravel(t.data) for t in tensors]))
+    views, start = [], 0
+    for t in tensors:
+        views.append(View(flat, start, t.shape))
+        start = views[-1].stop
+    flat.layout = tuple((v.start, v.stop, v.shape) for v in views)
+    flat._split = None
+    return flat, views
+
+
 def as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
@@ -171,33 +261,6 @@ def matmul(a, b):
     return Tensor(out, ((a, grad_a), (b, grad_b)), "matmul")
 
 
-def _check_affine(op, x_shape, w, b):
-    if len(x_shape) not in (1, 2) or w.ndim != 2 or x_shape[-1] != w.shape[0] \
-            or b.shape != (w.shape[1],):
-        raise ShapeError("%s got shapes %s, %s and %s" % (op, x_shape, w.shape, b.shape))
-
-
-def _weight_grad(x, g):
-    """Gradient of x @ w with respect to w, for a 1-D or 2-D `x`."""
-    return np.outer(x, g) if x.ndim == 1 else x.T @ g
-
-
-def _bias_grad(g):
-    return g if g.ndim == 1 else g.sum(axis=0)
-
-
-def affine(x, w, b):
-    """x @ w + b as one node; `x` is a vector or a batch of rows."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    _check_affine("affine", x.shape, w, b)
-    xd, wd = x.data, w.data
-    return Tensor(xd @ wd + b.data, (
-        (x, lambda g: g @ wd.T),
-        (w, lambda g: _weight_grad(xd, g)),
-        (b, _bias_grad),
-    ), "affine")
-
-
 def _once_per_gradient(fn):
     """`fn(g)`, computed once for each incoming gradient `g` and shared by the
     vector-Jacobian products of one node.
@@ -219,89 +282,6 @@ def _once_per_gradient(fn):
         return value
 
     return cached
-
-
-def sigmoid_gate(x, w, b):
-    """sigmoid(x * w + b) as one node; a skip gate has a scalar weight and
-    bias, and the operands broadcast as in `mul` and `add`.
-
-    The pre-activation is checked for finiteness too, because the sigmoid
-    would otherwise turn an infinite one into 0 or 1.
-    """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    xd, wd = x.data, w.data
-    try:
-        z = xd * wd + b.data
-    except ValueError:
-        raise ShapeError("sigmoid_gate cannot broadcast shapes %s, %s and %s"
-                         % (x.shape, w.shape, b.shape)) from None
-    _require_finite(z, "sigmoid_gate")
-    # exp overflow at very negative inputs still yields the right limit (0.0)
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-z))
-
-    def grad_z(g):
-        return g * out * (1.0 - out)
-
-    return Tensor(out, (
-        (x, lambda g: _unbroadcast(grad_z(g) * wd, x.shape)),
-        (w, lambda g: _unbroadcast(grad_z(g) * xd, w.shape)),
-        (b, lambda g: _unbroadcast(grad_z(g), b.shape)),
-    ), "sigmoid_gate")
-
-
-def residual_step(h, w1, b1, w2, b2, s=None):
-    """h + s * (relu(h @ w1 + b1) @ w2 + b2) as one node.
-
-    `s` scales the branch: a soft gate Tensor, a hard 0/1 fire mask, or None
-    for the plain residual block `h + branch`. The hidden pre-activation is
-    checked for finiteness too, because the relu would otherwise hide a -inf
-    or NaN there. The branch gradient `g * s` and the hidden gradient
-    `(g * s) @ w2.T * mask` are computed once per backward and shared by the
-    products toward `h`, `w1`, `b1`, `w2` and `b2`.
-    """
-    h, w1, b1, w2, b2 = (as_tensor(t) for t in (h, w1, b1, w2, b2))
-    _check_affine("residual_step", h.shape, w1, b1)
-    _check_affine("residual_step", h.shape[:-1] + w1.shape[1:], w2, b2)
-    if w2.shape[1] != h.shape[-1]:
-        raise ShapeError("residual_step maps width %d back to %d"
-                         % (h.shape[-1], w2.shape[1]))
-    hd, w1d, w2d = h.data, w1.data, w2.data
-    z1 = hd @ w1d + b1.data
-    _require_finite(z1, "residual_step")
-    mask = z1 > 0.0
-    a = np.where(mask, z1, 0.0)
-    branch = a @ w2d + b2.data
-    if s is None:
-        out, sd, parents = hd + branch, None, ()
-    else:
-        s = as_tensor(s)
-        sd = s.data
-        try:
-            out = hd + sd * branch
-        except ValueError:
-            out = None
-        if out is None or out.shape != hd.shape:
-            raise ShapeError("residual_step cannot scale a branch of shape %s by %s"
-                             % (branch.shape, s.shape))
-        parents = ((s, lambda g: _unbroadcast(g * branch, s.shape)),)
-
-    @_once_per_gradient
-    def grads(g):
-        """(branch gradient, hidden pre-activation gradient)."""
-        g_branch = g if sd is None else g * sd
-        return g_branch, (g_branch @ w2d.T) * mask
-
-    # the skip path and the branch reach `h` as two products, so `gradients`
-    # adds them to h's other contributions in the unfused order
-    return Tensor(out, (
-        (h, lambda g: g),
-        (h, lambda g: grads(g)[1] @ w1d.T),
-        (w1, lambda g: _weight_grad(hd, grads(g)[1])),
-        (b1, lambda g: _bias_grad(grads(g)[1])),
-        (w2, lambda g: _weight_grad(a, grads(g)[0])),
-        (b2, lambda g: _bias_grad(grads(g)[0])),
-    ) + parents, "residual_step")
 
 
 def relu(x):
@@ -413,23 +393,119 @@ def squared_error(pred, target):
     return Tensor(rows.sum() * scale, ((pred, grad_pred),), "squared_error")
 
 
-def mean_of_means(tensors):
-    """The mean over `tensors` of each one's mean, as one node."""
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors or any(t.size == 0 for t in tensors):
-        raise ShapeError("mean_of_means needs non-empty tensors")
-    scales = [1.0 / t.size for t in tensors]
-    total = tensors[0].data.sum() * scales[0]
-    for t, scale in zip(tensors[1:], scales[1:]):
-        total = total + t.data.sum() * scale
-    inv_count = 1.0 / len(tensors)
+def _rows(x):
+    """A vector as a one-row batch; a batch of rows as it is."""
+    return x.reshape(1, -1) if x.ndim == 1 else x
 
-    def grad(t, scale):
-        return lambda g: np.full(t.shape, g * inv_count * scale)
 
-    return Tensor(total * inv_count,
-                  tuple((t, grad(t, scale)) for t, scale in zip(tensors, scales)),
-                  "mean_of_means")
+def _column_sums(block):
+    """Each column's sum, summed as numpy sums that column on its own."""
+    return np.ascontiguousarray(block.T).sum(axis=-1)
+
+
+def _check_columns(op, x, start, stop):
+    if x.ndim not in (1, 2) or not 0 <= start < stop <= x.shape[-1]:
+        raise ShapeError("%s cannot take columns %d:%d of shape %s" % (op, start, stop, x.shape))
+
+
+def _scatter_columns(shape, start, stop, block):
+    """An array of zeros of `shape` with `block` in columns start..stop-1."""
+    out = np.zeros(shape)
+    out[..., start:stop] = block.reshape(out[..., start:stop].shape)
+    return out
+
+
+def columns(x, start, stop):
+    """Columns start..stop-1 (along the last axis) of x, as one node."""
+    x = as_tensor(x)
+    _check_columns("columns", x, start, stop)
+    return Tensor(x.data[..., start:stop],
+                  ((x, lambda g: _scatter_columns(x.shape, start, stop, g)),), "columns")
+
+
+def mean_of_column_means(x, start, stop):
+    """The mean over columns start..stop-1 of x of each column's mean, as one node.
+
+    A column's mean is its sum times 1 / rows, and the columns are added
+    left to right, as a mean of means over separate column tensors would.
+    """
+    x = as_tensor(x)
+    _check_columns("mean_of_column_means", x, start, stop)
+    block = _rows(x.data)[:, start:stop]
+    scale = 1.0 / block.shape[0]
+    sums = _column_sums(block)
+    total = sums[0] * scale
+    for s in sums[1:]:
+        total = total + s * scale
+    inv_count = 1.0 / block.shape[1]
+
+    def grad_x(g):
+        out = np.zeros(x.shape)
+        out[..., start:stop] = g * inv_count * scale
+        return out
+
+    return Tensor(total * inv_count, ((x, grad_x),), "mean_of_column_means")
+
+
+def hinge_sum(x, level, start, stop):
+    """sum over columns start..stop-1 of x, left to right, of each column's
+    sum over rows of max(0, level - x), as one node."""
+    x = as_tensor(x)
+    _check_columns("hinge_sum", x, start, stop)
+    shortfall = level - _rows(x.data)[:, start:stop]
+    mask = shortfall > 0.0
+    sums = _column_sums(np.where(mask, shortfall, 0.0))
+    total = sums[0]
+    for s in sums[1:]:
+        total = total + s
+    return Tensor(total, ((x, lambda g: _scatter_columns(
+        x.shape, start, stop, -(np.full(mask.shape, g) * mask))),), "hinge_sum")
+
+
+def entropy_hinge_sum(x, level, width, count):
+    """sum over k < count, left to right, of the sum over rows of
+    max(0, level - H_k), where H_k is the entropy of the softmax of columns
+    k * width .. (k + 1) * width - 1 of x; one node.
+
+    The log-probabilities are checked for finiteness, where the product
+    p * log p would otherwise hide an overflow.
+    """
+    x = as_tensor(x)
+    _check_columns("entropy_hinge_sum", x, 0, width * count)
+    rows, groups, total = _rows(x.data), [], None
+    for k in range(count):
+        logits = np.ascontiguousarray(rows[:, k * width:(k + 1) * width])
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        p = e / e.sum(axis=-1, keepdims=True)
+        logp = shifted - np.log(e.sum(axis=-1, keepdims=True))
+        _require_finite(logp, "entropy_hinge_sum")
+        entropy = -(p * logp).sum(axis=-1)
+        shortfall = level - entropy
+        mask = shortfall > 0.0
+        term = np.where(mask, shortfall, 0.0).sum()
+        total = term if total is None else total + term
+        groups.append((p, logp, mask))
+
+    def grad_x(g):
+        out = []
+        for p, logp, mask in groups:
+            # d/d(sum p log p) of level + sum p log p, where the hinge is live
+            g_prod = np.empty(p.shape)
+            g_prod[...] = (np.full(mask.shape, g) * mask)[:, None]
+            g_p, g_logp = g_prod * logp, g_prod * p
+            from_logp = g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
+            out.append(from_logp + p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)))
+        return _scatter_columns(x.shape, 0, width * count, np.concatenate(out, axis=-1))
+
+    return Tensor(total, ((x, grad_x),), "entropy_hinge_sum")
+
+
+def tanh_unit(w):
+    """(tanh(w) + 1) * 0.5 as one node: any real array into (0, 1)."""
+    w = as_tensor(w)
+    t = np.tanh(w.data)
+    return Tensor((t + 1.0) * 0.5, ((w, lambda g: (g * 0.5) * (1.0 - t * t)),), "tanh_unit")
 
 
 def tsum(x, axis=None):
@@ -438,8 +514,10 @@ def tsum(x, axis=None):
 
     def grad_x(g):
         if axis is None:
-            return np.broadcast_to(g, x.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), x.shape).copy()
+            return np.full(x.shape, g)
+        full = np.empty(x.shape)
+        full[...] = np.expand_dims(g, axis)
+        return full
 
     return Tensor(out, ((x, grad_x),), "sum")
 
@@ -501,10 +579,12 @@ def gradients(output, wrt):
     """Gradients of a scalar `output` with respect to each tensor in `wrt`.
 
     Returns a list of ndarrays aligned with `wrt`; tensors the output does
-    not depend on get zeros. Only the vector-Jacobian products on paths from
-    `output` to a tensor in `wrt` are evaluated, and each contribution they
-    make is checked for finiteness. Accumulation happens in a side table
-    keyed by node identity, so the graph itself is left untouched.
+    not depend on get zeros. A `View` gets its own gradient plus the
+    matching slice of its flat leaf's gradient. Only the vector-Jacobian
+    products on paths from `output` to a tensor in `wrt` (or a view's flat
+    leaf) are evaluated, and each contribution they make is checked for
+    finiteness. Accumulation happens in a side table keyed by node identity,
+    so the graph itself is left untouched.
     """
     output = as_tensor(output)
     if output.size != 1:
@@ -513,6 +593,7 @@ def gradients(output, wrt):
         )
     table = {id(output): np.ones_like(output.data)}
     grads = {id(t): None for t in wrt}
+    grads.update((id(t.flat), None) for t in wrt if isinstance(t, View))
     order, needed = _topo_order(output, grads)
     # reverse topological order: every consumer of a node is processed
     # before the node itself, so its table entry is complete when read
@@ -532,7 +613,13 @@ def gradients(output, wrt):
                 table[key] = table[key] + contribution
             else:
                 table[key] = contribution
-    return [
-        grads[id(t)] if grads[id(t)] is not None else np.zeros_like(t.data)
-        for t in wrt
-    ]
+    return [_gradient_of(t, grads) for t in wrt]
+
+
+def _gradient_of(t, grads):
+    g = grads[id(t)]
+    flat = grads[id(t.flat)] if isinstance(t, View) else None
+    if flat is not None:
+        part = flat[t.start:t.stop].reshape(t.shape)
+        g = part if g is None else g + part
+    return g if g is not None else np.zeros(t.shape)

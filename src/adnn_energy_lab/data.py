@@ -70,18 +70,25 @@ class LabeledDataset:
 
     @classmethod
     def load(cls, path):
+        """The dataset saved at `path`; any malformed content raises
+        `DataFormatError`."""
         obj = load_json(path, "dataset")
+        if not isinstance(obj, dict):
+            raise DataFormatError("dataset file must hold a JSON object")
         for key in ("inputs", "labels", "difficulty"):
             if key not in obj:
                 raise DataFormatError("dataset file is missing %r" % key)
-        inputs = np.asarray(obj["inputs"], dtype=np.float64)
-        if inputs.size == 0:
-            inputs = inputs.reshape(0, 0)
-        return cls(
-            inputs=inputs,
-            labels=np.asarray(obj["labels"]),
-            difficulty=np.asarray(obj["difficulty"], dtype=np.float64),
-        )
+        try:
+            inputs = np.asarray(obj["inputs"], dtype=np.float64)
+            if inputs.size == 0:
+                inputs = inputs.reshape(0, 0)
+            return cls(
+                inputs=inputs,
+                labels=np.asarray(obj["labels"]),
+                difficulty=np.asarray(obj["difficulty"], dtype=np.float64),
+            )
+        except (TypeError, ValueError, OverflowError) as err:
+            raise DataFormatError("dataset file is malformed: %s" % err) from None
 
 
 def probe_inputs(num_probes, input_dim=64, jitter=0.02, seed=0, levels=None):

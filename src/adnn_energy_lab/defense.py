@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, gradients, relu
+from .autodiff import Tensor, columns, gradients
 from .base import ParamsMixin, check_is_fitted
 from .metrics import auc
 from .models import EarlyExitNet, GatedSkipNet
-from .nn import Dense, ResidualBlock, cross_entropy, uniform_cross_entropy
+from .nn import Dense, ResidualBlock, ResidualMLP, cross_entropy, uniform_cross_entropy
 from .optim import Adam
 from .seeding import derive_rng
 from .validation import as_label_array, as_sample_matrix, check_same_length
@@ -79,16 +79,18 @@ class FilterModel(ParamsMixin):
         head = 2 * self.width * self.num_classes
         return stem + self.num_blocks * block + head
 
-    def forward(self, x):
+    def _net(self):
+        """The network over the current layers; see `nn.ResidualMLP`."""
         check_is_fitted(self, "stem_")
-        h = relu(self.stem_(x))
-        for block in self.blocks_:
-            h = block(h)
-        return self.head_(h)
+        return ResidualMLP(self.stem_, self.blocks_, [self.head_])
+
+    def forward(self, x):
+        return self._net()(x)
 
     def predict(self, X):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        return np.argmax(self.forward(Tensor(X)).data, axis=-1)
+        (logits,), _ = self._net().run(X)
+        return np.argmax(logits, axis=-1)
 
     def _batch_loss(self, X, y):
         return cross_entropy(self.forward(Tensor(X)), y, self.num_classes)
@@ -106,11 +108,7 @@ class FilterModel(ParamsMixin):
         self.blocks_ = [ResidualBlock.init(rng, self.width)
                         for _ in range(self.num_blocks)]
         self.head_ = Dense.init(rng, self.width, self.num_classes)
-        params = self.stem_.params[:]
-        for block in self.blocks_:
-            params += block.params
-        params += self.head_.params
-        opt = Adam(params, lr=self.lr)
+        opt = Adam([self._net().theta], lr=self.lr)
         order_rng = derive_rng(self.seed, "filter-batches")
         history = []
         for _ in range(self.epochs):
@@ -176,12 +174,10 @@ def gradient_feature(adnn, x):
     x = as_sample_matrix(x, "x", feature_dim=adnn.input_dim)
     if len(x) != 1:
         raise ValueError("gradient_feature scores one input at a time")
-    if isinstance(adnn, EarlyExitNet):
-        loss = uniform_cross_entropy(adnn.forward_exits(Tensor(x))[0])
-    else:
-        logits, _, _ = adnn.forward(Tensor(x), mode="soft")
-        loss = uniform_cross_entropy(logits)
-    (grad,) = gradients(loss, [adnn.stem_.weight])
+    # both models' one-node forward puts these logits first: the head's of a
+    # gated-skip model, the first exit's of an early-exit one
+    logits = columns(adnn.forward_all(Tensor(x)), 0, adnn.num_classes)
+    (grad,) = gradients(uniform_cross_entropy(logits), [adnn.stem_.weight])
     return grad.reshape(-1).copy()
 
 

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, relu, squared_error
+from .autodiff import Tensor, squared_error
 from .base import ParamsMixin, check_is_fitted
-from .nn import Dense, ResidualBlock
+from .nn import Dense, ResidualBlock, ResidualMLP
 from .optim import Adam
 from .seeding import derive_rng
 from .serialize import POSITIVE, REAL, SIZE, array_to_json, payload_config
@@ -54,18 +54,15 @@ class EnergyEstimator(ParamsMixin):
                         for _ in range(self.num_blocks)]
         self.head_ = Dense.init(rng, self.width, 1)
 
+    def _net(self):
+        """The network over the current layers; see `nn.ResidualMLP`."""
+        return ResidualMLP(self.stem_, self.blocks_, [self.head_])
+
     def _parameters(self):
-        params = list(self.stem_.params)
-        for block in self.blocks_:
-            params.extend(block.params)
-        params.extend(self.head_.params)
-        return params
+        return self._net().params
 
     def _forward_normalized(self, x):
-        h = relu(self.stem_(x))
-        for block in self.blocks_:
-            h = block(h)
-        return self.head_(h)
+        return self._net()(x)
 
     def _batch_loss(self, X, targets):
         """Mean over the batch of the squared error in normalized joules."""
@@ -92,11 +89,12 @@ class EnergyEstimator(ParamsMixin):
         val_idx, train_idx = order[:n_val], order[n_val:]
 
         self._build(rng)
-        params = self._parameters()
-        opt = Adam(params, lr=self.lr)
+        net = self._net()
+        theta = net.theta
+        opt = Adam([theta], lr=self.lr)
         self.history_ = []
         self.val_history_ = []
-        best = (np.inf, [p.data.copy() for p in params], 0)
+        best = (np.inf, theta.data.copy(), 0)
         # burn-in: barely-trained nets can win the (small) validation split
         # by luck while still being useless off-manifold
         warmup = self.epochs // 10
@@ -111,16 +109,15 @@ class EnergyEstimator(ParamsMixin):
                 loss = self._batch_loss(X[batch], targets[batch])
                 epoch_loss += opt.step_loss(loss) * len(batch)
             self.history_.append(epoch_loss / len(train_idx))
-            val_norm = self._forward_normalized(Tensor(X[val_idx])).data.reshape(-1)
-            val_mse = float(np.mean((val_norm - targets[val_idx]) ** 2))
+            (val_norm,), _ = net.run(X[val_idx])
+            val_mse = float(np.mean((val_norm.reshape(-1) - targets[val_idx]) ** 2))
             self.val_history_.append(val_mse)
             if epoch >= warmup and val_mse < best[0]:
-                best = (val_mse, [p.data.copy() for p in params], epoch)
+                best = (val_mse, theta.data.copy(), epoch)
 
         # keep the checkpoint that generalized best, not the last one;
         # late epochs can trade held-out accuracy for training-set fit
-        for p, saved in zip(params, best[1]):
-            p.data = saved
+        theta.data = best[1]
         self.best_epoch_ = best[2]
 
         val_pred = self.predict(X[val_idx])
@@ -141,7 +138,8 @@ class EnergyEstimator(ParamsMixin):
     def predict(self, X):
         check_is_fitted(self, "head_")
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        return self.predict_tensor(Tensor(X)).data.reshape(-1)
+        (out,), _ = self._net().run(X)
+        return (out * self.energy_scale_ + self.energy_mean_).reshape(-1)
 
     # -- serialization -------------------------------------------------------
 

@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, mean_of_means, mul, relu, sigmoid_gate, softmax
+from .autodiff import Tensor, add, as_tensor, columns, mean_of_column_means, mul, softmax
 from .base import ParamsMixin, check_is_fitted
-from .nn import Dense, ResidualBlock, cross_entropy, xavier_uniform
+from .nn import Dense, ResidualBlock, ResidualMLP, cross_entropy, xavier_uniform
 from .optim import Adam
 from .seeding import derive_rng
 from .serialize import (COUNT, REAL, REALS, SIZE, DataFormatError, array_to_json, dump_json,
@@ -148,14 +148,15 @@ class GatedSkipNet(ParamsMixin):
         self.gate_weights_ = [Tensor(np.float64(slope)) for _ in range(self.num_blocks)]
         self.gate_biases_ = [Tensor(np.float64(-slope * q)) for q in qs]
 
+    def _net(self):
+        """The network over the current layers; see `nn.ResidualMLP`."""
+        check_is_fitted(self, "stem_")
+        return ResidualMLP(self.stem_, self.blocks_, [self.head_],
+                           gates=(self.gate_weights_, self.gate_biases_),
+                           pool=self._input_pool.data)
+
     def _params(self):
-        params = self.stem_.params[:]
-        for block in self.blocks_:
-            params.extend(block.params)
-        params.extend(self.gate_weights_)
-        params.extend(self.gate_biases_)
-        params.extend(self.head_.params)
-        return params
+        return self._net().params
 
     @property
     def signature(self):
@@ -183,47 +184,48 @@ class GatedSkipNet(ParamsMixin):
 
     # -- forward ------------------------------------------------------
 
+    def forward_all(self, x):
+        """The soft forward of a Tensor (vector or batch of rows) as one node:
+        the logits, then the gate values, along the last axis."""
+        return self._net()(x)
+
     def forward(self, x, mode="hard"):
         """Run the network on a Tensor (vector or batch of rows).
 
-        Returns (logits, gate_values, hard_decisions): gate values are
-        (n, 1) Tensors, decisions an (n, num_blocks) boolean array. Soft
-        mode scales each residual branch by its gate value; hard mode
+        Returns (logits, gate_values, hard_decisions): gate values are one
+        (n, 1) Tensor per block, decisions an (n, num_blocks) boolean array.
+        Soft mode scales each residual branch by its gate value; hard mode
         executes a block only when its gate clears the threshold.
         """
-        check_is_fitted(self, "stem_")
         if mode not in ("hard", "soft"):
             raise ValueError("mode must be 'hard' or 'soft'")
+        x = as_tensor(x)
+        c, n = self.num_classes, self.num_blocks
         # gates read the mean-pooled network input, so both modes see the
         # same gate values and hard decisions match soft thresholding exactly
-        pooled = matmul(x, self._input_pool)
-        h = relu(self.stem_(x))
-        gate_values = []
-        decisions = []
-        for block, gw, gb in zip(self.blocks_, self.gate_weights_, self.gate_biases_):
-            gate = sigmoid_gate(pooled, gw, gb)
-            fire = gate.data >= self.gate_threshold
-            gate_values.append(gate)
-            decisions.append(fire.reshape(-1))
-            if mode == "soft":
-                h = block(h, gate)
-            elif fire.any():
-                h = block(h, fire.astype(np.float64))
-        logits = self.head_(h)
-        return logits, gate_values, np.stack(decisions, axis=-1)
+        if mode == "soft":
+            out = self.forward_all(x)
+            gates = [columns(out, c + i, c + i + 1) for i in range(n)]
+            values = out.data.reshape(-1, c + n)[:, c:]
+            logits = columns(out, 0, c)
+        else:
+            (logits,), values = self._net().run(x.data, self.gate_threshold)
+            gates = [Tensor(values[:, i:i + 1].reshape(x.shape[:-1] + (1,))) for i in range(n)]
+            logits = Tensor(logits.reshape(x.shape[:-1] + (c,)))
+        return logits, gates, values >= self.gate_threshold
 
     def infer(self, x):
         """Hard-mode inference; one ExecutionTrace per input row."""
         X = as_sample_matrix(x, "x", feature_dim=self.input_dim)
-        logits, gates, decisions = self.forward(Tensor(X), mode="hard")
-        values = np.concatenate([g.data.reshape(-1, 1) for g in gates], axis=1)
+        (logits,), values = self._net().run(X, self.gate_threshold)
+        decisions = values >= self.gate_threshold
         flops = self.base_flops + decisions.sum(axis=1) * self.block_flops
         signature = self.signature
         traces = [
             ExecutionTrace(
                 kind="skip",
                 flops=int(flops[i]),
-                logits=logits.data[i].copy(),
+                logits=logits[i].copy(),
                 signature=signature,
                 gate_values=tuple(values[i].tolist()),
                 gate_decisions=tuple(decisions[i].tolist()),
@@ -234,8 +236,8 @@ class GatedSkipNet(ParamsMixin):
 
     def predict(self, X):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        logits, _, _ = self.forward(Tensor(X), mode="hard")
-        return np.argmax(logits.data, axis=-1)
+        (logits,), _ = self._net().run(X, self.gate_threshold)
+        return np.argmax(logits, axis=-1)
 
     def score(self, X, y):
         return float(np.mean(self.predict(X) == np.asarray(y)))
@@ -245,10 +247,12 @@ class GatedSkipNet(ParamsMixin):
     def _batch_loss(self, X, y):
         """Training loss of one batch: soft-mode cross-entropy plus the
         sparsity penalty on the mean gate value."""
-        logits, gates, _ = self.forward(Tensor(X), mode="soft")
-        loss = cross_entropy(logits, y, self.num_classes)
+        out = self.forward_all(Tensor(X))
+        c = self.num_classes
+        loss = cross_entropy(columns(out, 0, c), y, c)
         if self.sparsity_weight:
-            loss = add(loss, mul(mean_of_means(gates), self.sparsity_weight))
+            gates = mean_of_column_means(out, c, c + self.num_blocks)
+            loss = add(loss, mul(gates, self.sparsity_weight))
         return loss
 
     def fit(self, X, y):
@@ -259,8 +263,7 @@ class GatedSkipNet(ParamsMixin):
         self._build(derive_rng(self.seed, "skip-init"))
         self._calibrate_gates(X)
         order_rng = derive_rng(self.seed, "skip-batches")
-        params = self._params()
-        opt = Adam(params, lr=self.lr)
+        opt = Adam([self._net().theta], lr=self.lr)
         history = []
         for _ in range(self.epochs):
             perm = order_rng.permutation(len(X))
@@ -368,13 +371,13 @@ class EarlyExitNet(ParamsMixin):
         ]
         return self
 
+    def _net(self):
+        """The network over the current layers; see `nn.ResidualMLP`."""
+        check_is_fitted(self, "stem_")
+        return ResidualMLP(self.stem_, self.segments_, self.exit_heads_)
+
     def _params(self):
-        params = self.stem_.params[:]
-        for seg in self.segments_:
-            params.extend(seg.params)
-        for head in self.exit_heads_:
-            params.extend(head.params)
-        return params
+        return self._net().params
 
     @property
     def signature(self):
@@ -403,21 +406,22 @@ class EarlyExitNet(ParamsMixin):
     def stem_flops(self):
         return self.stem_.flops
 
+    def forward_all(self, x):
+        """Every exit's logits for a Tensor input, side by side along the
+        last axis, as one node; the trunk is shared."""
+        return self._net()(x)
+
     def forward_exits(self, x):
-        """All exit logits for a Tensor input; the trunk is shared."""
-        check_is_fitted(self, "stem_")
-        h = relu(self.stem_(x))
-        logits = []
-        for seg, head in zip(self.segments_, self.exit_heads_):
-            h = seg(h)
-            logits.append(head(h))
-        return logits
+        """All exit logits for a Tensor input, one Tensor per exit."""
+        out = self.forward_all(x)
+        c = self.num_classes
+        return [columns(out, k * c, (k + 1) * c) for k in range(self.num_segments)]
 
     def infer(self, x):
         X = as_sample_matrix(x, "x", feature_dim=self.input_dim)
-        all_logits = self.forward_exits(Tensor(X))
-        logits = np.stack([l.data for l in all_logits], axis=1)
-        probs = np.stack([softmax(l).data for l in all_logits], axis=1)
+        all_logits, _ = self._net().run(X)
+        logits = np.stack(all_logits, axis=1)
+        probs = np.stack([softmax(Tensor(l)).data for l in all_logits], axis=1)
         entropies = _entropies(probs)
         below = entropies < self.entropy_threshold
         exits = np.where(below.any(axis=1), below.argmax(axis=1), self.num_segments - 1)
@@ -458,7 +462,7 @@ class EarlyExitNet(ParamsMixin):
         y = as_label_array(y, n=len(X), num_classes=self.num_classes)
         self._build(derive_rng(self.seed, "exit-init"))
         order_rng = derive_rng(self.seed, "exit-batches")
-        opt = Adam(self._params(), lr=self.lr)
+        opt = Adam([self._net().theta], lr=self.lr)
         history = []
         for _ in range(self.epochs):
             perm = order_rng.permutation(len(X))
@@ -471,11 +475,8 @@ class EarlyExitNet(ParamsMixin):
             history.append(epoch_loss / len(X))
         self.history_ = history
         self.train_accuracy_ = self.score(X, y)
-        per_exit = []
-        all_logits = self.forward_exits(Tensor(X))
-        for l in all_logits:
-            per_exit.append(float(np.mean(np.argmax(l.data, axis=-1) == y)))
-        self.exit_accuracies_ = per_exit
+        all_logits, _ = self._net().run(X)
+        self.exit_accuracies_ = [float(np.mean(np.argmax(l, axis=-1) == y)) for l in all_logits]
         return self
 
     def to_payload(self):

@@ -46,8 +46,10 @@ def as_label_array(y, name="y", n=None, num_classes=None):
         raise ValueError("%s must be 1-D, got shape %s" % (name, arr.shape))
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.rint(np.asarray(arr, dtype=np.float64))
-        if not np.allclose(arr, rounded):
+        if not (np.isfinite(rounded).all() and np.allclose(arr, rounded)):
             raise ValueError("%s must contain integer labels" % name)
+        if rounded.size and np.abs(rounded).max() >= 2.0 ** 63:
+            raise ValueError("%s has a label beyond the int64 range" % name)
         arr = rounded.astype(np.int64)
     else:
         arr = arr.astype(np.int64)

@@ -154,7 +154,8 @@ def adam_per_parameter_steps(values, grads, state, lr=0.01, beta1=0.9,
 
 
 def random_op_mix_graph(rng):
-    """A random scalar graph touching every primitive and fused op, plus its leaves.
+    """A random scalar graph touching every primitive and one-node op but the
+    network op, plus its leaves.
 
     Returns (build, arrays): `build` maps a list of leaf Tensors to a scalar
     Tensor, `arrays` holds leaf values. Leaves are redrawn until every relu /
@@ -197,18 +198,19 @@ def random_op_mix_graph(rng):
         gap = ad.sub(h2, anchor)
         dist = ad.l2_norm(gap)
         gate = ad.tmean(ad.sigmoid(h1))
-        # the residual steps' hidden pre-activation is `logits`
-        soft = ad.sigmoid_gate(h1, anchor, b1)
-        steps = ad.add(ad.tmean(ad.residual_step(h2, w2, b2, w3, b1, soft)),
-                       ad.tmean(ad.residual_step(h2, w2, b2, w3, b1)))
+        unit = ad.tanh_unit(ad.matmul(logits, w3))
+        objectives = ad.add(ad.hinge_sum(unit, 0.5, 0, m),
+                            ad.entropy_hinge_sum(logits, 0.6 * math.log(k), k, 1))
         losses = ad.add(ad.softmax_cross_entropy(logits, targets),
                         ad.squared_error(h2, anchor_rows))
-        fused = ad.add(ad.add(ad.tmean(ad.affine(h2, w2, b2)), steps),
-                       ad.add(losses, ad.mean_of_means([h1, soft, probs])))
+        fused = ad.add(ad.add(ad.tmean(ad.columns(h1, 1, m)), objectives),
+                       ad.add(losses, ad.mean_of_column_means(probs, 0, k)))
         if record is not None:
             record.append(("kink", pre.data))
-            record.append(("kink", logits.data))
             record.append(("kink", h1.data - 0.3 - 0.1))
+            record.append(("kink", 0.5 - unit.data))
+            p = probs.data
+            record.append(("kink", 0.6 * math.log(k) + (p * np.log(p)).sum(axis=-1)))
             record.append(("prob", probs.data))
             record.append(("norm", gap.data))
         return ad.add(
@@ -235,11 +237,13 @@ def random_op_mix_graph(rng):
     raise RuntimeError("could not find kink-free leaf values")
 
 
-# -- unfused forms of the fused ops and of the training losses -------------
+# -- unfused forms of the fused ops, the networks and the objectives -------
 #
-# Each builds from the primitive ops (matmul, add, mul, relu, sigmoid,
-# log_softmax, tsum, tmean) the graph the fused op stands for, in the order
-# the layers composed them before fusion.
+# Each builds from the primitive ops (matmul, add, mul, relu, sigmoid, tanh,
+# softmax, log_softmax, tsum, tmean) the graph the fused op stands for, in
+# the order the layers composed them before fusion. Where a fused op reads
+# column blocks of one tensor, its unfused form takes the blocks as separate
+# tensors, as the layers produced them.
 
 
 def unfused_affine(x, w, b):
@@ -278,12 +282,71 @@ def unfused_mean_of_means(tensors):
     return ad.mul(total, 1.0 / len(tensors))
 
 
+def _fold(terms):
+    from adnn_energy_lab import autodiff as ad
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return total
+
+
+def unfused_hinge_sum(tensors, level):
+    """sum over `tensors`, left to right, of tsum(relu(level - t))."""
+    from adnn_energy_lab import autodiff as ad
+    return _fold([ad.tsum(ad.relu(ad.sub(level, t))) for t in tensors])
+
+
+def unfused_entropy(logits):
+    """Shannon entropy of softmax(logits) rows."""
+    from adnn_energy_lab import autodiff as ad
+    plogp = ad.tsum(ad.mul(ad.softmax(logits), ad.log_softmax(logits)), axis=-1)
+    return ad.mul(plogp, -1.0)
+
+
+def unfused_entropy_hinge_sum(tensors, level):
+    """The hinge sum of the entropies of each logits tensor in `tensors`."""
+    return unfused_hinge_sum([unfused_entropy(t) for t in tensors], level)
+
+
+def unfused_tanh_unit(w):
+    from adnn_energy_lab import autodiff as ad
+    return ad.mul(ad.add(ad.tanh(w), 1.0), 0.5)
+
+
+def unfused_skip_forward(net, x):
+    """A GatedSkipNet's soft forward, unfused: (logits, gate values)."""
+    from adnn_energy_lab import autodiff as ad
+    pooled = ad.matmul(x, ad.Tensor(np.full((net.input_dim, 1), 1.0 / net.input_dim)))
+    h = ad.relu(unfused_affine(x, *net.stem_.params))
+    gates = []
+    for block, gw, gb in zip(net.blocks_, net.gate_weights_, net.gate_biases_):
+        gates.append(unfused_sigmoid_gate(pooled, gw, gb))
+        h = unfused_residual_step(h, *block.params, gates[-1])
+    return unfused_affine(h, *net.head_.params), gates
+
+
+def unfused_exit_forward(net, x):
+    """An EarlyExitNet's forward, unfused: every exit's logits."""
+    from adnn_energy_lab import autodiff as ad
+    h = ad.relu(unfused_affine(x, *net.stem_.params))
+    logits = []
+    for seg, head in zip(net.segments_, net.exit_heads_):
+        h = unfused_residual_step(h, *seg.params)
+        logits.append(unfused_affine(h, *head.params))
+    return logits
+
+
 def _unfused_trunk(stem, blocks, x):
     from adnn_energy_lab import autodiff as ad
     h = ad.relu(unfused_affine(x, *stem.params))
     for block in blocks:
         h = unfused_residual_step(h, *block.params)
     return h
+
+
+def unfused_estimator_forward(est, x):
+    """An EnergyEstimator's normalized prediction, unfused."""
+    return unfused_affine(_unfused_trunk(est.stem_, est.blocks_, x), *est.head_.params)
 
 
 def _unfused_labels_loss(logits, y, num_classes):
@@ -293,14 +356,8 @@ def _unfused_labels_loss(logits, y, num_classes):
 def unfused_skip_loss(net, X, y):
     """A GatedSkipNet's soft-mode training loss on one batch, unfused."""
     from adnn_energy_lab import autodiff as ad
-    x = ad.Tensor(X)
-    pooled = ad.matmul(x, ad.Tensor(np.full((net.input_dim, 1), 1.0 / net.input_dim)))
-    h = ad.relu(unfused_affine(x, *net.stem_.params))
-    gates = []
-    for block, gw, gb in zip(net.blocks_, net.gate_weights_, net.gate_biases_):
-        gates.append(unfused_sigmoid_gate(pooled, gw, gb))
-        h = unfused_residual_step(h, *block.params, gates[-1])
-    loss = _unfused_labels_loss(unfused_affine(h, *net.head_.params), y, net.num_classes)
+    logits, gates = unfused_skip_forward(net, ad.Tensor(X))
+    loss = _unfused_labels_loss(logits, y, net.num_classes)
     if net.sparsity_weight:
         loss = ad.add(loss, ad.mul(unfused_mean_of_means(gates), net.sparsity_weight))
     return loss
@@ -310,20 +367,14 @@ def unfused_exit_loss(net, X, y):
     """An EarlyExitNet's training loss on one batch: every exit's
     cross-entropy, summed left to right, unfused."""
     from adnn_energy_lab import autodiff as ad
-    h = ad.relu(unfused_affine(ad.Tensor(X), *net.stem_.params))
-    total = None
-    for seg, head in zip(net.segments_, net.exit_heads_):
-        h = unfused_residual_step(h, *seg.params)
-        loss = _unfused_labels_loss(unfused_affine(h, *head.params), y, net.num_classes)
-        total = loss if total is None else ad.add(total, loss)
-    return total
+    return _fold([_unfused_labels_loss(logits, y, net.num_classes)
+                  for logits in unfused_exit_forward(net, ad.Tensor(X))])
 
 
 def unfused_estimator_loss(est, X, targets):
     """An EnergyEstimator's training loss on one batch of normalized targets."""
     from adnn_energy_lab import autodiff as ad
-    pred = unfused_affine(_unfused_trunk(est.stem_, est.blocks_, ad.Tensor(X)),
-                          *est.head_.params)
+    pred = unfused_estimator_forward(est, ad.Tensor(X))
     return unfused_squared_error(pred, ad.Tensor(np.reshape(targets, (-1, 1))))
 
 
@@ -333,6 +384,30 @@ def unfused_filter_loss(filt, X, y):
     logits = unfused_affine(_unfused_trunk(filt.stem_, filt.blocks_, ad.Tensor(X)),
                             *filt.head_.params)
     return _unfused_labels_loss(logits, y, filt.num_classes)
+
+
+def unfused_ilfo_loss(model, w, x, target, level, c):
+    """ILFO's loss on modifier `w` and seed Tensor `x`, unfused: squared
+    distance plus c times the gate hinges, or the hinges of every early
+    exit's entropy (`level` then includes the margin)."""
+    from adnn_energy_lab import autodiff as ad
+    f = unfused_tanh_unit(w)
+    d = ad.sub(f, x)
+    if target == "gate":
+        terms = unfused_skip_forward(model, f)[1]
+        inter = unfused_hinge_sum(terms, level)
+    else:
+        inter = unfused_entropy_hinge_sum(unfused_exit_forward(model, f)[:-1], level)
+    return ad.add(ad.tsum(ad.mul(d, d)), ad.mul(inter, c))
+
+
+def unfused_input_based_loss(est, w, x, c):
+    """The input-based attack's loss on modifier `w` and seed `x`, unfused."""
+    from adnn_energy_lab import autodiff as ad
+    f = unfused_tanh_unit(w)
+    pred = ad.add(ad.mul(unfused_estimator_forward(est, f), ad.Tensor(est.energy_scale_)),
+                  ad.Tensor(est.energy_mean_))
+    return ad.sub(ad.l2_norm(ad.sub(f, ad.Tensor(x))), ad.mul(ad.tsum(pred), c))
 
 
 # -- sequential forms of the batched attack and defense loops -------------

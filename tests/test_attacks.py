@@ -37,6 +37,8 @@ from adnn_energy_lab.seeding import derive_rng
 from oracles import (
     ilfo_two_forward_reference,
     surrogate_records_reference,
+    unfused_ilfo_loss,
+    unfused_input_based_loss,
     universal_per_restart_reference,
 )
 
@@ -571,3 +573,54 @@ class TestSurrogatePipeline:
         surrogate = frozen_analogue([0.5])
         with pytest.raises(ValueError):
             surrogate_pipeline(SCRIPTED, surrogate, np.empty((0, 64)))
+
+
+def graph_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(parent for parent, _ in node._vjps)
+    return len(seen)
+
+
+class TestOneNodeObjectives:
+    """Each attack iterate is a handful of nodes: the modifier's reparam, the
+    network and the objective are one node each; loss and input gradient
+    equal the unfused graph's byte for byte."""
+
+    @pytest.mark.parametrize("target", ["gate", "exit"])
+    def test_ilfo_loss_equals_unfused_oracle_graph(self, target, trained_skip, skip_dataset,
+                                                  trained_exit, exit_dataset):
+        model, data = ((trained_skip, skip_dataset) if target == "gate"
+                       else (trained_exit, exit_dataset))
+        attack = IlfoAttack(model, IlfoConfig(target=target))
+        rng = derive_rng(30, "ilfo-oracle", target)
+        # dimmed seeds close most gates, so every hinge term is live
+        for x in np.concatenate([data.inputs[:2], 0.3 * data.inputs[2:4]]):
+            xt = Tensor(x.reshape(1, -1))
+            w = Tensor(np.arctanh(2.0 * np.clip(x, 0.05, 0.95) - 1.0).reshape(1, -1)
+                       + rng.normal(0.0, 0.3, size=(1, x.size)))
+            loss = attack._loss(w, xt)
+            level = attack._threshold() + (attack.config.margin if target == "exit" else 0.0)
+            ref = unfused_ilfo_loss(model, w, xt, target, level, attack.config.c)
+            assert loss.data.tobytes() == ref.data.tobytes()
+            assert gradients(loss, [w])[0].tobytes() == gradients(ref, [w])[0].tobytes()
+            assert graph_size(loss) == 12
+
+    def test_input_based_loss_equals_unfused_oracle_graph(self, trained_estimator):
+        rng = derive_rng(31, "input-based-oracle")
+        for _ in range(3):
+            x = rng.uniform(0, 1, size=(1, 64))
+            w = Tensor(rng.normal(0.0, 0.5, size=(1, 64)))
+            loss = input_based_loss(w, x, 100.0, trained_estimator)
+            ref = unfused_input_based_loss(trained_estimator, w, x, 100.0)
+            assert loss.data.tobytes() == ref.data.tobytes()
+            assert gradients(loss, [w])[0].tobytes() == gradients(ref, [w])[0].tobytes()
+            assert graph_size(loss) == 15
+
+    def test_reparam_is_one_node(self):
+        w = Tensor(np.linspace(-2.0, 2.0, 8))
+        f = reparam(w)
+        assert f.op == "tanh_unit" and f._vjps[0][0] is w

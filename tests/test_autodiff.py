@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 from collections import Counter
@@ -18,7 +19,7 @@ from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.estimator import EnergyEstimator
 from adnn_energy_lab.models import EarlyExitNet, GatedSkipNet
-from adnn_energy_lab.nn import Dense, ResidualBlock, cross_entropy
+from adnn_energy_lab.nn import Dense, ResidualBlock, ResidualMLP, cross_entropy
 from adnn_energy_lab.optim import Adam
 
 from oracles import (
@@ -27,16 +28,19 @@ from oracles import (
     finite_difference,
     max_relative_error,
     random_op_mix_graph,
-    unfused_affine,
+    unfused_entropy_hinge_sum,
+    unfused_estimator_forward,
     unfused_estimator_loss,
+    unfused_exit_forward,
     unfused_exit_loss,
     unfused_filter_loss,
+    unfused_hinge_sum,
     unfused_mean_of_means,
-    unfused_residual_step,
-    unfused_sigmoid_gate,
+    unfused_skip_forward,
     unfused_skip_loss,
     unfused_softmax_cross_entropy,
     unfused_squared_error,
+    unfused_tanh_unit,
 )
 
 
@@ -112,6 +116,20 @@ def test_reduction_gradients():
     fd_check(lambda ts: ad.tmean(ts[0]), [x])
     fd_check(lambda ts: ad.tsum(ad.tmean(ts[0], axis=0)), [x])
     fd_check(lambda ts: ad.tsum(ad.tsum(ts[0], axis=-1)), [x])
+
+
+@pytest.mark.parametrize("shape, axis", [((), None), ((3,), None), ((3,), 0), ((3,), -1),
+                                         ((2, 3), None), ((2, 3), 0), ((2, 3), 1),
+                                         ((2, 3), -1)])
+def test_sum_gradient_equals_the_broadcast_copy(shape, axis):
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=shape))
+    out = ad.tsum(x, axis=axis)
+    g = rng.normal(size=out.shape)
+    grad = out._vjps[0][1](g)
+    expected = np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy()
+    assert grad.shape == shape and grad.flags.writeable
+    assert grad.tobytes() == expected.tobytes()
 
 
 def test_maximum_threshold_gradient_and_kink_subgradient():
@@ -253,31 +271,14 @@ def _bind_constant(fused, unfused, leaf, constant):
 # name -> (fused op, unfused composition, leaf arrays for an input of x_shape);
 # constants the loss ops take without a gradient are bound into the builders
 FUSED_CASES = {
-    "affine": lambda rng, x_shape: (
-        ad.affine, unfused_affine,
-        [rng.normal(size=x_shape), rng.normal(size=(6, 5)), rng.normal(size=(5,))]),
-    "residual_step": lambda rng, x_shape: (
-        ad.residual_step, unfused_residual_step,
-        [rng.normal(size=x_shape), rng.normal(size=(6, 5)), rng.normal(size=(5,)),
-         rng.normal(size=(5, 6)), rng.normal(size=(6,))]),
-    "residual_step_gated": lambda rng, x_shape: (
-        ad.residual_step, unfused_residual_step,
-        [rng.normal(size=x_shape), rng.normal(size=(6, 5)), rng.normal(size=(5,)),
-         rng.normal(size=(5, 6)), rng.normal(size=(6,)),
-         rng.uniform(0.0, 1.0, size=x_shape[:-1] + (1,))]),
-    "sigmoid_gate": lambda rng, x_shape: (
-        ad.sigmoid_gate, unfused_sigmoid_gate,
-        [rng.uniform(0.0, 1.0, size=x_shape[:-1] + (1,)), rng.normal(scale=3.0, size=()),
-         rng.normal(size=())]),
+    "tanh_unit": lambda rng, x_shape: (
+        ad.tanh_unit, unfused_tanh_unit, [rng.normal(scale=2.0, size=x_shape)]),
     "softmax_cross_entropy": lambda rng, x_shape: _bind_constant(
         ad.softmax_cross_entropy, unfused_softmax_cross_entropy,
         rng.normal(scale=2.0, size=x_shape), _one_hot_rows(rng, x_shape)),
     "squared_error": lambda rng, x_shape: _bind_constant(
         ad.squared_error, unfused_squared_error,
         rng.normal(size=x_shape), rng.normal(size=x_shape)),
-    "mean_of_means": lambda rng, x_shape: (
-        lambda *ts: ad.mean_of_means(ts), lambda *ts: unfused_mean_of_means(ts),
-        [rng.normal(size=x_shape), rng.normal(size=(3,)), rng.normal(size=())]),
 }
 
 
@@ -309,50 +310,73 @@ def test_fused_op_gradients_match_finite_differences(name, x_shape):
     fd_check(lambda ts: ad.tsum(ad.mul(fused(*ts), mix)), arrays)
 
 
+# name -> (one-node op on x, its unfused form on the column blocks of x as
+# separate tensors, the column blocks it reads)
+# more than 8 columns, so a pairwise sum over columns would round differently
+# from the left-to-right one the unfused forms do
+COLUMN_CASES = {
+    "mean_of_column_means": (lambda x: ad.mean_of_column_means(x, 1, 11), unfused_mean_of_means,
+                             [(j, j + 1) for j in range(1, 11)]),
+    "hinge_sum": (lambda x: ad.hinge_sum(x, 0.3, 1, 11),
+                  lambda ts: unfused_hinge_sum(ts, 0.3), [(j, j + 1) for j in range(1, 11)]),
+    "entropy_hinge_sum": (lambda x: ad.entropy_hinge_sum(x, 0.9, 3, 4),
+                          lambda ts: unfused_entropy_hinge_sum(ts, 0.9),
+                          [(0, 3), (3, 6), (6, 9), (9, 12)]),
+}
+COLUMN_SHAPES = [(12,), (1, 12), (32, 12)]
+
+
+@pytest.mark.parametrize("name", COLUMN_CASES)
+@pytest.mark.parametrize("x_shape", COLUMN_SHAPES)
+def test_column_op_equals_unfused_composition_bit_for_bit(name, x_shape):
+    fused, unfused, blocks = COLUMN_CASES[name]
+    x = np.random.default_rng(sum(x_shape)).normal(scale=1.5, size=x_shape)
+    xt = Tensor(x)
+    out = fused(xt)
+    (grad,) = gradients(out, [xt])
+    parts = [Tensor(x[..., a:b]) for a, b in blocks]
+    ref = unfused(parts)
+    expected = np.zeros(x_shape)
+    for (a, b), g in zip(blocks, gradients(ref, parts)):
+        expected[..., a:b] = g
+    assert out.data.tobytes() == ref.data.tobytes()
+    assert grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", COLUMN_CASES)
+@pytest.mark.parametrize("x_shape", COLUMN_SHAPES)
+def test_column_op_gradients_match_finite_differences(name, x_shape):
+    fused = COLUMN_CASES[name][0]
+    x = np.random.default_rng(x_shape[0] + 7).normal(scale=1.5, size=x_shape)
+    fd_check(lambda ts: fused(ts[0]), [x])
+
+
+def test_columns_slices_and_scatters_back():
+    x = Tensor(np.arange(12.0).reshape(3, 4))
+    part = ad.columns(x, 1, 3)
+    assert part.data.tolist() == [[1.0, 2.0], [5.0, 6.0], [9.0, 10.0]]
+    (g,) = gradients(ad.tsum(ad.mul(part, np.array([2.0, 3.0]))), [x])
+    assert g.tolist() == [[0.0, 2.0, 3.0, 0.0]] * 3
+
+
 def test_fused_ops_check_shapes():
-    x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
-    with pytest.raises(ShapeError, match="affine"):
-        ad.affine(x, Tensor(np.ones((2, 4))), b)
-    with pytest.raises(ShapeError, match="affine"):
-        ad.affine(x, w, Tensor(np.ones(3)))
-    with pytest.raises(ShapeError, match="affine"):
-        ad.affine(Tensor(np.ones((2, 2, 3))), w, b)
-    w2, b2 = Tensor(np.ones((4, 3))), Tensor(np.ones(3))
-    with pytest.raises(ShapeError, match="residual_step"):
-        ad.residual_step(x, w, b, Tensor(np.ones((3, 3))), b2)
-    with pytest.raises(ShapeError, match="residual_step"):
-        ad.residual_step(x, w, b, Tensor(np.ones((4, 4))), b)
-    with pytest.raises(ShapeError, match="residual_step"):
-        ad.residual_step(x, w, b, w2, b2, Tensor(np.ones((3, 1))))
-    with pytest.raises(ShapeError, match="residual_step"):
-        ad.residual_step(x, w, b, w2, b2, Tensor(np.ones((4, 2, 1))))
-    with pytest.raises(ShapeError, match="sigmoid_gate"):
-        ad.sigmoid_gate(x, Tensor(np.ones(2)), Tensor(0.0))
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="columns"):
+        ad.columns(x, 2, 4)
+    with pytest.raises(ShapeError, match="columns"):
+        ad.columns(Tensor(np.ones((2, 2, 3))), 0, 1)
+    with pytest.raises(ShapeError, match="mean_of_column_means"):
+        ad.mean_of_column_means(x, 1, 1)
+    with pytest.raises(ShapeError, match="hinge_sum"):
+        ad.hinge_sum(x, 0.5, -1, 2)
+    with pytest.raises(ShapeError, match="entropy_hinge_sum"):
+        ad.entropy_hinge_sum(x, 0.5, 2, 2)
     with pytest.raises(ShapeError, match="softmax_cross_entropy"):
         ad.softmax_cross_entropy(x, np.ones((2, 4)))
     with pytest.raises(ShapeError, match="softmax_cross_entropy"):
         ad.softmax_cross_entropy(Tensor(np.ones((0, 3))), np.ones((0, 3)))
     with pytest.raises(ShapeError, match="squared_error"):
         ad.squared_error(x, np.ones(3))
-    with pytest.raises(ShapeError, match="mean_of_means"):
-        ad.mean_of_means([])
-
-
-def test_layers_build_one_node_per_affine_map_and_branch():
-    rng = np.random.default_rng(10)
-    h = Tensor(rng.normal(size=(3, 4)))
-    assert Dense.init(rng, 4, 2)(h).op == "affine"
-    block = ResidualBlock.init(rng, 4)
-    # the skip path and the branch are two products toward h in one node
-    out = block(h)
-    assert out.op == "residual_step"
-    parents = [p for p, _ in out._vjps]
-    assert len(parents) == 6 and all(a is b for a, b in zip(parents, [h, h] + block.params))
-    gate = Tensor(rng.uniform(size=(3, 1)))
-    gated = block(h, gate)
-    gated_parents = [p for p, _ in gated._vjps]
-    assert gated.op == "residual_step" and len(gated_parents) == 7
-    assert all(a is b for a, b in zip(gated_parents, parents + [gate]))
 
 
 def graph_nodes(root):
@@ -366,32 +390,179 @@ def graph_nodes(root):
     return nodes
 
 
-def test_skip_training_graph_has_one_node_per_gate_step_and_loss(trained_skip, skip_dataset):
+# -- one node per network -------------------------------------------------------
+
+
+def small_models():
+    """One unfitted model of each kind, built at a small size."""
+    rng = np.random.default_rng(20)
+    skip = GatedSkipNet(input_dim=5, width=4, num_blocks=3, num_classes=3)._build(rng)
+    skip._calibrate_gates(rng.uniform(0, 1, size=(20, 5)), slope=4.0)
+    exit_net = EarlyExitNet(input_dim=5, width=4, num_segments=3, num_classes=3)._build(rng)
+    est = EnergyEstimator(input_dim=5, width=4, num_blocks=2)
+    est._build(rng)
+    filt = FilterModel(input_dim=5, width=4, num_blocks=2)
+    filt.stem_ = Dense.init(rng, 5, 4)
+    filt.blocks_ = [ResidualBlock.init(rng, 4) for _ in range(2)]
+    filt.head_ = Dense.init(rng, 4, 2)
+    return {"skip": skip, "exit": exit_net, "estimator": est, "filter": filt}
+
+
+def unfused_network(model, x):
+    """The model's one-node output, built unfused, as one Tensor per part."""
+    if isinstance(model, GatedSkipNet):
+        logits, gates = unfused_skip_forward(model, x)
+        return [logits] + gates
+    if isinstance(model, EarlyExitNet):
+        return unfused_exit_forward(model, x)
+    return [unfused_estimator_forward(model, x)]
+
+
+@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+def test_network_forward_is_one_node_over_one_flat_leaf(kind):
+    model = small_models()[kind]
+    x = Tensor(np.full((2, 5), 0.5))
+    out = model._net()(x)
+    assert out.op == "residual_mlp"
+    (px, _), (theta, _) = out._vjps
+    assert px is x and isinstance(theta, ad.FlatLeaf)
+    assert theta.holds(model._net().params)
+    assert len(graph_nodes(out)) == 3
+
+
+def test_a_dropped_network_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        models = small_models()
+        for model in models.values():
+            ad.tsum(model._net()(Tensor(np.full((2, 5), 0.5))))
+        del model, models
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+@pytest.mark.parametrize("x_shape", [(5,), (1, 5), (7, 5)])
+def test_network_op_equals_unfused_composition(kind, x_shape):
+    model = small_models()[kind]
+    rng = np.random.default_rng(sum(x_shape))
+    x = Tensor(rng.uniform(0, 1, size=x_shape))
+    out = model._net()(x)
+    parts = unfused_network(model, x)
+    assert np.array_equal(out.data, np.concatenate([p.data for p in parts], axis=-1))
+    mix = rng.uniform(0.5, 1.5, size=out.shape)
+    width = [p.shape[-1] for p in parts]
+    bounds = np.cumsum([0] + width)
+    ref = unfused_loss_over_parts(parts, mix, bounds)
+    params = model._net().params
+    fused = gradients(ad.tsum(ad.mul(out, mix)), [x] + params)
+    unfused = gradients(ref, [x] + params)
+    assert all(np.array_equal(a, b) for a, b in zip(fused, unfused))
+    assert np.any(fused[0] != 0) and any(np.any(g != 0) for g in fused[1:])
+
+
+def unfused_loss_over_parts(parts, mix, bounds):
+    terms = [ad.tsum(ad.mul(p, mix[..., a:b])) for p, a, b in zip(parts, bounds, bounds[1:])]
+    return sum(terms[1:], terms[0])
+
+
+@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+def test_network_op_gradients_match_finite_differences(kind):
+    model = small_models()[kind]
+    rng = np.random.default_rng(21)
+    x = rng.uniform(0, 1, size=(3, 5))
+    theta = model._net().theta
+    xt = Tensor(x)
+    out = model._net()(xt)
+    mix = rng.uniform(0.5, 1.5, size=out.shape)
+    grads = gradients(ad.tsum(ad.mul(out, mix)), [xt, theta])
+
+    def loss(arrays):
+        theta.data = arrays[1]
+        return ad.tsum(ad.mul(model._net()(Tensor(arrays[0])), mix)).item()
+
+    fd = finite_difference(loss, [x.copy(), theta.data.copy()])
+    assert max_relative_error(grads, fd) < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hard_forward_skips_a_block_no_row_fires():
+    net = GatedSkipNet(num_blocks=2)._build(np.random.default_rng(22))
+    # block 1's hidden layer overflows wherever it runs
+    net.stem_.weight.data = np.ones((64, 16))
+    net.blocks_[1].lin1.weight.data = np.full((16, 16), 1e308)
+    net.gate_biases_[1].data = np.float64(-800.0)
+    net.gate_weights_[1].data = np.float64(0.0)
+    x = np.full((3, 64), 0.9)
+    assert not any(t.gate_decisions[1] for t in net.infer(x))
+    with pytest.raises(NonFiniteError, match="residual_mlp"):
+        net.forward(Tensor(x), mode="soft")
+
+
+def test_view_reads_and_writes_its_slice_of_the_flat_leaf():
+    a, b = Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.array(7.0))
+    theta, (va, vb) = ad.pack([a, b])
+    assert va.shape == (2, 3) and vb.shape == ()
+    assert theta.data.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+    old = theta.data
+    vb.data = 8.0
+    assert theta.data is not old and old[-1] == 7.0 and theta.data[-1] == 8.0
+    assert va.data.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    with pytest.raises(ShapeError, match="view"):
+        va.data = np.zeros(6)
+
+
+def test_gradient_of_a_view_is_the_slice_of_the_flat_gradient(trained_skip, skip_dataset):
+    net = trained_skip._net()
+    X = Tensor(skip_dataset.inputs[:8])
+    loss = cross_entropy(trained_skip.forward(X, mode="soft")[0],
+                         skip_dataset.labels[:8], trained_skip.num_classes)
+    (flat,) = gradients(loss, [net.theta])
+    for view in net.params:
+        (g,) = gradients(loss, [view])
+        assert g.tobytes() == flat[view.start:view.stop].reshape(view.shape).tobytes()
+        assert np.any(g != 0)
+
+
+def test_network_computes_its_reverse_walk_once_per_incoming_gradient(monkeypatch):
+    from adnn_energy_lab.nn import ResidualMLP
+    calls = []
+    walk = ResidualMLP._backward
+
+    def counted(self, *args):
+        calls.append(1)
+        return walk(self, *args)
+
+    monkeypatch.setattr(ResidualMLP, "_backward", counted)
+    model = small_models()["skip"]
+    out = model._net()(Tensor(np.full((2, 5), 0.4)))
+    (_, grad_x), (_, grad_theta) = out._vjps
+    g = np.random.default_rng(23).normal(size=out.shape)
+    first = grad_x(g)
+    grad_theta(g)
+    assert len(calls) == 1
+    again = grad_x(g.copy())
+    assert len(calls) == 2 and again.tobytes() == first.tobytes()
+
+
+def test_skip_training_graph_has_one_node_per_network_and_loss(trained_skip, skip_dataset):
     X, y = skip_dataset.inputs[:32], skip_dataset.labels[:32]
     ops = Counter(node.op for node in graph_nodes(trained_skip._batch_loss(X, y)))
-    blocks = trained_skip.num_blocks
-    assert ops["sigmoid_gate"] == ops["residual_step"] == blocks
-    assert ops["softmax_cross_entropy"] == ops["mean_of_means"] == 1
-    assert sum(ops.values()) == 79
-
-
-def test_residual_step_computes_its_hidden_gradient_once_per_incoming_gradient():
-    rng = np.random.default_rng(13)
-    block = ResidualBlock.init(rng, 4)
-    out = block(Tensor(rng.normal(size=4)))
-    # for a 1-D input the b1 product returns the shared hidden gradient itself
-    (_, grad_b1) = out._vjps[3]
-    g = rng.normal(size=4)
-    assert grad_b1(g) is grad_b1(g)
-    again = grad_b1(g.copy())
-    assert again is not grad_b1(g) and again.tobytes() == grad_b1(g).tobytes()
+    assert ops["residual_mlp"] == ops["softmax_cross_entropy"] == 1
+    assert ops["mean_of_column_means"] == 1
+    assert sum(ops.values()) == 9
 
 
 def _step_losses(net, X, y):
     """Two losses that share one soft forward of `net`."""
-    logits, gates, _ = net.forward(Tensor(X), mode="soft")
-    return [cross_entropy(logits, y, net.num_classes),
-            ad.add(ad.mul(ad.mean_of_means(gates), 3.0), ad.tsum(ad.tanh(logits)))]
+    out = net.forward_all(Tensor(X))
+    c = net.num_classes
+    logits = ad.columns(out, 0, c)
+    gates = ad.mean_of_column_means(out, c, c + net.num_blocks)
+    return [cross_entropy(logits, y, c),
+            ad.add(ad.mul(gates, 3.0), ad.tsum(ad.tanh(logits)))]
 
 
 def test_two_threads_on_one_graph_get_the_serial_gradients(trained_skip, skip_dataset):
@@ -457,28 +628,70 @@ def test_training_step_equals_unfused_oracle_graph(training_step_cases, kind):
 # library's own check is what raises.
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_affine_overflow_raises_nonfinite_error():
-    with pytest.raises(NonFiniteError, match="affine"):
-        ad.affine(Tensor(np.full(4, 1e200)), Tensor(np.full((4, 2), 1e200)), Tensor(np.zeros(2)))
+def overflow_net(stem_weight, block_weight=1.0, gate_weight=None):
+    """A one-block net on 3 inputs, width 3, whose stem weights, block
+    hidden weights and (when given) gate weight are set constants."""
+    stem = Dense(np.full((3, 3), stem_weight), np.zeros(3))
+    block = ResidualBlock(Dense(np.full((3, 3), block_weight), np.zeros(3)),
+                          Dense(np.ones((3, 3)), np.zeros(3)))
+    gates = None
+    if gate_weight is not None:
+        gates = ([Tensor(np.float64(gate_weight))], [Tensor(np.float64(0.0))])
+    return ResidualMLP(stem, [block], [Dense(np.ones((3, 2)), np.zeros(2))], gates=gates,
+                       pool=np.full((3, 1), 1.0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_residual_step_hidden_overflow_masked_by_relu_raises():
-    # the hidden pre-activation is -inf, which the relu would turn into 0
-    h = Tensor(np.full((2, 3), 1e200))
-    w1, b1 = Tensor(np.full((3, 3), -1e200)), Tensor(np.zeros(3))
-    w2, b2 = Tensor(np.ones((3, 3))), Tensor(np.zeros(3))
-    for s in (None, Tensor(np.ones((2, 1)))):
-        with pytest.raises(NonFiniteError, match="residual_step"):
-            ad.residual_step(h, w1, b1, w2, b2, s)
+def test_network_stem_overflow_masked_by_relu_raises():
+    # the stem pre-activation is -inf, which the relu would turn into 0
+    with pytest.raises(NonFiniteError, match="residual_mlp"):
+        overflow_net(-1e200)(Tensor(np.full((2, 3), 1e200)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sigmoid_gate_infinite_pre_activation_raises():
+def test_network_hidden_overflow_masked_by_relu_raises():
+    # the block's hidden pre-activation is -inf, which the relu would turn into 0
+    for gate_weight in (None, 1.0):
+        net = overflow_net(1e200, block_weight=-1e200, gate_weight=gate_weight)
+        with pytest.raises(NonFiniteError, match="residual_mlp"):
+            net(Tensor(np.full((2, 3), 1.0)))
+        with pytest.raises(NonFiniteError, match="residual_mlp"):
+            net.run(np.full((2, 3), 1.0), threshold=0.5 if gate_weight else None)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_network_logits_overflow_raises_in_both_modes():
+    # every pre-activation is finite (at most 9e307); only the head overflows
+    net = overflow_net(1e154, block_weight=1e-10)
+    x = np.full((2, 3), 3e153)
+    with pytest.raises(NonFiniteError, match="residual_mlp"):
+        net(Tensor(x))
+    with pytest.raises(NonFiniteError, match="residual_mlp"):
+        net.run(x)
+
+
+def test_network_rejects_an_input_of_the_wrong_width():
+    net = overflow_net(1.0)
+    for shape in ((2, 4), (4,), (1, 2, 3)):
+        with pytest.raises(ShapeError, match="residual_mlp"):
+            net(Tensor(np.ones(shape)))
+        with pytest.raises(ShapeError, match="residual_mlp"):
+            net.run(np.ones(shape))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_network_gate_infinite_pre_activation_raises():
     # sigmoid(-inf) would read as a closed gate, 0.0
-    with pytest.raises(NonFiniteError, match="sigmoid_gate"):
-        ad.sigmoid_gate(Tensor([[1e200]]), Tensor(-1e200), Tensor(0.0))
+    net = overflow_net(1.0, gate_weight=-1e200)
+    with pytest.raises(NonFiniteError, match="residual_mlp"):
+        net(Tensor(np.full((1, 3), 1e200)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_entropy_hinge_infinite_log_probability_raises():
+    # the second class's log-probability overflows to -inf
+    with pytest.raises(NonFiniteError, match="entropy_hinge_sum"):
+        ad.entropy_hinge_sum(Tensor([[1e308, -1e308]]), 0.5, 2, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -490,11 +703,11 @@ def test_softmax_cross_entropy_infinite_log_probability_raises():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_backward_overflow_raises_nonfinite_error():
-    x, w, b = Tensor([1e-300]), Tensor([[1e308, 1e308]]), Tensor(np.zeros(2))
-    loss = ad.tsum(ad.affine(x, w, b))  # finite: 2e8
+    x, w = Tensor([1e-300]), Tensor([[1e308, 1e308]])
+    loss = ad.tsum(ad.matmul(x, w))  # finite: 2e8
     assert np.isfinite(loss.item())
     # d loss / dx = 1e308 + 1e308 overflows
-    with pytest.raises(NonFiniteError, match="affine.grad"):
+    with pytest.raises(NonFiniteError, match="matmul.grad"):
         gradients(loss, [x])
     # the weight gradient is finite, and the overflowing product toward x
     # lies on no path to w, so it is not evaluated

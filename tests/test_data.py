@@ -1,7 +1,12 @@
 """Synthetic dataset generation, probe corpora, and serialization."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adnn_energy_lab.data import (
     LabeledDataset,
@@ -151,3 +156,74 @@ class TestRoundTrip:
     def test_out_of_range_pixels_rejected(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.full((2, 64), 1.5), np.array([0, 1]), np.zeros(2))
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON tree, the root's children first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+SMALL = {"inputs": [[0.25, 0.5, 0.75], [0.0, 1.0, 0.5]], "labels": [0, 1],
+         "difficulty": [0.1, 0.9]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("dataset-fuzz")
+
+
+class TestLoaderFuzz:
+    def test_valid_small_file_loads(self, fuzz_dir):
+        path = fuzz_dir / "valid.json"
+        path.write_text(json.dumps(SMALL))
+        assert len(LabeledDataset.load(path)) == 2
+
+    @pytest.mark.parametrize("text", [
+        "3", "[1, 2]", '"inputs"', "null",
+        '{"inputs": [[0.5], [0.5, 0.5]], "labels": [0, 1], "difficulty": [0, 0]}',
+        '{"inputs": [[0.5]], "labels": ["a"], "difficulty": [0]}',
+        '{"inputs": [[1.5]], "labels": [0], "difficulty": [0]}',
+        '{"inputs": [[0.5]], "labels": [0, 1], "difficulty": [0]}',
+        '{"inputs": [[0.5]], "labels": [1e30], "difficulty": [0]}',
+        '{"inputs": [[0.5]], "labels": [Infinity], "difficulty": [0]}',
+        '{"inputs": [[1e400]], "labels": [0], "difficulty": [0]}',
+    ])
+    def test_malformed_file_raises_data_format_error(self, fuzz_dir, text):
+        path = fuzz_dir / "bad.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError):
+            LabeledDataset.load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_payload_raises_only_data_format_error(self, fuzz_dir, data):
+        payload = copy.deepcopy(SMALL)
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from([()] + list(_paths(payload))))
+            if not path:
+                payload = data.draw(json_values)
+                continue
+            parent = payload
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(json_values)
+        file = fuzz_dir / "mutated.json"
+        file.write_text(json.dumps(payload))
+        try:
+            LabeledDataset.load(file)
+        except DataFormatError:
+            pass

@@ -15,7 +15,8 @@ from adnn_energy_lab.defense import (
 )
 from adnn_energy_lab.energy import EnergyModel
 
-from oracles import evaluate_defense_sequential_reference
+from oracles import (evaluate_defense_sequential_reference, unfused_exit_forward,
+                     unfused_skip_forward)
 
 ENERGY = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
 
@@ -141,3 +142,19 @@ class TestEvaluateDefense:
         with pytest.raises(ValueError):
             evaluate_defense(trained_skip, constant_svm(trained_skip, 0.0),
                              ENERGY, benign, labels, np.empty((0, 64)))
+
+
+def test_gradient_feature_equals_unfused_oracle_graph(trained_skip, skip_dataset,
+                                                      trained_exit, exit_dataset):
+    from adnn_energy_lab.autodiff import Tensor, gradients
+    from adnn_energy_lab.nn import uniform_cross_entropy
+
+    for model, data in ((trained_skip, skip_dataset), (trained_exit, exit_dataset)):
+        for x in data.inputs[:4]:
+            xt = Tensor(x.reshape(1, -1))
+            if model is trained_skip:
+                logits = unfused_skip_forward(model, xt)[0]
+            else:
+                logits = unfused_exit_forward(model, xt)[0]
+            (expected,) = gradients(uniform_cross_entropy(logits), [model.stem_.weight])
+            assert defense.gradient_feature(model, x).tobytes() == expected.reshape(-1).tobytes()
