@@ -7,15 +7,25 @@ random restarts. The white-box path optimizes the target's own
 intermediate quantities (gate values or exit entropies) through its soft
 forward pass. All modes craft inputs through a tanh reparameterization so
 pixels stay inside [0, 1] by construction.
+
+An iterate's graph is a handful of nodes: the modifier `w`, its
+reparameterization `f`, the network (over `f` and its flat parameters), and
+for the black-box modes the estimator's prediction; the objective on top is
+one node with a hand-written vector-Jacobian product that equals the unfused
+composition's bit for bit (5 nodes for ILFO, 6 for the black-box modes).
+The black-box modes reach the estimator only through `predict_tensor` and
+`input_dim`.
 """
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, entropy_hinge_sum, hinge_sum, l2_norm, relu, tanh_unit, tsum
+from .autodiff import (ShapeError, Tensor, _require_finite, entropy_hinge_terms, hinge_terms,
+                       relu, tanh_unit, tsum)
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
 from .validation import as_float_array
@@ -34,16 +44,87 @@ def _to_modifier(x):
     return np.arctanh(2.0 * x - 1.0)
 
 
+def _offset(f, x, op):
+    """f's value minus the seed `x` (an array or a Tensor), checked."""
+    x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    _require_finite(x, op)
+    d = f.data - x
+    if d.shape != f.shape:
+        raise ShapeError("%s got an input of shape %s and a seed of shape %s"
+                         % (op, f.shape, x.shape))
+    _require_finite(d, op)
+    return d
+
+
 def input_based_loss(w, x, c, estimator):
-    """Distance-to-seed minus c times predicted energy, as a scalar Tensor."""
+    """Distance-to-seed minus c times predicted energy, as a scalar Tensor.
+
+    l2_norm(f - x) - tsum(pred) * c, one node over f = reparam(w) and the
+    estimator's prediction pred = estimator.predict_tensor(f).
+    """
     f = reparam(w)
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    return l2_norm(f - x) - tsum(estimator.predict_tensor(f)) * c
+    pred = estimator.predict_tensor(f)
+    d = _offset(f, x, "input_based_loss")
+    norm = np.sqrt((d * d).sum())
+    energy = pred.data.sum()
+    scaled = energy * c
+    for value in (norm, energy, c, scaled):
+        _require_finite(value, "input_based_loss")
+
+    def grad_f(g):
+        # the Euclidean norm's subgradient at the origin is 0
+        return g / np.where(norm > 0.0, norm, 1.0) * (norm > 0.0) * d
+
+    return Tensor(norm - scaled, ((f, grad_f), (pred, lambda g: np.full(pred.shape, (-g) * c))),
+                  "input_based_loss")
 
 
 def universal_loss(w, estimator):
-    """Negated predicted energy; no distance term."""
-    return 0.0 - tsum(estimator.predict_tensor(reparam(w)))
+    """Negated predicted energy, 0.0 - tsum(pred), one node over the
+    estimator's prediction; no distance term."""
+    pred = estimator.predict_tensor(reparam(w))
+    return Tensor(0.0 - pred.data.sum(), ((pred, lambda g: np.full(pred.shape, -g)),),
+                  "universal_loss")
+
+
+def _ilfo_objective(f, x, out, hinge, c):
+    """tsum(d * d) + hinge * c with d = f - x, one node over f and the
+    model's soft forward `out`; `hinge` is (value, vector-Jacobian product)
+    of the intermediate hinge on out's value."""
+    d = _offset(f, x, "ilfo_loss")
+    dd = d * d
+    distance = dd.sum()
+    hinge_value, hinge_grad = hinge
+    scaled = hinge_value * c
+    for value in (dd, distance, hinge_value, c, scaled):
+        _require_finite(value, "ilfo_loss")
+
+    def grad_f(g):
+        half = g * d
+        return half + half
+
+    return Tensor(distance + scaled, ((f, grad_f), (out, lambda g: hinge_grad(g * c))),
+                  "ilfo_loss")
+
+
+def _is_finite_real(value):
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _check_count(config, name, least):
+    value = getattr(config, name)
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+
+
+def _check_steps(config):
+    """Reject a weight `c`, step size `lr` or `iterations` count that an
+    attack cannot run with, before anything is fitted or generated."""
+    for name in ("c", "lr"):
+        value = getattr(config, name)
+        if not (_is_finite_real(value) and value > 0):
+            raise ValueError("%s must be a positive finite number, got %r" % (name, value))
+    _check_count(config, "iterations", 0)
 
 
 @dataclass(frozen=True)
@@ -59,12 +140,8 @@ class TestGenConfig:
     def __post_init__(self):
         if self.mode not in ("input_based", "universal"):
             raise ValueError("mode must be 'input_based' or 'universal'")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        _check_steps(self)
+        _check_count(self, "restarts", 1)
 
 
 class InputBasedAttack:
@@ -135,16 +212,6 @@ class UniversalAttack:
         return self.restart_inputs_[self.best_restart_].copy()
 
 
-def generate(mode, x, config, estimator):
-    """One-call front door for the black-box modes."""
-    config = replace(config, mode=mode) if config.mode != mode else config
-    if mode == "input_based":
-        if x is None:
-            raise ValueError("input_based mode needs a seed input")
-        return InputBasedAttack(estimator, config).generate(x)
-    return UniversalAttack(estimator, config).generate()
-
-
 # -- white-box intermediate-target attack --------------------------------
 
 
@@ -185,12 +252,13 @@ class IlfoConfig:
     def __post_init__(self):
         if self.target not in ("gate", "exit"):
             raise ValueError("target must be 'gate' or 'exit'")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+        if self.threshold is not None and not _is_finite_real(self.threshold):
+            raise ValueError("threshold must be None or a finite number, got %r"
+                             % (self.threshold,))
+        if not (_is_finite_real(self.margin) and self.margin >= 0):
+            raise ValueError("margin must be a nonnegative finite number, got %r"
+                             % (self.margin,))
+        _check_steps(self)
 
 
 class IlfoAttack:
@@ -217,36 +285,36 @@ class IlfoAttack:
             return self.model.gate_threshold
         return self.model.entropy_threshold
 
-    def _intermediate_loss(self, f):
+    def _hinge(self, out):
         """The summed hinge of every gate, or of every early exit's entropy,
-        as one node on the model's one-node soft forward."""
+        on the soft forward's output array: (value, vector-Jacobian product)."""
         level = self._threshold()
         model = self.model
-        out = model.forward_all(f)
         if self.config.target == "gate":
             c = model.num_classes
-            return hinge_sum(out, level, c, c + model.num_blocks)
-        return entropy_hinge_sum(out, level + self.config.margin, model.num_classes,
-                                 model.num_segments - 1)
+            return hinge_terms(out, level, c, c + model.num_blocks)
+        return entropy_hinge_terms(out, level + self.config.margin, model.num_classes,
+                                   model.num_segments - 1)
 
     def _loss(self, w, x):
+        """tsum(d * d) + hinge * c, d = reparam(w) - x, as one node over the
+        reparameterized input and the model's one-node soft forward."""
         f = reparam(w)
-        d = f - x
-        return tsum(d * d) + self._intermediate_loss(f) * self.config.c
+        out = self.model.forward_all(f)
+        return _ilfo_objective(f, x, out, self._hinge(out.data), self.config.c)
 
     def generate(self, x):
         cfg = self.config
         x = as_float_array(x, "x").reshape(1, -1)
-        xt = Tensor(x)
         w = Tensor(_to_modifier(x))
         opt = Adam([w], lr=cfg.lr)
-        loss = self._loss(w, xt)
+        loss = self._loss(w, x)
         best_loss = float(loss.data)
         best_w = w.data.copy()
         self.min_losses_ = [best_loss]
         for _ in range(cfg.iterations):
             opt.step_loss(loss)
-            loss = self._loss(w, xt)
+            loss = self._loss(w, x)
             current = float(loss.data)
             if current < best_loss:
                 best_loss = current
@@ -284,11 +352,6 @@ def _check_ilfo_target(model, config):
     if config.threshold is None and not hasattr(model, threshold):
         raise ValueError("target %r needs a threshold: %s has no %s and the config sets none"
                          % (config.target, name, threshold))
-
-
-def ilfo_attack(model, x, config=None):
-    """Functional wrapper around IlfoAttack."""
-    return IlfoAttack(model, config).generate(x)
 
 
 # -- surrogate baseline ----------------------------------------------------

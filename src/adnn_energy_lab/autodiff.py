@@ -21,6 +21,12 @@ handful of one-node ops with hand-written vector-Jacobian products:
   classification, regression and gate-sparsity losses;
 - `hinge_sum`, `entropy_hinge_sum` and `tanh_unit`: the white-box attack's
   gate and exit-entropy hinges and the attacks' pixel reparameterization.
+  `hinge_terms` and `entropy_hinge_terms` give a hinge's value and
+  vector-Jacobian product on a plain array, so the attack's one-node
+  objective (`attacks`) shares their arithmetic.
+
+The attack objectives and the estimator's de-normalized prediction are one
+node each too, built in `attacks` and `estimator` on the same pattern.
 
 The rest is primitive: matmul, relu / sigmoid / tanh, softmax, elementwise
 arithmetic, reductions, max against a constant, the Euclidean norm, and log.
@@ -326,11 +332,17 @@ def softmax(x):
     return Tensor(out, ((x, grad_x),), "softmax")
 
 
+def _log_softmax_rows(x):
+    """(exp of the max-shifted x, log_softmax(x)) along the last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e, shifted - np.log(e.sum(axis=-1, keepdims=True))
+
+
 def log_softmax(x):
     """log(softmax(x)) computed without underflow, last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = _log_softmax_rows(x.data)[1]
 
     def grad_x(g):
         return g - np.exp(out) * g.sum(axis=-1, keepdims=True)
@@ -362,9 +374,7 @@ def softmax_cross_entropy(logits, targets):
     """
     logits = as_tensor(logits)
     t = _constant_like(targets, logits, "softmax_cross_entropy")
-    x = logits.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = _log_softmax_rows(logits.data)[1]
     _require_finite(logp, "softmax_cross_entropy")
     picked = (logp * t).sum(axis=-1)
     scale = _batch_scale(picked, "softmax_cross_entropy")
@@ -447,38 +457,36 @@ def mean_of_column_means(x, start, stop):
     return Tensor(total * inv_count, ((x, grad_x),), "mean_of_column_means")
 
 
-def hinge_sum(x, level, start, stop):
-    """sum over columns start..stop-1 of x, left to right, of each column's
-    sum over rows of max(0, level - x), as one node."""
-    x = as_tensor(x)
+def hinge_terms(x, level, start, stop):
+    """The value of `hinge_sum` on array `x`, and its vector-Jacobian product:
+    a function from the incoming gradient to the gradient toward `x`."""
     _check_columns("hinge_sum", x, start, stop)
-    shortfall = level - _rows(x.data)[:, start:stop]
+    shortfall = level - _rows(x)[:, start:stop]
     mask = shortfall > 0.0
     sums = _column_sums(np.where(mask, shortfall, 0.0))
     total = sums[0]
     for s in sums[1:]:
         total = total + s
-    return Tensor(total, ((x, lambda g: _scatter_columns(
-        x.shape, start, stop, -(np.full(mask.shape, g) * mask))),), "hinge_sum")
+    return total, lambda g: _scatter_columns(
+        x.shape, start, stop, -(np.full(mask.shape, g) * mask))
 
 
-def entropy_hinge_sum(x, level, width, count):
-    """sum over k < count, left to right, of the sum over rows of
-    max(0, level - H_k), where H_k is the entropy of the softmax of columns
-    k * width .. (k + 1) * width - 1 of x; one node.
-
-    The log-probabilities are checked for finiteness, where the product
-    p * log p would otherwise hide an overflow.
-    """
+def hinge_sum(x, level, start, stop):
+    """sum over columns start..stop-1 of x, left to right, of each column's
+    sum over rows of max(0, level - x), as one node."""
     x = as_tensor(x)
+    total, vjp = hinge_terms(x.data, level, start, stop)
+    return Tensor(total, ((x, vjp),), "hinge_sum")
+
+
+def entropy_hinge_terms(x, level, width, count):
+    """The value of `entropy_hinge_sum` on array `x`, and its vector-Jacobian
+    product. The log-probabilities are checked for finiteness."""
     _check_columns("entropy_hinge_sum", x, 0, width * count)
-    rows, groups, total = _rows(x.data), [], None
+    rows, groups, total = _rows(x), [], None
     for k in range(count):
-        logits = np.ascontiguousarray(rows[:, k * width:(k + 1) * width])
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
+        e, logp = _log_softmax_rows(np.ascontiguousarray(rows[:, k * width:(k + 1) * width]))
         p = e / e.sum(axis=-1, keepdims=True)
-        logp = shifted - np.log(e.sum(axis=-1, keepdims=True))
         _require_finite(logp, "entropy_hinge_sum")
         entropy = -(p * logp).sum(axis=-1)
         shortfall = level - entropy
@@ -498,7 +506,20 @@ def entropy_hinge_sum(x, level, width, count):
             out.append(from_logp + p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)))
         return _scatter_columns(x.shape, 0, width * count, np.concatenate(out, axis=-1))
 
-    return Tensor(total, ((x, grad_x),), "entropy_hinge_sum")
+    return total, grad_x
+
+
+def entropy_hinge_sum(x, level, width, count):
+    """sum over k < count, left to right, of the sum over rows of
+    max(0, level - H_k), where H_k is the entropy of the softmax of columns
+    k * width .. (k + 1) * width - 1 of x; one node.
+
+    The log-probabilities are checked for finiteness, where the product
+    p * log p would otherwise hide an overflow.
+    """
+    x = as_tensor(x)
+    total, vjp = entropy_hinge_terms(x.data, level, width, count)
+    return Tensor(total, ((x, vjp),), "entropy_hinge_sum")
 
 
 def tanh_unit(w):

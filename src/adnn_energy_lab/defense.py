@@ -6,7 +6,9 @@ it only needs labeled examples of normal and energy-consuming inputs. The
 detector assumes the defender owns the model: each input is scored by the
 gradient its gating-relevant loss induces on the stem weights, a linear SVM
 separates benign from adversarial in that feature space, and inference is
-cut short whenever the margin says adversarial.
+cut short whenever the margin says adversarial. The features of a whole
+pool come from one batched forward and one reverse walk that stops at the
+stem.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, columns, gradients
+from .autodiff import Tensor, _log_softmax_rows, _require_finite, _scatter_columns
 from .base import ParamsMixin, check_is_fitted
 from .metrics import auc
 from .models import EarlyExitNet, GatedSkipNet
-from .nn import Dense, ResidualBlock, ResidualMLP, cross_entropy, uniform_cross_entropy
+from .nn import Dense, ResidualBlock, ResidualMLP, cross_entropy
 from .optim import Adam
 from .seeding import derive_rng
 from .validation import as_label_array, as_sample_matrix, check_same_length
@@ -155,7 +157,10 @@ def train_filter(normal_inputs, noisy_inputs, epochs=150, lr=0.01, seed=0):
 
 
 def gradient_feature(adnn, x):
-    """Stem-weight gradient of the model's gating-relevant loss at x.
+    """Stem-weight gradient of the model's gating-relevant loss at each input.
+
+    Takes one input and returns its feature vector, or a matrix of inputs and
+    returns one feature row per input, as `infer` returns one trace per row.
 
     For gated-skip models the loss is the head's cross-entropy against a
     uniform target evaluated through the soft gate path, so each branch's
@@ -164,6 +169,17 @@ def gradient_feature(adnn, x):
     first exit's cross-entropy against uniform, the quantity the exit rule
     thresholds. Energy attacks push both losses far from their benign
     range, which shows up in the gradient's direction and magnitude.
+
+    Row i is outer(x_i, dL_i/dz0_i), where L_i is input i's own loss and z0
+    the stem pre-activation (the per-example gradient of Goodfellow, arXiv
+    1510.01799). Every row comes from one batched forward and one reverse
+    walk that stops at the stem; no other parameter's gradient is built. A
+    row of a batch equals the one-input feature up to the rounding of the
+    network's batched matrix products.
+
+    Limitation: an input whose stem relu units are all dead (z0 <= 0 in
+    every unit) passes no gradient to the stem, so its feature is all zeros
+    and every linear detector scores it at its bias, whatever the input.
     """
     if not isinstance(adnn, (GatedSkipNet, EarlyExitNet)):
         raise TypeError(
@@ -171,14 +187,27 @@ def gradient_feature(adnn, x):
             % type(adnn).__name__
         )
     check_is_fitted(adnn, "stem_")
-    x = as_sample_matrix(x, "x", feature_dim=adnn.input_dim)
-    if len(x) != 1:
-        raise ValueError("gradient_feature scores one input at a time")
-    # both models' one-node forward puts these logits first: the head's of a
-    # gated-skip model, the first exit's of an early-exit one
-    logits = columns(adnn.forward_all(Tensor(x)), 0, adnn.num_classes)
-    (grad,) = gradients(uniform_cross_entropy(logits), [adnn.stem_.weight])
-    return grad.reshape(-1).copy()
+    X = as_sample_matrix(x, "x", feature_dim=adnn.input_dim)
+    c = adnn.num_classes
+    # each row's seed is d(-mean_k log p_k)/d(log p_k) of its own loss, the
+    # seed of a one-row batch; a mean over the whole batch would scale by 1/n
+    seed = (1.0 * -1.0) * (1.0 / c)
+
+    def out_grad(out):
+        # both models' one-node forward puts these logits first: the head's of
+        # a gated-skip model, the first exit's of an early-exit one
+        logp = _log_softmax_rows(out[:, :c])[1]
+        _require_finite(logp, "gradient_feature")
+        g = np.full(logp.shape, seed)
+        g_logits = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+        _require_finite(g_logits, "gradient_feature.grad")
+        return _scatter_columns(out.shape, 0, c, g_logits)
+
+    dz0 = adnn._net().stem_grad(X, out_grad)
+    # + 0.0 turns the -0.0 of a product into the 0.0 a matrix product gives
+    features = (X[:, :, None] * dz0[:, None, :]).reshape(len(X), -1) + 0.0
+    _require_finite(features, "gradient_feature.grad")
+    return features[0] if np.ndim(x) == 1 else features
 
 
 # -- linear SVM detector --------------------------------------------------
@@ -319,9 +348,10 @@ def evaluate_defense(adnn, svm, energy_model, benign_inputs, benign_labels,
     Keys mirror the quantities a deployment would track: detection rate on
     adversarial inputs, ranking quality (AUC), accuracy lost to false
     alarms on benign inputs, and the energy deltas the guard buys on each
-    pool, all in percent. Each input's feature is computed once and each
-    pool is inferred in one batch; the guarded energy and accuracy follow
-    from the verdicts exactly as `guarded_inference` gives them.
+    pool, all in percent. Each pool's features come from one batched
+    `gradient_feature` call and each pool is inferred in one batch; the
+    guarded energy and accuracy follow from the verdicts exactly as
+    `guarded_inference` gives them.
     """
     benign = as_sample_matrix(benign_inputs, "benign_inputs",
                               feature_dim=adnn.input_dim)
@@ -332,10 +362,8 @@ def evaluate_defense(adnn, svm, energy_model, benign_inputs, benign_labels,
     if len(benign) == 0 or len(adv) == 0:
         raise ValueError("evaluation needs both benign and adversarial inputs")
 
-    scores_b = np.array([svm_score(svm, gradient_feature(adnn, x))
-                         for x in benign])
-    scores_a = np.array([svm_score(svm, gradient_feature(adnn, x))
-                         for x in adv])
+    scores_b, scores_a = (np.array([svm_score(svm, phi) for phi in gradient_feature(adnn, pool)])
+                          for pool in (benign, adv))
     detection_pct = 100.0 * float(np.mean(scores_a > 0.0))
     auc_value = auc(
         np.concatenate([scores_b, scores_a]),

@@ -130,10 +130,15 @@ class EnergyEstimator(ParamsMixin):
     # -- inference ---------------------------------------------------------
 
     def predict_tensor(self, x):
-        """Joule prediction as a Tensor; differentiable w.r.t. x."""
+        """Joule prediction as a Tensor; differentiable w.r.t. x.
+
+        out * scale + mean is one node over the network's one-node output.
+        """
         check_is_fitted(self, "head_")
         out = self._forward_normalized(x)
-        return out * Tensor(self.energy_scale_) + Tensor(self.energy_mean_)
+        scale = self.energy_scale_
+        return Tensor(out.data * scale + self.energy_mean_, ((out, lambda g: g * scale),),
+                      "denormalize")
 
     def predict(self, X):
         check_is_fitted(self, "head_")

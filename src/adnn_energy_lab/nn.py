@@ -14,8 +14,7 @@ treated as free; only affine maps carry cost.
 import numpy as np
 
 from .autodiff import (ShapeError, Tensor, View, _column_sums, _once_per_gradient,
-                       _require_finite, as_tensor, log_softmax, mul, pack,
-                       softmax_cross_entropy, tmean)
+                       _require_finite, as_tensor, pack, softmax_cross_entropy)
 from .serialize import param_from_json
 
 
@@ -208,8 +207,7 @@ class ResidualMLP:
         rows = self._rows(x.data)
         layers = self._layers()
         logits, gates, cache = self._forward(rows, layers)
-        parts = logits if gates is None else logits + [gates]
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        out = _side_by_side(logits, gates)
         chain = _once_per_gradient(lambda g: self._backward(layers, cache, g))
 
         def grad_x(g):
@@ -220,6 +218,23 @@ class ResidualMLP:
 
         return Tensor(out.reshape(-1) if x.ndim == 1 else out,
                       ((x, grad_x), (self.theta, grad_theta)), "residual_mlp")
+
+    def stem_grad(self, x, out_grad):
+        """dL/dz0 for each row of `x`, where z0 = x @ Ws + bs is the stem's
+        pre-activation: one soft forward and one reverse walk, which builds
+        no theta gradient. `out_grad` maps the forward's output (as the node
+        gives it, one row per input) to dL/d(output).
+
+        The stem weight's gradient for row i is outer(x_i, dL/dz0_i), the
+        per-example form of the node's theta gradient `x.T @ dz0`.
+        """
+        rows = self._rows(np.asarray(x, dtype=np.float64))
+        layers = self._layers()
+        logits, gates, cache = self._forward(rows, layers)
+        out = _side_by_side(logits, gates)
+        _require_finite(out, "residual_mlp")
+        dz0 = self._backward(layers, cache, out_grad(out))[2]
+        return np.zeros((len(rows), self.params[0].shape[1])) if dz0 is None else dz0
 
     def _backward(self, layers, cache, g):
         """One reverse walk for the incoming gradient `g`.
@@ -312,6 +327,12 @@ class ResidualMLP:
         return out
 
 
+def _side_by_side(logits, gates):
+    """Every head's logits, then the gate values if any, along the last axis."""
+    parts = logits if gates is None else logits + [gates]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 def _left_sum(parts):
     """((a + b) + c) ... over the parts that are not None; None if none are."""
     total = None
@@ -332,9 +353,3 @@ def one_hot(labels, num_classes):
 def cross_entropy(logits, labels, num_classes):
     """Mean negative log-likelihood of integer labels under softmax(logits)."""
     return softmax_cross_entropy(logits, one_hot(labels, num_classes))
-
-
-def uniform_cross_entropy(logits):
-    """Cross-entropy of softmax(logits) rows against the uniform distribution:
-    -mean_k log p_k. A smooth stand-in for entropy that shares its maximizer."""
-    return mul(tmean(log_softmax(logits)), -1.0)

@@ -401,13 +401,32 @@ def unfused_ilfo_loss(model, w, x, target, level, c):
     return ad.add(ad.tsum(ad.mul(d, d)), ad.mul(inter, c))
 
 
+def unfused_estimator_prediction(est, f):
+    """An EnergyEstimator's joule prediction on Tensor `f`, unfused."""
+    from adnn_energy_lab import autodiff as ad
+    return ad.add(ad.mul(unfused_estimator_forward(est, f), ad.Tensor(est.energy_scale_)),
+                  ad.Tensor(est.energy_mean_))
+
+
 def unfused_input_based_loss(est, w, x, c):
     """The input-based attack's loss on modifier `w` and seed `x`, unfused."""
     from adnn_energy_lab import autodiff as ad
     f = unfused_tanh_unit(w)
-    pred = ad.add(ad.mul(unfused_estimator_forward(est, f), ad.Tensor(est.energy_scale_)),
-                  ad.Tensor(est.energy_mean_))
+    pred = unfused_estimator_prediction(est, f)
     return ad.sub(ad.l2_norm(ad.sub(f, ad.Tensor(x))), ad.mul(ad.tsum(pred), c))
+
+
+def unfused_universal_loss(est, w):
+    """The universal attack's loss on modifier `w`, unfused."""
+    from adnn_energy_lab import autodiff as ad
+    return ad.sub(0.0, ad.tsum(unfused_estimator_prediction(est, unfused_tanh_unit(w))))
+
+
+def unfused_uniform_cross_entropy(logits):
+    """Cross-entropy of softmax(logits) rows against the uniform distribution,
+    -mean log_softmax(logits) over every entry: the gradient feature's loss."""
+    from adnn_energy_lab import autodiff as ad
+    return ad.mul(ad.tmean(ad.log_softmax(logits)), -1.0)
 
 
 # -- sequential forms of the batched attack and defense loops -------------

@@ -12,8 +12,6 @@ from adnn_energy_lab.attacks import (
     InputBasedAttack,
     TestGenConfig as GenConfig,
     UniversalAttack,
-    generate,
-    ilfo_attack,
     ilfo_exit_loss,
     ilfo_gate_loss,
     input_based_loss,
@@ -21,7 +19,7 @@ from adnn_energy_lab.attacks import (
     surrogate_pipeline,
     universal_loss,
 )
-from adnn_energy_lab.autodiff import Tensor, gradients, tsum
+from adnn_energy_lab.autodiff import NonFiniteError, ShapeError, Tensor, gradients, tsum
 from adnn_energy_lab.data import estimator_corpus
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.energy import EnergyModel, measure_energy
@@ -37,8 +35,10 @@ from adnn_energy_lab.seeding import derive_rng
 from oracles import (
     ilfo_two_forward_reference,
     surrogate_records_reference,
+    unfused_estimator_prediction,
     unfused_ilfo_loss,
     unfused_input_based_loss,
+    unfused_universal_loss,
     universal_per_restart_reference,
 )
 
@@ -159,6 +159,36 @@ class TestConfigValidation:
     def test_ilfo_negative_margin(self):
         with pytest.raises(ValueError):
             IlfoConfig(margin=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1.0), ("lr", math.nan), ("lr", 0.0), ("c", math.inf), ("c", math.nan),
+        ("iterations", 2.5), ("restarts", 1.5), ("c", "100"),
+    ])
+    def test_bad_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GenConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1.0), ("lr", math.nan), ("c", math.inf), ("c", math.nan),
+        ("iterations", 2.5), ("threshold", math.nan), ("threshold", math.inf),
+        ("margin", math.nan),
+    ])
+    def test_ilfo_bad_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IlfoConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = GenConfig(c=np.float64(2.0), lr=np.float32(0.1), iterations=np.int64(3),
+                        restarts=np.int32(2))
+        assert cfg.iterations == 3
+        assert IlfoConfig(threshold=np.float64(0.4), margin=0.0).threshold == 0.4
+
+    def test_surrogate_pipeline_fails_before_fitting(self):
+        surrogate = GatedSkipNet(width=8, num_blocks=2, epochs=5)
+        with pytest.raises(ValueError, match="lr"):
+            surrogate_pipeline(SCRIPTED, surrogate, np.full((3, 64), 0.2),
+                               IlfoConfig(lr=math.nan, iterations=5))
+        assert surrogate.history_ is None
 
 
 class TestInputBasedGeneration:
@@ -294,28 +324,24 @@ class TestUniversalGeneration:
                 restarts=int(rng.integers(1, 3)),
                 seed=int(rng.integers(0, 10_000)),
             )
-            x = rng.uniform(0, 1, size=64) if mode == "input_based" else None
-            f = generate(mode, x, cfg, est)
+            if mode == "input_based":
+                f = InputBasedAttack(est, cfg).generate(rng.uniform(0, 1, size=64))
+            else:
+                f = UniversalAttack(est, cfg).generate()
             assert f.shape == (64,)
             assert np.all(f >= 0.0) and np.all(f <= 1.0)
 
 
-class TestGenerateDispatch:
+class TestBlackBoxEntryPoints:
     def test_input_based_requires_seed_input(self, trained_estimator):
         with pytest.raises(ValueError):
-            generate("input_based", None, GenConfig(iterations=1), trained_estimator)
-
-    def test_mode_override(self, trained_estimator):
-        cfg = GenConfig(mode="input_based", iterations=3, restarts=2)
-        f = generate("universal", None, cfg, trained_estimator)
-        assert f.shape == (64,)
+            InputBasedAttack(trained_estimator, GenConfig(iterations=1)).generate(None)
 
     def test_black_box_boundary_only_needs_estimator_surface(self):
         # anything exposing predict_tensor and input_dim is a valid oracle;
         # the attack never touches model internals or labels
-        f = generate("universal", None,
-                     GenConfig(mode="universal", iterations=2, restarts=1),
-                     PixelMeanEstimator())
+        cfg = GenConfig(mode="universal", iterations=2, restarts=1)
+        f = UniversalAttack(PixelMeanEstimator(), cfg).generate()
         assert f.shape == (64,)
 
 
@@ -389,14 +415,14 @@ class TestIlfoAttack:
     def test_already_feasible_seed_stays_put(self):
         net = scripted_gate_analogue([0.2, 0.4, 0.6])
         x = np.full(64, 0.9)
-        f = ilfo_attack(net, x, IlfoConfig(iterations=50))
+        f = IlfoAttack(net, IlfoConfig(iterations=50)).generate(x)
         assert float(np.linalg.norm(f - x)) < 1e-3
 
     def test_activates_all_gates_from_low_mean_seed(self):
         net = scripted_gate_analogue([0.3, 0.45, 0.6, 0.75])
         x = np.full(64, 0.2)
         before = net.infer(x)
-        f = ilfo_attack(net, x, IlfoConfig(c=100.0, iterations=300))
+        f = IlfoAttack(net, IlfoConfig(c=100.0, iterations=300)).generate(x)
         after = net.infer(f)
         assert sum(before.gate_decisions) == 0
         assert sum(after.gate_decisions) == 4
@@ -421,8 +447,8 @@ class TestIlfoAttack:
     def test_deterministic(self):
         net = scripted_gate_analogue([0.4, 0.6])
         x = np.full(64, 0.1)
-        a = ilfo_attack(net, x, IlfoConfig(iterations=20))
-        b = ilfo_attack(net, x, IlfoConfig(iterations=20))
+        a = IlfoAttack(net, IlfoConfig(iterations=20)).generate(x)
+        b = IlfoAttack(net, IlfoConfig(iterations=20)).generate(x)
         assert np.array_equal(a, b)
 
 
@@ -607,7 +633,7 @@ class TestOneNodeObjectives:
             ref = unfused_ilfo_loss(model, w, xt, target, level, attack.config.c)
             assert loss.data.tobytes() == ref.data.tobytes()
             assert gradients(loss, [w])[0].tobytes() == gradients(ref, [w])[0].tobytes()
-            assert graph_size(loss) == 12
+            assert graph_size(loss) == 5
 
     def test_input_based_loss_equals_unfused_oracle_graph(self, trained_estimator):
         rng = derive_rng(31, "input-based-oracle")
@@ -618,7 +644,40 @@ class TestOneNodeObjectives:
             ref = unfused_input_based_loss(trained_estimator, w, x, 100.0)
             assert loss.data.tobytes() == ref.data.tobytes()
             assert gradients(loss, [w])[0].tobytes() == gradients(ref, [w])[0].tobytes()
-            assert graph_size(loss) == 15
+            assert graph_size(loss) == 6
+
+    def test_universal_loss_equals_unfused_oracle_graph(self, trained_estimator):
+        rng = derive_rng(32, "universal-oracle")
+        for rows in (1, 3):
+            w = Tensor(rng.normal(0.0, 0.5, size=(rows, 64)))
+            loss = universal_loss(w, trained_estimator)
+            ref = unfused_universal_loss(trained_estimator, w)
+            assert loss.data.tobytes() == ref.data.tobytes()
+            assert gradients(loss, [w])[0].tobytes() == gradients(ref, [w])[0].tobytes()
+            assert graph_size(loss) == 6
+
+    def test_prediction_is_one_node_over_the_network(self, trained_estimator):
+        f = Tensor(derive_rng(33, "prediction").uniform(0, 1, size=(2, 64)))
+        pred = trained_estimator.predict_tensor(f)
+        ref = unfused_estimator_prediction(trained_estimator, f)
+        assert pred.op == "denormalize" and pred._vjps[0][0].op == "residual_mlp"
+        assert pred.data.tobytes() == ref.data.tobytes()
+        seed = Tensor(np.array([[0.5], [-2.0]]))
+        assert (gradients(tsum(pred * seed), [f])[0].tobytes()
+                == gradients(tsum(ref * seed), [f])[0].tobytes())
+
+    def test_objectives_check_their_values(self, trained_skip):
+        w = Tensor(np.zeros((1, 64)))
+        est = ConstantEstimator(1.0)
+        with pytest.raises(NonFiniteError, match="input_based_loss"):
+            input_based_loss(w, np.full((1, 64), np.inf), 1.0, est)
+        with pytest.raises(NonFiniteError, match="input_based_loss"):
+            input_based_loss(w, np.full((1, 64), 0.5), np.inf, est)
+        with pytest.raises(ShapeError, match="input_based_loss"):
+            input_based_loss(w, np.full((2, 64), 0.5), 1.0, est)
+        attack = IlfoAttack(trained_skip, IlfoConfig())
+        with pytest.raises(NonFiniteError, match="ilfo_loss"):
+            attack._loss(w, np.full((1, 64), np.nan))
 
     def test_reparam_is_one_node(self):
         w = Tensor(np.linspace(-2.0, 2.0, 8))

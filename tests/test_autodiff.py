@@ -526,6 +526,29 @@ def test_gradient_of_a_view_is_the_slice_of_the_flat_gradient(trained_skip, skip
         assert np.any(g != 0)
 
 
+@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+def test_stem_grad_gives_the_stem_slice_of_the_theta_gradient(kind):
+    model = small_models()[kind]
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0, 1, size=(4, 5))
+    net = model._net()
+    out = net(Tensor(x))
+    mix = rng.uniform(-1.5, 1.5, size=out.shape)
+    (want,) = gradients(ad.tsum(ad.mul(out, mix)), [net.params[0]])
+    seen = []
+
+    def out_grad(value):
+        seen.append(value)
+        return mix
+
+    dz0 = net.stem_grad(x, out_grad)
+    assert seen[0].tobytes() == out.data.tobytes()
+    assert dz0.shape == (4, 4)
+    assert (x.T @ dz0).tobytes() == want.tobytes()
+    # no gradient reaches the stem: zeros of the pre-activation's shape
+    assert np.array_equal(net.stem_grad(x, np.zeros_like), np.zeros((4, 4)))
+
+
 def test_network_computes_its_reverse_walk_once_per_incoming_gradient(monkeypatch):
     from adnn_energy_lab.nn import ResidualMLP
     calls = []

@@ -1,11 +1,15 @@
 """Gradient-feature defense: guarded-inference bookkeeping and the batched
 evaluation report against its input-by-input form."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from adnn_energy_lab import defense
+from adnn_energy_lab.autodiff import Tensor, gradients
 from adnn_energy_lab.defense import (
+    FilterModel,
     LinearSvm,
     detector_cost_joules,
     evaluate_defense,
@@ -15,8 +19,9 @@ from adnn_energy_lab.defense import (
 )
 from adnn_energy_lab.energy import EnergyModel
 
-from oracles import (evaluate_defense_sequential_reference, unfused_exit_forward,
-                     unfused_skip_forward)
+from oracles import (evaluate_defense_sequential_reference, finite_difference,
+                     max_relative_error, unfused_exit_forward, unfused_skip_forward,
+                     unfused_uniform_cross_entropy)
 
 ENERGY = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
 
@@ -123,19 +128,19 @@ class TestEvaluateDefense:
         assert report["auc"] == 1.0
         assert report["acc_drop_pct"] == 0.0
 
-    def test_one_feature_per_input(self, trained_skip, skip_dataset,
-                                   monkeypatch):
+    def test_one_feature_call_per_pool(self, trained_skip, skip_dataset,
+                                       monkeypatch):
         benign, labels, adv = pools(skip_dataset, n=4)
         svm = constant_svm(trained_skip, -1.0)
         calls = []
 
         def counted(adnn, x):
-            calls.append(1)
+            calls.append(len(x))
             return gradient_feature(adnn, x)
 
         monkeypatch.setattr(defense, "gradient_feature", counted)
         evaluate_defense(trained_skip, svm, ENERGY, benign, labels, adv[:3])
-        assert len(calls) == 4 + 3
+        assert calls == [4, 3]
 
     def test_needs_both_pools(self, trained_skip, skip_dataset):
         benign, labels, _ = pools(skip_dataset, n=3)
@@ -146,9 +151,6 @@ class TestEvaluateDefense:
 
 def test_gradient_feature_equals_unfused_oracle_graph(trained_skip, skip_dataset,
                                                       trained_exit, exit_dataset):
-    from adnn_energy_lab.autodiff import Tensor, gradients
-    from adnn_energy_lab.nn import uniform_cross_entropy
-
     for model, data in ((trained_skip, skip_dataset), (trained_exit, exit_dataset)):
         for x in data.inputs[:4]:
             xt = Tensor(x.reshape(1, -1))
@@ -156,5 +158,53 @@ def test_gradient_feature_equals_unfused_oracle_graph(trained_skip, skip_dataset
                 logits = unfused_skip_forward(model, xt)[0]
             else:
                 logits = unfused_exit_forward(model, xt)[0]
-            (expected,) = gradients(uniform_cross_entropy(logits), [model.stem_.weight])
+            (expected,) = gradients(unfused_uniform_cross_entropy(logits), [model.stem_.weight])
             assert defense.gradient_feature(model, x).tobytes() == expected.reshape(-1).tobytes()
+
+
+# a batched feature row may differ from the one-input feature by the rounding
+# of the network's batched matrix products, relative to the pool's largest entry
+BATCH_TOLERANCE = 1e-12
+
+
+class TestGradientFeature:
+    def test_matches_central_finite_differences(self, model_and_data):
+        adnn, data = model_and_data
+        model = copy.deepcopy(adnn)
+
+        def loss(arrays):
+            # the first head's cross-entropy against uniform, soft forward
+            model.stem_.weight.data = arrays[0]
+            logits = model._net().run(x.reshape(1, -1))[0][0]
+            return float(np.mean(-np.log(np.exp(logits) / np.exp(logits).sum())))
+
+        for x in data.inputs[:2]:
+            fd = finite_difference(loss, [model.stem_.weight.data.copy()])
+            phi = gradient_feature(adnn, x)
+            assert phi.any()
+            assert max_relative_error([phi], [fd[0].reshape(-1)]) < 1e-6
+
+    def test_batched_rows_equal_one_input_features(self, model_and_data):
+        adnn, data = model_and_data
+        X = data.inputs[:200]
+        batch = gradient_feature(adnn, X)
+        rows = np.array([gradient_feature(adnn, x) for x in X])
+        assert batch.shape == rows.shape == (200, adnn.input_dim * adnn.width)
+        assert np.abs(batch - rows).max() <= BATCH_TOLERANCE * max(1.0, np.abs(rows).max())
+        # a one-row matrix gives one row, the vector's feature exactly
+        one = gradient_feature(adnn, X[:1])
+        assert one.shape == (1, batch.shape[1])
+        assert one[0].tobytes() == rows[0].tobytes()
+
+    def test_dead_stem_inputs_have_all_zero_features(self, trained_exit, exit_dataset):
+        # a known limitation: no gradient passes a stem whose relu units are
+        # all dead, so a linear detector scores such an input at its bias
+        X = exit_dataset.inputs[:200]
+        zero = ~gradient_feature(trained_exit, X).any(axis=1)
+        z0 = X @ trained_exit.stem_.weight.data + trained_exit.stem_.bias.data
+        assert zero.sum() == 18
+        assert np.array_equal(zero, (z0 <= 0.0).all(axis=1))
+
+    def test_rejects_a_model_without_gradients(self):
+        with pytest.raises(TypeError):
+            gradient_feature(FilterModel(), np.zeros(64))
