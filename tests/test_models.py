@@ -3,6 +3,7 @@ training dynamics, and serialization."""
 
 import copy
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from adnn_energy_lab.models import (
 )
 from adnn_energy_lab.nn import Dense, ResidualBlock
 from adnn_energy_lab.seeding import derive_rng
-from adnn_energy_lab.serialize import DataFormatError
+from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
 
 from oracles import unfused_affine
 
@@ -482,3 +483,21 @@ class TestLoaderFuzz:
         payload["params"] = {name: "not an array" for name in payload["params"]}
         with pytest.raises(DataFormatError, match="config"):
             _load(kind, payload)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+class TestGoldenPayloads:
+    """The saved form of each fitted kind, pinned byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["skip", "exit", "estimator"])
+    def test_dump_and_reload_match_golden_file(self, kind, tmp_path):
+        golden = GOLDEN / ("payload_%s.json" % kind)
+        fresh = tmp_path / "fresh.json"
+        dump_json(PAYLOADS[kind], fresh)
+        assert fresh.read_bytes() == golden.read_bytes()
+        loaded = _load(kind, load_json(golden))
+        again = tmp_path / "again.json"
+        dump_json(loaded.to_payload(), again)
+        assert again.read_bytes() == golden.read_bytes()
