@@ -142,6 +142,9 @@ class TestGenConfig:
             raise ValueError("mode must be 'input_based' or 'universal'")
         _check_steps(self)
         _check_count(self, "restarts", 1)
+        # derive_rng masks any integer to 64 bits; a float would be truncated
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer, got %r" % (self.seed,))
 
 
 class InputBasedAttack:
@@ -247,7 +250,6 @@ class IlfoConfig:
     c: float = 100.0
     lr: float = 0.01
     iterations: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if self.target not in ("gate", "exit"):

@@ -23,8 +23,7 @@ from .autodiff import Tensor, _log_softmax_rows, _require_finite, _scatter_colum
 from .base import ParamsMixin, check_is_fitted
 from .metrics import auc
 from .models import EarlyExitNet, GatedSkipNet
-from .nn import Dense, ResidualBlock, ResidualMLP, cross_entropy
-from .optim import Adam
+from .nn import Dense, ResidualBlock, ResidualMLP, cross_entropy, fit_minibatch
 from .seeding import derive_rng
 from .validation import as_label_array, as_sample_matrix, check_same_length
 
@@ -48,9 +47,8 @@ __all__ = [
 class FilterModel(ParamsMixin):
     """Residual-MLP screen: class 0 = normal input, class 1 = energy noise.
 
-    At this scale the screen is not cheap relative to the models it guards
-    (its own forward costs more FLOPs than their minimum trace); the flops
-    property makes that ratio easy to audit rather than hiding it.
+    At this scale the screen is not cheap relative to the models it guards:
+    its own forward costs more FLOPs than their minimum trace.
     """
 
     def __init__(self, input_dim=64, width=16, num_blocks=3, num_classes=2,
@@ -74,20 +72,10 @@ class FilterModel(ParamsMixin):
         self.head_ = None
         self.history_ = None
 
-    @property
-    def flops(self):
-        stem = 2 * self.input_dim * self.width
-        block = 2 * (2 * self.width * self.width)
-        head = 2 * self.width * self.num_classes
-        return stem + self.num_blocks * block + head
-
     def _net(self):
         """The network over the current layers; see `nn.ResidualMLP`."""
         check_is_fitted(self, "stem_")
         return ResidualMLP(self.stem_, self.blocks_, [self.head_])
-
-    def forward(self, x):
-        return self._net()(x)
 
     def predict(self, X):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
@@ -95,7 +83,7 @@ class FilterModel(ParamsMixin):
         return np.argmax(logits, axis=-1)
 
     def _batch_loss(self, X, y):
-        return cross_entropy(self.forward(Tensor(X)), y, self.num_classes)
+        return cross_entropy(self._net()(Tensor(X)), y, self.num_classes)
 
     def score(self, X, y):
         return float(np.mean(self.predict(X) == np.asarray(y)))
@@ -110,19 +98,9 @@ class FilterModel(ParamsMixin):
         self.blocks_ = [ResidualBlock.init(rng, self.width)
                         for _ in range(self.num_blocks)]
         self.head_ = Dense.init(rng, self.width, self.num_classes)
-        opt = Adam([self._net().theta], lr=self.lr)
         order_rng = derive_rng(self.seed, "filter-batches")
-        history = []
-        for _ in range(self.epochs):
-            perm = order_rng.permutation(len(X))
-            epoch_loss = 0.0
-            for start in range(0, len(X), self.batch_size):
-                idx = perm[start : start + self.batch_size]
-                loss = self._batch_loss(X[idx], y[idx])
-                opt.step_loss(loss)
-                epoch_loss += loss.item() * len(idx)
-            history.append(epoch_loss / len(X))
-        self.history_ = history
+        self.history_ = fit_minibatch(self._batch_loss, self._net().theta, X, y, self.epochs,
+                                      self.batch_size, self.lr, order_rng)
         return self
 
 

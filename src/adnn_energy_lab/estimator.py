@@ -13,10 +13,10 @@ import numpy as np
 
 from .autodiff import Tensor, squared_error
 from .base import ParamsMixin, check_is_fitted
-from .nn import Dense, ResidualBlock, ResidualMLP
-from .optim import Adam
+from .nn import (Dense, ResidualBlock, ResidualMLP, fit_minibatch, layers_from_payload,
+                 params_to_payload, payload_layout)
 from .seeding import derive_rng
-from .serialize import POSITIVE, REAL, SIZE, array_to_json, payload_config
+from .serialize import POSITIVE, REAL, SIZE, payload_config
 from .validation import as_sample_matrix, check_same_length
 
 
@@ -58,15 +58,15 @@ class EnergyEstimator(ParamsMixin):
         """The network over the current layers; see `nn.ResidualMLP`."""
         return ResidualMLP(self.stem_, self.blocks_, [self.head_])
 
-    def _parameters(self):
+    def _params(self):
         return self._net().params
 
-    def _forward_normalized(self, x):
-        return self._net()(x)
+    def _layout(self):
+        return payload_layout(self.input_dim, self.width, self.num_blocks, 1, "block%d", ["head"])
 
     def _batch_loss(self, X, targets):
         """Mean over the batch of the squared error in normalized joules."""
-        return squared_error(self._forward_normalized(Tensor(X)), targets.reshape(-1, 1))
+        return squared_error(self._net()(Tensor(X)), targets.reshape(-1, 1))
 
     # -- training ----------------------------------------------------------
 
@@ -91,30 +91,24 @@ class EnergyEstimator(ParamsMixin):
         self._build(rng)
         net = self._net()
         theta = net.theta
-        opt = Adam([theta], lr=self.lr)
-        self.history_ = []
         self.val_history_ = []
-        best = (np.inf, theta.data.copy(), 0)
+        best = [np.inf, theta.data.copy(), 0]
         # burn-in: barely-trained nets can win the (small) validation split
         # by luck while still being useless off-manifold
         warmup = self.epochs // 10
-        for epoch in range(self.epochs):
-            # cosine-annealed step size; the late tiny steps let the fit
-            # settle instead of bouncing on minibatch noise
-            opt.lr = self.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, self.epochs)))
-            perm = rng.permutation(len(train_idx))
-            epoch_loss = 0.0
-            for start in range(0, len(perm), self.batch_size):
-                batch = train_idx[perm[start:start + self.batch_size]]
-                loss = self._batch_loss(X[batch], targets[batch])
-                epoch_loss += opt.step_loss(loss) * len(batch)
-            self.history_.append(epoch_loss / len(train_idx))
+
+        def on_epoch(epoch, opt):
             (val_norm,), _ = net.run(X[val_idx])
             val_mse = float(np.mean((val_norm.reshape(-1) - targets[val_idx]) ** 2))
             self.val_history_.append(val_mse)
             if epoch >= warmup and val_mse < best[0]:
-                best = (val_mse, theta.data.copy(), epoch)
+                best[:] = val_mse, theta.data.copy(), epoch
+            # cosine-annealed step size for the next epoch (the first runs at lr itself):
+            # the late tiny steps let the fit settle instead of bouncing on minibatch noise
+            opt.lr = self.lr * 0.5 * (1.0 + math.cos(math.pi * (epoch + 1) / max(1, self.epochs)))
 
+        self.history_ = fit_minibatch(self._batch_loss, theta, X[train_idx], targets[train_idx],
+                                      self.epochs, self.batch_size, self.lr, rng, on_epoch)
         # keep the checkpoint that generalized best, not the last one;
         # late epochs can trade held-out accuracy for training-set fit
         theta.data = best[1]
@@ -135,7 +129,7 @@ class EnergyEstimator(ParamsMixin):
         out * scale + mean is one node over the network's one-node output.
         """
         check_is_fitted(self, "head_")
-        out = self._forward_normalized(x)
+        out = self._net()(x)
         scale = self.energy_scale_
         return Tensor(out.data * scale + self.energy_mean_, ((out, lambda g: g * scale),),
                       "denormalize")
@@ -150,13 +144,6 @@ class EnergyEstimator(ParamsMixin):
 
     def to_payload(self):
         check_is_fitted(self, "head_")
-        params = {"stem.weight": self.stem_.weight, "stem.bias": self.stem_.bias,
-                  "head.weight": self.head_.weight, "head.bias": self.head_.bias}
-        for i, block in enumerate(self.blocks_):
-            params["block%d.lin1.weight" % i] = block.lin1.weight
-            params["block%d.lin1.bias" % i] = block.lin1.bias
-            params["block%d.lin2.weight" % i] = block.lin2.weight
-            params["block%d.lin2.bias" % i] = block.lin2.bias
         return {
             "kind": "estimator",
             "config": {
@@ -165,7 +152,7 @@ class EnergyEstimator(ParamsMixin):
                 "energy_mean": self.energy_mean_,
                 "energy_scale": self.energy_scale_,
             },
-            "params": {k: array_to_json(t.data) for k, t in params.items()},
+            "params": params_to_payload(self._layout(), self._params()),
         }
 
     @classmethod
@@ -175,26 +162,9 @@ class EnergyEstimator(ParamsMixin):
         est = cls(input_dim=config["input_dim"], width=config["width"],
                   num_blocks=config["num_blocks"],
                   target_id=config.get("target_id"))
-        w = config["width"]
-        est.stem_ = Dense.from_payload(payload, "stem", config["input_dim"], w)
-        est.blocks_ = [ResidualBlock.from_payload(payload, "block%d" % i, w)
-                       for i in range(config["num_blocks"])]
-        est.head_ = Dense.from_payload(payload, "head", w, 1)
+        est.stem_, est.blocks_, _, (est.head_,) = layers_from_payload(
+            payload, est._layout(), est.num_blocks)
         est.energy_mean_ = float(config["energy_mean"])
         est.energy_scale_ = float(config["energy_scale"])
         return est
 
-
-def train_estimator(inputs, measured, epochs=2000, lr=0.005, seed=0, **kwargs):
-    """Fit an EnergyEstimator; returns (estimator, validation RMSE in joules)."""
-    est = EnergyEstimator(epochs=epochs, lr=lr, seed=seed, **kwargs)
-    est.fit(inputs, measured)
-    return est, est.val_rmse_
-
-
-def predict_energy(estimator, x):
-    """Predicted joules for one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("predict_energy expects a single input vector")
-    return float(estimator.predict(x)[0])

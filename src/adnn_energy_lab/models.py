@@ -21,11 +21,11 @@ import numpy as np
 
 from .autodiff import Tensor, add, as_tensor, columns, mean_of_column_means, mul, softmax
 from .base import ParamsMixin, check_is_fitted
-from .nn import Dense, ResidualBlock, ResidualMLP, cross_entropy, xavier_uniform
-from .optim import Adam
+from .nn import (Dense, ResidualBlock, ResidualMLP, cross_entropy, fit_minibatch,
+                 layers_from_payload, params_to_payload, payload_layout, xavier_uniform)
 from .seeding import derive_rng
-from .serialize import (COUNT, REAL, REALS, SIZE, DataFormatError, array_to_json, dump_json,
-                        from_config, load_json, param_from_json, payload_config)
+from .serialize import (COUNT, REAL, REALS, SIZE, DataFormatError, dump_json, from_config,
+                        load_json, payload_config)
 from .validation import as_label_array, as_sample_matrix
 
 
@@ -133,7 +133,6 @@ class GatedSkipNet(ParamsMixin):
         ]
         self.gate_biases_ = [Tensor(np.float64(0.0)) for _ in range(self.num_blocks)]
         self.head_ = Dense.init(rng, self.width, self.num_classes)
-        self._input_pool = Tensor(np.full((self.input_dim, 1), 1.0 / self.input_dim))
         return self
 
     def _calibrate_gates(self, X, slope=80.0):
@@ -153,7 +152,7 @@ class GatedSkipNet(ParamsMixin):
         check_is_fitted(self, "stem_")
         return ResidualMLP(self.stem_, self.blocks_, [self.head_],
                            gates=(self.gate_weights_, self.gate_biases_),
-                           pool=self._input_pool.data)
+                           pool=np.full((self.input_dim, 1), 1.0 / self.input_dim))
 
     def _params(self):
         return self._net().params
@@ -263,39 +262,19 @@ class GatedSkipNet(ParamsMixin):
         self._build(derive_rng(self.seed, "skip-init"))
         self._calibrate_gates(X)
         order_rng = derive_rng(self.seed, "skip-batches")
-        opt = Adam([self._net().theta], lr=self.lr)
-        history = []
-        for _ in range(self.epochs):
-            perm = order_rng.permutation(len(X))
-            epoch_loss = 0.0
-            for start in range(0, len(X), self.batch_size):
-                idx = perm[start : start + self.batch_size]
-                loss = self._batch_loss(X[idx], y[idx])
-                opt.step_loss(loss)
-                epoch_loss += loss.item() * len(idx)
-            history.append(epoch_loss / len(X))
-        self.history_ = history
+        self.history_ = fit_minibatch(self._batch_loss, self._net().theta, X, y, self.epochs,
+                                      self.batch_size, self.lr, order_rng)
         self.train_accuracy_ = self.score(X, y)
         return self
 
     # -- serialization ------------------------------------------------
 
+    def _layout(self):
+        return payload_layout(self.input_dim, self.width, self.num_blocks, self.num_classes,
+                              "blocks.%d", ["head"], gated=True)
+
     def to_payload(self):
         check_is_fitted(self, "stem_")
-        params = {
-            "stem.weight": array_to_json(self.stem_.weight.data),
-            "stem.bias": array_to_json(self.stem_.bias.data),
-            "head.weight": array_to_json(self.head_.weight.data),
-            "head.bias": array_to_json(self.head_.bias.data),
-        }
-        for i, block in enumerate(self.blocks_):
-            params["blocks.%d.lin1.weight" % i] = array_to_json(block.lin1.weight.data)
-            params["blocks.%d.lin1.bias" % i] = array_to_json(block.lin1.bias.data)
-            params["blocks.%d.lin2.weight" % i] = array_to_json(block.lin2.weight.data)
-            params["blocks.%d.lin2.bias" % i] = array_to_json(block.lin2.bias.data)
-        for i, (gw, gb) in enumerate(zip(self.gate_weights_, self.gate_biases_)):
-            params["gates.%d.weight" % i] = array_to_json(gw.data)
-            params["gates.%d.bias" % i] = array_to_json(gb.data)
         return {
             "kind": "skip",
             "config": {
@@ -305,7 +284,7 @@ class GatedSkipNet(ParamsMixin):
                 "num_classes": self.num_classes,
                 "gate_threshold": self.gate_threshold,
             },
-            "params": params,
+            "params": params_to_payload(self._layout(), self._params()),
         }
 
     @classmethod
@@ -314,17 +293,9 @@ class GatedSkipNet(ParamsMixin):
                 "gate_threshold": REAL}
         cfg = payload_config(payload, spec)
         model = from_config(cls, **{k: cfg[k] for k in spec})
-        d, w, n = cfg["input_dim"], cfg["width"], cfg["num_blocks"]
-        model.stem_ = Dense.from_payload(payload, "stem", d, w)
-        # sized only once the stem has confirmed input_dim
-        model._input_pool = Tensor(np.full((d, 1), 1.0 / d))
-        model.head_ = Dense.from_payload(payload, "head", w, cfg["num_classes"])
-        model.blocks_ = [ResidualBlock.from_payload(payload, "blocks.%d" % i, w)
-                         for i in range(n)]
-        model.gate_weights_ = [Tensor(param_from_json(payload, "gates.%d.weight" % i, ()))
-                               for i in range(n)]
-        model.gate_biases_ = [Tensor(param_from_json(payload, "gates.%d.bias" % i, ()))
-                              for i in range(n)]
+        model.stem_, model.blocks_, gates, (model.head_,) = layers_from_payload(
+            payload, model._layout(), model.num_blocks, gated=True)
+        model.gate_weights_, model.gate_biases_ = gates
         return model
 
 
@@ -462,37 +433,19 @@ class EarlyExitNet(ParamsMixin):
         y = as_label_array(y, n=len(X), num_classes=self.num_classes)
         self._build(derive_rng(self.seed, "exit-init"))
         order_rng = derive_rng(self.seed, "exit-batches")
-        opt = Adam([self._net().theta], lr=self.lr)
-        history = []
-        for _ in range(self.epochs):
-            perm = order_rng.permutation(len(X))
-            epoch_loss = 0.0
-            for start in range(0, len(X), self.batch_size):
-                idx = perm[start : start + self.batch_size]
-                loss = self._batch_loss(X[idx], y[idx])
-                opt.step_loss(loss)
-                epoch_loss += loss.item() * len(idx)
-            history.append(epoch_loss / len(X))
-        self.history_ = history
+        self.history_ = fit_minibatch(self._batch_loss, self._net().theta, X, y, self.epochs,
+                                      self.batch_size, self.lr, order_rng)
         self.train_accuracy_ = self.score(X, y)
         all_logits, _ = self._net().run(X)
         self.exit_accuracies_ = [float(np.mean(np.argmax(l, axis=-1) == y)) for l in all_logits]
         return self
 
+    def _layout(self):
+        return payload_layout(self.input_dim, self.width, self.num_segments, self.num_classes,
+                              "segments.%d", ("exits.%d" % i for i in range(self.num_segments)))
+
     def to_payload(self):
         check_is_fitted(self, "stem_")
-        params = {
-            "stem.weight": array_to_json(self.stem_.weight.data),
-            "stem.bias": array_to_json(self.stem_.bias.data),
-        }
-        for i, seg in enumerate(self.segments_):
-            params["segments.%d.lin1.weight" % i] = array_to_json(seg.lin1.weight.data)
-            params["segments.%d.lin1.bias" % i] = array_to_json(seg.lin1.bias.data)
-            params["segments.%d.lin2.weight" % i] = array_to_json(seg.lin2.weight.data)
-            params["segments.%d.lin2.bias" % i] = array_to_json(seg.lin2.bias.data)
-        for i, head in enumerate(self.exit_heads_):
-            params["exits.%d.weight" % i] = array_to_json(head.weight.data)
-            params["exits.%d.bias" % i] = array_to_json(head.bias.data)
         return {
             "kind": "exit",
             "config": {
@@ -502,7 +455,7 @@ class EarlyExitNet(ParamsMixin):
                 "num_classes": self.num_classes,
                 "entropy_threshold": self.entropy_threshold,
             },
-            "params": params,
+            "params": params_to_payload(self._layout(), self._params()),
         }
 
     @classmethod
@@ -511,12 +464,8 @@ class EarlyExitNet(ParamsMixin):
                 "entropy_threshold": REAL}
         cfg = payload_config(payload, spec)
         model = from_config(cls, **{k: cfg[k] for k in spec})
-        w, n = cfg["width"], cfg["num_segments"]
-        model.stem_ = Dense.from_payload(payload, "stem", cfg["input_dim"], w)
-        model.segments_ = [ResidualBlock.from_payload(payload, "segments.%d" % i, w)
-                           for i in range(n)]
-        model.exit_heads_ = [Dense.from_payload(payload, "exits.%d" % i, w, cfg["num_classes"])
-                             for i in range(n)]
+        model.stem_, model.segments_, _, model.exit_heads_ = layers_from_payload(
+            payload, model._layout(), model.num_segments)
         return model
 
 
@@ -579,12 +528,6 @@ class ScriptedAdnn:
         if isinstance(traces, ExecutionTrace):
             traces = [traces]
         return np.array([t.label for t in traces], dtype=np.int64)
-
-
-def make_scripted(num_blocks, thresholds, base_flops, block_flops):
-    if len(thresholds) != num_blocks:
-        raise ValueError("need one threshold per block")
-    return ScriptedAdnn(thresholds, base_flops=base_flops, block_flops=block_flops)
 
 
 def scripted_gate_analogue(thresholds, sharpness=40.0, input_dim=64, width=16, num_classes=4, seed=0):

@@ -4,7 +4,9 @@ All four networks are one shape, a `ResidualMLP`: a stem, residual blocks
 and one head at the end or one after every block, optionally with a sigmoid
 gate per block. Its whole forward and backward is one autodiff node over one
 flat parameter leaf, `theta`; the per-layer weights (`Dense`,
-`ResidualBlock`, gate lists) are `View`s of it.
+`ResidualBlock`, gate lists) are `View`s of it. The four fits share one
+epoch loop, `fit_minibatch`, and the three saved kinds one payload layout,
+`payload_layout`: a (payload key, shape) per theta view, in theta order.
 
 FLOPs accounting is fixed at 2 * fan_in * fan_out per affine map (one
 multiply plus one add per weight). Activations, pooling and gate heads are
@@ -15,7 +17,8 @@ import numpy as np
 
 from .autodiff import (ShapeError, Tensor, View, _column_sums, _once_per_gradient,
                        _require_finite, as_tensor, pack, softmax_cross_entropy)
-from .serialize import param_from_json
+from .optim import Adam
+from .serialize import array_to_json, param_from_json
 
 
 def xavier_uniform(rng, fan_in, fan_out):
@@ -38,12 +41,6 @@ class Dense:
     @classmethod
     def init(cls, rng, fan_in, fan_out):
         return cls(xavier_uniform(rng, fan_in, fan_out), np.zeros(fan_out))
-
-    @classmethod
-    def from_payload(cls, payload, prefix, fan_in, fan_out):
-        """The layer stored under `prefix` in a model payload."""
-        return cls(param_from_json(payload, prefix + ".weight", (fan_in, fan_out)),
-                   param_from_json(payload, prefix + ".bias", (fan_out,)))
 
     @property
     def fan_in(self):
@@ -73,11 +70,6 @@ class ResidualBlock:
     @classmethod
     def init(cls, rng, width):
         return cls(Dense.init(rng, width, width), Dense.init(rng, width, width))
-
-    @classmethod
-    def from_payload(cls, payload, prefix, width):
-        return cls(Dense.from_payload(payload, prefix + ".lin1", width, width),
-                   Dense.from_payload(payload, prefix + ".lin2", width, width))
 
     @property
     def flops(self):
@@ -325,6 +317,70 @@ class ResidualMLP:
             if hg is not None:
                 put(k + 2 * j, tops[j].T @ hg, hg.sum(axis=0))
         return out
+
+
+def payload_layout(input_dim, width, num_blocks, out_dim, block_key, head_keys, gated=False):
+    """(payload key, shape) of every theta view, in theta order: the stem,
+    each block's lin1 and lin2, every gate weight, every gate bias, the heads.
+    `block_key` formats a block's index ("blocks.%d"); `head_keys` names the
+    heads. A generator, so a loader sizes nothing before a parameter parses."""
+    def dense(key, fan_in, fan_out):
+        yield key + ".weight", (fan_in, fan_out)
+        yield key + ".bias", (fan_out,)
+
+    yield from dense("stem", input_dim, width)
+    for i in range(num_blocks):
+        yield from dense(block_key % i + ".lin1", width, width)
+        yield from dense(block_key % i + ".lin2", width, width)
+    if gated:
+        for part in ("weight", "bias"):
+            for i in range(num_blocks):
+                yield "gates.%d.%s" % (i, part), ()
+    for key in head_keys:
+        yield from dense(key, width, out_dim)
+
+
+def params_to_payload(layout, params):
+    """A payload's "params" object: each theta view under its layout key."""
+    return {key: array_to_json(p.data) for (key, _), p in zip(layout, params)}
+
+
+def layers_from_payload(payload, layout, num_blocks, gated=False):
+    """(stem, blocks, (gate weights, gate biases) or None, heads) from a
+    payload's parameters, each checked against its shape in `layout`."""
+    arrays = iter([param_from_json(payload, key, shape) for key, shape in layout])
+
+    def dense():
+        return Dense(next(arrays), next(arrays))
+
+    stem = dense()
+    blocks = [ResidualBlock(dense(), dense()) for _ in range(num_blocks)]
+    gates = (tuple([Tensor(next(arrays)) for _ in range(num_blocks)] for _ in range(2))
+             if gated else None)
+    heads = [Dense(weight, next(arrays)) for weight in arrays]   # the rest, in pairs
+    return stem, blocks, gates, heads
+
+
+def fit_minibatch(batch_loss, theta, X, y, epochs, batch_size, lr, rng, on_epoch=None):
+    """Adam on `theta` over shuffled minibatches; each epoch's mean loss.
+
+    Every epoch draws one `rng.permutation(len(X))` and steps once per
+    batch of `batch_size` rows on `batch_loss(X[idx], y[idx])`, a scalar
+    Tensor. `on_epoch(epoch, opt)` runs after each epoch; it may set
+    `opt.lr` for the next one or rebind `theta.data`.
+    """
+    opt = Adam([theta], lr=lr)
+    history = []
+    for epoch in range(epochs):
+        perm = rng.permutation(len(X))
+        epoch_loss = 0.0
+        for start in range(0, len(X), batch_size):
+            idx = perm[start:start + batch_size]
+            epoch_loss += opt.step_loss(batch_loss(X[idx], y[idx])) * len(idx)
+        history.append(epoch_loss / len(X))
+        if on_epoch is not None:
+            on_epoch(epoch, opt)
+    return history
 
 
 def _side_by_side(logits, gates):

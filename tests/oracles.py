@@ -153,6 +153,24 @@ def adam_per_parameter_steps(values, grads, state, lr=0.01, beta1=0.9,
     return out
 
 
+def minibatch_reference(batch_loss, theta, X, y, epochs, batch_size, lr, rng):
+    """The epoch loop each fit ran before they shared one: Adam on `theta`,
+    one permutation per epoch, each epoch's row-weighted mean loss."""
+    from adnn_energy_lab.optim import Adam
+    opt = Adam([theta], lr=lr)
+    history = []
+    for _ in range(epochs):
+        perm = rng.permutation(len(X))
+        epoch_loss = 0.0
+        for start in range(0, len(X), batch_size):
+            idx = perm[start : start + batch_size]
+            loss = batch_loss(X[idx], y[idx])
+            opt.step_loss(loss)
+            epoch_loss += loss.item() * len(idx)
+        history.append(epoch_loss / len(X))
+    return history
+
+
 def random_op_mix_graph(rng):
     """A random scalar graph touching every primitive and one-node op but the
     network op, plus its leaves.

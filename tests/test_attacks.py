@@ -23,11 +23,11 @@ from adnn_energy_lab.autodiff import NonFiniteError, ShapeError, Tensor, gradien
 from adnn_energy_lab.data import estimator_corpus
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.energy import EnergyModel, measure_energy
-from adnn_energy_lab.estimator import EnergyEstimator, predict_energy
+from adnn_energy_lab.estimator import EnergyEstimator
 from adnn_energy_lab.models import (
     EarlyExitNet,
     GatedSkipNet,
-    make_scripted,
+    ScriptedAdnn,
     scripted_gate_analogue,
 )
 from adnn_energy_lab.seeding import derive_rng
@@ -42,7 +42,7 @@ from oracles import (
     universal_per_restart_reference,
 )
 
-SCRIPTED = make_scripted(8, [(i + 0.5) / 8 for i in range(8)], 2176, 1024)
+SCRIPTED = ScriptedAdnn([(i + 0.5) / 8 for i in range(8)], base_flops=2176, block_flops=1024)
 NOISELESS = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
 
 
@@ -123,7 +123,7 @@ class TestBlackBoxLosses:
         w = rng.normal(0, 0.5, size=(1, 64))
         loss = float(universal_loss(Tensor(w), trained_estimator).data)
         f = reparam(Tensor(w)).data.reshape(-1)
-        assert loss == -predict_energy(trained_estimator, f)
+        assert loss == -float(trained_estimator.predict(f)[0])
 
     def test_constant_estimator_universal_gradient_is_zero(self):
         w = Tensor(np.full((1, 8), 0.2))
@@ -163,6 +163,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("lr", -1.0), ("lr", math.nan), ("lr", 0.0), ("c", math.inf), ("c", math.nan),
         ("iterations", 2.5), ("restarts", 1.5), ("c", "100"),
+        ("seed", 2.5), ("seed", math.nan), ("seed", "1"),
     ])
     def test_bad_numbers_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -179,8 +180,10 @@ class TestConfigValidation:
 
     def test_numpy_numbers_accepted(self):
         cfg = GenConfig(c=np.float64(2.0), lr=np.float32(0.1), iterations=np.int64(3),
-                        restarts=np.int32(2))
+                        restarts=np.int32(2), seed=np.int64(7))
         assert cfg.iterations == 3
+        assert cfg.seed == 7
+        assert GenConfig(seed=-1).seed == -1
         assert IlfoConfig(threshold=np.float64(0.4), margin=0.0).threshold == 0.4
 
     def test_surrogate_pipeline_fails_before_fitting(self):
@@ -458,7 +461,7 @@ class TestIlfoTargetCheck:
     @pytest.mark.parametrize("model, target, match", [
         (EarlyExitNet(), "gate", "soft forward"),
         (FilterModel(), "gate", "soft forward"),
-        (make_scripted(2, [0.3, 0.6], 100, 50), "gate", "soft forward"),
+        (ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50), "gate", "soft forward"),
         (GatedSkipNet(), "exit", "forward_exits"),
         (EarlyExitNet(num_segments=1), "exit", "at least 2 exits"),
     ])
@@ -494,7 +497,7 @@ class TestIlfoTargetCheck:
 
         inputs = np.full((3, 64), 0.2)
         with pytest.raises(ValueError, match="soft forward"):
-            surrogate_pipeline(make_scripted(2, [0.3, 0.6], 100, 50),
+            surrogate_pipeline(ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50),
                                UnfittableExitNet(), inputs, IlfoConfig(iterations=5))
 
 
@@ -532,8 +535,7 @@ def frozen_analogue(thresholds):
     net = scripted_gate_analogue(thresholds)
     frozen = FrozenSurrogate(input_dim=net.input_dim, width=net.width,
                              num_blocks=net.num_blocks, num_classes=net.num_classes)
-    for attr in ("stem_", "blocks_", "gate_weights_", "gate_biases_", "head_",
-                 "_input_pool"):
+    for attr in ("stem_", "blocks_", "gate_weights_", "gate_biases_", "head_"):
         setattr(frozen, attr, getattr(net, attr))
     return frozen
 
@@ -551,7 +553,7 @@ class TestSurrogatePipeline:
 
     def test_mismatched_target_reports_without_error(self):
         surrogate = frozen_analogue([0.3, 0.5])
-        target = make_scripted(2, [0.98, 0.99], 100, 50)
+        target = ScriptedAdnn([0.98, 0.99], base_flops=100, block_flops=50)
         rng = derive_rng(7, "mismatch")
         inputs = rng.uniform(0.05, 0.15, size=(4, 64))
         tests, report = surrogate_pipeline(
@@ -590,7 +592,7 @@ class TestSurrogatePipeline:
 
     def test_empty_replay_set_raises(self):
         surrogate = frozen_analogue([0.3, 0.5])
-        target = make_scripted(2, [0.01, 0.02], 100, 50)
+        target = ScriptedAdnn([0.01, 0.02], base_flops=100, block_flops=50)
         inputs = np.full((3, 64), 0.9)
         with pytest.raises(ValueError):
             surrogate_pipeline(target, surrogate, inputs, IlfoConfig(iterations=5))

@@ -19,7 +19,7 @@ from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.estimator import EnergyEstimator
 from adnn_energy_lab.models import EarlyExitNet, GatedSkipNet
-from adnn_energy_lab.nn import Dense, ResidualBlock, ResidualMLP, cross_entropy
+from adnn_energy_lab.nn import Dense, ResidualBlock, ResidualMLP, cross_entropy, fit_minibatch
 from adnn_energy_lab.optim import Adam
 
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     adam_reference_steps,
     finite_difference,
     max_relative_error,
+    minibatch_reference,
     random_op_mix_graph,
     unfused_entropy_hinge_sum,
     unfused_estimator_forward,
@@ -632,7 +633,7 @@ def training_step_cases():
     return {
         "skip": (skip, skip._params(), X, y, unfused_skip_loss),
         "exit": (exit_net, exit_net._params(), X, y, unfused_exit_loss),
-        "estimator": (est, est._parameters(), corpus[:32], targets, unfused_estimator_loss),
+        "estimator": (est, est._params(), corpus[:32], targets, unfused_estimator_loss),
         "filter": (filt, filt_params, X, y % 2, unfused_filter_loss),
     }
 
@@ -826,3 +827,44 @@ def test_flat_adam_matches_scalar_recurrence_per_coordinate():
         for j in np.ndindex(start.shape):
             expected = adam_reference_steps(start[j], [g[i][j] for g in steps], lr=0.01)
             assert np.allclose([t[j] for t in trails[i]], expected, rtol=0, atol=1e-15)
+
+
+# -- the shared minibatch loop ------------------------------------------------
+
+
+class _CountingRng:
+    """A generator that records the length of every permutation drawn."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = []
+
+    def permutation(self, n):
+        self.drawn.append(n)
+        return self.rng.permutation(n)
+
+
+def _toy_fit(fit, rng, **kwargs):
+    data = np.random.default_rng(21)
+    X, y = data.normal(size=(23, 3)), data.normal(size=(23, 1))
+    theta = Tensor(data.normal(size=(3, 1)))
+
+    def batch_loss(Xb, yb):
+        return ad.squared_error(Tensor(Xb) @ theta, yb)
+
+    return fit(batch_loss, theta, X, y, 4, 8, 0.05, rng, **kwargs), theta
+
+
+def test_fit_minibatch_equals_the_reference_epoch_loop():
+    rng, ref_rng, calls = _CountingRng(5), _CountingRng(5), []
+
+    def on_epoch(epoch, opt):
+        calls.append((epoch, len(rng.drawn), opt.t))
+
+    history, theta = _toy_fit(fit_minibatch, rng, on_epoch=on_epoch)
+    ref_history, ref_theta = _toy_fit(minibatch_reference, ref_rng)
+    assert history == ref_history and len(history) == 4
+    assert theta.data.tobytes() == ref_theta.data.tobytes()
+    assert rng.drawn == ref_rng.drawn == [23] * 4
+    # after each epoch: that epoch's permutation drawn, its three steps taken
+    assert calls == [(e, e + 1, 3 * (e + 1)) for e in range(4)]

@@ -12,12 +12,12 @@ from adnn_energy_lab.energy import (
     measure_energy,
     measure_many,
 )
-from adnn_energy_lab.models import ExecutionTrace, make_scripted
+from adnn_energy_lab.models import ExecutionTrace, ScriptedAdnn
 from adnn_energy_lab.seeding import array_fingerprint, derive_rng
 
 from oracles import filter_outliers_reference, measure_sequential_reference
 
-SCRIPTED = make_scripted(4, [0.2, 0.4, 0.6, 0.8], 100, 256)
+SCRIPTED = ScriptedAdnn([0.2, 0.4, 0.6, 0.8], base_flops=100, block_flops=256)
 
 
 def skip_trace(active, total=4):

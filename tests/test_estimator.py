@@ -1,6 +1,8 @@
 """Energy regressor: loss arithmetic, training behavior, gradients, and
 serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,14 @@ from adnn_energy_lab.autodiff import Tensor, gradients
 from adnn_energy_lab.base import NotFittedError
 from adnn_energy_lab.data import probe_inputs
 from adnn_energy_lab.energy import EnergyModel, measure_energy
-from adnn_energy_lab.estimator import (
-    EnergyEstimator,
-    estimator_loss,
-    predict_energy,
-    train_estimator,
-)
-from adnn_energy_lab.models import make_scripted
+from adnn_energy_lab.estimator import EnergyEstimator, estimator_loss
+from adnn_energy_lab.models import ScriptedAdnn
+from adnn_energy_lab.optim import Adam
 from adnn_energy_lab.serialize import DataFormatError
 
 from oracles import finite_difference, max_relative_error
 
-SCRIPTED = make_scripted(8, [(i + 0.5) / 8 for i in range(8)], 2176, 1024)
+SCRIPTED = ScriptedAdnn([(i + 0.5) / 8 for i in range(8)], base_flops=2176, block_flops=1024)
 NOISELESS = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
 
 
@@ -62,10 +60,10 @@ class TestTraining:
         est = EnergyEstimator(epochs=3, lr=0.0, seed=1)
         # build once, snapshot, then retrain in place with lr 0
         est.fit(X, y)
-        before = [p.data.copy() for p in est._parameters()]
+        before = [p.data.copy() for p in est._params()]
         baseline = est.val_rmse_
         est.fit(X, y)
-        for prev, now in zip(before, est._parameters()):
+        for prev, now in zip(before, est._params()):
             assert np.array_equal(prev, now.data)
         assert est.val_rmse_ == baseline
 
@@ -80,11 +78,23 @@ class TestTraining:
         r = np.corrcoef(est.predict(Xh), yh)[0, 1]
         assert r > 0.9
 
-    def test_train_estimator_wrapper(self):
-        X, y = measured_corpus(30, seed=4)
-        est, rmse = train_estimator(X, y, epochs=5, seed=0)
-        assert rmse == est.val_rmse_
-        assert est.predict(X).shape == (30,)
+    def test_every_step_of_an_epoch_runs_at_its_cosine_step_size(self, monkeypatch):
+        rates = []
+        step_loss = Adam.step_loss
+
+        def recording_step_loss(opt, loss):
+            rates.append(opt.lr)
+            return step_loss(opt, loss)
+
+        monkeypatch.setattr(Adam, "step_loss", recording_step_loss)
+        X, y = measured_corpus(40, seed=12)
+        epochs, lr = 6, 0.05
+        EnergyEstimator(epochs=epochs, lr=lr, batch_size=16, seed=0).fit(X, y)
+        # 36 training rows after the 4-row validation split: 3 steps an epoch
+        expected = [lr * 0.5 * (1.0 + math.cos(math.pi * e / epochs))
+                    for e in range(epochs) for _ in range(3)]
+        assert rates == expected
+        assert rates[0] == lr
 
     def test_too_few_pairs_rejected(self):
         X, y = measured_corpus(19, seed=5)
@@ -114,10 +124,8 @@ class TestPrediction:
     def test_predict_energy_scalar(self):
         X, y = measured_corpus(25, seed=8)
         est = EnergyEstimator(epochs=2, seed=0).fit(X, y)
-        value = predict_energy(est, X[0])
+        value = float(est.predict(X[0])[0])
         assert isinstance(value, float)
-        with pytest.raises(ValueError):
-            predict_energy(est, X)
 
     def test_gradient_matches_finite_differences(self):
         X, y = measured_corpus(40, seed=9)
@@ -125,7 +133,7 @@ class TestPrediction:
         x0 = probe_inputs(1, seed=10)[0]
         xt = Tensor(x0)
         grad = gradients(est.predict_tensor(xt), [xt])[0].reshape(-1)
-        fd = finite_difference(lambda arrs: predict_energy(est, arrs[0]), [x0])[0]
+        fd = finite_difference(lambda arrs: float(est.predict(arrs[0])[0]), [x0])[0]
         assert max_relative_error([grad], [fd]) < 1e-5
 
     def test_deterministic_predictions(self):

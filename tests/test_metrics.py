@@ -21,7 +21,7 @@ from adnn_energy_lab.metrics import (
     ssim,
     transfer_metrics,
 )
-from adnn_energy_lab.models import make_scripted
+from adnn_energy_lab.models import ScriptedAdnn
 
 from oracles import (
     auc_reference,
@@ -294,7 +294,7 @@ class TestAuc:
 
 class TestRobustnessScores:
     def setup_method(self):
-        self.model = make_scripted(4, [0.2, 0.4, 0.6, 0.8], 100, 256)
+        self.model = ScriptedAdnn([0.2, 0.4, 0.6, 0.8], base_flops=100, block_flops=256)
         self.energy = EnergyModel(base_joules=1.0, per_block_joules=0.5,
                                   noise_sigma=0.0)
 

@@ -23,7 +23,6 @@ from adnn_energy_lab.models import (
     entropy,
     flops_of_trace,
     load_model,
-    make_scripted,
     model_from_payload,
     model_to_payload,
     save_model,
@@ -65,14 +64,14 @@ class TestFlopsAccounting:
         assert block.flops == 256
 
     def test_scripted_two_active_blocks(self):
-        model = make_scripted(4, [0.2, 0.4, 0.6, 0.8], 100, 256)
+        model = ScriptedAdnn([0.2, 0.4, 0.6, 0.8], base_flops=100, block_flops=256)
         trace = model.infer(np.full(64, 0.5))
         assert trace.active_units == 2
         assert trace.flops == 612
         assert flops_of_trace(model, trace) == 612
 
     def test_zero_active_blocks_cost_base_only(self):
-        model = make_scripted(4, [0.2, 0.4, 0.6, 0.8], 100, 256)
+        model = ScriptedAdnn([0.2, 0.4, 0.6, 0.8], base_flops=100, block_flops=256)
         trace = model.infer(np.zeros(64))
         assert trace.flops == model.base_flops == model.min_flops
 
@@ -95,7 +94,7 @@ class TestFlopsAccounting:
             assert flops_of_trace(trained_skip, trace) == trace.flops
 
     def test_foreign_trace_rejected(self, trained_skip):
-        other = make_scripted(2, [0.3, 0.6], 10, 5)
+        other = ScriptedAdnn([0.3, 0.6], base_flops=10, block_flops=5)
         trace = other.infer(np.full(64, 0.9))
         with pytest.raises(ValueError):
             flops_of_trace(trained_skip, trace)
@@ -103,23 +102,23 @@ class TestFlopsAccounting:
 
 class TestScriptedModel:
     def test_all_zeros_activates_nothing(self):
-        model = make_scripted(4, [0.2, 0.4, 0.6, 0.8], 100, 256)
+        model = ScriptedAdnn([0.2, 0.4, 0.6, 0.8], base_flops=100, block_flops=256)
         assert model.infer(np.zeros(64)).active_units == 0
 
     def test_all_ones_activates_everything(self):
-        model = make_scripted(4, [0.2, 0.4, 0.6, 0.8], 100, 256)
+        model = ScriptedAdnn([0.2, 0.4, 0.6, 0.8], base_flops=100, block_flops=256)
         assert model.infer(np.ones(64)).active_units == 4
 
     def test_non_ascending_thresholds_rejected(self):
         with pytest.raises(ValueError):
-            make_scripted(2, [0.6, 0.4], 100, 256)
+            ScriptedAdnn([0.6, 0.4], base_flops=100, block_flops=256)
 
     def test_out_of_range_thresholds_rejected(self):
         with pytest.raises(ValueError):
             ScriptedAdnn([0.5, 1.5])
 
     def test_activation_monotone_in_mean(self):
-        model = make_scripted(8, [(i + 0.5) / 8 for i in range(8)], 2176, 1024)
+        model = ScriptedAdnn([(i + 0.5) / 8 for i in range(8)], base_flops=2176, block_flops=1024)
         rng = derive_rng(0, "scripted-monotone")
         for _ in range(200):
             a = rng.uniform(0, 1, size=64)
@@ -221,7 +220,8 @@ class TestGateAnalogue:
     def test_matches_scripted_twin_on_random_inputs(self):
         thresholds = [0.2, 0.4, 0.6, 0.8]
         analogue = scripted_gate_analogue(thresholds)
-        scripted = make_scripted(4, thresholds, analogue.base_flops, analogue.block_flops)
+        scripted = ScriptedAdnn(thresholds, base_flops=analogue.base_flops,
+                                block_flops=analogue.block_flops)
         X = derive_rng(3, "twin").uniform(0, 1, size=(50, 64))
         for x in X:
             assert analogue.infer(x).gate_decisions == scripted.infer(x).gate_decisions
@@ -346,7 +346,7 @@ class TestSerialization:
         assert loaded.entropy_threshold == trained_exit.entropy_threshold
 
     def test_scripted_roundtrip(self, tmp_path):
-        model = make_scripted(3, [0.25, 0.5, 0.75], 100, 50)
+        model = ScriptedAdnn([0.25, 0.5, 0.75], base_flops=100, block_flops=50)
         path = tmp_path / "scripted.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -411,7 +411,7 @@ def _small_payloads():
     return {
         "skip": model_to_payload(skip),
         "exit": model_to_payload(exit_net),
-        "scripted": model_to_payload(make_scripted(2, [0.25, 0.5], 100, 50)),
+        "scripted": model_to_payload(ScriptedAdnn([0.25, 0.5], base_flops=100, block_flops=50)),
         "estimator": est.to_payload(),
     }
 
