@@ -23,7 +23,8 @@ from .autodiff import Tensor, _log_softmax_rows, _require_finite, _scatter_colum
 from .base import ParamsMixin, check_is_fitted
 from .metrics import auc
 from .models import EarlyExitNet, GatedSkipNet
-from .nn import Dense, ResidualBlock, ResidualMLP, cross_entropy, fit_minibatch
+from .nn import (Dense, ResidualBlock, check_fit_settings, cross_entropy, fit_minibatch,
+                 kept_network)
 from .seeding import derive_rng
 from .validation import as_label_array, as_sample_matrix, check_same_length
 
@@ -53,12 +54,7 @@ class FilterModel(ParamsMixin):
 
     def __init__(self, input_dim=64, width=16, num_blocks=3, num_classes=2,
                  epochs=150, lr=0.01, batch_size=32, seed=0):
-        if epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if lr < 0:
-            raise ValueError("lr must be nonnegative")
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        check_fit_settings(epochs, batch_size, lr)
         self.input_dim = input_dim
         self.width = width
         self.num_blocks = num_blocks
@@ -73,9 +69,9 @@ class FilterModel(ParamsMixin):
         self.history_ = None
 
     def _net(self):
-        """The network over the current layers; see `nn.ResidualMLP`."""
+        """The network over the current layers; see `nn.kept_network`."""
         check_is_fitted(self, "stem_")
-        return ResidualMLP(self.stem_, self.blocks_, [self.head_])
+        return kept_network(self, self.stem_, self.blocks_, [self.head_])
 
     def predict(self, X):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)

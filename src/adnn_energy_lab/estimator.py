@@ -13,8 +13,8 @@ import numpy as np
 
 from .autodiff import Tensor, squared_error
 from .base import ParamsMixin, check_is_fitted
-from .nn import (Dense, ResidualBlock, ResidualMLP, fit_minibatch, layers_from_payload,
-                 params_to_payload, payload_layout)
+from .nn import (Dense, ResidualBlock, check_fit_settings, fit_minibatch, kept_network,
+                 layers_from_payload, params_to_payload, payload_layout)
 from .seeding import derive_rng
 from .serialize import POSITIVE, REAL, SIZE, payload_config
 from .validation import as_sample_matrix, check_same_length
@@ -36,6 +36,7 @@ class EnergyEstimator(ParamsMixin):
     def __init__(self, input_dim=64, width=64, num_blocks=4, epochs=2000,
                  lr=0.005, batch_size=32, val_fraction=0.1, seed=0,
                  target_id=None):
+        check_fit_settings(epochs, batch_size, lr)
         self.input_dim = input_dim
         self.width = width
         self.num_blocks = num_blocks
@@ -55,8 +56,8 @@ class EnergyEstimator(ParamsMixin):
         self.head_ = Dense.init(rng, self.width, 1)
 
     def _net(self):
-        """The network over the current layers; see `nn.ResidualMLP`."""
-        return ResidualMLP(self.stem_, self.blocks_, [self.head_])
+        """The network over the current layers; see `nn.kept_network`."""
+        return kept_network(self, self.stem_, self.blocks_, [self.head_])
 
     def _params(self):
         return self._net().params

@@ -21,8 +21,9 @@ import numpy as np
 
 from .autodiff import Tensor, add, as_tensor, columns, mean_of_column_means, mul, softmax
 from .base import ParamsMixin, check_is_fitted
-from .nn import (Dense, ResidualBlock, ResidualMLP, cross_entropy, fit_minibatch,
-                 layers_from_payload, params_to_payload, payload_layout, xavier_uniform)
+from .nn import (Dense, ResidualBlock, check_fit_settings, cross_entropy, fit_minibatch,
+                 kept_network, layers_from_payload, params_to_payload, payload_layout,
+                 xavier_uniform)
 from .seeding import derive_rng
 from .serialize import (COUNT, REAL, REALS, SIZE, DataFormatError, dump_json, from_config,
                         load_json, payload_config)
@@ -105,6 +106,7 @@ class GatedSkipNet(ParamsMixin):
     ):
         if not 0.0 < gate_threshold < 1.0:
             raise ValueError("gate_threshold must lie in (0, 1)")
+        check_fit_settings(epochs, batch_size, lr)
         self.input_dim = input_dim
         self.width = width
         self.num_blocks = num_blocks
@@ -148,11 +150,14 @@ class GatedSkipNet(ParamsMixin):
         self.gate_biases_ = [Tensor(np.float64(-slope * q)) for q in qs]
 
     def _net(self):
-        """The network over the current layers; see `nn.ResidualMLP`."""
+        """The network over the current layers; see `nn.kept_network`."""
         check_is_fitted(self, "stem_")
-        return ResidualMLP(self.stem_, self.blocks_, [self.head_],
-                           gates=(self.gate_weights_, self.gate_biases_),
-                           pool=np.full((self.input_dim, 1), 1.0 / self.input_dim))
+        return kept_network(self, self.stem_, self.blocks_, [self.head_],
+                            gates=(self.gate_weights_, self.gate_biases_), pool=self._pool)
+
+    def _pool(self):
+        """The gates' input pooling: the mean over the input features."""
+        return np.full((self.input_dim, 1), 1.0 / self.input_dim)
 
     def _params(self):
         return self._net().params
@@ -318,6 +323,7 @@ class EarlyExitNet(ParamsMixin):
     ):
         if entropy_threshold < 0:
             raise ValueError("entropy_threshold must be >= 0")
+        check_fit_settings(epochs, batch_size, lr)
         self.input_dim = input_dim
         self.width = width
         self.num_segments = num_segments
@@ -343,9 +349,9 @@ class EarlyExitNet(ParamsMixin):
         return self
 
     def _net(self):
-        """The network over the current layers; see `nn.ResidualMLP`."""
+        """The network over the current layers; see `nn.kept_network`."""
         check_is_fitted(self, "stem_")
-        return ResidualMLP(self.stem_, self.segments_, self.exit_heads_)
+        return kept_network(self, self.stem_, self.segments_, self.exit_heads_)
 
     def _params(self):
         return self._net().params

@@ -13,6 +13,9 @@ multiply plus one add per weight). Activations, pooling and gate heads are
 treated as free; only affine maps carry cost.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 from .autodiff import (ShapeError, Tensor, View, _column_sums, _once_per_gradient,
@@ -88,11 +91,12 @@ class ResidualMLP:
     each block's h. A gated net has s_i = sigmoid(pooled * gw_i + gb_i),
     where pooled = x @ `pool`; an ungated net has no s.
 
-    Built per forward from a model's current layers. `theta` holds their
-    values back to back in the order stem, blocks (lin1 then lin2 weight and
-    bias), every gate weight, every gate bias, heads. When the layers are not
-    the views of one such leaf (a fresh build, or a layer Tensor replaced),
-    they are packed into a new one and rebound to its views.
+    Built from a model's current layers, and kept by the model while they
+    stay in place (`kept_network`). `theta` holds their values back to back
+    in the order stem, blocks (lin1 then lin2 weight and bias), every gate
+    weight, every gate bias, heads. When the layers are not the views of one
+    such leaf (a fresh build, or a layer Tensor replaced), they are packed
+    into a new one and rebound to its views.
     """
 
     def __init__(self, stem, blocks, heads, gates=None, pool=None):
@@ -101,9 +105,7 @@ class ResidualMLP:
         self.num_blocks = len(blocks)
         self.tap_heads = len(heads) > 1
         self.pool = pool
-        gate_params = list(gates[0]) + list(gates[1]) if gates is not None else []
-        params = (stem.params + [p for b in blocks for p in b.params] + gate_params
-                  + [p for h in heads for p in h.params])
+        params = list(_layer_tensors(stem, blocks, heads, gates))
         theta = params[0].flat if isinstance(params[0], View) else None
         if theta is None or not theta.holds(params):
             theta, params = pack(params)
@@ -319,6 +321,42 @@ class ResidualMLP:
         return out
 
 
+def _layer_tensors(stem, blocks, heads, gates):
+    """Every layer tensor of a network, in theta order."""
+    out = [stem.weight, stem.bias]
+    for block in blocks:
+        lin1, lin2 = block.lin1, block.lin2
+        out += lin1.weight, lin1.bias, lin2.weight, lin2.bias
+    if gates is not None:
+        out += gates[0]
+        out += gates[1]
+    for head in heads:
+        out += head.weight, head.bias
+    return tuple(out)
+
+
+def kept_network(owner, stem, blocks, heads, gates=None, pool=None):
+    """`owner`'s `ResidualMLP` over these layers, built once and then reused.
+
+    The network is kept on `owner` as one (layer tensors, network) tuple,
+    read and written whole, and reused while every layer tensor it was built
+    from is still in place. Replacing a `Dense`, a block, a layer Tensor, a
+    gate list or one of its entries builds a new network, which packs the
+    layers into a new `theta`. Writing a view's `data` does not: the network
+    reads theta's current array at every forward. `pool` makes the gates'
+    pooling matrix, and is called only when a network is built. The network
+    holds no reference to `owner`, so keeping it makes no reference cycle.
+    """
+    tensors = _layer_tensors(stem, blocks, heads, gates)
+    kept = getattr(owner, "_kept_network", None)
+    # a Tensor has no __eq__, so tuple equality compares entries by identity
+    if kept is not None and kept[0] == tensors:
+        return kept[1]
+    net = ResidualMLP(stem, blocks, heads, gates, None if pool is None else pool())
+    owner._kept_network = (tuple(net.params), net)
+    return net
+
+
 def payload_layout(input_dim, width, num_blocks, out_dim, block_key, head_keys, gated=False):
     """(payload key, shape) of every theta view, in theta order: the stem,
     each block's lin1 and lin2, every gate weight, every gate bias, the heads.
@@ -361,14 +399,26 @@ def layers_from_payload(payload, layout, num_blocks, gated=False):
     return stem, blocks, gates, heads
 
 
+def check_fit_settings(epochs, batch_size, lr):
+    """Reject, with ValueError, an `epochs` or `batch_size` that is not an
+    integer of at least 1, and an `lr` that is not a finite number >= 0."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+    if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr >= 0):
+        raise ValueError("lr must be a finite number >= 0, got %r" % (lr,))
+
+
 def fit_minibatch(batch_loss, theta, X, y, epochs, batch_size, lr, rng, on_epoch=None):
     """Adam on `theta` over shuffled minibatches; each epoch's mean loss.
 
     Every epoch draws one `rng.permutation(len(X))` and steps once per
     batch of `batch_size` rows on `batch_loss(X[idx], y[idx])`, a scalar
     Tensor. `on_epoch(epoch, opt)` runs after each epoch; it may set
-    `opt.lr` for the next one or rebind `theta.data`.
+    `opt.lr` for the next one or rebind `theta.data`. The settings are
+    checked as `check_fit_settings` checks them, before the first step.
     """
+    check_fit_settings(epochs, batch_size, lr)
     opt = Adam([theta], lr=lr)
     history = []
     for epoch in range(epochs):

@@ -568,3 +568,37 @@ def evaluate_defense_sequential_reference(adnn, svm, energy_model, benign,
         "adv_energy_dec_pct": float(np.mean(adv_dec)),
         "benign_energy_inc_pct": float(np.mean(benign_inc)),
     }
+
+
+def pegasos_objective_reference(weights, bias, features, labels, lam):
+    """lam / 2 * (|w|^2 + b^2) + the mean over rows of max(0, 1 - y (w . x + b)),
+    with y = +1 for label 1 and -1 for label 0 (the bias is regularized too)."""
+    hinge = 0.0
+    for x, label in zip(features, labels):
+        y = 1.0 if label == 1 else -1.0
+        hinge += max(0.0, 1.0 - y * (float(np.dot(weights, x)) + bias))
+    return 0.5 * lam * (float(np.dot(weights, weights)) + bias * bias) + hinge / len(features)
+
+
+def svm_subgradient_reference(features, labels, lam, steps=5000):
+    """A minimizer of the Pegasos objective by full-batch projected
+    subgradient descent: step 1 / (lam t), projection onto the 1/sqrt(lam)
+    ball (which holds the minimizer), and the average of the second half of
+    the iterates. Returns (weights, bias)."""
+    features = np.asarray(features, dtype=np.float64)
+    y = np.array([1.0 if label == 1 else -1.0 for label in labels])
+    aug = np.hstack([features, np.ones((len(features), 1))])
+    u = np.zeros(aug.shape[1])
+    total = np.zeros_like(u)
+    radius = 1.0 / math.sqrt(lam)
+    for t in range(1, steps + 1):
+        violated = y * (aug @ u) < 1.0
+        subgradient = lam * u - (y[violated, None] * aug[violated]).sum(axis=0) / len(aug)
+        u = u - subgradient / (lam * t)
+        norm = math.sqrt(float(u @ u))
+        if norm > radius:
+            u = u * (radius / norm)
+        if t > steps // 2:
+            total += u
+    u = total / (steps - steps // 2)
+    return u[:-1], float(u[-1])

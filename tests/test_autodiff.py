@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adnn_energy_lab import autodiff as ad
 from adnn_energy_lab.autodiff import (
@@ -344,6 +345,24 @@ def test_column_op_equals_unfused_composition_bit_for_bit(name, x_shape):
     assert grad.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("x_shape", [(32,), (1, 32), (7, 32)])
+def test_entropy_hinge_over_wide_exits_equals_unfused_composition_bit_for_bit(x_shape):
+    # all exits run in one pass; with more than 8 classes a different
+    # reduction order over them would change the bits
+    width, count = 10, 3
+    x = np.random.default_rng(x_shape[0]).normal(scale=2.0, size=x_shape)
+    xt = Tensor(x)
+    out = ad.entropy_hinge_sum(xt, 1.8, width, count)
+    (grad,) = gradients(out, [xt])
+    parts = [Tensor(x[..., k * width:(k + 1) * width]) for k in range(count)]
+    ref = unfused_entropy_hinge_sum(parts, 1.8)
+    expected = np.zeros(x_shape)
+    expected[..., :width * count] = np.concatenate(gradients(ref, parts), axis=-1)
+    assert 0.0 < out.item()
+    assert out.data.tobytes() == ref.data.tobytes()
+    assert grad.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("name", COLUMN_CASES)
 @pytest.mark.parametrize("x_shape", COLUMN_SHAPES)
 def test_column_op_gradients_match_finite_differences(name, x_shape):
@@ -442,6 +461,108 @@ def test_a_dropped_network_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def rebuilt(model):
+    """A fresh model of the same kind over copies of `model`'s current layer
+    values: no tensor, layer or list of it is shared."""
+    twin = type(model)(**model.get_params())
+
+    def dense(layer):
+        return Dense(layer.weight.data.copy(), layer.bias.data.copy())
+
+    def fresh(value):
+        if isinstance(value, Dense):
+            return dense(value)
+        if isinstance(value, ResidualBlock):
+            return ResidualBlock(dense(value.lin1), dense(value.lin2))
+        if isinstance(value, Tensor):
+            return Tensor(value.data.copy())
+        return [fresh(v) for v in value] if isinstance(value, list) else value
+
+    for key, value in vars(model).items():
+        if key != "_kept_network":
+            setattr(twin, key, fresh(value))
+    return twin
+
+
+def network_outputs(model):
+    """Every output a model's network gives on a fixed batch, as arrays:
+    the soft forward, and the hard inference or the prediction."""
+    X = np.random.default_rng(24).uniform(0, 1, size=(6, 5))
+    outs = [model._net()(Tensor(X)).data]
+    if hasattr(model, "forward_all"):
+        outs.append(model.forward_all(Tensor(X)).data)
+        for trace in model.infer(X):
+            outs += [trace.logits, np.array([trace.flops, trace.active_units])]
+    if isinstance(model, EnergyEstimator):
+        outs.append(model.predict_tensor(Tensor(X)).data)
+    outs.append(model.predict(X))
+    return [np.asarray(o, dtype=np.float64).tobytes() for o in outs]
+
+
+def reuse_models():
+    models = small_models()
+    est = models["estimator"]
+    est.energy_mean_, est.energy_scale_ = 2.0, 0.5
+    return models
+
+
+def layer_changes(kind):
+    """Ways to replace part of a model's layers after a forward: name and
+    an in-place edit. Each leaves every container but the edited part in
+    place, so only a comparison of the layer tensors themselves sees it."""
+    rng = np.random.default_rng(25)
+    blocks = "segments_" if kind == "exit" else "blocks_"
+
+    def new_lin1_weight(m):
+        lin1 = getattr(m, blocks)[0].lin1
+        lin1.weight = Tensor(lin1.weight.data + rng.normal(0, 0.5, size=lin1.weight.shape))
+
+    def new_block(m):
+        getattr(m, blocks)[-1] = ResidualBlock.init(rng, m.width)
+
+    def new_stem(m):
+        m.stem_ = Dense.init(rng, 5, m.width)
+
+    changes = [("lin1.weight", new_lin1_weight), ("block", new_block), ("stem_", new_stem)]
+    if kind == "skip":
+        def new_gate_entry(m):
+            m.gate_biases_[1] = Tensor(np.float64(-3.0))
+
+        def new_gate_list(m):
+            m.gate_weights_ = [Tensor(np.float64(w)) for w in (-2.0, 6.0, 1.0)]
+
+        changes += [("gate entry", new_gate_entry), ("gate list", new_gate_list)]
+    return changes
+
+
+@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+def test_network_is_reused_until_a_layer_is_replaced(kind):
+    for name, change in layer_changes(kind):
+        model = reuse_models()[kind]
+        net = model._net()
+        before = network_outputs(model)
+        assert model._net() is net, "two forwards with no change share one network"
+        change(model)
+        after = network_outputs(model)
+        assert after != before, name
+        assert after == network_outputs(rebuilt(model)), name
+        assert model._net() is not net and model._net().theta is not net.theta, name
+
+
+@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+def test_writing_a_view_changes_the_output_without_a_rebuild(kind):
+    model = reuse_models()[kind]
+    net = model._net()
+    before = network_outputs(model)
+    weight = model.stem_.weight
+    weight.data = weight.data * 0.5 + 0.1
+    assert model.stem_.weight is weight
+    after = network_outputs(model)
+    assert after != before
+    assert after == network_outputs(rebuilt(model))
+    assert model._net() is net
 
 
 @pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
@@ -737,6 +858,48 @@ def test_backward_overflow_raises_nonfinite_error():
     # lies on no path to w, so it is not evaluated
     (gw,) = gradients(loss, [w])
     assert gw.tolist() == [[1e-300, 1e-300]]
+
+
+# numbers that make a sum overflow, or are not finite themselves
+EXTREMES = [np.nan, np.inf, -np.inf, 1e308, -1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 5000),
+                  elements=st.one_of(st.floats(), st.sampled_from(EXTREMES)),
+                  fill=st.sampled_from([0.0, 0.5, 1e308, -1e308])),
+       st.sampled_from([1, 2, 3]), st.booleans())
+def test_require_finite_raises_exactly_on_a_non_finite_entry(flat, rows, transpose):
+    a = flat.reshape(rows, -1) if flat.size % rows == 0 else flat
+    if transpose:
+        a = a.T
+    if np.isfinite(a).all():
+        ad._require_finite(a, "probe")
+    else:
+        with pytest.raises(NonFiniteError, match="'probe'"):
+            ad._require_finite(a, "probe")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(), st.sampled_from(EXTREMES)))
+def test_require_finite_on_numbers_and_one_entry_arrays(value):
+    forms = [value, np.float64(value), np.array(value), np.array([value]), np.array([[value]])]
+    for form in forms:
+        if np.isfinite(value):
+            ad._require_finite(form, "probe")
+        else:
+            with pytest.raises(NonFiniteError, match="'probe'"):
+                ad._require_finite(form, "probe")
+
+
+@pytest.mark.parametrize("numpy_errors", ["warn", "raise"])
+def test_require_finite_passes_a_finite_array_whose_sum_overflows(numpy_errors):
+    # the tests turn numpy's warnings into errors; numpy can raise them too
+    with np.errstate(all=numpy_errors):
+        for a in (np.full(3, 1e308), np.full((2, 2), -1e308), np.full((4, 3), 1e308).T):
+            ad._require_finite(a, "probe")
+        with pytest.raises(NonFiniteError, match="'probe'"):
+            ad._require_finite(np.array([np.inf, -np.inf, 1.0]), "probe")
 
 
 # -- gradients toward a subset of leaves --------------------------------------

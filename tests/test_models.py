@@ -29,6 +29,7 @@ from adnn_energy_lab.models import (
     scripted_gate_analogue,
 )
 from adnn_energy_lab.nn import Dense, ResidualBlock
+from adnn_energy_lab.optim import Adam
 from adnn_energy_lab.seeding import derive_rng
 from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
 
@@ -325,6 +326,41 @@ class TestLabelValidation:
         with pytest.raises(ValueError):
             model.fit(X, labels)
         assert model.stem_ is None
+
+
+FITTED_KINDS = [GatedSkipNet, EarlyExitNet, EnergyEstimator, FilterModel]
+
+
+class TestFitSettings:
+    """epochs, batch_size and lr are checked when a model is built, and again
+    before the first step of a fit, so set_params cannot route around it."""
+
+    @pytest.mark.parametrize("make", FITTED_KINDS)
+    @pytest.mark.parametrize("bad", [
+        {"epochs": 0}, {"epochs": -3}, {"epochs": 2.5}, {"epochs": "3"},
+        {"batch_size": 0}, {"batch_size": 32.0}, {"batch_size": None},
+        {"lr": -0.1}, {"lr": math.nan}, {"lr": math.inf}, {"lr": "0.1"},
+    ], ids=lambda bad: "%s=%r" % next(iter(bad.items())))
+    def test_bad_setting_rejected_when_built(self, make, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            make(**bad)
+
+    @pytest.mark.parametrize("make", FITTED_KINDS)
+    def test_edge_settings_accepted(self, make):
+        make(epochs=1, batch_size=1, lr=0.0)
+        make(epochs=np.int64(2), batch_size=np.int32(4), lr=np.float64(0.1))
+
+    @pytest.mark.parametrize("make", FITTED_KINDS)
+    def test_bad_setting_from_set_params_rejected_before_a_step(self, make, monkeypatch):
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda opt, grads: steps.append(1))
+        X = generate_dataset(24, seed=3).inputs
+        y = np.arange(24) % 2
+        for bad in ({"batch_size": 0}, {"epochs": 2.5}, {"lr": math.nan}):
+            model = make(epochs=1).set_params(**bad)
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                model.fit(X, y)
+        assert not steps
 
 
 class TestSerialization:
