@@ -14,7 +14,10 @@ for the black-box modes the estimator's prediction; the objective on top is
 one node with a hand-written vector-Jacobian product that equals the unfused
 composition's bit for bit (5 nodes for ILFO, 6 for the black-box modes).
 The black-box modes reach the estimator only through `predict_tensor` and
-`input_dim`.
+`input_dim`. The white-box network node keeps only the outputs its hinge
+reads, and so runs only the layers they need: the gate hinge asks for no
+head (the gate values alone: no stem, block or head runs), the exit hinge
+for every early exit (the last segment and exit do not run).
 """
 
 import inspect
@@ -271,8 +274,11 @@ class IlfoAttack:
     forward pass. The modifier starts at zero perturbation (arctanh of the
     seed) and the minimum-loss iterate is returned. Each iterate costs one
     soft forward: the graph that scores it also gives the next step. The
-    model's `forward_all` gives that forward as one node, logits first and
-    gate values last, and the objective is one node on top of it.
+    model's `forward_all(x, heads)` gives that forward as one node, the kept
+    heads' logits first and gate values last, and the objective is one node
+    on top of it. It keeps no head for a gate target and every early exit
+    for an exit target, so the layers that would feed only unread outputs
+    do not run; their values are neither computed nor checked.
     """
 
     def __init__(self, model, config=None):
@@ -287,22 +293,28 @@ class IlfoAttack:
             return self.model.gate_threshold
         return self.model.entropy_threshold
 
+    def _heads(self):
+        """The heads the objective reads: none for the gates, every early
+        exit (all but the last) for the exit entropies."""
+        return 0 if self.config.target == "gate" else self.model.num_segments - 1
+
     def _hinge(self, out):
         """The summed hinge of every gate, or of every early exit's entropy,
-        on the soft forward's output array: (value, vector-Jacobian product)."""
+        on the output array of the soft forward that keeps `_heads()` heads:
+        (value, vector-Jacobian product)."""
         level = self._threshold()
         model = self.model
         if self.config.target == "gate":
-            c = model.num_classes
-            return hinge_terms(out, level, c, c + model.num_blocks)
+            return hinge_terms(out, level, 0, model.num_blocks)
         return entropy_hinge_terms(out, level + self.config.margin, model.num_classes,
                                    model.num_segments - 1)
 
     def _loss(self, w, x):
         """tsum(d * d) + hinge * c, d = reparam(w) - x, as one node over the
-        reparameterized input and the model's one-node soft forward."""
+        reparameterized input and the model's one-node soft forward, which
+        runs only the layers the hinge reads."""
         f = reparam(w)
-        out = self.model.forward_all(f)
+        out = self.model.forward_all(f, self._heads())
         return _ilfo_objective(f, x, out, self._hinge(out.data), self.config.c)
 
     def generate(self, x):
@@ -331,10 +343,15 @@ def _check_ilfo_target(model, config):
 
     A gate target needs a soft `forward(x, mode)`; an exit target needs
     `forward_exits` and at least two exits, since the last one carries no
-    constraint. Either needs `forward_all`, the one-node soft forward, and
-    the model's threshold unless the config sets one.
+    constraint. Either needs `forward_all(x, heads)`, the one-node soft
+    forward that keeps only the heads the objective reads, and the model's
+    threshold unless the config sets one.
     """
     name = type(model).__name__
+    forward_all = getattr(model, "forward_all", None)
+    if callable(forward_all) and "heads" not in inspect.signature(forward_all).parameters:
+        raise ValueError("IlfoAttack needs forward_all(x, heads), to run only the layers its "
+                         "objective reads; %s.forward_all takes no heads" % name)
     if config.target == "gate":
         forward = getattr(model, "forward", None)
         if not callable(forward) or "mode" not in inspect.signature(forward).parameters \

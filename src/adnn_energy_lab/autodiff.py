@@ -607,24 +607,32 @@ def l2_norm(x, axis=None):
     return Tensor(out, ((x, grad_x),), "l2_norm")
 
 
-def _topo_order(root, wrt_ids):
+def _topo_order(root, wrt):
     """Post-order of the graph under `root` (parents before children), and
-    the ids of the nodes at or above some tensor whose id is in `wrt_ids`."""
-    order, seen, needed, stack = [], set(), set(), [(root, False)]
+    the nodes at or above some tensor in `wrt`.
+
+    A depth-first walk keyed on the nodes themselves (a Tensor hashes by
+    identity), visiting each node's parents last to first.
+    """
+    order, needed, seen = [], set(), {root}
+    stack = [(root, reversed(root._vjps))]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node, parents = stack[-1]
+        for parent, _ in parents:
+            if parent not in seen:
+                seen.add(parent)
+                stack.append((parent, reversed(parent._vjps)))
+                break
+        else:
+            stack.pop()
             order.append(node)
-            if id(node) in wrt_ids or any(id(p) in needed for p, _ in node._vjps):
-                needed.add(id(node))
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._vjps:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+            if node in wrt:
+                needed.add(node)
+            else:
+                for parent, _ in node._vjps:
+                    if parent in needed:
+                        needed.add(node)
+                        break
     return order, needed
 
 
@@ -636,42 +644,42 @@ def gradients(output, wrt):
     matching slice of its flat leaf's gradient. Only the vector-Jacobian
     products on paths from `output` to a tensor in `wrt` (or a view's flat
     leaf) are evaluated, and each contribution they make is checked for
-    finiteness. Accumulation happens in a side table keyed by node identity,
-    so the graph itself is left untouched.
+    finiteness. Accumulation happens in a side table keyed by the nodes
+    (a Tensor hashes and compares by identity), so the graph itself is left
+    untouched.
     """
     output = as_tensor(output)
     if output.size != 1:
         raise ShapeError(
             "gradients needs a scalar output, got shape %s" % (output.shape,)
         )
-    table = {id(output): np.ones_like(output.data)}
-    grads = {id(t): None for t in wrt}
-    grads.update((id(t.flat), None) for t in wrt if isinstance(t, View))
+    table = {output: np.ones_like(output.data)}
+    grads = {t: None for t in wrt}
+    grads.update((t.flat, None) for t in wrt if isinstance(t, View))
     order, needed = _topo_order(output, grads)
     # reverse topological order: every consumer of a node is processed
     # before the node itself, so its table entry is complete when read
     for node in reversed(order):
-        g = table.get(id(node))
+        g = table.get(node)
         if g is None:
             continue
-        if id(node) in grads:
-            grads[id(node)] = g
+        if node in grads:
+            grads[node] = g
         for parent, vjp in node._vjps:
-            key = id(parent)
-            if key not in needed:
+            if parent not in needed:
                 continue
             contribution = vjp(g)
             _require_finite(contribution, node.op + ".grad")
-            if key in table:
-                table[key] = table[key] + contribution
+            if parent in table:
+                table[parent] = table[parent] + contribution
             else:
-                table[key] = contribution
+                table[parent] = contribution
     return [_gradient_of(t, grads) for t in wrt]
 
 
 def _gradient_of(t, grads):
-    g = grads[id(t)]
-    flat = grads[id(t.flat)] if isinstance(t, View) else None
+    g = grads[t]
+    flat = grads[t.flat] if isinstance(t, View) else None
     if flat is not None:
         part = flat[t.start:t.stop].reshape(t.shape)
         g = part if g is None else g + part

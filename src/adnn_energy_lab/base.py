@@ -28,14 +28,23 @@ class ParamsMixin:
         return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params):
+        """Set hyperparameters, checked as the constructor checks them.
+
+        A model is built from the current parameters with these replaced
+        before anything is assigned, so an unknown name or a value the
+        constructor rejects raises ValueError and leaves `self` unchanged.
+        Each parameter then takes the value the constructor stored.
+        """
         valid = set(self._param_names())
-        for key, value in params.items():
+        for key in params:
             if key not in valid:
                 raise ValueError(
                     "unknown parameter %r for %s; valid parameters: %s"
                     % (key, type(self).__name__, sorted(valid))
                 )
-            setattr(self, key, value)
+        checked = type(self)(**{**self.get_params(), **params})
+        for key in params:
+            setattr(self, key, getattr(checked, key))
         return self
 
     def __repr__(self):

@@ -147,9 +147,11 @@ def gradient_feature(adnn, x):
     Row i is outer(x_i, dL_i/dz0_i), where L_i is input i's own loss and z0
     the stem pre-activation (the per-example gradient of Goodfellow, arXiv
     1510.01799). Every row comes from one batched forward and one reverse
-    walk that stops at the stem; no other parameter's gradient is built. A
-    row of a batch equals the one-input feature up to the rounding of the
-    network's batched matrix products.
+    walk that stops at the stem; no other parameter's gradient is built. The
+    forward keeps the first head alone, the only one the loss reads, so an
+    early-exit model runs its first segment and no other. A row of a batch
+    equals the one-input feature up to the rounding of the network's
+    batched matrix products.
 
     Limitation: an input whose stem relu units are all dead (z0 <= 0 in
     every unit) passes no gradient to the stem, so its feature is all zeros
@@ -168,8 +170,8 @@ def gradient_feature(adnn, x):
     seed = (1.0 * -1.0) * (1.0 / c)
 
     def out_grad(out):
-        # both models' one-node forward puts these logits first: the head's of
-        # a gated-skip model, the first exit's of an early-exit one
+        # the forward keeps the first head, whose logits come first: the head
+        # of a gated-skip model, the first exit of an early-exit one
         logp = _log_softmax_rows(out[:, :c])[1]
         _require_finite(logp, "gradient_feature")
         g = np.full(logp.shape, seed)
@@ -177,7 +179,7 @@ def gradient_feature(adnn, x):
         _require_finite(g_logits, "gradient_feature.grad")
         return _scatter_columns(out.shape, 0, c, g_logits)
 
-    dz0 = adnn._net().stem_grad(X, out_grad)
+    dz0 = adnn._net().stem_grad(X, out_grad, heads=1)
     # + 0.0 turns the -0.0 of a product into the 0.0 a matrix product gives
     features = (X[:, :, None] * dz0[:, None, :]).reshape(len(X), -1) + 0.0
     _require_finite(features, "gradient_feature.grad")
@@ -232,7 +234,10 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
         raise ValueError("epochs must be at least 1")
     y = np.where(labels == 1, 1.0, -1.0)
     n, d = features.shape
-    aug = np.concatenate([features, np.ones((n, 1))], axis=1)
+    # one row array and one Python float label per example, indexed by a
+    # Python int: the step reads them with no numpy scalar boxing
+    rows = list(np.concatenate([features, np.ones((n, 1))], axis=1))
+    signs = y.tolist()
     w = np.zeros(d + 1)
     w_sum = np.zeros(d + 1)
     radius = 1.0 / math.sqrt(lam)
@@ -240,14 +245,15 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
     t = 0
     history = []
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            violated = y[i] * (w @ aug[i]) < 1.0
+            row, sign = rows[i], signs[i]
+            violated = sign * (w @ row) < 1.0
             w *= 1.0 - 1.0 / t
             if violated:
-                w += eta * y[i] * aug[i]
-            norm = float(np.sqrt(w @ w))
+                w += eta * sign * row
+            norm = math.sqrt(w @ w)
             if norm > radius:
                 w *= radius / norm
             w_sum += w

@@ -188,10 +188,12 @@ class GatedSkipNet(ParamsMixin):
 
     # -- forward ------------------------------------------------------
 
-    def forward_all(self, x):
+    def forward_all(self, x, heads=None):
         """The soft forward of a Tensor (vector or batch of rows) as one node:
-        the logits, then the gate values, along the last axis."""
-        return self._net()(x)
+        the logits, then the gate values, along the last axis. `heads=0`
+        gives the gate values alone, and runs neither the stem, the blocks
+        nor the head (see `nn.ResidualMLP`)."""
+        return self._net()(x, heads)
 
     def forward(self, x, mode="hard"):
         """Run the network on a Tensor (vector or batch of rows).
@@ -383,10 +385,12 @@ class EarlyExitNet(ParamsMixin):
     def stem_flops(self):
         return self.stem_.flops
 
-    def forward_all(self, x):
-        """Every exit's logits for a Tensor input, side by side along the
-        last axis, as one node; the trunk is shared."""
-        return self._net()(x)
+    def forward_all(self, x, heads=None):
+        """The logits of the first `heads` exits (every exit if None) for a
+        Tensor input, side by side along the last axis, as one node; the
+        trunk is shared, and runs only as far as the last exit kept (see
+        `nn.ResidualMLP`)."""
+        return self._net()(x, heads)
 
     def forward_exits(self, x):
         """All exit logits for a Tensor input, one Tensor per exit."""

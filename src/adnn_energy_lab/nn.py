@@ -3,10 +3,11 @@
 All four networks are one shape, a `ResidualMLP`: a stem, residual blocks
 and one head at the end or one after every block, optionally with a sigmoid
 gate per block. Its whole forward and backward is one autodiff node over one
-flat parameter leaf, `theta`; the per-layer weights (`Dense`,
-`ResidualBlock`, gate lists) are `View`s of it. The four fits share one
-epoch loop, `fit_minibatch`, and the three saved kinds one payload layout,
-`payload_layout`: a (payload key, shape) per theta view, in theta order.
+flat parameter leaf, `theta`, and runs only the layers its kept heads and
+gates read; the per-layer weights (`Dense`, `ResidualBlock`, gate lists) are
+`View`s of it. The four fits share one epoch loop, `fit_minibatch`, and the
+three saved kinds one payload layout, `payload_layout`: a (payload key,
+shape) per theta view, in theta order.
 
 FLOPs accounting is fixed at 2 * fan_in * fan_out per affine map (one
 multiply plus one add per weight). Activations, pooling and gate heads are
@@ -91,6 +92,12 @@ class ResidualMLP:
     each block's h. A gated net has s_i = sigmoid(pooled * gw_i + gb_i),
     where pooled = x @ `pool`; an ungated net has no s.
 
+    Called on a Tensor, it is one autodiff node whose output is the logits
+    of the first `heads` heads, then the gate values. It runs only the
+    layers those outputs read: the gates read `pool` alone, so `heads=0`
+    runs no stem, block or head, and a net with one head per block runs its
+    blocks only up to the last head it keeps.
+
     Built from a model's current layers, and kept by the model while they
     stay in place (`kept_network`). `theta` holds their values back to back
     in the order stem, blocks (lin1 then lin2 weight and bias), every gate
@@ -103,6 +110,7 @@ class ResidualMLP:
         if len(heads) not in (1, len(blocks)):
             raise ValueError("need one head, or one per block")
         self.num_blocks = len(blocks)
+        self.num_heads = len(heads)
         self.tap_heads = len(heads) > 1
         self.pool = pool
         params = list(_layer_tensors(stem, blocks, heads, gates))
@@ -136,18 +144,26 @@ class ResidualMLP:
         heads = [a[i:i + 2] for i in range(rest, len(a), 2)]
         return a[:2], blocks, gates, heads
 
-    def _forward(self, x, layers, threshold=None):
+    def _forward(self, x, layers, threshold=None, heads=None):
         """The forward pass on a batch of rows, and what the backward needs.
 
         Soft (no `threshold`): every block runs, its branch scaled by the
         gate. Hard: the 0/1 fire mask scales it, and a block no row fires is
-        skipped. Returns (logits of each head, gate values or None, cache).
+        skipped. `heads` keeps the first that many heads (all if None), and
+        runs only the layers they read: a tap-head net runs its blocks up to
+        the last head kept, and with no head kept neither the stem nor a
+        block runs. Returns (logits of each kept head, gate values or None,
+        cache).
         """
-        (ws, bs), blocks, gate_params, heads = layers
-        z0 = x @ ws + bs
-        _require_finite(z0, "residual_mlp")
-        mask0 = z0 > 0.0
-        h = np.where(mask0, z0, 0.0)
+        (ws, bs), blocks, gate_params, head_params = layers
+        kept = self.num_heads if heads is None else heads
+        depth = kept if self.tap_heads else (self.num_blocks if kept else 0)
+        mask0 = h = None
+        if kept:
+            z0 = x @ ws + bs
+            _require_finite(z0, "residual_mlp")
+            mask0 = z0 > 0.0
+            h = np.where(mask0, z0, 0.0)
         gates = scale = pooled = None
         if gate_params is not None:
             pooled = x @ self.pool
@@ -158,7 +174,7 @@ class ResidualMLP:
                 gates = 1.0 / (1.0 + np.exp(-zg))
             scale = gates if threshold is None else (gates >= threshold).astype(np.float64)
         steps, tops, logits = [], [], []
-        for i, (w1, b1, w2, b2) in enumerate(blocks):
+        for i, (w1, b1, w2, b2) in enumerate(blocks[:depth]):
             s = None if scale is None else scale[:, i:i + 1]
             if threshold is not None and s is not None and not s.any():
                 steps.append(None)
@@ -172,11 +188,21 @@ class ResidualMLP:
                 h = h + branch if s is None else h + s * branch
             if self.tap_heads:
                 tops.append(h)
-                logits.append(h @ heads[i][0] + heads[i][1])
-        if not self.tap_heads:
+                logits.append(h @ head_params[i][0] + head_params[i][1])
+        if kept and not self.tap_heads:
             tops.append(h)
-            logits.append(h @ heads[0][0] + heads[0][1])
+            logits.append(h @ head_params[0][0] + head_params[0][1])
         return logits, gates, (x, mask0, pooled, gates, steps, tops)
+
+    def _check_heads(self, heads):
+        """`heads`, once checked to be None or how many heads to keep, from
+        the first. A net with no gates must keep one, or it returns nothing."""
+        least = 0 if self.gated else 1
+        if heads is not None and not (isinstance(heads, numbers.Integral)
+                                      and least <= heads <= self.num_heads):
+            raise ValueError("heads must be None or an integer in %d..%d, got %r"
+                             % (least, self.num_heads, heads))
+        return heads
 
     def _rows(self, x):
         """`x` as a batch of rows: a vector is one row."""
@@ -194,13 +220,20 @@ class ResidualMLP:
             _require_finite(part, "residual_mlp")
         return logits, gates
 
-    def __call__(self, x):
-        """The soft forward as one node: every head's logits, then the gate
-        values, along the last axis. Its parents are `x` and `theta`."""
+    def __call__(self, x, heads=None):
+        """The soft forward as one node: the logits of the first `heads`
+        heads (all of them if None), then the gate values, along the last
+        axis. Its parents are `x` and `theta`.
+
+        Only the layers those outputs read are run (see `_forward`): a
+        gate-only call (`heads=0`) runs neither the stem, nor a block, nor a
+        head. Every value the node computes is checked for finiteness; a
+        layer it does not run has no value, and is not checked.
+        """
         x = as_tensor(x)
         rows = self._rows(x.data)
         layers = self._layers()
-        logits, gates, cache = self._forward(rows, layers)
+        logits, gates, cache = self._forward(rows, layers, heads=self._check_heads(heads))
         out = _side_by_side(logits, gates)
         chain = _once_per_gradient(lambda g: self._backward(layers, cache, g))
 
@@ -213,25 +246,26 @@ class ResidualMLP:
         return Tensor(out.reshape(-1) if x.ndim == 1 else out,
                       ((x, grad_x), (self.theta, grad_theta)), "residual_mlp")
 
-    def stem_grad(self, x, out_grad):
+    def stem_grad(self, x, out_grad, heads=None):
         """dL/dz0 for each row of `x`, where z0 = x @ Ws + bs is the stem's
         pre-activation: one soft forward and one reverse walk, which builds
         no theta gradient. `out_grad` maps the forward's output (as the node
-        gives it, one row per input) to dL/d(output).
+        gives it for `heads`, one row per input) to dL/d(output).
 
         The stem weight's gradient for row i is outer(x_i, dL/dz0_i), the
         per-example form of the node's theta gradient `x.T @ dz0`.
         """
         rows = self._rows(np.asarray(x, dtype=np.float64))
         layers = self._layers()
-        logits, gates, cache = self._forward(rows, layers)
+        logits, gates, cache = self._forward(rows, layers, heads=self._check_heads(heads))
         out = _side_by_side(logits, gates)
         _require_finite(out, "residual_mlp")
         dz0 = self._backward(layers, cache, out_grad(out))[2]
         return np.zeros((len(rows), self.params[0].shape[1])) if dz0 is None else dz0
 
     def _backward(self, layers, cache, g):
-        """One reverse walk for the incoming gradient `g`.
+        """One reverse walk for the incoming gradient `g`, over the layers
+        the forward ran.
 
         A head whose incoming gradient is all zero contributes nothing, and a
         block nothing reaches is not walked. Where several products reach
@@ -241,17 +275,17 @@ class ResidualMLP:
         x, mask0, pooled, gates, steps, tops = cache
         g = g.reshape(len(x), -1)
         c, n = self.out_dim, self.num_blocks
-        head_grads = [g[:, k * c:(k + 1) * c] for k in range(len(heads))]
+        head_grads = [g[:, k * c:(k + 1) * c] for k in range(len(tops))]
         head_grads = [hg if hg.any() else None for hg in head_grads]
-        down = [None] * len(heads)   # each head's product toward its h
+        down = [None] * len(tops)   # each head's product toward its h
         for k, hg in enumerate(head_grads):
             if hg is not None:
                 down[k] = hg @ heads[k][0].T
         block_grads, gate_cols = [None] * n, [None] * n
         # what reaches h after block i: its tapped head, then the skip path
         # and the branch of block i + 1 (the one head, past the last block)
-        skip, branch_in = (None if self.tap_heads else down[0]), None
-        for i in reversed(range(n)):
+        skip, branch_in = (None if self.tap_heads or not down else down[0]), None
+        for i in reversed(range(len(steps))):
             dh = _left_sum([down[i] if self.tap_heads else None, skip, branch_in])
             if dh is None:
                 skip = branch_in = None
@@ -268,7 +302,7 @@ class ResidualMLP:
         gate_grads = None
         if gates is not None:
             # a gate's block product, then what the loss sends it directly
-            incoming = g[:, len(heads) * c:]
+            incoming = g[:, len(tops) * c:]
             d_gates = incoming.copy()
             for i, col in enumerate(gate_cols):
                 if col is not None:

@@ -30,6 +30,7 @@ from adnn_energy_lab.models import (
     ScriptedAdnn,
     scripted_gate_analogue,
 )
+from adnn_energy_lab.nn import Dense
 from adnn_energy_lab.seeding import derive_rng
 
 from oracles import (
@@ -447,6 +448,40 @@ class TestIlfoAttack:
         seq = attack.min_losses_
         assert all(b <= a for a, b in zip(seq, seq[1:]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gate_pre_activation_raises(self):
+        # the gate-only forward still runs, and checks, every gate
+        net = scripted_gate_analogue([0.3, 0.6])
+        net.gate_weights_[1] = Tensor(np.float64(1.5e308))
+        net.gate_biases_[1] = Tensor(np.float64(1.5e308))
+        with pytest.raises(NonFiniteError, match="residual_mlp"):
+            IlfoAttack(net, IlfoConfig(iterations=3)).generate(np.full(64, 0.5))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("target", ["gate", "exit"])
+    def test_objective_runs_only_the_layers_it_reads(self, target):
+        # the gate hinge reads no head, the exit hinge every exit but the last
+        if target == "gate":
+            net = scripted_gate_analogue([0.3, 0.6])
+            kept = net.num_blocks
+        else:
+            net = EarlyExitNet(num_segments=3)._build(derive_rng(0, "exit-unread-head"))
+            kept = 2 * net.num_classes
+        x = derive_rng(2, "unread-head").uniform(0.2, 0.8, size=64)
+        cfg = IlfoConfig(target=target, iterations=5)
+        want = IlfoAttack(net, cfg).generate(x)
+        big = np.finfo(np.float64).max
+        last = Dense(np.full((net.width, net.num_classes), big), np.zeros(net.num_classes))
+        if target == "gate":
+            net.head_ = last
+        else:
+            net.exit_heads_[-1] = last
+        with pytest.raises(NonFiniteError):
+            net.forward_all(Tensor(x))
+        attack = IlfoAttack(net, cfg)
+        assert attack.generate(x).tobytes() == want.tobytes()
+        assert attack._loss(Tensor(np.zeros((1, 64))), x)._vjps[1][0].shape == (1, kept)
+
     def test_deterministic(self):
         net = scripted_gate_analogue([0.4, 0.6])
         x = np.full(64, 0.1)
@@ -489,6 +524,17 @@ class TestIlfoTargetCheck:
     ])
     def test_model_with_the_target_is_accepted(self, model, target):
         assert IlfoAttack(model, IlfoConfig(target=target)).model is model
+
+    @pytest.mark.parametrize("base, target", [(GatedSkipNet, "gate"), (EarlyExitNet, "exit")])
+    def test_forward_all_without_heads_is_rejected(self, base, target):
+        class NoHeads(base):
+            """A model whose one-node soft forward cannot stop early."""
+
+            def forward_all(self, x):
+                return super().forward_all(x)
+
+        with pytest.raises(ValueError, match="heads"):
+            IlfoAttack(NoHeads(), IlfoConfig(target=target))
 
     def test_surrogate_pipeline_rejects_before_fitting(self):
         class UnfittableExitNet(EarlyExitNet):

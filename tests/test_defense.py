@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adnn_energy_lab import defense
-from adnn_energy_lab.autodiff import Tensor, gradients
+from adnn_energy_lab.autodiff import NonFiniteError, Tensor, gradients
 from adnn_energy_lab.defense import (
     FilterModel,
     LinearSvm,
@@ -20,6 +20,7 @@ from adnn_energy_lab.defense import (
     train_svm,
 )
 from adnn_energy_lab.energy import EnergyModel
+from adnn_energy_lab.nn import Dense, ResidualBlock
 
 from oracles import (evaluate_defense_sequential_reference, finite_difference,
                      max_relative_error, pegasos_objective_reference,
@@ -207,6 +208,19 @@ class TestGradientFeature:
         z0 = X @ trained_exit.stem_.weight.data + trained_exit.stem_.bias.data
         assert zero.sum() == 18
         assert np.array_equal(zero, (z0 <= 0.0).all(axis=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_features_run_the_first_segment_alone(self, trained_exit, exit_dataset):
+        # the loss reads the first exit only, so the later segments never run
+        X = exit_dataset.inputs[:20]
+        want = gradient_feature(trained_exit, X).tobytes()
+        net = copy.deepcopy(trained_exit)
+        big = np.finfo(np.float64).max
+        net.segments_[1] = ResidualBlock(Dense(np.full((net.width, net.width), big),
+                                               np.zeros(net.width)), net.segments_[1].lin2)
+        with pytest.raises(NonFiniteError):
+            net.forward_all(Tensor(X))
+        assert gradient_feature(net, X).tobytes() == want
 
     def test_rejects_a_model_without_gradients(self):
         with pytest.raises(TypeError):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adnn_energy_lab.autodiff import Tensor, relu, softmax
+from adnn_energy_lab.autodiff import NonFiniteError, Tensor, gradients, relu, softmax, tsum
 from adnn_energy_lab.base import NotFittedError
 from adnn_energy_lab.data import generate_dataset
 from adnn_energy_lab.defense import FilterModel
+from adnn_energy_lab.energy import EnergyModel
 from adnn_energy_lab.estimator import EnergyEstimator
 from adnn_energy_lab.models import (
     EarlyExitNet,
@@ -332,8 +333,9 @@ FITTED_KINDS = [GatedSkipNet, EarlyExitNet, EnergyEstimator, FilterModel]
 
 
 class TestFitSettings:
-    """epochs, batch_size and lr are checked when a model is built, and again
-    before the first step of a fit, so set_params cannot route around it."""
+    """epochs, batch_size and lr are checked when a model is built, by
+    set_params, and again before the first step of a fit, so an attribute
+    assigned directly cannot route around the check either."""
 
     @pytest.mark.parametrize("make", FITTED_KINDS)
     @pytest.mark.parametrize("bad", [
@@ -357,7 +359,12 @@ class TestFitSettings:
         X = generate_dataset(24, seed=3).inputs
         y = np.arange(24) % 2
         for bad in ({"batch_size": 0}, {"epochs": 2.5}, {"lr": math.nan}):
-            model = make(epochs=1).set_params(**bad)
+            model = make(epochs=1)
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                model.set_params(**bad)
+            assert model.get_params() == make(epochs=1).get_params()
+            for key, value in bad.items():
+                setattr(model, key, value)
             with pytest.raises(ValueError, match=next(iter(bad))):
                 model.fit(X, y)
         assert not steps
@@ -537,3 +544,134 @@ class TestGoldenPayloads:
         again = tmp_path / "again.json"
         dump_json(loaded.to_payload(), again)
         assert again.read_bytes() == golden.read_bytes()
+
+
+def _small_model(kind):
+    """A small model of `kind` with seeded, unfitted weights."""
+    rng = derive_rng(40, "small-model", kind)
+    if kind == "skip":
+        return GatedSkipNet(input_dim=6, width=4, num_blocks=3, num_classes=3)._build(rng)
+    if kind == "exit":
+        return EarlyExitNet(input_dim=6, width=4, num_segments=4, num_classes=3)._build(rng)
+    if kind == "estimator":
+        model = EnergyEstimator(input_dim=6, width=4, num_blocks=2)
+        model._build(rng)
+        return model
+    model = FilterModel(input_dim=6, width=4, num_blocks=2)
+    model.stem_ = Dense.init(rng, 6, 4)
+    model.blocks_ = [ResidualBlock.init(rng, 4) for _ in range(2)]
+    model.head_ = Dense.init(rng, 4, 2)
+    return model
+
+
+def _soft_forward(model):
+    """The model's one-node soft forward, `forward(x, heads=None)`."""
+    return getattr(model, "forward_all", model._net())
+
+
+MODEL_KINDS = ["skip", "exit", "estimator", "filter"]
+
+
+class TestHeadSelectiveNode:
+    """`heads` keeps the first heads' logits and the gate values, and runs
+    only the layers they read; what it keeps is the full node's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_kept_columns_and_gradients_equal_the_full_node(self, kind):
+        model = _small_model(kind)
+        forward, net = _soft_forward(model), model._net()
+        c, num_heads = net.out_dim, net.num_heads
+        rng = derive_rng(41, "heads-oracle", kind)
+        x = Tensor(rng.uniform(0.0, 1.0, size=(3, model.input_dim)))
+        full = forward(x)
+        for k in range(0 if net.gated else 1, num_heads + 1):
+            part = forward(x, k)
+            keep = np.r_[0:k * c, num_heads * c:full.shape[1]]
+            assert part.data.tobytes() == full.data[:, keep].tobytes()
+            one_row = forward(Tensor(x.data[:1]), k).data
+            assert forward(Tensor(x.data[0]), k).data.tobytes() == one_row[0].tobytes()
+            # the dropped heads get a zero incoming gradient
+            seed = rng.normal(size=part.shape)
+            seed_full = np.zeros(full.shape)
+            seed_full[:, keep] = seed
+            got = gradients(tsum(part * Tensor(seed)), [x, net.theta])
+            want = gradients(tsum(full * Tensor(seed_full)), [x, net.theta])
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("skip", -1), ("skip", 2), ("skip", 1.0), ("skip", "1"),
+        ("exit", 0), ("exit", 5), ("estimator", 0), ("filter", 2),
+    ])
+    def test_bad_head_count_rejected(self, kind, bad):
+        model = _small_model(kind)
+        with pytest.raises(ValueError, match="heads"):
+            _soft_forward(model)(Tensor(np.ones((1, 6))), bad)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, layer", [
+        ("skip", "stem"), ("skip", "block"), ("skip", "head"),
+        ("exit", "block"), ("exit", "head"),
+    ])
+    def test_a_layer_the_kept_outputs_do_not_read_is_not_run(self, kind, layer):
+        model = _small_model(kind)
+        x = Tensor(derive_rng(42, "overflow-input").uniform(5.0, 10.0, size=(2, 6)))
+        # the gates alone, or every exit but the last
+        kept = 0 if kind == "skip" else model.num_segments - 1
+        before = model.forward_all(x, kept).data.tobytes()
+        blocks = model.blocks_ if kind == "skip" else model.segments_
+        width, big = model.width, np.finfo(np.float64).max
+        if layer == "stem":
+            model.stem_ = Dense(np.full((6, width), big), np.zeros(width))
+        elif layer == "block":
+            blocks[-1] = ResidualBlock(Dense(np.full((width, width), big), np.zeros(width)),
+                                       blocks[-1].lin2)
+        elif kind == "skip":
+            model.head_ = Dense(np.full((width, 3), big), np.zeros(3))
+        else:
+            model.exit_heads_[-1] = Dense(np.full((width, 3), big), np.zeros(3))
+        with pytest.raises(NonFiniteError, match="residual_mlp"):
+            model.forward_all(x)
+        assert model.forward_all(x, kept).data.tobytes() == before
+
+
+class TestSetParams:
+    """set_params checks a value as the constructor does, before it assigns."""
+
+    @pytest.mark.parametrize("make, bad", [
+        (GatedSkipNet, {"gate_threshold": 1.5}),
+        (GatedSkipNet, {"gate_threshold": 0.7, "epochs": 0}),
+        (EarlyExitNet, {"entropy_threshold": -1.0}),
+        (EnergyEstimator, {"batch_size": 0}),
+        (FilterModel, {"lr": math.nan}),
+        (EnergyModel, {"base_joules": -1.0}),
+        (EnergyModel, {"per_block_joules": [0.5, 0.0]}),
+        (EnergyModel, {"noise_sigma": -0.1}),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(v))
+    def test_bad_value_raises_and_leaves_the_model_unchanged(self, make, bad):
+        model = make()
+        before = model.get_params()
+        with pytest.raises(ValueError):
+            model.set_params(**bad)
+        assert model.get_params() == before
+
+    @pytest.mark.parametrize("make", [GatedSkipNet, EarlyExitNet, EnergyEstimator,
+                                      FilterModel, EnergyModel])
+    def test_unknown_name_raises(self, make):
+        model = make()
+        with pytest.raises(ValueError, match="unknown parameter"):
+            model.set_params(seed=1, no_such_parameter=1)
+        assert model.seed == 0
+
+    def test_good_values_are_stored_as_the_constructor_stores_them(self):
+        energy = EnergyModel().set_params(base_joules=2, per_block_joules=(1, 2))
+        built = EnergyModel(base_joules=2, per_block_joules=(1, 2))
+        assert energy.get_params() == built.get_params()
+        assert type(energy.base_joules) is float and energy.per_block_joules == [1.0, 2.0]
+
+    @pytest.mark.parametrize("kind", ["skip", "exit"])
+    def test_fitted_state_is_kept(self, kind):
+        model = _small_model(kind)
+        stem = model.stem_
+        key = "gate_threshold" if kind == "skip" else "entropy_threshold"
+        assert model.set_params(**{key: 0.25}) is model
+        assert getattr(model, key) == 0.25 and model.stem_ is stem
