@@ -8,13 +8,16 @@ measurements discard samples far above the median before averaging, so a
 noiseless model yields the step value exactly.
 """
 
+import math
+import numbers
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base import ParamsMixin
-from .seeding import array_fingerprint, derive_rng
+from .seeding import array_fingerprint, normal_rows
+from .validation import is_int, is_real
 
 
 class EnergyModel(ParamsMixin):
@@ -26,18 +29,27 @@ class EnergyModel(ParamsMixin):
 
     def __init__(self, base_joules=1.0, per_block_joules=0.5, noise_sigma=0.05,
                  seed=0):
-        if base_joules <= 0:
-            raise ValueError("base_joules must be positive")
+        if not (is_real(base_joules) and base_joules > 0):
+            raise ValueError("base_joules must be a finite positive number, got %r"
+                             % (base_joules,))
         per_block = per_block_joules
         if np.isscalar(per_block):
-            if per_block <= 0:
-                raise ValueError("per_block_joules must be positive")
+            if not (is_real(per_block) and per_block > 0):
+                raise ValueError("per_block_joules must be a finite positive number, got %r"
+                                 % (per_block,))
         else:
+            per_block = list(per_block)
+            if not per_block or not all(is_real(v) and v > 0 for v in per_block):
+                raise ValueError("per-segment joules must be finite positive numbers, got %r"
+                                 % (per_block,))
             per_block = [float(v) for v in per_block]
-            if not per_block or any(v <= 0 for v in per_block):
-                raise ValueError("per-segment joules must be positive")
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (is_real(noise_sigma) and noise_sigma >= 0):
+            raise ValueError("noise_sigma must be a finite nonnegative number, got %r"
+                             % (noise_sigma,))
+        # the seed keys every noise stream; a float or a string would be
+        # truncated or parsed into some integer's streams
+        if not is_int(seed):
+            raise ValueError("seed must be an integer, got %r" % (seed,))
         self.base_joules = float(base_joules)
         self.per_block_joules = per_block
         self.noise_sigma = float(noise_sigma)
@@ -91,10 +103,13 @@ class MeasurementProtocol:
     rejection_factor: float = 1.5
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.rejection_factor <= 1:
-            raise ValueError("rejection_factor must exceed 1")
+        if not (is_int(self.repetitions) and self.repetitions >= 1):
+            raise ValueError("repetitions must be an integer >= 1, got %r"
+                             % (self.repetitions,))
+        # inf rejects nothing; NaN, which no comparison passes, is refused
+        if not (isinstance(self.rejection_factor, numbers.Real) and self.rejection_factor > 1):
+            raise ValueError("rejection_factor must be a number above 1, got %r"
+                             % (self.rejection_factor,))
 
 
 @dataclass(frozen=True)
@@ -113,10 +128,14 @@ class EnergyMeasurement:
 
 
 def filter_outliers(samples, protocol=MeasurementProtocol()):
-    """Drop samples above rejection_factor times the median; ties kept."""
+    """Drop samples above rejection_factor times the median; ties kept.
+    An infinite factor keeps every sample."""
     samples = list(samples)
     if not samples:
         raise ValueError("cannot filter an empty sample list")
+    if protocol.rejection_factor == math.inf:
+        # inf * a median of 0 would be NaN, a cutoff no sample passes
+        return samples
     cutoff = protocol.rejection_factor * statistics.median(samples)
     return [v for v in samples if v <= cutoff]
 
@@ -135,15 +154,19 @@ def measure_many(adnn, energy_model, inputs, protocol=MeasurementProtocol()):
     """`measure_energy` for every input row; returns a list of EnergyMeasurement.
 
     The whole batch is inferred in one `infer` call, which must be
-    deterministic: the repetitions resample only the read noise.
+    deterministic: the repetitions resample only the read noise. The rows'
+    noise streams are derived together by `seeding.normal_rows`, each equal
+    to the row's own `derive_rng` stream.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    energies = np.array([energy_model.noiseless_energy(t) for t in adnn.infer(inputs)])
+    noise = normal_rows(energy_model.seed, ("measure",),
+                        [array_fingerprint(x) for x in inputs],
+                        energy_model.noise_sigma, protocol.repetitions)
     measurements = []
-    for x, trace in zip(inputs, adnn.infer(inputs)):
-        rng = derive_rng(energy_model.seed, "measure", array_fingerprint(x))
-        noise = rng.normal(0.0, energy_model.noise_sigma, size=protocol.repetitions)
-        raw = np.maximum(energy_model.noiseless_energy(trace) + noise, 0.0).tolist()
+    for raw in np.maximum(energies[:, None] + noise, 0.0).tolist():
         retained = filter_outliers(raw, protocol)
-        measurements.append(EnergyMeasurement(
-            tuple(raw), tuple(retained), float(np.mean(retained))))
+        # np.mean's sum and division, without its Python wrapper
+        mean = float(np.add.reduce(np.array(retained)) / len(retained))
+        measurements.append(EnergyMeasurement(tuple(raw), tuple(retained), mean))
     return measurements

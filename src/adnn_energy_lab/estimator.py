@@ -17,7 +17,7 @@ from .nn import (Dense, ResidualBlock, check_fit_settings, fit_minibatch, kept_n
                  layers_from_payload, params_to_payload, payload_layout)
 from .seeding import derive_rng
 from .serialize import POSITIVE, REAL, SIZE, payload_config
-from .validation import as_sample_matrix, check_same_length
+from .validation import as_sample_matrix, check_same_length, is_int, is_real
 
 
 def estimator_loss(predictions, targets):
@@ -30,6 +30,17 @@ def estimator_loss(predictions, targets):
     return float(np.mean((predictions - targets) ** 2))
 
 
+def _check_settings(input_dim, width, num_blocks, val_fraction):
+    """Reject, with ValueError, network sizes that are not positive integers
+    (what a payload must hold, `SIZE`) and a `val_fraction` outside [0, 1)."""
+    for name, value in (("input_dim", input_dim), ("width", width),
+                        ("num_blocks", num_blocks)):
+        if not (is_int(value) and value >= 1):
+            raise ValueError("%s must be %s, got %r" % (name, SIZE, value))
+    if not (is_real(val_fraction) and 0 <= val_fraction < 1):
+        raise ValueError("val_fraction must be a number in [0, 1), got %r" % (val_fraction,))
+
+
 class EnergyEstimator(ParamsMixin):
     """Regression network imitating a target's energy consumption."""
 
@@ -37,6 +48,7 @@ class EnergyEstimator(ParamsMixin):
                  lr=0.005, batch_size=32, val_fraction=0.1, seed=0,
                  target_id=None):
         check_fit_settings(epochs, batch_size, lr)
+        _check_settings(input_dim, width, num_blocks, val_fraction)
         self.input_dim = input_dim
         self.width = width
         self.num_blocks = num_blocks
@@ -73,6 +85,7 @@ class EnergyEstimator(ParamsMixin):
 
     def fit(self, X, y):
         """Regress measured joules on inputs; holds out a seeded 10% split."""
+        _check_settings(self.input_dim, self.width, self.num_blocks, self.val_fraction)
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         check_same_length(X, y, "X", "y")

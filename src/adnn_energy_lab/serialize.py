@@ -6,9 +6,10 @@ rely on repr round-tripping, so a dump/load cycle is lossless.
 
 import json
 import math
-import numbers
 
 import numpy as np
+
+from .validation import is_int, is_real
 
 
 class DataFormatError(ValueError):
@@ -50,22 +51,13 @@ POSITIVE = "a finite positive number"
 REALS = "a list of finite numbers"
 
 
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 _KINDS = {
-    SIZE: lambda v: _is_int(v) and v >= 1,
-    COUNT: lambda v: _is_int(v) and v >= 0,
-    COUNTS: lambda v: isinstance(v, list) and all(_is_int(t) and t >= 0 for t in v),
-    REAL: _is_real,
-    POSITIVE: lambda v: _is_real(v) and v > 0,
-    REALS: lambda v: isinstance(v, list) and all(_is_real(t) for t in v),
+    SIZE: lambda v: is_int(v) and v >= 1,
+    COUNT: lambda v: is_int(v) and v >= 0,
+    COUNTS: lambda v: isinstance(v, list) and all(is_int(t) and t >= 0 for t in v),
+    REAL: is_real,
+    POSITIVE: lambda v: is_real(v) and v > 0,
+    REALS: lambda v: isinstance(v, list) and all(is_real(t) for t in v),
 }
 
 

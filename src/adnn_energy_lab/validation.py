@@ -1,6 +1,20 @@
 """Input validation helpers used at public API boundaries."""
 
+import math
+import numbers
+
 import numpy as np
+
+
+def is_int(value):
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """A finite real number, numpy's included, that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def as_float_array(x, name="x", ndim=None):

@@ -1,5 +1,7 @@
 """Step-model energy sampling and the repeat/reject measurement protocol."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,29 @@ class TestValidation:
             EnergyModel(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
+        {"base_joules": math.nan}, {"base_joules": math.inf}, {"base_joules": -math.inf},
+        {"base_joules": True}, {"base_joules": "1.0"},
+        {"per_block_joules": math.nan}, {"per_block_joules": math.inf},
+        {"per_block_joules": True}, {"per_block_joules": "0.5"},
+        {"per_block_joules": [0.5, math.nan]}, {"per_block_joules": [math.inf, 0.5]},
+        {"per_block_joules": [0.5, -math.inf]}, {"per_block_joules": [True, 0.5]},
+        {"per_block_joules": [0.5, "0.5"]},
+        {"noise_sigma": math.nan}, {"noise_sigma": math.inf}, {"noise_sigma": -math.inf},
+        {"noise_sigma": True},
+        {"seed": 2.5}, {"seed": "1"}, {"seed": None}, {"seed": True}, {"seed": np.float64(2)},
+    ], ids=repr)
+    def test_non_finite_bool_and_non_integer_model_params(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs)).replace("per_block_", "")):
+            EnergyModel(**kwargs)
+
+    def test_numpy_numbers_and_negative_seeds_accepted(self):
+        em = EnergyModel(base_joules=np.float64(1.0), per_block_joules=np.array([1, 2]),
+                         noise_sigma=np.float32(0.5), seed=np.int64(-3))
+        assert em.per_block_joules == [1.0, 2.0] and em.noise_sigma == 0.5
+        for seed in (-1, np.uint64(2**64 - 1), 2**70):
+            assert EnergyModel(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("kwargs", [
         {"repetitions": 0},
         {"rejection_factor": 1.0},
         {"rejection_factor": 0.5},
@@ -111,6 +136,39 @@ class TestValidation:
     def test_bad_protocol(self, kwargs):
         with pytest.raises(ValueError):
             MeasurementProtocol(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"repetitions": True}, {"repetitions": 2.5}, {"repetitions": np.float64(3)},
+        {"repetitions": "20"},
+        {"rejection_factor": math.nan}, {"rejection_factor": "2"},
+        {"rejection_factor": -math.inf},
+    ], ids=repr)
+    def test_non_integer_repetitions_and_nan_factor(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            MeasurementProtocol(**kwargs)
+
+    def test_numpy_repetitions_accepted(self):
+        meas = measure_energy(SCRIPTED, EnergyModel(seed=1), np.full(64, 0.5),
+                              MeasurementProtocol(repetitions=np.int64(3)))
+        assert len(meas.raw_samples) == 3
+
+    def test_infinite_rejection_factor_keeps_every_reading(self):
+        keep_all = MeasurementProtocol(rejection_factor=math.inf)
+        assert filter_outliers([10, 10, 10, 16], keep_all) == [10, 10, 10, 16]
+        # a zero median makes inf * median NaN; nothing may be dropped for it
+        assert filter_outliers([0.0, 0.0, 0.0, 5.0], keep_all) == [0.0, 0.0, 0.0, 5.0]
+        em = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.6, seed=4)
+        X = derive_rng(2, "scripted-inputs").uniform(0, 1, size=(24, 64))
+        default, kept = measure_many(SCRIPTED, em, X), measure_many(SCRIPTED, em, X, keep_all)
+        assert any(m.retained != m.raw_samples for m in default)
+        for a, b in zip(default, kept):
+            assert b.raw_samples == b.retained == a.raw_samples
+            assert b.mean == np.mean(b.raw_samples)
+        tiny = EnergyModel(base_joules=0.01, per_block_joules=0.01, noise_sigma=5.0, seed=3)
+        zero_median = measure_many(SCRIPTED, tiny, X[:8], keep_all)
+        assert any(np.median(m.raw_samples) == 0.0 for m in zero_median)
+        for m in zero_median:
+            assert m.retained == m.raw_samples and m.mean == np.mean(m.raw_samples)
 
 
 class TestFilterOutliers:

@@ -96,6 +96,32 @@ class TestTraining:
         assert rates == expected
         assert rates[0] == lr
 
+    @pytest.mark.parametrize("bad", [
+        {"input_dim": 0}, {"input_dim": 64.0}, {"input_dim": True}, {"width": -4},
+        {"width": "64"}, {"num_blocks": -1}, {"num_blocks": 0}, {"num_blocks": 2.5},
+        {"val_fraction": 1.0}, {"val_fraction": 1.5}, {"val_fraction": -0.5},
+        {"val_fraction": math.nan}, {"val_fraction": math.inf}, {"val_fraction": "0.1"},
+    ], ids=repr)
+    def test_bad_setting_rejected_before_any_fit(self, bad, monkeypatch):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            EnergyEstimator(**bad)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            EnergyEstimator().set_params(**bad)
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda opt, grads: steps.append(1))
+        est = EnergyEstimator(epochs=1)
+        for key, value in bad.items():
+            setattr(est, key, value)
+        X, y = measured_corpus(25, seed=5)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            est.fit(X, y)
+        assert not steps and not hasattr(est, "stem_")
+
+    def test_edge_settings_accepted(self):
+        EnergyEstimator(input_dim=1, width=1, num_blocks=1, val_fraction=0.0)
+        EnergyEstimator(input_dim=np.int64(8), width=np.int32(2), num_blocks=np.int64(1),
+                        val_fraction=np.float64(0.99))
+
     def test_too_few_pairs_rejected(self):
         X, y = measured_corpus(19, seed=5)
         with pytest.raises(ValueError):

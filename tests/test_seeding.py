@@ -4,8 +4,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adnn_energy_lab.seeding import derive_rng
+from adnn_energy_lab.seeding import derive_rng, normal_rows
 
 # draws of derive_rng(7, *labels).integers(0, 2**32, size=3), pinned: the
 # per-input measurement and test-generation streams depend on them
@@ -51,3 +53,68 @@ def test_a_text_label_and_its_utf8_bytes_share_a_stream():
     a = derive_rng(0, "abc").integers(0, 2**32, size=4)
     assert derive_rng(0, b"abc").integers(0, 2**32, size=4).tolist() == a.tolist()
     assert derive_rng(0, "abd").integers(0, 2**32, size=4).tolist() != a.tolist()
+
+
+# keys at the edges of numpy's entropy coercion: one uint32 word, two words
+EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 7, 2**32 + 1, 2**63 + 99]
+
+
+def reference_rows(seed, labels, keys, scale, size):
+    return np.array([reference_rng(seed, *labels, k).normal(0.0, scale, size)
+                     for k in keys]).reshape(len(keys), size)
+
+
+def assert_rows_match(seed, labels, keys, scale=0.3, size=6):
+    rows = normal_rows(seed, labels, keys, scale, size)
+    assert rows.shape == (len(keys), size)
+    assert rows.tobytes() == reference_rows(seed, labels, keys, scale, size).tobytes()
+    for row, key in zip(rows, keys):
+        assert row.tobytes() == derive_rng(seed, *labels, key).normal(0.0, scale, size).tobytes()
+
+
+class TestNormalRows:
+    """Every row of the batch path equals its own SeedSequence stream."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, -1, -5, -2**70,
+                                      2**64, 2**64 + 7, 2**80 + 3])
+    def test_edge_keys_in_one_batch(self, seed):
+        assert_rows_match(seed, ("measure",), EDGE_KEYS)
+        assert_rows_match(seed, ("measure",), EDGE_KEYS[::-1])
+
+    @pytest.mark.parametrize("labels", [
+        (), ("measure",), (b"abc",), (b"",), (5,), (2**40,), (-3,),
+        ("testgen", "input_based"), ("a", 2**33, b"\x00\xff", 0, "z"),
+        (1, 2, 3, 4, 5, 6),
+    ])
+    def test_int_str_and_bytes_labels(self, labels):
+        assert_rows_match(11, labels, EDGE_KEYS)
+
+    def test_text_keys_hash_as_labels_do(self):
+        assert_rows_match(2, ("measure",), ["a", b"a", "", 4])
+
+    @pytest.mark.parametrize("size", [0, 6])
+    def test_no_keys_give_no_rows(self, size):
+        rows = normal_rows(4, ("measure",), [], 0.05, size)
+        assert rows.shape == (0, size) and rows.dtype == np.float64
+
+    def test_zero_scale_draws_as_the_stream_does(self):
+        assert_rows_match(4, ("measure",), EDGE_KEYS, scale=0.0)
+
+    def test_numpy_integer_seed_and_keys(self):
+        keys = np.array([0, 2**32, 2**63], dtype=np.uint64)
+        rows = normal_rows(np.int64(-2), ("measure",), list(keys), 0.1, 4)
+        assert rows.tobytes() == reference_rows(-2, ("measure",), [0, 2**32, 2**63],
+                                                0.1, 4).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(-2**70, 2**70),
+        labels=st.lists(st.one_of(st.integers(-2**66, 2**66), st.text(max_size=4),
+                                  st.binary(max_size=4)), max_size=5),
+        keys=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**32)),
+                      max_size=8),
+        scale=st.floats(0.0, 10.0),
+        size=st.integers(0, 5),
+    )
+    def test_rows_equal_their_streams(self, seed, labels, keys, scale, size):
+        assert_rows_match(seed, tuple(labels), keys, scale, size)
