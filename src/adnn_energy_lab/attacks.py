@@ -22,7 +22,6 @@ for every early exit (the last segment and exit do not run).
 
 import inspect
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,8 @@ from .autodiff import (ShapeError, Tensor, _require_finite, entropy_hinge_terms,
                        relu, tanh_unit, tsum)
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
-from .validation import as_float_array
+from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL_OR_NONE, SIZE,
+                         as_float_array, check_params)
 
 _ATANH_CLIP = 1e-6
 
@@ -110,26 +110,6 @@ def _ilfo_objective(f, x, out, hinge, c):
                   "ilfo_loss")
 
 
-def _is_finite_real(value):
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
-def _check_count(config, name, least):
-    value = getattr(config, name)
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
-
-
-def _check_steps(config):
-    """Reject a weight `c`, step size `lr` or `iterations` count that an
-    attack cannot run with, before anything is fitted or generated."""
-    for name in ("c", "lr"):
-        value = getattr(config, name)
-        if not (_is_finite_real(value) and value > 0):
-            raise ValueError("%s must be a positive finite number, got %r" % (name, value))
-    _check_count(config, "iterations", 0)
-
-
 @dataclass(frozen=True)
 class TestGenConfig:
     mode: str = "input_based"
@@ -140,14 +120,14 @@ class TestGenConfig:
     track_best: bool = False
     seed: int = 0
 
+    # derive_rng masks any integer seed to 64 bits; a float would be truncated
+    PARAMS = {"c": POSITIVE, "lr": POSITIVE, "iterations": COUNT, "restarts": SIZE,
+              "track_best": FLAG, "seed": INT}
+
     def __post_init__(self):
         if self.mode not in ("input_based", "universal"):
             raise ValueError("mode must be 'input_based' or 'universal'")
-        _check_steps(self)
-        _check_count(self, "restarts", 1)
-        # derive_rng masks any integer to 64 bits; a float would be truncated
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError("seed must be an integer, got %r" % (self.seed,))
+        check_params(self.PARAMS, vars(self))
 
 
 class InputBasedAttack:
@@ -254,16 +234,13 @@ class IlfoConfig:
     lr: float = 0.01
     iterations: int = 500
 
+    PARAMS = {"threshold": REAL_OR_NONE, "margin": NONNEGATIVE, "c": POSITIVE, "lr": POSITIVE,
+              "iterations": COUNT}
+
     def __post_init__(self):
         if self.target not in ("gate", "exit"):
             raise ValueError("target must be 'gate' or 'exit'")
-        if self.threshold is not None and not _is_finite_real(self.threshold):
-            raise ValueError("threshold must be None or a finite number, got %r"
-                             % (self.threshold,))
-        if not (_is_finite_real(self.margin) and self.margin >= 0):
-            raise ValueError("margin must be a nonnegative finite number, got %r"
-                             % (self.margin,))
-        _check_steps(self)
+        check_params(self.PARAMS, vars(self))
 
 
 class IlfoAttack:
@@ -339,35 +316,29 @@ class IlfoAttack:
 
 
 def _check_ilfo_target(model, config):
-    """Reject a model that lacks the intermediate outputs `config.target` attacks.
+    """Reject a model that lacks what IlfoAttack calls for `config.target`.
 
-    A gate target needs a soft `forward(x, mode)`; an exit target needs
-    `forward_exits` and at least two exits, since the last one carries no
-    constraint. Either needs `forward_all(x, heads)`, the one-node soft
-    forward that keeps only the heads the objective reads, and the model's
-    threshold unless the config sets one.
+    Either target needs `forward_all(x, heads)`, the one-node soft forward
+    that keeps only the heads the objective reads, and the model's threshold
+    unless the config sets one. A gate target reads `num_blocks` gate
+    values; an exit target reads `num_classes` logits per exit and needs at
+    least two exits (`num_segments`), since the last one carries no
+    constraint.
     """
     name = type(model).__name__
     forward_all = getattr(model, "forward_all", None)
-    if callable(forward_all) and "heads" not in inspect.signature(forward_all).parameters:
+    if not callable(forward_all) or "heads" not in inspect.signature(forward_all).parameters:
         raise ValueError("IlfoAttack needs forward_all(x, heads), to run only the layers its "
-                         "objective reads; %s.forward_all takes no heads" % name)
+                         "objective reads, which %s lacks" % name)
     if config.target == "gate":
-        forward = getattr(model, "forward", None)
-        if not callable(forward) or "mode" not in inspect.signature(forward).parameters \
-                or not callable(getattr(model, "forward_all", None)):
-            raise ValueError("target 'gate' needs a soft forward(x, mode) and forward_all, "
-                             "which %s lacks" % name)
-        threshold = "gate_threshold"
+        size, threshold = "num_blocks", "gate_threshold"
     else:
-        if not callable(getattr(model, "forward_exits", None)) \
-                or not callable(getattr(model, "forward_all", None)):
-            raise ValueError("target 'exit' needs forward_exits and forward_all, which %s lacks"
-                             % name)
         exits = getattr(model, "num_segments", 0)
         if exits < 2:
             raise ValueError("target 'exit' needs at least 2 exits, %s has %d" % (name, exits))
-        threshold = "entropy_threshold"
+        size, threshold = "num_classes", "entropy_threshold"
+    if not hasattr(model, size):
+        raise ValueError("target %r needs %s, which %s lacks" % (config.target, size, name))
     if config.threshold is None and not hasattr(model, threshold):
         raise ValueError("target %r needs a threshold: %s has no %s and the config sets none"
                          % (config.target, name, threshold))

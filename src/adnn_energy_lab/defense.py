@@ -23,10 +23,10 @@ from .autodiff import Tensor, _log_softmax_rows, _require_finite, _scatter_colum
 from .base import ParamsMixin, check_is_fitted
 from .metrics import auc
 from .models import EarlyExitNet, GatedSkipNet
-from .nn import (Dense, ResidualBlock, check_fit_settings, cross_entropy, fit_minibatch,
-                 kept_network)
+from .nn import Dense, ResidualBlock, cross_entropy, fit_minibatch, kept_network
 from .seeding import derive_rng
-from .validation import as_label_array, as_sample_matrix, check_same_length
+from .validation import (INT, NONNEGATIVE, POSITIVE, SIZE, as_label_array, as_sample_matrix,
+                         check_params, check_same_length)
 
 __all__ = [
     "FilterModel",
@@ -52,9 +52,11 @@ class FilterModel(ParamsMixin):
     its own forward costs more FLOPs than their minimum trace.
     """
 
+    PARAMS = {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE, "num_classes": SIZE,
+              "epochs": SIZE, "lr": NONNEGATIVE, "batch_size": SIZE, "seed": INT}
+
     def __init__(self, input_dim=64, width=16, num_blocks=3, num_classes=2,
                  epochs=150, lr=0.01, batch_size=32, seed=0):
-        check_fit_settings(epochs, batch_size, lr)
         self.input_dim = input_dim
         self.width = width
         self.num_blocks = num_blocks
@@ -63,6 +65,7 @@ class FilterModel(ParamsMixin):
         self.lr = lr
         self.batch_size = batch_size
         self.seed = seed
+        check_params(self.PARAMS, vars(self))
         self.stem_ = None
         self.blocks_ = None
         self.head_ = None
@@ -85,6 +88,7 @@ class FilterModel(ParamsMixin):
         return float(np.mean(self.predict(X) == np.asarray(y)))
 
     def fit(self, X, y):
+        check_params(self.PARAMS, vars(self))
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
@@ -204,6 +208,9 @@ class LinearSvm:
         default=None, repr=False, compare=False)
 
 
+_SVM_PARAMS = {"lam": POSITIVE, "epochs": SIZE}
+
+
 def _svm_objective(w, b, features, y, lam):
     margins = y * (features @ w + b)
     hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
@@ -220,6 +227,7 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
     the 1/sqrt(lam) ball and the returned classifier is the average of all
     iterates, whose full-set objective is recorded per epoch.
     """
+    check_params(_SVM_PARAMS, {"lam": lam, "epochs": epochs})
     features = as_sample_matrix(np.asarray(features, dtype=np.float64),
                                 "features")
     labels = np.asarray(labels).reshape(-1)
@@ -228,10 +236,6 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
         raise ValueError("labels must be 0 (benign) or 1 (adversarial)")
     if len(np.unique(labels)) < 2:
         raise ValueError("training needs both classes present")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
     y = np.where(labels == 1, 1.0, -1.0)
     n, d = features.shape
     # one row array and one Python float label per example, indexed by a

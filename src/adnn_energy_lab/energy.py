@@ -9,7 +9,6 @@ noiseless model yields the step value exactly.
 """
 
 import math
-import numbers
 import statistics
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .base import ParamsMixin
 from .seeding import array_fingerprint, normal_rows
-from .validation import is_int, is_real
+from .validation import ABOVE_ONE, INT, JOULES, NONNEGATIVE, POSITIVE, SIZE, check_params
 
 
 class EnergyModel(ParamsMixin):
@@ -27,31 +26,17 @@ class EnergyModel(ParamsMixin):
     block-count traces) or a per-segment list for early-exit traces.
     """
 
+    # the seed keys every noise stream; a float or a string would be
+    # truncated or parsed into some integer's streams
+    PARAMS = {"base_joules": POSITIVE, "per_block_joules": JOULES, "noise_sigma": NONNEGATIVE,
+              "seed": INT}
+
     def __init__(self, base_joules=1.0, per_block_joules=0.5, noise_sigma=0.05,
                  seed=0):
-        if not (is_real(base_joules) and base_joules > 0):
-            raise ValueError("base_joules must be a finite positive number, got %r"
-                             % (base_joules,))
-        per_block = per_block_joules
-        if np.isscalar(per_block):
-            if not (is_real(per_block) and per_block > 0):
-                raise ValueError("per_block_joules must be a finite positive number, got %r"
-                                 % (per_block,))
-        else:
-            per_block = list(per_block)
-            if not per_block or not all(is_real(v) and v > 0 for v in per_block):
-                raise ValueError("per-segment joules must be finite positive numbers, got %r"
-                                 % (per_block,))
-            per_block = [float(v) for v in per_block]
-        if not (is_real(noise_sigma) and noise_sigma >= 0):
-            raise ValueError("noise_sigma must be a finite nonnegative number, got %r"
-                             % (noise_sigma,))
-        # the seed keys every noise stream; a float or a string would be
-        # truncated or parsed into some integer's streams
-        if not is_int(seed):
-            raise ValueError("seed must be an integer, got %r" % (seed,))
+        check_params(self.PARAMS, locals())
         self.base_joules = float(base_joules)
-        self.per_block_joules = per_block
+        self.per_block_joules = (per_block_joules if np.isscalar(per_block_joules)
+                                 else [float(v) for v in per_block_joules])
         self.noise_sigma = float(noise_sigma)
         self.seed = seed
 
@@ -102,14 +87,11 @@ class MeasurementProtocol:
     repetitions: int = 20
     rejection_factor: float = 1.5
 
+    # an infinite rejection_factor rejects nothing
+    PARAMS = {"repetitions": SIZE, "rejection_factor": ABOVE_ONE}
+
     def __post_init__(self):
-        if not (is_int(self.repetitions) and self.repetitions >= 1):
-            raise ValueError("repetitions must be an integer >= 1, got %r"
-                             % (self.repetitions,))
-        # inf rejects nothing; NaN, which no comparison passes, is refused
-        if not (isinstance(self.rejection_factor, numbers.Real) and self.rejection_factor > 1):
-            raise ValueError("rejection_factor must be a number above 1, got %r"
-                             % (self.rejection_factor,))
+        check_params(self.PARAMS, vars(self))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ import numpy as np
 
 from .autodiff import Tensor, squared_error
 from .base import ParamsMixin, check_is_fitted
-from .nn import (Dense, ResidualBlock, check_fit_settings, fit_minibatch, kept_network,
-                 layers_from_payload, params_to_payload, payload_layout)
+from .nn import (Dense, ResidualBlock, fit_minibatch, kept_network, layers_from_payload,
+                 params_to_payload, payload_layout)
 from .seeding import derive_rng
-from .serialize import POSITIVE, REAL, SIZE, payload_config
-from .validation import as_sample_matrix, check_same_length, is_int, is_real
+from .serialize import payload_config
+from .validation import (FRACTION, INT, NONNEGATIVE, POSITIVE, REAL, SIZE, as_sample_matrix,
+                         check_params, check_same_length)
 
 
 def estimator_loss(predictions, targets):
@@ -30,25 +31,18 @@ def estimator_loss(predictions, targets):
     return float(np.mean((predictions - targets) ** 2))
 
 
-def _check_settings(input_dim, width, num_blocks, val_fraction):
-    """Reject, with ValueError, network sizes that are not positive integers
-    (what a payload must hold, `SIZE`) and a `val_fraction` outside [0, 1)."""
-    for name, value in (("input_dim", input_dim), ("width", width),
-                        ("num_blocks", num_blocks)):
-        if not (is_int(value) and value >= 1):
-            raise ValueError("%s must be %s, got %r" % (name, SIZE, value))
-    if not (is_real(val_fraction) and 0 <= val_fraction < 1):
-        raise ValueError("val_fraction must be a number in [0, 1), got %r" % (val_fraction,))
-
-
 class EnergyEstimator(ParamsMixin):
     """Regression network imitating a target's energy consumption."""
+
+    PARAMS = {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE, "epochs": SIZE,
+              "lr": NONNEGATIVE, "batch_size": SIZE, "val_fraction": FRACTION, "seed": INT,
+              # fitted state, saved with the sizes; checked only when a payload loads
+              "energy_mean": REAL, "energy_scale": POSITIVE}
+    _SAVED = ("input_dim", "width", "num_blocks", "energy_mean", "energy_scale")
 
     def __init__(self, input_dim=64, width=64, num_blocks=4, epochs=2000,
                  lr=0.005, batch_size=32, val_fraction=0.1, seed=0,
                  target_id=None):
-        check_fit_settings(epochs, batch_size, lr)
-        _check_settings(input_dim, width, num_blocks, val_fraction)
         self.input_dim = input_dim
         self.width = width
         self.num_blocks = num_blocks
@@ -58,6 +52,7 @@ class EnergyEstimator(ParamsMixin):
         self.val_fraction = val_fraction
         self.seed = seed
         self.target_id = target_id
+        check_params(self.PARAMS, vars(self))
 
     # -- construction ----------------------------------------------------
 
@@ -85,7 +80,7 @@ class EnergyEstimator(ParamsMixin):
 
     def fit(self, X, y):
         """Regress measured joules on inputs; holds out a seeded 10% split."""
-        _check_settings(self.input_dim, self.width, self.num_blocks, self.val_fraction)
+        check_params(self.PARAMS, vars(self))
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         check_same_length(X, y, "X", "y")
@@ -171,8 +166,7 @@ class EnergyEstimator(ParamsMixin):
 
     @classmethod
     def from_payload(cls, payload):
-        config = payload_config(payload, {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE,
-                                          "energy_mean": REAL, "energy_scale": POSITIVE})
+        config = payload_config(payload, cls.PARAMS, cls._SAVED)
         est = cls(input_dim=config["input_dim"], width=config["width"],
                   num_blocks=config["num_blocks"],
                   target_id=config.get("target_id"))

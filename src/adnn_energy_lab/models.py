@@ -21,13 +21,12 @@ import numpy as np
 
 from .autodiff import Tensor, add, as_tensor, columns, mean_of_column_means, mul, softmax
 from .base import ParamsMixin, check_is_fitted
-from .nn import (Dense, ResidualBlock, check_fit_settings, cross_entropy, fit_minibatch,
-                 kept_network, layers_from_payload, params_to_payload, payload_layout,
-                 xavier_uniform)
+from .nn import (Dense, ResidualBlock, cross_entropy, fit_minibatch, kept_network,
+                 layers_from_payload, params_to_payload, payload_layout, xavier_uniform)
 from .seeding import derive_rng
-from .serialize import (COUNT, REAL, REALS, SIZE, DataFormatError, dump_json, from_config,
-                        load_json, payload_config)
-from .validation import as_label_array, as_sample_matrix
+from .serialize import DataFormatError, dump_json, load_json, payload_config
+from .validation import (COUNT, INT, LADDER, NONNEGATIVE, OPEN_UNIT, SIZE, as_label_array,
+                         as_sample_matrix, check_params)
 
 
 def entropy(p):
@@ -90,6 +89,10 @@ class GatedSkipNet(ParamsMixin):
     """Residual classifier that skips gated blocks on easy inputs."""
 
     kind = "skip"
+    PARAMS = {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE, "num_classes": SIZE,
+              "gate_threshold": OPEN_UNIT, "epochs": SIZE, "lr": NONNEGATIVE,
+              "sparsity_weight": NONNEGATIVE, "batch_size": SIZE, "seed": INT}
+    _SAVED = ("input_dim", "width", "num_blocks", "num_classes", "gate_threshold")
 
     def __init__(
         self,
@@ -104,9 +107,6 @@ class GatedSkipNet(ParamsMixin):
         batch_size=32,
         seed=0,
     ):
-        if not 0.0 < gate_threshold < 1.0:
-            raise ValueError("gate_threshold must lie in (0, 1)")
-        check_fit_settings(epochs, batch_size, lr)
         self.input_dim = input_dim
         self.width = width
         self.num_blocks = num_blocks
@@ -117,6 +117,7 @@ class GatedSkipNet(ParamsMixin):
         self.sparsity_weight = sparsity_weight
         self.batch_size = batch_size
         self.seed = seed
+        check_params(self.PARAMS, vars(self))
         self.stem_ = None
         self.blocks_ = None
         self.gate_weights_ = None
@@ -262,6 +263,7 @@ class GatedSkipNet(ParamsMixin):
         return loss
 
     def fit(self, X, y):
+        check_params(self.PARAMS, vars(self))
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
@@ -282,24 +284,13 @@ class GatedSkipNet(ParamsMixin):
 
     def to_payload(self):
         check_is_fitted(self, "stem_")
-        return {
-            "kind": "skip",
-            "config": {
-                "input_dim": self.input_dim,
-                "width": self.width,
-                "num_blocks": self.num_blocks,
-                "num_classes": self.num_classes,
-                "gate_threshold": self.gate_threshold,
-            },
-            "params": params_to_payload(self._layout(), self._params()),
-        }
+        return {"kind": "skip", "config": {k: getattr(self, k) for k in self._SAVED},
+                "params": params_to_payload(self._layout(), self._params())}
 
     @classmethod
     def from_payload(cls, payload):
-        spec = {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE, "num_classes": SIZE,
-                "gate_threshold": REAL}
-        cfg = payload_config(payload, spec)
-        model = from_config(cls, **{k: cfg[k] for k in spec})
+        cfg = payload_config(payload, cls.PARAMS, cls._SAVED)
+        model = cls(**{k: cfg[k] for k in cls._SAVED})
         model.stem_, model.blocks_, gates, (model.head_,) = layers_from_payload(
             payload, model._layout(), model.num_blocks, gated=True)
         model.gate_weights_, model.gate_biases_ = gates
@@ -310,6 +301,10 @@ class EarlyExitNet(ParamsMixin):
     """Trunk of residual segments with a classifier head at every segment."""
 
     kind = "exit"
+    PARAMS = {"input_dim": SIZE, "width": SIZE, "num_segments": SIZE, "num_classes": SIZE,
+              "entropy_threshold": NONNEGATIVE, "epochs": SIZE, "lr": NONNEGATIVE,
+              "batch_size": SIZE, "seed": INT}
+    _SAVED = ("input_dim", "width", "num_segments", "num_classes", "entropy_threshold")
 
     def __init__(
         self,
@@ -323,9 +318,6 @@ class EarlyExitNet(ParamsMixin):
         batch_size=32,
         seed=0,
     ):
-        if entropy_threshold < 0:
-            raise ValueError("entropy_threshold must be >= 0")
-        check_fit_settings(epochs, batch_size, lr)
         self.input_dim = input_dim
         self.width = width
         self.num_segments = num_segments
@@ -335,6 +327,7 @@ class EarlyExitNet(ParamsMixin):
         self.lr = lr
         self.batch_size = batch_size
         self.seed = seed
+        check_params(self.PARAMS, vars(self))
         self.stem_ = None
         self.segments_ = None
         self.exit_heads_ = None
@@ -437,6 +430,7 @@ class EarlyExitNet(ParamsMixin):
         return sum(losses[1:], losses[0])
 
     def fit(self, X, y):
+        check_params(self.PARAMS, vars(self))
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         if len(X) == 0:
             raise ValueError("cannot fit on an empty dataset")
@@ -456,24 +450,13 @@ class EarlyExitNet(ParamsMixin):
 
     def to_payload(self):
         check_is_fitted(self, "stem_")
-        return {
-            "kind": "exit",
-            "config": {
-                "input_dim": self.input_dim,
-                "width": self.width,
-                "num_segments": self.num_segments,
-                "num_classes": self.num_classes,
-                "entropy_threshold": self.entropy_threshold,
-            },
-            "params": params_to_payload(self._layout(), self._params()),
-        }
+        return {"kind": "exit", "config": {k: getattr(self, k) for k in self._SAVED},
+                "params": params_to_payload(self._layout(), self._params())}
 
     @classmethod
     def from_payload(cls, payload):
-        spec = {"input_dim": SIZE, "width": SIZE, "num_segments": SIZE, "num_classes": SIZE,
-                "entropy_threshold": REAL}
-        cfg = payload_config(payload, spec)
-        model = from_config(cls, **{k: cfg[k] for k in spec})
+        cfg = payload_config(payload, cls.PARAMS, cls._SAVED)
+        model = cls(**{k: cfg[k] for k in cls._SAVED})
         model.stem_, model.segments_, _, model.exit_heads_ = layers_from_payload(
             payload, model._layout(), model.num_segments)
         return model
@@ -483,14 +466,12 @@ class ScriptedAdnn:
     """Deterministic gate oracle: block i runs iff mean(x) >= thresholds[i]."""
 
     kind = "skip"
+    PARAMS = {"thresholds": LADDER, "base_flops": COUNT, "block_flops": COUNT,
+              "num_classes": SIZE}
 
     def __init__(self, thresholds, base_flops=2176, block_flops=1024, num_classes=4):
-        thresholds = [float(t) for t in thresholds]
-        if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("thresholds must be ascending")
-        if any(t < 0.0 or t > 1.0 for t in thresholds):
-            raise ValueError("thresholds must lie in [0, 1]")
-        self.thresholds = thresholds
+        check_params(self.PARAMS, locals())
+        self.thresholds = [float(t) for t in thresholds]
         self.base_flops = int(base_flops)
         self.block_flops = int(block_flops)
         self.num_classes = int(num_classes)
@@ -513,9 +494,9 @@ class ScriptedAdnn:
 
     def infer(self, x):
         X = as_sample_matrix(x, "x")
+        signature = self.signature
         traces = []
-        for row in X:
-            m = float(row.mean())
+        for m in X.mean(axis=1).tolist():
             decisions = tuple(m >= t for t in self.thresholds)
             label = min(int(m * self.num_classes), self.num_classes - 1)
             logits = np.zeros(self.num_classes)
@@ -525,7 +506,7 @@ class ScriptedAdnn:
                     kind="skip",
                     flops=self.base_flops + sum(decisions) * self.block_flops,
                     logits=logits,
-                    signature=self.signature,
+                    signature=signature,
                     gate_values=tuple(1.0 if d else 0.0 for d in decisions),
                     gate_decisions=decisions,
                 )
@@ -568,16 +549,8 @@ def save_model(model, path):
 
 def model_to_payload(model):
     if isinstance(model, ScriptedAdnn):
-        return {
-            "kind": "scripted",
-            "config": {
-                "thresholds": model.thresholds,
-                "base_flops": model.base_flops,
-                "block_flops": model.block_flops,
-                "num_classes": model.num_classes,
-            },
-            "params": {},
-        }
+        return {"kind": "scripted", "config": {k: getattr(model, k) for k in model.PARAMS},
+                "params": {}}
     return model.to_payload()
 
 
@@ -588,16 +561,9 @@ def model_from_payload(payload):
     if kind == "exit":
         return EarlyExitNet.from_payload(payload)
     if kind == "scripted":
-        cfg = payload_config(payload, {"thresholds": REALS, "base_flops": COUNT,
-                                       "block_flops": COUNT, "num_classes": SIZE},
+        cfg = payload_config(payload, ScriptedAdnn.PARAMS, ScriptedAdnn.PARAMS,
                              optional=("num_classes",))
-        return from_config(
-            ScriptedAdnn,
-            thresholds=cfg["thresholds"],
-            base_flops=cfg["base_flops"],
-            block_flops=cfg["block_flops"],
-            num_classes=cfg.get("num_classes", 4),
-        )
+        return ScriptedAdnn(**{k: cfg[k] for k in ScriptedAdnn.PARAMS if k in cfg})
     raise DataFormatError("unknown model kind %r" % kind)
 
 

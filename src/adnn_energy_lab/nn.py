@@ -14,7 +14,6 @@ multiply plus one add per weight). Activations, pooling and gate heads are
 treated as free; only affine maps carry cost.
 """
 
-import math
 import numbers
 
 import numpy as np
@@ -433,26 +432,15 @@ def layers_from_payload(payload, layout, num_blocks, gated=False):
     return stem, blocks, gates, heads
 
 
-def check_fit_settings(epochs, batch_size, lr):
-    """Reject, with ValueError, an `epochs` or `batch_size` that is not an
-    integer of at least 1, and an `lr` that is not a finite number >= 0."""
-    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
-    if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr >= 0):
-        raise ValueError("lr must be a finite number >= 0, got %r" % (lr,))
-
-
 def fit_minibatch(batch_loss, theta, X, y, epochs, batch_size, lr, rng, on_epoch=None):
     """Adam on `theta` over shuffled minibatches; each epoch's mean loss.
 
     Every epoch draws one `rng.permutation(len(X))` and steps once per
     batch of `batch_size` rows on `batch_loss(X[idx], y[idx])`, a scalar
     Tensor. `on_epoch(epoch, opt)` runs after each epoch; it may set
-    `opt.lr` for the next one or rebind `theta.data`. The settings are
-    checked as `check_fit_settings` checks them, before the first step.
+    `opt.lr` for the next one or rebind `theta.data`. The caller checks
+    the settings against its parameter table before it builds anything.
     """
-    check_fit_settings(epochs, batch_size, lr)
     opt = Adam([theta], lr=lr)
     history = []
     for epoch in range(epochs):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .validation import is_int, is_real
+from .validation import COUNTS, KINDS, check_params
 
 
 class DataFormatError(ValueError):
@@ -24,7 +24,7 @@ def array_to_json(arr):
 def array_from_json(obj, name="array"):
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise DataFormatError("%s must be an object with 'shape' and 'data'" % name)
-    if not _KINDS[COUNTS](obj["shape"]):
+    if not KINDS[COUNTS](obj["shape"]):
         raise DataFormatError("%s shape must be %s" % (name, COUNTS))
     shape = tuple(int(s) for s in obj["shape"])
     try:
@@ -42,54 +42,24 @@ def array_from_json(obj, name="array"):
     return data.reshape(shape)
 
 
-# kinds of config value, named by what they must be
-SIZE = "a positive integer"
-COUNT = "a nonnegative integer"
-COUNTS = "a list of nonnegative integers"
-REAL = "a finite number"
-POSITIVE = "a finite positive number"
-REALS = "a list of finite numbers"
-
-
-_KINDS = {
-    SIZE: lambda v: is_int(v) and v >= 1,
-    COUNT: lambda v: is_int(v) and v >= 0,
-    COUNTS: lambda v: isinstance(v, list) and all(is_int(t) and t >= 0 for t in v),
-    REAL: is_real,
-    POSITIVE: lambda v: is_real(v) and v > 0,
-    REALS: lambda v: isinstance(v, list) and all(is_real(t) for t in v),
-}
-
-
-def payload_config(payload, spec, optional=()):
-    """A model payload's config object, checked against `spec`.
-
-    `spec` maps each key to the kind of value it must hold (SIZE, COUNT,
-    REAL, POSITIVE or REALS). Every key is required except those in
-    `optional`, which are checked when present. Call it before parsing any
-    parameter, so that a bad config is reported as such.
+def payload_config(payload, table, keys, optional=()):
+    """A model payload's config object, its saved `keys` checked against
+    `table`, the settings class's map from setting to kind (see
+    `validation.check_params`). Every key is required except those in
+    `optional`. Call it before parsing any parameter, so that a bad config
+    is reported as such.
     """
     config = payload.get("config") if isinstance(payload, dict) else None
     if not isinstance(config, dict):
         raise DataFormatError("payload needs a 'config' object")
-    missing = [k for k in spec if k not in config and k not in optional]
+    missing = [k for k in keys if k not in config and k not in optional]
     if missing:
         raise DataFormatError("payload config lacks %s" % ", ".join(missing))
-    for key, kind in spec.items():
-        if key in config and not _KINDS[kind](config[key]):
-            raise DataFormatError("payload config %r must be %s, got %r"
-                                  % (key, kind, config[key]))
-    return config
-
-
-def from_config(factory, **kwargs):
-    """factory(**kwargs) for values read from a payload config: a value the
-    factory rejects with ValueError, such as one out of its range, is
-    reported as DataFormatError."""
     try:
-        return factory(**kwargs)
+        check_params({k: table[k] for k in keys}, config)
     except ValueError as err:
         raise DataFormatError("payload config: %s" % err) from None
+    return config
 
 
 def param_from_json(payload, key, shape):

@@ -165,6 +165,9 @@ class TestConfigValidation:
         ("lr", -1.0), ("lr", math.nan), ("lr", 0.0), ("c", math.inf), ("c", math.nan),
         ("iterations", 2.5), ("restarts", 1.5), ("c", "100"),
         ("seed", 2.5), ("seed", math.nan), ("seed", "1"),
+        ("seed", True), ("restarts", True), ("restarts", -1), ("lr", True), ("lr", math.inf),
+        ("c", True), ("c", -math.inf), ("iterations", True), ("iterations", math.nan),
+        ("track_best", 2), ("track_best", "yes"), ("track_best", None),
     ])
     def test_bad_numbers_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -174,6 +177,9 @@ class TestConfigValidation:
         ("lr", -1.0), ("lr", math.nan), ("c", math.inf), ("c", math.nan),
         ("iterations", 2.5), ("threshold", math.nan), ("threshold", math.inf),
         ("margin", math.nan),
+        ("iterations", True), ("iterations", -1), ("lr", True), ("lr", 0.0), ("c", True),
+        ("c", -1.0), ("threshold", True), ("threshold", -math.inf), ("threshold", "0.5"),
+        ("margin", True), ("margin", math.inf),
     ])
     def test_ilfo_bad_numbers_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -185,7 +191,9 @@ class TestConfigValidation:
         assert cfg.iterations == 3
         assert cfg.seed == 7
         assert GenConfig(seed=-1).seed == -1
+        assert GenConfig(seed=2**70, track_best=np.bool_(True)).seed == 2**70
         assert IlfoConfig(threshold=np.float64(0.4), margin=0.0).threshold == 0.4
+        assert IlfoConfig(threshold=None, iterations=0).threshold is None
 
     def test_surrogate_pipeline_fails_before_fitting(self):
         surrogate = GatedSkipNet(width=8, num_blocks=2, epochs=5)
@@ -494,15 +502,46 @@ class TestIlfoTargetCheck:
     """IlfoAttack rejects, when it is built, a model its target cannot attack."""
 
     @pytest.mark.parametrize("model, target, match", [
-        (EarlyExitNet(), "gate", "soft forward"),
-        (FilterModel(), "gate", "soft forward"),
-        (ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50), "gate", "soft forward"),
-        (GatedSkipNet(), "exit", "forward_exits"),
+        (EarlyExitNet(), "gate", "num_blocks"),
+        (FilterModel(), "gate", "forward_all"),
+        (ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50), "gate", "forward_all"),
+        (GatedSkipNet(), "exit", "at least 2 exits"),
         (EarlyExitNet(num_segments=1), "exit", "at least 2 exits"),
     ])
     def test_model_without_the_target_is_rejected(self, model, target, match):
         with pytest.raises(ValueError, match=match):
             IlfoAttack(model, IlfoConfig(target=target))
+
+    @pytest.mark.parametrize("target, attr", [("gate", "num_blocks"),
+                                              ("exit", "num_classes")])
+    def test_missing_size_is_rejected(self, target, attr):
+        net = scripted_gate_analogue([0.3, 0.6]) if target == "gate" else EarlyExitNet()
+        delattr(net, attr)
+        with pytest.raises(ValueError, match=attr):
+            IlfoAttack(net, IlfoConfig(target=target))
+
+    @pytest.mark.parametrize("target", ["gate", "exit"])
+    def test_only_what_the_attack_calls_is_needed(self, target):
+        class Bare:
+            """forward_all(x, heads), the sizes and the threshold, and no other
+            method: no forward(x, mode), no forward_exits."""
+
+            def __init__(self, net):
+                self.net = net
+                for name in ("num_blocks", "num_segments", "num_classes", "gate_threshold",
+                             "entropy_threshold"):
+                    if hasattr(net, name):
+                        setattr(self, name, getattr(net, name))
+
+            def forward_all(self, x, heads=None):
+                return self.net.forward_all(x, heads)
+
+        net = (scripted_gate_analogue([0.3, 0.6]) if target == "gate" else
+               EarlyExitNet(width=8, num_segments=2)._build(derive_rng(0, "bare-exit")))
+        cfg = IlfoConfig(target=target, iterations=3)
+        x = np.full(64, 0.2)
+        assert np.array_equal(IlfoAttack(Bare(net), cfg).generate(x),
+                              IlfoAttack(net, cfg).generate(x))
 
     @pytest.mark.parametrize("target, attr", [("gate", "gate_threshold"),
                                               ("exit", "entropy_threshold")])
@@ -542,7 +581,7 @@ class TestIlfoTargetCheck:
                 raise AssertionError("the surrogate was fitted")
 
         inputs = np.full((3, 64), 0.2)
-        with pytest.raises(ValueError, match="soft forward"):
+        with pytest.raises(ValueError, match="num_blocks"):
             surrogate_pipeline(ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50),
                                UnfittableExitNet(), inputs, IlfoConfig(iterations=5))
 

@@ -2,6 +2,7 @@
 evaluation report against its input-by-input form."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestGradientFeature:
     def test_rejects_a_model_without_gradients(self):
         with pytest.raises(TypeError):
             gradient_feature(FilterModel(), np.zeros(64))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", 0.0), ("lam", -1e-4), ("lam", math.nan), ("lam", math.inf), ("lam", True),
+    ("lam", "1e-4"), ("epochs", 0), ("epochs", 2.5), ("epochs", True), ("epochs", None),
+])
+def test_train_svm_rejects_a_bad_setting(field, value):
+    features = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=field):
+        train_svm(features, [0, 1], **{field: value})
 
 
 class TestTrainSvm:

@@ -116,10 +116,17 @@ class TestValidation:
         {"noise_sigma": math.nan}, {"noise_sigma": math.inf}, {"noise_sigma": -math.inf},
         {"noise_sigma": True},
         {"seed": 2.5}, {"seed": "1"}, {"seed": None}, {"seed": True}, {"seed": np.float64(2)},
+        {"seed": math.nan}, {"base_joules": 0}, {"per_block_joules": ()},
+        {"per_block_joules": np.array([[0.5]])}, {"per_block_joules": np.array(0.5)},
+        {"per_block_joules": None}, {"noise_sigma": -1},
     ], ids=repr)
     def test_non_finite_bool_and_non_integer_model_params(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs)).replace("per_block_", "")):
             EnergyModel(**kwargs)
+        model = EnergyModel()
+        with pytest.raises(ValueError, match=next(iter(kwargs)).replace("per_block_", "")):
+            model.set_params(**kwargs)
+        assert model.get_params() == EnergyModel().get_params()
 
     def test_numpy_numbers_and_negative_seeds_accepted(self):
         em = EnergyModel(base_joules=np.float64(1.0), per_block_joules=np.array([1, 2]),
@@ -142,6 +149,8 @@ class TestValidation:
         {"repetitions": "20"},
         {"rejection_factor": math.nan}, {"rejection_factor": "2"},
         {"rejection_factor": -math.inf},
+        {"repetitions": -1}, {"repetitions": math.inf}, {"repetitions": None},
+        {"rejection_factor": True}, {"rejection_factor": 1}, {"rejection_factor": None},
     ], ids=repr)
     def test_non_integer_repetitions_and_nan_factor(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -151,6 +160,12 @@ class TestValidation:
         meas = measure_energy(SCRIPTED, EnergyModel(seed=1), np.full(64, 0.5),
                               MeasurementProtocol(repetitions=np.int64(3)))
         assert len(meas.raw_samples) == 3
+
+    def test_numpy_and_infinite_factors_accepted(self):
+        for factor in (np.float64(2.0), np.int64(3), np.float32(math.inf), math.inf):
+            assert MeasurementProtocol(rejection_factor=factor).rejection_factor == factor
+        em = EnergyModel(per_block_joules=(0.5, np.float64(1.0), 2))
+        assert em.per_block_joules == [0.5, 1.0, 2.0]
 
     def test_infinite_rejection_factor_keeps_every_reading(self):
         keep_all = MeasurementProtocol(rejection_factor=math.inf)

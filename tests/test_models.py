@@ -2,6 +2,7 @@
 training dynamics, and serialization."""
 
 import copy
+import json
 import math
 import pathlib
 
@@ -118,6 +119,40 @@ class TestScriptedModel:
     def test_out_of_range_thresholds_rejected(self):
         with pytest.raises(ValueError):
             ScriptedAdnn([0.5, 1.5])
+
+    @pytest.mark.parametrize("field, args", [
+        ("thresholds", ([math.nan],)), ("thresholds", ([0.2, math.inf],)),
+        ("thresholds", ([True],)), ("thresholds", ("0.5",)), ("thresholds", (0.5,)),
+        ("thresholds", ([-0.1, 0.5],)),
+        ("base_flops", ([0.5], -3)), ("base_flops", ([0.5], 2.5)),
+        ("base_flops", ([0.5], math.nan)), ("block_flops", ([0.5], 100, True)),
+        ("block_flops", ([0.5], 100, -1)), ("num_classes", ([0.5], 100, 50, 0)),
+        ("num_classes", ([0.5], 100, 50, math.inf)),
+    ], ids=repr)
+    def test_bad_setting_rejected_when_built(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            ScriptedAdnn(*args)
+
+    def test_sequences_and_numpy_numbers_accepted(self):
+        for thresholds in ((0.25, 0.5), np.array([0.25, 0.5]), [np.float32(0.25), 1]):
+            model = ScriptedAdnn(thresholds, base_flops=np.int64(0), block_flops=np.uint8(5),
+                                 num_classes=np.int32(3))
+            assert model.thresholds == [0.25, float(thresholds[1])]
+            assert type(model.base_flops) is int and model.num_classes == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(thresholds=st.lists(st.floats() | st.integers(-2, 2) | st.booleans(), max_size=4),
+           flops=st.lists(st.floats() | st.integers(-5, 5) | st.booleans(),
+                          min_size=3, max_size=3))
+    def test_a_model_that_builds_round_trips_through_its_payload(self, thresholds, flops):
+        try:
+            model = ScriptedAdnn(thresholds, *flops)
+        except ValueError:
+            return
+        text = json.dumps(model_to_payload(model))
+        loaded = model_from_payload(json.loads(text))
+        assert loaded.signature == model.signature
+        assert loaded.num_classes == model.num_classes
 
     def test_activation_monotone_in_mean(self):
         model = ScriptedAdnn([(i + 0.5) / 8 for i in range(8)], base_flops=2176, block_flops=1024)
@@ -342,15 +377,50 @@ class TestFitSettings:
         {"epochs": 0}, {"epochs": -3}, {"epochs": 2.5}, {"epochs": "3"},
         {"batch_size": 0}, {"batch_size": 32.0}, {"batch_size": None},
         {"lr": -0.1}, {"lr": math.nan}, {"lr": math.inf}, {"lr": "0.1"},
+        {"epochs": True}, {"batch_size": True}, {"lr": True}, {"lr": -math.inf},
+        {"input_dim": 0}, {"input_dim": -2}, {"input_dim": 2.5}, {"input_dim": True},
+        {"width": 0}, {"width": 16.0}, {"width": math.nan},
+        {"seed": 2.5}, {"seed": True}, {"seed": math.nan}, {"seed": "1"},
     ], ids=lambda bad: "%s=%r" % next(iter(bad.items())))
     def test_bad_setting_rejected_when_built(self, make, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             make(**bad)
+        model = make()
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            model.set_params(**bad)
+        assert model.get_params() == make().get_params()
+
+    @pytest.mark.parametrize("make, bad", [
+        (GatedSkipNet, {"num_blocks": 0}), (GatedSkipNet, {"num_blocks": -1}),
+        (GatedSkipNet, {"num_classes": True}), (GatedSkipNet, {"num_classes": 0}),
+        (GatedSkipNet, {"gate_threshold": math.nan}), (GatedSkipNet, {"gate_threshold": 0.0}),
+        (GatedSkipNet, {"gate_threshold": True}),
+        (GatedSkipNet, {"sparsity_weight": math.nan}), (GatedSkipNet, {"sparsity_weight": -1.0}),
+        (GatedSkipNet, {"sparsity_weight": math.inf}), (GatedSkipNet, {"sparsity_weight": True}),
+        (EarlyExitNet, {"num_segments": 0}), (EarlyExitNet, {"num_segments": 2.0}),
+        (EarlyExitNet, {"num_classes": -1}),
+        (EarlyExitNet, {"entropy_threshold": math.nan}),
+        (EarlyExitNet, {"entropy_threshold": math.inf}),
+        (EarlyExitNet, {"entropy_threshold": True}),
+        (FilterModel, {"num_blocks": -1}), (FilterModel, {"num_blocks": 1.5}),
+        (FilterModel, {"num_classes": 0}),
+        (EnergyEstimator, {"num_blocks": True}), (EnergyEstimator, {"val_fraction": True}),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else "%s=%r" % next(iter(v.items())))
+    def test_bad_model_setting_rejected_when_built(self, make, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            make(**bad)
+        model = make()
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            model.set_params(**bad)
+        assert model.get_params() == make().get_params()
 
     @pytest.mark.parametrize("make", FITTED_KINDS)
     def test_edge_settings_accepted(self, make):
         make(epochs=1, batch_size=1, lr=0.0)
         make(epochs=np.int64(2), batch_size=np.int32(4), lr=np.float64(0.1))
+        make(input_dim=np.int64(3), width=np.int32(1))
+        for seed in (-1, np.int64(-3), np.uint64(2**64 - 1), 2**70):
+            assert make(seed=seed).seed == seed
 
     @pytest.mark.parametrize("make", FITTED_KINDS)
     def test_bad_setting_from_set_params_rejected_before_a_step(self, make, monkeypatch):
@@ -358,7 +428,8 @@ class TestFitSettings:
         monkeypatch.setattr(Adam, "step", lambda opt, grads: steps.append(1))
         X = generate_dataset(24, seed=3).inputs
         y = np.arange(24) % 2
-        for bad in ({"batch_size": 0}, {"epochs": 2.5}, {"lr": math.nan}):
+        for bad in ({"batch_size": 0}, {"epochs": 2.5}, {"lr": math.nan}, {"epochs": True},
+                    {"width": 0}, {"seed": 2.5}):
             model = make(epochs=1)
             with pytest.raises(ValueError, match=next(iter(bad))):
                 model.set_params(**bad)
@@ -518,6 +589,20 @@ class TestLoaderFuzz:
         ("estimator", "energy_mean", "x"), ("estimator", "energy_scale", float("inf")),
         ("estimator", "energy_scale", 0.0), ("estimator", "energy_scale", -1.0),
         ("estimator", "num_blocks", -2),
+        ("skip", "input_dim", 2.5), ("skip", "width", math.nan), ("skip", "num_blocks", 0),
+        ("skip", "num_classes", True), ("skip", "gate_threshold", math.nan),
+        ("skip", "gate_threshold", math.inf), ("skip", "gate_threshold", True),
+        ("exit", "input_dim", -1), ("exit", "width", True), ("exit", "num_segments", 0),
+        ("exit", "num_classes", 2.0), ("exit", "entropy_threshold", math.nan),
+        ("exit", "entropy_threshold", math.inf), ("exit", "entropy_threshold", False),
+        ("scripted", "thresholds", [math.inf]), ("scripted", "thresholds", [True]),
+        ("scripted", "thresholds", 0.5), ("scripted", "base_flops", -3),
+        ("scripted", "base_flops", 2.5), ("scripted", "block_flops", True),
+        ("scripted", "num_classes", math.nan), ("scripted", "num_classes", True),
+        ("estimator", "input_dim", True), ("estimator", "width", 0),
+        ("estimator", "num_blocks", 1.0), ("estimator", "energy_mean", math.nan),
+        ("estimator", "energy_mean", -math.inf), ("estimator", "energy_mean", True),
+        ("estimator", "energy_scale", True),
     ])
     def test_bad_config_value_rejected_before_any_parameter(self, kind, key, value):
         payload = copy.deepcopy(PAYLOADS[kind])
