@@ -8,16 +8,24 @@ intermediate quantities (gate values or exit entropies) through its soft
 forward pass. All modes craft inputs through a tanh reparameterization so
 pixels stay inside [0, 1] by construction.
 
-An iterate's graph is a handful of nodes: the modifier `w`, its
-reparameterization `f`, the network (over `f` and its flat parameters), and
-for the black-box modes the estimator's prediction; the objective on top is
-one node with a hand-written vector-Jacobian product that equals the unfused
-composition's bit for bit (5 nodes for ILFO, 6 for the black-box modes).
-The black-box modes reach the estimator only through `predict_tensor` and
-`input_dim`. The white-box network node keeps only the outputs its hinge
-reads, and so runs only the layers they need: the gate hinge asks for no
-head (the gate values alone: no stem, block or head runs), the exit hinge
-for every early exit (the last segment and exit do not run).
+An iterate builds no graph. It computes its loss on plain arrays and, when
+it steps, the modifier gradient with one forward and one reverse walk: the
+reparameterization (`tanh_unit_terms`), the network or the estimator, and
+the objective each give a value and its vector-Jacobian product, composed
+by `_scorer`. The black-box modes reach the estimator only through
+`predict_terms` and `input_dim`, and the white-box mode reaches the model
+only through `forward_terms(x, heads)` and its sizes and thresholds. The
+white-box forward keeps only the outputs its hinge reads, and so runs only
+the layers they need: the gate hinge asks for no head (the gate values
+alone: no stem, block or head runs), the exit hinge for every early exit
+(the last segment and exit do not run).
+
+Each objective's arithmetic is one array helper, shared with its Tensor
+objective (`input_based_loss`, `universal_loss`, `IlfoAttack._loss`): one
+node with a hand-written vector-Jacobian product over the reparameterized
+input and the model's one-node forward. A loop's values, gradients and
+finiteness checks (by op name) equal those of building that objective's
+graph per iterate and stepping it with `Adam.step_loss`.
 """
 
 import inspect
@@ -26,14 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, _require_finite, entropy_hinge_terms, hinge_terms,
-                       relu, tanh_unit, tsum)
+from .autodiff import (ShapeError, Tensor, _checked, _require_finite, entropy_hinge_terms,
+                       hinge_terms, relu, tanh_unit, tanh_unit_terms, tsum)
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
 from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL_OR_NONE, SIZE,
                          as_float_array, check_params)
 
 _ATANH_CLIP = 1e-6
+# d loss / d loss, the gradient `gradients` starts its reverse walk from
+_ONE = np.ones(())
+_ONE.flags.writeable = False
 
 
 def reparam(w):
@@ -48,15 +59,32 @@ def _to_modifier(x):
 
 
 def _offset(f, x, op):
-    """f's value minus the seed `x` (an array or a Tensor), checked."""
+    """Array `f` minus the seed `x` (an array or a Tensor), checked."""
     x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     _require_finite(x, op)
-    d = f.data - x
+    d = f - x
     if d.shape != f.shape:
         raise ShapeError("%s got an input of shape %s and a seed of shape %s"
                          % (op, f.shape, x.shape))
     _require_finite(d, op)
     return d
+
+
+def _input_based_terms(f, x, pred, c):
+    """l2_norm(f - x) - tsum(pred) * c on arrays: (value, product toward
+    f, product toward pred)."""
+    d = _offset(f, x, "input_based_loss")
+    norm = np.sqrt((d * d).sum())
+    energy = pred.sum()
+    scaled = energy * c
+    for value in (norm, energy, c, scaled):
+        _require_finite(value, "input_based_loss")
+
+    def grad_f(g):
+        # the Euclidean norm's subgradient at the origin is 0
+        return g / np.where(norm > 0.0, norm, 1.0) * (norm > 0.0) * d
+
+    return norm - scaled, grad_f, lambda g: np.full(pred.shape, (-g) * c)
 
 
 def input_based_loss(w, x, c, estimator):
@@ -67,33 +95,28 @@ def input_based_loss(w, x, c, estimator):
     """
     f = reparam(w)
     pred = estimator.predict_tensor(f)
-    d = _offset(f, x, "input_based_loss")
-    norm = np.sqrt((d * d).sum())
-    energy = pred.data.sum()
-    scaled = energy * c
-    for value in (norm, energy, c, scaled):
-        _require_finite(value, "input_based_loss")
+    value, grad_f, grad_pred = _input_based_terms(f.data, x, pred.data, c)
+    return Tensor(value, ((f, grad_f), (pred, grad_pred)), "input_based_loss")
 
-    def grad_f(g):
-        # the Euclidean norm's subgradient at the origin is 0
-        return g / np.where(norm > 0.0, norm, 1.0) * (norm > 0.0) * d
 
-    return Tensor(norm - scaled, ((f, grad_f), (pred, lambda g: np.full(pred.shape, (-g) * c))),
-                  "input_based_loss")
+def _universal_terms(f, pred):
+    """0.0 - tsum(pred) on arrays: (value, None, as no term reaches f,
+    product toward pred)."""
+    return 0.0 - pred.sum(), None, lambda g: np.full(pred.shape, -g)
 
 
 def universal_loss(w, estimator):
     """Negated predicted energy, 0.0 - tsum(pred), one node over the
     estimator's prediction; no distance term."""
     pred = estimator.predict_tensor(reparam(w))
-    return Tensor(0.0 - pred.data.sum(), ((pred, lambda g: np.full(pred.shape, -g)),),
-                  "universal_loss")
+    value, _, grad_pred = _universal_terms(None, pred.data)
+    return Tensor(value, ((pred, grad_pred),), "universal_loss")
 
 
-def _ilfo_objective(f, x, out, hinge, c):
-    """tsum(d * d) + hinge * c with d = f - x, one node over f and the
-    model's soft forward `out`; `hinge` is (value, vector-Jacobian product)
-    of the intermediate hinge on out's value."""
+def _ilfo_terms(f, x, out, hinge, c):
+    """tsum(d * d) + hinge * c with d = f - x, on arrays: (value, product
+    toward f, product toward out). `hinge` is (value, vector-Jacobian
+    product) of the intermediate hinge on the model's soft forward `out`."""
     d = _offset(f, x, "ilfo_loss")
     dd = d * d
     distance = dd.sum()
@@ -106,8 +129,33 @@ def _ilfo_objective(f, x, out, hinge, c):
         half = g * d
         return half + half
 
-    return Tensor(distance + scaled, ((f, grad_f), (out, lambda g: hinge_grad(g * c))),
-                  "ilfo_loss")
+    return distance + scaled, grad_f, lambda g: hinge_grad(g * c)
+
+
+def _scorer(forward, objective, op):
+    """One iterate's loss and modifier gradient, with no graph.
+
+    Returns score(w): f = reparam(w) feeds `forward`, a function giving the
+    model's output and its product toward f, and `objective(f, out)`, which
+    gives (value, product toward f or None, product toward out). score(w)
+    is (value, grad), and grad() is the gradient toward w. It adds the
+    objective's term toward f and then the model's, as `gradients` adds
+    them, and checks every value and product under the name of the node
+    that makes it in the graph of the Tensor objective `op`.
+    """
+    def score(w):
+        f, f_vjp = tanh_unit_terms(w)
+        out, out_vjp = forward(f)
+        value, grad_f, grad_out = objective(f, out)
+
+        def grad():
+            near = None if grad_f is None else _checked(grad_f(_ONE), op + ".grad")
+            far = out_vjp(_checked(grad_out(_ONE), op + ".grad"))
+            return f_vjp(far if near is None else near + far)
+
+        return _checked(value, op), grad
+
+    return score
 
 
 @dataclass(frozen=True)
@@ -148,29 +196,32 @@ class InputBasedAttack:
         rng = derive_rng(cfg.seed, "testgen", "input_based", array_fingerprint(x))
         w = Tensor(rng.normal(0.0, 0.1, size=x.shape))
         opt = Adam([w], lr=cfg.lr)
+        score = _scorer(self.estimator.predict_terms,
+                        lambda f, pred: _input_based_terms(f, x, pred, cfg.c), "input_based_loss")
         self.history_ = []
         best = (np.inf, w.data.copy())
-        loss = input_based_loss(w, x, cfg.c, self.estimator)
+        loss, grad = score(w.data)
         for _ in range(cfg.iterations):
-            # one graph per iterate: it scores the iterate, then steps it
-            if loss.data < best[0]:
-                best = (float(loss.data), w.data.copy())
-            self.history_.append(opt.step_loss(loss))
-            loss = input_based_loss(w, x, cfg.c, self.estimator)
-        final = float(loss.data)
+            # one pass per iterate: it scores the iterate, then steps it
+            if loss < best[0]:
+                best = (float(loss), w.data.copy())
+            opt.step([grad()])
+            self.history_.append(float(loss))
+            loss, grad = score(w.data)
+        final = float(loss)
         if final < best[0]:
             best = (final, w.data.copy())
         self.final_loss_ = final
         self.best_loss_ = best[0] if cfg.iterations else final
         chosen = best[1] if cfg.track_best else w.data
-        return reparam(Tensor(chosen)).data.reshape(-1)
+        return tanh_unit_terms(chosen)[0].reshape(-1)
 
 
 class UniversalAttack:
     """Chase predicted energy from many random starts; keep the best run.
 
     All restarts run as the rows of one (restarts, d) modifier under one
-    Adam, so the estimator's `predict_tensor` must treat batch rows
+    Adam, so the estimator's `predict_terms` must treat batch rows
     independently. Restart r keeps its own seeded start and its final loss
     is scored on its row alone, within float rounding of a one-row run.
     The restart whose final loss is lowest wins; per-restart losses and
@@ -188,11 +239,11 @@ class UniversalAttack:
             derive_rng(cfg.seed, "testgen", "universal", str(r)).normal(0.0, 0.1, size=(1, dim))
             for r in range(cfg.restarts)]))
         opt = Adam([w], lr=cfg.lr)
+        score = _scorer(self.estimator.predict_terms, _universal_terms, "universal_loss")
         for _ in range(cfg.iterations):
-            opt.step_loss(universal_loss(w, self.estimator))
-        self.restart_losses_ = [float(universal_loss(Tensor(row[None]), self.estimator).data)
-                                for row in w.data]
-        self.restart_inputs_ = list(reparam(Tensor(w.data)).data)
+            opt.step([score(w.data)[1]()])
+        self.restart_losses_ = [float(score(row[None])[0]) for row in w.data]
+        self.restart_inputs_ = list(tanh_unit_terms(w.data)[0])
         self.best_restart_ = int(np.argmin(self.restart_losses_))
         self.best_loss_ = self.restart_losses_[self.best_restart_]
         return self.restart_inputs_[self.best_restart_].copy()
@@ -250,12 +301,13 @@ class IlfoAttack:
     the chosen intermediate target, differentiating through the soft
     forward pass. The modifier starts at zero perturbation (arctanh of the
     seed) and the minimum-loss iterate is returned. Each iterate costs one
-    soft forward: the graph that scores it also gives the next step. The
-    model's `forward_all(x, heads)` gives that forward as one node, the kept
-    heads' logits first and gate values last, and the objective is one node
-    on top of it. It keeps no head for a gate target and every early exit
-    for an exit target, so the layers that would feed only unread outputs
-    do not run; their values are neither computed nor checked.
+    soft forward: the pass that scores it also gives the next step. The
+    model's `forward_terms(x, heads)` gives that forward on an array, the
+    kept heads' logits first and gate values last, with its product toward
+    the input. It keeps no head for a gate target and every early exit for
+    an exit target, so the layers that would feed only unread outputs do
+    not run; their values are neither computed nor checked. `_loss` is the
+    same objective as one node over the model's `forward_all(x, heads)`.
     """
 
     def __init__(self, model, config=None):
@@ -275,16 +327,25 @@ class IlfoAttack:
         exit (all but the last) for the exit entropies."""
         return 0 if self.config.target == "gate" else self.model.num_segments - 1
 
-    def _hinge(self, out):
-        """The summed hinge of every gate, or of every early exit's entropy,
-        on the output array of the soft forward that keeps `_heads()` heads:
-        (value, vector-Jacobian product)."""
+    def _objective(self, x):
+        """The objective for seed `x` on arrays: a function from f = reparam(w)
+        and the output of the soft forward that keeps `_heads()` heads to
+        (value, product toward f, product toward the output). Its hinge is
+        the summed hinge of every gate, or of every early exit's entropy."""
+        cfg, model = self.config, self.model
         level = self._threshold()
-        model = self.model
-        if self.config.target == "gate":
-            return hinge_terms(out, level, 0, model.num_blocks)
-        return entropy_hinge_terms(out, level + self.config.margin, model.num_classes,
-                                   model.num_segments - 1)
+        if cfg.target == "gate":
+            count = model.num_blocks
+
+            def hinge(out):
+                return hinge_terms(out, level, 0, count)
+        else:
+            level, width, count = level + cfg.margin, model.num_classes, model.num_segments - 1
+
+            def hinge(out):
+                return entropy_hinge_terms(out, level, width, count)
+
+        return lambda f, out: _ilfo_terms(f, x, out, hinge(out), cfg.c)
 
     def _loss(self, w, x):
         """tsum(d * d) + hinge * c, d = reparam(w) - x, as one node over the
@@ -292,43 +353,46 @@ class IlfoAttack:
         runs only the layers the hinge reads."""
         f = reparam(w)
         out = self.model.forward_all(f, self._heads())
-        return _ilfo_objective(f, x, out, self._hinge(out.data), self.config.c)
+        value, grad_f, grad_out = self._objective(x)(f.data, out.data)
+        return Tensor(value, ((f, grad_f), (out, grad_out)), "ilfo_loss")
 
     def generate(self, x):
         cfg = self.config
         x = as_float_array(x, "x").reshape(1, -1)
         w = Tensor(_to_modifier(x))
         opt = Adam([w], lr=cfg.lr)
-        loss = self._loss(w, x)
-        best_loss = float(loss.data)
+        forward, heads = self.model.forward_terms, self._heads()
+        score = _scorer(lambda f: forward(f, heads), self._objective(x), "ilfo_loss")
+        loss, grad = score(w.data)
+        best_loss = float(loss)
         best_w = w.data.copy()
         self.min_losses_ = [best_loss]
         for _ in range(cfg.iterations):
-            opt.step_loss(loss)
-            loss = self._loss(w, x)
-            current = float(loss.data)
+            opt.step([grad()])
+            loss, grad = score(w.data)
+            current = float(loss)
             if current < best_loss:
                 best_loss = current
                 best_w = w.data.copy()
             self.min_losses_.append(best_loss)
         self.best_loss_ = best_loss
-        return reparam(Tensor(best_w)).data.reshape(-1)
+        return tanh_unit_terms(best_w)[0].reshape(-1)
 
 
 def _check_ilfo_target(model, config):
     """Reject a model that lacks what IlfoAttack calls for `config.target`.
 
-    Either target needs `forward_all(x, heads)`, the one-node soft forward
-    that keeps only the heads the objective reads, and the model's threshold
+    Either target needs `forward_terms(x, heads)`, the soft forward that
+    keeps only the heads the objective reads, and the model's threshold
     unless the config sets one. A gate target reads `num_blocks` gate
     values; an exit target reads `num_classes` logits per exit and needs at
     least two exits (`num_segments`), since the last one carries no
     constraint.
     """
     name = type(model).__name__
-    forward_all = getattr(model, "forward_all", None)
-    if not callable(forward_all) or "heads" not in inspect.signature(forward_all).parameters:
-        raise ValueError("IlfoAttack needs forward_all(x, heads), to run only the layers its "
+    forward = getattr(model, "forward_terms", None)
+    if not callable(forward) or "heads" not in inspect.signature(forward).parameters:
+        raise ValueError("IlfoAttack needs forward_terms(x, heads), to run only the layers its "
                          "objective reads, which %s lacks" % name)
     if config.target == "gate":
         size, threshold = "num_blocks", "gate_threshold"

@@ -23,7 +23,8 @@ handful of one-node ops with hand-written vector-Jacobian products:
   gate and exit-entropy hinges and the attacks' pixel reparameterization.
   `hinge_terms` and `entropy_hinge_terms` give a hinge's value and
   vector-Jacobian product on a plain array, so the attack's one-node
-  objective (`attacks`) shares their arithmetic.
+  objective (`attacks`) shares their arithmetic. `tanh_unit_terms` does the
+  same for the reparameterization, which the attack loops run on arrays.
 
 The attack objectives and the estimator's de-normalized prediction are one
 node each too, built in `attacks` and `estimator` on the same pattern.
@@ -49,10 +50,14 @@ Finiteness contract: an op whose value is NaN or infinite raises
 computes. The one-node ops also check their hidden values (every relu and
 sigmoid pre-activation of a network, and the log-probabilities of the
 cross-entropy and the entropy hinge), where a sigmoid or a relu could hide a
-non-finite value. A check costs one `math.isfinite` on a number or a 0-d
-array, and one sum on an array: a finite sum proves every entry finite, and
-only a sum that is not finite (a non-finite entry, or an overflow of finite
-ones) has the entries checked one by one.
+non-finite value. The array forms that the attack loops compose without a
+graph (`tanh_unit_terms`, `nn.ResidualMLP.terms` and what is built on it)
+make the same checks under the same names: a node's value under its op,
+and its product under op + ".grad", as `gradients` names a contribution.
+A check costs one `math.isfinite` on a number or a 0-d array, and one sum
+of squares on an array: a finite sum proves every entry finite, and only a
+sum that is not finite (a non-finite entry, or an overflow of finite ones)
+has the entries checked one by one.
 """
 
 import math
@@ -75,15 +80,16 @@ def _require_finite(data, op):
     """Raise `NonFiniteError` naming `op` unless every value of `data` is finite.
 
     A float or a 0-d float64 array goes through `math.isfinite`. An array
-    passes when its sum is finite, which no NaN or infinity allows; only a
+    passes when the sum of its squares (one `np.vdot`, which costs less than
+    a ufunc reduction) is finite, which no NaN or infinity allows; only a
     sum that is not finite has the entries checked one by one, so a finite
-    array whose sum overflows still passes. Such a sum, or inf - inf, makes
-    numpy warn; where a warnings filter or numpy's error state turns that
+    array whose squares overflow still passes. Where numpy warns of that
+    overflow and a warnings filter or numpy's error state turns the warning
     into an exception, the entries are checked as well.
     """
     if isinstance(data, np.ndarray) and data.ndim:
         try:
-            if math.isfinite(np.add.reduce(data, None)):
+            if math.isfinite(np.vdot(data, data)):
                 return
         except (RuntimeWarning, FloatingPointError):
             pass
@@ -95,6 +101,12 @@ def _require_finite(data, op):
     elif np.isfinite(data).all():
         return
     raise NonFiniteError("op %r produced a non-finite value" % op)
+
+
+def _checked(data, op):
+    """`data`, once `_require_finite` has passed it under the name `op`."""
+    _require_finite(data, op)
+    return data
 
 
 class Tensor:
@@ -163,7 +175,7 @@ class FlatLeaf(Tensor):
     cycle behind.
     """
 
-    __slots__ = ("layout", "_split")
+    __slots__ = ("layout",)
 
     def holds(self, tensors):
         """Whether `tensors` are views of this leaf that cover it in order."""
@@ -171,19 +183,9 @@ class FlatLeaf(Tensor):
             type(t) is View and t.flat is self and t.start == start
             for t, (start, _, _) in zip(tensors, self.layout))
 
-    def split(self):
-        """Each view's current value, as slices of the present `data`.
-
-        Computed once per array the leaf holds: the memo is one
-        `(data, arrays)` tuple, read and written whole.
-        """
-        data = self.data
-        memo = self._split
-        if memo is None or memo[0] is not data:
-            memo = (data, [data[start:stop].reshape(shape)
-                           for start, stop, shape in self.layout])
-            self._split = memo
-        return memo[1]
+    def split(self, data):
+        """Each view's value in `data`, an array this leaf holds, as slices."""
+        return [data[start:stop].reshape(shape) for start, stop, shape in self.layout]
 
 
 class View(Tensor):
@@ -234,7 +236,6 @@ def pack(tensors):
         views.append(View(flat, start, t.shape))
         start = views[-1].stop
     flat.layout = tuple((v.start, v.stop, v.shape) for v in views)
-    flat._split = None
     return flat, views
 
 
@@ -554,11 +555,23 @@ def entropy_hinge_sum(x, level, width, count):
     return Tensor(total, ((x, vjp),), "entropy_hinge_sum")
 
 
+def _tanh_unit_parts(w):
+    t = np.tanh(w)
+    return (t + 1.0) * 0.5, lambda g: (g * 0.5) * (1.0 - t * t)
+
+
 def tanh_unit(w):
     """(tanh(w) + 1) * 0.5 as one node: any real array into (0, 1)."""
     w = as_tensor(w)
-    t = np.tanh(w.data)
-    return Tensor((t + 1.0) * 0.5, ((w, lambda g: (g * 0.5) * (1.0 - t * t)),), "tanh_unit")
+    value, vjp = _tanh_unit_parts(w.data)
+    return Tensor(value, ((w, vjp),), "tanh_unit")
+
+
+def tanh_unit_terms(w):
+    """`tanh_unit` on array `w`, with no graph: (value, vector-Jacobian
+    product toward `w`), checked as the node and `gradients` check them."""
+    value, vjp = _tanh_unit_parts(w)
+    return _checked(value, "tanh_unit"), lambda g: _checked(vjp(g), "tanh_unit.grad")
 
 
 def tsum(x, axis=None):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, squared_error
+from .autodiff import Tensor, _checked, squared_error
 from .base import ParamsMixin, check_is_fitted
 from .nn import (Dense, ResidualBlock, fit_minibatch, kept_network, layers_from_payload,
                  params_to_payload, payload_layout)
@@ -142,6 +142,16 @@ class EnergyEstimator(ParamsMixin):
         scale = self.energy_scale_
         return Tensor(out.data * scale + self.energy_mean_, ((out, lambda g: g * scale),),
                       "denormalize")
+
+    def predict_terms(self, f):
+        """`predict_tensor` on array `f`, with no graph: (joules, vector-Jacobian
+        product toward `f`), checked as its two nodes and `gradients` check
+        them."""
+        check_is_fitted(self, "head_")
+        out, vjp = self._net().terms(f)
+        scale = self.energy_scale_
+        return (_checked(out * scale + self.energy_mean_, "denormalize"),
+                lambda g: vjp(_checked(g * scale, "denormalize.grad")))
 
     def predict(self, X):
         check_is_fitted(self, "head_")

@@ -196,6 +196,11 @@ class GatedSkipNet(ParamsMixin):
         nor the head (see `nn.ResidualMLP`)."""
         return self._net()(x, heads)
 
+    def forward_terms(self, x, heads=None):
+        """`forward_all` on an array, with no graph: (output, vector-Jacobian
+        product toward `x`); see `nn.ResidualMLP.terms`."""
+        return self._net().terms(x, heads)
+
     def forward(self, x, mode="hard"):
         """Run the network on a Tensor (vector or batch of rows).
 
@@ -384,6 +389,11 @@ class EarlyExitNet(ParamsMixin):
         trunk is shared, and runs only as far as the last exit kept (see
         `nn.ResidualMLP`)."""
         return self._net()(x, heads)
+
+    def forward_terms(self, x, heads=None):
+        """`forward_all` on an array, with no graph: (output, vector-Jacobian
+        product toward `x`); see `nn.ResidualMLP.terms`."""
+        return self._net().terms(x, heads)
 
     def forward_exits(self, x):
         """All exit logits for a Tensor input, one Tensor per exit."""

@@ -3,8 +3,8 @@
 All four networks are one shape, a `ResidualMLP`: a stem, residual blocks
 and one head at the end or one after every block, optionally with a sigmoid
 gate per block. Its whole forward and backward is one autodiff node over one
-flat parameter leaf, `theta`, and runs only the layers its kept heads and
-gates read; the per-layer weights (`Dense`, `ResidualBlock`, gate lists) are
+flat parameter leaf, `theta` (or, on an array with no graph, `terms`), and
+runs only the layers its kept heads and gates read; the per-layer weights (`Dense`, `ResidualBlock`, gate lists) are
 `View`s of it. The four fits share one epoch loop, `fit_minibatch`, and the
 three saved kinds one payload layout, `payload_layout`: a (payload key,
 shape) per theta view, in theta order.
@@ -14,14 +14,13 @@ multiply plus one add per weight). Activations, pooling and gate heads are
 treated as free; only affine maps carry cost.
 """
 
-import numbers
-
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, View, _column_sums, _once_per_gradient,
+from .autodiff import (ShapeError, Tensor, View, _checked, _column_sums, _once_per_gradient,
                        _require_finite, as_tensor, pack, softmax_cross_entropy)
 from .optim import Adam
 from .serialize import array_to_json, param_from_json
+from .validation import is_int
 
 
 def xavier_uniform(rng, fan_in, fan_out):
@@ -95,7 +94,8 @@ class ResidualMLP:
     of the first `heads` heads, then the gate values. It runs only the
     layers those outputs read: the gates read `pool` alone, so `heads=0`
     runs no stem, block or head, and a net with one head per block runs its
-    blocks only up to the last head it keeps.
+    blocks only up to the last head it keeps. `terms` gives the same output
+    on an array, with no graph, and its product toward the input.
 
     Built from a model's current layers, and kept by the model while they
     stay in place (`kept_network`). `theta` holds their values back to back
@@ -127,17 +127,31 @@ class ResidualMLP:
         self.params = params
         self.gated = gates is not None
         self.out_dim = heads[0].fan_out
+        self._layers_memo = None
 
     def _layers(self):
-        """(stem, blocks, gate weights and biases or None, heads) as arrays."""
-        a = self.theta.split()
+        """(stem, blocks, gate weights and biases or None, heads) as arrays,
+        slices of theta's present data.
+
+        Computed once per array theta holds: an attack's iterates share one,
+        and a fit step rebinds it. The memo is one `(data, layers)` tuple,
+        read and written whole.
+        """
+        data = self.theta.data
+        memo = self._layers_memo
+        if memo is None or memo[0] is not data:
+            memo = (data, self._slice_layers(data))
+            self._layers_memo = memo
+        return memo[1]
+
+    def _slice_layers(self, data):
+        a = self.theta.split(data)
         n = self.num_blocks
         blocks = [a[2 + 4 * i:6 + 4 * i] for i in range(n)]
         rest = 2 + 4 * n
         gates = None
         if self.gated:
             start = self.params[rest].start
-            data = self.theta.data
             gates = (data[start:start + n], data[start + n:start + 2 * n])
             rest += 2 * n
         heads = [a[i:i + 2] for i in range(rest, len(a), 2)]
@@ -197,8 +211,7 @@ class ResidualMLP:
         """`heads`, once checked to be None or how many heads to keep, from
         the first. A net with no gates must keep one, or it returns nothing."""
         least = 0 if self.gated else 1
-        if heads is not None and not (isinstance(heads, numbers.Integral)
-                                      and least <= heads <= self.num_heads):
+        if heads is not None and not (is_int(heads) and least <= heads <= self.num_heads):
             raise ValueError("heads must be None or an integer in %d..%d, got %r"
                              % (least, self.num_heads, heads))
         return heads
@@ -219,6 +232,31 @@ class ResidualMLP:
             _require_finite(part, "residual_mlp")
         return logits, gates
 
+    def _soft(self, x, heads):
+        """The soft forward of array `x` (a vector or a batch of rows) and its
+        reverse walk: (output, walk, grad_x, grad_theta).
+
+        The output is the logits of the first `heads` heads, then the gate
+        values, shaped as the node gives it. `walk(g)` is the one reverse walk
+        for the incoming gradient `g`, run once however many of the products
+        ask for it; `grad_x` and `grad_theta` map `g` to the gradient toward
+        `x` and toward theta. The node, `terms` and `stem_grad` are views of
+        this one entry.
+        """
+        layers = self._layers()
+        logits, gates, cache = self._forward(self._rows(x), layers,
+                                             heads=self._check_heads(heads))
+        out = _side_by_side(logits, gates)
+        walk = _once_per_gradient(lambda g: self._backward(layers, cache, g))
+
+        def grad_x(g):
+            return self._input_grad(layers, cache, walk(g)).reshape(x.shape)
+
+        def grad_theta(g):
+            return self._theta_grad(cache, walk(g))
+
+        return (out.reshape(-1) if x.ndim == 1 else out), walk, grad_x, grad_theta
+
     def __call__(self, x, heads=None):
         """The soft forward as one node: the logits of the first `heads`
         heads (all of them if None), then the gate values, along the last
@@ -230,20 +268,16 @@ class ResidualMLP:
         layer it does not run has no value, and is not checked.
         """
         x = as_tensor(x)
-        rows = self._rows(x.data)
-        layers = self._layers()
-        logits, gates, cache = self._forward(rows, layers, heads=self._check_heads(heads))
-        out = _side_by_side(logits, gates)
-        chain = _once_per_gradient(lambda g: self._backward(layers, cache, g))
+        out, _, grad_x, grad_theta = self._soft(x.data, heads)
+        return Tensor(out, ((x, grad_x), (self.theta, grad_theta)), "residual_mlp")
 
-        def grad_x(g):
-            return self._input_grad(layers, cache, chain(g)).reshape(x.shape)
-
-        def grad_theta(g):
-            return self._theta_grad(cache, chain(g))
-
-        return Tensor(out.reshape(-1) if x.ndim == 1 else out,
-                      ((x, grad_x), (self.theta, grad_theta)), "residual_mlp")
+    def terms(self, x, heads=None):
+        """The node's output on array `x`, with no graph, and its
+        vector-Jacobian product toward `x`: (output, vjp). Both are checked as
+        the node and `gradients` check them ("residual_mlp" and
+        "residual_mlp.grad"); no theta gradient is built."""
+        out, _, grad_x, _ = self._soft(np.asarray(x, dtype=np.float64), heads)
+        return _checked(out, "residual_mlp"), lambda g: _checked(grad_x(g), "residual_mlp.grad")
 
     def stem_grad(self, x, out_grad, heads=None):
         """dL/dz0 for each row of `x`, where z0 = x @ Ws + bs is the stem's
@@ -255,11 +289,8 @@ class ResidualMLP:
         per-example form of the node's theta gradient `x.T @ dz0`.
         """
         rows = self._rows(np.asarray(x, dtype=np.float64))
-        layers = self._layers()
-        logits, gates, cache = self._forward(rows, layers, heads=self._check_heads(heads))
-        out = _side_by_side(logits, gates)
-        _require_finite(out, "residual_mlp")
-        dz0 = self._backward(layers, cache, out_grad(out))[2]
+        out, walk, _, _ = self._soft(rows, heads)
+        dz0 = walk(out_grad(_checked(out, "residual_mlp")))[2]
         return np.zeros((len(rows), self.params[0].shape[1])) if dz0 is None else dz0
 
     def _backward(self, layers, cache, g):
@@ -275,7 +306,7 @@ class ResidualMLP:
         g = g.reshape(len(x), -1)
         c, n = self.out_dim, self.num_blocks
         head_grads = [g[:, k * c:(k + 1) * c] for k in range(len(tops))]
-        head_grads = [hg if hg.any() else None for hg in head_grads]
+        head_grads = [hg if np.count_nonzero(hg) else None for hg in head_grads]
         down = [None] * len(tops)   # each head's product toward its h
         for k, hg in enumerate(head_grads):
             if hg is not None:
@@ -307,7 +338,7 @@ class ResidualMLP:
                 if col is not None:
                     d_gates[:, i] = col + incoming[:, i]
             grad_z = d_gates * gates * (1.0 - gates)
-            gate_grads = (grad_z, np.cumsum(grad_z * gate_params[0], axis=1)[:, -1:])
+            gate_grads = (grad_z, np.add.accumulate(grad_z * gate_params[0], axis=1)[:, -1:])
         return head_grads, block_grads, dz0, gate_grads
 
     def _input_grad(self, layers, cache, grads):

@@ -17,12 +17,16 @@ nonzero gradient, which makes the step size directly interpretable.
 import numpy as np
 
 from .autodiff import gradients
+from .validation import FRACTION, NONNEGATIVE, POSITIVE, check_params
 
 
 class Adam:
+    # checked once, when built: a beta of 1 zeroes a bias correction, and a
+    # NaN step size would write NaN into a leaf that no check reads
+    PARAMS = {"lr": NONNEGATIVE, "beta1": FRACTION, "beta2": FRACTION, "eps": POSITIVE}
+
     def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
-        if lr < 0:
-            raise ValueError("lr must be nonnegative")
+        check_params(self.PARAMS, locals())
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)

@@ -8,7 +8,9 @@ import numpy as np
 
 def is_int(value):
     """An integer, numpy's included, that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int skips the slower abstract-class check
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def is_real(value, inf=False):

@@ -455,6 +455,78 @@ def unfused_uniform_cross_entropy(logits):
 # pieces themselves, which have their own oracles above.
 
 
+def input_based_graph_reference(attack, x):
+    """The input-based attack with one graph per iterate: the Tensor
+    objective, stepped by `Adam.step_loss`, scores the iterate and then
+    steps it. Returns (input, history, best_loss, final_loss)."""
+    from adnn_energy_lab.attacks import input_based_loss, reparam
+    from adnn_energy_lab.autodiff import Tensor
+    from adnn_energy_lab.optim import Adam
+    from adnn_energy_lab.seeding import array_fingerprint, derive_rng
+
+    cfg, est = attack.config, attack.estimator
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    rng = derive_rng(cfg.seed, "testgen", "input_based", array_fingerprint(x))
+    w = Tensor(rng.normal(0.0, 0.1, size=x.shape))
+    opt = Adam([w], lr=cfg.lr)
+    history, best = [], (np.inf, w.data.copy())
+    loss = input_based_loss(w, x, cfg.c, est)
+    for _ in range(cfg.iterations):
+        if loss.data < best[0]:
+            best = (float(loss.data), w.data.copy())
+        history.append(opt.step_loss(loss))
+        loss = input_based_loss(w, x, cfg.c, est)
+    final = float(loss.data)
+    if final < best[0]:
+        best = (final, w.data.copy())
+    chosen = best[1] if cfg.track_best else w.data
+    return (reparam(Tensor(chosen)).data.reshape(-1), history,
+            best[0] if cfg.iterations else final, final)
+
+
+def universal_graph_reference(attack):
+    """The universal attack with one graph per iterate over all restarts'
+    rows: the Tensor objective, stepped by `Adam.step_loss`, and each final
+    row scored on its own. Returns (inputs, losses, best restart)."""
+    from adnn_energy_lab.attacks import reparam, universal_loss
+    from adnn_energy_lab.autodiff import Tensor
+    from adnn_energy_lab.optim import Adam
+    from adnn_energy_lab.seeding import derive_rng
+
+    cfg, est = attack.config, attack.estimator
+    w = Tensor(np.concatenate([
+        derive_rng(cfg.seed, "testgen", "universal", str(r)).normal(
+            0.0, 0.1, size=(1, est.input_dim)) for r in range(cfg.restarts)]))
+    opt = Adam([w], lr=cfg.lr)
+    for _ in range(cfg.iterations):
+        opt.step_loss(universal_loss(w, est))
+    losses = [float(universal_loss(Tensor(row[None]), est).data) for row in w.data]
+    return list(reparam(Tensor(w.data)).data), losses, int(np.argmin(losses))
+
+
+def ilfo_graph_reference(attack, x):
+    """ILFO with one graph per iterate: the Tensor objective `_loss` scores
+    the iterate, and `Adam.step_loss` on the same graph steps it. Returns
+    (input, min_losses)."""
+    from adnn_energy_lab.attacks import reparam
+    from adnn_energy_lab.autodiff import Tensor
+    from adnn_energy_lab.optim import Adam
+
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    w = Tensor(np.arctanh(2.0 * np.clip(x, 1e-6, 1.0 - 1e-6) - 1.0))
+    opt = Adam([w], lr=attack.config.lr)
+    loss = attack._loss(w, x)
+    best_loss, best_w = float(loss.data), w.data.copy()
+    min_losses = [best_loss]
+    for _ in range(attack.config.iterations):
+        opt.step_loss(loss)
+        loss = attack._loss(w, x)
+        if float(loss.data) < best_loss:
+            best_loss, best_w = float(loss.data), w.data.copy()
+        min_losses.append(best_loss)
+    return reparam(Tensor(best_w)).data.reshape(-1), min_losses
+
+
 def ilfo_two_forward_reference(attack, x):
     """ILFO with two soft forwards per step: one graph for the update, a
     fresh one to score the new iterate. Returns (input, min_losses)."""

@@ -1,7 +1,9 @@
 """Test-input generation: reparameterization, black-box loss surfaces,
 white-box hinge objectives, and the surrogate replay pipeline."""
 
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,12 +36,15 @@ from adnn_energy_lab.nn import Dense
 from adnn_energy_lab.seeding import derive_rng
 
 from oracles import (
+    ilfo_graph_reference,
     ilfo_two_forward_reference,
+    input_based_graph_reference,
     surrogate_records_reference,
     unfused_estimator_prediction,
     unfused_ilfo_loss,
     unfused_input_based_loss,
     unfused_universal_loss,
+    universal_graph_reference,
     universal_per_restart_reference,
 )
 
@@ -48,7 +53,8 @@ NOISELESS = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
 
 
 class ConstantEstimator:
-    """Stub predicting the same energy everywhere; gradient w.r.t. input is 0."""
+    """Stub predicting the same energy everywhere; gradient w.r.t. input is 0.
+    `predict_terms` is `predict_tensor`'s graph on arrays."""
 
     def __init__(self, value, input_dim=64):
         self.value = value
@@ -56,6 +62,9 @@ class ConstantEstimator:
 
     def predict_tensor(self, f):
         return Tensor(np.float64(self.value)) + tsum(f) * 0.0
+
+    def predict_terms(self, f):
+        return np.float64(self.value) + f.sum() * 0.0, lambda g: np.full(f.shape, g * 0.0)
 
 
 class PixelMeanEstimator:
@@ -65,6 +74,10 @@ class PixelMeanEstimator:
 
     def predict_tensor(self, f):
         return tsum(f) * (1.0 / self.input_dim)
+
+    def predict_terms(self, f):
+        scale = 1.0 / self.input_dim
+        return f.sum() * scale, lambda g: np.full(f.shape, g * scale)
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +363,7 @@ class TestBlackBoxEntryPoints:
             InputBasedAttack(trained_estimator, GenConfig(iterations=1)).generate(None)
 
     def test_black_box_boundary_only_needs_estimator_surface(self):
-        # anything exposing predict_tensor and input_dim is a valid oracle;
+        # anything exposing predict_terms and input_dim is a valid oracle;
         # the attack never touches model internals or labels
         cfg = GenConfig(mode="universal", iterations=2, restarts=1)
         f = UniversalAttack(PixelMeanEstimator(), cfg).generate()
@@ -503,8 +516,8 @@ class TestIlfoTargetCheck:
 
     @pytest.mark.parametrize("model, target, match", [
         (EarlyExitNet(), "gate", "num_blocks"),
-        (FilterModel(), "gate", "forward_all"),
-        (ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50), "gate", "forward_all"),
+        (FilterModel(), "gate", "forward_terms"),
+        (ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50), "gate", "forward_terms"),
         (GatedSkipNet(), "exit", "at least 2 exits"),
         (EarlyExitNet(num_segments=1), "exit", "at least 2 exits"),
     ])
@@ -523,8 +536,8 @@ class TestIlfoTargetCheck:
     @pytest.mark.parametrize("target", ["gate", "exit"])
     def test_only_what_the_attack_calls_is_needed(self, target):
         class Bare:
-            """forward_all(x, heads), the sizes and the threshold, and no other
-            method: no forward(x, mode), no forward_exits."""
+            """forward_terms(x, heads), the sizes and the threshold, and no other
+            method: no forward_all, no forward(x, mode), no forward_exits."""
 
             def __init__(self, net):
                 self.net = net
@@ -533,8 +546,8 @@ class TestIlfoTargetCheck:
                     if hasattr(net, name):
                         setattr(self, name, getattr(net, name))
 
-            def forward_all(self, x, heads=None):
-                return self.net.forward_all(x, heads)
+            def forward_terms(self, x, heads=None):
+                return self.net.forward_terms(x, heads)
 
         net = (scripted_gate_analogue([0.3, 0.6]) if target == "gate" else
                EarlyExitNet(width=8, num_segments=2)._build(derive_rng(0, "bare-exit")))
@@ -565,12 +578,12 @@ class TestIlfoTargetCheck:
         assert IlfoAttack(model, IlfoConfig(target=target)).model is model
 
     @pytest.mark.parametrize("base, target", [(GatedSkipNet, "gate"), (EarlyExitNet, "exit")])
-    def test_forward_all_without_heads_is_rejected(self, base, target):
+    def test_forward_terms_without_heads_is_rejected(self, base, target):
         class NoHeads(base):
-            """A model whose one-node soft forward cannot stop early."""
+            """A model whose soft forward cannot stop early."""
 
-            def forward_all(self, x):
-                return super().forward_all(x)
+            def forward_terms(self, x):
+                return super().forward_terms(x)
 
         with pytest.raises(ValueError, match="heads"):
             IlfoAttack(NoHeads(), IlfoConfig(target=target))
@@ -606,6 +619,88 @@ class TestIlfoSequentialReference:
         want, min_losses = ilfo_two_forward_reference(attack, x)
         assert np.array_equal(f, want)
         assert attack.min_losses_ == min_losses
+
+
+class TestGraphReferences:
+    """Each attack's loop equals, byte for byte, the loop that builds one
+    graph per iterate from the Tensor objective and steps it with
+    `Adam.step_loss`, and it makes the same finiteness checks."""
+
+    @pytest.mark.parametrize("track_best", [False, True])
+    @pytest.mark.parametrize("c, lr, iterations", [(100.0, 0.01, 30), (1.0, 0.8, 25),
+                                                   (10.0, 0.1, 1), (100.0, 0.01, 0)])
+    def test_input_based_equals_graph_loop(self, trained_estimator, track_best, c, lr,
+                                           iterations):
+        cfg = GenConfig(c=c, lr=lr, iterations=iterations, track_best=track_best, seed=4)
+        for x in (np.full(64, 0.1), derive_rng(8, "graph-ref").uniform(0, 1, size=64)):
+            attack = InputBasedAttack(trained_estimator, cfg)
+            f = attack.generate(x)
+            want, history, best_loss, final_loss = input_based_graph_reference(attack, x)
+            assert f.tobytes() == want.tobytes()
+            assert attack.history_ == history
+            assert (attack.best_loss_, attack.final_loss_) == (best_loss, final_loss)
+
+    @pytest.mark.parametrize("estimator", ["trained", "mean", "constant"])
+    def test_universal_equals_graph_loop(self, trained_estimator, estimator):
+        est = {"trained": trained_estimator, "mean": PixelMeanEstimator(),
+               "constant": ConstantEstimator(2.0)}[estimator]
+        attack = UniversalAttack(est, GenConfig(mode="universal", iterations=20, restarts=3,
+                                                lr=0.05, seed=2))
+        f = attack.generate()
+        inputs, losses, best = universal_graph_reference(attack)
+        assert [r.tobytes() for r in attack.restart_inputs_] == [r.tobytes() for r in inputs]
+        assert attack.restart_losses_ == losses
+        assert attack.best_restart_ == best and f.tobytes() == inputs[best].tobytes()
+
+    @pytest.mark.parametrize("target", ["gate", "exit"])
+    def test_ilfo_equals_graph_loop(self, target, trained_skip, skip_dataset, trained_exit,
+                                    exit_dataset):
+        model, x = ((trained_skip, skip_dataset.inputs[7]) if target == "gate"
+                    else (trained_exit, exit_dataset.inputs[9]))
+        attack = IlfoAttack(model, IlfoConfig(target=target, iterations=30, lr=0.05))
+        f = attack.generate(x)
+        want, min_losses = ilfo_graph_reference(attack, x)
+        assert f.tobytes() == want.tobytes() and attack.min_losses_ == min_losses
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Every op name `_require_finite` is called with, counted, through
+        each module of the package that holds the function."""
+        counts = collections.Counter()
+        for name, module in list(sys.modules.items()):
+            real = getattr(module, "_require_finite", None) if name.startswith(
+                "adnn_energy_lab") else None
+            if real is not None:
+                def spy(data, op, real=real):
+                    counts[op] += 1
+                    return real(data, op)
+
+                monkeypatch.setattr(module, "_require_finite", spy)
+        return counts
+
+    @pytest.mark.parametrize("kind", ["input_based", "universal", "gate", "exit"])
+    def test_loop_makes_the_checks_of_the_graph_loop(self, kind, checks, trained_estimator,
+                                                     trained_skip, trained_exit):
+        x = np.full(64, 0.3)
+        if kind == "input_based":
+            attack = InputBasedAttack(trained_estimator, GenConfig(iterations=5))
+            runs = (lambda: attack.generate(x), lambda: input_based_graph_reference(attack, x))
+        elif kind == "universal":
+            attack = UniversalAttack(trained_estimator,
+                                     GenConfig(mode="universal", iterations=5, restarts=2))
+            runs = (attack.generate, lambda: universal_graph_reference(attack))
+        else:
+            model = trained_skip if kind == "gate" else trained_exit
+            attack = IlfoAttack(model, IlfoConfig(target=kind, iterations=5))
+            runs = (lambda: attack.generate(x), lambda: ilfo_graph_reference(attack, x))
+        seen = []
+        for run in runs:
+            checks.clear()
+            run()
+            seen.append({op: n for op, n in checks.items() if op != "leaf"})
+        assert seen[0] == seen[1]
+        # the forward's values and every product on the way back to the modifier
+        assert {"tanh_unit", "residual_mlp", "tanh_unit.grad", "residual_mlp.grad"} <= set(seen[0])
 
 
 class FrozenSurrogate(GatedSkipNet):

@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 import threading
 from collections import Counter
@@ -950,6 +951,24 @@ def test_adam_rejects_gradient_of_wrong_shape():
     with pytest.raises(ValueError, match="shape"):
         opt.step([np.zeros((3, 1))])
     assert p.data.tolist() == [0.0, 0.0, 0.0] and opt.t == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lr", math.nan), ("lr", True), ("lr", -0.1), ("lr", math.inf), ("lr", "0.1"),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0), ("beta2", True),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan), ("eps", math.inf),
+])
+def test_adam_rejects_a_bad_setting_when_built(name, value):
+    p = Tensor(np.zeros(3))
+    with pytest.raises(ValueError, match=name):
+        Adam([p], **{name: value})
+
+
+def test_adam_accepts_the_edges_of_its_ranges():
+    p = Tensor(np.ones(2))
+    opt = Adam([p], lr=0, beta1=0.0, beta2=np.float64(0.5), eps=np.float32(1e-3))
+    opt.step([np.ones(2)])
+    assert p.data.tolist() == [1.0, 1.0]
 
 
 def test_flat_adam_equals_per_parameter_loop_with_rebinding():

@@ -654,6 +654,11 @@ def _soft_forward(model):
     return getattr(model, "forward_all", model._net())
 
 
+def _array_forward(model):
+    """The same forward on arrays, `forward_terms(x, heads=None)`."""
+    return getattr(model, "forward_terms", model._net().terms)
+
+
 MODEL_KINDS = ["skip", "exit", "estimator", "filter"]
 
 
@@ -691,6 +696,43 @@ class TestHeadSelectiveNode:
         model = _small_model(kind)
         with pytest.raises(ValueError, match="heads"):
             _soft_forward(model)(Tensor(np.ones((1, 6))), bad)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_head_count_rejected(self, kind, flag):
+        model = _small_model(kind)
+        x = np.ones((1, 6))
+        with pytest.raises(ValueError, match="heads"):
+            _soft_forward(model)(Tensor(x), flag)
+        with pytest.raises(ValueError, match="heads"):
+            _array_forward(model)(x, flag)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_array_form_equals_the_node(self, kind):
+        # output and product toward the input, bit for bit, on a batch and a vector
+        model = _small_model(kind)
+        forward, terms, net = _soft_forward(model), _array_forward(model), model._net()
+        rng = derive_rng(43, "terms-oracle", kind)
+        for shape in ((3, 6), (6,)):
+            x = rng.uniform(0.0, 1.0, size=shape)
+            for k in [None] + list(range(0 if net.gated else 1, net.num_heads + 1)):
+                xt = Tensor(x)
+                node = forward(xt, k)
+                out, vjp = terms(x, k)
+                assert out.shape == node.shape and out.tobytes() == node.data.tobytes()
+                seed = rng.normal(size=out.shape)
+                want = gradients(tsum(node * Tensor(seed)), [xt])[0]
+                assert vjp(seed).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["skip", "exit"])
+    def test_array_form_checks_what_the_node_checks(self, kind):
+        model = _small_model(kind)
+        width, big = model.width, np.finfo(np.float64).max
+        model.stem_ = Dense(np.full((6, width), big), np.zeros(width))
+        x = np.full((1, 6), 10.0)
+        with pytest.raises(NonFiniteError, match="residual_mlp"):
+            model.forward_terms(x)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind, layer", [
