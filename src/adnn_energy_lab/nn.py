@@ -4,10 +4,11 @@ All four networks are one shape, a `ResidualMLP`: a stem, residual blocks
 and one head at the end or one after every block, optionally with a sigmoid
 gate per block. Its whole forward and backward is one autodiff node over one
 flat parameter leaf, `theta` (or, on an array with no graph, `terms`), and
-runs only the layers its kept heads and gates read; the per-layer weights (`Dense`, `ResidualBlock`, gate lists) are
-`View`s of it. The four fits share one epoch loop, `fit_minibatch`, and the
-three saved kinds one payload layout, `payload_layout`: a (payload key,
-shape) per theta view, in theta order.
+runs only the layers its kept heads and gates read; the per-layer weights
+(`Dense`, `ResidualBlock`, gate lists) are `View`s of it. The four fits
+share one epoch loop, `fit_minibatch`, and the three saved kinds one payload
+layout, `payload_layout`: a (payload key, shape) per theta view, in theta
+order.
 
 FLOPs accounting is fixed at 2 * fan_in * fan_out per affine map (one
 multiply plus one add per weight). Activations, pooling and gate heads are

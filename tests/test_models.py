@@ -691,21 +691,15 @@ class TestHeadSelectiveNode:
     @pytest.mark.parametrize("kind, bad", [
         ("skip", -1), ("skip", 2), ("skip", 1.0), ("skip", "1"),
         ("exit", 0), ("exit", 5), ("estimator", 0), ("filter", 2),
-    ])
+    ] + [(kind, flag) for kind in MODEL_KINDS for flag in (True, False)])
     def test_bad_head_count_rejected(self, kind, bad):
-        model = _small_model(kind)
-        with pytest.raises(ValueError, match="heads"):
-            _soft_forward(model)(Tensor(np.ones((1, 6))), bad)
-
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    @pytest.mark.parametrize("flag", [True, False])
-    def test_a_bool_head_count_rejected(self, kind, flag):
+        # through the node and the array form alike
         model = _small_model(kind)
         x = np.ones((1, 6))
         with pytest.raises(ValueError, match="heads"):
-            _soft_forward(model)(Tensor(x), flag)
+            _soft_forward(model)(Tensor(x), bad)
         with pytest.raises(ValueError, match="heads"):
-            _array_forward(model)(x, flag)
+            _array_forward(model)(x, bad)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_array_form_equals_the_node(self, kind):
