@@ -425,7 +425,7 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     if inputs.ndim != 2 or len(inputs) == 0:
         raise ValueError("inputs must be a non-empty sample matrix")
     attack = IlfoAttack(surrogate, config)
-    labels = np.array([t.label for t in target.infer(inputs)])
+    labels = target.infer(inputs).labels
     surrogate.fit(inputs, labels)
 
     chosen = inputs if num_attack is None else inputs[:num_attack]
@@ -433,7 +433,7 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
         raise ValueError("no inputs selected for attack replay")
 
     test_inputs = [attack.generate(x) for x in chosen]
-    flops = [[t.flops for t in model.infer(batch)] for model in (surrogate, target)
+    flops = [model.infer(batch).flops.tolist() for model in (surrogate, target)
              for batch in (chosen, np.array(test_inputs))]
     records, excluded = [], 0
     for base_before, base_after, target_before, target_after in zip(*flops):

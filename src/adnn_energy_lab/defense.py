@@ -357,11 +357,11 @@ def evaluate_defense(adnn, svm, energy_model, benign_inputs, benign_labels,
     # as in guarded_inference: the overhead, plus the model's energy if it runs
     overhead = detector_cost_joules(adnn, energy_model)
     traces_b = adnn.infer(benign)
-    plain_b = np.array([energy_model.noiseless_energy(t) for t in traces_b])
-    plain_a = np.array([energy_model.noiseless_energy(t) for t in adnn.infer(adv)])
+    plain_b = energy_model.noiseless_energies(traces_b)
+    plain_a = energy_model.noiseless_energies(adnn.infer(adv))
     guarded_b = np.where(scores_b > 0.0, overhead, overhead + plain_b)
     guarded_a = np.where(scores_a > 0.0, overhead, overhead + plain_a)
-    predicted = np.array([t.label for t in traces_b])
+    predicted = traces_b.labels
     acc_plain = float(np.mean(predicted == labels))
     acc_guarded = int(np.sum(~(scores_b > 0.0) & (predicted == labels))) / len(benign)
     benign_inc = 100.0 * (guarded_b - plain_b) / plain_b

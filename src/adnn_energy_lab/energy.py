@@ -2,21 +2,25 @@
 measurement protocol.
 
 Energy for a block-count trace is base + per_block * active; early-exit
-traces pay the prefix of per-segment costs through their exit. Gaussian
-noise (if any) perturbs the whole-inference reading, and repeated
-measurements discard samples far above the median before averaging, so a
-noiseless model yields the step value exactly.
+traces pay the prefix of per-segment costs through their exit. Both are one
+step ladder indexed by the trace's active units, which prices a single trace
+and a whole `TraceBatch` alike. Gaussian noise (if any) perturbs the
+whole-inference reading, and repeated measurements discard samples far above
+the median before averaging, so a noiseless model yields the step value
+exactly. `measure_many` runs the protocol on the (inputs, repetitions)
+matrix of readings in columns: one median per row, and one row-wise sum for
+every group of rows that keep the same number of readings.
 """
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base import ParamsMixin
 from .seeding import array_fingerprint, normal_rows
-from .validation import ABOVE_ONE, INT, JOULES, NONNEGATIVE, POSITIVE, SIZE, check_params
+from .validation import (ABOVE_ONE, INT, JOULES, NONNEGATIVE, POSITIVE, SIZE, as_float_array,
+                         check_params, is_real)
 
 
 class EnergyModel(ParamsMixin):
@@ -35,37 +39,42 @@ class EnergyModel(ParamsMixin):
                  seed=0):
         check_params(self.PARAMS, locals())
         self.base_joules = float(base_joules)
-        self.per_block_joules = (per_block_joules if np.isscalar(per_block_joules)
+        self.per_block_joules = (float(per_block_joules) if np.isscalar(per_block_joules)
                                  else [float(v) for v in per_block_joules])
         self.noise_sigma = float(noise_sigma)
         self.seed = seed
 
     # -- noiseless step values ------------------------------------------
 
-    def _segment_costs(self, count):
-        if np.isscalar(self.per_block_joules):
-            return [self.per_block_joules] * count
-        if count > len(self.per_block_joules):
-            raise ValueError(
-                "trace uses %d segments but the model prices only %d"
-                % (count, len(self.per_block_joules))
-            )
-        return self.per_block_joules[:count]
+    def _ladder(self, kind, top):
+        """Noiseless joules for 0..top active units of a `kind` trace:
+        blocks run (skip) or segments consumed (exit)."""
+        per_block = self.per_block_joules
+        if kind == "exit":
+            costs = [per_block] * top if np.isscalar(per_block) else per_block[:top]
+            if len(costs) < top:
+                raise ValueError("trace uses %d segments but the model prices only %d"
+                                 % (top, len(costs)))
+            return [self.base_joules + sum(costs[:k]) for k in range(top + 1)]
+        if not np.isscalar(per_block):
+            raise ValueError("block-count traces need a scalar per_block_joules")
+        return [self.base_joules + per_block * k for k in range(top + 1)]
 
     def noiseless_energy(self, trace):
         """Joules for the trace with sigma treated as 0."""
-        if trace.kind == "exit":
-            return self.base_joules + sum(self._segment_costs(trace.exit_index + 1))
-        if not np.isscalar(self.per_block_joules):
-            raise ValueError("block-count traces need a scalar per_block_joules")
-        return self.base_joules + self.per_block_joules * trace.active_units
+        units = trace.active_units
+        return self._ladder(trace.kind, units)[units]
+
+    def noiseless_energies(self, batch):
+        """`noiseless_energy` of every row of a TraceBatch, as an array."""
+        units = batch.active_units
+        if len(units) == 0:
+            return np.zeros(0)
+        return np.array(self._ladder(batch.kind, int(units.max())))[units]
 
     def step_values(self, max_units):
         """Noiseless energy ladder for 0..max_units active blocks."""
-        if not np.isscalar(self.per_block_joules):
-            raise ValueError("step ladder is defined for scalar per_block_joules")
-        return [self.base_joules + self.per_block_joules * k
-                for k in range(max_units + 1)]
+        return self._ladder("skip", max_units)
 
 
 def energy_of_trace(model, trace, rng=None):
@@ -111,15 +120,47 @@ class EnergyMeasurement:
 
 def filter_outliers(samples, protocol=MeasurementProtocol()):
     """Drop samples above rejection_factor times the median; ties kept.
-    An infinite factor keeps every sample."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("cannot filter an empty sample list")
-    if protocol.rejection_factor == math.inf:
-        # inf * a median of 0 would be NaN, a cutoff no sample passes
-        return samples
-    cutoff = protocol.rejection_factor * statistics.median(samples)
-    return [v for v in samples if v <= cutoff]
+    An infinite factor keeps every sample. This is the one-row case of
+    `reject_and_average`."""
+    return list(reject_and_average([list(samples)], protocol.rejection_factor)[0].retained)
+
+
+def reject_and_average(readings, rejection_factor=1.5):
+    """The protocol's verdict on an (inputs, repetitions) matrix of readings:
+    one EnergyMeasurement per row, which keeps the row's readings at most
+    `rejection_factor` times its median, ties kept, and averages them as
+    np.mean does. A factor of 1 keeps the readings at most the median; inf
+    keeps every reading.
+
+    It runs on the whole matrix: one median per row, then one row-wise sum
+    for every group of rows that keep the same number of readings.
+    """
+    raw = as_float_array(readings, "readings", ndim=2)
+    if raw.shape[1] == 0:
+        raise ValueError("readings need at least one repetition per row")
+    if not (is_real(rejection_factor, inf=True) and rejection_factor >= 1):
+        raise ValueError("rejection_factor must be a number of at least 1, or inf, got %r"
+                         % (rejection_factor,))
+    factor = float(rejection_factor)
+    if factor == math.inf:
+        # inf * a median of 0 would be NaN, a cutoff no reading passes
+        kept = np.ones(raw.shape, dtype=bool)
+    else:
+        # np.median takes the middle value, or the mean of the middle pair,
+        # as statistics.median does
+        kept = raw <= factor * np.median(raw, axis=1, keepdims=True)
+    counts = np.count_nonzero(kept, axis=1)
+    retained, means = [None] * len(raw), np.empty(len(raw))
+    for count in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == count)
+        values = raw[rows][kept[rows]].reshape(len(rows), count)
+        # np.mean's sum and division: a row-wise reduce sums each row as a
+        # reduce of that row alone does
+        means[rows] = np.add.reduce(values, axis=1) / count
+        for i, row in zip(rows.tolist(), values.tolist()):
+            retained[i] = tuple(row)
+    return [EnergyMeasurement(tuple(r), k, m)
+            for r, k, m in zip(raw.tolist(), retained, means.tolist())]
 
 
 def measure_energy(adnn, energy_model, x, protocol=MeasurementProtocol()):
@@ -141,14 +182,9 @@ def measure_many(adnn, energy_model, inputs, protocol=MeasurementProtocol()):
     to the row's own `derive_rng` stream.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    energies = np.array([energy_model.noiseless_energy(t) for t in adnn.infer(inputs)])
+    energies = energy_model.noiseless_energies(adnn.infer(inputs))
     noise = normal_rows(energy_model.seed, ("measure",),
                         [array_fingerprint(x) for x in inputs],
                         energy_model.noise_sigma, protocol.repetitions)
-    measurements = []
-    for raw in np.maximum(energies[:, None] + noise, 0.0).tolist():
-        retained = filter_outliers(raw, protocol)
-        # np.mean's sum and division, without its Python wrapper
-        mean = float(np.add.reduce(np.array(retained)) / len(retained))
-        measurements.append(EnergyMeasurement(tuple(raw), tuple(retained), mean))
-    return measurements
+    return reject_and_average(np.maximum(energies[:, None] + noise, 0.0),
+                              protocol.rejection_factor)

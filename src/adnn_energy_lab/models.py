@@ -12,6 +12,11 @@ Gating is trained soft (the residual branch is scaled by the gate value, so
 everything is differentiable) and deployed hard. FLOPs: each affine map
 costs 2 * fan_in * fan_out; gates, activations and pooling are free, so only
 the input-dependent block executions move the count.
+
+`infer` on a batch of rows returns a `TraceBatch`: one array per trace
+field (FLOPs, logits, gate values and decisions or exit indices and
+entropies), built without a per-row loop. Indexing or iterating it gives
+`ExecutionTrace` rows, which are what `infer` returns for a single vector.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, add, as_tensor, columns, mean_of_column_means, mul, softmax
+from .autodiff import (Tensor, _require_finite, add, as_tensor, columns, mean_of_column_means,
+                       mul)
 from .base import ParamsMixin, check_is_fitted
 from .nn import (Dense, ResidualBlock, cross_entropy, fit_minibatch, kept_network,
                  layers_from_payload, params_to_payload, payload_layout, xavier_uniform)
@@ -68,6 +74,54 @@ class ExecutionTrace:
     @property
     def label(self):
         return int(np.argmax(self.logits))
+
+
+@dataclass(frozen=True, eq=False)
+class TraceBatch:
+    """What a batch of inferences did, one column per trace field.
+
+    `flops` is (n,) and `logits` (n, classes), the logits each row answered
+    with. A skip batch has the (n, blocks) gate values and decisions; an exit
+    batch has the (n,) exit indices and the (n, segments) exit entropies.
+    Row `i` is `batch[i]`, an `ExecutionTrace` with Python scalars and tuples
+    and its own copy of the logits, as a single-row `infer` gives it.
+    """
+
+    kind: str                      # "skip" or "exit"
+    signature: tuple
+    flops: np.ndarray
+    logits: np.ndarray
+    gate_values: Optional[np.ndarray] = None
+    gate_decisions: Optional[np.ndarray] = None
+    exit_indices: Optional[np.ndarray] = None
+    exit_entropies: Optional[np.ndarray] = None
+
+    def __len__(self):
+        return len(self.flops)
+
+    def __getitem__(self, i):
+        if self.kind == "skip":
+            return ExecutionTrace("skip", int(self.flops[i]), self.logits[i].copy(),
+                                  self.signature,
+                                  gate_values=tuple(self.gate_values[i].tolist()),
+                                  gate_decisions=tuple(self.gate_decisions[i].tolist()))
+        return ExecutionTrace("exit", int(self.flops[i]), self.logits[i].copy(), self.signature,
+                              exit_index=int(self.exit_indices[i]),
+                              exit_entropies=tuple(self.exit_entropies[i].tolist()))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def active_units(self):
+        """Blocks executed (skip) or segments consumed (exit), per row."""
+        if self.kind == "skip":
+            return np.count_nonzero(self.gate_decisions, axis=1)
+        return self.exit_indices + 1
+
+    @property
+    def labels(self):
+        return np.argmax(self.logits, axis=1)
 
 
 def flops_of_trace(model, trace):
@@ -227,24 +281,15 @@ class GatedSkipNet(ParamsMixin):
         return logits, gates, values >= self.gate_threshold
 
     def infer(self, x):
-        """Hard-mode inference; one ExecutionTrace per input row."""
+        """Hard-mode inference: a TraceBatch for a batch of rows, an
+        ExecutionTrace for a single vector."""
         X = as_sample_matrix(x, "x", feature_dim=self.input_dim)
         (logits,), values = self._net().run(X, self.gate_threshold)
         decisions = values >= self.gate_threshold
-        flops = self.base_flops + decisions.sum(axis=1) * self.block_flops
-        signature = self.signature
-        traces = [
-            ExecutionTrace(
-                kind="skip",
-                flops=int(flops[i]),
-                logits=logits[i].copy(),
-                signature=signature,
-                gate_values=tuple(values[i].tolist()),
-                gate_decisions=tuple(decisions[i].tolist()),
-            )
-            for i in range(len(X))
-        ]
-        return traces[0] if np.asarray(x).ndim == 1 else traces
+        batch = TraceBatch("skip", self.signature,
+                           self.base_flops + decisions.sum(axis=1) * self.block_flops, logits,
+                           gate_values=values, gate_decisions=decisions)
+        return batch[0] if np.asarray(x).ndim == 1 else batch
 
     def predict(self, X):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
@@ -402,34 +447,27 @@ class EarlyExitNet(ParamsMixin):
         return [columns(out, k * c, (k + 1) * c) for k in range(self.num_segments)]
 
     def infer(self, x):
+        """Hard-mode inference: a TraceBatch for a batch of rows, an
+        ExecutionTrace for a single vector. A row exits at the first head
+        whose prediction entropy is below the threshold, else at the last."""
         X = as_sample_matrix(x, "x", feature_dim=self.input_dim)
         all_logits, _ = self._net().run(X)
         logits = np.stack(all_logits, axis=1)
-        probs = np.stack([softmax(Tensor(l)).data for l in all_logits], axis=1)
+        # every head's softmax at once, with autodiff.softmax's ufuncs
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        _require_finite(probs, "softmax")
         entropies = _entropies(probs)
         below = entropies < self.entropy_threshold
         exits = np.where(below.any(axis=1), below.argmax(axis=1), self.num_segments - 1)
-        flops = [self.trace_flops(e) for e in range(self.num_segments)]
-        signature = self.signature
-        traces = [
-            ExecutionTrace(
-                kind="exit",
-                flops=flops[e],
-                logits=logits[i, e].copy(),
-                signature=signature,
-                exit_index=e,
-                exit_entropies=tuple(entropies[i].tolist()),
-            )
-            for i, e in enumerate(exits.tolist())
-        ]
-        return traces[0] if np.asarray(x).ndim == 1 else traces
+        flops = np.array([self.trace_flops(k) for k in range(self.num_segments)])
+        batch = TraceBatch("exit", self.signature, flops[exits],
+                           logits[np.arange(len(X)), exits], exit_indices=exits,
+                           exit_entropies=entropies)
+        return batch[0] if np.asarray(x).ndim == 1 else batch
 
     def predict(self, X):
-        X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        traces = self.infer(X)
-        if isinstance(traces, ExecutionTrace):
-            traces = [traces]
-        return np.array([t.label for t in traces], dtype=np.int64)
+        return self.infer(as_sample_matrix(X, "X", feature_dim=self.input_dim)).labels
 
     def score(self, X, y):
         return float(np.mean(self.predict(X) == np.asarray(y)))
@@ -503,32 +541,24 @@ class ScriptedAdnn:
         return self.base_flops + self.num_blocks * self.block_flops
 
     def infer(self, x):
+        """A TraceBatch for a batch of rows, an ExecutionTrace for a single
+        vector. The one-hot logits pick class int(mean(x) * num_classes),
+        capped at the last class."""
         X = as_sample_matrix(x, "x")
-        signature = self.signature
-        traces = []
-        for m in X.mean(axis=1).tolist():
-            decisions = tuple(m >= t for t in self.thresholds)
-            label = min(int(m * self.num_classes), self.num_classes - 1)
-            logits = np.zeros(self.num_classes)
-            logits[label] = 1.0
-            traces.append(
-                ExecutionTrace(
-                    kind="skip",
-                    flops=self.base_flops + sum(decisions) * self.block_flops,
-                    logits=logits,
-                    signature=signature,
-                    gate_values=tuple(1.0 if d else 0.0 for d in decisions),
-                    gate_decisions=decisions,
-                )
-            )
-        return traces[0] if np.asarray(x).ndim == 1 else traces
+        means = X.mean(axis=1)
+        if not np.isfinite(means).all():
+            raise ValueError("x has a row whose mean overflows")
+        decisions = means[:, None] >= np.array(self.thresholds)
+        label = np.minimum(np.trunc(means * self.num_classes), self.num_classes - 1)
+        logits = np.zeros((len(X), self.num_classes))
+        logits[np.arange(len(X)), label.astype(np.int64)] = 1.0
+        batch = TraceBatch("skip", self.signature,
+                           self.base_flops + decisions.sum(axis=1) * self.block_flops, logits,
+                           gate_values=decisions.astype(np.float64), gate_decisions=decisions)
+        return batch[0] if np.asarray(x).ndim == 1 else batch
 
     def predict(self, X):
-        X = as_sample_matrix(X, "X")
-        traces = self.infer(X)
-        if isinstance(traces, ExecutionTrace):
-            traces = [traces]
-        return np.array([t.label for t in traces], dtype=np.int64)
+        return self.infer(as_sample_matrix(X, "X")).labels
 
 
 def scripted_gate_analogue(thresholds, sharpness=40.0, input_dim=64, width=16, num_classes=4, seed=0):

@@ -68,6 +68,56 @@ def measure_sequential_reference(adnn, x, rng, base_joules, per_block_joules,
     return tuple(raw), tuple(retained), float(np.mean(retained))
 
 
+def infer_reference(model, x):
+    """Hard-mode inference with each row's trace built by itself, as a dict
+    of `ExecutionTrace` fields: a list for a batch, one dict for a vector.
+
+    The skip and exit nets run their network's hard forward once
+    (`_net().run`); the exit net's softmax runs head by head through
+    `autodiff.softmax` and its exit is searched row by row. The scripted
+    model is evaluated row by row from its thresholds.
+    """
+    from adnn_energy_lab.autodiff import Tensor, softmax
+
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    rows = []
+
+    def row(kind, flops, logits, gate_values=None, gate_decisions=None, exit_index=None,
+            exit_entropies=None):
+        rows.append({"kind": kind, "flops": flops, "logits": logits,
+                     "signature": model.signature, "gate_values": gate_values,
+                     "gate_decisions": gate_decisions, "exit_index": exit_index,
+                     "exit_entropies": exit_entropies})
+
+    if hasattr(model, "thresholds"):
+        for m in X.mean(axis=1).tolist():
+            decisions = tuple(m >= t for t in model.thresholds)
+            logits = np.zeros(model.num_classes)
+            logits[min(int(m * model.num_classes), model.num_classes - 1)] = 1.0
+            row("skip", model.base_flops + sum(decisions) * model.block_flops, logits,
+                tuple(1.0 if d else 0.0 for d in decisions), decisions)
+    elif model.kind == "skip":
+        (logits,), values = model._net().run(X, model.gate_threshold)
+        for i in range(len(X)):
+            decisions = tuple(v >= model.gate_threshold for v in values[i].tolist())
+            row("skip", model.base_flops + sum(decisions) * model.block_flops,
+                logits[i].copy(), tuple(values[i].tolist()), decisions)
+    else:
+        all_logits, _ = model._net().run(X)
+        entropies = []
+        for logits in all_logits:
+            p = softmax(Tensor(logits)).data
+            entropies.append(-np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+                             .sum(axis=-1))
+        for i in range(len(X)):
+            ent = tuple(float(e[i]) for e in entropies)
+            below = [k for k, e in enumerate(ent) if e < model.entropy_threshold]
+            exit_index = below[0] if below else model.num_segments - 1
+            row("exit", model.trace_flops(exit_index), all_logits[exit_index][i].copy(),
+                exit_index=exit_index, exit_entropies=ent)
+    return rows[0] if np.asarray(x).ndim == 1 else rows
+
+
 def auc_reference(scores, labels):
     """All-pairs probability that a positive outranks a negative, ties 1/2."""
     pos = [s for s, l in zip(scores, labels) if l == 1]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adnn_energy_lab.energy import (
     EnergyMeasurement,
@@ -13,6 +15,7 @@ from adnn_energy_lab.energy import (
     filter_outliers,
     measure_energy,
     measure_many,
+    reject_and_average,
 )
 from adnn_energy_lab.models import ExecutionTrace, ScriptedAdnn
 from adnn_energy_lab.seeding import array_fingerprint, derive_rng
@@ -209,6 +212,64 @@ class TestFilterOutliers:
             assert filter_outliers(samples, protocol) == filter_outliers_reference(
                 samples, protocol.rejection_factor
             )
+
+
+# dyadic readings make ties at the cutoff (1.5 * 1.0, 2.0 * 1.5) likely
+READING = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                    st.floats(0.0, 8.0))
+FACTOR = st.one_of(st.sampled_from([1.0, 1.5, 2.0, math.inf]), st.floats(1.0, 4.0))
+
+
+@st.composite
+def reading_matrices(draw):
+    """Rows of readings, each with some clamped at 0: when most are, the
+    row's median is 0."""
+    reps = draw(st.sampled_from([1, 2, 3, 20, 21]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.lists(READING, min_size=reps, max_size=reps))
+        zeros = draw(st.integers(0, reps))
+        rows.append(draw(st.permutations([0.0] * zeros + row[zeros:])))
+    return reps, rows
+
+
+class TestRejectAndAverage:
+    """The whole-matrix rule against the one-row reference, row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reading_matrices(), FACTOR)
+    @example((3, [[1.0, 1.0, 1.5], [1.0, 1.5, 2.0], [0.0, 0.0, 4.0]]), 1.5)
+    @example((2, [[1.5, 3.0], [0.0, 2.0]]), 2.0)
+    @example((21, [[0.0] * 11 + [2.0] * 10, [1.0] * 21]), 1.0)
+    @example((20, [[0.0] * 10 + [2.0] * 10, [0.0] * 11 + [5.0] * 9]), math.inf)
+    @example((1, [[0.0], [3.0]]), 1.0)
+    def test_rows_match_one_row_reference(self, matrix, factor):
+        reps, rows = matrix
+        readings = np.array(rows, dtype=np.float64).reshape(len(rows), reps)
+        result = reject_and_average(readings, factor)
+        assert len(result) == len(rows)
+        for row, m in zip(rows, result):
+            # an infinite factor keeps every reading, a zero median's too
+            kept = list(row) if factor == math.inf else filter_outliers_reference(row, factor)
+            assert m.raw_samples == tuple(row)
+            assert m.retained == tuple(kept)
+            assert all(type(v) is float for v in m.raw_samples + m.retained)
+            assert type(m.mean) is float and repr(m.mean) == repr(float(np.mean(kept)))
+            if factor > 1:
+                protocol = MeasurementProtocol(rejection_factor=factor)
+                assert filter_outliers(row, protocol) == kept
+
+    @pytest.mark.parametrize("readings", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 0)),
+                                          [[1.0, math.nan]], [[1.0, math.inf]]], ids=repr)
+    def test_bad_readings_rejected(self, readings):
+        with pytest.raises(ValueError, match="readings"):
+            reject_and_average(readings)
+
+    @pytest.mark.parametrize("factor", [0.5, 1 - 1e-12, math.nan, -math.inf, True, "2", None],
+                             ids=repr)
+    def test_bad_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="rejection_factor"):
+            reject_and_average(np.ones((2, 3)), factor)
 
 
 class TestMeasureEnergy:
