@@ -9,18 +9,22 @@ whole-inference reading, and repeated measurements discard samples far above
 the median before averaging, so a noiseless model yields the step value
 exactly. `measure_many` runs the protocol on the (inputs, repetitions)
 matrix of readings in columns: one median per row, and one row-wise sum for
-every group of rows that keep the same number of readings.
+every group of rows that keep the same number of readings. It returns a
+`MeasurementBatch` of the readings, the kept mask and the means, whose
+`EnergyMeasurement` rows are built only when they are read.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base import ParamsMixin
-from .seeding import array_fingerprint, normal_rows
+from .seeding import array_fingerprints, normal_rows
 from .validation import (ABOVE_ONE, INT, JOULES, NONNEGATIVE, POSITIVE, SIZE, as_float_array,
-                         check_params, is_real)
+                         as_sample_matrix, check_params, is_real)
 
 
 class EnergyModel(ParamsMixin):
@@ -118,6 +122,39 @@ class EnergyMeasurement:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class MeasurementBatch:
+    """The protocol's verdict on a batch of inputs, one column per field.
+
+    `raw` is the (n, repetitions) matrix of readings, `kept` the same-shaped
+    bool mask of the readings the rejection rule keeps, and `means` the (n,)
+    means of the kept readings. Row `i` is `batch[i]`, an `EnergyMeasurement`
+    of Python floats built only when it is read.
+    """
+
+    raw: np.ndarray
+    kept: np.ndarray
+    means: np.ndarray
+
+    def __len__(self):
+        return len(self.means)
+
+    def __getitem__(self, i):
+        # one row at an integer index; a slice or an index array raises
+        i = operator.index(i)
+        return self._row(i, self.raw[i].tolist(), self.kept[i].all(), self.means[i].item())
+
+    def __iter__(self):
+        return map(self._row, range(len(self)), self.raw.tolist(),
+                   self.kept.all(axis=1).tolist(), self.means.tolist())
+
+    def _row(self, i, raw, kept_all, mean):
+        raw = tuple(raw)
+        # a row that rejects no reading retains its readings' tuple itself
+        retained = raw if kept_all else tuple(itertools.compress(raw, self.kept[i].tolist()))
+        return EnergyMeasurement(raw, retained, mean)
+
+
 def filter_outliers(samples, protocol=MeasurementProtocol()):
     """Drop samples above rejection_factor times the median; ties kept.
     An infinite factor keeps every sample. This is the one-row case of
@@ -126,14 +163,15 @@ def filter_outliers(samples, protocol=MeasurementProtocol()):
 
 
 def reject_and_average(readings, rejection_factor=1.5):
-    """The protocol's verdict on an (inputs, repetitions) matrix of readings:
-    one EnergyMeasurement per row, which keeps the row's readings at most
+    """The protocol's verdict on an (inputs, repetitions) matrix of readings,
+    as a MeasurementBatch: each row keeps its readings at most
     `rejection_factor` times its median, ties kept, and averages them as
     np.mean does. A factor of 1 keeps the readings at most the median; inf
     keeps every reading.
 
     It runs on the whole matrix: one median per row, then one row-wise sum
-    for every group of rows that keep the same number of readings.
+    for every group of rows that keep the same number of readings. The
+    batch's `raw` is `readings` itself when that is already a float64 array.
     """
     raw = as_float_array(readings, "readings", ndim=2)
     if raw.shape[1] == 0:
@@ -150,41 +188,43 @@ def reject_and_average(readings, rejection_factor=1.5):
         # as statistics.median does
         kept = raw <= factor * np.median(raw, axis=1, keepdims=True)
     counts = np.count_nonzero(kept, axis=1)
-    retained, means = [None] * len(raw), np.empty(len(raw))
+    means = np.empty(len(raw))
     for count in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == count)
         values = raw[rows][kept[rows]].reshape(len(rows), count)
         # np.mean's sum and division: a row-wise reduce sums each row as a
         # reduce of that row alone does
         means[rows] = np.add.reduce(values, axis=1) / count
-        for i, row in zip(rows.tolist(), values.tolist()):
-            retained[i] = tuple(row)
-    return [EnergyMeasurement(tuple(r), k, m)
-            for r, k, m in zip(raw.tolist(), retained, means.tolist())]
+    return MeasurementBatch(raw, kept, means)
 
 
 def measure_energy(adnn, energy_model, x, protocol=MeasurementProtocol()):
     """Infer once, sample energy `repetitions` times, reject outliers, average.
 
-    The adnn's `infer` must be deterministic: only the read noise is resampled.
-    Its stream is keyed by the model seed and the input's fingerprint, so the
-    order and batching of measured inputs do not change the result.
+    `x` is one input: a vector or a (1, d) row. The adnn's `infer` must be
+    deterministic: only the read noise is resampled. Its stream is keyed by
+    the model seed and the input's fingerprint, so the order and batching of
+    measured inputs do not change the result.
     """
-    return measure_many(adnn, energy_model, np.ravel(x), protocol)[0]
+    x = np.asarray(x, dtype=np.float64)
+    if not (x.ndim == 1 or x.ndim == 2 and len(x) == 1):
+        raise ValueError("x must be one input, a vector or a (1, d) row, got shape %s"
+                         % (x.shape,))
+    return measure_many(adnn, energy_model, x, protocol)[0]
 
 
 def measure_many(adnn, energy_model, inputs, protocol=MeasurementProtocol()):
-    """`measure_energy` for every input row; returns a list of EnergyMeasurement.
+    """`measure_energy` for every input row, as a MeasurementBatch.
 
     The whole batch is inferred in one `infer` call, which must be
     deterministic: the repetitions resample only the read noise. The rows'
-    noise streams are derived together by `seeding.normal_rows`, each equal
-    to the row's own `derive_rng` stream.
+    noise streams are keyed by their `seeding.array_fingerprints` and derived
+    together by `seeding.normal_rows`, each equal to the row's own
+    `derive_rng` stream.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    inputs = as_sample_matrix(inputs, "inputs")
     energies = energy_model.noiseless_energies(adnn.infer(inputs))
-    noise = normal_rows(energy_model.seed, ("measure",),
-                        [array_fingerprint(x) for x in inputs],
+    noise = normal_rows(energy_model.seed, ("measure",), array_fingerprints(inputs),
                         energy_model.noise_sigma, protocol.repetitions)
     return reject_and_average(np.maximum(energies[:, None] + noise, 0.0),
                               protocol.rejection_factor)

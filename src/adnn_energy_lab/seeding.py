@@ -8,6 +8,8 @@ can be re-run in any order without perturbing each other's randomness.
 batch of keys together and draws the same normals from each, byte for byte:
 it runs numpy's `SeedSequence` hash-mix over all keys at once in `uint32`
 arrays and seeds `PCG64` from the result as `PCG64(SeedSequence(...))` does.
+A batch's keys may travel as one uint64 array: `array_fingerprints` hashes
+every row of a matrix into one, each entry the row's `array_fingerprint`.
 That this mapping stays fixed across numpy releases is numpy's own promise
 (NEP 19, "Random number generator policy"); the tests check it against
 `SeedSequence` itself.
@@ -15,6 +17,7 @@ That this mapping stays fixed across numpy releases is numpy's own promise
 
 import functools
 import hashlib
+import math
 
 import numpy as np
 
@@ -145,7 +148,9 @@ def normal_rows(seed, labels, keys, scale, size):
     """A (len(keys), size) array whose row i is, byte for byte,
     `derive_rng(seed, *labels, keys[i]).normal(0.0, scale, size)`.
 
-    The streams' seeds are derived for all keys together, by
+    `keys` is a list of int, str or bytes keys, or an integer array, such
+    as the uint64 one `array_fingerprints` gives, which takes no per-key
+    Python step. The streams' seeds are derived for all keys together, by
     `_pcg64_seeds`; a key's entropy is one uint32 word below 2**32 and two
     from there on. Each row then sets one reused PCG64 to the state that
     `PCG64(SeedSequence(...))` starts from, and draws.
@@ -153,26 +158,51 @@ def normal_rows(seed, labels, keys, scale, size):
     prefix = []
     for value in [int(seed) & _MASK64] + [_label_entropy(l) for l in labels]:
         prefix += [np.uint32(w) for w in _words(value)]
-    key_entropy = np.array([_label_entropy(k) for k in keys], dtype=np.uint64)
+    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
+        # the cast wraps a negative key as `int(key) & _MASK64` does
+        key_entropy = keys.astype(np.uint64)
+    else:
+        key_entropy = np.array([_label_entropy(k) for k in keys], dtype=np.uint64)
     low = (key_entropy & np.uint64(_MASK32)).astype(np.uint32)
     high = (key_entropy >> np.uint64(32)).astype(np.uint32)
     seeds = _pcg64_seeds(prefix + [low, high], high != 0)
     bit_generator = np.random.PCG64(_PLACEHOLDER_SEED)
     generator = np.random.Generator(bit_generator)
+    # one state dict, its entries rebound per row; the setter copies them
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(seeds), size))
     for i, (state_high, state_low, seq_high, seq_low) in enumerate(seeds.tolist()):
         # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1, then two steps
         # of state = state * MULT + inc, adding initstate after the first
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        state = ((inc + (state_high << 64 | state_low)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+        inc = inner["inc"] = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
+        inner["state"] = ((inc + (state_high << 64 | state_low)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = state
         out[i] = generator.normal(0.0, scale, size)
     return out
 
 
 def array_fingerprint(arr):
-    """Stable content hash of an array, used to key per-input noise streams."""
+    """Stable content hash of an array, used to key per-input noise streams:
+    the first 8 bytes, big-endian, of the SHA-256 of its float64 bytes in C
+    order."""
     a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
     digest = hashlib.sha256(a.tobytes()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def array_fingerprints(X):
+    """`array_fingerprint(X[i])` for every row i of X, as an (n,) uint64 array.
+
+    Each row's bytes are hashed from one C-contiguous float64 buffer of the
+    whole of X; the digests' first 8 bytes are read as big-endian integers.
+    """
+    a = np.asarray(X, dtype=np.float64)
+    if a.ndim == 0:
+        raise ValueError("array_fingerprints needs an array of rows, got a scalar")
+    a = np.ascontiguousarray(a)
+    width = a.itemsize * math.prod(a.shape[1:])
+    data = memoryview(a.reshape(-1)).cast("B")
+    digests = b"".join([hashlib.sha256(data[i * width:(i + 1) * width]).digest()[:8]
+                        for i in range(len(a))])
+    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)

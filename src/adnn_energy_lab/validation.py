@@ -96,13 +96,16 @@ def as_float_array(x, name="x", ndim=None):
 def as_sample_matrix(x, name="X", feature_dim=None):
     """Coerce to a 2-D (n_samples, n_features) float64 matrix.
 
-    A single 1-D sample is promoted to one row.
+    A single 1-D sample is promoted to one row. A row needs at least one
+    feature; a matrix of no rows is valid, a (0, 0) one too.
     """
     arr = as_float_array(x, name)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError("%s must be 1-D or 2-D, got shape %s" % (name, arr.shape))
+    if arr.shape[1] == 0 and len(arr):
+        raise ValueError("%s has rows with no features, shape %s" % (name, arr.shape))
     if feature_dim is not None and arr.shape[1] != feature_dim:
         raise ValueError(
             "%s has %d features, expected %d" % (name, arr.shape[1], feature_dim)

@@ -1,6 +1,7 @@
 """Step-model energy sampling and the repeat/reject measurement protocol."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from adnn_energy_lab.energy import (
     EnergyMeasurement,
     EnergyModel,
+    MeasurementBatch,
     MeasurementProtocol,
     energy_of_trace,
     filter_outliers,
@@ -247,17 +249,49 @@ class TestRejectAndAverage:
         reps, rows = matrix
         readings = np.array(rows, dtype=np.float64).reshape(len(rows), reps)
         result = reject_and_average(readings, factor)
-        assert len(result) == len(rows)
-        for row, m in zip(rows, result):
+        assert isinstance(result, MeasurementBatch)
+        assert len(result) == len(list(result)) == len(rows)
+        assert result.raw.shape == result.kept.shape == (len(rows), reps)
+        assert result.kept.dtype == bool and result.means.shape == (len(rows),)
+        assert result.raw.tobytes() == readings.tobytes()
+        for i, (row, m) in enumerate(zip(rows, result)):
             # an infinite factor keeps every reading, a zero median's too
             kept = list(row) if factor == math.inf else filter_outliers_reference(row, factor)
+            if factor == math.inf:
+                mask = [True] * reps
+            else:
+                mask = [v <= factor * statistics.median(row) for v in row]
+            assert result.kept[i].tolist() == mask
+            assert result.means[i].tobytes() == np.mean(kept).tobytes()
             assert m.raw_samples == tuple(row)
             assert m.retained == tuple(kept)
             assert all(type(v) is float for v in m.raw_samples + m.retained)
             assert type(m.mean) is float and repr(m.mean) == repr(float(np.mean(kept)))
+            indexed = result[i - len(rows)]
+            assert indexed == m and type(indexed.mean) is float
             if factor > 1:
                 protocol = MeasurementProtocol(rejection_factor=factor)
                 assert filter_outliers(row, protocol) == kept
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                result[i]
+
+    def test_empty_matrix_gives_an_empty_batch(self):
+        result = reject_and_average(np.empty((0, 20)))
+        assert len(result) == 0 and list(result) == []
+        assert result.raw.shape == result.kept.shape == (0, 20) and result.means.shape == (0,)
+
+    @pytest.mark.parametrize("index", [slice(0, 1), slice(0, 2), np.array([0]), [0], 1.0, None],
+                             ids=repr)
+    def test_only_an_integer_indexes_a_row(self, index):
+        result = reject_and_average([[1.0, 1.0, 4.0], [2.0, 2.0, 2.0]])
+        with pytest.raises(TypeError):
+            result[index]
+
+    def test_numpy_integer_indexes_a_row(self):
+        result = reject_and_average([[1.0, 1.0, 4.0], [2.0, 2.0, 2.0]])
+        assert result[np.int64(0)] == result[-2] == EnergyMeasurement((1.0, 1.0, 4.0),
+                                                                      (1.0, 1.0), 1.0)
 
     @pytest.mark.parametrize("readings", [np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 0)),
                                           [[1.0, math.nan]], [[1.0, math.inf]]], ids=repr)
@@ -332,6 +366,41 @@ class TestMeasureEnergy:
         means = [m.mean for m in measure_many(SCRIPTED, em, X)]
         assert means == [1.0, 3.0]
 
+    def test_one_input_only(self):
+        em = EnergyModel(seed=2)
+        x = np.full(64, 0.5)
+        assert measure_energy(SCRIPTED, em, x[None, :]) == measure_energy(SCRIPTED, em, x)
+        # the scripted model has no feature count, so nothing downstream
+        # would notice a batch read as one long input
+        for bad in (np.full((2, 64), 0.5), np.full((1, 1, 64), 0.5), 0.5, np.empty((0, 64))):
+            with pytest.raises(ValueError, match="one input"):
+                measure_energy(SCRIPTED, em, bad)
+
+    @pytest.mark.parametrize("inputs", [[], [[]], np.empty((3, 0))], ids=repr)
+    def test_rows_without_features_rejected(self, inputs):
+        em = EnergyModel(seed=2)
+        with pytest.raises(ValueError, match="no features"):
+            measure_many(SCRIPTED, em, inputs)
+        if np.ndim(inputs) == 1:
+            with pytest.raises(ValueError, match="no features"):
+                measure_energy(SCRIPTED, em, inputs)
+
+    def test_rows_are_built_only_when_read(self, monkeypatch):
+        built = []
+        init = EnergyMeasurement.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(EnergyMeasurement, "__init__", counted)
+        em = EnergyModel(noise_sigma=0.05, seed=3)
+        X = derive_rng(5, "scripted-inputs").uniform(0, 1, size=(100, 64))
+        batch = measure_many(SCRIPTED, em, X)
+        assert len(batch) == 100 and built == []
+        assert batch.means.tolist() == [m.mean for m in batch]
+        assert len(built) == 100
+
     def test_json_row_shape(self):
         row = EnergyMeasurement((1.0, 2.0), (1.0,), 1.0).to_json_row("x07")
         assert row == {"input_id": "x07", "raw": [1.0, 2.0], "retained": [1.0],
@@ -363,13 +432,13 @@ class TestMeasureMatchesSequentialReference:
         em = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=sigma,
                          seed=4)
         expected = [self.reference(adnn, em, x) for x in X]
-        assert measure_many(adnn, em, X) == expected
+        assert list(measure_many(adnn, em, X)) == expected
         assert [measure_energy(adnn, em, x) for x in X[:4]] == expected[:4]
-        assert measure_many(adnn, em, X[0]) == expected[:1]
+        assert list(measure_many(adnn, em, X[0])) == expected[:1]
         if sigma > 0:
             assert len({m.mean for m in expected}) > 1
 
     def test_empty_batch(self, case):
         adnn, _ = case
         em = EnergyModel(noise_sigma=0.05)
-        assert measure_many(adnn, em, np.empty((0, 64))) == []
+        assert list(measure_many(adnn, em, np.empty((0, 64)))) == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adnn_energy_lab.seeding import derive_rng, normal_rows
+from adnn_energy_lab.seeding import array_fingerprint, array_fingerprints, derive_rng, normal_rows
 
 # draws of derive_rng(7, *labels).integers(0, 2**32, size=3), pinned: the
 # per-input measurement and test-generation streams depend on them
@@ -106,6 +106,26 @@ class TestNormalRows:
         assert rows.tobytes() == reference_rows(-2, ("measure",), [0, 2**32, 2**63],
                                                 0.1, 4).tobytes()
 
+    @pytest.mark.parametrize("keys", [EDGE_KEYS, [0, 1, 7, 2**32 - 1],
+                                      [2**63, 2**64 - 1, 2**63 + 99]],
+                             ids=["mixed", "below 2**32", "from 2**63"])
+    def test_uint64_key_array_equals_the_int_list(self, keys):
+        array = np.array(keys, dtype=np.uint64)
+        rows = normal_rows(5, ("measure",), array, 0.2, 7)
+        assert rows.tobytes() == normal_rows(5, ("measure",), keys, 0.2, 7).tobytes()
+        assert rows.tobytes() == reference_rows(5, ("measure",), keys, 0.2, 7).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32, np.int8])
+    def test_other_integer_key_arrays_equal_the_int_list(self, dtype):
+        keys = [0, 1, 100, np.iinfo(dtype).max] + ([-1, -2**7, np.iinfo(dtype).min]
+                                                   if np.iinfo(dtype).min else [])
+        rows = normal_rows(5, ("measure",), np.array(keys, dtype=dtype), 0.2, 7)
+        assert rows.tobytes() == reference_rows(5, ("measure",), [int(k) for k in keys],
+                                                0.2, 7).tobytes()
+
+    def test_empty_key_array(self):
+        assert normal_rows(4, ("measure",), np.zeros(0, dtype=np.uint64), 0.05, 3).shape == (0, 3)
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(-2**70, 2**70),
@@ -118,3 +138,49 @@ class TestNormalRows:
     )
     def test_rows_equal_their_streams(self, seed, labels, keys, scale, size):
         assert_rows_match(seed, tuple(labels), keys, scale, size)
+
+
+class TestArrayFingerprints:
+    """The batch fingerprint of each row is that row's own fingerprint."""
+
+    @staticmethod
+    def assert_rows_match(X):
+        fingerprints = array_fingerprints(X)
+        assert fingerprints.dtype == np.uint64 and fingerprints.shape == (len(X),)
+        assert fingerprints.tolist() == [array_fingerprint(x) for x in X]
+
+    def test_float64_rows(self):
+        X = np.random.default_rng(0).uniform(0, 1, size=(9, 64))
+        self.assert_rows_match(X)
+        self.assert_rows_match(X.tolist())
+
+    def test_float32_and_integer_rows_hash_as_float64(self):
+        X = np.random.default_rng(1).uniform(0, 1, size=(5, 7))
+        self.assert_rows_match(X.astype(np.float32))
+        self.assert_rows_match(np.arange(12).reshape(4, 3))
+
+    def test_fortran_order_and_slices(self):
+        X = np.random.default_rng(2).uniform(0, 1, size=(6, 10))
+        self.assert_rows_match(np.asfortranarray(X))
+        self.assert_rows_match(X[::2, 1::3])
+        self.assert_rows_match(X.T)
+        assert array_fingerprints(np.asfortranarray(X)).tolist() == array_fingerprints(X).tolist()
+
+    def test_negative_zero_differs_from_zero(self):
+        X = np.array([[0.0, 1.0], [-0.0, 1.0]])
+        self.assert_rows_match(X)
+        assert len(set(array_fingerprints(X).tolist())) == 2
+
+    def test_no_rows_and_rows_of_no_values(self):
+        self.assert_rows_match(np.empty((0, 64)))
+        self.assert_rows_match(np.empty((3, 0)))
+        self.assert_rows_match(np.empty((0, 0)))
+
+    def test_vector_entries_and_higher_rank_rows(self):
+        self.assert_rows_match(np.array([0.5, -0.0, 2.0]))
+        self.assert_rows_match(np.arange(10.0)[::3])
+        self.assert_rows_match(np.arange(24.0).reshape(2, 3, 4))
+
+    def test_a_scalar_has_no_rows(self):
+        with pytest.raises(ValueError, match="rows"):
+            array_fingerprints(np.float64(1.0))
