@@ -25,7 +25,8 @@ objective (`input_based_loss`, `universal_loss`, `IlfoAttack._loss`): one
 node with a hand-written vector-Jacobian product over the reparameterized
 input and the model's one-node forward. A loop's values, gradients and
 finiteness checks (by op name) equal those of building that objective's
-graph per iterate and stepping it with `Adam.step_loss`.
+graph per iterate, differentiating it with `gradients` and stepping it
+with `Adam.step`.
 """
 
 import inspect
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, _checked, _require_finite, entropy_hinge_terms,
+from .autodiff import (_ONE, ShapeError, Tensor, _checked, _require_finite, entropy_hinge_terms,
                        hinge_terms, relu, tanh_unit, tanh_unit_terms, tsum)
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
@@ -42,9 +43,6 @@ from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL_OR_NONE, 
                          as_float_array, check_params)
 
 _ATANH_CLIP = 1e-6
-# d loss / d loss, the gradient `gradients` starts its reverse walk from
-_ONE = np.ones(())
-_ONE.flags.writeable = False
 
 
 def reparam(w):

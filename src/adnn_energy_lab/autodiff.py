@@ -11,14 +11,19 @@ reads (and, by copy-on-write, writes) its slice. An optimizer steps the
 flat leaf; `gradients` gives a view the matching slice of its flat leaf's
 gradient, plus whatever it gets as a leaf of its own.
 
-The graphs that training and test generation rebuild every step are a
-handful of one-node ops with hand-written vector-Jacobian products:
+The library's fits and attack loops build no graph: they compose array
+forms of the ops below, each a value and its hand-written vector-Jacobian
+product. The graph is kept for the benchmark's traced probes, the Tensor
+objectives and the test oracles, which check every array step against it.
+Its ops are a handful of one-node ops, each sharing its array form's
+arithmetic:
 
 - a whole residual MLP, stem to heads, is one node over its input and its
   flat leaf (`nn.ResidualMLP`);
 - `columns` cuts a block of columns out of it;
 - `softmax_cross_entropy`, `squared_error` and `mean_of_column_means`: the
-  classification, regression and gate-sparsity losses;
+  classification, regression and gate-sparsity losses, whose array forms
+  (`softmax_cross_entropy_terms` and so on) the fits step on;
 - `hinge_sum`, `entropy_hinge_sum` and `tanh_unit`: the white-box attack's
   gate and exit-entropy hinges and the attacks' pixel reparameterization.
   `hinge_terms` and `entropy_hinge_terms` give a hinge's value and
@@ -50,9 +55,10 @@ Finiteness contract: an op whose value is NaN or infinite raises
 computes. The one-node ops also check their hidden values (every relu and
 sigmoid pre-activation of a network, and the log-probabilities of the
 cross-entropy and the entropy hinge), where a sigmoid or a relu could hide a
-non-finite value. The array forms that the attack loops compose without a
-graph (`tanh_unit_terms`, `nn.ResidualMLP.terms` and what is built on it)
-make the same checks under the same names: a node's value under its op,
+non-finite value. The array forms that the fits and attack loops compose
+without a graph (`tanh_unit_terms`, `nn.ResidualMLP.terms` and
+`theta_terms`, the loss forms and what is built on them) make the same
+checks under the same names: a node's value under its op,
 and its product under op + ".grad", as `gradients` names a contribution.
 A check costs one `math.isfinite` on a number or a 0-d array, and one sum
 of squares on an array: a finite sum proves every entry finite, and only a
@@ -107,6 +113,11 @@ def _checked(data, op):
     """`data`, once `_require_finite` has passed it under the name `op`."""
     _require_finite(data, op)
     return data
+
+
+# d loss / d loss, the gradient `gradients` starts its reverse walk from
+_ONE = np.ones(())
+_ONE.flags.writeable = False
 
 
 class Tensor:
@@ -395,6 +406,21 @@ def _constant_like(value, t, op):
     return arr
 
 
+def softmax_cross_entropy_terms(logits, t):
+    """The value of `softmax_cross_entropy` on arrays, and its vector-Jacobian
+    product toward the logits. The log-probabilities are checked."""
+    logp = _log_softmax_rows(logits)[1]
+    _require_finite(logp, "softmax_cross_entropy")
+    picked = (logp * t).sum(axis=-1)
+    scale = _batch_scale(picked, "softmax_cross_entropy")
+
+    def grad_logits(g):
+        g_logp = g * -1.0 * scale * t
+        return g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
+
+    return picked.sum() * scale * -1.0, grad_logits
+
+
 def softmax_cross_entropy(logits, targets):
     """Mean over rows of -sum(targets * log_softmax(logits)), as one node.
 
@@ -404,25 +430,14 @@ def softmax_cross_entropy(logits, targets):
     """
     logits = as_tensor(logits)
     t = _constant_like(targets, logits, "softmax_cross_entropy")
-    logp = _log_softmax_rows(logits.data)[1]
-    _require_finite(logp, "softmax_cross_entropy")
-    picked = (logp * t).sum(axis=-1)
-    scale = _batch_scale(picked, "softmax_cross_entropy")
-
-    def grad_logits(g):
-        g_logp = g * -1.0 * scale * t
-        return g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
-
-    return Tensor(picked.sum() * scale * -1.0, ((logits, grad_logits),),
-                  "softmax_cross_entropy")
+    value, vjp = softmax_cross_entropy_terms(logits.data, t)
+    return Tensor(value, ((logits, vjp),), "softmax_cross_entropy")
 
 
-def squared_error(pred, target):
-    """Mean over rows of the row-summed squared error, as one node:
-    mean(sum((pred - target) ** 2, axis=-1)). `target` is a constant array
-    of the prediction's shape and takes no gradient."""
-    pred = as_tensor(pred)
-    err = pred.data - _constant_like(target, pred, "squared_error")
+def squared_error_terms(pred, target):
+    """The value of `squared_error` on arrays, and its vector-Jacobian
+    product toward the prediction."""
+    err = pred - target
     rows = (err * err).sum(axis=-1)
     scale = _batch_scale(rows, "squared_error")
 
@@ -430,7 +445,16 @@ def squared_error(pred, target):
         half = g * scale * err
         return half + half
 
-    return Tensor(rows.sum() * scale, ((pred, grad_pred),), "squared_error")
+    return rows.sum() * scale, grad_pred
+
+
+def squared_error(pred, target):
+    """Mean over rows of the row-summed squared error, as one node:
+    mean(sum((pred - target) ** 2, axis=-1)). `target` is a constant array
+    of the prediction's shape and takes no gradient."""
+    pred = as_tensor(pred)
+    value, vjp = squared_error_terms(pred.data, _constant_like(target, pred, "squared_error"))
+    return Tensor(value, ((pred, vjp),), "squared_error")
 
 
 def _rows(x):
@@ -463,15 +487,11 @@ def columns(x, start, stop):
                   ((x, lambda g: _scatter_columns(x.shape, start, stop, g)),), "columns")
 
 
-def mean_of_column_means(x, start, stop):
-    """The mean over columns start..stop-1 of x of each column's mean, as one node.
-
-    A column's mean is its sum times 1 / rows, and the columns are added
-    left to right, as a mean of means over separate column tensors would.
-    """
-    x = as_tensor(x)
+def mean_of_column_means_terms(x, start, stop):
+    """The value of `mean_of_column_means` on array `x`, and its
+    vector-Jacobian product toward `x`."""
     _check_columns("mean_of_column_means", x, start, stop)
-    block = _rows(x.data)[:, start:stop]
+    block = _rows(x)[:, start:stop]
     scale = 1.0 / block.shape[0]
     sums = _column_sums(block)
     total = sums[0] * scale
@@ -484,7 +504,18 @@ def mean_of_column_means(x, start, stop):
         out[..., start:stop] = g * inv_count * scale
         return out
 
-    return Tensor(total * inv_count, ((x, grad_x),), "mean_of_column_means")
+    return total * inv_count, grad_x
+
+
+def mean_of_column_means(x, start, stop):
+    """The mean over columns start..stop-1 of x of each column's mean, as one node.
+
+    A column's mean is its sum times 1 / rows, and the columns are added
+    left to right, as a mean of means over separate column tensors would.
+    """
+    x = as_tensor(x)
+    value, vjp = mean_of_column_means_terms(x.data, start, stop)
+    return Tensor(value, ((x, vjp),), "mean_of_column_means")
 
 
 def hinge_terms(x, level, start, stop):

@@ -19,11 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, _log_softmax_rows, _require_finite, _scatter_columns
+from .autodiff import (_ONE, _checked, _log_softmax_rows, _require_finite, _scatter_columns,
+                       softmax_cross_entropy_terms)
 from .base import ParamsMixin, check_is_fitted
 from .metrics import auc
 from .models import EarlyExitNet, GatedSkipNet
-from .nn import Dense, ResidualBlock, cross_entropy, fit_minibatch, kept_network
+from .nn import Dense, ResidualBlock, fit_minibatch, kept_network, one_hot
 from .seeding import derive_rng
 from .validation import (INT, NONNEGATIVE, POSITIVE, SIZE, as_label_array, as_sample_matrix,
                          check_params, check_same_length)
@@ -81,8 +82,14 @@ class FilterModel(ParamsMixin):
         (logits,), _ = self._net().run(X)
         return np.argmax(logits, axis=-1)
 
-    def _batch_loss(self, X, y):
-        return cross_entropy(self._net()(Tensor(X)), y, self.num_classes)
+    def _batch_terms(self, X, y, net=None):
+        """Cross-entropy of one batch and its gradient toward theta, on
+        arrays; checked as the graph softmax_cross_entropy(network(X)) checks
+        it. `net` is the network, if already resolved."""
+        out, grad_theta = (self._net() if net is None else net).theta_terms(X)
+        loss, loss_grad = softmax_cross_entropy_terms(out, one_hot(y, self.num_classes))
+        return (_checked(loss, "softmax_cross_entropy"),
+                grad_theta(_checked(loss_grad(_ONE), "softmax_cross_entropy.grad")))
 
     def score(self, X, y):
         return float(np.mean(self.predict(X) == np.asarray(y)))
@@ -99,8 +106,9 @@ class FilterModel(ParamsMixin):
                         for _ in range(self.num_blocks)]
         self.head_ = Dense.init(rng, self.width, self.num_classes)
         order_rng = derive_rng(self.seed, "filter-batches")
-        self.history_ = fit_minibatch(self._batch_loss, self._net().theta, X, y, self.epochs,
-                                      self.batch_size, self.lr, order_rng)
+        net = self._net()
+        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), net.theta,
+                                      X, y, self.epochs, self.batch_size, self.lr, order_rng)
         return self
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, _checked, squared_error
+from .autodiff import _ONE, Tensor, _checked, squared_error_terms
 from .base import ParamsMixin, check_is_fitted
 from .nn import (Dense, ResidualBlock, fit_minibatch, kept_network, layers_from_payload,
                  params_to_payload, payload_layout)
@@ -72,9 +72,15 @@ class EnergyEstimator(ParamsMixin):
     def _layout(self):
         return payload_layout(self.input_dim, self.width, self.num_blocks, 1, "block%d", ["head"])
 
-    def _batch_loss(self, X, targets):
-        """Mean over the batch of the squared error in normalized joules."""
-        return squared_error(self._net()(Tensor(X)), targets.reshape(-1, 1))
+    def _batch_terms(self, X, targets, net=None):
+        """Mean over the batch of the squared error in normalized joules, and
+        its gradient toward theta, on arrays; checked as the graph
+        squared_error(network(X), targets) checks it. `net` is the network,
+        if already resolved."""
+        out, grad_theta = (self._net() if net is None else net).theta_terms(X)
+        loss, loss_grad = squared_error_terms(out, targets.reshape(-1, 1))
+        return (_checked(loss, "squared_error"),
+                grad_theta(_checked(loss_grad(_ONE), "squared_error.grad")))
 
     # -- training ----------------------------------------------------------
 
@@ -116,8 +122,9 @@ class EnergyEstimator(ParamsMixin):
             # the late tiny steps let the fit settle instead of bouncing on minibatch noise
             opt.lr = self.lr * 0.5 * (1.0 + math.cos(math.pi * (epoch + 1) / max(1, self.epochs)))
 
-        self.history_ = fit_minibatch(self._batch_loss, theta, X[train_idx], targets[train_idx],
-                                      self.epochs, self.batch_size, self.lr, rng, on_epoch)
+        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), theta,
+                                      X[train_idx], targets[train_idx], self.epochs,
+                                      self.batch_size, self.lr, rng, on_epoch)
         # keep the checkpoint that generalized best, not the last one;
         # late epochs can trade held-out accuracy for training-set fit
         theta.data = best[1]

@@ -24,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import (Tensor, _require_finite, add, as_tensor, columns, mean_of_column_means,
-                       mul)
+from .autodiff import (_ONE, Tensor, _checked, _require_finite, _scatter_columns, as_tensor,
+                       columns, mean_of_column_means_terms, softmax_cross_entropy_terms)
 from .base import ParamsMixin, check_is_fitted
-from .nn import (Dense, ResidualBlock, cross_entropy, fit_minibatch, kept_network,
-                 layers_from_payload, params_to_payload, payload_layout, xavier_uniform)
+from .nn import (Dense, ResidualBlock, fit_minibatch, kept_network, layers_from_payload, one_hot,
+                 params_to_payload, payload_layout, xavier_uniform)
 from .seeding import derive_rng
 from .serialize import DataFormatError, dump_json, load_json, payload_config
 from .validation import (COUNT, INT, LADDER, NONNEGATIVE, OPEN_UNIT, SIZE, as_label_array,
@@ -301,16 +301,29 @@ class GatedSkipNet(ParamsMixin):
 
     # -- training -----------------------------------------------------
 
-    def _batch_loss(self, X, y):
-        """Training loss of one batch: soft-mode cross-entropy plus the
-        sparsity penalty on the mean gate value."""
-        out = self.forward_all(Tensor(X))
-        c = self.num_classes
-        loss = cross_entropy(columns(out, 0, c), y, c)
-        if self.sparsity_weight:
-            gates = mean_of_column_means(out, c, c + self.num_blocks)
-            loss = add(loss, mul(gates, self.sparsity_weight))
-        return loss
+    def _batch_terms(self, X, y, net=None):
+        """Training loss of one batch and its gradient toward theta, on
+        arrays: soft-mode cross-entropy plus the sparsity penalty on the mean
+        gate value; `net` is the network, if already resolved. Arithmetic,
+        addition order and checks (by op name) are the graph's, columns ->
+        softmax_cross_entropy, add(loss, mul(mean_of_column_means, weight)),
+        whose "add.grad" checks pass the incoming 1.0 on and are left out."""
+        out, grad_theta = (self._net() if net is None else net).theta_terms(X)
+        c, n, weight = self.num_classes, self.num_blocks, self.sparsity_weight
+        logits = _checked(out[:, :c], "columns")
+        loss, loss_grad = softmax_cross_entropy_terms(logits, one_hot(y, c))
+        _require_finite(loss, "softmax_cross_entropy")
+        if weight:
+            gates, gates_grad = mean_of_column_means_terms(out, c, c + n)
+            _require_finite(gates, "mean_of_column_means")
+            weight = _checked(np.float64(weight), "leaf")
+            loss = _checked(loss + _checked(gates * weight, "mul"), "add")
+        g_logits = _checked(loss_grad(_ONE), "softmax_cross_entropy.grad")
+        g = _checked(_scatter_columns(out.shape, 0, c, g_logits), "columns.grad")
+        if weight:
+            g_gates = _checked(_ONE * weight, "mul.grad")
+            g = g + _checked(gates_grad(g_gates), "mean_of_column_means.grad")
+        return loss, grad_theta(g)
 
     def fit(self, X, y):
         check_params(self.PARAMS, vars(self))
@@ -321,8 +334,9 @@ class GatedSkipNet(ParamsMixin):
         self._build(derive_rng(self.seed, "skip-init"))
         self._calibrate_gates(X)
         order_rng = derive_rng(self.seed, "skip-batches")
-        self.history_ = fit_minibatch(self._batch_loss, self._net().theta, X, y, self.epochs,
-                                      self.batch_size, self.lr, order_rng)
+        net = self._net()
+        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), net.theta,
+                                      X, y, self.epochs, self.batch_size, self.lr, order_rng)
         self.train_accuracy_ = self.score(X, y)
         return self
 
@@ -440,12 +454,6 @@ class EarlyExitNet(ParamsMixin):
         product toward `x`); see `nn.ResidualMLP.terms`."""
         return self._net().terms(x, heads)
 
-    def forward_exits(self, x):
-        """All exit logits for a Tensor input, one Tensor per exit."""
-        out = self.forward_all(x)
-        c = self.num_classes
-        return [columns(out, k * c, (k + 1) * c) for k in range(self.num_segments)]
-
     def infer(self, x):
         """Hard-mode inference: a TraceBatch for a batch of rows, an
         ExecutionTrace for a single vector. A row exits at the first head
@@ -472,10 +480,28 @@ class EarlyExitNet(ParamsMixin):
     def score(self, X, y):
         return float(np.mean(self.predict(X) == np.asarray(y)))
 
-    def _batch_loss(self, X, y):
-        """Training loss of one batch: the sum of every exit's cross-entropy."""
-        losses = [cross_entropy(l, y, self.num_classes) for l in self.forward_exits(Tensor(X))]
-        return sum(losses[1:], losses[0])
+    def _batch_terms(self, X, y, net=None):
+        """Training loss of one batch and its gradient toward theta, on
+        arrays: the sum of every exit's cross-entropy, added left to right;
+        `net` is the network, if already resolved. Arithmetic and checks (by
+        op name) are the graph's, columns -> softmax_cross_entropy per exit,
+        folded with add, whose "add.grad" checks pass the incoming 1.0 on
+        and are left out."""
+        out, grad_theta = (self._net() if net is None else net).theta_terms(X)
+        c = self.num_classes
+        logits = [_checked(out[:, k * c:(k + 1) * c], "columns") for k in range(self.num_segments)]
+        targets, losses, vjps = one_hot(y, c), [], []
+        for part in logits:
+            value, vjp = softmax_cross_entropy_terms(part, targets)
+            losses.append(_checked(value, "softmax_cross_entropy"))
+            vjps.append(vjp)
+        loss = losses[0]
+        for value in losses[1:]:
+            loss = _checked(loss + value, "add")
+        grads = [_checked(vjp(_ONE), "softmax_cross_entropy.grad") for vjp in vjps]
+        # the graph adds the exits' zero-padded products, which equals their
+        # concatenation: no entry of a cross-entropy product is -0.0
+        return loss, grad_theta(_checked(np.concatenate(grads, axis=1), "columns.grad"))
 
     def fit(self, X, y):
         check_params(self.PARAMS, vars(self))
@@ -485,8 +511,9 @@ class EarlyExitNet(ParamsMixin):
         y = as_label_array(y, n=len(X), num_classes=self.num_classes)
         self._build(derive_rng(self.seed, "exit-init"))
         order_rng = derive_rng(self.seed, "exit-batches")
-        self.history_ = fit_minibatch(self._batch_loss, self._net().theta, X, y, self.epochs,
-                                      self.batch_size, self.lr, order_rng)
+        net = self._net()
+        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), net.theta,
+                                      X, y, self.epochs, self.batch_size, self.lr, order_rng)
         self.train_accuracy_ = self.score(X, y)
         all_logits, _ = self._net().run(X)
         self.exit_accuracies_ = [float(np.mean(np.argmax(l, axis=-1) == y)) for l in all_logits]
@@ -545,7 +572,8 @@ class ScriptedAdnn:
         vector. The one-hot logits pick class int(mean(x) * num_classes),
         capped at the last class."""
         X = as_sample_matrix(x, "x")
-        means = X.mean(axis=1)
+        # a (0, 0) batch has no row to average, and numpy warns on its mean
+        means = X.mean(axis=1) if len(X) else np.zeros(0)
         if not np.isfinite(means).all():
             raise ValueError("x has a row whose mean overflows")
         decisions = means[:, None] >= np.array(self.thresholds)

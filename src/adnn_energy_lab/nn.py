@@ -3,12 +3,17 @@
 All four networks are one shape, a `ResidualMLP`: a stem, residual blocks
 and one head at the end or one after every block, optionally with a sigmoid
 gate per block. Its whole forward and backward is one autodiff node over one
-flat parameter leaf, `theta` (or, on an array with no graph, `terms`), and
+flat parameter leaf, `theta`, or, on an array with no graph, `terms` (the
+product toward the input) and `theta_terms` (the product toward theta). It
 runs only the layers its kept heads and gates read; the per-layer weights
-(`Dense`, `ResidualBlock`, gate lists) are `View`s of it. The four fits
-share one epoch loop, `fit_minibatch`, and the three saved kinds one payload
-layout, `payload_layout`: a (payload key, shape) per theta view, in theta
-order.
+(`Dense`, `ResidualBlock`, gate lists) are `View`s of it.
+
+The four fits run on arrays and share one epoch loop, `fit_minibatch`: each
+step takes a batch's loss and theta gradient from the model's
+`_batch_terms`, and Adam writes them into theta's one array in place, so
+the layer slices are cut once per fit. The three saved kinds share one
+payload layout, `payload_layout`: a (payload key, shape) per theta view, in
+theta order.
 
 FLOPs accounting is fixed at 2 * fan_in * fan_out per affine map (one
 multiply plus one add per weight). Activations, pooling and gate heads are
@@ -280,6 +285,17 @@ class ResidualMLP:
         out, _, grad_x, _ = self._soft(np.asarray(x, dtype=np.float64), heads)
         return _checked(out, "residual_mlp"), lambda g: _checked(grad_x(g), "residual_mlp.grad")
 
+    def theta_terms(self, x):
+        """The node's output on array `x`, every head and gate, with no graph,
+        and its vector-Jacobian product toward theta: (output, vjp). They are
+        checked as a training step's graph checks them: `x` as the input
+        leaf ("leaf"), the output as the node ("residual_mlp") and the
+        product as its contribution ("residual_mlp.grad"). The walk builds
+        no product toward `x`."""
+        out, _, _, grad_theta = self._soft(_checked(x, "leaf"), None)
+        return (_checked(out, "residual_mlp"),
+                lambda g: _checked(grad_theta(g), "residual_mlp.grad"))
+
     def stem_grad(self, x, out_grad, heads=None):
         """dL/dz0 for each row of `x`, where z0 = x @ Ws + bs is the stem's
         pre-activation: one soft forward and one reverse walk, which builds
@@ -330,7 +346,7 @@ class ResidualMLP:
             skip, branch_in = dh, dz1 @ blocks[i][0].T
         dh0 = _left_sum([skip, branch_in])
         dz0 = None if dh0 is None else dh0 * mask0
-        gate_grads = None
+        grad_z = None
         if gates is not None:
             # a gate's block product, then what the loss sends it directly
             incoming = g[:, len(tops) * c:]
@@ -339,50 +355,54 @@ class ResidualMLP:
                 if col is not None:
                     d_gates[:, i] = col + incoming[:, i]
             grad_z = d_gates * gates * (1.0 - gates)
-            gate_grads = (grad_z, np.add.accumulate(grad_z * gate_params[0], axis=1)[:, -1:])
-        return head_grads, block_grads, dz0, gate_grads
+        return head_grads, block_grads, dz0, grad_z
 
     def _input_grad(self, layers, cache, grads):
-        """The gradient toward x: the stem's product, then the pool's."""
-        ws = layers[0][0]
+        """The gradient toward x: the stem's product, then the pool's. The
+        pool's product is formed only here, so a walk toward theta alone
+        never computes it."""
+        ws, gate_params = layers[0][0], layers[2]
         x = cache[0]
-        _, _, dz0, gate_grads = grads
+        _, _, dz0, grad_z = grads
         dx = None if dz0 is None else dz0 @ ws.T
-        if gate_grads is not None:
-            pooled_part = gate_grads[1] @ self.pool.T
+        if grad_z is not None:
+            pooled_grad = np.add.accumulate(grad_z * gate_params[0], axis=1)[:, -1:]
+            pooled_part = pooled_grad @ self.pool.T
             dx = pooled_part if dx is None else dx + pooled_part
         return np.zeros(x.shape) if dx is None else dx
 
     def _theta_grad(self, cache, grads):
-        """The gradient toward theta, one flat vector in its layout."""
+        """The gradient toward theta, one flat vector in its layout. Each
+        product and bias sum is written straight into its slice."""
         x, _, pooled, _, steps, tops = cache
-        head_grads, block_grads, dz0, gate_grads = grads
+        head_grads, block_grads, dz0, grad_z = grads
         out = np.zeros(self.theta.data.shape)
-        views = self.params
+        layout = self.theta.layout
 
-        def put(k, *arrays):
-            for view, arr in zip(views[k:k + len(arrays)], arrays):
-                out[view.start:view.stop] = arr.reshape(-1)
+        def put(k, left, right):
+            # the weight gradient left.T @ right, then its bias, right's column sums
+            (start, stop, shape), (bias_start, bias_stop, _) = layout[k:k + 2]
+            np.matmul(left.T, right, out=out[start:stop].reshape(shape))
+            np.add.reduce(right, axis=0, out=out[bias_start:bias_stop])
 
         if dz0 is not None:
-            put(0, x.T @ dz0, dz0.sum(axis=0))
+            put(0, x, dz0)
         for i, bg in enumerate(block_grads):
             if bg is not None:
                 h, _, act, _, _ = steps[i]
                 g_branch, dz1 = bg
-                put(2 + 4 * i, h.T @ dz1, dz1.sum(axis=0), act.T @ g_branch,
-                    g_branch.sum(axis=0))
+                put(2 + 4 * i, h, dz1)
+                put(4 + 4 * i, act, g_branch)
         k = 2 + 4 * self.num_blocks
-        if gate_grads is not None:
-            grad_z = gate_grads[0]
+        if grad_z is not None:
             n = self.num_blocks
-            start = views[k].start
+            start = layout[k][0]
             out[start:start + n] = _column_sums(grad_z * pooled)
             out[start + n:start + 2 * n] = _column_sums(grad_z)
             k += 2 * n
         for j, hg in enumerate(head_grads):
             if hg is not None:
-                put(k + 2 * j, tops[j].T @ hg, hg.sum(axis=0))
+                put(k + 2 * j, tops[j], hg)
         return out
 
 
@@ -464,14 +484,17 @@ def layers_from_payload(payload, layout, num_blocks, gated=False):
     return stem, blocks, gates, heads
 
 
-def fit_minibatch(batch_loss, theta, X, y, epochs, batch_size, lr, rng, on_epoch=None):
+def fit_minibatch(batch_terms, theta, X, y, epochs, batch_size, lr, rng, on_epoch=None):
     """Adam on `theta` over shuffled minibatches; each epoch's mean loss.
 
     Every epoch draws one `rng.permutation(len(X))` and steps once per
-    batch of `batch_size` rows on `batch_loss(X[idx], y[idx])`, a scalar
-    Tensor. `on_epoch(epoch, opt)` runs after each epoch; it may set
-    `opt.lr` for the next one or rebind `theta.data`. The caller checks
-    the settings against its parameter table before it builds anything.
+    batch of `batch_size` rows on `batch_terms(X[idx], y[idx])`, which
+    gives the batch's loss and its gradient toward theta on plain arrays.
+    Adam steps `theta.data` in place, in its own copy, so the network's
+    layer slices are cut once per fit. `on_epoch(epoch, opt)` runs after
+    each epoch; it may set `opt.lr` for the next one or rebind
+    `theta.data`. The caller checks the settings against its parameter
+    table before it builds anything.
     """
     opt = Adam([theta], lr=lr)
     history = []
@@ -480,7 +503,9 @@ def fit_minibatch(batch_loss, theta, X, y, epochs, batch_size, lr, rng, on_epoch
         epoch_loss = 0.0
         for start in range(0, len(X), batch_size):
             idx = perm[start:start + batch_size]
-            epoch_loss += opt.step_loss(batch_loss(X[idx], y[idx])) * len(idx)
+            loss, grad = batch_terms(X[idx], y[idx])
+            opt.step([grad])
+            epoch_loss += float(loss) * len(idx)
         history.append(epoch_loss / len(X))
         if on_epoch is not None:
             on_epoch(epoch, opt)
@@ -506,8 +531,9 @@ def one_hot(labels, num_classes):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("labels out of range for %d classes" % num_classes)
-    eye = np.eye(num_classes)
-    return eye[labels]
+    out = np.zeros(labels.shape + (num_classes,))
+    out.reshape(-1, num_classes)[np.arange(labels.size), labels.reshape(-1)] = 1.0
+    return out
 
 
 def cross_entropy(logits, labels, num_classes):

@@ -1,22 +1,26 @@
 """Adam with bias correction.
 
-Parameters are leaf Tensors. `step` updates all of them as one flat vector:
-the moments `m` and `v` are single flat arrays, the gradients and the current
-`p.data` of every parameter are concatenated (one parameter, such as a
-network's flat leaf, is used as it is), the update runs once, and each
-`p.data` is rebound to its slice of the new vector between graph
-constructions. `m` and `v` are updated in place, and the update's
-temporaries go to two scratch arrays allocated with them, so a step
-allocates only the new parameter vector. A parameter's old array is never
-written, and `p.data` is read afresh on every step, so a caller may rebind
-it (say, to restore a checkpoint) between steps. With bias correction the
-very first update has magnitude close to `lr` in every coordinate with a
-nonzero gradient, which makes the step size directly interpretable.
+Parameters are leaf Tensors, and `step` takes one gradient array per
+parameter. The moments `m` and `v` are single flat arrays, updated in place,
+and the update's temporaries go to two scratch arrays allocated with them.
+
+One parameter (a network's flat leaf, an attack's modifier; not a `View`)
+is stepped in place: Adam copies its array when built and binds the
+parameter to the copy, so the caller's array is never written and the
+parameter keeps one array from step to step. Several parameters are
+stepped as one flat vector: their gradients and current `p.data` are
+concatenated, the update runs once, and each `p.data` is rebound to its
+slice of the new vector, so an old array is never written. Either way
+`p.data` is read afresh on every step, so a caller may rebind it (say, to
+restore a checkpoint) between steps; a rebound single parameter is copied
+again before it is stepped. With bias correction the very first update has
+magnitude close to `lr` in every coordinate with a nonzero gradient, which
+makes the step size directly interpretable.
 """
 
 import numpy as np
 
-from .autodiff import gradients
+from .autodiff import View
 from .validation import FRACTION, NONNEGATIVE, POSITIVE, check_params
 
 
@@ -37,6 +41,17 @@ class Adam:
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._scratch = (np.empty(size), np.empty(size))
+        # a View hands out a new slice on every read, so it is rebound instead
+        one = len(self.params) == 1 and not isinstance(self.params[0], View)
+        self._own = self._adopt() if one else None
+
+    def _adopt(self):
+        """Bind the one parameter to a fresh C-ordered copy of its array, and
+        return that copy: the array every in-place step writes."""
+        p = self.params[0]
+        own = np.array(p.data, dtype=np.float64, order="C")
+        p.data = own
+        return own
 
     def step(self, grads):
         if len(grads) != len(self.params):
@@ -48,9 +63,11 @@ class Adam:
         self.t += 1
         if not self.params:
             return
-        if len(self.params) == 1:
+        if self._own is not None:
+            if self.params[0].data is not self._own:   # rebound since the last step
+                self._own = self._adopt()
             g = np.ravel(grads[0])
-            data = self.params[0].data.ravel()
+            data = self._own.reshape(-1)
         else:
             g = np.concatenate([np.ravel(g) for g in grads])
             data = np.concatenate([p.data.ravel() for p in self.params])
@@ -69,14 +86,13 @@ class Adam:
         np.divide(m, bc1, out=s)
         np.sqrt(np.divide(v, bc2, out=u), out=u)
         np.divide(s, np.add(u, self.eps, out=u), out=s)
-        data = data - np.multiply(self.lr, s, out=s)
+        np.multiply(self.lr, s, out=s)
+        if self._own is not None:
+            np.subtract(data, s, out=data)
+            return
+        data = data - s
         start = 0
         for p in self.params:
             end = start + p.data.size
             p.data = data[start:end].reshape(p.data.shape)
             start = end
-
-    def step_loss(self, loss):
-        """Backward pass on `loss` followed by one update; returns the loss."""
-        self.step(gradients(loss, self.params))
-        return float(loss.data)

@@ -203,9 +203,47 @@ def adam_per_parameter_steps(values, grads, state, lr=0.01, beta1=0.9,
     return out
 
 
+def step_loss(opt, loss):
+    """One Adam step on the graph of the scalar Tensor `loss`: the backward
+    pass toward every parameter of `opt`, then the update. Returns the loss."""
+    from adnn_energy_lab.autodiff import gradients
+    opt.step(gradients(loss, opt.params))
+    return float(loss.data)
+
+
+def fused_batch_loss(model, X, y):
+    """One training batch's loss as a graph of the library's fused nodes, as
+    the fits built it before they ran on arrays: the network as one node,
+    then its loss. A gated-skip net adds its gate penalty, and an early-exit
+    net sums its exits' losses left to right. `y` holds labels, or the
+    estimator's normalized targets."""
+    from adnn_energy_lab import autodiff as ad
+    from adnn_energy_lab.estimator import EnergyEstimator
+    from adnn_energy_lab.models import EarlyExitNet, GatedSkipNet
+    from adnn_energy_lab.nn import cross_entropy
+
+    out = model._net()(ad.Tensor(X))
+    if isinstance(model, EnergyEstimator):
+        return ad.squared_error(out, y.reshape(-1, 1))
+    c = model.num_classes
+    if isinstance(model, EarlyExitNet):
+        exits = [ad.columns(out, k * c, (k + 1) * c) for k in range(model.num_segments)]
+        losses = [cross_entropy(logits, y, c) for logits in exits]
+        return sum(losses[1:], losses[0])
+    if not isinstance(model, GatedSkipNet):
+        return cross_entropy(out, y, c)
+    loss = cross_entropy(ad.columns(out, 0, c), y, c)
+    if model.sparsity_weight:
+        gates = ad.mean_of_column_means(out, c, c + model.num_blocks)
+        loss = ad.add(loss, ad.mul(gates, model.sparsity_weight))
+    return loss
+
+
 def minibatch_reference(batch_loss, theta, X, y, epochs, batch_size, lr, rng):
-    """The epoch loop each fit ran before they shared one: Adam on `theta`,
-    one permutation per epoch, each epoch's row-weighted mean loss."""
+    """The epoch loop each fit ran before they shared one, on a graph: Adam
+    on `theta`, one permutation per epoch, one `step_loss` per batch on
+    `batch_loss(X[idx], y[idx])`, a scalar Tensor, and each epoch's
+    row-weighted mean loss."""
     from adnn_energy_lab.optim import Adam
     opt = Adam([theta], lr=lr)
     history = []
@@ -215,7 +253,7 @@ def minibatch_reference(batch_loss, theta, X, y, epochs, batch_size, lr, rng):
         for start in range(0, len(X), batch_size):
             idx = perm[start : start + batch_size]
             loss = batch_loss(X[idx], y[idx])
-            opt.step_loss(loss)
+            step_loss(opt, loss)
             epoch_loss += loss.item() * len(idx)
         history.append(epoch_loss / len(X))
     return history
@@ -507,7 +545,7 @@ def unfused_uniform_cross_entropy(logits):
 
 def input_based_graph_reference(attack, x):
     """The input-based attack with one graph per iterate: the Tensor
-    objective, stepped by `Adam.step_loss`, scores the iterate and then
+    objective, stepped by `step_loss`, scores the iterate and then
     steps it. Returns (input, history, best_loss, final_loss)."""
     from adnn_energy_lab.attacks import input_based_loss, reparam
     from adnn_energy_lab.autodiff import Tensor
@@ -524,7 +562,7 @@ def input_based_graph_reference(attack, x):
     for _ in range(cfg.iterations):
         if loss.data < best[0]:
             best = (float(loss.data), w.data.copy())
-        history.append(opt.step_loss(loss))
+        history.append(step_loss(opt, loss))
         loss = input_based_loss(w, x, cfg.c, est)
     final = float(loss.data)
     if final < best[0]:
@@ -536,7 +574,7 @@ def input_based_graph_reference(attack, x):
 
 def universal_graph_reference(attack):
     """The universal attack with one graph per iterate over all restarts'
-    rows: the Tensor objective, stepped by `Adam.step_loss`, and each final
+    rows: the Tensor objective, stepped by `step_loss`, and each final
     row scored on its own. Returns (inputs, losses, best restart)."""
     from adnn_energy_lab.attacks import reparam, universal_loss
     from adnn_energy_lab.autodiff import Tensor
@@ -549,14 +587,14 @@ def universal_graph_reference(attack):
             0.0, 0.1, size=(1, est.input_dim)) for r in range(cfg.restarts)]))
     opt = Adam([w], lr=cfg.lr)
     for _ in range(cfg.iterations):
-        opt.step_loss(universal_loss(w, est))
+        step_loss(opt, universal_loss(w, est))
     losses = [float(universal_loss(Tensor(row[None]), est).data) for row in w.data]
     return list(reparam(Tensor(w.data)).data), losses, int(np.argmin(losses))
 
 
 def ilfo_graph_reference(attack, x):
     """ILFO with one graph per iterate: the Tensor objective `_loss` scores
-    the iterate, and `Adam.step_loss` on the same graph steps it. Returns
+    the iterate, and `step_loss` on the same graph steps it. Returns
     (input, min_losses)."""
     from adnn_energy_lab.attacks import reparam
     from adnn_energy_lab.autodiff import Tensor
@@ -569,7 +607,7 @@ def ilfo_graph_reference(attack, x):
     best_loss, best_w = float(loss.data), w.data.copy()
     min_losses = [best_loss]
     for _ in range(attack.config.iterations):
-        opt.step_loss(loss)
+        step_loss(opt, loss)
         loss = attack._loss(w, x)
         if float(loss.data) < best_loss:
             best_loss, best_w = float(loss.data), w.data.copy()
@@ -592,7 +630,7 @@ def ilfo_two_forward_reference(attack, x):
     best_w = w.data.copy()
     min_losses = [best_loss]
     for _ in range(attack.config.iterations):
-        opt.step_loss(attack._loss(w, xt))
+        step_loss(opt, attack._loss(w, xt))
         current = float(attack._loss(w, xt).data)
         if current < best_loss:
             best_loss = current
@@ -617,7 +655,7 @@ def universal_per_restart_reference(estimator, config):
         w = Tensor(rng.normal(0.0, 0.1, size=(1, estimator.input_dim)))
         opt = Adam([w], lr=config.lr)
         for _ in range(config.iterations):
-            opt.step_loss(universal_loss(w, estimator))
+            step_loss(opt, universal_loss(w, estimator))
         losses.append(float(universal_loss(w, estimator).data))
         inputs.append(reparam(Tensor(w.data)).data.reshape(-1))
     return inputs, losses

@@ -623,8 +623,8 @@ class TestIlfoSequentialReference:
 
 class TestGraphReferences:
     """Each attack's loop equals, byte for byte, the loop that builds one
-    graph per iterate from the Tensor objective and steps it with
-    `Adam.step_loss`, and it makes the same finiteness checks."""
+    graph per iterate from the Tensor objective and steps it with the
+    oracles' `step_loss`, and it makes the same finiteness checks."""
 
     @pytest.mark.parametrize("track_best", [False, True])
     @pytest.mark.parametrize("c, lr, iterations", [(100.0, 0.01, 30), (1.0, 0.8, 25),

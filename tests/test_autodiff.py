@@ -2,7 +2,6 @@ import gc
 import math
 import sys
 import threading
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,9 +27,11 @@ from oracles import (
     adam_per_parameter_steps,
     adam_reference_steps,
     finite_difference,
+    fused_batch_loss,
     max_relative_error,
     minibatch_reference,
     random_op_mix_graph,
+    step_loss,
     unfused_entropy_hinge_sum,
     unfused_estimator_forward,
     unfused_estimator_loss,
@@ -254,7 +255,7 @@ def test_adam_converges_on_quadratic():
     opt = Adam([p], lr=0.05)
     for _ in range(2000):
         diff = ad.sub(p, 3.0)
-        opt.step_loss(ad.tsum(ad.mul(diff, diff)))
+        step_loss(opt, ad.tsum(ad.mul(diff, diff)))
     assert abs(float(p.data[0]) - 3.0) < 1e-3
 
 
@@ -693,12 +694,47 @@ def test_network_computes_its_reverse_walk_once_per_incoming_gradient(monkeypatc
     assert len(calls) == 2 and again.tobytes() == first.tobytes()
 
 
-def test_skip_training_graph_has_one_node_per_network_and_loss(trained_skip, skip_dataset):
-    X, y = skip_dataset.inputs[:32], skip_dataset.labels[:32]
-    ops = Counter(node.op for node in graph_nodes(trained_skip._batch_loss(X, y)))
-    assert ops["residual_mlp"] == ops["softmax_cross_entropy"] == 1
-    assert ops["mean_of_column_means"] == 1
-    assert sum(ops.values()) == 9
+FIT_KINDS = ["skip", "exit", "estimator", "filter"]
+
+
+def small_fit(kind, **settings):
+    """An unfitted small model of `kind` and its training inputs and targets."""
+    data = generate_dataset(40, seed=5)
+    X, y = data.inputs, data.labels
+    if kind == "skip":
+        model = GatedSkipNet(**{"num_blocks": 3, "epochs": 2, "sparsity_weight": 0.05, "seed": 2,
+                                **settings})
+    elif kind == "exit":
+        model = EarlyExitNet(**{"num_segments": 3, "epochs": 2, "seed": 2, **settings})
+    elif kind == "estimator":
+        X = estimator_corpus(40, seed=5)
+        model, y = EnergyEstimator(width=8, num_blocks=2, epochs=3, seed=2), X.mean(axis=1)
+    else:
+        model, y = FilterModel(epochs=2, seed=2), y % 2
+    return model, X, y
+
+
+@pytest.mark.parametrize("kind", FIT_KINDS)
+def test_fit_steps_build_no_tensor(kind, monkeypatch):
+    """From the moment the fit builds its Adam to the end of the fit, no
+    Tensor is built: the steps run on arrays."""
+    built, stepping = [], []
+    init, adam_init = Tensor.__init__, Adam.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if stepping:
+            built.append(1)
+        init(self, *args, **kwargs)
+
+    def flagging_adam_init(opt, *args, **kwargs):
+        adam_init(opt, *args, **kwargs)
+        stepping.append(1)
+
+    model, X, y = small_fit(kind)
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(Adam, "__init__", flagging_adam_init)
+    model.fit(X, y)
+    assert stepping and not built
 
 
 def _step_losses(net, X, y):
@@ -760,13 +796,102 @@ def training_step_cases():
     }
 
 
-@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+@pytest.mark.parametrize("kind", FIT_KINDS)
 def test_training_step_equals_unfused_oracle_graph(training_step_cases, kind):
     model, params, X, y, oracle = training_step_cases[kind]
-    results = []
-    for loss in (model._batch_loss(X, y), oracle(model, X, y)):
-        results.append([loss.data.tobytes()] + [g.tobytes() for g in gradients(loss, params)])
-    assert results[0] == results[1]
+    loss, grad = model._batch_terms(X, y)
+    want = oracle(model, X, y)
+    assert np.float64(loss).tobytes() == want.data.tobytes()
+    for view, g in zip(params, gradients(want, params)):
+        assert grad[view.start:view.stop].reshape(view.shape).tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("kind, settings", [
+    ("skip", {}), ("skip", {"sparsity_weight": 0.0}), ("skip", {"sparsity_weight": 7.5}),
+    ("exit", {}), ("exit", {"num_segments": 1}), ("estimator", {}), ("filter", {})],
+    ids=lambda v: v if isinstance(v, str) else "-".join("%s=%s" % kv for kv in v.items()))
+def test_batch_terms_equal_the_fused_graph_step(kind, settings):
+    """Loss and the whole theta gradient, byte for byte, against the graph of
+    fused nodes each fit stepped before it ran on arrays."""
+    model, X, y = small_fit(kind, **settings)
+    model.fit(X, y)
+    if kind == "estimator":
+        y = (y - model.energy_mean_) / model.energy_scale_
+    for rows in (slice(0, 32), slice(32, 40)):
+        loss, grad = model._batch_terms(X[rows], y[rows])
+        want = fused_batch_loss(model, X[rows], y[rows])
+        (want_grad,) = gradients(want, [model._net().theta])
+        assert np.float64(loss).tobytes() == want.data.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def _overflowing(kind, where):
+    """A small model of `kind` whose training step overflows at `where`: the
+    stem or the first block's hidden pre-activation, the last head's logits,
+    or the loss. Every stem unit is live on a positive input, and every
+    block's branch is zero, so h is the stem's output throughout."""
+    model = small_models()[kind]
+    views = model._net().params
+    n = model.num_segments if kind == "exit" else model.num_blocks
+    views[0].data = np.ones(views[0].shape)
+    for i in range(n):
+        views[4 + 4 * i].data = np.zeros(views[4 + 4 * i].shape)
+    weight, bias = views[-2], views[-1]
+    if where == "stem":
+        views[0].data = np.full(views[0].shape, 1e308)
+    elif where == "block":
+        views[2].data = np.full(views[2].shape, 1e308)
+    elif where == "logits":
+        weight.data = np.full(weight.shape, 1e308)
+    else:
+        # logits the spread of which overflows a log-probability, or a
+        # prediction whose squared error overflows
+        weight.data = np.zeros(weight.shape)
+        bias.data = [1e200] if kind == "estimator" else np.resize([1e308, -1e308], bias.shape)
+    return model
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("where, op", [("stem", "residual_mlp"), ("block", "residual_mlp"),
+                                       ("logits", "residual_mlp"), ("loss", None)])
+@pytest.mark.parametrize("kind", FIT_KINDS)
+def test_training_step_overflow_names_the_op_the_graph_step_names(kind, where, op):
+    model = _overflowing(kind, where)
+    rng = np.random.default_rng(24)
+    X = rng.uniform(0.5, 1.0, size=(6, 5))
+    classes = 2 if kind == "filter" else 3
+    y = rng.normal(size=6) if kind == "estimator" else np.arange(6) % classes
+    op = op or ("squared_error" if kind == "estimator" else "softmax_cross_entropy")
+    match = "op '%s' produced" % op
+    with pytest.raises(NonFiniteError, match=match):
+        gradients(fused_batch_loss(model, X, y), [model._net().theta])
+    with pytest.raises(NonFiniteError, match=match):
+        model._batch_terms(X, y)
+
+
+@pytest.mark.parametrize("kind", FIT_KINDS)
+def test_fit_steps_theta_in_one_array_sliced_once(kind, monkeypatch):
+    """Every step of a fit writes the one array theta holds, and the
+    network cuts its layer slices from it once; the estimator cuts them once
+    more from the checkpoint it restores."""
+    held, slices = [], []
+    step, slice_layers = Adam.step, ResidualMLP._slice_layers
+
+    def recording_step(opt, grads):
+        step(opt, grads)
+        held.append(opt.params[0].data)
+
+    def counted_slices(net, data):
+        slices.append(data)
+        return slice_layers(net, data)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    monkeypatch.setattr(ResidualMLP, "_slice_layers", counted_slices)
+    model, X, y = small_fit(kind)
+    model.fit(X, y)
+    assert len(held) > 2 and all(data is held[0] for data in held)
+    assert slices[0] is held[0]
+    assert len(slices) == (2 if kind == "estimator" else 1)
 
 
 # -- finiteness contract ------------------------------------------------------
@@ -993,6 +1118,33 @@ def test_flat_adam_equals_per_parameter_loop_with_rebinding():
             assert p.data is not old and old.tobytes() == snap.tobytes()
 
 
+def test_one_parameter_adam_steps_its_own_copy_in_place():
+    rng = np.random.default_rng(13)
+    start = rng.normal(size=(3, 2))
+    snapshot = start.copy()
+    p = Tensor(start)
+    assert p.data is start   # a Tensor holds a float64 array as it is
+    opt = Adam([p], lr=0.05)
+    own, state = p.data, {}
+    assert own is not start
+    for step in range(6):
+        if step == 3:
+            # a checkpoint restore between steps: copied, then stepped in place
+            restored = rng.normal(size=(3, 2))
+            kept = restored.copy()
+            p.data = restored
+        grad = rng.normal(size=(3, 2))
+        (expected,) = adam_per_parameter_steps([p.data.copy()], [grad], state, lr=0.05)
+        opt.step([grad])
+        assert p.data.tobytes() == expected.tobytes()
+        if step == 3:
+            assert p.data is not restored
+            own = p.data
+        assert p.data is own
+    assert start.tobytes() == snapshot.tobytes()
+    assert restored.tobytes() == kept.tobytes()
+
+
 def test_flat_adam_matches_scalar_recurrence_per_coordinate():
     rng = np.random.default_rng(12)
     shapes = [(), (3,), (2, 2)]
@@ -1026,25 +1178,29 @@ class _CountingRng:
         return self.rng.permutation(n)
 
 
-def _toy_fit(fit, rng, **kwargs):
+def _toy_problem():
     data = np.random.default_rng(21)
-    X, y = data.normal(size=(23, 3)), data.normal(size=(23, 1))
-    theta = Tensor(data.normal(size=(3, 1)))
-
-    def batch_loss(Xb, yb):
-        return ad.squared_error(Tensor(Xb) @ theta, yb)
-
-    return fit(batch_loss, theta, X, y, 4, 8, 0.05, rng, **kwargs), theta
+    return data.normal(size=(23, 3)), data.normal(size=(23, 1)), Tensor(data.normal(size=(3, 1)))
 
 
 def test_fit_minibatch_equals_the_reference_epoch_loop():
     rng, ref_rng, calls = _CountingRng(5), _CountingRng(5), []
+    X, y, theta = _toy_problem()
+    _, _, ref_theta = _toy_problem()
 
     def on_epoch(epoch, opt):
         calls.append((epoch, len(rng.drawn), opt.t))
 
-    history, theta = _toy_fit(fit_minibatch, rng, on_epoch=on_epoch)
-    ref_history, ref_theta = _toy_fit(minibatch_reference, ref_rng)
+    def batch_terms(Xb, yb):
+        # squared_error(Xb @ theta) and its hand-written adjoint
+        loss, loss_grad = ad.squared_error_terms(Xb @ theta.data, yb)
+        return loss, Xb.T @ loss_grad(ad._ONE)
+
+    def batch_loss(Xb, yb):
+        return ad.squared_error(Tensor(Xb) @ ref_theta, yb)
+
+    history = fit_minibatch(batch_terms, theta, X, y, 4, 8, 0.05, rng, on_epoch=on_epoch)
+    ref_history = minibatch_reference(batch_loss, ref_theta, X, y, 4, 8, 0.05, ref_rng)
     assert history == ref_history and len(history) == 4
     assert theta.data.tobytes() == ref_theta.data.tobytes()
     assert rng.drawn == ref_rng.drawn == [23] * 4

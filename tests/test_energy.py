@@ -401,6 +401,16 @@ class TestMeasureEnergy:
         assert batch.means.tolist() == [m.mean for m in batch]
         assert len(built) == 100
 
+    def test_scripted_model_measures_a_matrix_of_no_rows_and_no_columns(self):
+        # a (0, 0) matrix has no row to average, and numpy warns on the mean
+        # of one, which the test configuration turns into an error
+        adnn = ScriptedAdnn([0.2, 0.4, 0.6, 0.8])
+        traces = adnn.infer(np.empty((0, 0)))
+        assert len(traces) == 0 and traces.flops.shape == (0,)
+        assert traces.logits.shape == (0, 4) and traces.gate_decisions.shape == (0, 4)
+        batch = measure_many(adnn, EnergyModel(), np.empty((0, 0)))
+        assert len(batch) == 0 and list(batch) == []
+
     def test_json_row_shape(self):
         row = EnergyMeasurement((1.0, 2.0), (1.0,), 1.0).to_json_row("x07")
         assert row == {"input_id": "x07", "raw": [1.0, 2.0], "retained": [1.0],

@@ -67,6 +67,27 @@ class TestTraining:
             assert np.array_equal(prev, now.data)
         assert est.val_rmse_ == baseline
 
+    def test_best_epoch_checkpoint_is_restored_as_it_stood(self, monkeypatch):
+        # Adam steps theta in place, so the checkpoint must be a copy that
+        # no later step writes
+        held = []
+        step = Adam.step
+
+        def recording_step(opt, grads):
+            step(opt, grads)
+            held.append(opt.params[0].data.copy())
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        X, y = measured_corpus(60, seed=3)
+        y = y + np.random.default_rng(3).normal(0.0, 0.1, size=len(y))
+        est = EnergyEstimator(width=16, num_blocks=2, epochs=30, lr=0.02, seed=0).fit(X, y)
+        # 54 training rows after the 6-row validation split: 2 steps an epoch
+        assert len(held) == 2 * est.epochs
+        assert est.best_epoch_ < est.epochs - 1
+        want = held[2 * est.best_epoch_ + 1]
+        assert est._net().theta.data.tobytes() == want.tobytes()
+        assert est._net().theta.data.tobytes() != held[-1].tobytes()
+
     def test_scripted_fidelity_at_reduced_budget(self):
         # the acceptance tier runs the full 2000-epoch budget; 300 epochs
         # already lands well under the fidelity bar on this fixture
@@ -80,13 +101,13 @@ class TestTraining:
 
     def test_every_step_of_an_epoch_runs_at_its_cosine_step_size(self, monkeypatch):
         rates = []
-        step_loss = Adam.step_loss
+        step = Adam.step
 
-        def recording_step_loss(opt, loss):
+        def recording_step(opt, grads):
             rates.append(opt.lr)
-            return step_loss(opt, loss)
+            return step(opt, grads)
 
-        monkeypatch.setattr(Adam, "step_loss", recording_step_loss)
+        monkeypatch.setattr(Adam, "step", recording_step)
         X, y = measured_corpus(40, seed=12)
         epochs, lr = 6, 0.05
         EnergyEstimator(epochs=epochs, lr=lr, batch_size=16, seed=0).fit(X, y)

@@ -309,7 +309,8 @@ class TestEarlyExitNet:
         net.entropy_threshold = threshold
         X = np.concatenate([exit_dataset.inputs[:48],
                             derive_rng(8, "exit-noise").uniform(0, 1, size=(16, 64))])
-        all_logits = [l.data for l in net.forward_exits(Tensor(X))]
+        out, c = net.forward_all(Tensor(X)).data, net.num_classes
+        all_logits = [out[:, k * c:(k + 1) * c] for k in range(net.num_segments)]
         probs = [softmax(Tensor(l)).data for l in all_logits]
         for i, trace in enumerate(net.infer(X)):
             entropies = tuple(entropy(p[i]) for p in probs)
