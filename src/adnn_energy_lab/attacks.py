@@ -20,13 +20,11 @@ the layers they need: the gate hinge asks for no head (the gate values
 alone: no stem, block or head runs), the exit hinge for every early exit
 (the last segment and exit do not run).
 
-Each objective's arithmetic is one array helper, shared with its Tensor
-objective (`input_based_loss`, `universal_loss`, `IlfoAttack._loss`): one
-node with a hand-written vector-Jacobian product over the reparameterized
-input and the model's one-node forward. A loop's values, gradients and
-finiteness checks (by op name) equal those of building that objective's
-graph per iterate, differentiating it with `gradients` and stepping it
-with `Adam.step`.
+Each objective has this one form. The tests check a loop's values and
+gradients, byte for byte, against one unfused graph per iterate built from
+the engine's primitive ops. `input_based_loss` wraps the input-based scorer
+as one graph node over the modifier, for the benchmark's traced probe, so
+the probe times the same path as the loop.
 """
 
 import inspect
@@ -36,29 +34,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (_ONE, ShapeError, Tensor, _checked, _require_finite, entropy_hinge_terms,
-                       hinge_terms, relu, tanh_unit, tanh_unit_terms, tsum)
+                       hinge_terms, tanh_unit_terms)
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
-from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL_OR_NONE, SIZE,
+from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL, REAL_OR_NONE, SIZE,
                          as_float_array, check_params)
 
 _ATANH_CLIP = 1e-6
 
 
-def reparam(w):
-    """Map unconstrained weights to an image: (tanh(w) + 1) / 2, one node."""
-    return tanh_unit(w)
-
-
 def _to_modifier(x):
-    """Inverse reparameterization: the w with reparam(w) == x (clipped)."""
+    """Inverse reparameterization: the w with tanh_unit_terms(w)[0] == x (clipped)."""
     x = np.clip(x, _ATANH_CLIP, 1.0 - _ATANH_CLIP)
     return np.arctanh(2.0 * x - 1.0)
 
 
 def _offset(f, x, op):
-    """Array `f` minus the seed `x` (an array or a Tensor), checked."""
-    x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    """Array `f` minus the seed array `x`, checked."""
+    x = np.asarray(x, dtype=np.float64)
     _require_finite(x, op)
     d = f - x
     if d.shape != f.shape:
@@ -85,30 +78,25 @@ def _input_based_terms(f, x, pred, c):
     return norm - scaled, grad_f, lambda g: np.full(pred.shape, (-g) * c)
 
 
-def input_based_loss(w, x, c, estimator):
-    """Distance-to-seed minus c times predicted energy, as a scalar Tensor.
+def _input_based_scorer(estimator, x, c):
+    """The input-based iterate for seed `x` (see `_scorer`)."""
+    return _scorer(estimator.predict_terms, lambda f, pred: _input_based_terms(f, x, pred, c),
+                   "input_based_loss")
 
-    l2_norm(f - x) - tsum(pred) * c, one node over f = reparam(w) and the
-    estimator's prediction pred = estimator.predict_tensor(f).
-    """
-    f = reparam(w)
-    pred = estimator.predict_tensor(f)
-    value, grad_f, grad_pred = _input_based_terms(f.data, x, pred.data, c)
-    return Tensor(value, ((f, grad_f), (pred, grad_pred)), "input_based_loss")
+
+def input_based_loss(w, x, c, estimator):
+    """Distance-to-seed minus c times predicted energy, as one node over the
+    modifier Tensor `w`: l2_norm(f - x) - tsum(pred) * c, where f is
+    (tanh(w) + 1) / 2 and pred the estimator's joules on f. Its value and
+    vector-Jacobian product are the input-based loop's own."""
+    value, grad = _input_based_scorer(estimator, x, c)(w.data)
+    return Tensor(value, ((w, grad),), "input_based_loss")
 
 
 def _universal_terms(f, pred):
-    """0.0 - tsum(pred) on arrays: (value, None, as no term reaches f,
-    product toward pred)."""
+    """Negated predicted energy, 0.0 - tsum(pred), on arrays: (value, None,
+    as no term reaches f, product toward pred)."""
     return 0.0 - pred.sum(), None, lambda g: np.full(pred.shape, -g)
-
-
-def universal_loss(w, estimator):
-    """Negated predicted energy, 0.0 - tsum(pred), one node over the
-    estimator's prediction; no distance term."""
-    pred = estimator.predict_tensor(reparam(w))
-    value, _, grad_pred = _universal_terms(None, pred.data)
-    return Tensor(value, ((pred, grad_pred),), "universal_loss")
 
 
 def _ilfo_terms(f, x, out, hinge, c):
@@ -133,22 +121,22 @@ def _ilfo_terms(f, x, out, hinge, c):
 def _scorer(forward, objective, op):
     """One iterate's loss and modifier gradient, with no graph.
 
-    Returns score(w): f = reparam(w) feeds `forward`, a function giving the
-    model's output and its product toward f, and `objective(f, out)`, which
-    gives (value, product toward f or None, product toward out). score(w)
-    is (value, grad), and grad() is the gradient toward w. It adds the
-    objective's term toward f and then the model's, as `gradients` adds
-    them, and checks every value and product under the name of the node
-    that makes it in the graph of the Tensor objective `op`.
+    Returns score(w): f = (tanh(w) + 1) / 2 feeds `forward`, a function
+    giving the model's output and its product toward f, and
+    `objective(f, out)`, which gives (value, product toward f or None,
+    product toward out). score(w) is (value, grad), and grad(g) is the
+    gradient toward w for the incoming gradient g, 1.0 unless given. It
+    adds the objective's term toward f and then the model's, and checks
+    the objective's value under `op` and its products under op + ".grad".
     """
     def score(w):
         f, f_vjp = tanh_unit_terms(w)
         out, out_vjp = forward(f)
         value, grad_f, grad_out = objective(f, out)
 
-        def grad():
-            near = None if grad_f is None else _checked(grad_f(_ONE), op + ".grad")
-            far = out_vjp(_checked(grad_out(_ONE), op + ".grad"))
+        def grad(g=_ONE):
+            near = None if grad_f is None else _checked(grad_f(g), op + ".grad")
+            far = out_vjp(_checked(grad_out(g), op + ".grad"))
             return f_vjp(far if near is None else near + far)
 
         return _checked(value, op), grad
@@ -194,8 +182,7 @@ class InputBasedAttack:
         rng = derive_rng(cfg.seed, "testgen", "input_based", array_fingerprint(x))
         w = Tensor(rng.normal(0.0, 0.1, size=x.shape))
         opt = Adam([w], lr=cfg.lr)
-        score = _scorer(self.estimator.predict_terms,
-                        lambda f, pred: _input_based_terms(f, x, pred, cfg.c), "input_based_loss")
+        score = _input_based_scorer(self.estimator, x, cfg.c)
         self.history_ = []
         best = (np.inf, w.data.copy())
         loss, grad = score(w.data)
@@ -251,10 +238,9 @@ class UniversalAttack:
 
 
 def ilfo_gate_loss(gate_values, gate_threshold):
-    """Sum of hinge shortfalls max(0, G_T - g); zero iff every gate fires."""
-    if isinstance(gate_values, Tensor):
-        return tsum(relu(gate_threshold - gate_values))
-    values = np.asarray(gate_values, dtype=np.float64)
+    """Sum of hinge shortfalls max(0, G_T - g) over a vector of gate values; zero iff all fire."""
+    check_params({"gate_threshold": REAL}, locals())
+    values = as_float_array(gate_values, "gate_values", ndim=1)
     # fsum: correctly rounded, so plain per-element accumulation matches it
     return math.fsum(np.maximum(0.0, gate_threshold - values))
 
@@ -262,16 +248,12 @@ def ilfo_gate_loss(gate_values, gate_threshold):
 def ilfo_exit_loss(exit_entropies, entropy_threshold, margin=0.0):
     """Hinge shortfall of each constrained exit's entropy below T_H + margin.
 
-    Pass the entropies of the early exits only; the final head is
-    unconditional and carries no constraint.
+    Pass a vector of the entropies of the early exits only; the final head
+    is unconditional and carries no constraint.
     """
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    target = entropy_threshold + margin
-    if isinstance(exit_entropies, Tensor):
-        return tsum(relu(target - exit_entropies))
-    values = np.asarray(exit_entropies, dtype=np.float64)
-    return math.fsum(np.maximum(0.0, target - values))
+    check_params({"entropy_threshold": REAL, "margin": NONNEGATIVE}, locals())
+    values = as_float_array(exit_entropies, "exit_entropies", ndim=1)
+    return math.fsum(np.maximum(0.0, entropy_threshold + margin - values))
 
 
 @dataclass(frozen=True)
@@ -304,8 +286,7 @@ class IlfoAttack:
     kept heads' logits first and gate values last, with its product toward
     the input. It keeps no head for a gate target and every early exit for
     an exit target, so the layers that would feed only unread outputs do
-    not run; their values are neither computed nor checked. `_loss` is the
-    same objective as one node over the model's `forward_all(x, heads)`.
+    not run; their values are neither computed nor checked.
     """
 
     def __init__(self, model, config=None):
@@ -320,47 +301,35 @@ class IlfoAttack:
             return self.model.gate_threshold
         return self.model.entropy_threshold
 
-    def _heads(self):
-        """The heads the objective reads: none for the gates, every early
-        exit (all but the last) for the exit entropies."""
-        return 0 if self.config.target == "gate" else self.model.num_segments - 1
-
-    def _objective(self, x):
-        """The objective for seed `x` on arrays: a function from f = reparam(w)
-        and the output of the soft forward that keeps `_heads()` heads to
-        (value, product toward f, product toward the output). Its hinge is
-        the summed hinge of every gate, or of every early exit's entropy."""
+    def _score(self, x):
+        """The iterate for seed `x` (see `_scorer`): tsum(d * d) + hinge * c,
+        d = f - x. The hinge is the summed hinge of every gate, over a soft
+        forward that keeps no head, or of every early exit's entropy, over
+        one that keeps those exits (all but the last)."""
         cfg, model = self.config, self.model
         level = self._threshold()
         if cfg.target == "gate":
-            count = model.num_blocks
+            heads, count = 0, model.num_blocks
 
             def hinge(out):
                 return hinge_terms(out, level, 0, count)
         else:
-            level, width, count = level + cfg.margin, model.num_classes, model.num_segments - 1
+            level, width = level + cfg.margin, model.num_classes
+            heads = count = model.num_segments - 1
 
             def hinge(out):
                 return entropy_hinge_terms(out, level, width, count)
 
-        return lambda f, out: _ilfo_terms(f, x, out, hinge(out), cfg.c)
-
-    def _loss(self, w, x):
-        """tsum(d * d) + hinge * c, d = reparam(w) - x, as one node over the
-        reparameterized input and the model's one-node soft forward, which
-        runs only the layers the hinge reads."""
-        f = reparam(w)
-        out = self.model.forward_all(f, self._heads())
-        value, grad_f, grad_out = self._objective(x)(f.data, out.data)
-        return Tensor(value, ((f, grad_f), (out, grad_out)), "ilfo_loss")
+        forward = model.forward_terms
+        return _scorer(lambda f: forward(f, heads),
+                       lambda f, out: _ilfo_terms(f, x, out, hinge(out), cfg.c), "ilfo_loss")
 
     def generate(self, x):
         cfg = self.config
         x = as_float_array(x, "x").reshape(1, -1)
         w = Tensor(_to_modifier(x))
         opt = Adam([w], lr=cfg.lr)
-        forward, heads = self.model.forward_terms, self._heads()
-        score = _scorer(lambda f: forward(f, heads), self._objective(x), "ilfo_loss")
+        score = self._score(x)
         loss, grad = score(w.data)
         best_loss = float(loss)
         best_w = w.data.copy()
@@ -422,6 +391,8 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or len(inputs) == 0:
         raise ValueError("inputs must be a non-empty sample matrix")
+    if num_attack is not None:
+        check_params({"num_attack": SIZE}, locals())
     attack = IlfoAttack(surrogate, config)
     labels = target.infer(inputs).labels
     surrogate.fit(inputs, labels)

@@ -1,48 +1,39 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
+The library differentiates on arrays. Every piece the fits and the attack
+loops compose has one form, a function giving its value and its
+hand-written vector-Jacobian product, with no graph:
+
+- a whole residual MLP, stem to heads (`nn.ResidualMLP.terms` and
+  `theta_terms`);
+- the classification, regression and gate-sparsity losses
+  (`softmax_cross_entropy_terms`, `squared_error_terms` and
+  `mean_of_column_means_terms`);
+- the white-box attack's gate and exit-entropy hinges (`hinge_terms`,
+  `entropy_hinge_terms`) and the attacks' pixel reparameterization
+  (`tanh_unit_terms`).
+
+The graph engine stays beside them as the tests' oracle: each array form
+equals, byte for byte, its unfused composition of the primitive ops below
+(matmul, relu / sigmoid / tanh, softmax, log_softmax, elementwise
+arithmetic, reductions, max against a constant, the Euclidean norm, and
+log). The benchmark's traced probes still build graphs, so the graph
+pieces they reach stay in the library until the benchmark stops calling
+them: `Tensor`, `gradients`, the flat leaves, the network as one node
+(`nn.ResidualMLP.__call__`), `columns` and `softmax_cross_entropy`.
+
 A Tensor wraps an ndarray and remembers, for each parent it was computed
 from, a vector-Jacobian closure. Calling an op builds the graph implicitly;
 `gradients` walks it once in reverse topological order and accumulates
 per-parent contributions in a side table, so evaluation never mutates nodes.
+It evaluates only the vector-Jacobian products on paths from the output to
+a tensor in `wrt` (or a view's flat leaf).
 
 Parameters live in flat leaves. `pack` puts many parameter values back to
 back in one `FlatLeaf`, and hands out a `View` per parameter: a leaf that
 reads (and, by copy-on-write, writes) its slice. An optimizer steps the
 flat leaf; `gradients` gives a view the matching slice of its flat leaf's
 gradient, plus whatever it gets as a leaf of its own.
-
-The library's fits and attack loops build no graph: they compose array
-forms of the ops below, each a value and its hand-written vector-Jacobian
-product. The graph is kept for the benchmark's traced probes, the Tensor
-objectives and the test oracles, which check every array step against it.
-Its ops are a handful of one-node ops, each sharing its array form's
-arithmetic:
-
-- a whole residual MLP, stem to heads, is one node over its input and its
-  flat leaf (`nn.ResidualMLP`);
-- `columns` cuts a block of columns out of it;
-- `softmax_cross_entropy`, `squared_error` and `mean_of_column_means`: the
-  classification, regression and gate-sparsity losses, whose array forms
-  (`softmax_cross_entropy_terms` and so on) the fits step on;
-- `hinge_sum`, `entropy_hinge_sum` and `tanh_unit`: the white-box attack's
-  gate and exit-entropy hinges and the attacks' pixel reparameterization.
-  `hinge_terms` and `entropy_hinge_terms` give a hinge's value and
-  vector-Jacobian product on a plain array, so the attack's one-node
-  objective (`attacks`) shares their arithmetic. `tanh_unit_terms` does the
-  same for the reparameterization, which the attack loops run on arrays.
-
-The attack objectives and the estimator's de-normalized prediction are one
-node each too, built in `attacks` and `estimator` on the same pattern.
-
-The rest is primitive: matmul, relu / sigmoid / tanh, softmax, elementwise
-arithmetic, reductions, max against a constant, the Euclidean norm, and log.
-Each one-node op gives the value and gradients of its unfused composition
-bit for bit.
-
-`gradients` evaluates only the vector-Jacobian products on paths from the
-output to a tensor in `wrt` (or a view's flat leaf): an input-gradient step
-computes no parameter gradients, and a training step computes no gradient
-of its input batch.
 
 A node whose products share work computes it once per backward, in a memo
 keyed on the identity of the incoming gradient array and held, with that
@@ -52,13 +43,10 @@ call passes its own arrays, and a thread finds either its own entry or none.
 
 Finiteness contract: an op whose value is NaN or infinite raises
 `NonFiniteError`, and so does every gradient contribution `gradients`
-computes. The one-node ops also check their hidden values (every relu and
-sigmoid pre-activation of a network, and the log-probabilities of the
-cross-entropy and the entropy hinge), where a sigmoid or a relu could hide a
-non-finite value. The array forms that the fits and attack loops compose
-without a graph (`tanh_unit_terms`, `nn.ResidualMLP.terms` and
-`theta_terms`, the loss forms and what is built on them) make the same
-checks under the same names: a node's value under its op,
+computes. The network and the losses also check their hidden values (every
+relu and sigmoid pre-activation of a network, and the log-probabilities of
+the cross-entropy and the entropy hinge), where a sigmoid or a relu could
+hide a non-finite value. The array forms check a value under its op name
 and its product under op + ".grad", as `gradients` names a contribution.
 A check costs one `math.isfinite` on a number or a 0-d array, and one sum
 of squares on an array: a finite sum proves every entry finite, and only a
@@ -399,7 +387,7 @@ def _batch_scale(rows, op):
 
 
 def _constant_like(value, t, op):
-    """`value` as a float array of the shape of Tensor `t`."""
+    """`value` as a float array of the shape of `t`, a Tensor or an array."""
     arr = np.asarray(value, dtype=np.float64)
     if arr.shape != t.shape:
         raise ShapeError("%s got shapes %s and %s" % (op, t.shape, arr.shape))
@@ -435,9 +423,11 @@ def softmax_cross_entropy(logits, targets):
 
 
 def squared_error_terms(pred, target):
-    """The value of `squared_error` on arrays, and its vector-Jacobian
-    product toward the prediction."""
-    err = pred - target
+    """Mean over rows of the row-summed squared error,
+    mean(sum((pred - target) ** 2, axis=-1)), on arrays, and its
+    vector-Jacobian product toward the prediction. `target` has the
+    prediction's shape and takes no gradient."""
+    err = pred - _constant_like(target, pred, "squared_error")
     rows = (err * err).sum(axis=-1)
     scale = _batch_scale(rows, "squared_error")
 
@@ -446,15 +436,6 @@ def squared_error_terms(pred, target):
         return half + half
 
     return rows.sum() * scale, grad_pred
-
-
-def squared_error(pred, target):
-    """Mean over rows of the row-summed squared error, as one node:
-    mean(sum((pred - target) ** 2, axis=-1)). `target` is a constant array
-    of the prediction's shape and takes no gradient."""
-    pred = as_tensor(pred)
-    value, vjp = squared_error_terms(pred.data, _constant_like(target, pred, "squared_error"))
-    return Tensor(value, ((pred, vjp),), "squared_error")
 
 
 def _rows(x):
@@ -488,8 +469,11 @@ def columns(x, start, stop):
 
 
 def mean_of_column_means_terms(x, start, stop):
-    """The value of `mean_of_column_means` on array `x`, and its
-    vector-Jacobian product toward `x`."""
+    """The mean over columns start..stop-1 of array `x` of each column's
+    mean, and its vector-Jacobian product toward `x`. A column's mean is its
+    sum times 1 / rows, and the columns are added left to right, as a mean
+    of means over separate column tensors would; shapes are checked as
+    "mean_of_column_means"."""
     _check_columns("mean_of_column_means", x, start, stop)
     block = _rows(x)[:, start:stop]
     scale = 1.0 / block.shape[0]
@@ -507,20 +491,10 @@ def mean_of_column_means_terms(x, start, stop):
     return total * inv_count, grad_x
 
 
-def mean_of_column_means(x, start, stop):
-    """The mean over columns start..stop-1 of x of each column's mean, as one node.
-
-    A column's mean is its sum times 1 / rows, and the columns are added
-    left to right, as a mean of means over separate column tensors would.
-    """
-    x = as_tensor(x)
-    value, vjp = mean_of_column_means_terms(x.data, start, stop)
-    return Tensor(value, ((x, vjp),), "mean_of_column_means")
-
-
 def hinge_terms(x, level, start, stop):
-    """The value of `hinge_sum` on array `x`, and its vector-Jacobian product:
-    a function from the incoming gradient to the gradient toward `x`."""
+    """The sum over columns start..stop-1 of array `x`, left to right, of
+    each column's sum over rows of max(0, level - x), and its vector-Jacobian
+    product toward `x`; shapes are checked as "hinge_sum"."""
     _check_columns("hinge_sum", x, start, stop)
     shortfall = level - _rows(x)[:, start:stop]
     mask = shortfall > 0.0
@@ -532,17 +506,13 @@ def hinge_terms(x, level, start, stop):
         x.shape, start, stop, -(np.full(mask.shape, g) * mask))
 
 
-def hinge_sum(x, level, start, stop):
-    """sum over columns start..stop-1 of x, left to right, of each column's
-    sum over rows of max(0, level - x), as one node."""
-    x = as_tensor(x)
-    total, vjp = hinge_terms(x.data, level, start, stop)
-    return Tensor(total, ((x, vjp),), "hinge_sum")
-
-
 def entropy_hinge_terms(x, level, width, count):
-    """The value of `entropy_hinge_sum` on array `x`, and its vector-Jacobian
-    product. The log-probabilities are checked for finiteness.
+    """The sum over k < count, left to right, of the sum over rows of
+    max(0, level - H_k), where H_k is the entropy of the softmax of columns
+    k * width .. (k + 1) * width - 1 of array `x`, and its vector-Jacobian
+    product toward `x`. Shapes and the log-probabilities, where the product
+    p * log p would otherwise hide an overflow, are checked as
+    "entropy_hinge_sum".
 
     Every exit runs in one pass over the (rows, count, width) view of the
     columns; each exit's term is its own sum over rows, and the terms are
@@ -573,36 +543,13 @@ def entropy_hinge_terms(x, level, width, count):
     return total, grad_x
 
 
-def entropy_hinge_sum(x, level, width, count):
-    """sum over k < count, left to right, of the sum over rows of
-    max(0, level - H_k), where H_k is the entropy of the softmax of columns
-    k * width .. (k + 1) * width - 1 of x; one node.
-
-    The log-probabilities are checked for finiteness, where the product
-    p * log p would otherwise hide an overflow.
-    """
-    x = as_tensor(x)
-    total, vjp = entropy_hinge_terms(x.data, level, width, count)
-    return Tensor(total, ((x, vjp),), "entropy_hinge_sum")
-
-
-def _tanh_unit_parts(w):
-    t = np.tanh(w)
-    return (t + 1.0) * 0.5, lambda g: (g * 0.5) * (1.0 - t * t)
-
-
-def tanh_unit(w):
-    """(tanh(w) + 1) * 0.5 as one node: any real array into (0, 1)."""
-    w = as_tensor(w)
-    value, vjp = _tanh_unit_parts(w.data)
-    return Tensor(value, ((w, vjp),), "tanh_unit")
-
-
 def tanh_unit_terms(w):
-    """`tanh_unit` on array `w`, with no graph: (value, vector-Jacobian
-    product toward `w`), checked as the node and `gradients` check them."""
-    value, vjp = _tanh_unit_parts(w)
-    return _checked(value, "tanh_unit"), lambda g: _checked(vjp(g), "tanh_unit.grad")
+    """(tanh(w) + 1) * 0.5 on array `w`, any real array into (0, 1), and its
+    vector-Jacobian product toward `w`: the value checked as "tanh_unit", the
+    product as "tanh_unit.grad"."""
+    t = np.tanh(w)
+    return (_checked((t + 1.0) * 0.5, "tanh_unit"),
+            lambda g: _checked((g * 0.5) * (1.0 - t * t), "tanh_unit.grad"))
 
 
 def tsum(x, axis=None):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .autodiff import _ONE, Tensor, _checked, squared_error_terms
+from .autodiff import _ONE, _checked, squared_error_terms
 from .base import ParamsMixin, check_is_fitted
 from .nn import (Dense, ResidualBlock, fit_minibatch, kept_network, layers_from_payload,
                  params_to_payload, payload_layout)
@@ -139,21 +139,11 @@ class EnergyEstimator(ParamsMixin):
 
     # -- inference ---------------------------------------------------------
 
-    def predict_tensor(self, x):
-        """Joule prediction as a Tensor; differentiable w.r.t. x.
-
-        out * scale + mean is one node over the network's one-node output.
-        """
-        check_is_fitted(self, "head_")
-        out = self._net()(x)
-        scale = self.energy_scale_
-        return Tensor(out.data * scale + self.energy_mean_, ((out, lambda g: g * scale),),
-                      "denormalize")
-
     def predict_terms(self, f):
-        """`predict_tensor` on array `f`, with no graph: (joules, vector-Jacobian
-        product toward `f`), checked as its two nodes and `gradients` check
-        them."""
+        """Joules, out * scale + mean over the network's output, on array `f`
+        (a vector or a batch of rows), and their vector-Jacobian product toward
+        `f`, with no graph; checked as "residual_mlp", then "denormalize", and
+        the products under each name plus ".grad"."""
         check_is_fitted(self, "head_")
         out, vjp = self._net().terms(f)
         scale = self.energy_scale_

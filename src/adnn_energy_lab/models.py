@@ -243,20 +243,16 @@ class GatedSkipNet(ParamsMixin):
 
     # -- forward ------------------------------------------------------
 
-    def forward_all(self, x, heads=None):
-        """The soft forward of a Tensor (vector or batch of rows) as one node:
-        the logits, then the gate values, along the last axis. `heads=0`
-        gives the gate values alone, and runs neither the stem, the blocks
-        nor the head (see `nn.ResidualMLP`)."""
-        return self._net()(x, heads)
-
     def forward_terms(self, x, heads=None):
-        """`forward_all` on an array, with no graph: (output, vector-Jacobian
-        product toward `x`); see `nn.ResidualMLP.terms`."""
+        """The soft forward of array `x` (a vector or a batch of rows), with
+        no graph: (the logits, then the gate values, along the last axis;
+        their vector-Jacobian product toward `x`). `heads=0` gives the gate
+        values alone, and runs neither the stem, the blocks nor the head; see
+        `nn.ResidualMLP.terms`."""
         return self._net().terms(x, heads)
 
     def forward(self, x, mode="hard"):
-        """Run the network on a Tensor (vector or batch of rows).
+        """Run the network on a Tensor (vector or batch of rows) as a graph.
 
         Returns (logits, gate_values, hard_decisions): gate values are one
         (n, 1) Tensor per block, decisions an (n, num_blocks) boolean array.
@@ -270,7 +266,7 @@ class GatedSkipNet(ParamsMixin):
         # gates read the mean-pooled network input, so both modes see the
         # same gate values and hard decisions match soft thresholding exactly
         if mode == "soft":
-            out = self.forward_all(x)
+            out = self._net()(x)
             gates = [columns(out, c + i, c + i + 1) for i in range(n)]
             values = out.data.reshape(-1, c + n)[:, c:]
             logits = columns(out, 0, c)
@@ -442,16 +438,11 @@ class EarlyExitNet(ParamsMixin):
     def stem_flops(self):
         return self.stem_.flops
 
-    def forward_all(self, x, heads=None):
-        """The logits of the first `heads` exits (every exit if None) for a
-        Tensor input, side by side along the last axis, as one node; the
-        trunk is shared, and runs only as far as the last exit kept (see
-        `nn.ResidualMLP`)."""
-        return self._net()(x, heads)
-
     def forward_terms(self, x, heads=None):
-        """`forward_all` on an array, with no graph: (output, vector-Jacobian
-        product toward `x`); see `nn.ResidualMLP.terms`."""
+        """The logits of the first `heads` exits (every exit if None) for
+        array `x`, side by side along the last axis, with no graph, and their
+        vector-Jacobian product toward `x`. The trunk is shared, and runs only
+        as far as the last exit kept; see `nn.ResidualMLP.terms`."""
         return self._net().terms(x, heads)
 
     def infer(self, x):

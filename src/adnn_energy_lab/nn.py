@@ -2,11 +2,11 @@
 
 All four networks are one shape, a `ResidualMLP`: a stem, residual blocks
 and one head at the end or one after every block, optionally with a sigmoid
-gate per block. Its whole forward and backward is one autodiff node over one
-flat parameter leaf, `theta`, or, on an array with no graph, `terms` (the
-product toward the input) and `theta_terms` (the product toward theta). It
-runs only the layers its kept heads and gates read; the per-layer weights
-(`Dense`, `ResidualBlock`, gate lists) are `View`s of it.
+gate per block, over one flat parameter leaf, `theta`. Its whole forward
+and backward runs on arrays: `terms` gives the product toward the input and
+`theta_terms` the product toward theta (called on a Tensor, it is one graph
+node). It runs only the layers its kept heads and gates read; the per-layer
+weights (`Dense`, `ResidualBlock`, gate lists) are `View`s of theta.
 
 The four fits run on arrays and share one epoch loop, `fit_minibatch`: each
 step takes a batch's loss and theta gradient from the model's
@@ -96,12 +96,12 @@ class ResidualMLP:
     each block's h. A gated net has s_i = sigmoid(pooled * gw_i + gb_i),
     where pooled = x @ `pool`; an ungated net has no s.
 
-    Called on a Tensor, it is one autodiff node whose output is the logits
-    of the first `heads` heads, then the gate values. It runs only the
-    layers those outputs read: the gates read `pool` alone, so `heads=0`
-    runs no stem, block or head, and a net with one head per block runs its
-    blocks only up to the last head it keeps. `terms` gives the same output
-    on an array, with no graph, and its product toward the input.
+    `terms` gives, on an array with no graph, the logits of the first
+    `heads` heads, then the gate values, and their product toward the input.
+    It runs only the layers those outputs read: the gates read `pool` alone,
+    so `heads=0` runs no stem, block or head, and a net with one head per
+    block runs its blocks only up to the last head it keeps. Called on a
+    Tensor, the net gives the same output as one graph node.
 
     Built from a model's current layers, and kept by the model while they
     stay in place (`kept_network`). `theta` holds their values back to back

@@ -211,34 +211,6 @@ def step_loss(opt, loss):
     return float(loss.data)
 
 
-def fused_batch_loss(model, X, y):
-    """One training batch's loss as a graph of the library's fused nodes, as
-    the fits built it before they ran on arrays: the network as one node,
-    then its loss. A gated-skip net adds its gate penalty, and an early-exit
-    net sums its exits' losses left to right. `y` holds labels, or the
-    estimator's normalized targets."""
-    from adnn_energy_lab import autodiff as ad
-    from adnn_energy_lab.estimator import EnergyEstimator
-    from adnn_energy_lab.models import EarlyExitNet, GatedSkipNet
-    from adnn_energy_lab.nn import cross_entropy
-
-    out = model._net()(ad.Tensor(X))
-    if isinstance(model, EnergyEstimator):
-        return ad.squared_error(out, y.reshape(-1, 1))
-    c = model.num_classes
-    if isinstance(model, EarlyExitNet):
-        exits = [ad.columns(out, k * c, (k + 1) * c) for k in range(model.num_segments)]
-        losses = [cross_entropy(logits, y, c) for logits in exits]
-        return sum(losses[1:], losses[0])
-    if not isinstance(model, GatedSkipNet):
-        return cross_entropy(out, y, c)
-    loss = cross_entropy(ad.columns(out, 0, c), y, c)
-    if model.sparsity_weight:
-        gates = ad.mean_of_column_means(out, c, c + model.num_blocks)
-        loss = ad.add(loss, ad.mul(gates, model.sparsity_weight))
-    return loss
-
-
 def minibatch_reference(batch_loss, theta, X, y, epochs, batch_size, lr, rng):
     """The epoch loop each fit ran before they shared one, on a graph: Adam
     on `theta`, one permutation per epoch, one `step_loss` per batch on
@@ -260,8 +232,8 @@ def minibatch_reference(batch_loss, theta, X, y, epochs, batch_size, lr, rng):
 
 
 def random_op_mix_graph(rng):
-    """A random scalar graph touching every primitive and one-node op but the
-    network op, plus its leaves.
+    """A random scalar graph touching every primitive op and the one-node
+    `columns` and `softmax_cross_entropy`, plus its leaves.
 
     Returns (build, arrays): `build` maps a list of leaf Tensors to a scalar
     Tensor, `arrays` holds leaf values. Leaves are redrawn until every relu /
@@ -304,13 +276,13 @@ def random_op_mix_graph(rng):
         gap = ad.sub(h2, anchor)
         dist = ad.l2_norm(gap)
         gate = ad.tmean(ad.sigmoid(h1))
-        unit = ad.tanh_unit(ad.matmul(logits, w3))
-        objectives = ad.add(ad.hinge_sum(unit, 0.5, 0, m),
-                            ad.entropy_hinge_sum(logits, 0.6 * math.log(k), k, 1))
+        unit = unfused_tanh_unit(ad.matmul(logits, w3))
+        objectives = ad.add(unfused_hinge_sum([unit], 0.5),
+                            unfused_entropy_hinge_sum([logits], 0.6 * math.log(k)))
         losses = ad.add(ad.softmax_cross_entropy(logits, targets),
-                        ad.squared_error(h2, anchor_rows))
-        fused = ad.add(ad.add(ad.tmean(ad.columns(h1, 1, m)), objectives),
-                       ad.add(losses, ad.mean_of_column_means(probs, 0, k)))
+                        unfused_squared_error(h2, ad.Tensor(anchor_rows)))
+        means = unfused_mean_of_means([ad.columns(probs, j, j + 1) for j in range(k)])
+        mixed = ad.add(ad.add(ad.tmean(ad.columns(h1, 1, m)), objectives), ad.add(losses, means))
         if record is not None:
             record.append(("kink", pre.data))
             record.append(("kink", h1.data - 0.3 - 0.1))
@@ -320,7 +292,7 @@ def random_op_mix_graph(rng):
             record.append(("prob", probs.data))
             record.append(("norm", gap.data))
         return ad.add(
-            ad.add(ad.add(ad.tmean(picked), dist), fused),
+            ad.add(ad.add(ad.tmean(picked), dist), mixed),
             ad.add(ad.mul(ad.tsum(clipped), 0.3), gate),
         )
 
@@ -343,13 +315,13 @@ def random_op_mix_graph(rng):
     raise RuntimeError("could not find kink-free leaf values")
 
 
-# -- unfused forms of the fused ops, the networks and the objectives -------
+# -- unfused forms of the array forms, the networks and the objectives ----
 #
 # Each builds from the primitive ops (matmul, add, mul, relu, sigmoid, tanh,
-# softmax, log_softmax, tsum, tmean) the graph the fused op stands for, in
-# the order the layers composed them before fusion. Where a fused op reads
-# column blocks of one tensor, its unfused form takes the blocks as separate
-# tensors, as the layers produced them.
+# softmax, log_softmax, tsum, tmean) the graph the library's array form (or
+# one-node op) stands for, in the order the layers composed them before
+# fusion. Where an array form reads column blocks of one array, its unfused
+# form takes the blocks as separate tensors, as the layers produced them.
 
 
 def unfused_affine(x, w, b):
@@ -508,8 +480,11 @@ def unfused_ilfo_loss(model, w, x, target, level, c):
 
 
 def unfused_estimator_prediction(est, f):
-    """An EnergyEstimator's joule prediction on Tensor `f`, unfused."""
+    """An estimator's joule prediction on Tensor `f`, unfused: a stub's own
+    graph (its `graph_prediction`), or an EnergyEstimator's network."""
     from adnn_energy_lab import autodiff as ad
+    if hasattr(est, "graph_prediction"):
+        return est.graph_prediction(f)
     return ad.add(ad.mul(unfused_estimator_forward(est, f), ad.Tensor(est.energy_scale_)),
                   ad.Tensor(est.energy_mean_))
 
@@ -528,6 +503,15 @@ def unfused_universal_loss(est, w):
     return ad.sub(0.0, ad.tsum(unfused_estimator_prediction(est, unfused_tanh_unit(w))))
 
 
+def unfused_ilfo_attack_loss(attack, w, x):
+    """ILFO's loss for `attack` on modifier `w` and seed `x`, unfused, with
+    the attack's own level (the threshold, plus the margin for an exit
+    target) and c."""
+    cfg = attack.config
+    level = attack._threshold() + (cfg.margin if cfg.target == "exit" else 0.0)
+    return unfused_ilfo_loss(attack.model, w, x, cfg.target, level, cfg.c)
+
+
 def unfused_uniform_cross_entropy(logits):
     """Cross-entropy of softmax(logits) rows against the uniform distribution,
     -mean log_softmax(logits) over every entry: the gradient feature's loss."""
@@ -538,16 +522,16 @@ def unfused_uniform_cross_entropy(logits):
 # -- sequential forms of the batched attack and defense loops -------------
 #
 # These keep the one-input-at-a-time loops the library used to run. They
-# call the library's per-input pieces (losses, Adam, inference, features),
-# so they check the batching and bookkeeping around those pieces, not the
-# pieces themselves, which have their own oracles above.
+# call per-input pieces (the unfused losses above, the library's Adam,
+# inference and features), so they check the batching and bookkeeping
+# around those pieces, not the pieces themselves, which have their own
+# oracles.
 
 
 def input_based_graph_reference(attack, x):
-    """The input-based attack with one graph per iterate: the Tensor
-    objective, stepped by `step_loss`, scores the iterate and then
-    steps it. Returns (input, history, best_loss, final_loss)."""
-    from adnn_energy_lab.attacks import input_based_loss, reparam
+    """The input-based attack with one unfused graph per iterate, which
+    scores the iterate and then steps it through `step_loss`. Returns
+    (input, history, best_loss, final_loss)."""
     from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
     from adnn_energy_lab.seeding import array_fingerprint, derive_rng
@@ -558,25 +542,24 @@ def input_based_graph_reference(attack, x):
     w = Tensor(rng.normal(0.0, 0.1, size=x.shape))
     opt = Adam([w], lr=cfg.lr)
     history, best = [], (np.inf, w.data.copy())
-    loss = input_based_loss(w, x, cfg.c, est)
+    loss = unfused_input_based_loss(est, w, x, cfg.c)
     for _ in range(cfg.iterations):
         if loss.data < best[0]:
             best = (float(loss.data), w.data.copy())
         history.append(step_loss(opt, loss))
-        loss = input_based_loss(w, x, cfg.c, est)
+        loss = unfused_input_based_loss(est, w, x, cfg.c)
     final = float(loss.data)
     if final < best[0]:
         best = (final, w.data.copy())
     chosen = best[1] if cfg.track_best else w.data
-    return (reparam(Tensor(chosen)).data.reshape(-1), history,
+    return (unfused_tanh_unit(Tensor(chosen)).data.reshape(-1), history,
             best[0] if cfg.iterations else final, final)
 
 
 def universal_graph_reference(attack):
-    """The universal attack with one graph per iterate over all restarts'
-    rows: the Tensor objective, stepped by `step_loss`, and each final
-    row scored on its own. Returns (inputs, losses, best restart)."""
-    from adnn_energy_lab.attacks import reparam, universal_loss
+    """The universal attack with one unfused graph per iterate over all
+    restarts' rows, stepped by `step_loss`, and each final row scored on its
+    own. Returns (inputs, losses, best restart)."""
     from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
     from adnn_energy_lab.seeding import derive_rng
@@ -587,38 +570,36 @@ def universal_graph_reference(attack):
             0.0, 0.1, size=(1, est.input_dim)) for r in range(cfg.restarts)]))
     opt = Adam([w], lr=cfg.lr)
     for _ in range(cfg.iterations):
-        step_loss(opt, universal_loss(w, est))
-    losses = [float(universal_loss(Tensor(row[None]), est).data) for row in w.data]
-    return list(reparam(Tensor(w.data)).data), losses, int(np.argmin(losses))
+        step_loss(opt, unfused_universal_loss(est, w))
+    losses = [float(unfused_universal_loss(est, Tensor(row[None])).data) for row in w.data]
+    return list(unfused_tanh_unit(Tensor(w.data)).data), losses, int(np.argmin(losses))
 
 
 def ilfo_graph_reference(attack, x):
-    """ILFO with one graph per iterate: the Tensor objective `_loss` scores
-    the iterate, and `step_loss` on the same graph steps it. Returns
-    (input, min_losses)."""
-    from adnn_energy_lab.attacks import reparam
+    """ILFO with one unfused graph per iterate: it scores the iterate, and
+    `step_loss` on the same graph steps it. Returns (input, min_losses)."""
     from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
 
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     w = Tensor(np.arctanh(2.0 * np.clip(x, 1e-6, 1.0 - 1e-6) - 1.0))
     opt = Adam([w], lr=attack.config.lr)
-    loss = attack._loss(w, x)
+    loss = unfused_ilfo_attack_loss(attack, w, x)
     best_loss, best_w = float(loss.data), w.data.copy()
     min_losses = [best_loss]
     for _ in range(attack.config.iterations):
         step_loss(opt, loss)
-        loss = attack._loss(w, x)
+        loss = unfused_ilfo_attack_loss(attack, w, x)
         if float(loss.data) < best_loss:
             best_loss, best_w = float(loss.data), w.data.copy()
         min_losses.append(best_loss)
-    return reparam(Tensor(best_w)).data.reshape(-1), min_losses
+    return unfused_tanh_unit(Tensor(best_w)).data.reshape(-1), min_losses
 
 
 def ilfo_two_forward_reference(attack, x):
-    """ILFO with two soft forwards per step: one graph for the update, a
-    fresh one to score the new iterate. Returns (input, min_losses)."""
-    from adnn_energy_lab.attacks import reparam
+    """ILFO with two soft forwards per step: one unfused graph for the
+    update, a fresh one to score the new iterate. Returns (input,
+    min_losses)."""
     from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
 
@@ -626,25 +607,24 @@ def ilfo_two_forward_reference(attack, x):
     xt = Tensor(x)
     w = Tensor(np.arctanh(2.0 * np.clip(x, 1e-6, 1.0 - 1e-6) - 1.0))
     opt = Adam([w], lr=attack.config.lr)
-    best_loss = float(attack._loss(w, xt).data)
+    best_loss = float(unfused_ilfo_attack_loss(attack, w, xt).data)
     best_w = w.data.copy()
     min_losses = [best_loss]
     for _ in range(attack.config.iterations):
-        step_loss(opt, attack._loss(w, xt))
-        current = float(attack._loss(w, xt).data)
+        step_loss(opt, unfused_ilfo_attack_loss(attack, w, xt))
+        current = float(unfused_ilfo_attack_loss(attack, w, xt).data)
         if current < best_loss:
             best_loss = current
             best_w = w.data.copy()
         min_losses.append(best_loss)
-    return reparam(Tensor(best_w)).data.reshape(-1), min_losses
+    return unfused_tanh_unit(Tensor(best_w)).data.reshape(-1), min_losses
 
 
 def universal_per_restart_reference(estimator, config):
-    """Each universal restart as its own one-row Adam run.
+    """Each universal restart as its own one-row Adam run, on unfused graphs.
 
     Returns (restart inputs, restart final losses).
     """
-    from adnn_energy_lab.attacks import reparam, universal_loss
     from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
     from adnn_energy_lab.seeding import derive_rng
@@ -655,9 +635,9 @@ def universal_per_restart_reference(estimator, config):
         w = Tensor(rng.normal(0.0, 0.1, size=(1, estimator.input_dim)))
         opt = Adam([w], lr=config.lr)
         for _ in range(config.iterations):
-            step_loss(opt, universal_loss(w, estimator))
-        losses.append(float(universal_loss(w, estimator).data))
-        inputs.append(reparam(Tensor(w.data)).data.reshape(-1))
+            step_loss(opt, unfused_universal_loss(estimator, w))
+        losses.append(float(unfused_universal_loss(estimator, w).data))
+        inputs.append(unfused_tanh_unit(Tensor(w.data)).data.reshape(-1))
     return inputs, losses
 
 

@@ -14,14 +14,15 @@ from adnn_energy_lab.attacks import (
     InputBasedAttack,
     TestGenConfig as GenConfig,
     UniversalAttack,
+    _scorer,
+    _universal_terms,
     ilfo_exit_loss,
     ilfo_gate_loss,
     input_based_loss,
-    reparam,
     surrogate_pipeline,
-    universal_loss,
 )
-from adnn_energy_lab.autodiff import NonFiniteError, ShapeError, Tensor, gradients, tsum
+from adnn_energy_lab.autodiff import (NonFiniteError, ShapeError, Tensor, gradients,
+                                      tanh_unit_terms, tsum)
 from adnn_energy_lab.data import estimator_corpus
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.energy import EnergyModel, measure_energy
@@ -40,8 +41,8 @@ from oracles import (
     ilfo_two_forward_reference,
     input_based_graph_reference,
     surrogate_records_reference,
+    unfused_ilfo_attack_loss,
     unfused_estimator_prediction,
-    unfused_ilfo_loss,
     unfused_input_based_loss,
     unfused_universal_loss,
     universal_graph_reference,
@@ -54,13 +55,13 @@ NOISELESS = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
 
 class ConstantEstimator:
     """Stub predicting the same energy everywhere; gradient w.r.t. input is 0.
-    `predict_terms` is `predict_tensor`'s graph on arrays."""
+    `predict_terms` is `graph_prediction`'s graph on arrays."""
 
     def __init__(self, value, input_dim=64):
         self.value = value
         self.input_dim = input_dim
 
-    def predict_tensor(self, f):
+    def graph_prediction(self, f):
         return Tensor(np.float64(self.value)) + tsum(f) * 0.0
 
     def predict_terms(self, f):
@@ -72,12 +73,17 @@ class PixelMeanEstimator:
 
     input_dim = 64
 
-    def predict_tensor(self, f):
+    def graph_prediction(self, f):
         return tsum(f) * (1.0 / self.input_dim)
 
     def predict_terms(self, f):
         scale = 1.0 / self.input_dim
         return f.sum() * scale, lambda g: np.full(f.shape, g * scale)
+
+
+def universal_score(estimator):
+    """The universal attack's iterate on arrays: w -> (loss, grad)."""
+    return _scorer(estimator.predict_terms, _universal_terms, "universal_loss")
 
 
 @pytest.fixture(scope="module")
@@ -87,25 +93,26 @@ def trained_estimator():
     return EnergyEstimator(epochs=250, seed=0).fit(X, y)
 
 
+def reparam(w):
+    return tanh_unit_terms(np.asarray(w, dtype=np.float64))[0]
+
+
 class TestReparam:
     def test_zero_maps_to_half(self):
-        out = reparam(Tensor(np.zeros(8)))
-        assert np.all(out.data == 0.5)
+        assert np.all(reparam(np.zeros(8)) == 0.5)
 
     def test_large_positive_saturates_to_one(self):
-        out = reparam(Tensor(np.full(4, 20.0)))
-        assert np.all(np.abs(out.data - 1.0) < 1e-9)
+        assert np.all(np.abs(reparam(np.full(4, 20.0)) - 1.0) < 1e-9)
 
     def test_large_negative_saturates_to_zero(self):
-        out = reparam(Tensor(np.full(4, -20.0)))
-        assert np.all(np.abs(out.data) < 1e-9)
+        assert np.all(np.abs(reparam(np.full(4, -20.0))) < 1e-9)
 
     def test_open_interval_inside_float_range(self):
         # beyond |w| ~ 19 float64 tanh rounds to exactly +-1, so strict
         # openness is only testable where the math is representable
         rng = derive_rng(0, "reparam-range")
-        out = reparam(Tensor(rng.uniform(-8, 8, size=200)))
-        assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
+        out = reparam(rng.uniform(-8, 8, size=200))
+        assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 class TestBlackBoxLosses:
@@ -120,7 +127,7 @@ class TestBlackBoxLosses:
         x = np.full((1, 8), 0.5)
         w = Tensor(np.full((1, 8), 0.3))
         est = ConstantEstimator(2.0, input_dim=8)
-        f = reparam(w).data
+        f = reparam(w.data)
         expected = np.linalg.norm(f - x) - 4.0 * 2.0
         assert float(input_based_loss(w, x, 4.0, est).data) == pytest.approx(expected, rel=1e-12)
 
@@ -135,14 +142,12 @@ class TestBlackBoxLosses:
     def test_universal_loss_is_negated_prediction(self, trained_estimator):
         rng = derive_rng(2, "universal-loss")
         w = rng.normal(0, 0.5, size=(1, 64))
-        loss = float(universal_loss(Tensor(w), trained_estimator).data)
-        f = reparam(Tensor(w)).data.reshape(-1)
+        loss = float(universal_score(trained_estimator)(w)[0])
+        f = reparam(w).reshape(-1)
         assert loss == -float(trained_estimator.predict(f)[0])
 
     def test_constant_estimator_universal_gradient_is_zero(self):
-        w = Tensor(np.full((1, 8), 0.2))
-        loss = universal_loss(w, ConstantEstimator(5.0, input_dim=8))
-        grad = gradients(loss, [w])[0]
+        grad = universal_score(ConstantEstimator(5.0, input_dim=8))(np.full((1, 8), 0.2))[1]()
         assert np.all(grad == 0.0)
 
 
@@ -401,8 +406,6 @@ class TestIlfoHinges:
             threshold = float(rng.uniform(0, 1))
             expected = math.fsum(max(0.0, threshold - v) for v in values)
             assert ilfo_gate_loss(values, threshold) == expected
-            tensor_val = float(ilfo_gate_loss(Tensor(values), threshold).data)
-            assert tensor_val == pytest.approx(expected, abs=1e-12)
 
     def test_exit_matches_brute_force_on_random_vectors(self):
         rng = derive_rng(4, "hinge-exit")
@@ -413,8 +416,26 @@ class TestIlfoHinges:
             margin = float(rng.uniform(0, 0.3))
             expected = math.fsum(max(0.0, threshold + margin - v) for v in values)
             assert ilfo_exit_loss(values, threshold, margin) == expected
-            tensor_val = float(ilfo_exit_loss(Tensor(values), threshold, margin).data)
-            assert tensor_val == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("args, match", [
+        (([0.6, math.nan], 0.5), "gate_values"), (([[0.6, 0.3]], 0.5), "gate_values"),
+        (([0.6], math.nan), "gate_threshold"), (([0.6], math.inf), "gate_threshold"),
+        (([0.6], True), "gate_threshold"),
+    ])
+    def test_gate_rejects_bad_input(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            ilfo_gate_loss(*args)
+
+    @pytest.mark.parametrize("args, match", [
+        (([math.nan], 0.5, 0.1), "exit_entropies"), (([[0.2]], 0.5, 0.1), "exit_entropies"),
+        (([0.2], math.nan, 0.1), "entropy_threshold"),
+        (([0.2], -math.inf, 0.1), "entropy_threshold"),
+        (([0.2], 0.5, math.nan), "margin"), (([0.2], 0.5, True), "margin"),
+        (([0.2], 0.5, math.inf), "margin"),
+    ])
+    def test_exit_rejects_bad_input(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            ilfo_exit_loss(*args)
 
     def test_zero_exactly_on_feasible_set(self):
         rng = derive_rng(5, "hinge-feasible")
@@ -498,10 +519,19 @@ class TestIlfoAttack:
         else:
             net.exit_heads_[-1] = last
         with pytest.raises(NonFiniteError):
-            net.forward_all(Tensor(x))
+            net.forward_terms(x)
         attack = IlfoAttack(net, cfg)
         assert attack.generate(x).tobytes() == want.tobytes()
-        assert attack._loss(Tensor(np.zeros((1, 64))), x)._vjps[1][0].shape == (1, kept)
+        shapes = []
+
+        def spy(f, heads):
+            out = forward(f, heads)
+            shapes.append(out[0].shape)
+            return out
+
+        forward, net.forward_terms = net.forward_terms, spy
+        attack._score(x.reshape(1, -1))(np.zeros((1, 64)))
+        assert shapes == [(1, kept)]
 
     def test_deterministic(self):
         net = scripted_gate_analogue([0.4, 0.6])
@@ -509,6 +539,11 @@ class TestIlfoAttack:
         a = IlfoAttack(net, IlfoConfig(iterations=20)).generate(x)
         b = IlfoAttack(net, IlfoConfig(iterations=20)).generate(x)
         assert np.array_equal(a, b)
+
+
+class UnfittableExitNet(EarlyExitNet):
+    def fit(self, X, y):
+        raise AssertionError("the surrogate was fitted")
 
 
 class TestIlfoTargetCheck:
@@ -537,7 +572,7 @@ class TestIlfoTargetCheck:
     def test_only_what_the_attack_calls_is_needed(self, target):
         class Bare:
             """forward_terms(x, heads), the sizes and the threshold, and no other
-            method: no forward_all, no forward(x, mode), no forward_exits."""
+            method: no forward(x, mode), no graph node."""
 
             def __init__(self, net):
                 self.net = net
@@ -589,14 +624,20 @@ class TestIlfoTargetCheck:
             IlfoAttack(NoHeads(), IlfoConfig(target=target))
 
     def test_surrogate_pipeline_rejects_before_fitting(self):
-        class UnfittableExitNet(EarlyExitNet):
-            def fit(self, X, y):
-                raise AssertionError("the surrogate was fitted")
-
         inputs = np.full((3, 64), 0.2)
         with pytest.raises(ValueError, match="num_blocks"):
             surrogate_pipeline(ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50),
                                UnfittableExitNet(), inputs, IlfoConfig(iterations=5))
+
+    @pytest.mark.parametrize("num_attack", [0, -1, True, 2.5])
+    def test_surrogate_pipeline_rejects_a_bad_num_attack_first(self, num_attack):
+        # checked before the attack is built, so ahead of the exit net's
+        # missing gates, and before the surrogate is fitted
+        inputs = np.full((3, 64), 0.2)
+        with pytest.raises(ValueError, match="num_attack"):
+            surrogate_pipeline(ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50),
+                               UnfittableExitNet(), inputs, IlfoConfig(iterations=5),
+                               num_attack=num_attack)
 
 
 class TestIlfoSequentialReference:
@@ -623,8 +664,8 @@ class TestIlfoSequentialReference:
 
 class TestGraphReferences:
     """Each attack's loop equals, byte for byte, the loop that builds one
-    graph per iterate from the Tensor objective and steps it with the
-    oracles' `step_loss`, and it makes the same finiteness checks."""
+    unfused graph per iterate and steps it with the oracles' `step_loss`,
+    and it makes the finiteness checks its one-node graph loop made."""
 
     @pytest.mark.parametrize("track_best", [False, True])
     @pytest.mark.parametrize("c, lr, iterations", [(100.0, 0.01, 30), (1.0, 0.8, 25),
@@ -678,29 +719,37 @@ class TestGraphReferences:
                 monkeypatch.setattr(module, "_require_finite", spy)
         return counts
 
+    # each op name and count of the checks of a five-iteration loop, as the
+    # loop that built the one-node graph of each objective (the modifier's
+    # reparameterization, the network and the objective a node each, and
+    # the estimator's de-normalization) made them
+    GRAPH_LOOP_CHECKS = {
+        "input_based": {"tanh_unit": 7, "residual_mlp": 36, "denormalize": 6,
+                        "input_based_loss": 42, "input_based_loss.grad": 10,
+                        "denormalize.grad": 5, "residual_mlp.grad": 5, "tanh_unit.grad": 5},
+        "universal": {"tanh_unit": 8, "residual_mlp": 42, "denormalize": 7, "universal_loss": 7,
+                      "universal_loss.grad": 5, "denormalize.grad": 5, "residual_mlp.grad": 5,
+                      "tanh_unit.grad": 5},
+        "gate": {"tanh_unit": 7, "residual_mlp": 12, "ilfo_loss": 48, "ilfo_loss.grad": 10,
+                 "residual_mlp.grad": 5, "tanh_unit.grad": 5},
+        "exit": {"tanh_unit": 7, "residual_mlp": 30, "entropy_hinge_sum": 6, "ilfo_loss": 48,
+                 "ilfo_loss.grad": 10, "residual_mlp.grad": 5, "tanh_unit.grad": 5},
+    }
+
     @pytest.mark.parametrize("kind", ["input_based", "universal", "gate", "exit"])
     def test_loop_makes_the_checks_of_the_graph_loop(self, kind, checks, trained_estimator,
                                                      trained_skip, trained_exit):
         x = np.full(64, 0.3)
+        checks.clear()
         if kind == "input_based":
-            attack = InputBasedAttack(trained_estimator, GenConfig(iterations=5))
-            runs = (lambda: attack.generate(x), lambda: input_based_graph_reference(attack, x))
+            InputBasedAttack(trained_estimator, GenConfig(iterations=5)).generate(x)
         elif kind == "universal":
-            attack = UniversalAttack(trained_estimator,
-                                     GenConfig(mode="universal", iterations=5, restarts=2))
-            runs = (attack.generate, lambda: universal_graph_reference(attack))
+            UniversalAttack(trained_estimator,
+                            GenConfig(mode="universal", iterations=5, restarts=2)).generate()
         else:
             model = trained_skip if kind == "gate" else trained_exit
-            attack = IlfoAttack(model, IlfoConfig(target=kind, iterations=5))
-            runs = (lambda: attack.generate(x), lambda: ilfo_graph_reference(attack, x))
-        seen = []
-        for run in runs:
-            checks.clear()
-            run()
-            seen.append({op: n for op, n in checks.items() if op != "leaf"})
-        assert seen[0] == seen[1]
-        # the forward's values and every product on the way back to the modifier
-        assert {"tanh_unit", "residual_mlp", "tanh_unit.grad", "residual_mlp.grad"} <= set(seen[0])
+            IlfoAttack(model, IlfoConfig(target=kind, iterations=5)).generate(x)
+        assert {op: n for op, n in checks.items() if op != "leaf"} == self.GRAPH_LOOP_CHECKS[kind]
 
 
 class FrozenSurrogate(GatedSkipNet):
@@ -794,9 +843,9 @@ def graph_size(root):
 
 
 class TestOneNodeObjectives:
-    """Each attack iterate is a handful of nodes: the modifier's reparam, the
-    network and the objective are one node each; loss and input gradient
-    equal the unfused graph's byte for byte."""
+    """Each attack objective's array form gives the loss and the modifier
+    gradient of its unfused graph, byte for byte; `input_based_loss` is that
+    form as one node over the modifier."""
 
     @pytest.mark.parametrize("target", ["gate", "exit"])
     def test_ilfo_loss_equals_unfused_oracle_graph(self, target, trained_skip, skip_dataset,
@@ -807,15 +856,14 @@ class TestOneNodeObjectives:
         rng = derive_rng(30, "ilfo-oracle", target)
         # dimmed seeds close most gates, so every hinge term is live
         for x in np.concatenate([data.inputs[:2], 0.3 * data.inputs[2:4]]):
-            xt = Tensor(x.reshape(1, -1))
-            w = Tensor(np.arctanh(2.0 * np.clip(x, 0.05, 0.95) - 1.0).reshape(1, -1)
-                       + rng.normal(0.0, 0.3, size=(1, x.size)))
-            loss = attack._loss(w, xt)
-            level = attack._threshold() + (attack.config.margin if target == "exit" else 0.0)
-            ref = unfused_ilfo_loss(model, w, xt, target, level, attack.config.c)
-            assert loss.data.tobytes() == ref.data.tobytes()
-            assert gradients(loss, [w])[0].tobytes() == gradients(ref, [w])[0].tobytes()
-            assert graph_size(loss) == 5
+            x = x.reshape(1, -1)
+            w = (np.arctanh(2.0 * np.clip(x, 0.05, 0.95) - 1.0)
+                 + rng.normal(0.0, 0.3, size=x.shape))
+            loss, grad = attack._score(x)(w)
+            wt = Tensor(w)
+            ref = unfused_ilfo_attack_loss(attack, wt, Tensor(x))
+            assert np.asarray(loss).tobytes() == ref.data.tobytes()
+            assert grad().tobytes() == gradients(ref, [wt])[0].tobytes()
 
     def test_input_based_loss_equals_unfused_oracle_graph(self, trained_estimator):
         rng = derive_rng(31, "input-based-oracle")
@@ -826,27 +874,26 @@ class TestOneNodeObjectives:
             ref = unfused_input_based_loss(trained_estimator, w, x, 100.0)
             assert loss.data.tobytes() == ref.data.tobytes()
             assert gradients(loss, [w])[0].tobytes() == gradients(ref, [w])[0].tobytes()
-            assert graph_size(loss) == 6
+            assert graph_size(loss) == 2 and loss._vjps[0][0] is w
 
     def test_universal_loss_equals_unfused_oracle_graph(self, trained_estimator):
         rng = derive_rng(32, "universal-oracle")
         for rows in (1, 3):
-            w = Tensor(rng.normal(0.0, 0.5, size=(rows, 64)))
-            loss = universal_loss(w, trained_estimator)
-            ref = unfused_universal_loss(trained_estimator, w)
-            assert loss.data.tobytes() == ref.data.tobytes()
-            assert gradients(loss, [w])[0].tobytes() == gradients(ref, [w])[0].tobytes()
-            assert graph_size(loss) == 6
+            w = rng.normal(0.0, 0.5, size=(rows, 64))
+            loss, grad = universal_score(trained_estimator)(w)
+            wt = Tensor(w)
+            ref = unfused_universal_loss(trained_estimator, wt)
+            assert np.asarray(loss).tobytes() == ref.data.tobytes()
+            assert grad().tobytes() == gradients(ref, [wt])[0].tobytes()
 
-    def test_prediction_is_one_node_over_the_network(self, trained_estimator):
-        f = Tensor(derive_rng(33, "prediction").uniform(0, 1, size=(2, 64)))
-        pred = trained_estimator.predict_tensor(f)
-        ref = unfused_estimator_prediction(trained_estimator, f)
-        assert pred.op == "denormalize" and pred._vjps[0][0].op == "residual_mlp"
-        assert pred.data.tobytes() == ref.data.tobytes()
-        seed = Tensor(np.array([[0.5], [-2.0]]))
-        assert (gradients(tsum(pred * seed), [f])[0].tobytes()
-                == gradients(tsum(ref * seed), [f])[0].tobytes())
+    def test_prediction_terms_equal_unfused_oracle_graph(self, trained_estimator):
+        f = derive_rng(33, "prediction").uniform(0, 1, size=(2, 64))
+        pred, vjp = trained_estimator.predict_terms(f)
+        ft = Tensor(f)
+        ref = unfused_estimator_prediction(trained_estimator, ft)
+        assert pred.tobytes() == ref.data.tobytes()
+        seed = np.array([[0.5], [-2.0]])
+        assert vjp(seed).tobytes() == gradients(tsum(ref * Tensor(seed)), [ft])[0].tobytes()
 
     def test_objectives_check_their_values(self, trained_skip):
         w = Tensor(np.zeros((1, 64)))
@@ -859,9 +906,4 @@ class TestOneNodeObjectives:
             input_based_loss(w, np.full((2, 64), 0.5), 1.0, est)
         attack = IlfoAttack(trained_skip, IlfoConfig())
         with pytest.raises(NonFiniteError, match="ilfo_loss"):
-            attack._loss(w, np.full((1, 64), np.nan))
-
-    def test_reparam_is_one_node(self):
-        w = Tensor(np.linspace(-2.0, 2.0, 8))
-        f = reparam(w)
-        assert f.op == "tanh_unit" and f._vjps[0][0] is w
+            attack._score(np.full((1, 64), np.nan))(w.data)

@@ -16,6 +16,9 @@ from adnn_energy_lab.autodiff import (
     Tensor,
     gradients,
 )
+from adnn_energy_lab.attacks import IlfoAttack, IlfoConfig, InputBasedAttack
+from adnn_energy_lab.attacks import TestGenConfig as GenConfig
+from adnn_energy_lab.attacks import UniversalAttack
 from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.estimator import EnergyEstimator
@@ -27,7 +30,6 @@ from oracles import (
     adam_per_parameter_steps,
     adam_reference_steps,
     finite_difference,
-    fused_batch_loss,
     max_relative_error,
     minibatch_reference,
     random_op_mix_graph,
@@ -275,13 +277,21 @@ def _bind_constant(fused, unfused, leaf, constant):
 # name -> (fused op, unfused composition, leaf arrays for an input of x_shape);
 # constants the loss ops take without a gradient are bound into the builders
 FUSED_CASES = {
-    "tanh_unit": lambda rng, x_shape: (
-        ad.tanh_unit, unfused_tanh_unit, [rng.normal(scale=2.0, size=x_shape)]),
     "softmax_cross_entropy": lambda rng, x_shape: _bind_constant(
         ad.softmax_cross_entropy, unfused_softmax_cross_entropy,
         rng.normal(scale=2.0, size=x_shape), _one_hot_rows(rng, x_shape)),
+}
+
+# name -> (array form, giving (value, product toward its first argument),
+# unfused composition, leaf arrays for an input of x_shape), as above
+ARRAY_CASES = {
+    "tanh_unit": lambda rng, x_shape: (
+        ad.tanh_unit_terms, unfused_tanh_unit, [rng.normal(scale=2.0, size=x_shape)]),
+    "softmax_cross_entropy": lambda rng, x_shape: _bind_constant(
+        ad.softmax_cross_entropy_terms, unfused_softmax_cross_entropy,
+        rng.normal(scale=2.0, size=x_shape), _one_hot_rows(rng, x_shape)),
     "squared_error": lambda rng, x_shape: _bind_constant(
-        ad.squared_error, unfused_squared_error,
+        ad.squared_error_terms, unfused_squared_error,
         rng.normal(size=x_shape), rng.normal(size=x_shape)),
 }
 
@@ -314,16 +324,44 @@ def test_fused_op_gradients_match_finite_differences(name, x_shape):
     fd_check(lambda ts: ad.tsum(ad.mul(fused(*ts), mix)), arrays)
 
 
-# name -> (one-node op on x, its unfused form on the column blocks of x as
-# separate tensors, the column blocks it reads)
-# more than 8 columns, so a pairwise sum over columns would round differently
-# from the left-to-right one the unfused forms do
+def array_case(name, x_shape, seed):
+    """The case's array form, unfused composition and leaf, plus weights
+    that mix its output into a scalar."""
+    rng = np.random.default_rng(seed)
+    terms, unfused, (leaf,) = ARRAY_CASES[name](rng, x_shape)
+    return terms, unfused, leaf, rng.uniform(0.5, 1.5, size=np.shape(terms(leaf)[0]))
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+@pytest.mark.parametrize("x_shape", X_SHAPES)
+def test_array_form_equals_unfused_composition_bit_for_bit(name, x_shape):
+    terms, unfused, leaf, mix = array_case(name, x_shape, sum(x_shape))
+    value, vjp = terms(leaf)
+    x = Tensor(leaf)
+    out = unfused(x)
+    (grad,) = gradients(ad.tsum(ad.mul(out, mix)), [x])
+    assert np.asarray(value).tobytes() == out.data.tobytes()
+    assert vjp(mix).tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+@pytest.mark.parametrize("x_shape", X_SHAPES)
+def test_array_form_gradients_match_finite_differences(name, x_shape):
+    terms, _, leaf, mix = array_case(name, x_shape, x_shape[0] + 99)
+    fd = finite_difference(lambda arrays: float(np.sum(terms(arrays[0])[0] * mix)), [leaf])
+    assert max_relative_error([terms(leaf)[1](mix)], fd) < 1e-6
+
+
+# name -> (array form on x, giving (value, product toward x), its unfused
+# form on the column blocks of x as separate tensors, the column blocks it
+# reads); more than 8 columns, so a pairwise sum over columns would round
+# differently from the left-to-right one the unfused forms do
 COLUMN_CASES = {
-    "mean_of_column_means": (lambda x: ad.mean_of_column_means(x, 1, 11), unfused_mean_of_means,
-                             [(j, j + 1) for j in range(1, 11)]),
-    "hinge_sum": (lambda x: ad.hinge_sum(x, 0.3, 1, 11),
+    "mean_of_column_means": (lambda x: ad.mean_of_column_means_terms(x, 1, 11),
+                             unfused_mean_of_means, [(j, j + 1) for j in range(1, 11)]),
+    "hinge_sum": (lambda x: ad.hinge_terms(x, 0.3, 1, 11),
                   lambda ts: unfused_hinge_sum(ts, 0.3), [(j, j + 1) for j in range(1, 11)]),
-    "entropy_hinge_sum": (lambda x: ad.entropy_hinge_sum(x, 0.9, 3, 4),
+    "entropy_hinge_sum": (lambda x: ad.entropy_hinge_terms(x, 0.9, 3, 4),
                           lambda ts: unfused_entropy_hinge_sum(ts, 0.9),
                           [(0, 3), (3, 6), (6, 9), (9, 12)]),
 }
@@ -333,18 +371,16 @@ COLUMN_SHAPES = [(12,), (1, 12), (32, 12)]
 @pytest.mark.parametrize("name", COLUMN_CASES)
 @pytest.mark.parametrize("x_shape", COLUMN_SHAPES)
 def test_column_op_equals_unfused_composition_bit_for_bit(name, x_shape):
-    fused, unfused, blocks = COLUMN_CASES[name]
+    terms, unfused, blocks = COLUMN_CASES[name]
     x = np.random.default_rng(sum(x_shape)).normal(scale=1.5, size=x_shape)
-    xt = Tensor(x)
-    out = fused(xt)
-    (grad,) = gradients(out, [xt])
+    value, vjp = terms(x)
     parts = [Tensor(x[..., a:b]) for a, b in blocks]
     ref = unfused(parts)
     expected = np.zeros(x_shape)
     for (a, b), g in zip(blocks, gradients(ref, parts)):
         expected[..., a:b] = g
-    assert out.data.tobytes() == ref.data.tobytes()
-    assert grad.tobytes() == expected.tobytes()
+    assert np.asarray(value).tobytes() == ref.data.tobytes()
+    assert vjp(ad._ONE).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("x_shape", [(32,), (1, 32), (7, 32)])
@@ -353,24 +389,23 @@ def test_entropy_hinge_over_wide_exits_equals_unfused_composition_bit_for_bit(x_
     # reduction order over them would change the bits
     width, count = 10, 3
     x = np.random.default_rng(x_shape[0]).normal(scale=2.0, size=x_shape)
-    xt = Tensor(x)
-    out = ad.entropy_hinge_sum(xt, 1.8, width, count)
-    (grad,) = gradients(out, [xt])
+    value, vjp = ad.entropy_hinge_terms(x, 1.8, width, count)
     parts = [Tensor(x[..., k * width:(k + 1) * width]) for k in range(count)]
     ref = unfused_entropy_hinge_sum(parts, 1.8)
     expected = np.zeros(x_shape)
     expected[..., :width * count] = np.concatenate(gradients(ref, parts), axis=-1)
-    assert 0.0 < out.item()
-    assert out.data.tobytes() == ref.data.tobytes()
-    assert grad.tobytes() == expected.tobytes()
+    assert 0.0 < value
+    assert np.asarray(value).tobytes() == ref.data.tobytes()
+    assert vjp(ad._ONE).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", COLUMN_CASES)
 @pytest.mark.parametrize("x_shape", COLUMN_SHAPES)
 def test_column_op_gradients_match_finite_differences(name, x_shape):
-    fused = COLUMN_CASES[name][0]
+    terms = COLUMN_CASES[name][0]
     x = np.random.default_rng(x_shape[0] + 7).normal(scale=1.5, size=x_shape)
-    fd_check(lambda ts: fused(ts[0]), [x])
+    fd = finite_difference(lambda arrays: float(terms(arrays[0])[0]), [x])
+    assert max_relative_error([terms(x)[1](ad._ONE)], fd) < 1e-6
 
 
 def test_columns_slices_and_scatters_back():
@@ -388,17 +423,17 @@ def test_fused_ops_check_shapes():
     with pytest.raises(ShapeError, match="columns"):
         ad.columns(Tensor(np.ones((2, 2, 3))), 0, 1)
     with pytest.raises(ShapeError, match="mean_of_column_means"):
-        ad.mean_of_column_means(x, 1, 1)
+        ad.mean_of_column_means_terms(x.data, 1, 1)
     with pytest.raises(ShapeError, match="hinge_sum"):
-        ad.hinge_sum(x, 0.5, -1, 2)
+        ad.hinge_terms(x.data, 0.5, -1, 2)
     with pytest.raises(ShapeError, match="entropy_hinge_sum"):
-        ad.entropy_hinge_sum(x, 0.5, 2, 2)
+        ad.entropy_hinge_terms(x.data, 0.5, 2, 2)
     with pytest.raises(ShapeError, match="softmax_cross_entropy"):
         ad.softmax_cross_entropy(x, np.ones((2, 4)))
     with pytest.raises(ShapeError, match="softmax_cross_entropy"):
         ad.softmax_cross_entropy(Tensor(np.ones((0, 3))), np.ones((0, 3)))
     with pytest.raises(ShapeError, match="squared_error"):
-        ad.squared_error(x, np.ones(3))
+        ad.squared_error_terms(x.data, np.ones(3))
 
 
 def graph_nodes(root):
@@ -493,12 +528,12 @@ def network_outputs(model):
     the soft forward, and the hard inference or the prediction."""
     X = np.random.default_rng(24).uniform(0, 1, size=(6, 5))
     outs = [model._net()(Tensor(X)).data]
-    if hasattr(model, "forward_all"):
-        outs.append(model.forward_all(Tensor(X)).data)
+    if hasattr(model, "forward_terms"):
+        outs.append(model.forward_terms(X)[0])
         for trace in model.infer(X):
             outs += [trace.logits, np.array([trace.flops, trace.active_units])]
     if isinstance(model, EnergyEstimator):
-        outs.append(model.predict_tensor(Tensor(X)).data)
+        outs.append(model.predict_terms(X)[0])
     outs.append(model.predict(X))
     return [np.asarray(o, dtype=np.float64).tobytes() for o in outs]
 
@@ -714,10 +749,35 @@ def small_fit(kind, **settings):
     return model, X, y
 
 
-@pytest.mark.parametrize("kind", FIT_KINDS)
+ATTACK_KINDS = ["input_based", "universal", "ilfo_gate", "ilfo_exit"]
+
+
+def small_run(kind):
+    """A function that runs the fit of a small model of `kind`, or
+    `generate` of a three-iteration attack of `kind` on a small model, which
+    is fitted here."""
+    if kind in FIT_KINDS:
+        model, X, y = small_fit(kind)
+        return lambda: model.fit(X, y)
+    x = np.full(64, 0.3)
+    if kind in ("input_based", "universal"):
+        est, X, y = small_fit("estimator")
+        est.fit(X, y)
+        if kind == "input_based":
+            return lambda: InputBasedAttack(est, GenConfig(iterations=3)).generate(x)
+        cfg = GenConfig(mode="universal", iterations=3, restarts=2)
+        return UniversalAttack(est, cfg).generate
+    target = kind.partition("_")[2]
+    model, X, y = small_fit("skip" if target == "gate" else "exit")
+    model.fit(X, y)
+    return lambda: IlfoAttack(model, IlfoConfig(target=target, iterations=3)).generate(x)
+
+
+@pytest.mark.parametrize("kind", FIT_KINDS + ATTACK_KINDS)
 def test_fit_steps_build_no_tensor(kind, monkeypatch):
-    """From the moment the fit builds its Adam to the end of the fit, no
-    Tensor is built: the steps run on arrays."""
+    """From the moment a fit, or an attack's `generate`, builds its Adam to
+    its end, no Tensor is built: the steps run on arrays."""
+    run = small_run(kind)
     built, stepping = [], []
     init, adam_init = Tensor.__init__, Adam.__init__
 
@@ -730,19 +790,18 @@ def test_fit_steps_build_no_tensor(kind, monkeypatch):
         adam_init(opt, *args, **kwargs)
         stepping.append(1)
 
-    model, X, y = small_fit(kind)
     monkeypatch.setattr(Tensor, "__init__", counting_init)
     monkeypatch.setattr(Adam, "__init__", flagging_adam_init)
-    model.fit(X, y)
+    run()
     assert stepping and not built
 
 
 def _step_losses(net, X, y):
     """Two losses that share one soft forward of `net`."""
-    out = net.forward_all(Tensor(X))
+    out = net._net()(Tensor(X))
     c = net.num_classes
     logits = ad.columns(out, 0, c)
-    gates = ad.mean_of_column_means(out, c, c + net.num_blocks)
+    gates = ad.tmean(ad.columns(out, c, c + net.num_blocks))
     return [cross_entropy(logits, y, c),
             ad.add(ad.mul(gates, 3.0), ad.tsum(ad.tanh(logits)))]
 
@@ -775,6 +834,10 @@ def test_two_threads_on_one_graph_get_the_serial_gradients(trained_skip, skip_da
         assert len(runs) == 25 and all(r == serial[i % 2] for r in runs)
 
 
+UNFUSED_LOSSES = {"skip": unfused_skip_loss, "exit": unfused_exit_loss,
+                  "estimator": unfused_estimator_loss, "filter": unfused_filter_loss}
+
+
 @pytest.fixture(scope="module")
 def training_step_cases():
     """A briefly fitted model of each kind, its parameters, one batch and
@@ -789,10 +852,10 @@ def training_step_cases():
     filt = FilterModel(epochs=2, seed=1).fit(data.inputs, data.labels % 2)
     filt_params = filt.stem_.params + [p for b in filt.blocks_ for p in b.params] + filt.head_.params
     return {
-        "skip": (skip, skip._params(), X, y, unfused_skip_loss),
-        "exit": (exit_net, exit_net._params(), X, y, unfused_exit_loss),
-        "estimator": (est, est._params(), corpus[:32], targets, unfused_estimator_loss),
-        "filter": (filt, filt_params, X, y % 2, unfused_filter_loss),
+        "skip": (skip, skip._params(), X, y, UNFUSED_LOSSES["skip"]),
+        "exit": (exit_net, exit_net._params(), X, y, UNFUSED_LOSSES["exit"]),
+        "estimator": (est, est._params(), corpus[:32], targets, UNFUSED_LOSSES["estimator"]),
+        "filter": (filt, filt_params, X, y % 2, UNFUSED_LOSSES["filter"]),
     }
 
 
@@ -810,17 +873,19 @@ def test_training_step_equals_unfused_oracle_graph(training_step_cases, kind):
     ("skip", {}), ("skip", {"sparsity_weight": 0.0}), ("skip", {"sparsity_weight": 7.5}),
     ("exit", {}), ("exit", {"num_segments": 1}), ("estimator", {}), ("filter", {})],
     ids=lambda v: v if isinstance(v, str) else "-".join("%s=%s" % kv for kv in v.items()))
-def test_batch_terms_equal_the_fused_graph_step(kind, settings):
-    """Loss and the whole theta gradient, byte for byte, against the graph of
-    fused nodes each fit stepped before it ran on arrays."""
+def test_batch_terms_equal_the_unfused_graph_step(kind, settings):
+    """Loss and the whole theta gradient, byte for byte, against the unfused
+    oracle graph of the batch's loss, whose gradient toward each layer
+    tensor lands in that tensor's slice of theta."""
     model, X, y = small_fit(kind, **settings)
     model.fit(X, y)
     if kind == "estimator":
         y = (y - model.energy_mean_) / model.energy_scale_
+    params = model._net().params
     for rows in (slice(0, 32), slice(32, 40)):
         loss, grad = model._batch_terms(X[rows], y[rows])
-        want = fused_batch_loss(model, X[rows], y[rows])
-        (want_grad,) = gradients(want, [model._net().theta])
+        want = UNFUSED_LOSSES[kind](model, X[rows], y[rows])
+        want_grad = np.concatenate([g.reshape(-1) for g in gradients(want, params)])
         assert np.float64(loss).tobytes() == want.data.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
 
@@ -856,16 +921,14 @@ def _overflowing(kind, where):
                                        ("logits", "residual_mlp"), ("loss", None)])
 @pytest.mark.parametrize("kind", FIT_KINDS)
 def test_training_step_overflow_names_the_op_the_graph_step_names(kind, where, op):
+    # the op names the fused graph step of each fit raised under
     model = _overflowing(kind, where)
     rng = np.random.default_rng(24)
     X = rng.uniform(0.5, 1.0, size=(6, 5))
     classes = 2 if kind == "filter" else 3
     y = rng.normal(size=6) if kind == "estimator" else np.arange(6) % classes
     op = op or ("squared_error" if kind == "estimator" else "softmax_cross_entropy")
-    match = "op '%s' produced" % op
-    with pytest.raises(NonFiniteError, match=match):
-        gradients(fused_batch_loss(model, X, y), [model._net().theta])
-    with pytest.raises(NonFiniteError, match=match):
+    with pytest.raises(NonFiniteError, match="op '%s' produced" % op):
         model._batch_terms(X, y)
 
 
@@ -962,7 +1025,7 @@ def test_network_gate_infinite_pre_activation_raises():
 def test_entropy_hinge_infinite_log_probability_raises():
     # the second class's log-probability overflows to -inf
     with pytest.raises(NonFiniteError, match="entropy_hinge_sum"):
-        ad.entropy_hinge_sum(Tensor([[1e308, -1e308]]), 0.5, 2, 1)
+        ad.entropy_hinge_terms(np.array([[1e308, -1e308]]), 0.5, 2, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1197,7 +1260,7 @@ def test_fit_minibatch_equals_the_reference_epoch_loop():
         return loss, Xb.T @ loss_grad(ad._ONE)
 
     def batch_loss(Xb, yb):
-        return ad.squared_error(Tensor(Xb) @ ref_theta, yb)
+        return unfused_squared_error(Tensor(Xb) @ ref_theta, Tensor(yb))
 
     history = fit_minibatch(batch_terms, theta, X, y, 4, 8, 0.05, rng, on_epoch=on_epoch)
     ref_history = minibatch_reference(batch_loss, ref_theta, X, y, 4, 8, 0.05, ref_rng)

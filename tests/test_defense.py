@@ -220,7 +220,7 @@ class TestGradientFeature:
         net.segments_[1] = ResidualBlock(Dense(np.full((net.width, net.width), big),
                                                np.zeros(net.width)), net.segments_[1].lin2)
         with pytest.raises(NonFiniteError):
-            net.forward_all(Tensor(X))
+            net.forward_terms(X)
         assert gradient_feature(net, X).tobytes() == want
 
     def test_rejects_a_model_without_gradients(self):

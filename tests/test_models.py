@@ -309,7 +309,7 @@ class TestEarlyExitNet:
         net.entropy_threshold = threshold
         X = np.concatenate([exit_dataset.inputs[:48],
                             derive_rng(8, "exit-noise").uniform(0, 1, size=(16, 64))])
-        out, c = net.forward_all(Tensor(X)).data, net.num_classes
+        out, c = net.forward_terms(X)[0], net.num_classes
         all_logits = [out[:, k * c:(k + 1) * c] for k in range(net.num_segments)]
         probs = [softmax(Tensor(l)).data for l in all_logits]
         for i, trace in enumerate(net.infer(X)):
@@ -652,7 +652,7 @@ def _small_model(kind):
 
 def _soft_forward(model):
     """The model's one-node soft forward, `forward(x, heads=None)`."""
-    return getattr(model, "forward_all", model._net())
+    return model._net()
 
 
 def _array_forward(model):
@@ -736,10 +736,10 @@ class TestHeadSelectiveNode:
     ])
     def test_a_layer_the_kept_outputs_do_not_read_is_not_run(self, kind, layer):
         model = _small_model(kind)
-        x = Tensor(derive_rng(42, "overflow-input").uniform(5.0, 10.0, size=(2, 6)))
+        x = derive_rng(42, "overflow-input").uniform(5.0, 10.0, size=(2, 6))
         # the gates alone, or every exit but the last
         kept = 0 if kind == "skip" else model.num_segments - 1
-        before = model.forward_all(x, kept).data.tobytes()
+        before = model.forward_terms(x, kept)[0].tobytes()
         blocks = model.blocks_ if kind == "skip" else model.segments_
         width, big = model.width, np.finfo(np.float64).max
         if layer == "stem":
@@ -752,8 +752,8 @@ class TestHeadSelectiveNode:
         else:
             model.exit_heads_[-1] = Dense(np.full((width, 3), big), np.zeros(3))
         with pytest.raises(NonFiniteError, match="residual_mlp"):
-            model.forward_all(x)
-        assert model.forward_all(x, kept).data.tobytes() == before
+            model.forward_terms(x)
+        assert model.forward_terms(x, kept)[0].tobytes() == before
 
 
 class TestSetParams:
