@@ -157,6 +157,8 @@ class TestGenConfig:
     # derive_rng masks any integer seed to 64 bits; a float would be truncated
     PARAMS = {"c": POSITIVE, "lr": POSITIVE, "iterations": COUNT, "restarts": SIZE,
               "track_best": FLAG, "seed": INT}
+    # a settings class, though its name is one pytest collects tests from
+    __test__ = False
 
     def __post_init__(self):
         if self.mode not in ("input_based", "universal"):
@@ -237,23 +239,41 @@ class UniversalAttack:
 # -- white-box intermediate-target attack --------------------------------
 
 
+def _hinge_sum(shortfalls, op):
+    """math.fsum of `shortfalls` (correctly rounded, so plain per-element
+    accumulation matches it); a ValueError, not inf, where finite inputs
+    overflow."""
+    try:
+        total = math.fsum(shortfalls)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("%s overflows on these finite inputs" % op)
+    return total
+
+
 def ilfo_gate_loss(gate_values, gate_threshold):
-    """Sum of hinge shortfalls max(0, G_T - g) over a vector of gate values; zero iff all fire."""
+    """Sum of hinge shortfalls max(0, G_T - g) over a vector of gate values; zero iff all fire.
+    Finite inputs whose shortfalls or sum pass the float range raise ValueError."""
     check_params({"gate_threshold": REAL}, locals())
     values = as_float_array(gate_values, "gate_values", ndim=1)
-    # fsum: correctly rounded, so plain per-element accumulation matches it
-    return math.fsum(np.maximum(0.0, gate_threshold - values))
+    with np.errstate(over="ignore"):
+        shortfalls = np.maximum(0.0, gate_threshold - values)
+    return _hinge_sum(shortfalls, "ilfo_gate_loss")
 
 
 def ilfo_exit_loss(exit_entropies, entropy_threshold, margin=0.0):
     """Hinge shortfall of each constrained exit's entropy below T_H + margin.
 
     Pass a vector of the entropies of the early exits only; the final head
-    is unconditional and carries no constraint.
+    is unconditional and carries no constraint. Finite inputs whose level,
+    shortfalls or sum pass the float range raise ValueError.
     """
     check_params({"entropy_threshold": REAL, "margin": NONNEGATIVE}, locals())
     values = as_float_array(exit_entropies, "exit_entropies", ndim=1)
-    return math.fsum(np.maximum(0.0, entropy_threshold + margin - values))
+    with np.errstate(over="ignore"):
+        shortfalls = np.maximum(0.0, entropy_threshold + margin - values)
+    return _hinge_sum(shortfalls, "ilfo_exit_loss")
 
 
 @dataclass(frozen=True)

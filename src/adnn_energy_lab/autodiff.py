@@ -365,7 +365,7 @@ def _log_softmax_rows(x):
     """(exp of the max-shifted x, log_softmax(x)) along the last axis."""
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e, shifted - np.log(e.sum(axis=-1, keepdims=True))
+    return e, shifted - np.log(np.add.reduce(e, axis=-1, keepdims=True))
 
 
 def log_softmax(x):
@@ -399,14 +399,14 @@ def softmax_cross_entropy_terms(logits, t):
     product toward the logits. The log-probabilities are checked."""
     logp = _log_softmax_rows(logits)[1]
     _require_finite(logp, "softmax_cross_entropy")
-    picked = (logp * t).sum(axis=-1)
+    picked = np.add.reduce(logp * t, axis=-1)
     scale = _batch_scale(picked, "softmax_cross_entropy")
 
     def grad_logits(g):
         g_logp = g * -1.0 * scale * t
-        return g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
+        return g_logp - np.exp(logp) * np.add.reduce(g_logp, axis=-1, keepdims=True)
 
-    return picked.sum() * scale * -1.0, grad_logits
+    return np.add.reduce(picked, None) * scale * -1.0, grad_logits
 
 
 def softmax_cross_entropy(logits, targets):
@@ -428,14 +428,14 @@ def squared_error_terms(pred, target):
     vector-Jacobian product toward the prediction. `target` has the
     prediction's shape and takes no gradient."""
     err = pred - _constant_like(target, pred, "squared_error")
-    rows = (err * err).sum(axis=-1)
+    rows = np.add.reduce(err * err, axis=-1)
     scale = _batch_scale(rows, "squared_error")
 
     def grad_pred(g):
         half = g * scale * err
         return half + half
 
-    return rows.sum() * scale, grad_pred
+    return np.add.reduce(rows, None) * scale, grad_pred
 
 
 def _rows(x):
@@ -445,7 +445,7 @@ def _rows(x):
 
 def _column_sums(block):
     """Each column's sum, summed as numpy sums that column on its own."""
-    return np.ascontiguousarray(block.T).sum(axis=-1)
+    return np.add.reduce(np.ascontiguousarray(block.T), axis=-1)
 
 
 def _check_columns(op, x, start, stop):

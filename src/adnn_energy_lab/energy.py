@@ -162,6 +162,17 @@ def filter_outliers(samples, protocol=MeasurementProtocol()):
     return list(reject_and_average([list(samples)], protocol.rejection_factor)[0].retained)
 
 
+def _row_medians(raw):
+    """np.median(raw, axis=1, keepdims=True) of a finite matrix, from one
+    partition: the middle value of each row, or the mean of the middle
+    pair, the sum and division np.median makes."""
+    mid = raw.shape[1] // 2
+    if raw.shape[1] % 2:
+        return np.partition(raw, mid, axis=1)[:, mid:mid + 1]
+    pair = np.partition(raw, (mid - 1, mid), axis=1)[:, mid - 1:mid + 1]
+    return np.add.reduce(pair, axis=1, keepdims=True) / 2
+
+
 def reject_and_average(readings, rejection_factor=1.5):
     """The protocol's verdict on an (inputs, repetitions) matrix of readings,
     as a MeasurementBatch: each row keeps its readings at most
@@ -169,8 +180,9 @@ def reject_and_average(readings, rejection_factor=1.5):
     np.mean does. A factor of 1 keeps the readings at most the median; inf
     keeps every reading.
 
-    It runs on the whole matrix: one median per row, then one row-wise sum
-    for every group of rows that keep the same number of readings. The
+    It runs on the whole matrix: one partition gives every row's median,
+    then one row-wise sum runs for every group of rows that keep the same
+    number of readings, straight over `raw` when every row keeps all. The
     batch's `raw` is `readings` itself when that is already a float64 array.
     """
     raw = as_float_array(readings, "readings", ndim=2)
@@ -184,9 +196,10 @@ def reject_and_average(readings, rejection_factor=1.5):
         # inf * a median of 0 would be NaN, a cutoff no reading passes
         kept = np.ones(raw.shape, dtype=bool)
     else:
-        # np.median takes the middle value, or the mean of the middle pair,
-        # as statistics.median does
-        kept = raw <= factor * np.median(raw, axis=1, keepdims=True)
+        kept = raw <= factor * _row_medians(raw)
+    if raw.flags.c_contiguous and np.count_nonzero(kept) == kept.size:
+        # every row keeps every reading: `raw` is the one group's values
+        return MeasurementBatch(raw, kept, np.add.reduce(raw, axis=1) / raw.shape[1])
     counts = np.count_nonzero(kept, axis=1)
     means = np.empty(len(raw))
     for count in np.unique(counts).tolist():

@@ -341,7 +341,7 @@ class ResidualMLP:
             g_branch = dh if s is None else dh * s
             dz1 = (g_branch @ blocks[i][2].T) * mask
             if s is not None:
-                gate_cols[i] = (dh * branch).sum(axis=-1)
+                gate_cols[i] = np.add.reduce(dh * branch, axis=-1)
             block_grads[i] = (g_branch, dz1)
             skip, branch_in = dh, dz1 @ blocks[i][0].T
         dh0 = _left_sum([skip, branch_in])

@@ -8,6 +8,8 @@ can be re-run in any order without perturbing each other's randomness.
 batch of keys together and draws the same normals from each, byte for byte:
 it runs numpy's `SeedSequence` hash-mix over all keys at once in `uint32`
 arrays and seeds `PCG64` from the result as `PCG64(SeedSequence(...))` does.
+Each row draws its standard normals in place, into its row of the output,
+and one pass over the whole output scales them as `Generator.normal` does.
 A batch's keys may travel as one uint64 array: `array_fingerprints` hashes
 every row of a matrix into one, each entry the row's `array_fingerprint`.
 That this mapping stays fixed across numpy releases is numpy's own promise
@@ -153,8 +155,14 @@ def normal_rows(seed, labels, keys, scale, size):
     Python step. The streams' seeds are derived for all keys together, by
     `_pcg64_seeds`; a key's entropy is one uint32 word below 2**32 and two
     from there on. Each row then sets one reused PCG64 to the state that
-    `PCG64(SeedSequence(...))` starts from, and draws.
+    `PCG64(SeedSequence(...))` starts from and draws its standard normals
+    in place, straight into its row of the output. One pass over the whole
+    output then scales it as `normal` does each draw, `0.0 + scale * z`.
     """
+    # `normal`'s own check: a scale with its sign bit set, -0.0 too, is
+    # negative; NaN passes
+    if math.copysign(1.0, scale) < 0 and not math.isnan(scale):
+        raise ValueError("scale < 0")
     prefix = []
     for value in [int(seed) & _MASK64] + [_label_entropy(l) for l in labels]:
         prefix += [np.uint32(w) for w in _words(value)]
@@ -167,18 +175,23 @@ def normal_rows(seed, labels, keys, scale, size):
     high = (key_entropy >> np.uint64(32)).astype(np.uint32)
     seeds = _pcg64_seeds(prefix + [low, high], high != 0)
     bit_generator = np.random.PCG64(_PLACEHOLDER_SEED)
-    generator = np.random.Generator(bit_generator)
+    draw = np.random.Generator(bit_generator).standard_normal
     # one state dict, its entries rebound per row; the setter copies them
     inner = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(seeds), size))
-    for i, (state_high, state_low, seq_high, seq_low) in enumerate(seeds.tolist()):
+    for row, (state_high, state_low, seq_high, seq_low) in zip(out, seeds.tolist()):
         # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1, then two steps
         # of state = state * MULT + inc, adding initstate after the first
         inc = inner["inc"] = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
         inner["state"] = ((inc + (state_high << 64 | state_low)) * _PCG_MULT + inc) & _MASK128
         bit_generator.state = state
-        out[i] = generator.normal(0.0, scale, size)
+        draw(out=row)
+    # `normal` draws the same standard normal z per entry and returns
+    # loc + scale * z with loc = 0.0; adding 0.0 turns the -0.0 of a
+    # negative z times a zero or subnormal scale into its +0.0
+    out *= float(scale)
+    out += 0.0
     return out
 
 
@@ -195,7 +208,8 @@ def array_fingerprints(X):
     """`array_fingerprint(X[i])` for every row i of X, as an (n,) uint64 array.
 
     Each row's bytes are hashed from one C-contiguous float64 buffer of the
-    whole of X; the digests' first 8 bytes are read as big-endian integers.
+    whole of X, at byte offsets laid out before the loop; the digests' first
+    8 bytes are read as big-endian integers.
     """
     a = np.asarray(X, dtype=np.float64)
     if a.ndim == 0:
@@ -203,6 +217,8 @@ def array_fingerprints(X):
     a = np.ascontiguousarray(a)
     width = a.itemsize * math.prod(a.shape[1:])
     data = memoryview(a.reshape(-1)).cast("B")
-    digests = b"".join([hashlib.sha256(data[i * width:(i + 1) * width]).digest()[:8]
-                        for i in range(len(a))])
+    # a row of no values starts at 0 and hashes the empty bytes
+    starts = range(0, a.nbytes, width) if width else [0] * len(a)
+    digests = b"".join([hashlib.sha256(data[start:start + width]).digest()[:8]
+                        for start in starts])
     return np.frombuffer(digests, dtype=">u8").astype(np.uint64)

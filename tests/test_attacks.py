@@ -4,6 +4,7 @@ white-box hinge objectives, and the surrogate replay pipeline."""
 import collections
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -436,6 +437,25 @@ class TestIlfoHinges:
     def test_exit_rejects_bad_input(self, args, match):
         with pytest.raises(ValueError, match=match):
             ilfo_exit_loss(*args)
+
+    @pytest.mark.parametrize("loss, args", [
+        (ilfo_exit_loss, ([0.2], 1e308, 1e308)),
+        (ilfo_exit_loss, ([0.2], np.float64(1e308), np.float64(1e308))),
+        (ilfo_gate_loss, ([-1e308], 1e308)),
+        (ilfo_gate_loss, ([0.0, 0.0], 1e308)),
+    ], ids=["exit level", "exit numpy level", "gate shortfall", "gate sum"])
+    def test_overflow_of_finite_inputs_rejected(self, loss, args):
+        # the threshold plus the margin, the threshold minus a value, or
+        # the sum of the shortfalls is past the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="%s overflows" % loss.__name__):
+                loss(*args)
+
+    def test_shortfall_below_the_float_range_is_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ilfo_gate_loss([1e308], -1e308) == 0.0
 
     def test_zero_exactly_on_feasible_set(self):
         rng = derive_rng(5, "hinge-feasible")

@@ -17,8 +17,7 @@ from adnn_energy_lab.autodiff import (
     gradients,
 )
 from adnn_energy_lab.attacks import IlfoAttack, IlfoConfig, InputBasedAttack
-from adnn_energy_lab.attacks import TestGenConfig as GenConfig
-from adnn_energy_lab.attacks import UniversalAttack
+from adnn_energy_lab.attacks import TestGenConfig, UniversalAttack
 from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.estimator import EnergyEstimator
@@ -764,8 +763,8 @@ def small_run(kind):
         est, X, y = small_fit("estimator")
         est.fit(X, y)
         if kind == "input_based":
-            return lambda: InputBasedAttack(est, GenConfig(iterations=3)).generate(x)
-        cfg = GenConfig(mode="universal", iterations=3, restarts=2)
+            return lambda: InputBasedAttack(est, TestGenConfig(iterations=3)).generate(x)
+        cfg = TestGenConfig(mode="universal", iterations=3, restarts=2)
         return UniversalAttack(est, cfg).generate
     target = kind.partition("_")[2]
     model, X, y = small_fit("skip" if target == "gate" else "exit")

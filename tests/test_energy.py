@@ -276,6 +276,20 @@ class TestRejectAndAverage:
             with pytest.raises(IndexError):
                 result[i]
 
+    @pytest.mark.parametrize("factor", [1.5, math.inf])
+    @pytest.mark.parametrize("reps", [8, 9, 20])
+    def test_any_memory_layout_averages_as_a_row_does(self, factor, reps):
+        # rows that keep every reading are summed straight from a C-ordered
+        # matrix; a Fortran-ordered or strided one gives the same bytes
+        readings = np.random.default_rng(reps).uniform(1.0, 1.2, size=(5, reps))
+        readings[0, 0] = 9.0
+        expected = [np.mean(row[row <= factor * np.median(row)]) for row in readings]
+        for layout in (readings, np.asfortranarray(readings),
+                       np.repeat(readings, 2, axis=1)[:, ::2]):
+            result = reject_and_average(layout, factor)
+            assert result.means.tobytes() == np.array(expected).tobytes()
+            assert result.kept.all() == (factor == math.inf)
+
     def test_empty_matrix_gives_an_empty_batch(self):
         result = reject_and_average(np.empty((0, 20)))
         assert len(result) == 0 and list(result) == []

@@ -100,6 +100,21 @@ class TestNormalRows:
     def test_zero_scale_draws_as_the_stream_does(self):
         assert_rows_match(4, ("measure",), EDGE_KEYS, scale=0.0)
 
+    def test_subnormal_scale_draws_as_the_stream_does(self):
+        # a draw below 0.5 in size times the least subnormal rounds to a
+        # zero, -0.0 for a negative draw, which `normal` returns as +0.0
+        rows = normal_rows(4, ("measure",), EDGE_KEYS, 5e-324, 20)
+        zeros = rows[rows == 0.0]
+        assert len(zeros) and not np.signbit(zeros).any()
+        assert_rows_match(4, ("measure",), EDGE_KEYS, scale=5e-324, size=20)
+
+    @pytest.mark.parametrize("scale", [-0.0, -1e-300, -1.0])
+    def test_negative_scale_rejected_as_normal_does(self, scale):
+        with pytest.raises(ValueError, match="scale < 0"):
+            derive_rng(0, "measure", 1).normal(0.0, scale, 3)
+        with pytest.raises(ValueError, match="scale < 0"):
+            normal_rows(0, ("measure",), [1], scale, 3)
+
     def test_numpy_integer_seed_and_keys(self):
         keys = np.array([0, 2**32, 2**63], dtype=np.uint64)
         rows = normal_rows(np.int64(-2), ("measure",), list(keys), 0.1, 4)
