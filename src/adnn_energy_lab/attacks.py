@@ -65,8 +65,8 @@ def _input_based_terms(f, x, pred, c):
     """l2_norm(f - x) - tsum(pred) * c on arrays: (value, product toward
     f, product toward pred)."""
     d = _offset(f, x, "input_based_loss")
-    norm = np.sqrt((d * d).sum())
-    energy = pred.sum()
+    norm = np.sqrt(np.add.reduce(d * d, axis=None))
+    energy = np.add.reduce(pred, axis=None)
     scaled = energy * c
     for value in (norm, energy, c, scaled):
         _require_finite(value, "input_based_loss")
@@ -96,7 +96,7 @@ def input_based_loss(w, x, c, estimator):
 def _universal_terms(f, pred):
     """Negated predicted energy, 0.0 - tsum(pred), on arrays: (value, None,
     as no term reaches f, product toward pred)."""
-    return 0.0 - pred.sum(), None, lambda g: np.full(pred.shape, -g)
+    return 0.0 - np.add.reduce(pred, axis=None), None, lambda g: np.full(pred.shape, -g)
 
 
 def _ilfo_terms(f, x, out, hinge, c):
@@ -105,7 +105,7 @@ def _ilfo_terms(f, x, out, hinge, c):
     product) of the intermediate hinge on the model's soft forward `out`."""
     d = _offset(f, x, "ilfo_loss")
     dd = d * d
-    distance = dd.sum()
+    distance = np.add.reduce(dd, axis=None)
     hinge_value, hinge_grad = hinge
     scaled = hinge_value * c
     for value in (dd, distance, hinge_value, c, scaled):

@@ -521,9 +521,9 @@ def entropy_hinge_terms(x, level, width, count):
     _check_columns("entropy_hinge_sum", x, 0, width * count)
     rows = _rows(x)
     e, logp = _log_softmax_rows(rows[:, :width * count].reshape(len(rows), count, width))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     _require_finite(logp, "entropy_hinge_sum")
-    entropy = -(p * logp).sum(axis=-1)
+    entropy = -np.add.reduce(p * logp, axis=-1)
     shortfall = level - entropy
     mask = shortfall > 0.0
     terms = _column_sums(np.where(mask, shortfall, 0.0))
@@ -536,8 +536,8 @@ def entropy_hinge_terms(x, level, width, count):
         g_prod = np.empty(p.shape)
         g_prod[...] = (np.full(mask.shape, g) * mask)[..., None]
         g_p, g_logp = g_prod * logp, g_prod * p
-        from_logp = g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True)
-        out = from_logp + p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
+        from_logp = g_logp - np.exp(logp) * np.add.reduce(g_logp, axis=-1, keepdims=True)
+        out = from_logp + p * (g_p - np.add.reduce(g_p * p, axis=-1, keepdims=True))
         return _scatter_columns(x.shape, 0, width * count, out)
 
     return total, grad_x

@@ -1,6 +1,9 @@
 """Shared estimator plumbing: parameter introspection and fitted-state checks."""
 
+import functools
 import inspect
+
+from .validation import check_params
 
 
 class NotFittedError(RuntimeError):
@@ -16,13 +19,21 @@ class ParamsMixin:
     """
 
     @classmethod
+    @functools.cache   # one signature walk per class, not one per object built
     def _param_names(cls):
         sig = inspect.signature(cls.__init__)
-        return [
+        return tuple(
             name
             for name, p in sig.parameters.items()
             if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        )
+
+    def _store(self, args):
+        """Check a constructor's arguments, its `locals()`, against the
+        class's `PARAMS` table, then store each under its own name."""
+        check_params(self.PARAMS, args)
+        for name in self._param_names():
+            setattr(self, name, args[name])
 
     def get_params(self):
         return {name: getattr(self, name) for name in self._param_names()}

@@ -21,13 +21,13 @@ import numpy as np
 
 from .autodiff import (_ONE, _checked, _log_softmax_rows, _require_finite, _scatter_columns,
                        softmax_cross_entropy_terms)
-from .base import ParamsMixin, check_is_fitted
+from .base import check_is_fitted
 from .metrics import auc
 from .models import EarlyExitNet, GatedSkipNet
-from .nn import Dense, ResidualBlock, fit_minibatch, kept_network, one_hot
+from .nn import ResidualModel, one_hot, payload_layout
 from .seeding import derive_rng
-from .validation import (INT, NONNEGATIVE, POSITIVE, SIZE, as_label_array, as_sample_matrix,
-                         check_params, check_same_length)
+from .validation import (INT, NONNEGATIVE, POSITIVE, SIZE, as_sample_matrix, check_params,
+                         check_same_length)
 
 __all__ = [
     "FilterModel",
@@ -46,36 +46,29 @@ __all__ = [
 # -- input filtering ------------------------------------------------------
 
 
-class FilterModel(ParamsMixin):
+class FilterModel(ResidualModel):
     """Residual-MLP screen: class 0 = normal input, class 1 = energy noise.
 
     At this scale the screen is not cheap relative to the models it guards:
     its own forward costs more FLOPs than their minimum trace.
     """
 
+    kind = "filter"
     PARAMS = {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE, "num_classes": SIZE,
               "epochs": SIZE, "lr": NONNEGATIVE, "batch_size": SIZE, "seed": INT}
+    _SAVED = ("input_dim", "width", "num_blocks", "num_classes")
 
     def __init__(self, input_dim=64, width=16, num_blocks=3, num_classes=2,
                  epochs=150, lr=0.01, batch_size=32, seed=0):
-        self.input_dim = input_dim
-        self.width = width
-        self.num_blocks = num_blocks
-        self.num_classes = num_classes
-        self.epochs = epochs
-        self.lr = lr
-        self.batch_size = batch_size
-        self.seed = seed
-        check_params(self.PARAMS, vars(self))
+        self._store(locals())
         self.stem_ = None
         self.blocks_ = None
         self.head_ = None
         self.history_ = None
 
-    def _net(self):
-        """The network over the current layers; see `nn.kept_network`."""
-        check_is_fitted(self, "stem_")
-        return kept_network(self, self.stem_, self.blocks_, [self.head_])
+    def _layout(self):
+        return payload_layout(self.input_dim, self.width, self.num_blocks, self.num_classes,
+                              "blocks.%d", ["head"])
 
     def predict(self, X):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
@@ -91,24 +84,10 @@ class FilterModel(ParamsMixin):
         return (_checked(loss, "softmax_cross_entropy"),
                 grad_theta(_checked(loss_grad(_ONE), "softmax_cross_entropy.grad")))
 
-    def score(self, X, y):
-        return float(np.mean(self.predict(X) == np.asarray(y)))
-
     def fit(self, X, y):
-        check_params(self.PARAMS, vars(self))
-        X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        y = as_label_array(y, n=len(X), num_classes=self.num_classes)
-        rng = derive_rng(self.seed, "filter-init")
-        self.stem_ = Dense.init(rng, self.input_dim, self.width)
-        self.blocks_ = [ResidualBlock.init(rng, self.width)
-                        for _ in range(self.num_blocks)]
-        self.head_ = Dense.init(rng, self.width, self.num_classes)
-        order_rng = derive_rng(self.seed, "filter-batches")
-        net = self._net()
-        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), net.theta,
-                                      X, y, self.epochs, self.batch_size, self.lr, order_rng)
+        X, y = self._labeled(X, y)
+        self._build(derive_rng(self.seed, "filter-init"))
+        self._train(X, y, derive_rng(self.seed, "filter-batches"))
         return self
 
 

@@ -45,7 +45,8 @@ class EnergyModel(ParamsMixin):
         self.base_joules = float(base_joules)
         self.per_block_joules = (float(per_block_joules) if np.isscalar(per_block_joules)
                                  else [float(v) for v in per_block_joules])
-        self.noise_sigma = float(noise_sigma)
+        # + 0.0 turns a -0.0 into the 0.0 that measures as noiseless
+        self.noise_sigma = float(noise_sigma) + 0.0
         self.seed = seed
 
     # -- noiseless step values ------------------------------------------

@@ -1,10 +1,13 @@
 """Black-box energy regressor: learns joules from (input, measured mean)
 pairs without ever touching the target model's internals.
 
-A residual MLP (stem 64->64, four width-64 residual blocks, linear head)
-regresses normalized energies; predictions de-normalize back to joules.
-The head is linear on purpose so the ascent signal used by test-input
-generation stays unbounded.
+A residual MLP (stem 64->64, four width-64 residual blocks, linear head),
+an `nn.ResidualModel` like the target models, regresses normalized
+energies; predictions de-normalize back to joules. The head is linear on
+purpose so the ascent signal used by test-input generation stays
+unbounded. The fit adds a seeded validation split, the best checkpoint on
+it and a cosine step size; the payload adds the fitted energy mean and
+scale to the config.
 """
 
 import math
@@ -12,11 +15,9 @@ import math
 import numpy as np
 
 from .autodiff import _ONE, _checked, squared_error_terms
-from .base import ParamsMixin, check_is_fitted
-from .nn import (Dense, ResidualBlock, fit_minibatch, kept_network, layers_from_payload,
-                 params_to_payload, payload_layout)
+from .base import check_is_fitted
+from .nn import ResidualModel, payload_layout
 from .seeding import derive_rng
-from .serialize import payload_config
 from .validation import (FRACTION, INT, NONNEGATIVE, POSITIVE, REAL, SIZE, as_sample_matrix,
                          check_params, check_same_length)
 
@@ -31,9 +32,10 @@ def estimator_loss(predictions, targets):
     return float(np.mean((predictions - targets) ** 2))
 
 
-class EnergyEstimator(ParamsMixin):
+class EnergyEstimator(ResidualModel):
     """Regression network imitating a target's energy consumption."""
 
+    kind = "estimator"
     PARAMS = {"input_dim": SIZE, "width": SIZE, "num_blocks": SIZE, "epochs": SIZE,
               "lr": NONNEGATIVE, "batch_size": SIZE, "val_fraction": FRACTION, "seed": INT,
               # fitted state, saved with the sizes; checked only when a payload loads
@@ -43,31 +45,7 @@ class EnergyEstimator(ParamsMixin):
     def __init__(self, input_dim=64, width=64, num_blocks=4, epochs=2000,
                  lr=0.005, batch_size=32, val_fraction=0.1, seed=0,
                  target_id=None):
-        self.input_dim = input_dim
-        self.width = width
-        self.num_blocks = num_blocks
-        self.epochs = epochs
-        self.lr = lr
-        self.batch_size = batch_size
-        self.val_fraction = val_fraction
-        self.seed = seed
-        self.target_id = target_id
-        check_params(self.PARAMS, vars(self))
-
-    # -- construction ----------------------------------------------------
-
-    def _build(self, rng):
-        self.stem_ = Dense.init(rng, self.input_dim, self.width)
-        self.blocks_ = [ResidualBlock.init(rng, self.width)
-                        for _ in range(self.num_blocks)]
-        self.head_ = Dense.init(rng, self.width, 1)
-
-    def _net(self):
-        """The network over the current layers; see `nn.kept_network`."""
-        return kept_network(self, self.stem_, self.blocks_, [self.head_])
-
-    def _params(self):
-        return self._net().params
+        self._store(locals())
 
     def _layout(self):
         return payload_layout(self.input_dim, self.width, self.num_blocks, 1, "block%d", ["head"])
@@ -103,8 +81,7 @@ class EnergyEstimator(ParamsMixin):
         n_val = max(1, int(round(self.val_fraction * len(X))))
         val_idx, train_idx = order[:n_val], order[n_val:]
 
-        self._build(rng)
-        net = self._net()
+        net = self._build(rng)._net()
         theta = net.theta
         self.val_history_ = []
         best = [np.inf, theta.data.copy(), 0]
@@ -122,9 +99,7 @@ class EnergyEstimator(ParamsMixin):
             # the late tiny steps let the fit settle instead of bouncing on minibatch noise
             opt.lr = self.lr * 0.5 * (1.0 + math.cos(math.pi * (epoch + 1) / max(1, self.epochs)))
 
-        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), theta,
-                                      X[train_idx], targets[train_idx], self.epochs,
-                                      self.batch_size, self.lr, rng, on_epoch)
+        self._train(X[train_idx], targets[train_idx], rng, on_epoch)
         # keep the checkpoint that generalized best, not the last one;
         # late epochs can trade held-out accuracy for training-set fit
         theta.data = best[1]
@@ -144,7 +119,6 @@ class EnergyEstimator(ParamsMixin):
         (a vector or a batch of rows), and their vector-Jacobian product toward
         `f`, with no graph; checked as "residual_mlp", then "denormalize", and
         the products under each name plus ".grad"."""
-        check_is_fitted(self, "head_")
         out, vjp = self._net().terms(f)
         scale = self.energy_scale_
         return (_checked(out * scale + self.energy_mean_, "denormalize"),
@@ -158,28 +132,14 @@ class EnergyEstimator(ParamsMixin):
 
     # -- serialization -------------------------------------------------------
 
-    def to_payload(self):
-        check_is_fitted(self, "head_")
-        return {
-            "kind": "estimator",
-            "config": {
-                "input_dim": self.input_dim, "width": self.width,
-                "num_blocks": self.num_blocks, "target_id": self.target_id,
-                "energy_mean": self.energy_mean_,
-                "energy_scale": self.energy_scale_,
-            },
-            "params": params_to_payload(self._layout(), self._params()),
-        }
+    def _config(self):
+        return {"input_dim": self.input_dim, "width": self.width, "num_blocks": self.num_blocks,
+                "target_id": self.target_id, "energy_mean": self.energy_mean_,
+                "energy_scale": self.energy_scale_}
 
     @classmethod
-    def from_payload(cls, payload):
-        config = payload_config(payload, cls.PARAMS, cls._SAVED)
-        est = cls(input_dim=config["input_dim"], width=config["width"],
-                  num_blocks=config["num_blocks"],
-                  target_id=config.get("target_id"))
-        est.stem_, est.blocks_, _, (est.head_,) = layers_from_payload(
-            payload, est._layout(), est.num_blocks)
+    def _from_config(cls, config):
+        est = cls(**{k: config[k] for k in cls._SAVED[:3]}, target_id=config.get("target_id"))
         est.energy_mean_ = float(config["energy_mean"])
         est.energy_scale_ = float(config["energy_scale"])
         return est
-

@@ -8,10 +8,13 @@ returns from the first head whose prediction entropy drops below the
 entropy threshold. ScriptedAdnn is a weight-free stand-in whose gates fire
 on fixed input-mean thresholds, used as a ground-truth oracle in tests.
 
-Gating is trained soft (the residual branch is scaled by the gate value, so
-everything is differentiable) and deployed hard. FLOPs: each affine map
-costs 2 * fan_in * fan_out; gates, activations and pooling are free, so only
-the input-dependent block executions move the count.
+Both nets are `nn.ResidualModel`s, which draw, keep, fit and save the
+network; each adds its layer attributes, its payload layout, its batch loss
+and what its fit does beyond the shared loop. Gating is trained soft (the
+residual branch is scaled by the gate value, so everything is
+differentiable) and deployed hard. FLOPs: each affine map costs
+2 * fan_in * fan_out; gates, activations and pooling are free, so only the
+input-dependent block executions move the count.
 
 `infer` on a batch of rows returns a `TraceBatch`: one array per trace
 field (FLOPs, logits, gate values and decisions or exit indices and
@@ -26,13 +29,11 @@ import numpy as np
 
 from .autodiff import (_ONE, Tensor, _checked, _require_finite, _scatter_columns, as_tensor,
                        columns, mean_of_column_means_terms, softmax_cross_entropy_terms)
-from .base import ParamsMixin, check_is_fitted
-from .nn import (Dense, ResidualBlock, fit_minibatch, kept_network, layers_from_payload, one_hot,
-                 params_to_payload, payload_layout, xavier_uniform)
+from .nn import ResidualModel, one_hot, payload_layout
 from .seeding import derive_rng
 from .serialize import DataFormatError, dump_json, load_json, payload_config
-from .validation import (COUNT, INT, LADDER, NONNEGATIVE, OPEN_UNIT, SIZE, as_label_array,
-                         as_sample_matrix, check_params)
+from .validation import (COUNT, INT, LADDER, NONNEGATIVE, OPEN_UNIT, SIZE, as_sample_matrix,
+                         check_params)
 
 
 def entropy(p):
@@ -139,7 +140,7 @@ def flops_of_trace(model, trace):
     return model.trace_flops(trace.exit_index)
 
 
-class GatedSkipNet(ParamsMixin):
+class GatedSkipNet(ResidualModel):
     """Residual classifier that skips gated blocks on easy inputs."""
 
     kind = "skip"
@@ -147,6 +148,7 @@ class GatedSkipNet(ParamsMixin):
               "gate_threshold": OPEN_UNIT, "epochs": SIZE, "lr": NONNEGATIVE,
               "sparsity_weight": NONNEGATIVE, "batch_size": SIZE, "seed": INT}
     _SAVED = ("input_dim", "width", "num_blocks", "num_classes", "gate_threshold")
+    _GATED = True
 
     def __init__(
         self,
@@ -161,17 +163,7 @@ class GatedSkipNet(ParamsMixin):
         batch_size=32,
         seed=0,
     ):
-        self.input_dim = input_dim
-        self.width = width
-        self.num_blocks = num_blocks
-        self.num_classes = num_classes
-        self.gate_threshold = gate_threshold
-        self.epochs = epochs
-        self.lr = lr
-        self.sparsity_weight = sparsity_weight
-        self.batch_size = batch_size
-        self.seed = seed
-        check_params(self.PARAMS, vars(self))
+        self._store(locals())
         self.stem_ = None
         self.blocks_ = None
         self.gate_weights_ = None
@@ -182,15 +174,16 @@ class GatedSkipNet(ParamsMixin):
 
     # -- construction -------------------------------------------------
 
-    def _build(self, rng):
-        self.stem_ = Dense.init(rng, self.input_dim, self.width)
-        self.blocks_ = [ResidualBlock.init(rng, self.width) for _ in range(self.num_blocks)]
-        self.gate_weights_ = [
-            Tensor(xavier_uniform(rng, 1, 1).reshape(())) for _ in range(self.num_blocks)
-        ]
-        self.gate_biases_ = [Tensor(np.float64(0.0)) for _ in range(self.num_blocks)]
-        self.head_ = Dense.init(rng, self.width, self.num_classes)
-        return self
+    def _layers(self):
+        return self.stem_, self.blocks_, (self.gate_weights_, self.gate_biases_), [self.head_]
+
+    def _set_layers(self, stem, blocks, gates, heads):
+        self.stem_, self.blocks_, (self.head_,) = stem, blocks, heads
+        self.gate_weights_, self.gate_biases_ = gates
+
+    def _layout(self):
+        return payload_layout(self.input_dim, self.width, self.num_blocks, self.num_classes,
+                              "blocks.%d", ["head"], gated=True)
 
     def _calibrate_gates(self, X, slope=80.0):
         """Spread initial gate switch points over the pooled-input quantiles.
@@ -203,19 +196,6 @@ class GatedSkipNet(ParamsMixin):
         qs = np.quantile(pooled, (np.arange(self.num_blocks) + 0.5) / self.num_blocks)
         self.gate_weights_ = [Tensor(np.float64(slope)) for _ in range(self.num_blocks)]
         self.gate_biases_ = [Tensor(np.float64(-slope * q)) for q in qs]
-
-    def _net(self):
-        """The network over the current layers; see `nn.kept_network`."""
-        check_is_fitted(self, "stem_")
-        return kept_network(self, self.stem_, self.blocks_, [self.head_],
-                            gates=(self.gate_weights_, self.gate_biases_), pool=self._pool)
-
-    def _pool(self):
-        """The gates' input pooling: the mean over the input features."""
-        return np.full((self.input_dim, 1), 1.0 / self.input_dim)
-
-    def _params(self):
-        return self._net().params
 
     @property
     def signature(self):
@@ -292,9 +272,6 @@ class GatedSkipNet(ParamsMixin):
         (logits,), _ = self._net().run(X, self.gate_threshold)
         return np.argmax(logits, axis=-1)
 
-    def score(self, X, y):
-        return float(np.mean(self.predict(X) == np.asarray(y)))
-
     # -- training -----------------------------------------------------
 
     def _batch_terms(self, X, y, net=None):
@@ -322,42 +299,15 @@ class GatedSkipNet(ParamsMixin):
         return loss, grad_theta(g)
 
     def fit(self, X, y):
-        check_params(self.PARAMS, vars(self))
-        X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        y = as_label_array(y, n=len(X), num_classes=self.num_classes)
+        X, y = self._labeled(X, y)
         self._build(derive_rng(self.seed, "skip-init"))
         self._calibrate_gates(X)
-        order_rng = derive_rng(self.seed, "skip-batches")
-        net = self._net()
-        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), net.theta,
-                                      X, y, self.epochs, self.batch_size, self.lr, order_rng)
+        self._train(X, y, derive_rng(self.seed, "skip-batches"))
         self.train_accuracy_ = self.score(X, y)
         return self
 
-    # -- serialization ------------------------------------------------
 
-    def _layout(self):
-        return payload_layout(self.input_dim, self.width, self.num_blocks, self.num_classes,
-                              "blocks.%d", ["head"], gated=True)
-
-    def to_payload(self):
-        check_is_fitted(self, "stem_")
-        return {"kind": "skip", "config": {k: getattr(self, k) for k in self._SAVED},
-                "params": params_to_payload(self._layout(), self._params())}
-
-    @classmethod
-    def from_payload(cls, payload):
-        cfg = payload_config(payload, cls.PARAMS, cls._SAVED)
-        model = cls(**{k: cfg[k] for k in cls._SAVED})
-        model.stem_, model.blocks_, gates, (model.head_,) = layers_from_payload(
-            payload, model._layout(), model.num_blocks, gated=True)
-        model.gate_weights_, model.gate_biases_ = gates
-        return model
-
-
-class EarlyExitNet(ParamsMixin):
+class EarlyExitNet(ResidualModel):
     """Trunk of residual segments with a classifier head at every segment."""
 
     kind = "exit"
@@ -365,6 +315,7 @@ class EarlyExitNet(ParamsMixin):
               "entropy_threshold": NONNEGATIVE, "epochs": SIZE, "lr": NONNEGATIVE,
               "batch_size": SIZE, "seed": INT}
     _SAVED = ("input_dim", "width", "num_segments", "num_classes", "entropy_threshold")
+    _BLOCKS = "num_segments"
 
     def __init__(
         self,
@@ -378,16 +329,7 @@ class EarlyExitNet(ParamsMixin):
         batch_size=32,
         seed=0,
     ):
-        self.input_dim = input_dim
-        self.width = width
-        self.num_segments = num_segments
-        self.num_classes = num_classes
-        self.entropy_threshold = entropy_threshold
-        self.epochs = epochs
-        self.lr = lr
-        self.batch_size = batch_size
-        self.seed = seed
-        check_params(self.PARAMS, vars(self))
+        self._store(locals())
         self.stem_ = None
         self.segments_ = None
         self.exit_heads_ = None
@@ -395,21 +337,15 @@ class EarlyExitNet(ParamsMixin):
         self.exit_accuracies_ = None
         self.history_ = None
 
-    def _build(self, rng):
-        self.stem_ = Dense.init(rng, self.input_dim, self.width)
-        self.segments_ = [ResidualBlock.init(rng, self.width) for _ in range(self.num_segments)]
-        self.exit_heads_ = [
-            Dense.init(rng, self.width, self.num_classes) for _ in range(self.num_segments)
-        ]
-        return self
+    def _layers(self):
+        return self.stem_, self.segments_, None, self.exit_heads_
 
-    def _net(self):
-        """The network over the current layers; see `nn.kept_network`."""
-        check_is_fitted(self, "stem_")
-        return kept_network(self, self.stem_, self.segments_, self.exit_heads_)
+    def _set_layers(self, stem, blocks, gates, heads):
+        self.stem_, self.segments_, self.exit_heads_ = stem, blocks, heads
 
-    def _params(self):
-        return self._net().params
+    def _layout(self):
+        return payload_layout(self.input_dim, self.width, self.num_segments, self.num_classes,
+                              "segments.%d", ("exits.%d" % i for i in range(self.num_segments)))
 
     @property
     def signature(self):
@@ -468,9 +404,6 @@ class EarlyExitNet(ParamsMixin):
     def predict(self, X):
         return self.infer(as_sample_matrix(X, "X", feature_dim=self.input_dim)).labels
 
-    def score(self, X, y):
-        return float(np.mean(self.predict(X) == np.asarray(y)))
-
     def _batch_terms(self, X, y, net=None):
         """Training loss of one batch and its gradient toward theta, on
         arrays: the sum of every exit's cross-entropy, added left to right;
@@ -495,37 +428,13 @@ class EarlyExitNet(ParamsMixin):
         return loss, grad_theta(_checked(np.concatenate(grads, axis=1), "columns.grad"))
 
     def fit(self, X, y):
-        check_params(self.PARAMS, vars(self))
-        X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        y = as_label_array(y, n=len(X), num_classes=self.num_classes)
+        X, y = self._labeled(X, y)
         self._build(derive_rng(self.seed, "exit-init"))
-        order_rng = derive_rng(self.seed, "exit-batches")
-        net = self._net()
-        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), net.theta,
-                                      X, y, self.epochs, self.batch_size, self.lr, order_rng)
+        self._train(X, y, derive_rng(self.seed, "exit-batches"))
         self.train_accuracy_ = self.score(X, y)
         all_logits, _ = self._net().run(X)
         self.exit_accuracies_ = [float(np.mean(np.argmax(l, axis=-1) == y)) for l in all_logits]
         return self
-
-    def _layout(self):
-        return payload_layout(self.input_dim, self.width, self.num_segments, self.num_classes,
-                              "segments.%d", ("exits.%d" % i for i in range(self.num_segments)))
-
-    def to_payload(self):
-        check_is_fitted(self, "stem_")
-        return {"kind": "exit", "config": {k: getattr(self, k) for k in self._SAVED},
-                "params": params_to_payload(self._layout(), self._params())}
-
-    @classmethod
-    def from_payload(cls, payload):
-        cfg = payload_config(payload, cls.PARAMS, cls._SAVED)
-        model = cls(**{k: cfg[k] for k in cls._SAVED})
-        model.stem_, model.segments_, _, model.exit_heads_ = layers_from_payload(
-            payload, model._layout(), model.num_segments)
-        return model
 
 
 class ScriptedAdnn:

@@ -8,12 +8,14 @@ and backward runs on arrays: `terms` gives the product toward the input and
 node). It runs only the layers its kept heads and gates read; the per-layer
 weights (`Dense`, `ResidualBlock`, gate lists) are `View`s of theta.
 
-The four fits run on arrays and share one epoch loop, `fit_minibatch`: each
-step takes a batch's loss and theta gradient from the model's
-`_batch_terms`, and Adam writes them into theta's one array in place, so
-the layer slices are cut once per fit. The three saved kinds share one
-payload layout, `payload_layout`: a (payload key, shape) per theta view, in
-theta order.
+The four models are `ResidualModel`s. The base draws the layers, keeps the
+network (`kept_network`), checks a classifier fit's inputs and runs the
+one epoch loop, `fit_minibatch`: each step takes a batch's loss and theta
+gradient from the model's `_batch_terms`, and Adam writes them into
+theta's one array in place, so the layer slices are cut once per fit. The
+draw, `to_payload` and `from_payload` walk one layout, `payload_layout`: a
+(payload key, shape) per theta view, in theta order; the draw and the
+loader build the layers with one method, `ResidualModel._assemble`.
 
 FLOPs accounting is fixed at 2 * fan_in * fan_out per affine map (one
 multiply plus one add per weight). Activations, pooling and gate heads are
@@ -24,9 +26,10 @@ import numpy as np
 
 from .autodiff import (ShapeError, Tensor, View, _checked, _column_sums, _once_per_gradient,
                        _require_finite, as_tensor, pack, softmax_cross_entropy)
+from .base import ParamsMixin, check_is_fitted
 from .optim import Adam
-from .serialize import array_to_json, param_from_json
-from .validation import is_int
+from .serialize import array_to_json, param_from_json, payload_config
+from .validation import as_label_array, as_sample_matrix, check_params, is_int
 
 
 def xavier_uniform(rng, fan_in, fan_out):
@@ -437,7 +440,7 @@ def kept_network(owner, stem, blocks, heads, gates=None, pool=None):
     # a Tensor has no __eq__, so tuple equality compares entries by identity
     if kept is not None and kept[0] == tensors:
         return kept[1]
-    net = ResidualMLP(stem, blocks, heads, gates, None if pool is None else pool())
+    net = ResidualMLP(stem, blocks, heads, gates, None if gates is None else pool())
     owner._kept_network = (tuple(net.params), net)
     return net
 
@@ -461,27 +464,6 @@ def payload_layout(input_dim, width, num_blocks, out_dim, block_key, head_keys, 
                 yield "gates.%d.%s" % (i, part), ()
     for key in head_keys:
         yield from dense(key, width, out_dim)
-
-
-def params_to_payload(layout, params):
-    """A payload's "params" object: each theta view under its layout key."""
-    return {key: array_to_json(p.data) for (key, _), p in zip(layout, params)}
-
-
-def layers_from_payload(payload, layout, num_blocks, gated=False):
-    """(stem, blocks, (gate weights, gate biases) or None, heads) from a
-    payload's parameters, each checked against its shape in `layout`."""
-    arrays = iter([param_from_json(payload, key, shape) for key, shape in layout])
-
-    def dense():
-        return Dense(next(arrays), next(arrays))
-
-    stem = dense()
-    blocks = [ResidualBlock(dense(), dense()) for _ in range(num_blocks)]
-    gates = (tuple([Tensor(next(arrays)) for _ in range(num_blocks)] for _ in range(2))
-             if gated else None)
-    heads = [Dense(weight, next(arrays)) for weight in arrays]   # the rest, in pairs
-    return stem, blocks, gates, heads
 
 
 def fit_minibatch(batch_terms, theta, X, y, epochs, batch_size, lr, rng, on_epoch=None):
@@ -510,6 +492,114 @@ def fit_minibatch(batch_terms, theta, X, y, epochs, batch_size, lr, rng, on_epoc
         if on_epoch is not None:
             on_epoch(epoch, opt)
     return history
+
+
+class ResidualModel(ParamsMixin):
+    """A fitted model that is one `ResidualMLP`: the skip and exit nets, the
+    energy estimator and the defense filter.
+
+    A subclass names its payload kind, its saved settings and its layout
+    (`kind`, `_SAVED`, `_layout`), maps its layer attributes (`_layers`,
+    `_set_layers`; by default `stem_`, `blocks_` and one `head_`), and gives
+    its batch loss (`_batch_terms`) and its fit. The base draws the layers,
+    keeps the network, checks a classifier fit's inputs, runs the epoch
+    loop and reads and writes the payload.
+    """
+
+    kind = None
+    _SAVED = ()
+    _BLOCKS = "num_blocks"   # the setting that counts the residual blocks
+    _GATED = False           # a sigmoid gate per block, on the mean-pooled input
+
+    def _layers(self):
+        """(stem, blocks, (gate weights, gate biases) or None, heads)."""
+        return self.stem_, self.blocks_, None, [self.head_]
+
+    def _set_layers(self, stem, blocks, gates, heads):
+        self.stem_, self.blocks_, (self.head_,) = stem, blocks, heads
+
+    def _assemble(self, arrays):
+        """`_set_layers` over `arrays`, one per layout entry in theta order,
+        each taken only when its layer is built."""
+        arrays, n = iter(arrays), getattr(self, self._BLOCKS)
+
+        def dense():
+            return Dense(next(arrays), next(arrays))
+
+        stem = dense()
+        blocks = [ResidualBlock(dense(), dense()) for _ in range(n)]
+        gates = (tuple([Tensor(next(arrays)) for _ in range(n)] for _ in range(2))
+                 if self._GATED else None)
+        heads = [Dense(weight, next(arrays)) for weight in arrays]   # the rest, in pairs
+        self._set_layers(stem, blocks, gates, heads)
+
+    def _build(self, rng):
+        """Fresh layers, one draw per layout entry in layout order: a Xavier
+        weight, a 1x1 Xavier draw as a gate's 0-d weight, a zero bias."""
+        def draw(key, shape):
+            if key.endswith(".bias"):
+                return np.zeros(shape)
+            return xavier_uniform(rng, *shape) if shape else xavier_uniform(rng, 1, 1).reshape(())
+
+        self._assemble(draw(key, shape) for key, shape in self._layout())
+        return self
+
+    def _net(self):
+        """The network over the current layers; see `kept_network`."""
+        check_is_fitted(self, "stem_")
+        stem, blocks, gates, heads = self._layers()
+        return kept_network(self, stem, blocks, heads, gates, self._pool)
+
+    def _pool(self):
+        """The gates' input pooling: the mean over the input features."""
+        return np.full((self.input_dim, 1), 1.0 / self.input_dim)
+
+    def _params(self):
+        return self._net().params
+
+    def score(self, X, y):
+        """The fraction of rows whose `predict` equals `y`: a classifier's
+        accuracy. On the estimator it counts exact joule matches only."""
+        return float(np.mean(self.predict(X) == np.asarray(y)))
+
+    def _labeled(self, X, y):
+        """A classifier fit's inputs, checked before anything is built: the
+        settings against `PARAMS`, `X` as a nonempty sample matrix and `y`
+        as its labels."""
+        check_params(self.PARAMS, vars(self))
+        X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
+        if len(X) == 0:
+            raise ValueError("cannot fit on an empty dataset")
+        return X, as_label_array(y, n=len(X), num_classes=self.num_classes)
+
+    def _train(self, X, y, rng, on_epoch=None):
+        """`fit_minibatch` on (X, y), over the network resolved once; the
+        epoch losses go to `history_`."""
+        net = self._net()
+        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), net.theta,
+                                      X, y, self.epochs, self.batch_size, self.lr, rng, on_epoch)
+
+    def _config(self):
+        return {k: getattr(self, k) for k in self._SAVED}
+
+    def to_payload(self):
+        """{"kind", "config", "params"}: each theta view under its layout key."""
+        check_is_fitted(self, "stem_")
+        return {"kind": self.kind, "config": self._config(),
+                "params": {key: array_to_json(p.data)
+                           for (key, _), p in zip(self._layout(), self._params())}}
+
+    @classmethod
+    def _from_config(cls, config):
+        return cls(**{k: config[k] for k in cls._SAVED})
+
+    @classmethod
+    def from_payload(cls, payload):
+        """The model `to_payload` saved: the config is checked first, then
+        each parameter against its shape in the layout."""
+        model = cls._from_config(payload_config(payload, cls.PARAMS, cls._SAVED))
+        model._assemble(param_from_json(payload, key, shape) for key, shape in model._layout())
+        return model
 
 
 def _side_by_side(logits, gates):

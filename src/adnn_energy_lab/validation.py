@@ -15,9 +15,14 @@ def is_int(value):
 
 def is_real(value, inf=False):
     """A real number, numpy's included, that is neither a bool nor NaN, and
-    finite unless `inf` allows an infinite one."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (math.isfinite(value) or inf and not math.isnan(value)))
+    finite unless `inf` allows an infinite one. An integer past the float
+    range is none: it has no float value."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) or inf and not math.isnan(value)
+    except OverflowError:
+        return False
 
 
 def _is_positive(value):

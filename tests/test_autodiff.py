@@ -748,6 +748,41 @@ def small_fit(kind, **settings):
     return model, X, y
 
 
+def layer_tensors_in_theta_order(model):
+    """The layer tensors of every attribute the benchmark's parameter walk
+    reads, taken in theta order: stem, blocks, gate weights, gate biases,
+    heads."""
+    out = []
+    for attr in ("stem_", "blocks_", "segments_", "gate_weights_", "gate_biases_", "head_",
+                 "exit_heads_"):
+        parts = getattr(model, attr, None)
+        for part in parts if isinstance(parts, list) else [parts]:
+            if part is not None:
+                out.extend(part.params if hasattr(part, "params") else [part])
+    return out
+
+
+@pytest.mark.parametrize("kind", FIT_KINDS)
+def test_layer_attributes_are_the_network_views_in_theta_order(kind):
+    """After a fit and after a payload load, the layer attributes hold the
+    network's own theta views, as `Dense`s, lists of `ResidualBlock`s and
+    lists of gate tensors, and no other tensor."""
+    model, X, y = small_fit(kind)
+    model.fit(X, y)
+    for m in (model, type(model).from_payload(model.to_payload())):
+        params = m._params()
+        walked = layer_tensors_in_theta_order(m)
+        assert len(walked) == len(params)
+        assert all(a is b for a, b in zip(walked, params))
+        assert all(isinstance(p, ad.View) and p.flat is m._net().theta for p in params)
+        blocks = m.segments_ if kind == "exit" else m.blocks_
+        heads = m.exit_heads_ if kind == "exit" else [m.head_]
+        assert isinstance(blocks, list) and all(isinstance(b, ResidualBlock) for b in blocks)
+        assert isinstance(heads, list) and all(isinstance(h, Dense) for h in heads + [m.stem_])
+        if kind == "skip":
+            assert all(isinstance(g, list) for g in (m.gate_weights_, m.gate_biases_))
+
+
 ATTACK_KINDS = ["input_based", "universal", "ilfo_gate", "ilfo_exit"]
 
 

@@ -20,8 +20,11 @@ from adnn_energy_lab.defense import (
     train_filter,
     train_svm,
 )
+from adnn_energy_lab.data import generate_dataset
 from adnn_energy_lab.energy import EnergyModel
+from adnn_energy_lab.models import model_from_payload
 from adnn_energy_lab.nn import Dense, ResidualBlock
+from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
 
 from oracles import (evaluate_defense_sequential_reference, finite_difference,
                      max_relative_error, pegasos_objective_reference,
@@ -309,3 +312,23 @@ class TestTrainFilter:
         assert accuracy == calls["accuracy"]
         X_held, y_held = calls["score"]
         assert accuracy == np.mean(model.predict(X_held) == y_held)
+
+
+def test_filter_payload_round_trip_is_bitwise(tmp_path):
+    data = generate_dataset(40, seed=5)
+    model = FilterModel(epochs=2, seed=2).fit(data.inputs, data.labels % 2)
+    path = tmp_path / "filter.json"
+    dump_json(model.to_payload(), path)
+    loaded = FilterModel.from_payload(load_json(path))
+    sizes = ("input_dim", "width", "num_blocks", "num_classes")
+    assert [getattr(loaded, k) for k in sizes] == [getattr(model, k) for k in sizes]
+    assert loaded._net().theta.data.tobytes() == model._net().theta.data.tobytes()
+    (want,), _ = model._net().run(data.inputs)
+    (got,), _ = loaded._net().run(data.inputs)
+    assert got.tobytes() == want.tobytes()
+    again = tmp_path / "again.json"
+    dump_json(loaded.to_payload(), again)
+    assert again.read_bytes() == path.read_bytes()
+    # the target loader reads only the adaptive models' kinds
+    with pytest.raises(DataFormatError, match="filter"):
+        model_from_payload(load_json(path))

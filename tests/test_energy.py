@@ -133,6 +133,15 @@ class TestValidation:
             model.set_params(**kwargs)
         assert model.get_params() == EnergyModel().get_params()
 
+    def test_negative_zero_noise_measures_as_zero_noise(self):
+        X = np.full((2, 3), 0.5)
+        adnn = ScriptedAdnn([0.2, 0.4, 0.6, 0.8])
+        assert math.copysign(1.0, EnergyModel(noise_sigma=-0.0).noise_sigma) == 1.0
+        got = measure_many(adnn, EnergyModel(noise_sigma=-0.0), X)
+        want = measure_many(adnn, EnergyModel(noise_sigma=0.0), X)
+        for field in ("raw", "kept", "means"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
     def test_numpy_numbers_and_negative_seeds_accepted(self):
         em = EnergyModel(base_joules=np.float64(1.0), per_block_joules=np.array([1, 2]),
                          noise_sigma=np.float32(0.5), seed=np.int64(-3))

@@ -38,3 +38,25 @@ def test_every_library_name_the_benchmark_imports_exists():
                     imported = importlib.import_module(module)
                     assert name is None or hasattr(imported, name), (path.name, module, name)
     assert found, "no library import found in perfbench/"
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    # a top-level import is used if its bound name is read anywhere in the
+    # module, or listed in __all__; `from __future__` binds nothing
+    unused = []
+    for path in sorted((ROOT / "src" / "adnn_energy_lab").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= {ast.literal_eval(elt) for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append((path.name, alias.name))
+    assert not unused
