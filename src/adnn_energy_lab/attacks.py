@@ -61,6 +61,22 @@ def _offset(f, x, op):
     return d
 
 
+def _one_input(x):
+    """The seed `x`, one input (a vector or a single row), as one row."""
+    x = as_float_array(x, "x")
+    if x.ndim not in (1, 2) or (x.ndim == 2 and len(x) != 1):
+        raise ValueError("x must be one input, a vector or a single row, got shape %s"
+                         % (x.shape,))
+    return x.reshape(1, -1)
+
+
+def _filled(shape, value):
+    """A new array of `shape` with every entry `value`."""
+    out = np.empty(shape)
+    out.fill(value)
+    return out
+
+
 def _input_based_terms(f, x, pred, c):
     """l2_norm(f - x) - tsum(pred) * c on arrays: (value, product toward
     f, product toward pred)."""
@@ -73,9 +89,9 @@ def _input_based_terms(f, x, pred, c):
 
     def grad_f(g):
         # the Euclidean norm's subgradient at the origin is 0
-        return g / np.where(norm > 0.0, norm, 1.0) * (norm > 0.0) * d
+        return g / norm * d if norm > 0.0 else g * 0.0 * d
 
-    return norm - scaled, grad_f, lambda g: np.full(pred.shape, (-g) * c)
+    return norm - scaled, grad_f, lambda g: _filled(pred.shape, (-g) * c)
 
 
 def _input_based_scorer(estimator, x, c):
@@ -96,7 +112,7 @@ def input_based_loss(w, x, c, estimator):
 def _universal_terms(f, pred):
     """Negated predicted energy, 0.0 - tsum(pred), on arrays: (value, None,
     as no term reaches f, product toward pred)."""
-    return 0.0 - np.add.reduce(pred, axis=None), None, lambda g: np.full(pred.shape, -g)
+    return 0.0 - np.add.reduce(pred, axis=None), None, lambda g: _filled(pred.shape, -g)
 
 
 def _ilfo_terms(f, x, out, hinge, c):
@@ -180,7 +196,7 @@ class InputBasedAttack:
 
     def generate(self, x):
         cfg = self.config
-        x = as_float_array(x, "x").reshape(1, -1)
+        x = _one_input(x)
         rng = derive_rng(cfg.seed, "testgen", "input_based", array_fingerprint(x))
         w = Tensor(rng.normal(0.0, 0.1, size=x.shape))
         opt = Adam([w], lr=cfg.lr)
@@ -346,7 +362,7 @@ class IlfoAttack:
 
     def generate(self, x):
         cfg = self.config
-        x = as_float_array(x, "x").reshape(1, -1)
+        x = _one_input(x)
         w = Tensor(_to_modifier(x))
         opt = Adam([w], lr=cfg.lr)
         score = self._score(x)

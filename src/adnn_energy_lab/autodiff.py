@@ -454,7 +454,10 @@ def _check_columns(op, x, start, stop):
 
 
 def _scatter_columns(shape, start, stop, block):
-    """An array of zeros of `shape` with `block` in columns start..stop-1."""
+    """An array of zeros of `shape` with `block` in columns start..stop-1;
+    `block` itself, reshaped, where it spans every column."""
+    if start == 0 and stop == shape[-1]:
+        return block.reshape(shape)
     out = np.zeros(shape)
     out[..., start:stop] = block.reshape(out[..., start:stop].shape)
     return out
@@ -502,8 +505,7 @@ def hinge_terms(x, level, start, stop):
     total = sums[0]
     for s in sums[1:]:
         total = total + s
-    return total, lambda g: _scatter_columns(
-        x.shape, start, stop, -(np.full(mask.shape, g) * mask))
+    return total, lambda g: _scatter_columns(x.shape, start, stop, -(g * mask))
 
 
 def entropy_hinge_terms(x, level, width, count):
@@ -534,7 +536,7 @@ def entropy_hinge_terms(x, level, width, count):
     def grad_x(g):
         # d/d(sum p log p) of level + sum p log p, where the hinge is live
         g_prod = np.empty(p.shape)
-        g_prod[...] = (np.full(mask.shape, g) * mask)[..., None]
+        g_prod[...] = (g * mask)[..., None]
         g_p, g_logp = g_prod * logp, g_prod * p
         from_logp = g_logp - np.exp(logp) * np.add.reduce(g_logp, axis=-1, keepdims=True)
         out = from_logp + p * (g_p - np.add.reduce(g_p * p, axis=-1, keepdims=True))

@@ -172,7 +172,7 @@ def gradient_feature(adnn, x):
 
     dz0 = adnn._net().stem_grad(X, out_grad, heads=1)
     # + 0.0 turns the -0.0 of a product into the 0.0 a matrix product gives
-    features = (X[:, :, None] * dz0[:, None, :]).reshape(len(X), -1) + 0.0
+    features = (X[:, :, None] * dz0[:, None, :]).reshape(len(X), X.shape[1] * dz0.shape[1]) + 0.0
     _require_finite(features, "gradient_feature.grad")
     return features[0] if np.ndim(x) == 1 else features
 

@@ -18,8 +18,8 @@ from .autodiff import _ONE, _checked, squared_error_terms
 from .base import check_is_fitted
 from .nn import ResidualModel, payload_layout
 from .seeding import derive_rng
-from .validation import (FRACTION, INT, NONNEGATIVE, POSITIVE, REAL, SIZE, as_sample_matrix,
-                         check_params, check_same_length)
+from .validation import (FRACTION, INT, NONNEGATIVE, POSITIVE, REAL, SIZE, as_float_array,
+                         as_sample_matrix, check_params, check_same_length)
 
 
 def estimator_loss(predictions, targets):
@@ -129,6 +129,18 @@ class EnergyEstimator(ResidualModel):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         (out,), _ = self._net().run(X)
         return (out * self.energy_scale_ + self.energy_mean_).reshape(-1)
+
+    def score(self, X, y):
+        """R^2 of the predicted joules against the measured `y`,
+        1 - SS_res / SS_tot; a ValueError where `y` is constant, which
+        leaves no variance to explain."""
+        X = self._nonempty(X, "score")
+        y = as_float_array(y, "y").reshape(-1)
+        check_same_length(X, y, "X", "y")
+        if np.all(y == y[0]):
+            raise ValueError("cannot score against constant targets: R^2 is undefined")
+        res, dev = y - self.predict(X), y - y.mean()
+        return 1.0 - float(np.sum(res * res)) / float(np.sum(dev * dev))
 
     # -- serialization -------------------------------------------------------
 

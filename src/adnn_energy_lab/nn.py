@@ -29,7 +29,8 @@ from .autodiff import (ShapeError, Tensor, View, _checked, _column_sums, _once_p
 from .base import ParamsMixin, check_is_fitted
 from .optim import Adam
 from .serialize import array_to_json, param_from_json, payload_config
-from .validation import as_label_array, as_sample_matrix, check_params, is_int
+from .validation import (as_label_array, as_sample_matrix, check_params, check_same_length,
+                         is_int)
 
 
 def xavier_uniform(rng, fan_in, fan_out):
@@ -48,10 +49,6 @@ class Dense:
                 "weight must be 2-D with bias matching its columns, got %s / %s"
                 % (self.weight.shape, self.bias.shape)
             )
-
-    @classmethod
-    def init(cls, rng, fan_in, fan_out):
-        return cls(xavier_uniform(rng, fan_in, fan_out), np.zeros(fan_out))
 
     @property
     def fan_in(self):
@@ -77,10 +74,6 @@ class ResidualBlock:
     def __init__(self, lin1, lin2):
         self.lin1 = lin1
         self.lin2 = lin2
-
-    @classmethod
-    def init(cls, rng, width):
-        return cls(Dense.init(rng, width, width), Dense.init(rng, width, width))
 
     @property
     def flops(self):
@@ -135,12 +128,15 @@ class ResidualMLP:
         self.theta = theta
         self.params = params
         self.gated = gates is not None
+        self.input_dim = stem.fan_in
         self.out_dim = heads[0].fan_out
         self._layers_memo = None
 
     def _layers(self):
-        """(stem, blocks, gate weights and biases or None, heads) as arrays,
-        slices of theta's present data.
+        """The layer records, slices of theta's present data: the stem
+        (ws, bs, ws.T), each block (w1, b1, w2, b2, w1.T, w2.T), the gate
+        weights and biases or None, and each head (w, b, w.T). The
+        transposes are the views the reverse walk multiplies by.
 
         Computed once per array theta holds: an attack's iterates share one,
         and a fit step rebinds it. The memo is one `(data, layers)` tuple,
@@ -156,15 +152,16 @@ class ResidualMLP:
     def _slice_layers(self, data):
         a = self.theta.split(data)
         n = self.num_blocks
-        blocks = [a[2 + 4 * i:6 + 4 * i] for i in range(n)]
+        blocks = [(w1, b1, w2, b2, w1.T, w2.T)
+                  for w1, b1, w2, b2 in (a[2 + 4 * i:6 + 4 * i] for i in range(n))]
         rest = 2 + 4 * n
         gates = None
         if self.gated:
             start = self.params[rest].start
             gates = (data[start:start + n], data[start + n:start + 2 * n])
             rest += 2 * n
-        heads = [a[i:i + 2] for i in range(rest, len(a), 2)]
-        return a[:2], blocks, gates, heads
+        heads = [(a[i], a[i + 1], a[i].T) for i in range(rest, len(a), 2)]
+        return (a[0], a[1], a[0].T), blocks, gates, heads
 
     def _forward(self, x, layers, threshold=None, heads=None):
         """The forward pass on a batch of rows, and what the backward needs.
@@ -177,7 +174,7 @@ class ResidualMLP:
         block runs. Returns (logits of each kept head, gate values or None,
         cache).
         """
-        (ws, bs), blocks, gate_params, head_params = layers
+        (ws, bs, _), blocks, gate_params, head_params = layers
         kept = self.num_heads if heads is None else heads
         depth = kept if self.tap_heads else (self.num_blocks if kept else 0)
         mask0 = h = None
@@ -196,7 +193,7 @@ class ResidualMLP:
                 gates = 1.0 / (1.0 + np.exp(-zg))
             scale = gates if threshold is None else (gates >= threshold).astype(np.float64)
         steps, tops, logits = [], [], []
-        for i, (w1, b1, w2, b2) in enumerate(blocks[:depth]):
+        for i, (w1, b1, w2, b2, _, _) in enumerate(blocks[:depth]):
             s = None if scale is None else scale[:, i:i + 1]
             if threshold is not None and s is not None and not s.any():
                 steps.append(None)
@@ -227,9 +224,9 @@ class ResidualMLP:
 
     def _rows(self, x):
         """`x` as a batch of rows: a vector is one row."""
-        if x.ndim not in (1, 2) or x.shape[-1] != self.params[0].shape[0]:
+        if x.ndim not in (1, 2) or x.shape[-1] != self.input_dim:
             raise ShapeError("residual_mlp got input shape %s for %d features"
-                             % (x.shape, self.params[0].shape[0]))
+                             % (x.shape, self.input_dim))
         return x.reshape(1, -1) if x.ndim == 1 else x
 
     def run(self, x, threshold=None):
@@ -242,34 +239,25 @@ class ResidualMLP:
         return logits, gates
 
     def _soft(self, x, heads):
-        """The soft forward of array `x` (a vector or a batch of rows) and its
-        reverse walk: (output, walk, grad_x, grad_theta).
+        """The soft forward of array `x` (a vector or a batch of rows), and
+        what its reverse walk reads: (output, layers, cache).
 
         The output is the logits of the first `heads` heads, then the gate
-        values, shaped as the node gives it. `walk(g)` is the one reverse walk
-        for the incoming gradient `g`, run once however many of the products
-        ask for it; `grad_x` and `grad_theta` map `g` to the gradient toward
-        `x` and toward theta. The node, `terms` and `stem_grad` are views of
-        this one entry.
+        values, shaped as the node gives it. The node, `terms`,
+        `theta_terms` and `stem_grad` each walk back from this one entry,
+        with `_backward`, and form only the products they read.
         """
         layers = self._layers()
         logits, gates, cache = self._forward(self._rows(x), layers,
                                              heads=self._check_heads(heads))
         out = _side_by_side(logits, gates)
-        walk = _once_per_gradient(lambda g: self._backward(layers, cache, g))
-
-        def grad_x(g):
-            return self._input_grad(layers, cache, walk(g)).reshape(x.shape)
-
-        def grad_theta(g):
-            return self._theta_grad(cache, walk(g))
-
-        return (out.reshape(-1) if x.ndim == 1 else out), walk, grad_x, grad_theta
+        return (out.reshape(-1) if x.ndim == 1 else out), layers, cache
 
     def __call__(self, x, heads=None):
         """The soft forward as one node: the logits of the first `heads`
         heads (all of them if None), then the gate values, along the last
-        axis. Its parents are `x` and `theta`.
+        axis. Its parents are `x` and `theta`, whose two products share one
+        reverse walk per incoming gradient.
 
         Only the layers those outputs read are run (see `_forward`): a
         gate-only call (`heads=0`) runs neither the stem, nor a block, nor a
@@ -277,16 +265,25 @@ class ResidualMLP:
         layer it does not run has no value, and is not checked.
         """
         x = as_tensor(x)
-        out, _, grad_x, grad_theta = self._soft(x.data, heads)
-        return Tensor(out, ((x, grad_x), (self.theta, grad_theta)), "residual_mlp")
+        out, layers, cache = self._soft(x.data, heads)
+        walk = _once_per_gradient(lambda g: self._backward(layers, cache, g))
+        return Tensor(out, ((x, lambda g: self._input_grad(layers, walk(g), x.shape)),
+                            (self.theta, lambda g: self._theta_grad(cache, walk(g)))),
+                      "residual_mlp")
 
     def terms(self, x, heads=None):
         """The node's output on array `x`, with no graph, and its
         vector-Jacobian product toward `x`: (output, vjp). Both are checked as
         the node and `gradients` check them ("residual_mlp" and
         "residual_mlp.grad"); no theta gradient is built."""
-        out, _, grad_x, _ = self._soft(np.asarray(x, dtype=np.float64), heads)
-        return _checked(out, "residual_mlp"), lambda g: _checked(grad_x(g), "residual_mlp.grad")
+        x = np.asarray(x, dtype=np.float64)
+        out, layers, cache = self._soft(x, heads)
+
+        def vjp(g):
+            grads = self._backward(layers, cache, g)
+            return _checked(self._input_grad(layers, grads, x.shape), "residual_mlp.grad")
+
+        return _checked(out, "residual_mlp"), vjp
 
     def theta_terms(self, x):
         """The node's output on array `x`, every head and gate, with no graph,
@@ -295,84 +292,91 @@ class ResidualMLP:
         leaf ("leaf"), the output as the node ("residual_mlp") and the
         product as its contribution ("residual_mlp.grad"). The walk builds
         no product toward `x`."""
-        out, _, _, grad_theta = self._soft(_checked(x, "leaf"), None)
-        return (_checked(out, "residual_mlp"),
-                lambda g: _checked(grad_theta(g), "residual_mlp.grad"))
+        out, layers, cache = self._soft(_checked(x, "leaf"), None)
+        return (_checked(out, "residual_mlp"), lambda g: _checked(
+            self._theta_grad(cache, self._backward(layers, cache, g)), "residual_mlp.grad"))
 
     def stem_grad(self, x, out_grad, heads=None):
         """dL/dz0 for each row of `x`, where z0 = x @ Ws + bs is the stem's
         pre-activation: one soft forward and one reverse walk, which builds
-        no theta gradient. `out_grad` maps the forward's output (as the node
-        gives it for `heads`, one row per input) to dL/d(output).
+        no theta gradient and no gate product. `out_grad` maps the forward's
+        output (as the node gives it for `heads`, one row per input) to
+        dL/d(output).
 
         The stem weight's gradient for row i is outer(x_i, dL/dz0_i), the
         per-example form of the node's theta gradient `x.T @ dz0`.
         """
         rows = self._rows(np.asarray(x, dtype=np.float64))
-        out, walk, _, _ = self._soft(rows, heads)
-        dz0 = walk(out_grad(_checked(out, "residual_mlp")))[2]
+        out, layers, cache = self._soft(rows, heads)
+        dz0 = self._backward(layers, cache, out_grad(_checked(out, "residual_mlp")),
+                             gates=False)[2]
         return np.zeros((len(rows), self.params[0].shape[1])) if dz0 is None else dz0
 
-    def _backward(self, layers, cache, g):
+    def _backward(self, layers, cache, g, gates=True):
         """One reverse walk for the incoming gradient `g`, over the layers
-        the forward ran.
+        the forward ran: (head grads, block grads, dz0, gate pre-activation
+        grad). With `gates` False it forms no gate product, and gives None.
 
         A head whose incoming gradient is all zero contributes nothing, and a
         block nothing reaches is not walked. Where several products reach
         one h, they are added head, skip path, branch, in that order.
         """
-        (ws, bs), blocks, gate_params, heads = layers
-        x, mask0, pooled, gates, steps, tops = cache
-        g = g.reshape(len(x), -1)
+        _, blocks, _, heads = layers
+        x, mask0, _, gate_values, steps, tops = cache
         c, n = self.out_dim, self.num_blocks
-        head_grads = [g[:, k * c:(k + 1) * c] for k in range(len(tops))]
-        head_grads = [hg if np.count_nonzero(hg) else None for hg in head_grads]
-        down = [None] * len(tops)   # each head's product toward its h
-        for k, hg in enumerate(head_grads):
-            if hg is not None:
-                down[k] = hg @ heads[k][0].T
+        width = len(tops) * c
+        # the output's own width, so that a batch of no rows walks too
+        g = g.reshape(len(x), width if gate_values is None else width + n)
+        head_grads, down = [], []   # each head's gradient, and its product toward its h
+        for k in range(len(tops)):
+            hg = g[:, k * c:(k + 1) * c]
+            live = np.count_nonzero(hg)
+            head_grads.append(hg if live else None)
+            down.append(hg @ heads[k][2] if live else None)
         block_grads, gate_cols = [None] * n, [None] * n
         # what reaches h after block i: its tapped head, then the skip path
         # and the branch of block i + 1 (the one head, past the last block)
         skip, branch_in = (None if self.tap_heads or not down else down[0]), None
         for i in reversed(range(len(steps))):
-            dh = _left_sum([down[i] if self.tap_heads else None, skip, branch_in])
+            dh = down[i] if self.tap_heads else None
+            if skip is not None:
+                dh = skip if dh is None else dh + skip
+            if branch_in is not None:
+                dh = branch_in if dh is None else dh + branch_in
             if dh is None:
-                skip = branch_in = None
                 continue
             h, mask, act, branch, s = steps[i]
             g_branch = dh if s is None else dh * s
-            dz1 = (g_branch @ blocks[i][2].T) * mask
-            if s is not None:
+            dz1 = (g_branch @ blocks[i][5]) * mask
+            if s is not None and gates:
                 gate_cols[i] = np.add.reduce(dh * branch, axis=-1)
             block_grads[i] = (g_branch, dz1)
-            skip, branch_in = dh, dz1 @ blocks[i][0].T
-        dh0 = _left_sum([skip, branch_in])
-        dz0 = None if dh0 is None else dh0 * mask0
+            skip, branch_in = dh, dz1 @ blocks[i][4]
+        if branch_in is not None:
+            skip = branch_in if skip is None else skip + branch_in
+        dz0 = None if skip is None else skip * mask0
         grad_z = None
-        if gates is not None:
+        if gate_values is not None and gates:
             # a gate's block product, then what the loss sends it directly
-            incoming = g[:, len(tops) * c:]
+            incoming = g[:, width:]
             d_gates = incoming.copy()
             for i, col in enumerate(gate_cols):
                 if col is not None:
                     d_gates[:, i] = col + incoming[:, i]
-            grad_z = d_gates * gates * (1.0 - gates)
+            grad_z = d_gates * gate_values * (1.0 - gate_values)
         return head_grads, block_grads, dz0, grad_z
 
-    def _input_grad(self, layers, cache, grads):
-        """The gradient toward x: the stem's product, then the pool's. The
-        pool's product is formed only here, so a walk toward theta alone
-        never computes it."""
-        ws, gate_params = layers[0][0], layers[2]
-        x = cache[0]
+    def _input_grad(self, layers, grads, shape):
+        """The gradient toward x, in `shape`: the stem's product, then the
+        pool's. The pool's product is formed only here, so a walk toward
+        theta alone never computes it."""
         _, _, dz0, grad_z = grads
-        dx = None if dz0 is None else dz0 @ ws.T
+        dx = None if dz0 is None else dz0 @ layers[0][2]
         if grad_z is not None:
-            pooled_grad = np.add.accumulate(grad_z * gate_params[0], axis=1)[:, -1:]
+            pooled_grad = np.add.accumulate(grad_z * layers[2][0], axis=1)[:, -1:]
             pooled_part = pooled_grad @ self.pool.T
             dx = pooled_part if dx is None else dx + pooled_part
-        return np.zeros(x.shape) if dx is None else dx
+        return np.zeros(shape) if dx is None else dx.reshape(shape)
 
     def _theta_grad(self, cache, grads):
         """The gradient toward theta, one flat vector in its layout. Each
@@ -559,17 +563,26 @@ class ResidualModel(ParamsMixin):
 
     def score(self, X, y):
         """The fraction of rows whose `predict` equals `y`: a classifier's
-        accuracy. On the estimator it counts exact joule matches only."""
-        return float(np.mean(self.predict(X) == np.asarray(y)))
+        accuracy. `X` needs at least one row."""
+        X = self._nonempty(X, "score")
+        y = np.asarray(y)
+        check_same_length(X, y, "X", "y")
+        return float(np.mean(self.predict(X) == y))
+
+    def _nonempty(self, X, what):
+        """`X` as a sample matrix of at least one row, or a ValueError
+        saying it cannot `what` an empty dataset."""
+        X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
+        if len(X) == 0:
+            raise ValueError("cannot %s an empty dataset" % what)
+        return X
 
     def _labeled(self, X, y):
         """A classifier fit's inputs, checked before anything is built: the
         settings against `PARAMS`, `X` as a nonempty sample matrix and `y`
         as its labels."""
         check_params(self.PARAMS, vars(self))
-        X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        if len(X) == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        X = self._nonempty(X, "fit on")
         return X, as_label_array(y, n=len(X), num_classes=self.num_classes)
 
     def _train(self, X, y, rng, on_epoch=None):
@@ -606,15 +619,6 @@ def _side_by_side(logits, gates):
     """Every head's logits, then the gate values if any, along the last axis."""
     parts = logits if gates is None else logits + [gates]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def _left_sum(parts):
-    """((a + b) + c) ... over the parts that are not None; None if none are."""
-    total = None
-    for part in parts:
-        if part is not None:
-            total = part if total is None else total + part
-    return total
 
 
 def one_hot(labels, num_classes):

@@ -54,20 +54,24 @@ class Adam:
         return own
 
     def step(self, grads):
-        if len(grads) != len(self.params):
-            raise ValueError("got %d gradients for %d parameters" % (len(grads), len(self.params)))
-        for p, g in zip(self.params, grads):
-            if np.shape(g) != p.data.shape:
-                raise ValueError("gradient of shape %s for a parameter of shape %s"
-                                 % (np.shape(g), p.data.shape))
+        own = self._own
+        # the one in-place parameter takes one shape check; any other call all of them
+        if own is None or len(grads) != 1 or np.shape(grads[0]) != self.params[0].data.shape:
+            if len(grads) != len(self.params):
+                raise ValueError("got %d gradients for %d parameters"
+                                 % (len(grads), len(self.params)))
+            for p, g in zip(self.params, grads):
+                if np.shape(g) != p.data.shape:
+                    raise ValueError("gradient of shape %s for a parameter of shape %s"
+                                     % (np.shape(g), p.data.shape))
         self.t += 1
         if not self.params:
             return
-        if self._own is not None:
-            if self.params[0].data is not self._own:   # rebound since the last step
-                self._own = self._adopt()
+        if own is not None:
+            if self.params[0].data is not own:   # rebound since the last step
+                own = self._own = self._adopt()
             g = np.ravel(grads[0])
-            data = self._own.reshape(-1)
+            data = own.reshape(-1)
         else:
             g = np.concatenate([np.ravel(g) for g in grads])
             data = np.concatenate([p.data.ravel() for p in self.params])
@@ -87,7 +91,7 @@ class Adam:
         np.sqrt(np.divide(v, bc2, out=u), out=u)
         np.divide(s, np.add(u, self.eps, out=u), out=s)
         np.multiply(self.lr, s, out=s)
-        if self._own is not None:
+        if own is not None:
             np.subtract(data, s, out=data)
             return
         data = data - s

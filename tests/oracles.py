@@ -169,6 +169,13 @@ def exhaustive_permutation_p(xs, ys):
     return hits / count
 
 
+def xavier_layer(rng, fan_in, fan_out):
+    """(weight, bias) of one affine map, drawn as a model's build draws it:
+    a Xavier-uniform weight in +-sqrt(6 / (fan_in + fan_out)), a zero bias."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)
+
+
 def adam_reference_steps(p0, grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
     """Scalar Adam recurrence unrolled with plain floats."""
     p, m, v = float(p0), 0.0, 0.0

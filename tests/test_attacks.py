@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from adnn_energy_lab import attacks
 from adnn_energy_lab.attacks import (
     IlfoAttack,
     IlfoConfig,
@@ -34,7 +35,7 @@ from adnn_energy_lab.models import (
     ScriptedAdnn,
     scripted_gate_analogue,
 )
-from adnn_energy_lab.nn import Dense
+from adnn_energy_lab.nn import Dense, ResidualMLP
 from adnn_energy_lab.seeding import derive_rng
 
 from oracles import (
@@ -80,6 +81,17 @@ class PixelMeanEstimator:
     def predict_terms(self, f):
         scale = 1.0 / self.input_dim
         return f.sum() * scale, lambda g: np.full(f.shape, g * scale)
+
+
+class RecordingEstimator(PixelMeanEstimator):
+    """`PixelMeanEstimator`, recording each input `predict_terms` gets."""
+
+    def __init__(self):
+        self.calls = []
+
+    def predict_terms(self, f):
+        self.calls.append(f)
+        return super().predict_terms(f)
 
 
 def universal_score(estimator):
@@ -368,6 +380,22 @@ class TestBlackBoxEntryPoints:
         with pytest.raises(ValueError):
             InputBasedAttack(trained_estimator, GenConfig(iterations=1)).generate(None)
 
+    @pytest.mark.parametrize("shape", [(2, 64), (1, 1, 64), ()])
+    def test_input_based_takes_one_input_only(self, shape, monkeypatch):
+        # a batch is not joined into one wide row: it is rejected before any
+        # draw or forward
+        draws, est = [], RecordingEstimator()
+        monkeypatch.setattr(attacks, "derive_rng", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="x must be one input"):
+            InputBasedAttack(est, GenConfig(iterations=1)).generate(np.full(shape, 0.5))
+        assert draws == [] and est.calls == []
+
+    def test_input_based_takes_a_single_row_as_its_vector(self):
+        x = np.linspace(0.1, 0.9, 64)
+        cfg = GenConfig(iterations=3)
+        one_row = InputBasedAttack(PixelMeanEstimator(), cfg).generate(x[None])
+        assert one_row.tobytes() == InputBasedAttack(PixelMeanEstimator(), cfg).generate(x).tobytes()
+
     def test_black_box_boundary_only_needs_estimator_surface(self):
         # anything exposing predict_terms and input_dim is a valid oracle;
         # the attack never touches model internals or labels
@@ -492,6 +520,16 @@ class TestIlfoAttack:
         after = net.infer(f)
         assert sum(before.gate_decisions) == 0
         assert sum(after.gate_decisions) == 4
+
+    @pytest.mark.parametrize("shape", [(2, 64), (1, 1, 64), ()])
+    def test_takes_one_input_only(self, shape):
+        # rejected before the first forward, not joined into one wide row
+        net = scripted_gate_analogue([0.3, 0.6])
+        attack, calls = IlfoAttack(net, IlfoConfig(iterations=1)), []
+        net.forward_terms = lambda x, heads=None: calls.append(x)
+        with pytest.raises(ValueError, match="x must be one input"):
+            attack.generate(np.full(shape, 0.5))
+        assert calls == []
 
     def test_threshold_falls_back_to_model_attribute(self):
         net = scripted_gate_analogue([0.3, 0.6])
@@ -770,6 +808,39 @@ class TestGraphReferences:
             model = trained_skip if kind == "gate" else trained_exit
             IlfoAttack(model, IlfoConfig(target=kind, iterations=5)).generate(x)
         assert {op: n for op, n in checks.items() if op != "leaf"} == self.GRAPH_LOOP_CHECKS[kind]
+
+
+@pytest.mark.parametrize("kind", ["input_based", "universal", "gate", "exit"])
+def test_generate_slices_the_layers_once(kind, monkeypatch, trained_estimator, trained_skip,
+                                         trained_exit):
+    """One `generate` cuts its network's layer records once, with the
+    transposes the reverse walk reads: views of theta's one array, strided
+    as each weight's `.T`."""
+    slices, slice_layers = [], ResidualMLP._slice_layers
+
+    def counted(net, data):
+        layers = slice_layers(net, data)
+        slices.append((data, layers))
+        return layers
+
+    model = {"gate": trained_skip, "exit": trained_exit}.get(kind, trained_estimator)
+    model = type(model).from_payload(model.to_payload())   # a new network, nothing sliced
+    monkeypatch.setattr(ResidualMLP, "_slice_layers", counted)
+    x = np.full(64, 0.3)
+    if kind == "input_based":
+        InputBasedAttack(model, GenConfig(iterations=5)).generate(x)
+    elif kind == "universal":
+        UniversalAttack(model, GenConfig(mode="universal", iterations=5, restarts=2)).generate()
+    else:
+        IlfoAttack(model, IlfoConfig(target=kind, iterations=5)).generate(x)
+    assert len(slices) == 1
+    data, (stem, blocks, _, heads) = slices[0]
+    assert data is model._net().theta.data
+    pairs = ([(stem[0], stem[2])] + [(b[0], b[4]) for b in blocks]
+             + [(b[2], b[5]) for b in blocks] + [(h[0], h[2]) for h in heads])
+    for weight, transpose in pairs:
+        assert np.shares_memory(transpose, data) and transpose.strides == weight.T.strides
+        assert np.array_equal(transpose, weight.T)
 
 
 class FrozenSurrogate(GatedSkipNet):

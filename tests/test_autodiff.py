@@ -46,6 +46,7 @@ from oracles import (
     unfused_softmax_cross_entropy,
     unfused_squared_error,
     unfused_tanh_unit,
+    xavier_layer,
 )
 
 
@@ -458,9 +459,10 @@ def small_models():
     est = EnergyEstimator(input_dim=5, width=4, num_blocks=2)
     est._build(rng)
     filt = FilterModel(input_dim=5, width=4, num_blocks=2)
-    filt.stem_ = Dense.init(rng, 5, 4)
-    filt.blocks_ = [ResidualBlock.init(rng, 4) for _ in range(2)]
-    filt.head_ = Dense.init(rng, 4, 2)
+    filt.stem_ = Dense(*xavier_layer(rng, 5, 4))
+    filt.blocks_ = [ResidualBlock(Dense(*xavier_layer(rng, 4, 4)), Dense(*xavier_layer(rng, 4, 4)))
+                    for _ in range(2)]
+    filt.head_ = Dense(*xavier_layer(rng, 4, 2))
     return {"skip": skip, "exit": exit_net, "estimator": est, "filter": filt}
 
 
@@ -556,10 +558,11 @@ def layer_changes(kind):
         lin1.weight = Tensor(lin1.weight.data + rng.normal(0, 0.5, size=lin1.weight.shape))
 
     def new_block(m):
-        getattr(m, blocks)[-1] = ResidualBlock.init(rng, m.width)
+        getattr(m, blocks)[-1] = ResidualBlock(Dense(*xavier_layer(rng, m.width, m.width)),
+                                               Dense(*xavier_layer(rng, m.width, m.width)))
 
     def new_stem(m):
-        m.stem_ = Dense.init(rng, 5, m.width)
+        m.stem_ = Dense(*xavier_layer(rng, 5, m.width))
 
     changes = [("lin1.weight", new_lin1_weight), ("block", new_block), ("stem_", new_stem)]
     if kind == "skip":
@@ -1173,6 +1176,20 @@ def test_adam_rejects_gradient_of_wrong_shape():
     with pytest.raises(ValueError, match="shape"):
         opt.step([np.zeros((3, 1))])
     assert p.data.tolist() == [0.0, 0.0, 0.0] and opt.t == 0
+
+
+def test_one_parameter_adam_checks_its_count_and_its_present_shape():
+    p = Tensor(np.zeros(3))
+    opt = Adam([p])
+    with pytest.raises(ValueError, match="got 2 gradients for 1 parameters"):
+        opt.step([np.zeros(3), np.zeros(3)])
+    with pytest.raises(ValueError, match="got 0 gradients for 1 parameters"):
+        opt.step([])
+    # a parameter rebound to a new shape is checked against that shape
+    p.data = np.zeros(4)
+    with pytest.raises(ValueError, match=r"shape \(3,\) for a parameter of shape \(4,\)"):
+        opt.step([np.zeros(3)])
+    assert p.data.tolist() == [0.0] * 4 and opt.t == 0
 
 
 @pytest.mark.parametrize("name, value", [

@@ -230,6 +230,12 @@ class TestGradientFeature:
         with pytest.raises(TypeError):
             gradient_feature(FilterModel(), np.zeros(64))
 
+    def test_a_batch_of_no_rows_gives_no_feature_rows(self, model_and_data):
+        # infer and predict take such a batch; the reverse walk takes it too
+        adnn, _ = model_and_data
+        features = gradient_feature(adnn, np.zeros((0, adnn.input_dim)))
+        assert features.shape == (0, adnn.input_dim * adnn.width)
+
 
 @pytest.mark.parametrize("field, value", [
     ("lam", 0.0), ("lam", -1e-4), ("lam", math.nan), ("lam", math.inf), ("lam", True),

@@ -182,10 +182,40 @@ class TestPrediction:
         fd = finite_difference(lambda arrs: float(est.predict(arrs[0])[0]), [x0])[0]
         assert max_relative_error([grad], [fd]) < 1e-5
 
+    def test_terms_of_no_rows_give_a_product_of_no_rows(self):
+        X, y = measured_corpus(25, seed=8)
+        est = EnergyEstimator(epochs=2, seed=0).fit(X, y)
+        pred, vjp = est.predict_terms(np.zeros((0, 64)))
+        assert pred.shape == (0, 1)
+        assert vjp(np.zeros((0, 1))).shape == (0, 64)
+
     def test_deterministic_predictions(self):
         X, y = measured_corpus(25, seed=11)
         est = EnergyEstimator(epochs=2, seed=0).fit(X, y)
         assert np.array_equal(est.predict(X), est.predict(X))
+
+
+class TestScore:
+    def test_r_squared_equals_its_fsum_definition(self):
+        X, y = measured_corpus(30, seed=13)
+        est = EnergyEstimator(epochs=3, seed=0).fit(X, y)
+        pred = est.predict(X)
+        mean = math.fsum(y) / len(y)
+        ss_res = math.fsum((float(t) - float(p)) ** 2 for t, p in zip(y, pred))
+        ss_tot = math.fsum((float(t) - mean) ** 2 for t in y)
+        assert est.score(X, y) == pytest.approx(1.0 - ss_res / ss_tot, rel=1e-12, abs=1e-12)
+        # its own predictions explain every target's variance
+        assert est.score(X, pred) == 1.0
+
+    def test_rejects_constant_targets_and_empty_or_mismatched_sets(self):
+        X, y = measured_corpus(25, seed=8)
+        est = EnergyEstimator(epochs=2, seed=0).fit(X, y)
+        with pytest.raises(ValueError, match="constant"):
+            est.score(X, np.full(len(X), 2.5))
+        with pytest.raises(ValueError, match="empty"):
+            est.score(np.zeros((0, 64)), np.zeros(0))
+        with pytest.raises(ValueError, match="same length"):
+            est.score(X, y[:-1])
 
 
 class TestSerialization:

@@ -35,7 +35,7 @@ from adnn_energy_lab.optim import Adam
 from adnn_energy_lab.seeding import derive_rng
 from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
 
-from oracles import unfused_affine
+from oracles import unfused_affine, xavier_layer
 
 
 class TestEntropy:
@@ -59,11 +59,12 @@ class TestEntropy:
 
 class TestFlopsAccounting:
     def test_dense_layer_count(self):
-        layer = Dense.init(derive_rng(0, "dense-count"), 64, 16)
+        layer = Dense(*xavier_layer(derive_rng(0, "dense-count"), 64, 16))
         assert layer.flops == 2 * 64 * 16
 
     def test_width8_residual_block(self):
-        block = ResidualBlock.init(derive_rng(0, "block-count"), 8)
+        rng = derive_rng(0, "block-count")
+        block = ResidualBlock(Dense(*xavier_layer(rng, 8, 8)), Dense(*xavier_layer(rng, 8, 8)))
         assert block.flops == 256
 
     def test_scripted_two_active_blocks(self):
@@ -365,6 +366,14 @@ class TestLabelValidation:
         assert model.stem_ is None
 
 
+@pytest.mark.parametrize("kind", ["skip", "exit", "filter"])
+def test_score_rejects_an_empty_dataset(kind):
+    # an accuracy over no rows is no number, not a nan with a warning
+    model = _small_model(kind)
+    with pytest.raises(ValueError, match="cannot score an empty dataset"):
+        model.score(np.zeros((0, 6)), np.zeros(0, dtype=int))
+
+
 FITTED_KINDS = [GatedSkipNet, EarlyExitNet, EnergyEstimator, FilterModel]
 
 
@@ -644,9 +653,10 @@ def _small_model(kind):
         model._build(rng)
         return model
     model = FilterModel(input_dim=6, width=4, num_blocks=2)
-    model.stem_ = Dense.init(rng, 6, 4)
-    model.blocks_ = [ResidualBlock.init(rng, 4) for _ in range(2)]
-    model.head_ = Dense.init(rng, 4, 2)
+    model.stem_ = Dense(*xavier_layer(rng, 6, 4))
+    model.blocks_ = [ResidualBlock(Dense(*xavier_layer(rng, 4, 4)), Dense(*xavier_layer(rng, 4, 4)))
+                     for _ in range(2)]
+    model.head_ = Dense(*xavier_layer(rng, 4, 2))
     return model
 
 
@@ -718,6 +728,16 @@ class TestHeadSelectiveNode:
                 seed = rng.normal(size=out.shape)
                 want = gradients(tsum(node * Tensor(seed)), [xt])[0]
                 assert vjp(seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_a_batch_of_no_rows_walks_back_to_no_rows(self, kind):
+        # as infer and predict take it, for every head count the net keeps
+        model = _small_model(kind)
+        terms, net = _array_forward(model), model._net()
+        for k in [None] + list(range(0 if net.gated else 1, net.num_heads + 1)):
+            out, vjp = terms(np.zeros((0, 6)), k)
+            assert out.shape[0] == 0
+            assert vjp(np.zeros(out.shape)).shape == (0, 6)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["skip", "exit"])
