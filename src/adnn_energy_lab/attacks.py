@@ -182,6 +182,15 @@ class TestGenConfig:
         check_params(self.PARAMS, vars(self))
 
 
+def _config_of(mode, config):
+    """`config`, or the default `TestGenConfig` of `mode`; a ValueError
+    naming `mode` where `config` is set up for the other attack."""
+    config = config or TestGenConfig(mode=mode)
+    if config.mode != mode:
+        raise ValueError("mode must be %r for this attack, got %r" % (mode, config.mode))
+    return config
+
+
 class InputBasedAttack:
     """Craft a near-seed input that raises the estimator's predicted energy.
 
@@ -192,7 +201,7 @@ class InputBasedAttack:
 
     def __init__(self, estimator, config=None):
         self.estimator = estimator
-        self.config = config or TestGenConfig(mode="input_based")
+        self.config = _config_of("input_based", config)
 
     def generate(self, x):
         cfg = self.config
@@ -233,7 +242,7 @@ class UniversalAttack:
 
     def __init__(self, estimator, config=None):
         self.estimator = estimator
-        self.config = config or TestGenConfig(mode="universal")
+        self.config = _config_of("universal", config)
 
     def generate(self):
         cfg = self.config

@@ -176,12 +176,6 @@ class FlatLeaf(Tensor):
 
     __slots__ = ("layout",)
 
-    def holds(self, tensors):
-        """Whether `tensors` are views of this leaf that cover it in order."""
-        return len(tensors) == len(self.layout) and all(
-            type(t) is View and t.flat is self and t.start == start
-            for t, (start, _, _) in zip(tensors, self.layout))
-
     def split(self, data):
         """Each view's value in `data`, an array this leaf holds, as slices."""
         return [data[start:stop].reshape(shape) for start, stop, shape in self.layout]

@@ -75,11 +75,11 @@ class FilterModel(ResidualModel):
         (logits,), _ = self._net().run(X)
         return np.argmax(logits, axis=-1)
 
-    def _batch_terms(self, X, y, net=None):
+    def _batch_terms(self, X, y):
         """Cross-entropy of one batch and its gradient toward theta, on
         arrays; checked as the graph softmax_cross_entropy(network(X)) checks
-        it. `net` is the network, if already resolved."""
-        out, grad_theta = (self._net() if net is None else net).theta_terms(X)
+        it."""
+        out, grad_theta = self._net().theta_terms(X)
         loss, loss_grad = softmax_cross_entropy_terms(out, one_hot(y, self.num_classes))
         return (_checked(loss, "softmax_cross_entropy"),
                 grad_theta(_checked(loss_grad(_ONE), "softmax_cross_entropy.grad")))

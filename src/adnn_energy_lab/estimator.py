@@ -50,12 +50,11 @@ class EnergyEstimator(ResidualModel):
     def _layout(self):
         return payload_layout(self.input_dim, self.width, self.num_blocks, 1, "block%d", ["head"])
 
-    def _batch_terms(self, X, targets, net=None):
+    def _batch_terms(self, X, targets):
         """Mean over the batch of the squared error in normalized joules, and
         its gradient toward theta, on arrays; checked as the graph
-        squared_error(network(X), targets) checks it. `net` is the network,
-        if already resolved."""
-        out, grad_theta = (self._net() if net is None else net).theta_terms(X)
+        squared_error(network(X), targets) checks it."""
+        out, grad_theta = self._net().theta_terms(X)
         loss, loss_grad = squared_error_terms(out, targets.reshape(-1, 1))
         return (_checked(loss, "squared_error"),
                 grad_theta(_checked(loss_grad(_ONE), "squared_error.grad")))

@@ -8,7 +8,7 @@ returns from the first head whose prediction entropy drops below the
 entropy threshold. ScriptedAdnn is a weight-free stand-in whose gates fire
 on fixed input-mean thresholds, used as a ground-truth oracle in tests.
 
-Both nets are `nn.ResidualModel`s, which draw, keep, fit and save the
+Both nets are `nn.ResidualModel`s, which draw, hold, fit and save the
 network; each adds its layer attributes, its payload layout, its batch loss
 and what its fit does beyond the shared loop. Gating is trained soft (the
 residual branch is scaled by the gate value, so everything is
@@ -27,8 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import (_ONE, Tensor, _checked, _require_finite, _scatter_columns, as_tensor,
-                       columns, mean_of_column_means_terms, softmax_cross_entropy_terms)
+from .autodiff import (_ONE, Tensor, _batch_scale, _checked, _column_sums, _log_softmax_rows,
+                       _require_finite, _scatter_columns, as_tensor, columns,
+                       mean_of_column_means_terms, softmax_cross_entropy_terms)
 from .nn import ResidualModel, one_hot, payload_layout
 from .seeding import derive_rng
 from .serialize import DataFormatError, dump_json, load_json, payload_config
@@ -174,9 +175,6 @@ class GatedSkipNet(ResidualModel):
 
     # -- construction -------------------------------------------------
 
-    def _layers(self):
-        return self.stem_, self.blocks_, (self.gate_weights_, self.gate_biases_), [self.head_]
-
     def _set_layers(self, stem, blocks, gates, heads):
         self.stem_, self.blocks_, (self.head_,) = stem, blocks, heads
         self.gate_weights_, self.gate_biases_ = gates
@@ -194,8 +192,8 @@ class GatedSkipNet(ResidualModel):
         """
         pooled = X.mean(axis=1)
         qs = np.quantile(pooled, (np.arange(self.num_blocks) + 0.5) / self.num_blocks)
-        self.gate_weights_ = [Tensor(np.float64(slope)) for _ in range(self.num_blocks)]
-        self.gate_biases_ = [Tensor(np.float64(-slope * q)) for q in qs]
+        for weight, bias, q in zip(self.gate_weights_, self.gate_biases_, qs):
+            weight.data, bias.data = np.float64(slope), np.float64(-slope * q)
 
     @property
     def signature(self):
@@ -274,14 +272,14 @@ class GatedSkipNet(ResidualModel):
 
     # -- training -----------------------------------------------------
 
-    def _batch_terms(self, X, y, net=None):
+    def _batch_terms(self, X, y):
         """Training loss of one batch and its gradient toward theta, on
         arrays: soft-mode cross-entropy plus the sparsity penalty on the mean
-        gate value; `net` is the network, if already resolved. Arithmetic,
-        addition order and checks (by op name) are the graph's, columns ->
-        softmax_cross_entropy, add(loss, mul(mean_of_column_means, weight)),
-        whose "add.grad" checks pass the incoming 1.0 on and are left out."""
-        out, grad_theta = (self._net() if net is None else net).theta_terms(X)
+        gate value. Arithmetic, addition order and checks (by op name) are
+        the graph's, columns -> softmax_cross_entropy,
+        add(loss, mul(mean_of_column_means, weight)), whose "add.grad"
+        checks pass the incoming 1.0 on and are left out."""
+        out, grad_theta = self._net().theta_terms(X)
         c, n, weight = self.num_classes, self.num_blocks, self.sparsity_weight
         logits = _checked(out[:, :c], "columns")
         loss, loss_grad = softmax_cross_entropy_terms(logits, one_hot(y, c))
@@ -336,9 +334,6 @@ class EarlyExitNet(ResidualModel):
         self.train_accuracy_ = None
         self.exit_accuracies_ = None
         self.history_ = None
-
-    def _layers(self):
-        return self.stem_, self.segments_, None, self.exit_heads_
 
     def _set_layers(self, stem, blocks, gates, heads):
         self.stem_, self.segments_, self.exit_heads_ = stem, blocks, heads
@@ -404,28 +399,32 @@ class EarlyExitNet(ResidualModel):
     def predict(self, X):
         return self.infer(as_sample_matrix(X, "X", feature_dim=self.input_dim)).labels
 
-    def _batch_terms(self, X, y, net=None):
+    def _batch_terms(self, X, y):
         """Training loss of one batch and its gradient toward theta, on
-        arrays: the sum of every exit's cross-entropy, added left to right;
-        `net` is the network, if already resolved. Arithmetic and checks (by
-        op name) are the graph's, columns -> softmax_cross_entropy per exit,
-        folded with add, whose "add.grad" checks pass the incoming 1.0 on
-        and are left out."""
-        out, grad_theta = (self._net() if net is None else net).theta_terms(X)
+        arrays: the sum of every exit's cross-entropy, added left to right.
+        Arithmetic and checks (by op name) are the graph's, columns ->
+        softmax_cross_entropy per exit, folded with add, whose "add.grad"
+        checks pass the incoming 1.0 on and are left out. The exits run in
+        one pass over the (rows, exits, classes) view of the output, each
+        exit's row sum taken contiguous."""
+        out, grad_theta = self._net().theta_terms(X)
         c = self.num_classes
-        logits = [_checked(out[:, k * c:(k + 1) * c], "columns") for k in range(self.num_segments)]
-        targets, losses, vjps = one_hot(y, c), [], []
-        for part in logits:
-            value, vjp = softmax_cross_entropy_terms(part, targets)
-            losses.append(_checked(value, "softmax_cross_entropy"))
-            vjps.append(vjp)
+        logits = _checked(out.reshape(len(out), self.num_segments, c), "columns")
+        targets = one_hot(y, c)[:, None]
+        logp = _checked(_log_softmax_rows(logits)[1], "softmax_cross_entropy")
+        picked = np.add.reduce(logp * targets, axis=-1)
+        scale = _batch_scale(picked[:, 0], "softmax_cross_entropy")
+        losses = _checked(_column_sums(picked) * scale * -1.0, "softmax_cross_entropy")
         loss = losses[0]
         for value in losses[1:]:
             loss = _checked(loss + value, "add")
-        grads = [_checked(vjp(_ONE), "softmax_cross_entropy.grad") for vjp in vjps]
-        # the graph adds the exits' zero-padded products, which equals their
-        # concatenation: no entry of a cross-entropy product is -0.0
-        return loss, grad_theta(_checked(np.concatenate(grads, axis=1), "columns.grad"))
+        g_logp = _ONE * -1.0 * scale * targets
+        grad = _checked(g_logp - np.exp(logp) * np.add.reduce(g_logp, axis=-1, keepdims=True),
+                        "softmax_cross_entropy.grad")
+        # the graph adds the exits' zero-padded products, which equals them
+        # side by side, as the reshape lays them: no entry of a cross-entropy
+        # product is -0.0
+        return loss, grad_theta(_checked(grad.reshape(out.shape), "columns.grad"))
 
     def fit(self, X, y):
         X, y = self._labeled(X, y)
@@ -505,9 +504,8 @@ def scripted_gate_analogue(thresholds, sharpness=40.0, input_dim=64, width=16, n
         num_classes=num_classes,
     )
     net._build(derive_rng(seed, "scripted-analogue"))
-    for i, t in enumerate(thresholds):
-        net.gate_weights_[i] = Tensor(np.float64(sharpness))
-        net.gate_biases_[i] = Tensor(np.float64(-sharpness * t))
+    for weight, bias, t in zip(net.gate_weights_, net.gate_biases_, thresholds):
+        weight.data, bias.data = np.float64(sharpness), np.float64(-sharpness * t)
     return net
 
 

@@ -6,16 +6,17 @@ gate per block, over one flat parameter leaf, `theta`. Its whole forward
 and backward runs on arrays: `terms` gives the product toward the input and
 `theta_terms` the product toward theta (called on a Tensor, it is one graph
 node). It runs only the layers its kept heads and gates read; the per-layer
-weights (`Dense`, `ResidualBlock`, gate lists) are `View`s of theta.
+weights (`Dense`, `ResidualBlock`, gate lists) are `View`s of theta, and a
+weight changes by a write to its view's `data`.
 
-The four models are `ResidualModel`s. The base draws the layers, keeps the
-network (`kept_network`), checks a classifier fit's inputs and runs the
-one epoch loop, `fit_minibatch`: each step takes a batch's loss and theta
-gradient from the model's `_batch_terms`, and Adam writes them into
+The four models are `ResidualModel`s. The base draws the layers, builds and
+holds the model's one network, checks a classifier fit's inputs and runs
+the one epoch loop, `fit_minibatch`: each step takes a batch's loss and
+theta gradient from the model's `_batch_terms`, and Adam writes them into
 theta's one array in place, so the layer slices are cut once per fit. The
 draw, `to_payload` and `from_payload` walk one layout, `payload_layout`: a
 (payload key, shape) per theta view, in theta order; the draw and the
-loader build the layers with one method, `ResidualModel._assemble`.
+loader build the network with one method, `ResidualModel._assemble`.
 
 FLOPs accounting is fixed at 2 * fan_in * fan_out per affine map (one
 multiply plus one add per weight). Activations, pooling and gate heads are
@@ -24,7 +25,7 @@ treated as free; only affine maps carry cost.
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, View, _checked, _column_sums, _once_per_gradient,
+from .autodiff import (ShapeError, Tensor, _checked, _column_sums, _once_per_gradient,
                        _require_finite, as_tensor, pack, softmax_cross_entropy)
 from .base import ParamsMixin, check_is_fitted
 from .optim import Adam
@@ -99,12 +100,12 @@ class ResidualMLP:
     block runs its blocks only up to the last head it keeps. Called on a
     Tensor, the net gives the same output as one graph node.
 
-    Built from a model's current layers, and kept by the model while they
-    stay in place (`kept_network`). `theta` holds their values back to back
-    in the order stem, blocks (lin1 then lin2 weight and bias), every gate
-    weight, every gate bias, heads. When the layers are not the views of one
-    such leaf (a fresh build, or a layer Tensor replaced), they are packed
-    into a new one and rebound to its views.
+    Built once per model, by `ResidualModel._assemble`: the layers' values
+    are packed back to back into a new `theta`, in the order stem, blocks
+    (lin1 then lin2 weight and bias), every gate weight, every gate bias,
+    heads, and each layer (and gate list entry) is rebound to its view of
+    it. Every forward reads theta's current array, so a write to a view's
+    `data` is what the next forward runs on.
     """
 
     def __init__(self, stem, blocks, heads, gates=None, pool=None):
@@ -114,19 +115,17 @@ class ResidualMLP:
         self.num_heads = len(heads)
         self.tap_heads = len(heads) > 1
         self.pool = pool
-        params = list(_layer_tensors(stem, blocks, heads, gates))
-        theta = params[0].flat if isinstance(params[0], View) else None
-        if theta is None or not theta.holds(params):
-            theta, params = pack(params)
-            views = iter(params)
-            for layer in [stem] + [lin for b in blocks for lin in (b.lin1, b.lin2)]:
-                layer.weight, layer.bias = next(views), next(views)
-            for part in gates or ():
-                part[:] = [next(views) for _ in part]
-            for layer in heads:
-                layer.weight, layer.bias = next(views), next(views)
-        self.theta = theta
-        self.params = params
+        trunk, parts = [stem] + [lin for b in blocks for lin in (b.lin1, b.lin2)], gates or ()
+        self.theta, self.params = pack([t for d in trunk for t in (d.weight, d.bias)]
+                                       + [t for part in parts for t in part]
+                                       + [t for d in heads for t in (d.weight, d.bias)])
+        views = iter(self.params)
+        for layer in trunk:
+            layer.weight, layer.bias = next(views), next(views)
+        for part in parts:
+            part[:] = [next(views) for _ in part]
+        for layer in heads:
+            layer.weight, layer.bias = next(views), next(views)
         self.gated = gates is not None
         self.input_dim = stem.fan_in
         self.out_dim = heads[0].fan_out
@@ -413,42 +412,6 @@ class ResidualMLP:
         return out
 
 
-def _layer_tensors(stem, blocks, heads, gates):
-    """Every layer tensor of a network, in theta order."""
-    out = [stem.weight, stem.bias]
-    for block in blocks:
-        lin1, lin2 = block.lin1, block.lin2
-        out += lin1.weight, lin1.bias, lin2.weight, lin2.bias
-    if gates is not None:
-        out += gates[0]
-        out += gates[1]
-    for head in heads:
-        out += head.weight, head.bias
-    return tuple(out)
-
-
-def kept_network(owner, stem, blocks, heads, gates=None, pool=None):
-    """`owner`'s `ResidualMLP` over these layers, built once and then reused.
-
-    The network is kept on `owner` as one (layer tensors, network) tuple,
-    read and written whole, and reused while every layer tensor it was built
-    from is still in place. Replacing a `Dense`, a block, a layer Tensor, a
-    gate list or one of its entries builds a new network, which packs the
-    layers into a new `theta`. Writing a view's `data` does not: the network
-    reads theta's current array at every forward. `pool` makes the gates'
-    pooling matrix, and is called only when a network is built. The network
-    holds no reference to `owner`, so keeping it makes no reference cycle.
-    """
-    tensors = _layer_tensors(stem, blocks, heads, gates)
-    kept = getattr(owner, "_kept_network", None)
-    # a Tensor has no __eq__, so tuple equality compares entries by identity
-    if kept is not None and kept[0] == tensors:
-        return kept[1]
-    net = ResidualMLP(stem, blocks, heads, gates, None if gates is None else pool())
-    owner._kept_network = (tuple(net.params), net)
-    return net
-
-
 def payload_layout(input_dim, width, num_blocks, out_dim, block_key, head_keys, gated=False):
     """(payload key, shape) of every theta view, in theta order: the stem,
     each block's lin1 and lin2, every gate weight, every gate bias, the heads.
@@ -503,11 +466,11 @@ class ResidualModel(ParamsMixin):
     energy estimator and the defense filter.
 
     A subclass names its payload kind, its saved settings and its layout
-    (`kind`, `_SAVED`, `_layout`), maps its layer attributes (`_layers`,
-    `_set_layers`; by default `stem_`, `blocks_` and one `head_`), and gives
+    (`kind`, `_SAVED`, `_layout`), names its layer attributes
+    (`_set_layers`; by default `stem_`, `blocks_` and one `head_`), and gives
     its batch loss (`_batch_terms`) and its fit. The base draws the layers,
-    keeps the network, checks a classifier fit's inputs, runs the epoch
-    loop and reads and writes the payload.
+    builds the model's one network and holds it, checks a classifier fit's
+    inputs, runs the epoch loop and reads and writes the payload.
     """
 
     kind = None
@@ -515,16 +478,15 @@ class ResidualModel(ParamsMixin):
     _BLOCKS = "num_blocks"   # the setting that counts the residual blocks
     _GATED = False           # a sigmoid gate per block, on the mean-pooled input
 
-    def _layers(self):
-        """(stem, blocks, (gate weights, gate biases) or None, heads)."""
-        return self.stem_, self.blocks_, None, [self.head_]
-
     def _set_layers(self, stem, blocks, gates, heads):
+        """Keep the layers; `gates` is (gate weights, gate biases) or None."""
         self.stem_, self.blocks_, (self.head_,) = stem, blocks, heads
 
     def _assemble(self, arrays):
-        """`_set_layers` over `arrays`, one per layout entry in theta order,
-        each taken only when its layer is built."""
+        """The model's one network over `arrays`, one per layout entry in
+        theta order, each taken only when its layer is built: the network
+        packs them into its theta, and `_set_layers` keeps the layers, now
+        views of that theta."""
         arrays, n = iter(arrays), getattr(self, self._BLOCKS)
 
         def dense():
@@ -535,6 +497,9 @@ class ResidualModel(ParamsMixin):
         gates = (tuple([Tensor(next(arrays)) for _ in range(n)] for _ in range(2))
                  if self._GATED else None)
         heads = [Dense(weight, next(arrays)) for weight in arrays]   # the rest, in pairs
+        # the gates read the mean over the input features
+        pool = np.full((self.input_dim, 1), 1.0 / self.input_dim) if self._GATED else None
+        self._network = ResidualMLP(stem, blocks, heads, gates, pool)
         self._set_layers(stem, blocks, gates, heads)
 
     def _build(self, rng):
@@ -549,14 +514,10 @@ class ResidualModel(ParamsMixin):
         return self
 
     def _net(self):
-        """The network over the current layers; see `kept_network`."""
+        """The network `_assemble` built; its weights change only through
+        writes to the layers' `data`."""
         check_is_fitted(self, "stem_")
-        stem, blocks, gates, heads = self._layers()
-        return kept_network(self, stem, blocks, heads, gates, self._pool)
-
-    def _pool(self):
-        """The gates' input pooling: the mean over the input features."""
-        return np.full((self.input_dim, 1), 1.0 / self.input_dim)
+        return self._network
 
     def _params(self):
         return self._net().params
@@ -586,10 +547,9 @@ class ResidualModel(ParamsMixin):
         return X, as_label_array(y, n=len(X), num_classes=self.num_classes)
 
     def _train(self, X, y, rng, on_epoch=None):
-        """`fit_minibatch` on (X, y), over the network resolved once; the
-        epoch losses go to `history_`."""
-        net = self._net()
-        self.history_ = fit_minibatch(lambda Xb, yb: self._batch_terms(Xb, yb, net), net.theta,
+        """`fit_minibatch` on (X, y) over the network's theta; the epoch
+        losses go to `history_`."""
+        self.history_ = fit_minibatch(self._batch_terms, self._net().theta,
                                       X, y, self.epochs, self.batch_size, self.lr, rng, on_epoch)
 
     def _config(self):

@@ -13,7 +13,8 @@ concatenated, the update runs once, and each `p.data` is rebound to its
 slice of the new vector, so an old array is never written. Either way
 `p.data` is read afresh on every step, so a caller may rebind it (say, to
 restore a checkpoint) between steps; a rebound single parameter is copied
-again before it is stepped. With bias correction the very first update has
+again before it is stepped, and one rebound to another size is rejected
+before `t` or a moment moves. With bias correction the very first update has
 magnitude close to `lr` in every coordinate with a nonzero gradient, which
 makes the step size directly interpretable.
 """
@@ -64,12 +65,15 @@ class Adam:
                 if np.shape(g) != p.data.shape:
                     raise ValueError("gradient of shape %s for a parameter of shape %s"
                                      % (np.shape(g), p.data.shape))
+        if own is not None and self.params[0].data is not own:   # rebound since the last step
+            if self.params[0].data.size != own.size:
+                raise ValueError("a parameter of %d entries was rebound to %d"
+                                 % (own.size, self.params[0].data.size))
+            own = self._own = self._adopt()
         self.t += 1
         if not self.params:
             return
         if own is not None:
-            if self.params[0].data is not own:   # rebound since the last step
-                own = self._own = self._adopt()
             g = np.ravel(grads[0])
             data = own.reshape(-1)
         else:

@@ -35,7 +35,7 @@ from adnn_energy_lab.models import (
     ScriptedAdnn,
     scripted_gate_analogue,
 )
-from adnn_energy_lab.nn import Dense, ResidualMLP
+from adnn_energy_lab.nn import ResidualMLP
 from adnn_energy_lab.seeding import derive_rng
 
 from oracles import (
@@ -168,6 +168,21 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             GenConfig(mode="sideways")
+
+    @pytest.mark.parametrize("attack, mode", [(InputBasedAttack, "universal"),
+                                              (UniversalAttack, "input_based")])
+    def test_an_attack_rejects_the_other_attacks_mode(self, attack, mode):
+        forwards = []
+
+        class Spy(PixelMeanEstimator):
+            def predict_terms(self, f):
+                forwards.append(f)
+                return super().predict_terms(f)
+
+        with pytest.raises(ValueError, match="mode must be '%s' for this attack, got '%s'"
+                           % (attack(Spy()).config.mode, mode)):
+            attack(Spy(), GenConfig(mode=mode))
+        assert forwards == []
 
     def test_nonpositive_c(self):
         with pytest.raises(ValueError):
@@ -552,8 +567,8 @@ class TestIlfoAttack:
     def test_non_finite_gate_pre_activation_raises(self):
         # the gate-only forward still runs, and checks, every gate
         net = scripted_gate_analogue([0.3, 0.6])
-        net.gate_weights_[1] = Tensor(np.float64(1.5e308))
-        net.gate_biases_[1] = Tensor(np.float64(1.5e308))
+        net.gate_weights_[1].data = np.float64(1.5e308)
+        net.gate_biases_[1].data = np.float64(1.5e308)
         with pytest.raises(NonFiniteError, match="residual_mlp"):
             IlfoAttack(net, IlfoConfig(iterations=3)).generate(np.full(64, 0.5))
 
@@ -571,11 +586,9 @@ class TestIlfoAttack:
         cfg = IlfoConfig(target=target, iterations=5)
         want = IlfoAttack(net, cfg).generate(x)
         big = np.finfo(np.float64).max
-        last = Dense(np.full((net.width, net.num_classes), big), np.zeros(net.num_classes))
-        if target == "gate":
-            net.head_ = last
-        else:
-            net.exit_heads_[-1] = last
+        last = net.head_ if target == "gate" else net.exit_heads_[-1]
+        last.weight.data = np.full((net.width, net.num_classes), big)
+        last.bias.data = np.zeros(net.num_classes)
         with pytest.raises(NonFiniteError):
             net.forward_terms(x)
         attack = IlfoAttack(net, cfg)
@@ -852,12 +865,7 @@ class FrozenSurrogate(GatedSkipNet):
 
 
 def frozen_analogue(thresholds):
-    net = scripted_gate_analogue(thresholds)
-    frozen = FrozenSurrogate(input_dim=net.input_dim, width=net.width,
-                             num_blocks=net.num_blocks, num_classes=net.num_classes)
-    for attr in ("stem_", "blocks_", "gate_weights_", "gate_biases_", "head_"):
-        setattr(frozen, attr, getattr(net, attr))
-    return frozen
+    return FrozenSurrogate.from_payload(scripted_gate_analogue(thresholds).to_payload())
 
 
 class TestSurrogatePipeline:

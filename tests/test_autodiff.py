@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adnn_energy_lab import autodiff as ad
+from adnn_energy_lab import nn
 from adnn_energy_lab.autodiff import (
     NonFiniteError,
     ShapeError,
@@ -22,7 +23,8 @@ from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.estimator import EnergyEstimator
 from adnn_energy_lab.models import EarlyExitNet, GatedSkipNet
-from adnn_energy_lab.nn import Dense, ResidualBlock, ResidualMLP, cross_entropy, fit_minibatch
+from adnn_energy_lab.nn import (Dense, ResidualBlock, ResidualMLP, cross_entropy, fit_minibatch,
+                                one_hot)
 from adnn_energy_lab.optim import Adam
 
 from oracles import (
@@ -459,10 +461,9 @@ def small_models():
     est = EnergyEstimator(input_dim=5, width=4, num_blocks=2)
     est._build(rng)
     filt = FilterModel(input_dim=5, width=4, num_blocks=2)
-    filt.stem_ = Dense(*xavier_layer(rng, 5, 4))
-    filt.blocks_ = [ResidualBlock(Dense(*xavier_layer(rng, 4, 4)), Dense(*xavier_layer(rng, 4, 4)))
-                    for _ in range(2)]
-    filt.head_ = Dense(*xavier_layer(rng, 4, 2))
+    # a draw of its own, in layout order: stem, each block's lin1 and lin2, head
+    filt._assemble([a for shape in [(5, 4)] + [(4, 4)] * 4 + [(4, 2)]
+                    for a in xavier_layer(rng, *shape)])
     return {"skip": skip, "exit": exit_net, "estimator": est, "filter": filt}
 
 
@@ -484,7 +485,11 @@ def test_network_forward_is_one_node_over_one_flat_leaf(kind):
     assert out.op == "residual_mlp"
     (px, _), (theta, _) = out._vjps
     assert px is x and isinstance(theta, ad.FlatLeaf)
-    assert theta.holds(model._net().params)
+    params = model._net().params
+    # every parameter is a view of this leaf, and together they cover it in order
+    assert len(params) == len(theta.layout) and all(
+        type(p) is ad.View and p.flat is theta and p.start == start
+        for p, (start, _, _) in zip(params, theta.layout))
     assert len(graph_nodes(out)) == 3
 
 
@@ -502,26 +507,9 @@ def test_a_dropped_network_leaves_no_reference_cycle():
 
 
 def rebuilt(model):
-    """A fresh model of the same kind over copies of `model`'s current layer
-    values: no tensor, layer or list of it is shared."""
-    twin = type(model)(**model.get_params())
-
-    def dense(layer):
-        return Dense(layer.weight.data.copy(), layer.bias.data.copy())
-
-    def fresh(value):
-        if isinstance(value, Dense):
-            return dense(value)
-        if isinstance(value, ResidualBlock):
-            return ResidualBlock(dense(value.lin1), dense(value.lin2))
-        if isinstance(value, Tensor):
-            return Tensor(value.data.copy())
-        return [fresh(v) for v in value] if isinstance(value, list) else value
-
-    for key, value in vars(model).items():
-        if key != "_kept_network":
-            setattr(twin, key, fresh(value))
-    return twin
+    """A fresh model of the same kind over `model`'s current layer values,
+    through a payload round trip: no tensor, layer or list of it is shared."""
+    return type(model).from_payload(model.to_payload())
 
 
 def network_outputs(model):
@@ -546,48 +534,24 @@ def reuse_models():
     return models
 
 
-def layer_changes(kind):
-    """Ways to replace part of a model's layers after a forward: name and
-    an in-place edit. Each leaves every container but the edited part in
-    place, so only a comparison of the layer tensors themselves sees it."""
-    rng = np.random.default_rng(25)
-    blocks = "segments_" if kind == "exit" else "blocks_"
-
-    def new_lin1_weight(m):
-        lin1 = getattr(m, blocks)[0].lin1
-        lin1.weight = Tensor(lin1.weight.data + rng.normal(0, 0.5, size=lin1.weight.shape))
-
-    def new_block(m):
-        getattr(m, blocks)[-1] = ResidualBlock(Dense(*xavier_layer(rng, m.width, m.width)),
-                                               Dense(*xavier_layer(rng, m.width, m.width)))
-
-    def new_stem(m):
-        m.stem_ = Dense(*xavier_layer(rng, 5, m.width))
-
-    changes = [("lin1.weight", new_lin1_weight), ("block", new_block), ("stem_", new_stem)]
-    if kind == "skip":
-        def new_gate_entry(m):
-            m.gate_biases_[1] = Tensor(np.float64(-3.0))
-
-        def new_gate_list(m):
-            m.gate_weights_ = [Tensor(np.float64(w)) for w in (-2.0, 6.0, 1.0)]
-
-        changes += [("gate entry", new_gate_entry), ("gate list", new_gate_list)]
-    return changes
-
-
 @pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
-def test_network_is_reused_until_a_layer_is_replaced(kind):
-    for name, change in layer_changes(kind):
-        model = reuse_models()[kind]
-        net = model._net()
-        before = network_outputs(model)
-        assert model._net() is net, "two forwards with no change share one network"
-        change(model)
-        after = network_outputs(model)
-        assert after != before, name
-        assert after == network_outputs(rebuilt(model)), name
-        assert model._net() is not net and model._net().theta is not net.theta, name
+def test_net_is_the_one_network_assemble_built(kind, monkeypatch):
+    built = []
+
+    class Recorded(ResidualMLP):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(nn, "ResidualMLP", Recorded)
+    model, X, y = small_fit(kind)
+    model.fit(X, y)   # the estimator's fit ends by restoring its best checkpoint into theta
+    assert len(built) == 1 and model._net() is built[0]
+    loaded = type(model).from_payload(model.to_payload())
+    assert len(built) == 2 and loaded._net() is built[1]
+    weight = loaded.stem_.weight
+    weight.data = weight.data * 0.5 + 0.1
+    assert len(built) == 2 and loaded._net() is built[1] and weight.flat is built[1].theta
 
 
 @pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
@@ -927,6 +891,33 @@ def test_batch_terms_equal_the_unfused_graph_step(kind, settings):
         assert grad.tobytes() == want_grad.tobytes()
 
 
+def _per_exit_loss_terms(out, y, num_segments, num_classes):
+    """The exit loss as a loop over exits: each exit's
+    `softmax_cross_entropy_terms`, the values added left to right, and
+    the products toward the output side by side."""
+    c, targets = num_classes, one_hot(y, num_classes)
+    terms = [ad.softmax_cross_entropy_terms(out[:, k * c:(k + 1) * c], targets)
+             for k in range(num_segments)]
+    loss = terms[0][0]
+    for value, _ in terms[1:]:
+        loss = loss + value
+    return loss, np.concatenate([vjp(ad._ONE) for _, vjp in terms], axis=1)
+
+
+@pytest.mark.parametrize("segments", [1, 3, 4])
+@pytest.mark.parametrize("rows", [32, 8])
+def test_one_pass_exit_loss_equals_the_per_exit_loop(segments, rows):
+    model = EarlyExitNet(input_dim=6, width=5, num_segments=segments, num_classes=4)
+    model._build(np.random.default_rng(segments))
+    rng = np.random.default_rng(rows)
+    X, y = rng.uniform(0, 1, size=(rows, 6)), rng.integers(0, 4, size=rows)
+    out, grad_theta = model._net().theta_terms(X)
+    want, g_out = _per_exit_loss_terms(out, y, segments, 4)
+    loss, grad = model._batch_terms(X, y)
+    assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+    assert grad.tobytes() == grad_theta(g_out).tobytes()
+
+
 def _overflowing(kind, where):
     """A small model of `kind` whose training step overflows at `where`: the
     stem or the first block's hidden pre-activation, the last head's logits,
@@ -1190,6 +1181,19 @@ def test_one_parameter_adam_checks_its_count_and_its_present_shape():
     with pytest.raises(ValueError, match=r"shape \(3,\) for a parameter of shape \(4,\)"):
         opt.step([np.zeros(3)])
     assert p.data.tolist() == [0.0] * 4 and opt.t == 0
+
+
+def test_one_parameter_adam_rejects_a_rebind_to_another_size_before_its_state_moves():
+    p = Tensor(np.zeros(3))
+    opt = Adam([p])
+    opt.step([np.ones(3)])
+    m, v = opt._m.copy(), opt._v.copy()
+    p.data = np.zeros(4)
+    with pytest.raises(ValueError, match="3 entries was rebound to 4"):
+        opt.step([np.ones(4)])
+    assert opt.t == 1
+    assert opt._m.tobytes() == m.tobytes() and opt._v.tobytes() == v.tobytes()
+    assert m.all()   # the first step moved them
 
 
 @pytest.mark.parametrize("name, value", [

@@ -23,7 +23,6 @@ from adnn_energy_lab.defense import (
 from adnn_energy_lab.data import generate_dataset
 from adnn_energy_lab.energy import EnergyModel
 from adnn_energy_lab.models import model_from_payload
-from adnn_energy_lab.nn import Dense, ResidualBlock
 from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
 
 from oracles import (evaluate_defense_sequential_reference, finite_difference,
@@ -220,8 +219,8 @@ class TestGradientFeature:
         want = gradient_feature(trained_exit, X).tobytes()
         net = copy.deepcopy(trained_exit)
         big = np.finfo(np.float64).max
-        net.segments_[1] = ResidualBlock(Dense(np.full((net.width, net.width), big),
-                                               np.zeros(net.width)), net.segments_[1].lin2)
+        lin1 = net.segments_[1].lin1
+        lin1.weight.data, lin1.bias.data = np.full((net.width, net.width), big), np.zeros(net.width)
         with pytest.raises(NonFiniteError):
             net.forward_terms(X)
         assert gradient_feature(net, X).tobytes() == want

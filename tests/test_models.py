@@ -173,9 +173,27 @@ class TestGatedSkipNet:
     def saturated_net(self, bias):
         net = GatedSkipNet(num_blocks=3)
         net._build(derive_rng(0, "saturated"))
-        net.gate_weights_ = [Tensor(np.float64(0.0)) for _ in range(3)]
-        net.gate_biases_ = [Tensor(np.float64(bias)) for _ in range(3)]
+        for weight, gate_bias in zip(net.gate_weights_, net.gate_biases_):
+            weight.data, gate_bias.data = 0.0, bias
         return net
+
+    def test_calibrated_and_analogue_gates_are_what_the_forward_reads(self):
+        rng = derive_rng(3, "gate-writes")
+        X = rng.uniform(0, 1, size=(20, 6))
+        pooled = X @ np.full((6, 1), 1.0 / 6)
+
+        def sigmoid(weights, biases):
+            return 1.0 / (1.0 + np.exp(-(pooled * np.array(weights) + np.array(biases))))
+
+        net = GatedSkipNet(input_dim=6, width=4, num_blocks=3, num_classes=3)._build(rng)
+        net._calibrate_gates(X, slope=4.0)
+        qs = np.quantile(X.mean(axis=1), [0.5 / 3, 1.5 / 3, 2.5 / 3])
+        want = sigmoid([4.0] * 3, [-4.0 * q for q in qs])
+        assert net.forward_terms(X, 0)[0].tobytes() == want.tobytes()
+        thresholds = [0.3, 0.5, 0.7]
+        analogue = scripted_gate_analogue(thresholds, sharpness=40.0, input_dim=6, width=4)
+        want = sigmoid([40.0] * 3, [-40.0 * t for t in thresholds])
+        assert analogue.forward_terms(X, 0)[0].tobytes() == want.tobytes()
 
     def test_forced_open_gates_run_every_block(self):
         net = self.saturated_net(800.0)
@@ -653,10 +671,9 @@ def _small_model(kind):
         model._build(rng)
         return model
     model = FilterModel(input_dim=6, width=4, num_blocks=2)
-    model.stem_ = Dense(*xavier_layer(rng, 6, 4))
-    model.blocks_ = [ResidualBlock(Dense(*xavier_layer(rng, 4, 4)), Dense(*xavier_layer(rng, 4, 4)))
-                     for _ in range(2)]
-    model.head_ = Dense(*xavier_layer(rng, 4, 2))
+    # a draw of its own, in layout order: stem, each block's lin1 and lin2, head
+    model._assemble([a for shape in [(6, 4)] + [(4, 4)] * 4 + [(4, 2)]
+                     for a in xavier_layer(rng, *shape)])
     return model
 
 
@@ -744,7 +761,7 @@ class TestHeadSelectiveNode:
     def test_array_form_checks_what_the_node_checks(self, kind):
         model = _small_model(kind)
         width, big = model.width, np.finfo(np.float64).max
-        model.stem_ = Dense(np.full((6, width), big), np.zeros(width))
+        model.stem_.weight.data, model.stem_.bias.data = np.full((6, width), big), np.zeros(width)
         x = np.full((1, 6), 10.0)
         with pytest.raises(NonFiniteError, match="residual_mlp"):
             model.forward_terms(x)
@@ -762,15 +779,10 @@ class TestHeadSelectiveNode:
         before = model.forward_terms(x, kept)[0].tobytes()
         blocks = model.blocks_ if kind == "skip" else model.segments_
         width, big = model.width, np.finfo(np.float64).max
-        if layer == "stem":
-            model.stem_ = Dense(np.full((6, width), big), np.zeros(width))
-        elif layer == "block":
-            blocks[-1] = ResidualBlock(Dense(np.full((width, width), big), np.zeros(width)),
-                                       blocks[-1].lin2)
-        elif kind == "skip":
-            model.head_ = Dense(np.full((width, 3), big), np.zeros(3))
-        else:
-            model.exit_heads_[-1] = Dense(np.full((width, 3), big), np.zeros(3))
+        dense = {"stem": model.stem_, "block": blocks[-1].lin1,
+                 "head": model.head_ if kind == "skip" else model.exit_heads_[-1]}[layer]
+        dense.weight.data = np.full(dense.weight.shape, big)
+        dense.bias.data = np.zeros(dense.bias.shape)
         with pytest.raises(NonFiniteError, match="residual_mlp"):
             model.forward_terms(x)
         assert model.forward_terms(x, kept)[0].tobytes() == before
