@@ -11,14 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import derive_rng
-from .validation import check_same_length
+from .validation import INT, SIZE, check_params, check_same_length
 
 PSNR_CAP_DB = 100.0
 
 
 def energy_increase_percent(e_orig, e_test):
     """Signed percentage change from the original energy."""
-    if e_orig <= 0:
+    if not e_orig > 0:
         raise ValueError("original energy must be positive, got %r" % (e_orig,))
     return (e_test - e_orig) / e_orig * 100.0
 
@@ -86,6 +86,8 @@ def avg_squared_difference(pairs):
             raise ValueError("pair shapes differ: %s vs %s" % (x.shape, f.shape))
         total += float(np.sum((x - f) ** 2))
         count += x.size
+    if count == 0:
+        raise ValueError("the pairs hold no pixels")
     return total / count
 
 
@@ -131,8 +133,10 @@ def pearson(xs, ys, n_perm=10000, seed=0):
     """Pearson r with a two-sided permutation p-value.
 
     Exhaustive over all permutations when n <= 7 (exact p); otherwise
-    n_perm seeded shuffles with add-one smoothing.
+    n_perm seeded shuffles with add-one smoothing. `n_perm` must be a
+    positive integer and `seed` an integer, whichever path runs.
     """
+    check_params({"n_perm": SIZE, "seed": INT}, {"n_perm": n_perm, "seed": seed})
     xs = np.asarray(xs, dtype=np.float64).reshape(-1)
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     check_same_length(xs, ys, "xs", "ys")
@@ -213,8 +217,8 @@ def robustness_scores(adnn, energy_model, seed_inputs, budget, input_tests,
         raise ValueError("need one input-based test per seed input")
     if not universal_tests:
         raise ValueError("need at least one universal test input")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if not budget >= 0:
+        raise ValueError("budget must be nonnegative or inf, got %r" % (budget,))
 
     best_gain = 0.0  # delta = 0 is always admissible
     for x, f in zip(seed_inputs, input_tests):

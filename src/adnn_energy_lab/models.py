@@ -8,13 +8,13 @@ returns from the first head whose prediction entropy drops below the
 entropy threshold. ScriptedAdnn is a weight-free stand-in whose gates fire
 on fixed input-mean thresholds, used as a ground-truth oracle in tests.
 
-Both nets are `nn.ResidualModel`s, which draw, hold, fit and save the
-network; each adds its layer attributes, its payload layout, its batch loss
-and what its fit does beyond the shared loop. Gating is trained soft (the
-residual branch is scaled by the gate value, so everything is
-differentiable) and deployed hard. FLOPs: each affine map costs
-2 * fan_in * fan_out; gates, activations and pooling are free, so only the
-input-dependent block executions move the count.
+Both nets are `AdaptiveNet`s: `nn.ResidualModel`s (which draw, hold, fit
+and save the network) that share the signature, the FLOPs ladder read from
+the settings, the soft forward and `predict`. Each adds its layer
+attributes, payload layout, least FLOPs, `infer`, batch loss and what its
+fit does beyond the shared loop. Gating is trained soft (the residual branch
+is scaled by the gate value, so everything is differentiable) and deployed
+hard.
 
 `infer` on a batch of rows returns a `TraceBatch`: one array per trace
 field (FLOPs, logits, gate values and decisions or exit indices and
@@ -136,12 +136,56 @@ def flops_of_trace(model, trace):
             "trace signature %s does not match model %s"
             % (trace.signature, model.signature)
         )
-    if trace.kind == "skip":
-        return model.base_flops + trace.active_units * model.block_flops
-    return model.trace_flops(trace.exit_index)
+    return model.base_flops + trace.active_units * model.block_flops
 
 
-class GatedSkipNet(ResidualModel):
+class AdaptiveNet(ResidualModel):
+    """An input-adaptive `ResidualModel`: the skip and exit nets.
+
+    Its sizes come from the settings, as its `signature` does, never from
+    the layer objects. FLOPs count 2 * fan_in * fan_out per affine map (one
+    multiply plus one add per weight); activations, pooling and gates are
+    free. So an inference costs `base_flops`, the stem and one head, plus
+    `block_flops`, a block's two width x width maps, per active unit: a
+    block that ran (skip) or a segment consumed (exit). A subclass gives its
+    `min_flops`, its `infer` and the rest of a `ResidualModel`.
+    """
+
+    @property
+    def signature(self):
+        return (self.kind, self.input_dim, self.width, getattr(self, self._BLOCKS),
+                self.num_classes)
+
+    @property
+    def stem_flops(self):
+        return 2 * int(self.input_dim) * int(self.width)
+
+    @property
+    def block_flops(self):
+        return 4 * int(self.width) * int(self.width)
+
+    @property
+    def base_flops(self):
+        return self.stem_flops + 2 * int(self.width) * int(self.num_classes)
+
+    @property
+    def max_flops(self):
+        return self.base_flops + int(getattr(self, self._BLOCKS)) * self.block_flops
+
+    def forward_terms(self, x, heads=None):
+        """The soft forward of array `x` (a vector or a batch of rows), with
+        no graph: the first `heads` heads' logits (all if None), then any
+        gate values, along the last axis, and their vector-Jacobian product
+        toward `x`. It runs only the layers those outputs read: `heads=0`
+        gives a skip net's gate values alone, and an exit net's trunk runs
+        only as far as the last exit kept; see `nn.ResidualMLP.terms`."""
+        return self._net().terms(x, heads)
+
+    def predict(self, X):
+        return self.infer(as_sample_matrix(X, "X", feature_dim=self.input_dim)).labels
+
+
+class GatedSkipNet(AdaptiveNet):
     """Residual classifier that skips gated blocks on easy inputs."""
 
     kind = "skip"
@@ -196,38 +240,10 @@ class GatedSkipNet(ResidualModel):
             weight.data, bias.data = np.float64(slope), np.float64(-slope * q)
 
     @property
-    def signature(self):
-        return ("skip", self.input_dim, self.width, self.num_blocks, self.num_classes)
-
-    @property
-    def base_flops(self):
-        return self.stem_.flops + self.head_.flops
-
-    @property
-    def block_flops(self):
-        return self.blocks_[0].flops
-
-    @property
     def min_flops(self):
         return self.base_flops
 
-    @property
-    def max_flops(self):
-        return self.base_flops + self.num_blocks * self.block_flops
-
-    @property
-    def stem_flops(self):
-        return self.stem_.flops
-
     # -- forward ------------------------------------------------------
-
-    def forward_terms(self, x, heads=None):
-        """The soft forward of array `x` (a vector or a batch of rows), with
-        no graph: (the logits, then the gate values, along the last axis;
-        their vector-Jacobian product toward `x`). `heads=0` gives the gate
-        values alone, and runs neither the stem, the blocks nor the head; see
-        `nn.ResidualMLP.terms`."""
-        return self._net().terms(x, heads)
 
     def forward(self, x, mode="hard"):
         """Run the network on a Tensor (vector or batch of rows) as a graph.
@@ -265,11 +281,6 @@ class GatedSkipNet(ResidualModel):
                            gate_values=values, gate_decisions=decisions)
         return batch[0] if np.asarray(x).ndim == 1 else batch
 
-    def predict(self, X):
-        X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        (logits,), _ = self._net().run(X, self.gate_threshold)
-        return np.argmax(logits, axis=-1)
-
     # -- training -----------------------------------------------------
 
     def _batch_terms(self, X, y):
@@ -305,7 +316,7 @@ class GatedSkipNet(ResidualModel):
         return self
 
 
-class EarlyExitNet(ResidualModel):
+class EarlyExitNet(AdaptiveNet):
     """Trunk of residual segments with a classifier head at every segment."""
 
     kind = "exit"
@@ -343,38 +354,8 @@ class EarlyExitNet(ResidualModel):
                               "segments.%d", ("exits.%d" % i for i in range(self.num_segments)))
 
     @property
-    def signature(self):
-        return ("exit", self.input_dim, self.width, self.num_segments, self.num_classes)
-
-    @property
-    def block_flops(self):
-        return self.segments_[0].flops
-
-    @property
-    def head_flops(self):
-        return self.exit_heads_[0].flops
-
-    def trace_flops(self, exit_index):
-        return self.stem_.flops + (exit_index + 1) * self.block_flops + self.head_flops
-
-    @property
     def min_flops(self):
-        return self.trace_flops(0)
-
-    @property
-    def max_flops(self):
-        return self.trace_flops(self.num_segments - 1)
-
-    @property
-    def stem_flops(self):
-        return self.stem_.flops
-
-    def forward_terms(self, x, heads=None):
-        """The logits of the first `heads` exits (every exit if None) for
-        array `x`, side by side along the last axis, with no graph, and their
-        vector-Jacobian product toward `x`. The trunk is shared, and runs only
-        as far as the last exit kept; see `nn.ResidualMLP.terms`."""
-        return self._net().terms(x, heads)
+        return self.base_flops + self.block_flops
 
     def infer(self, x):
         """Hard-mode inference: a TraceBatch for a batch of rows, an
@@ -390,14 +371,11 @@ class EarlyExitNet(ResidualModel):
         entropies = _entropies(probs)
         below = entropies < self.entropy_threshold
         exits = np.where(below.any(axis=1), below.argmax(axis=1), self.num_segments - 1)
-        flops = np.array([self.trace_flops(k) for k in range(self.num_segments)])
-        batch = TraceBatch("exit", self.signature, flops[exits],
+        batch = TraceBatch("exit", self.signature,
+                           self.base_flops + (exits + 1) * self.block_flops,
                            logits[np.arange(len(X)), exits], exit_indices=exits,
                            exit_entropies=entropies)
         return batch[0] if np.asarray(x).ndim == 1 else batch
-
-    def predict(self, X):
-        return self.infer(as_sample_matrix(X, "X", feature_dim=self.input_dim)).labels
 
     def _batch_terms(self, X, y):
         """Training loss of one batch and its gradient toward theta, on

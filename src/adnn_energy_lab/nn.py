@@ -17,10 +17,6 @@ theta's one array in place, so the layer slices are cut once per fit. The
 draw, `to_payload` and `from_payload` walk one layout, `payload_layout`: a
 (payload key, shape) per theta view, in theta order; the draw and the
 loader build the network with one method, `ResidualModel._assemble`.
-
-FLOPs accounting is fixed at 2 * fan_in * fan_out per affine map (one
-multiply plus one add per weight). Activations, pooling and gate heads are
-treated as free; only affine maps carry cost.
 """
 
 import numpy as np
@@ -52,18 +48,6 @@ class Dense:
             )
 
     @property
-    def fan_in(self):
-        return self.weight.shape[0]
-
-    @property
-    def fan_out(self):
-        return self.weight.shape[1]
-
-    @property
-    def flops(self):
-        return 2 * self.fan_in * self.fan_out
-
-    @property
     def params(self):
         return [self.weight, self.bias]
 
@@ -75,10 +59,6 @@ class ResidualBlock:
     def __init__(self, lin1, lin2):
         self.lin1 = lin1
         self.lin2 = lin2
-
-    @property
-    def flops(self):
-        return self.lin1.flops + self.lin2.flops
 
     @property
     def params(self):
@@ -127,8 +107,8 @@ class ResidualMLP:
         for layer in heads:
             layer.weight, layer.bias = next(views), next(views)
         self.gated = gates is not None
-        self.input_dim = stem.fan_in
-        self.out_dim = heads[0].fan_out
+        self.input_dim = stem.weight.shape[0]
+        self.out_dim = heads[0].weight.shape[1]
         self._layers_memo = None
 
     def _layers(self):

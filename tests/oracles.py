@@ -75,12 +75,18 @@ def infer_reference(model, x):
     The skip and exit nets run their network's hard forward once
     (`_net().run`); the exit net's softmax runs head by head through
     `autodiff.softmax` and its exit is searched row by row. The scripted
-    model is evaluated row by row from its thresholds.
+    model is evaluated row by row from its thresholds. The nets' FLOPs are
+    counted by hand from their sizes: the stem, one head and a block's two
+    width x width maps per block run or segment consumed.
     """
     from adnn_energy_lab.autodiff import Tensor, softmax
 
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rows = []
+
+    def hand_flops(units):
+        w = model.width
+        return 2 * model.input_dim * w + 2 * w * model.num_classes + units * 2 * (2 * w * w)
 
     def row(kind, flops, logits, gate_values=None, gate_decisions=None, exit_index=None,
             exit_entropies=None):
@@ -100,8 +106,8 @@ def infer_reference(model, x):
         (logits,), values = model._net().run(X, model.gate_threshold)
         for i in range(len(X)):
             decisions = tuple(v >= model.gate_threshold for v in values[i].tolist())
-            row("skip", model.base_flops + sum(decisions) * model.block_flops,
-                logits[i].copy(), tuple(values[i].tolist()), decisions)
+            row("skip", hand_flops(sum(decisions)), logits[i].copy(),
+                tuple(values[i].tolist()), decisions)
     else:
         all_logits, _ = model._net().run(X)
         entropies = []
@@ -113,7 +119,7 @@ def infer_reference(model, x):
             ent = tuple(float(e[i]) for e in entropies)
             below = [k for k, e in enumerate(ent) if e < model.entropy_threshold]
             exit_index = below[0] if below else model.num_segments - 1
-            row("exit", model.trace_flops(exit_index), all_logits[exit_index][i].copy(),
+            row("exit", hand_flops(exit_index + 1), all_logits[exit_index][i].copy(),
                 exit_index=exit_index, exit_entropies=ent)
     return rows[0] if np.asarray(x).ndim == 1 else rows
 

@@ -623,6 +623,7 @@ class TestIlfoTargetCheck:
     @pytest.mark.parametrize("model, target, match", [
         (EarlyExitNet(), "gate", "num_blocks"),
         (FilterModel(), "gate", "forward_terms"),
+        (EnergyEstimator(), "gate", "forward_terms"),
         (ScriptedAdnn([0.3, 0.6], base_flops=100, block_flops=50), "gate", "forward_terms"),
         (GatedSkipNet(), "exit", "at least 2 exits"),
         (EarlyExitNet(num_segments=1), "exit", "at least 2 exits"),

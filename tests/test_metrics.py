@@ -1,6 +1,8 @@
 """Measurement instruments: percentages, recovery fractions, quality and
 rank statistics, and the robustness summary."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,10 @@ class TestEnergyIncrease:
             energy_increase_percent(0.0, 5.0)
         with pytest.raises(ValueError):
             energy_increase_percent(-1.0, 5.0)
+
+    def test_nan_original_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            energy_increase_percent(math.nan, 5.0)
 
 
 class TestIncRf:
@@ -134,6 +140,11 @@ class TestAvgSquaredDifference:
         with pytest.raises(ValueError):
             avg_squared_difference([(np.zeros(3), np.zeros(4))])
 
+    def test_pairs_without_pixels_rejected(self):
+        with pytest.raises(ValueError, match="no pixels"):
+            avg_squared_difference([(np.zeros(0), np.zeros(0)),
+                                    (np.zeros((2, 0)), np.zeros((2, 0)))])
+
 
 class TestPsnr:
     def test_identical_capped(self):
@@ -222,6 +233,16 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", [4, 12])   # the exhaustive and the sampled path
+    @pytest.mark.parametrize("field, value", [
+        ("n_perm", -2), ("n_perm", -1), ("n_perm", 0), ("n_perm", True), ("n_perm", 2.0),
+        ("seed", 1.5), ("seed", None), ("seed", True),
+    ])
+    def test_bad_permutation_settings_rejected(self, n, field, value):
+        xs = np.arange(n, dtype=np.float64)
+        with pytest.raises(ValueError, match=field):
+            pearson(xs, xs[::-1] ** 2, **{field: value})
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(5)
@@ -323,6 +344,14 @@ class TestRobustnessScores:
                                    test, [np.ones(64)])
         assert scores.e_input == -1.0
         assert scores.e_universal <= scores.e_input <= 0.0
+
+    def test_nan_budget_rejected_and_inf_admits_every_test(self):
+        with pytest.raises(ValueError, match="budget"):
+            robustness_scores(self.model, self.energy, [np.zeros(64)], math.nan,
+                              [np.ones(64)], [np.ones(64)])
+        scores = robustness_scores(self.model, self.energy, [np.zeros(64)], math.inf,
+                                   [np.ones(64)], [np.ones(64)])
+        assert scores.e_input == -2.0
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):

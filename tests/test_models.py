@@ -30,7 +30,6 @@ from adnn_energy_lab.models import (
     save_model,
     scripted_gate_analogue,
 )
-from adnn_energy_lab.nn import Dense, ResidualBlock
 from adnn_energy_lab.optim import Adam
 from adnn_energy_lab.seeding import derive_rng
 from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
@@ -58,14 +57,23 @@ class TestEntropy:
 
 
 class TestFlopsAccounting:
-    def test_dense_layer_count(self):
-        layer = Dense(*xavier_layer(derive_rng(0, "dense-count"), 64, 16))
-        assert layer.flops == 2 * 64 * 16
-
-    def test_width8_residual_block(self):
-        rng = derive_rng(0, "block-count")
-        block = ResidualBlock(Dense(*xavier_layer(rng, 8, 8)), Dense(*xavier_layer(rng, 8, 8)))
-        assert block.flops == 256
+    @pytest.mark.parametrize("cls, blocks", [(GatedSkipNet, "num_blocks"),
+                                             (EarlyExitNet, "num_segments")])
+    @pytest.mark.parametrize("sizes, stem, block, head", [
+        # a 64 -> 16 affine map costs 2*64*16; a width-8 block 2*(2*8*8)
+        ((64, 16, 3, 5), 2048, 1024, 2 * 16 * 5),
+        ((10, 8, 2, 3), 2 * 10 * 8, 256, 2 * 8 * 3),
+    ])
+    @pytest.mark.parametrize("size_type", [int, np.uint8])   # the counts overflow a uint8
+    def test_unfitted_nets_count_from_their_sizes(self, cls, blocks, sizes, stem, block, head,
+                                                  size_type):
+        n = sizes[2]
+        names = ("input_dim", "width", blocks, "num_classes")
+        net = cls(**dict(zip(names, map(size_type, sizes))))
+        assert type(net.max_flops) is int
+        assert (net.stem_flops, net.block_flops, net.base_flops) == (stem, block, stem + head)
+        assert net.max_flops == stem + head + n * block
+        assert net.min_flops == stem + head + (block if cls is EarlyExitNet else 0)
 
     def test_scripted_two_active_blocks(self):
         model = ScriptedAdnn([0.2, 0.4, 0.6, 0.8], base_flops=100, block_flops=256)
@@ -89,8 +97,8 @@ class TestFlopsAccounting:
     def test_default_exit_architecture_hand_count(self, trained_exit):
         assert trained_exit.stem_flops == 2048
         assert trained_exit.block_flops == 1024
-        assert trained_exit.head_flops == 128
-        assert trained_exit.trace_flops(0) == 2048 + 1024 + 128
+        assert trained_exit.base_flops == 2048 + 128
+        assert trained_exit.min_flops == 2048 + 1024 + 128
         assert trained_exit.max_flops == 2048 + 4 * 1024 + 128
 
     def test_trace_flops_recomputed_from_decisions(self, trained_skip, skip_dataset):
@@ -102,6 +110,47 @@ class TestFlopsAccounting:
         trace = other.infer(np.full(64, 0.9))
         with pytest.raises(ValueError):
             flops_of_trace(trained_skip, trace)
+
+    @staticmethod
+    def assert_settings_match_layout(net):
+        """The settings' stem, block and head shares equal 2 * fan_in *
+        fan_out summed over the weight shapes of the network's theta."""
+        n = getattr(net, net._BLOCKS)
+        mats = [2 * shape[0] * shape[1] for _, _, shape in net._net().theta.layout
+                if len(shape) == 2]
+        assert mats[0] == net.stem_flops
+        assert [mats[1 + 2 * i] + mats[2 + 2 * i] for i in range(n)] == [net.block_flops] * n
+        heads = mats[1 + 2 * n:]
+        assert len(heads) == (n if net.kind == "exit" else 1)
+        assert heads == [net.base_flops - net.stem_flops] * len(heads)
+
+    @pytest.mark.parametrize("fixture", ["trained_skip", "trained_exit"])
+    def test_fitted_settings_match_layout(self, request, fixture):
+        net = request.getfixturevalue(fixture)
+        self.assert_settings_match_layout(net)
+        self.assert_settings_match_layout(type(net).from_payload(net.to_payload()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(cls=st.sampled_from([GatedSkipNet, EarlyExitNet]), input_dim=st.integers(1, 8),
+           width=st.integers(1, 6), n=st.integers(1, 4), classes=st.integers(2, 5),
+           level=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 16))
+    def test_every_trace_climbs_one_ladder(self, cls, input_dim, width, n, classes, level,
+                                           seed):
+        # the level spreads the traces over the ladder: a gate threshold, or
+        # that fraction of the largest entropy
+        threshold = ({"gate_threshold": level} if cls is GatedSkipNet
+                     else {"entropy_threshold": level * math.log(classes)})
+        net = cls(input_dim=input_dim, width=width, num_classes=classes,
+                  **{cls._BLOCKS: n}, **threshold)
+        net._build(derive_rng(seed, "ladder"))
+        X = derive_rng(seed, "ladder-rows").uniform(0, 1, size=(8, input_dim))
+        for trace in net.infer(X):
+            units = trace.active_units
+            hand = 2 * input_dim * width + 2 * width * classes + units * 4 * width ** 2
+            assert trace.flops == hand == flops_of_trace(net, trace)
+            assert net.min_flops <= trace.flops <= net.max_flops
+        self.assert_settings_match_layout(net)
+        self.assert_settings_match_layout(cls.from_payload(net.to_payload()))
 
 
 class TestScriptedModel:
@@ -334,7 +383,7 @@ class TestEarlyExitNet:
         for i, trace in enumerate(net.infer(X)):
             entropies = tuple(entropy(p[i]) for p in probs)
             assert trace.exit_entropies == entropies
-            assert trace.flops == net.trace_flops(trace.exit_index)
+            assert trace.flops == net.base_flops + (trace.exit_index + 1) * net.block_flops
             assert np.array_equal(trace.logits, all_logits[trace.exit_index][i])
 
     def test_trained_fixture_uses_multiple_exits(self, trained_exit, exit_dataset):
