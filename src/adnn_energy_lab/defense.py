@@ -198,12 +198,10 @@ class LinearSvm:
 _SVM_PARAMS = {"lam": POSITIVE, "epochs": SIZE}
 
 
-def _svm_objective(w, b, features, y, lam):
-    margins = y * (features @ w + b)
-    hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
-    # the bias rides along as an augmented coordinate, so it is priced
-    # inside the quadratic term just like the weights
-    return 0.5 * lam * (float(w @ w) + b * b) + hinge
+# a scale below this is folded into the coefficients: the running sum's
+# coefficients S * alpha - beta then lose no more than about eps / _SVM_FOLD
+# of their value to cancellation
+_SVM_FOLD = 1e-3
 
 
 def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
@@ -213,6 +211,24 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
     regularizer and the step-size schedule; iterates are projected onto
     the 1/sqrt(lam) ball and the returned classifier is the average of all
     iterates, whose full-set objective is recorded per epoch.
+
+    The loop runs the Pegasos iterates in their kernelized form
+    (Shalev-Shwartz et al., Math. Programming 2011, section 4): with u_i =
+    y_i [x_i, 1] the signed augmented rows and K = U U^T their n x n Gram
+    matrix, the iterate is w = s U^T alpha and the running sum of iterates
+    U^T (S alpha - beta), where S sums the scales s. Every row's margin
+    (K alpha)_i is kept in one array, so a step that keeps its margin
+    updates scalars only; a violating step adds one row of K to that array
+    and moves alpha_i, beta_i and |U^T alpha|^2. The margins and the norm
+    are recomputed from K once per epoch and whenever s is folded into
+    alpha; each epoch's objective comes from K too, and the weights are
+    formed once, at the end. The iterates are the primal loop's in exact
+    arithmetic; in floats they differ by rounding, within 1e-10 relative
+    on the classifier. K takes n * n floats, no more than the features
+    take while n <= d + 1.
+
+    Raises ValueError when an inner product of the augmented rows
+    overflows, before the first step.
     """
     check_params(_SVM_PARAMS, {"lam": lam, "epochs": epochs})
     features = as_sample_matrix(np.asarray(features, dtype=np.float64),
@@ -225,33 +241,45 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
         raise ValueError("training needs both classes present")
     y = np.where(labels == 1, 1.0, -1.0)
     n, d = features.shape
-    # one row array and one Python float label per example, indexed by a
-    # Python int: the step reads them with no numpy scalar boxing
-    rows = list(np.concatenate([features, np.ones((n, 1))], axis=1))
-    signs = y.tolist()
-    w = np.zeros(d + 1)
-    w_sum = np.zeros(d + 1)
-    radius = 1.0 / math.sqrt(lam)
+    rows = np.concatenate([features, np.ones((n, 1))], axis=1) * y[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows @ rows.T
+    if not np.isfinite(gram).all():
+        raise ValueError("features too large: the inner products of their rows overflow")
+    gram_rows, diag = list(gram), gram.diagonal().tolist()
+    alpha, beta, kalpha, sq_norm = np.zeros(n), np.zeros(n), np.zeros(n), 0.0
+    # the scale is s = p / t: the shrink by 1 - 1/t at step t leaves p as it
+    # is, and a violating step adds 1 / (lam p) to its alpha_i
+    p, scale_sum, t = 1.0, 0.0, 0
     rng = derive_rng(seed, "svm")
-    t = 0
     history = []
     for _ in range(epochs):
         for i in rng.permutation(n).tolist():
             t += 1
-            eta = 1.0 / (lam * t)
-            row, sign = rows[i], signs[i]
-            violated = sign * (w @ row) < 1.0
-            w *= 1.0 - 1.0 / t
-            if violated:
-                w += eta * sign * row
-            norm = math.sqrt(w @ w)
-            if norm > radius:
-                w *= radius / norm
-            w_sum += w
-        w_bar = w_sum / t
-        history.append(_svm_objective(w_bar[:d], float(w_bar[d]),
-                                      features, y, lam))
-    w_bar = w_sum / t
+            # w . u_i = s (K alpha)_i < 1 for the iterate before the step,
+            # whose scale is p / (t - 1); the first, w = 0, violates them all
+            if kalpha.item(i) * p < t - 1 or t == 1:
+                if p < _SVM_FOLD * t:
+                    beta -= scale_sum * alpha
+                    alpha *= p / t
+                    p, scale_sum = float(t), 0.0
+                    kalpha = gram @ alpha
+                    sq_norm = float(alpha @ kalpha)
+                step = 1.0 / (lam * p)
+                beta[i] += step * scale_sum
+                alpha[i] += step
+                sq_norm += step * (2.0 * kalpha.item(i) + step * diag[i])
+                kalpha += step * gram_rows[i]
+                if lam * p * p * sq_norm > t * t:    # |w| > 1 / sqrt(lam)
+                    p = t / math.sqrt(lam * sq_norm)
+            scale_sum += p / t
+        coef = (alpha * scale_sum - beta) / t    # the average iterate is U^T coef
+        kcoef = gram @ coef
+        history.append(0.5 * lam * float(coef @ kcoef)
+                       + float(np.maximum(0.0, 1.0 - kcoef).sum()) / n)
+        kalpha = gram @ alpha
+        sq_norm = float(alpha @ kalpha)
+    w_bar = rows.T @ coef
     svm = LinearSvm(weights=w_bar[:d].copy(), bias=float(w_bar[d]), lam=lam)
     svm.objective_history_ = history
     return svm

@@ -129,12 +129,21 @@ def _pearson_r(xs, ys):
     return float(((xs - xs.mean()) * (ys - ys.mean())).mean() / (sx * sy))
 
 
+# the entries of one block of permutations that `pearson` scores at once
+_PERMUTATION_BLOCK = 1 << 16
+
+
 def pearson(xs, ys, n_perm=10000, seed=0):
     """Pearson r with a two-sided permutation p-value.
 
     Exhaustive over all permutations when n <= 7 (exact p); otherwise
     n_perm seeded shuffles with add-one smoothing. `n_perm` must be a
     positive integer and `seed` an integer, whichever path runs.
+
+    The permutations are scored a block of rows at a time, at most
+    `_PERMUTATION_BLOCK` entries: each row's r takes `_pearson_r`'s
+    reductions row-wise, which sum a row as a one-row reduce does, so p is
+    the one-permutation-at-a-time loop's to the bit.
     """
     check_params({"n_perm": SIZE, "seed": INT}, {"n_perm": n_perm, "seed": seed})
     xs = np.asarray(xs, dtype=np.float64).reshape(-1)
@@ -144,24 +153,31 @@ def pearson(xs, ys, n_perm=10000, seed=0):
         raise ValueError("pearson needs at least 3 points")
     r = _pearson_r(xs, ys)
     threshold = abs(r) - 1e-12
+    dx, sx = xs - xs.mean(), xs.std()
+
+    def hits(perms):
+        """How many rows of `perms` reach the threshold in |r| against xs."""
+        sy = perms.std(axis=1)
+        if not sy.all():
+            raise ValueError("pearson undefined for zero-variance input")
+        rs = (dx * (perms - perms.mean(axis=1, keepdims=True))).mean(axis=1) / (sx * sy)
+        return int(np.count_nonzero(np.abs(rs) >= threshold))
+
     if len(xs) <= 7:
-        hits = 0
-        total = 0
-        for perm in itertools.permutations(ys):
-            total += 1
-            if abs(_pearson_r(xs, np.array(perm))) >= threshold:
-                hits += 1
-        p = hits / total
-    else:
-        rng = derive_rng(seed, "pearson")
-        hits = 0
-        shuffled = ys.copy()
-        for _ in range(n_perm):
+        # 7! rows of 7 entries fit in one block
+        perms = np.array(list(itertools.permutations(ys)))
+        return r, hits(perms) / len(perms)
+    rng = derive_rng(seed, "pearson")
+    block = np.empty((max(1, _PERMUTATION_BLOCK // len(ys)), len(ys)))
+    shuffled = ys.copy()
+    total = 0
+    for start in range(0, n_perm, len(block)):
+        perms = block[:n_perm - start]
+        for row in perms:
             rng.shuffle(shuffled)
-            if abs(_pearson_r(xs, shuffled)) >= threshold:
-                hits += 1
-        p = (hits + 1) / (n_perm + 1)
-    return r, p
+            row[:] = shuffled
+        total += hits(perms)
+    return r, (total + 1) / (n_perm + 1)
 
 
 def auc(scores, labels):

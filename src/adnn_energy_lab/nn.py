@@ -502,6 +502,21 @@ class ResidualModel(ParamsMixin):
     def _params(self):
         return self._net().params
 
+    def set_params(self, **params):
+        """Set hyperparameters as `ParamsMixin.set_params` does. A change to
+        a setting the layout reads (the input, width, block or segment and
+        class counts) drops the fit, since the held network no longer has
+        the settings' shape: every fitted attribute becomes None until the
+        next `fit`. Any other setting keeps the fit."""
+        layout = list(self._layout())
+        super().set_params(**params)
+        if list(self._layout()) != layout:
+            for name in vars(self):
+                if name.endswith("_"):
+                    setattr(self, name, None)
+            self._network = None
+        return self
+
     def score(self, X, y):
         """The fraction of rows whose `predict` equals `y`: a classifier's
         accuracy. `X` needs at least one row."""

@@ -755,3 +755,85 @@ def svm_subgradient_reference(features, labels, lam, steps=5000):
             total += u
     u = total / (steps - steps // 2)
     return u[:-1], float(u[-1])
+
+
+def pegasos_primal_reference(features, labels, lam=1e-4, epochs=200, seed=0):
+    """`train_svm`'s Pegasos iterates as the primal loop runs them: one
+    (d + 1)-vector iterate, its shrink, step, projection and running sum at
+    every step, and each epoch's objective scored on the features. Takes
+    inputs `train_svm` accepts and returns the same `LinearSvm`."""
+    from adnn_energy_lab.defense import LinearSvm
+    from adnn_energy_lab.seeding import derive_rng
+
+    def objective(w, b, features, y, lam):
+        margins = y * (features @ w + b)
+        hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
+        return 0.5 * lam * (float(w @ w) + b * b) + hinge
+
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels).reshape(-1)
+    y = np.where(labels == 1, 1.0, -1.0)
+    n, d = features.shape
+    rows = list(np.concatenate([features, np.ones((n, 1))], axis=1))
+    signs = y.tolist()
+    w = np.zeros(d + 1)
+    w_sum = np.zeros(d + 1)
+    radius = 1.0 / math.sqrt(lam)
+    rng = derive_rng(seed, "svm")
+    t = 0
+    history = []
+    for _ in range(epochs):
+        for i in rng.permutation(n).tolist():
+            t += 1
+            eta = 1.0 / (lam * t)
+            row, sign = rows[i], signs[i]
+            violated = sign * (w @ row) < 1.0
+            w *= 1.0 - 1.0 / t
+            if violated:
+                w += eta * sign * row
+            norm = math.sqrt(w @ w)
+            if norm > radius:
+                w *= radius / norm
+            w_sum += w
+        w_bar = w_sum / t
+        history.append(objective(w_bar[:d], float(w_bar[d]), features, y, lam))
+    w_bar = w_sum / t
+    svm = LinearSvm(weights=w_bar[:d].copy(), bias=float(w_bar[d]), lam=lam)
+    svm.objective_history_ = history
+    return svm
+
+
+def pearson_loop_reference(xs, ys, n_perm=10000, seed=0):
+    """`metrics.pearson` scoring one permutation at a time: r as
+    `_pearson_r` takes it, then every permutation (n <= 7) or `n_perm`
+    seeded in-place shuffles of ys, each scored on its own."""
+    from adnn_energy_lab.seeding import derive_rng
+
+    def pearson_r(xs, ys):
+        sx, sy = xs.std(), ys.std()
+        if sx == 0 or sy == 0:
+            raise ValueError("pearson undefined for zero-variance input")
+        return float(((xs - xs.mean()) * (ys - ys.mean())).mean() / (sx * sy))
+
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
+    r = pearson_r(xs, ys)
+    threshold = abs(r) - 1e-12
+    if len(xs) <= 7:
+        hits = 0
+        total = 0
+        for perm in itertools.permutations(ys):
+            total += 1
+            if abs(pearson_r(xs, np.array(perm))) >= threshold:
+                hits += 1
+        p = hits / total
+    else:
+        rng = derive_rng(seed, "pearson")
+        hits = 0
+        shuffled = ys.copy()
+        for _ in range(n_perm):
+            rng.shuffle(shuffled)
+            if abs(pearson_r(xs, shuffled)) >= threshold:
+                hits += 1
+        p = (hits + 1) / (n_perm + 1)
+    return r, p

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adnn_energy_lab import defense
 from adnn_energy_lab.autodiff import NonFiniteError, Tensor, gradients
@@ -26,7 +28,7 @@ from adnn_energy_lab.models import model_from_payload
 from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
 
 from oracles import (evaluate_defense_sequential_reference, finite_difference,
-                     max_relative_error, pegasos_objective_reference,
+                     max_relative_error, pegasos_objective_reference, pegasos_primal_reference,
                      svm_subgradient_reference, unfused_exit_forward, unfused_skip_forward,
                      unfused_uniform_cross_entropy)
 
@@ -279,6 +281,85 @@ class TestTrainSvm:
         assert np.linalg.norm(np.r_[svm.weights - w_ref, svm.bias - b_ref]) <= 0.05
         # the recorded history scores the returned (averaged) classifier
         assert svm.objective_history_[-1] == pytest.approx(ours, rel=1e-12)
+
+
+class TestTrainSvmAgainstPrimalLoop:
+    """train_svm runs the primal loop's Pegasos iterates in coefficient
+    form: the same draws and the same iterates in exact arithmetic, so the
+    classifier and each epoch's objective agree up to rounding."""
+
+    @staticmethod
+    def assert_matches_primal(features, labels, lam, epochs, seed):
+        ours = train_svm(features, labels, lam=lam, epochs=epochs, seed=seed)
+        ref = pegasos_primal_reference(features, labels, lam=lam, epochs=epochs, seed=seed)
+        got, want = np.r_[ours.weights, ours.bias], np.r_[ref.weights, ref.bias]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert len(ours.objective_history_) == epochs
+        for a, b in zip(ours.objective_history_, ref.objective_history_):
+            assert abs(a - b) <= 1e-8 * abs(b)
+
+    @staticmethod
+    def problem(seed, n, d, scale):
+        """n rows of d normal features times `scale`, both classes present."""
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = 0, 1
+        return rng.normal(size=(n, d)) * scale, labels
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 30),
+           st.floats(-6.0, 0.0), st.floats(-2.0, 3.0), st.integers(1, 30))
+    @example(0, 2, 3, -4.0, 0.0, 5)       # two rows
+    @example(1, 17, 5, -2.0, 0.0, 1)      # one epoch
+    @example(2, 9, 4, -6.0, 1.0, 7)       # the least lam
+    @example(3, 9, 4, 0.0, 1.0, 7)        # the greatest lam
+    def test_matches_the_primal_loop(self, seed, n, d, log_lam, log_scale, epochs):
+        features, labels = self.problem(seed, n, d, 10.0 ** log_scale)
+        self.assert_matches_primal(features, labels, 10.0 ** log_lam, epochs, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.floats(-6.0, 0.0))
+    def test_matches_the_primal_loop_past_a_fold(self, seed, n, log_lam):
+        # without a fold the scale is at most 1 / t, so a run of more than
+        # 1 / _SVM_FOLD steps folds at its next violating step; a row that
+        # appears with both labels keeps some margin violated
+        features, labels = self.problem(seed, n, 3, 1.0)
+        features = np.vstack([features, features[:1]])
+        labels = np.r_[labels, 1 - labels[0]]
+        epochs = math.ceil((1.0 / defense._SVM_FOLD + 1.0) / len(labels))
+        self.assert_matches_primal(features, labels, 10.0 ** log_lam, epochs, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 0.0), st.floats(1.0, 3.0),
+           st.integers(1, 5))
+    def test_matches_the_primal_loop_when_every_step_projects(self, seed, log_lam, log_norm, d):
+        # two rows x and x' with x . x' > 0 and both labels, so the signed
+        # rows u and v have u . v < 0, over one epoch of two steps: w = 0
+        # violates and steps to u / lam, past the 1 / sqrt(lam) ball since
+        # |u| > 1; then v's margin is negative, and the step leaves |w| at
+        # least (|v| / lam - 1 / sqrt(lam)) / 2, past the ball again since
+        # |v| > 3 sqrt(lam)
+        rng = np.random.default_rng(seed)
+        row = rng.normal(size=d)
+        row *= 10.0 ** log_norm / np.linalg.norm(row)
+        other = row + 0.5 * np.linalg.norm(row) * rng.uniform(-1.0, 1.0, d) / math.sqrt(d)
+        self.assert_matches_primal(np.vstack([row, other]), [1, 0], 10.0 ** log_lam, 1, seed)
+
+    def test_overflowing_inner_products_are_rejected_before_a_step(self):
+        features = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
+        with pytest.raises(ValueError, match="overflow"):
+            train_svm(features, [0, 1, 1], epochs=3)
+
+    def test_defense_report_equals_the_primal_trained_detector(self, trained_skip,
+                                                               skip_dataset):
+        benign, labels, adv = pools(skip_dataset, n=24)
+        features = gradient_feature(trained_skip, np.concatenate([benign[:12], adv[:12]]))
+        svm_labels = np.r_[np.zeros(12), np.ones(12)]
+        ours = train_svm(features, svm_labels, epochs=100, seed=0)
+        ref = pegasos_primal_reference(features, svm_labels, epochs=100, seed=0)
+        evaluate = [evaluate_defense(trained_skip, svm, ENERGY, benign[12:], labels[12:],
+                                     adv[12:]) for svm in (ours, ref)]
+        assert evaluate[0] == evaluate[1]
 
 
 class TestTrainFilter:

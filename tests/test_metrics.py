@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adnn_energy_lab.energy import EnergyModel
@@ -28,6 +28,7 @@ from adnn_energy_lab.models import ScriptedAdnn
 from oracles import (
     auc_reference,
     exhaustive_permutation_p,
+    pearson_loop_reference,
     pearson_r_reference,
     ssim_reference,
 )
@@ -243,6 +244,23 @@ class TestPearson:
         xs = np.arange(n, dtype=np.float64)
         with pytest.raises(ValueError, match=field):
             pearson(xs, xs[::-1] ** 2, **{field: value})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 300), st.integers(1, 1500),
+           st.floats(-1.0, 1.0), st.booleans())
+    @example(0, 7, 1, 0.5, True)          # the exhaustive path, with tied values
+    @example(1, 8, 1, 0.5, False)         # the least shuffled sample and n_perm
+    @example(2, 300, 1500, 0.1, False)    # blocks of 218 rows: six full, one partial
+    def test_p_equals_the_one_permutation_loop_to_the_bit(self, seed, n, n_perm, slope, ties):
+        rng = np.random.default_rng(seed)
+        xs = rng.normal(size=n)
+        ys = slope * xs + rng.normal(size=n)
+        if ties:
+            ys = np.round(ys)
+            ys[:2] = 0.0, 1.0
+        got = pearson(xs, ys, n_perm=n_perm, seed=seed)
+        assert np.array(got).tobytes() == np.array(
+            pearson_loop_reference(xs, ys, n_perm=n_perm, seed=seed)).tobytes()
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(5)

@@ -878,3 +878,49 @@ class TestSetParams:
         key = "gate_threshold" if kind == "skip" else "entropy_threshold"
         assert model.set_params(**{key: 0.25}) is model
         assert getattr(model, key) == 0.25 and model.stem_ is stem
+
+    FITTED = {
+        "skip": lambda data: GatedSkipNet(epochs=2).fit(data.inputs, data.labels),
+        "exit": lambda data: EarlyExitNet(epochs=2).fit(data.inputs, data.labels),
+        "estimator": lambda data: EnergyEstimator(epochs=2).fit(data.inputs, data.difficulty),
+        "filter": lambda data: FilterModel(epochs=2).fit(data.inputs, data.labels % 2),
+    }
+    # every call that reads the fitted network, by model kind
+    CALLS = {
+        "skip": ("infer", "predict", "forward_terms"),
+        "exit": ("infer", "predict", "forward_terms"),
+        "estimator": ("predict", "predict_terms"),
+        "filter": ("predict",),
+    }
+
+    @pytest.mark.parametrize("kind, change", [
+        ("skip", {"width": 8, "num_blocks": 2}), ("skip", {"num_blocks": 3}),
+        ("exit", {"num_segments": 2}), ("exit", {"width": 8}),
+        ("estimator", {"num_blocks": 2}), ("estimator", {"width": 16}),
+        ("filter", {"width": 8}), ("filter", {"num_classes": 3}),
+    ])
+    def test_a_size_change_drops_the_fit(self, kind, change):
+        data = generate_dataset(40, seed=3)
+        model = self.FITTED[kind](data)
+        assert model.set_params(**change) is model
+        for name in self.CALLS[kind]:
+            with pytest.raises(NotFittedError):
+                getattr(model, name)(data.inputs[:2])
+        with pytest.raises(NotFittedError):
+            model.to_payload()
+        # a fit at the new sizes is whole again: its own loader reads its payload
+        targets = {"estimator": data.difficulty, "filter": data.labels % 2}
+        model.fit(data.inputs, targets.get(kind, data.labels))
+        loaded = type(model).from_payload(model.to_payload())
+        assert [getattr(loaded, key) for key in change] == list(change.values())
+        assert loaded.predict(data.inputs).tobytes() == model.predict(data.inputs).tobytes()
+
+    @pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+    def test_other_settings_keep_the_fit(self, kind):
+        data = generate_dataset(40, seed=3)
+        model = self.FITTED[kind](data)
+        before = model.predict(data.inputs).tobytes()
+        payload = model.to_payload()
+        model.set_params(epochs=5, lr=0.5, seed=9, width=model.width)
+        assert model.predict(data.inputs).tobytes() == before
+        assert model.to_payload()["params"] == payload["params"]
