@@ -25,9 +25,14 @@ gradients, byte for byte, against one unfused graph per iterate built from
 the engine's primitive ops. `input_based_loss` wraps the input-based scorer
 as one graph node over the modifier, for the benchmark's traced probe, so
 the probe times the same path as the loop.
+
+Every attack runs one descent loop, `_descend`, and supplies only its
+start, its scorer and how it reads the scored losses. A seed passes one
+boundary, `_one_input`, before any draw or forward.
 """
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,16 +43,7 @@ from .autodiff import (_ONE, ShapeError, Tensor, _checked, _require_finite, entr
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
 from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL, REAL_OR_NONE, SIZE,
-                         as_float_array, check_params)
-
-_ATANH_CLIP = 1e-6
-
-
-def _to_modifier(x):
-    """Inverse reparameterization: the w with tanh_unit_terms(w)[0] == x (clipped)."""
-    x = np.clip(x, _ATANH_CLIP, 1.0 - _ATANH_CLIP)
-    return np.arctanh(2.0 * x - 1.0)
-
+                         as_float_array, check_params, check_unit_range)
 
 def _offset(f, x, op):
     """Array `f` minus the seed array `x`, checked."""
@@ -61,13 +57,16 @@ def _offset(f, x, op):
     return d
 
 
-def _one_input(x):
-    """The seed `x`, one input (a vector or a single row), as one row."""
+def _one_input(x, width):
+    """The seed `x`, one input (a vector or a single row) of `width` values
+    in [0, 1], as one row."""
     x = as_float_array(x, "x")
     if x.ndim not in (1, 2) or (x.ndim == 2 and len(x) != 1):
         raise ValueError("x must be one input, a vector or a single row, got shape %s"
                          % (x.shape,))
-    return x.reshape(1, -1)
+    if x.shape[-1] != width:
+        raise ShapeError("x has %d features, expected %d" % (x.shape[-1], width))
+    return check_unit_range(x, "x").reshape(1, -1)
 
 
 def _filled(shape, value):
@@ -160,6 +159,24 @@ def _scorer(forward, objective, op):
     return score
 
 
+def _descend(w, score, lr, iterations, final=True):
+    """Adam on the modifier rows `w`: `iterations` steps, each from the pass
+    that scores its iterate (`score` as `_scorer` gives it), and the final
+    iterate scored unless `final` is False. Returns the final rows, the
+    scored losses and a copy of the first lowest-loss iterate."""
+    w = Tensor(w)
+    opt = Adam([w], lr=lr)
+    losses, best, lowest = [], None, math.inf
+    for step in range(iterations + final):
+        loss, grad = score(w.data)
+        losses.append(float(loss))
+        if loss < lowest:
+            lowest, best = loss, w.data.copy()
+        if step < iterations:
+            opt.step([grad()])
+    return w.data, losses, best
+
+
 @dataclass(frozen=True)
 class TestGenConfig:
     mode: str = "input_based"
@@ -205,28 +222,13 @@ class InputBasedAttack:
 
     def generate(self, x):
         cfg = self.config
-        x = _one_input(x)
+        x = _one_input(x, self.estimator.input_dim)
         rng = derive_rng(cfg.seed, "testgen", "input_based", array_fingerprint(x))
-        w = Tensor(rng.normal(0.0, 0.1, size=x.shape))
-        opt = Adam([w], lr=cfg.lr)
-        score = _input_based_scorer(self.estimator, x, cfg.c)
-        self.history_ = []
-        best = (np.inf, w.data.copy())
-        loss, grad = score(w.data)
-        for _ in range(cfg.iterations):
-            # one pass per iterate: it scores the iterate, then steps it
-            if loss < best[0]:
-                best = (float(loss), w.data.copy())
-            opt.step([grad()])
-            self.history_.append(float(loss))
-            loss, grad = score(w.data)
-        final = float(loss)
-        if final < best[0]:
-            best = (final, w.data.copy())
-        self.final_loss_ = final
-        self.best_loss_ = best[0] if cfg.iterations else final
-        chosen = best[1] if cfg.track_best else w.data
-        return tanh_unit_terms(chosen)[0].reshape(-1)
+        w, losses, best = _descend(rng.normal(0.0, 0.1, size=x.shape),
+                                   _input_based_scorer(self.estimator, x, cfg.c), cfg.lr,
+                                   cfg.iterations)
+        self.history_, self.final_loss_, self.best_loss_ = losses[:-1], losses[-1], min(losses)
+        return tanh_unit_terms(best if cfg.track_best else w)[0].reshape(-1)
 
 
 class UniversalAttack:
@@ -247,15 +249,12 @@ class UniversalAttack:
     def generate(self):
         cfg = self.config
         dim = self.estimator.input_dim
-        w = Tensor(np.concatenate([
-            derive_rng(cfg.seed, "testgen", "universal", str(r)).normal(0.0, 0.1, size=(1, dim))
-            for r in range(cfg.restarts)]))
-        opt = Adam([w], lr=cfg.lr)
         score = _scorer(self.estimator.predict_terms, _universal_terms, "universal_loss")
-        for _ in range(cfg.iterations):
-            opt.step([score(w.data)[1]()])
-        self.restart_losses_ = [float(score(row[None])[0]) for row in w.data]
-        self.restart_inputs_ = list(tanh_unit_terms(w.data)[0])
+        w = _descend(np.concatenate([
+            derive_rng(cfg.seed, "testgen", "universal", str(r)).normal(0.0, 0.1, size=(1, dim))
+            for r in range(cfg.restarts)]), score, cfg.lr, cfg.iterations, final=False)[0]
+        self.restart_losses_ = [float(score(row[None])[0]) for row in w]
+        self.restart_inputs_ = list(tanh_unit_terms(w)[0])
         self.best_restart_ = int(np.argmin(self.restart_losses_))
         self.best_loss_ = self.restart_losses_[self.best_restart_]
         return self.restart_inputs_[self.best_restart_].copy()
@@ -370,36 +369,25 @@ class IlfoAttack:
                        lambda f, out: _ilfo_terms(f, x, out, hinge(out), cfg.c), "ilfo_loss")
 
     def generate(self, x):
-        cfg = self.config
-        x = _one_input(x)
-        w = Tensor(_to_modifier(x))
-        opt = Adam([w], lr=cfg.lr)
-        score = self._score(x)
-        loss, grad = score(w.data)
-        best_loss = float(loss)
-        best_w = w.data.copy()
-        self.min_losses_ = [best_loss]
-        for _ in range(cfg.iterations):
-            opt.step([grad()])
-            loss, grad = score(w.data)
-            current = float(loss)
-            if current < best_loss:
-                best_loss = current
-                best_w = w.data.copy()
-            self.min_losses_.append(best_loss)
-        self.best_loss_ = best_loss
-        return tanh_unit_terms(best_w)[0].reshape(-1)
+        x = _one_input(x, self.model.input_dim)
+        # the start is the seed itself, w = arctanh(2x - 1), with x kept off
+        # 0 and 1, where arctanh is infinite
+        start = np.arctanh(2.0 * np.clip(x, 1e-6, 1.0 - 1e-6) - 1.0)
+        _, losses, best = _descend(start, self._score(x), self.config.lr, self.config.iterations)
+        self.min_losses_ = list(itertools.accumulate(losses, min))
+        self.best_loss_ = self.min_losses_[-1]
+        return tanh_unit_terms(best)[0].reshape(-1)
 
 
 def _check_ilfo_target(model, config):
     """Reject a model that lacks what IlfoAttack calls for `config.target`.
 
     Either target needs `forward_terms(x, heads)`, the soft forward that
-    keeps only the heads the objective reads, and the model's threshold
-    unless the config sets one. A gate target reads `num_blocks` gate
-    values; an exit target reads `num_classes` logits per exit and needs at
-    least two exits (`num_segments`), since the last one carries no
-    constraint.
+    keeps only the heads the objective reads, the `input_dim` a seed is
+    checked against, and the model's threshold unless the config sets one.
+    A gate target reads `num_blocks` gate values; an exit target reads
+    `num_classes` logits per exit and needs at least two exits
+    (`num_segments`), since the last one carries no constraint.
     """
     name = type(model).__name__
     forward = getattr(model, "forward_terms", None)
@@ -413,8 +401,9 @@ def _check_ilfo_target(model, config):
         if exits < 2:
             raise ValueError("target 'exit' needs at least 2 exits, %s has %d" % (name, exits))
         size, threshold = "num_classes", "entropy_threshold"
-    if not hasattr(model, size):
-        raise ValueError("target %r needs %s, which %s lacks" % (config.target, size, name))
+    for attr in ("input_dim", size):
+        if not hasattr(model, attr):
+            raise ValueError("target %r needs %s, which %s lacks" % (config.target, attr, name))
     if config.threshold is None and not hasattr(model, threshold):
         raise ValueError("target %r needs a threshold: %s has no %s and the config sets none"
                          % (config.target, name, threshold))
@@ -433,19 +422,24 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     """
     from .metrics import TransferRecord, inc_rf, transfer_metrics
 
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = as_float_array(inputs, "inputs")
     if inputs.ndim != 2 or len(inputs) == 0:
         raise ValueError("inputs must be a non-empty sample matrix")
+    width = getattr(target, "input_dim", inputs.shape[1])   # a scripted target reads any width
+    if inputs.shape[1] != width:
+        raise ShapeError("inputs has %d features, expected the target's %d"
+                         % (inputs.shape[1], width))
+    check_unit_range(inputs, "inputs")
     if num_attack is not None:
         check_params({"num_attack": SIZE}, locals())
+        if num_attack > len(inputs):
+            raise ValueError("num_attack is %d, above the %d rows of inputs"
+                             % (num_attack, len(inputs)))
     attack = IlfoAttack(surrogate, config)
     labels = target.infer(inputs).labels
     surrogate.fit(inputs, labels)
 
-    chosen = inputs if num_attack is None else inputs[:num_attack]
-    if len(chosen) == 0:
-        raise ValueError("no inputs selected for attack replay")
-
+    chosen = inputs[:num_attack]
     test_inputs = [attack.generate(x) for x in chosen]
     flops = [model.infer(batch).flops.tolist() for model in (surrogate, target)
              for batch in (chosen, np.array(test_inputs))]

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adnn_energy_lab import attacks
 from adnn_energy_lab.attacks import (
@@ -25,7 +27,7 @@ from adnn_energy_lab.attacks import (
 )
 from adnn_energy_lab.autodiff import (NonFiniteError, ShapeError, Tensor, gradients,
                                       tanh_unit_terms, tsum)
-from adnn_energy_lab.data import estimator_corpus
+from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.energy import EnergyModel, measure_energy
 from adnn_energy_lab.estimator import EnergyEstimator
@@ -40,14 +42,17 @@ from adnn_energy_lab.seeding import derive_rng
 
 from oracles import (
     ilfo_graph_reference,
+    ilfo_loop_reference,
     ilfo_two_forward_reference,
     input_based_graph_reference,
+    input_based_loop_reference,
     surrogate_records_reference,
     unfused_ilfo_attack_loss,
     unfused_estimator_prediction,
     unfused_input_based_loss,
     unfused_universal_loss,
     universal_graph_reference,
+    universal_loop_reference,
     universal_per_restart_reference,
 )
 
@@ -419,6 +424,51 @@ class TestBlackBoxEntryPoints:
         assert f.shape == (64,)
 
 
+class TestSeedBoundary:
+    """Both seeded attacks check the seed before any draw or forward: one
+    input of the model's width, every value in [0, 1]."""
+
+    @staticmethod
+    def spied(kind, monkeypatch):
+        """(attack, draws, forwards) for `kind`, recording each rng the
+        attack derives and each input its model's forward gets."""
+        draws = []
+        monkeypatch.setattr(attacks, "derive_rng", lambda *args: draws.append(args))
+        if kind == "input_based":
+            est = RecordingEstimator()
+            return InputBasedAttack(est, GenConfig(iterations=1)), draws, est.calls
+        net, forwards = scripted_gate_analogue([0.3, 0.6]), []
+        attack = IlfoAttack(net, IlfoConfig(iterations=1))
+        net.forward_terms = lambda x, heads=None: forwards.append(x)
+        return attack, draws, forwards
+
+    @pytest.mark.parametrize("kind", ["input_based", "ilfo"])
+    @pytest.mark.parametrize("seed", [np.full(10, 0.5), np.full((1, 10), 0.5)])
+    def test_seed_of_another_width_is_rejected(self, kind, seed, monkeypatch):
+        attack, draws, forwards = self.spied(kind, monkeypatch)
+        with pytest.raises(ShapeError, match="x has 10 features, expected 64"):
+            attack.generate(seed)
+        assert draws == [] and forwards == []
+
+    @pytest.mark.parametrize("kind", ["input_based", "ilfo"])
+    @pytest.mark.parametrize("value", [1.5, -0.25, 1.0 + 1e-12])
+    def test_seed_outside_the_unit_range_is_rejected(self, kind, value, monkeypatch):
+        attack, draws, forwards = self.spied(kind, monkeypatch)
+        seed = np.full(64, 0.5)
+        seed[7] = value
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            attack.generate(seed)
+        assert draws == [] and forwards == []
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_seed_on_the_unit_range_edge_is_accepted(self, value):
+        x = np.full(64, value)
+        assert InputBasedAttack(PixelMeanEstimator(), GenConfig(iterations=2)).generate(
+            x).shape == (64,)
+        net = scripted_gate_analogue([0.3, 0.6])
+        assert IlfoAttack(net, IlfoConfig(iterations=2)).generate(x).shape == (64,)
+
+
 class TestIlfoHinges:
     def test_gate_hand_example(self):
         assert ilfo_gate_loss([0.6, 0.3], 0.5) == pytest.approx(0.2, abs=1e-12)
@@ -632,8 +682,8 @@ class TestIlfoTargetCheck:
         with pytest.raises(ValueError, match=match):
             IlfoAttack(model, IlfoConfig(target=target))
 
-    @pytest.mark.parametrize("target, attr", [("gate", "num_blocks"),
-                                              ("exit", "num_classes")])
+    @pytest.mark.parametrize("target, attr", [("gate", "num_blocks"), ("exit", "num_classes"),
+                                              ("gate", "input_dim"), ("exit", "input_dim")])
     def test_missing_size_is_rejected(self, target, attr):
         net = scripted_gate_analogue([0.3, 0.6]) if target == "gate" else EarlyExitNet()
         delattr(net, attr)
@@ -648,8 +698,8 @@ class TestIlfoTargetCheck:
 
             def __init__(self, net):
                 self.net = net
-                for name in ("num_blocks", "num_segments", "num_classes", "gate_threshold",
-                             "entropy_threshold"):
+                for name in ("input_dim", "num_blocks", "num_segments", "num_classes",
+                             "gate_threshold", "entropy_threshold"):
                     if hasattr(net, name):
                         setattr(self, name, getattr(net, name))
 
@@ -930,6 +980,86 @@ class TestSurrogatePipeline:
         surrogate = frozen_analogue([0.5])
         with pytest.raises(ValueError):
             surrogate_pipeline(SCRIPTED, surrogate, np.empty((0, 64)))
+
+
+class TestSurrogateBoundary:
+    """surrogate_pipeline checks its inputs and num_attack before the
+    target is queried or the surrogate fitted."""
+
+    @pytest.fixture
+    def pair(self):
+        target, surrogate = frozen_analogue([0.3, 0.5]), frozen_analogue([0.3, 0.5])
+        target.infer = lambda x: pytest.fail("the target was queried")
+        surrogate.fit = lambda X, y: pytest.fail("the surrogate was fitted")
+        return target, surrogate
+
+    def test_inputs_of_another_width_are_rejected(self, pair):
+        with pytest.raises(ShapeError, match="inputs has 10 features, expected the target's 64"):
+            surrogate_pipeline(*pair, np.full((3, 10), 0.2), IlfoConfig(iterations=5))
+
+    def test_inputs_outside_the_unit_range_are_rejected(self, pair):
+        inputs = np.full((3, 64), 0.2)
+        inputs[1, 4] = 1.5
+        with pytest.raises(ValueError, match=r"inputs must lie in \[0, 1\]"):
+            surrogate_pipeline(*pair, inputs, IlfoConfig(iterations=5))
+
+    def test_num_attack_above_the_rows_is_rejected(self, pair):
+        with pytest.raises(ValueError, match="num_attack is 10, above the 3 rows"):
+            surrogate_pipeline(*pair, np.full((3, 64), 0.2), IlfoConfig(iterations=5),
+                               num_attack=10)
+
+
+@pytest.fixture(scope="module")
+def small_models():
+    """A small fitted estimator, skip net and exit net on 16 features, by
+    the attack kind each serves."""
+    data = generate_dataset(120, input_dim=16, seed=3)
+    X = estimator_corpus(80, input_dim=16, seed=3)
+    est = EnergyEstimator(input_dim=16, width=8, num_blocks=2, epochs=20, seed=0).fit(
+        X, 1.0 + X.mean(axis=1))
+    skip = GatedSkipNet(input_dim=16, width=8, num_blocks=3, epochs=10, seed=0)
+    exit_net = EarlyExitNet(input_dim=16, width=8, num_segments=3, epochs=10, seed=0)
+    for net in (skip, exit_net):
+        net.fit(data.inputs, data.labels)
+    return {"input_based": est, "universal": est, "gate": skip, "exit": exit_net}
+
+
+def exact(value):
+    """`value` with each array as its bytes, for a byte-for-byte comparison."""
+    if isinstance(value, list):
+        return [exact(v) for v in value]
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+class TestDescentLoopOracle:
+    """Each attack's `generate` equals, byte for byte, the Adam loop it once
+    wrote out on its own: the returned test and every attribute it records."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["input_based", "universal", "gate", "exit"]),
+           iterations=st.integers(0, 12), track_best=st.booleans(),
+           lr=st.sampled_from([0.01, 0.1, 0.5]), c=st.sampled_from([0.5, 10.0, 100.0]),
+           seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 3))
+    def test_generate_equals_its_own_loop(self, small_models, kind, iterations, track_best, lr,
+                                          c, seed, restarts):
+        model = small_models[kind]
+        x = derive_rng(seed, "loop-oracle").uniform(0.0, 1.0, size=16)
+        if kind == "input_based":
+            attack = InputBasedAttack(model, GenConfig(c=c, lr=lr, iterations=iterations,
+                                                       track_best=track_best, seed=seed))
+            got, (want, recorded) = attack.generate(x), input_based_loop_reference(attack, x)
+        elif kind == "universal":
+            attack = UniversalAttack(model, GenConfig(
+                mode="universal", c=c, lr=lr, iterations=iterations, restarts=restarts,
+                track_best=track_best, seed=seed))
+            got, (want, recorded) = attack.generate(), universal_loop_reference(attack)
+        else:
+            attack = IlfoAttack(model, IlfoConfig(target=kind, c=c, lr=lr,
+                                                  iterations=iterations))
+            got, (want, recorded) = attack.generate(x), ilfo_loop_reference(attack, x)
+        assert got.tobytes() == want.tobytes()
+        assert {name: exact(value) for name, value in vars(attack).items()
+                if name.endswith("_")} == {name: exact(value) for name, value in recorded.items()}
 
 
 def graph_size(root):
