@@ -163,14 +163,15 @@ def _descend(w, score, lr, iterations, final=True):
     """Adam on the modifier rows `w`: `iterations` steps, each from the pass
     that scores its iterate (`score` as `_scorer` gives it), and the final
     iterate scored unless `final` is False. Returns the final rows, the
-    scored losses and a copy of the first lowest-loss iterate."""
+    scored losses and a copy of the first lowest-loss iterate, or None
+    without the final one, which a lowest over the others would pass over."""
     w = Tensor(w)
     opt = Adam([w], lr=lr)
     losses, best, lowest = [], None, math.inf
     for step in range(iterations + final):
         loss, grad = score(w.data)
         losses.append(float(loss))
-        if loss < lowest:
+        if final and loss < lowest:
             lowest, best = loss, w.data.copy()
         if step < iterations:
             opt.step([grad()])
@@ -416,9 +417,11 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     """Label-oracle surrogate study: train a stand-in on the target's
     labels, attack the stand-in, replay on the target.
 
-    The target contributes only predicted labels and replay traces. Inputs
-    already running at maximum FLOPs on either model are excluded from the
-    transfer averages and reported separately.
+    The surrogate must take the inputs' width and, where both models count
+    their classes, have at least the target's; both are checked before the
+    target is queried. The target contributes only predicted labels and
+    replay traces. Inputs already running at maximum FLOPs on either model
+    are excluded from the transfer averages and reported separately.
     """
     from .metrics import TransferRecord, inc_rf, transfer_metrics
 
@@ -436,6 +439,13 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
             raise ValueError("num_attack is %d, above the %d rows of inputs"
                              % (num_attack, len(inputs)))
     attack = IlfoAttack(surrogate, config)
+    if surrogate.input_dim != inputs.shape[1]:
+        raise ShapeError("inputs has %d features, the surrogate takes %d"
+                         % (inputs.shape[1], surrogate.input_dim))
+    classes = [getattr(model, "num_classes", None) for model in (target, surrogate)]
+    if None not in classes and classes[1] < classes[0]:
+        raise ValueError("the surrogate has %d classes, below the target's %d"
+                         % (classes[1], classes[0]))
     labels = target.infer(inputs).labels
     surrogate.fit(inputs, labels)
 

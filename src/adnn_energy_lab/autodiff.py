@@ -390,17 +390,28 @@ def _constant_like(value, t, op):
 
 def softmax_cross_entropy_terms(logits, t):
     """The value of `softmax_cross_entropy` on arrays, and its vector-Jacobian
-    product toward the logits. The log-probabilities are checked."""
-    logp = _log_softmax_rows(logits)[1]
+    product toward the logits. `logits` is one row, a batch of rows or a
+    (rows, heads, classes) array, and `t` has its shape or, as the one
+    target of every head, (rows, classes). The value is each head's mean over
+    rows, its row sum taken contiguous, added left to right, as the graph
+    adds separate heads' losses. The log-probabilities and each head's loss
+    are checked as "softmax_cross_entropy", and each sum as "add"."""
+    x, t = (a if a.ndim == 3 else a.reshape(-1, 1, a.shape[-1]) for a in (logits, t))
+    logp = _log_softmax_rows(x)[1]
     _require_finite(logp, "softmax_cross_entropy")
     picked = np.add.reduce(logp * t, axis=-1)
-    scale = _batch_scale(picked, "softmax_cross_entropy")
+    scale = _batch_scale(picked[:, 0], "softmax_cross_entropy")
+    losses = _checked(_column_sums(picked) * scale * -1.0, "softmax_cross_entropy")
+    value = losses[0]
+    for loss in losses[1:]:
+        value = _checked(value + loss, "add")
 
     def grad_logits(g):
         g_logp = g * -1.0 * scale * t
-        return g_logp - np.exp(logp) * np.add.reduce(g_logp, axis=-1, keepdims=True)
+        grad = g_logp - np.exp(logp) * np.add.reduce(g_logp, axis=-1, keepdims=True)
+        return grad.reshape(logits.shape)
 
-    return np.add.reduce(picked, None) * scale * -1.0, grad_logits
+    return value, grad_logits
 
 
 def softmax_cross_entropy(logits, targets):

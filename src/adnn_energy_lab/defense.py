@@ -19,12 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import (_ONE, _checked, _log_softmax_rows, _require_finite, _scatter_columns,
-                       softmax_cross_entropy_terms)
+from .autodiff import _log_softmax_rows, _require_finite, _scatter_columns
 from .base import check_is_fitted
 from .metrics import auc
 from .models import EarlyExitNet, GatedSkipNet
-from .nn import ResidualModel, one_hot, payload_layout
+from .nn import ResidualModel, payload_layout
 from .seeding import derive_rng
 from .validation import (INT, NONNEGATIVE, POSITIVE, SIZE, as_sample_matrix, check_params,
                          check_same_length)
@@ -74,21 +73,6 @@ class FilterModel(ResidualModel):
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         (logits,), _ = self._net().run(X)
         return np.argmax(logits, axis=-1)
-
-    def _batch_terms(self, X, y):
-        """Cross-entropy of one batch and its gradient toward theta, on
-        arrays; checked as the graph softmax_cross_entropy(network(X)) checks
-        it."""
-        out, grad_theta = self._net().theta_terms(X)
-        loss, loss_grad = softmax_cross_entropy_terms(out, one_hot(y, self.num_classes))
-        return (_checked(loss, "softmax_cross_entropy"),
-                grad_theta(_checked(loss_grad(_ONE), "softmax_cross_entropy.grad")))
-
-    def fit(self, X, y):
-        X, y = self._labeled(X, y)
-        self._build(derive_rng(self.seed, "filter-init"))
-        self._train(X, y, derive_rng(self.seed, "filter-batches"))
-        return self
 
 
 def train_filter(normal_inputs, noisy_inputs, epochs=150, lr=0.01, seed=0):

@@ -9,12 +9,13 @@ entropy threshold. ScriptedAdnn is a weight-free stand-in whose gates fire
 on fixed input-mean thresholds, used as a ground-truth oracle in tests.
 
 Both nets are `AdaptiveNet`s: `nn.ResidualModel`s (which draw, hold, fit
-and save the network) that share the signature, the FLOPs ladder read from
-the settings, the soft forward and `predict`. Each adds its layer
-attributes, payload layout, least FLOPs, `infer`, batch loss and what its
-fit does beyond the shared loop. Gating is trained soft (the residual branch
-is scaled by the gate value, so everything is differentiable) and deployed
-hard.
+and save the network, with the one classifier batch loss) that share the
+signature, the FLOPs ladder read from the settings, the soft forward,
+`predict` and the training accuracy a fit records. Each adds its layer
+attributes, payload layout, least FLOPs and `infer`; the skip net adds its
+gate calibration and the exit net its per-exit accuracies. Gating is
+trained soft (the residual branch is scaled by the gate value, so
+everything is differentiable) and deployed hard.
 
 `infer` on a batch of rows returns a `TraceBatch`: one array per trace
 field (FLOPs, logits, gate values and decisions or exit indices and
@@ -27,10 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import (_ONE, Tensor, _batch_scale, _checked, _column_sums, _log_softmax_rows,
-                       _require_finite, _scatter_columns, as_tensor, columns,
-                       mean_of_column_means_terms, softmax_cross_entropy_terms)
-from .nn import ResidualModel, one_hot, payload_layout
+from .autodiff import Tensor, _require_finite, as_tensor, columns
+from .nn import ResidualModel, payload_layout
 from .seeding import derive_rng
 from .serialize import DataFormatError, dump_json, load_json, payload_config
 from .validation import (COUNT, INT, LADDER, NONNEGATIVE, OPEN_UNIT, SIZE, as_sample_matrix,
@@ -184,6 +183,9 @@ class AdaptiveNet(ResidualModel):
     def predict(self, X):
         return self.infer(as_sample_matrix(X, "X", feature_dim=self.input_dim)).labels
 
+    def _fitted(self, X, y):
+        self.train_accuracy_ = self.score(X, y)
+
 
 class GatedSkipNet(AdaptiveNet):
     """Residual classifier that skips gated blocks on easy inputs."""
@@ -281,40 +283,6 @@ class GatedSkipNet(AdaptiveNet):
                            gate_values=values, gate_decisions=decisions)
         return batch[0] if np.asarray(x).ndim == 1 else batch
 
-    # -- training -----------------------------------------------------
-
-    def _batch_terms(self, X, y):
-        """Training loss of one batch and its gradient toward theta, on
-        arrays: soft-mode cross-entropy plus the sparsity penalty on the mean
-        gate value. Arithmetic, addition order and checks (by op name) are
-        the graph's, columns -> softmax_cross_entropy,
-        add(loss, mul(mean_of_column_means, weight)), whose "add.grad"
-        checks pass the incoming 1.0 on and are left out."""
-        out, grad_theta = self._net().theta_terms(X)
-        c, n, weight = self.num_classes, self.num_blocks, self.sparsity_weight
-        logits = _checked(out[:, :c], "columns")
-        loss, loss_grad = softmax_cross_entropy_terms(logits, one_hot(y, c))
-        _require_finite(loss, "softmax_cross_entropy")
-        if weight:
-            gates, gates_grad = mean_of_column_means_terms(out, c, c + n)
-            _require_finite(gates, "mean_of_column_means")
-            weight = _checked(np.float64(weight), "leaf")
-            loss = _checked(loss + _checked(gates * weight, "mul"), "add")
-        g_logits = _checked(loss_grad(_ONE), "softmax_cross_entropy.grad")
-        g = _checked(_scatter_columns(out.shape, 0, c, g_logits), "columns.grad")
-        if weight:
-            g_gates = _checked(_ONE * weight, "mul.grad")
-            g = g + _checked(gates_grad(g_gates), "mean_of_column_means.grad")
-        return loss, grad_theta(g)
-
-    def fit(self, X, y):
-        X, y = self._labeled(X, y)
-        self._build(derive_rng(self.seed, "skip-init"))
-        self._calibrate_gates(X)
-        self._train(X, y, derive_rng(self.seed, "skip-batches"))
-        self.train_accuracy_ = self.score(X, y)
-        return self
-
 
 class EarlyExitNet(AdaptiveNet):
     """Trunk of residual segments with a classifier head at every segment."""
@@ -377,41 +345,10 @@ class EarlyExitNet(AdaptiveNet):
                            exit_entropies=entropies)
         return batch[0] if np.asarray(x).ndim == 1 else batch
 
-    def _batch_terms(self, X, y):
-        """Training loss of one batch and its gradient toward theta, on
-        arrays: the sum of every exit's cross-entropy, added left to right.
-        Arithmetic and checks (by op name) are the graph's, columns ->
-        softmax_cross_entropy per exit, folded with add, whose "add.grad"
-        checks pass the incoming 1.0 on and are left out. The exits run in
-        one pass over the (rows, exits, classes) view of the output, each
-        exit's row sum taken contiguous."""
-        out, grad_theta = self._net().theta_terms(X)
-        c = self.num_classes
-        logits = _checked(out.reshape(len(out), self.num_segments, c), "columns")
-        targets = one_hot(y, c)[:, None]
-        logp = _checked(_log_softmax_rows(logits)[1], "softmax_cross_entropy")
-        picked = np.add.reduce(logp * targets, axis=-1)
-        scale = _batch_scale(picked[:, 0], "softmax_cross_entropy")
-        losses = _checked(_column_sums(picked) * scale * -1.0, "softmax_cross_entropy")
-        loss = losses[0]
-        for value in losses[1:]:
-            loss = _checked(loss + value, "add")
-        g_logp = _ONE * -1.0 * scale * targets
-        grad = _checked(g_logp - np.exp(logp) * np.add.reduce(g_logp, axis=-1, keepdims=True),
-                        "softmax_cross_entropy.grad")
-        # the graph adds the exits' zero-padded products, which equals them
-        # side by side, as the reshape lays them: no entry of a cross-entropy
-        # product is -0.0
-        return loss, grad_theta(_checked(grad.reshape(out.shape), "columns.grad"))
-
-    def fit(self, X, y):
-        X, y = self._labeled(X, y)
-        self._build(derive_rng(self.seed, "exit-init"))
-        self._train(X, y, derive_rng(self.seed, "exit-batches"))
-        self.train_accuracy_ = self.score(X, y)
+    def _fitted(self, X, y):
+        super()._fitted(X, y)
         all_logits, _ = self._net().run(X)
         self.exit_accuracies_ = [float(np.mean(np.argmax(l, axis=-1) == y)) for l in all_logits]
-        return self
 
 
 class ScriptedAdnn:

@@ -10,10 +10,13 @@ weights (`Dense`, `ResidualBlock`, gate lists) are `View`s of theta, and a
 weight changes by a write to its view's `data`.
 
 The four models are `ResidualModel`s. The base draws the layers, builds and
-holds the model's one network, checks a classifier fit's inputs and runs
-the one epoch loop, `fit_minibatch`: each step takes a batch's loss and
-theta gradient from the model's `_batch_terms`, and Adam writes them into
-theta's one array in place, so the layer slices are cut once per fit. The
+holds the model's one network and runs the one epoch loop, `fit_minibatch`:
+each step takes a batch's loss and theta gradient from the model's
+`_batch_terms`, and Adam writes them into theta's one array in place, so
+the layer slices are cut once per fit. It also holds the classifiers' one
+fit and one batch loss, every head's cross-entropy plus a gated net's gate
+penalty, which the skip and exit nets and the filter share; the estimator
+gives its own regression loss and fit. The
 draw, `to_payload` and `from_payload` walk one layout, `payload_layout`: a
 (payload key, shape) per theta view, in theta order; the draw and the
 loader build the network with one method, `ResidualModel._assemble`.
@@ -21,10 +24,12 @@ loader build the network with one method, `ResidualModel._assemble`.
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, _checked, _column_sums, _once_per_gradient,
-                       _require_finite, as_tensor, pack, softmax_cross_entropy)
+from .autodiff import (_ONE, ShapeError, Tensor, _checked, _column_sums, _once_per_gradient,
+                       _require_finite, _scatter_columns, as_tensor, mean_of_column_means_terms,
+                       pack, softmax_cross_entropy, softmax_cross_entropy_terms)
 from .base import ParamsMixin, check_is_fitted
 from .optim import Adam
+from .seeding import derive_rng
 from .serialize import array_to_json, param_from_json, payload_config
 from .validation import (as_label_array, as_sample_matrix, check_params, check_same_length,
                          is_int)
@@ -446,11 +451,12 @@ class ResidualModel(ParamsMixin):
     energy estimator and the defense filter.
 
     A subclass names its payload kind, its saved settings and its layout
-    (`kind`, `_SAVED`, `_layout`), names its layer attributes
-    (`_set_layers`; by default `stem_`, `blocks_` and one `head_`), and gives
-    its batch loss (`_batch_terms`) and its fit. The base draws the layers,
-    builds the model's one network and holds it, checks a classifier fit's
-    inputs, runs the epoch loop and reads and writes the payload.
+    (`kind`, `_SAVED`, `_layout`) and names its layer attributes
+    (`_set_layers`; by default `stem_`, `blocks_` and one `head_`). The base
+    draws the layers, builds the model's one network and holds it, runs the
+    epoch loop and reads and writes the payload. It fits a classifier
+    (`fit`, `_batch_terms`); a classifier adds only what it records of the
+    fit (`_fitted`), and a regressor gives its own loss and fit.
     """
 
     kind = None
@@ -546,6 +552,47 @@ class ResidualModel(ParamsMixin):
         losses go to `history_`."""
         self.history_ = fit_minibatch(self._batch_terms, self._net().theta,
                                       X, y, self.epochs, self.batch_size, self.lr, rng, on_epoch)
+
+    def fit(self, X, y):
+        """Fit a classifier: the inputs checked by `_labeled`, the layers
+        drawn from `derive_rng(seed, kind + "-init")`, a gated net's gates
+        calibrated on `X`, and the epoch loop on the `kind + "-batches"`
+        stream. `_fitted` then keeps what the model records of the fit."""
+        X, y = self._labeled(X, y)
+        self._build(derive_rng(self.seed, self.kind + "-init"))
+        if self._GATED:
+            self._calibrate_gates(X)
+        self._train(X, y, derive_rng(self.seed, self.kind + "-batches"))
+        self._fitted(X, y)
+        return self
+
+    def _fitted(self, X, y):
+        """What a classifier records of its fit beyond the network, from the
+        checked inputs: nothing here."""
+
+    def _batch_terms(self, X, y):
+        """A classifier's training loss on one batch and its gradient toward
+        theta, on arrays: every head's mean cross-entropy, over the (rows,
+        heads, classes) view of the output's logit columns, plus, in a gated
+        net, `sparsity_weight` times the mean gate value. Arithmetic and
+        addition order are the graph's: columns -> softmax_cross_entropy per
+        head, folded with add, then add(loss, mul(mean_of_column_means,
+        weight)). So are the checks (by op name) of every value that can
+        overflow; slices of the checked output, a mean of sigmoids and the
+        products toward the output cannot, and are not checked again."""
+        net = self._net()
+        out, grad_theta = net.theta_terms(X)
+        c, heads = self.num_classes, net.num_heads
+        loss, loss_grad = softmax_cross_entropy_terms(
+            out[:, :heads * c].reshape(len(out), heads, c), one_hot(y, c))
+        weight = self._GATED and self.sparsity_weight
+        if weight:
+            gates, gates_grad = mean_of_column_means_terms(out, heads * c, out.shape[1])
+            loss = _checked(loss + gates * weight, "add")
+        g = _scatter_columns(out.shape, 0, heads * c, loss_grad(_ONE))
+        if weight:
+            g = g + gates_grad(_ONE * weight)
+        return loss, grad_theta(g)
 
     def _config(self):
         return {k: getattr(self, k) for k in self._SAVED}

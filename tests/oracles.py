@@ -359,6 +359,23 @@ def unfused_softmax_cross_entropy(logits, targets):
     return ad.mul(ad.tmean(picked), -1.0)
 
 
+def unfused_head_softmax_cross_entropy(logits, targets):
+    """The cross-entropy of a (rows, heads, classes) Tensor: each head's
+    unfused cross-entropy against its (rows, classes) targets, added left
+    to right. A head is a node of its own over its slice of `logits`."""
+    from adnn_energy_lab import autodiff as ad
+
+    def head(k):
+        def vjp(g):
+            full = np.zeros(logits.shape)
+            full[:, k] = g
+            return full
+        return ad.Tensor(logits.data[:, k], ((logits, vjp),), "head")
+
+    return _fold([unfused_softmax_cross_entropy(head(k), targets[:, k])
+                  for k in range(logits.shape[1])])
+
+
 def unfused_squared_error(pred, target):
     from adnn_energy_lab import autodiff as ad
     err = ad.sub(pred, target)

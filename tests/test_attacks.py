@@ -915,8 +915,8 @@ class FrozenSurrogate(GatedSkipNet):
         return self
 
 
-def frozen_analogue(thresholds):
-    return FrozenSurrogate.from_payload(scripted_gate_analogue(thresholds).to_payload())
+def frozen_analogue(thresholds, **sizes):
+    return FrozenSurrogate.from_payload(scripted_gate_analogue(thresholds, **sizes).to_payload())
 
 
 class TestSurrogatePipeline:
@@ -983,8 +983,8 @@ class TestSurrogatePipeline:
 
 
 class TestSurrogateBoundary:
-    """surrogate_pipeline checks its inputs and num_attack before the
-    target is queried or the surrogate fitted."""
+    """surrogate_pipeline checks its inputs, num_attack and the surrogate's
+    sizes before the target is queried or the surrogate fitted."""
 
     @pytest.fixture
     def pair(self):
@@ -1007,6 +1007,18 @@ class TestSurrogateBoundary:
         with pytest.raises(ValueError, match="num_attack is 10, above the 3 rows"):
             surrogate_pipeline(*pair, np.full((3, 64), 0.2), IlfoConfig(iterations=5),
                                num_attack=10)
+
+    @pytest.mark.parametrize("sizes, error, match", [
+        ({"input_dim": 16}, ShapeError, "inputs has 64 features, the surrogate takes 16"),
+        ({"num_classes": 2}, ValueError, "the surrogate has 2 classes, below the target's 4")],
+        ids=["input_dim", "num_classes"])
+    def test_a_surrogate_the_inputs_or_labels_do_not_fit_is_rejected(self, pair, sizes, error,
+                                                                      match):
+        target, watched = pair
+        surrogate = frozen_analogue([0.3, 0.5], **sizes)
+        surrogate.fit = watched.fit
+        with pytest.raises(error, match=match):
+            surrogate_pipeline(target, surrogate, np.full((4, 64), 0.2), IlfoConfig(iterations=5))
 
 
 @pytest.fixture(scope="module")

@@ -41,6 +41,7 @@ from oracles import (
     unfused_exit_forward,
     unfused_exit_loss,
     unfused_filter_loss,
+    unfused_head_softmax_cross_entropy,
     unfused_hinge_sum,
     unfused_mean_of_means,
     unfused_skip_forward,
@@ -289,13 +290,17 @@ FUSED_CASES = {
 ARRAY_CASES = {
     "tanh_unit": lambda rng, x_shape: (
         ad.tanh_unit_terms, unfused_tanh_unit, [rng.normal(scale=2.0, size=x_shape)]),
+    # a (rows, heads, classes) input is each head's loss, added left to right
     "softmax_cross_entropy": lambda rng, x_shape: _bind_constant(
-        ad.softmax_cross_entropy_terms, unfused_softmax_cross_entropy,
+        ad.softmax_cross_entropy_terms,
+        unfused_head_softmax_cross_entropy if len(x_shape) == 3 else unfused_softmax_cross_entropy,
         rng.normal(scale=2.0, size=x_shape), _one_hot_rows(rng, x_shape)),
     "squared_error": lambda rng, x_shape: _bind_constant(
         ad.squared_error_terms, unfused_squared_error,
         rng.normal(size=x_shape), rng.normal(size=x_shape)),
 }
+# the array forms also take (rows, heads, classes): 4 heads of 6 classes
+ARRAY_SHAPES = X_SHAPES + [(32, 4, 6)]
 
 
 def fused_case(name, x_shape, seed):
@@ -335,7 +340,7 @@ def array_case(name, x_shape, seed):
 
 
 @pytest.mark.parametrize("name", ARRAY_CASES)
-@pytest.mark.parametrize("x_shape", X_SHAPES)
+@pytest.mark.parametrize("x_shape", ARRAY_SHAPES)
 def test_array_form_equals_unfused_composition_bit_for_bit(name, x_shape):
     terms, unfused, leaf, mix = array_case(name, x_shape, sum(x_shape))
     value, vjp = terms(leaf)
@@ -347,7 +352,7 @@ def test_array_form_equals_unfused_composition_bit_for_bit(name, x_shape):
 
 
 @pytest.mark.parametrize("name", ARRAY_CASES)
-@pytest.mark.parametrize("x_shape", X_SHAPES)
+@pytest.mark.parametrize("x_shape", ARRAY_SHAPES)
 def test_array_form_gradients_match_finite_differences(name, x_shape):
     terms, _, leaf, mix = array_case(name, x_shape, x_shape[0] + 99)
     fd = finite_difference(lambda arrays: float(np.sum(terms(arrays[0])[0] * mix)), [leaf])
@@ -711,7 +716,8 @@ def small_fit(kind, **settings):
         X = estimator_corpus(40, seed=5)
         model, y = EnergyEstimator(width=8, num_blocks=2, epochs=3, seed=2), X.mean(axis=1)
     else:
-        model, y = FilterModel(epochs=2, seed=2), y % 2
+        model = FilterModel(**{"epochs": 2, "seed": 2, **settings})
+        y = y % model.num_classes
     return model, X, y
 
 
@@ -872,7 +878,9 @@ def test_training_step_equals_unfused_oracle_graph(training_step_cases, kind):
 
 @pytest.mark.parametrize("kind, settings", [
     ("skip", {}), ("skip", {"sparsity_weight": 0.0}), ("skip", {"sparsity_weight": 7.5}),
-    ("exit", {}), ("exit", {"num_segments": 1}), ("estimator", {}), ("filter", {})],
+    ("skip", {"num_blocks": 1}), ("exit", {}), ("exit", {"num_segments": 1}),
+    ("exit", {"num_segments": 2}), ("estimator", {}), ("filter", {}),
+    ("filter", {"num_classes": 3})],
     ids=lambda v: v if isinstance(v, str) else "-".join("%s=%s" % kv for kv in v.items()))
 def test_batch_terms_equal_the_unfused_graph_step(kind, settings):
     """Loss and the whole theta gradient, byte for byte, against the unfused
@@ -891,28 +899,36 @@ def test_batch_terms_equal_the_unfused_graph_step(kind, settings):
         assert grad.tobytes() == want_grad.tobytes()
 
 
-def _per_exit_loss_terms(out, y, num_segments, num_classes):
-    """The exit loss as a loop over exits: each exit's
-    `softmax_cross_entropy_terms`, the values added left to right, and
-    the products toward the output side by side."""
+def _per_head_loss_terms(out, y, heads, num_classes):
+    """The classifier loss without a gate penalty, as a loop over heads:
+    each head's 2-D `softmax_cross_entropy_terms` on its columns of the
+    output, the values added left to right, and the products side by side,
+    zero in any gate column."""
     c, targets = num_classes, one_hot(y, num_classes)
     terms = [ad.softmax_cross_entropy_terms(out[:, k * c:(k + 1) * c], targets)
-             for k in range(num_segments)]
+             for k in range(heads)]
     loss = terms[0][0]
     for value, _ in terms[1:]:
         loss = loss + value
-    return loss, np.concatenate([vjp(ad._ONE) for _, vjp in terms], axis=1)
+    g_out = np.zeros(out.shape)
+    g_out[:, :heads * c] = np.concatenate([vjp(ad._ONE) for _, vjp in terms], axis=1)
+    return loss, g_out
 
 
-@pytest.mark.parametrize("segments", [1, 3, 4])
+@pytest.mark.parametrize("kind, heads", [("skip", 1), ("exit", 1), ("exit", 3), ("exit", 4),
+                                         ("filter", 1)])
 @pytest.mark.parametrize("rows", [32, 8])
-def test_one_pass_exit_loss_equals_the_per_exit_loop(segments, rows):
-    model = EarlyExitNet(input_dim=6, width=5, num_segments=segments, num_classes=4)
-    model._build(np.random.default_rng(segments))
+def test_one_pass_head_loss_equals_the_per_head_loop(kind, heads, rows):
+    # the skip net's logits are a strided slice beside its gate columns
+    sizes = {"input_dim": 6, "width": 5, "num_classes": 4}
+    model = {"skip": lambda: GatedSkipNet(num_blocks=3, sparsity_weight=0.0, **sizes),
+             "exit": lambda: EarlyExitNet(num_segments=heads, **sizes),
+             "filter": lambda: FilterModel(num_blocks=2, **sizes)}[kind]()
+    model._build(np.random.default_rng(heads))
     rng = np.random.default_rng(rows)
     X, y = rng.uniform(0, 1, size=(rows, 6)), rng.integers(0, 4, size=rows)
     out, grad_theta = model._net().theta_terms(X)
-    want, g_out = _per_exit_loss_terms(out, y, segments, 4)
+    want, g_out = _per_head_loss_terms(out, y, heads, 4)
     loss, grad = model._batch_terms(X, y)
     assert np.float64(loss).tobytes() == np.float64(want).tobytes()
     assert grad.tobytes() == grad_theta(g_out).tobytes()
