@@ -29,7 +29,7 @@ per-parent contributions in a side table, so evaluation never mutates nodes.
 It evaluates only the vector-Jacobian products on paths from the output to
 a tensor in `wrt` (or a view's flat leaf).
 
-Parameters live in flat leaves. `pack` puts many parameter values back to
+Parameters live in flat leaves. `pack` puts many parameter arrays back to
 back in one `FlatLeaf`, and hands out a `View` per parameter: a leaf that
 reads (and, by copy-on-write, writes) its slice. An optimizer steps the
 flat leaf; `gradients` gives a view the matching slice of its flat leaf's
@@ -220,13 +220,15 @@ class View(Tensor):
         return self._shape
 
 
-def pack(tensors):
-    """The values of `tensors` back to back in a new `FlatLeaf`, and a view
-    of it standing for each tensor, in order."""
-    flat = FlatLeaf(np.concatenate([np.ravel(t.data) for t in tensors]))
+def pack(arrays):
+    """`arrays` back to back in a new `FlatLeaf`, and a view of it standing
+    for each array, in order. The leaf checks the whole of it for
+    finiteness, as a "leaf"."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    flat = FlatLeaf(np.concatenate([a.ravel() for a in arrays]))
     views, start = [], 0
-    for t in tensors:
-        views.append(View(flat, start, t.shape))
+    for a in arrays:
+        views.append(View(flat, start, a.shape))
         start = views[-1].stop
     flat.layout = tuple((v.start, v.stop, v.shape) for v in views)
     return flat, views

@@ -60,9 +60,6 @@ class FilterModel(ResidualModel):
     def __init__(self, input_dim=64, width=16, num_blocks=3, num_classes=2,
                  epochs=150, lr=0.01, batch_size=32, seed=0):
         self._store(locals())
-        self.stem_ = None
-        self.blocks_ = None
-        self.head_ = None
         self.history_ = None
 
     def _layout(self):

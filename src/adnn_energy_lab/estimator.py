@@ -62,10 +62,12 @@ class EnergyEstimator(ResidualModel):
     # -- training ----------------------------------------------------------
 
     def fit(self, X, y):
-        """Regress measured joules on inputs; holds out a seeded 10% split."""
+        """Regress measured joules on inputs; holds out a seeded 10% split.
+        The settings, `X` and `y` (finite joules) are checked before any
+        fitted state changes."""
         check_params(self.PARAMS, vars(self))
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        y = as_float_array(y, "y").reshape(-1)
         check_same_length(X, y, "X", "y")
         if len(X) < 20:
             raise ValueError("need at least 20 measured pairs, got %d" % len(X))

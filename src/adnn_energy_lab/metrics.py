@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import derive_rng
-from .validation import INT, SIZE, check_params, check_same_length
+from .validation import INT, SIZE, as_float_array, check_params, check_same_length
 
 PSNR_CAP_DB = 100.0
 
@@ -80,8 +80,7 @@ def avg_squared_difference(pairs):
     total = 0.0
     count = 0
     for x, f in pairs:
-        x = np.asarray(x, dtype=np.float64)
-        f = np.asarray(f, dtype=np.float64)
+        x, f = as_float_array(x, "x"), as_float_array(f, "f")
         if x.shape != f.shape:
             raise ValueError("pair shapes differ: %s vs %s" % (x.shape, f.shape))
         total += float(np.sum((x - f) ** 2))
@@ -93,8 +92,7 @@ def avg_squared_difference(pairs):
 
 def psnr(x, f, peak=1.0):
     """Peak signal-to-noise ratio in dB, capped at 100 for identical images."""
-    x = np.asarray(x, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    x, f = as_float_array(x, "x"), as_float_array(f, "f")
     if x.shape != f.shape:
         raise ValueError("shapes differ: %s vs %s" % (x.shape, f.shape))
     mse = float(np.mean((x - f) ** 2))
@@ -105,8 +103,7 @@ def psnr(x, f, peak=1.0):
 
 def ssim(x, f):
     """Structural similarity over the whole image as a single window."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
+    x, f = as_float_array(x, "x").reshape(-1), as_float_array(f, "f").reshape(-1)
     if x.shape != f.shape:
         raise ValueError("shapes differ")
     if x.size < 2:
@@ -138,7 +135,8 @@ def pearson(xs, ys, n_perm=10000, seed=0):
 
     Exhaustive over all permutations when n <= 7 (exact p); otherwise
     n_perm seeded shuffles with add-one smoothing. `n_perm` must be a
-    positive integer and `seed` an integer, whichever path runs.
+    positive integer, `seed` an integer and every point finite, whichever
+    path runs.
 
     The permutations are scored a block of rows at a time, at most
     `_PERMUTATION_BLOCK` entries: each row's r takes `_pearson_r`'s
@@ -146,8 +144,7 @@ def pearson(xs, ys, n_perm=10000, seed=0):
     the one-permutation-at-a-time loop's to the bit.
     """
     check_params({"n_perm": SIZE, "seed": INT}, {"n_perm": n_perm, "seed": seed})
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
+    xs, ys = as_float_array(xs, "xs").reshape(-1), as_float_array(ys, "ys").reshape(-1)
     check_same_length(xs, ys, "xs", "ys")
     if len(xs) < 3:
         raise ValueError("pearson needs at least 3 points")

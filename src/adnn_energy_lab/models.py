@@ -11,11 +11,13 @@ on fixed input-mean thresholds, used as a ground-truth oracle in tests.
 Both nets are `AdaptiveNet`s: `nn.ResidualModel`s (which draw, hold, fit
 and save the network, with the one classifier batch loss) that share the
 signature, the FLOPs ladder read from the settings, the soft forward,
-`predict` and the training accuracy a fit records. Each adds its layer
-attributes, payload layout, least FLOPs and `infer`; the skip net adds its
-gate calibration and the exit net its per-exit accuracies. Gating is
-trained soft (the residual branch is scaled by the gate value, so
-everything is differentiable) and deployed hard.
+`predict` and the training accuracy a fit records. Each adds its payload
+layout, least FLOPs and `infer`, and the layer attributes the base does
+not give, each a read-only view of the held network: the skip net its
+gate weights and biases (and their calibration), the exit net its
+segments and exit heads (and its per-exit accuracies). Gating is trained
+soft (the residual branch is scaled by the gate value, so everything is
+differentiable) and deployed hard.
 
 `infer` on a batch of rows returns a `TraceBatch`: one array per trace
 field (FLOPs, logits, gate values and decisions or exit indices and
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, _require_finite, as_tensor, columns
-from .nn import ResidualModel, payload_layout
+from .nn import ResidualModel, layer_view, payload_layout
 from .seeding import derive_rng
 from .serialize import DataFormatError, dump_json, load_json, payload_config
 from .validation import (COUNT, INT, LADDER, NONNEGATIVE, OPEN_UNIT, SIZE, as_sample_matrix,
@@ -211,19 +213,13 @@ class GatedSkipNet(AdaptiveNet):
         seed=0,
     ):
         self._store(locals())
-        self.stem_ = None
-        self.blocks_ = None
-        self.gate_weights_ = None
-        self.gate_biases_ = None
-        self.head_ = None
         self.train_accuracy_ = None
         self.history_ = None
 
     # -- construction -------------------------------------------------
 
-    def _set_layers(self, stem, blocks, gates, heads):
-        self.stem_, self.blocks_, (self.head_,) = stem, blocks, heads
-        self.gate_weights_, self.gate_biases_ = gates
+    gate_weights_ = layer_view(lambda net: list(net.gates[0]))
+    gate_biases_ = layer_view(lambda net: list(net.gates[1]))
 
     def _layout(self):
         return payload_layout(self.input_dim, self.width, self.num_blocks, self.num_classes,
@@ -307,15 +303,13 @@ class EarlyExitNet(AdaptiveNet):
         seed=0,
     ):
         self._store(locals())
-        self.stem_ = None
-        self.segments_ = None
-        self.exit_heads_ = None
         self.train_accuracy_ = None
         self.exit_accuracies_ = None
         self.history_ = None
 
-    def _set_layers(self, stem, blocks, gates, heads):
-        self.stem_, self.segments_, self.exit_heads_ = stem, blocks, heads
+    segments_ = layer_view(lambda net: list(net.blocks))
+    exit_heads_ = layer_view(lambda net: list(net.heads))
+    blocks_ = head_ = property()   # none: its blocks are the segments, each with its exit head
 
     def _layout(self):
         return payload_layout(self.input_dim, self.width, self.num_segments, self.num_classes,

@@ -5,12 +5,14 @@ and one head at the end or one after every block, optionally with a sigmoid
 gate per block, over one flat parameter leaf, `theta`. Its whole forward
 and backward runs on arrays: `terms` gives the product toward the input and
 `theta_terms` the product toward theta (called on a Tensor, it is one graph
-node). It runs only the layers its kept heads and gates read; the per-layer
-weights (`Dense`, `ResidualBlock`, gate lists) are `View`s of theta, and a
+node). It runs only the layers its kept heads and gates read. The network
+packs the layout's arrays into theta and cuts its layers from theta's
+views: `Dense` and `ResidualBlock` are read-only records of `View`s, and a
 weight changes by a write to its view's `data`.
 
 The four models are `ResidualModel`s. The base draws the layers, builds and
-holds the model's one network and runs the one epoch loop, `fit_minibatch`:
+holds the model's one network, shows its layers as read-only attributes
+(`layer_view`) and runs the one epoch loop, `fit_minibatch`:
 each step takes a batch's loss and theta gradient from the model's
 `_batch_terms`, and Adam writes them into theta's one array in place, so
 the layer slices are cut once per fit. It also holds the classifiers' one
@@ -22,11 +24,14 @@ draw, `to_payload` and `from_payload` walk one layout, `payload_layout`: a
 loader build the network with one method, `ResidualModel._assemble`.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .autodiff import (_ONE, ShapeError, Tensor, _checked, _column_sums, _once_per_gradient,
-                       _require_finite, _scatter_columns, as_tensor, mean_of_column_means_terms,
-                       pack, softmax_cross_entropy, softmax_cross_entropy_terms)
+from .autodiff import (_ONE, ShapeError, Tensor, View, _checked, _column_sums,
+                       _once_per_gradient, _require_finite, _scatter_columns, as_tensor,
+                       mean_of_column_means_terms, pack, softmax_cross_entropy,
+                       softmax_cross_entropy_terms)
 from .base import ParamsMixin, check_is_fitted
 from .optim import Adam
 from .seeding import derive_rng
@@ -40,30 +45,24 @@ def xavier_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class Dense:
-    """The weight and bias of an affine map x @ W + b."""
+class Dense(NamedTuple):
+    """The weight and bias of an affine map x @ W + b: views of a network's
+    theta, fixed when the network is built."""
 
-    def __init__(self, weight, bias):
-        self.weight = weight if isinstance(weight, Tensor) else Tensor(weight)
-        self.bias = bias if isinstance(bias, Tensor) else Tensor(bias)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[1],):
-            raise ValueError(
-                "weight must be 2-D with bias matching its columns, got %s / %s"
-                % (self.weight.shape, self.bias.shape)
-            )
+    weight: View
+    bias: View
 
     @property
     def params(self):
         return [self.weight, self.bias]
 
 
-class ResidualBlock:
+class ResidualBlock(NamedTuple):
     """h + s * lin2(relu(lin1(h))), both affine maps width -> width; `s` is
     the block's gate value, its 0/1 fire decision, or 1 in an ungated net."""
 
-    def __init__(self, lin1, lin2):
-        self.lin1 = lin1
-        self.lin2 = lin2
+    lin1: Dense
+    lin2: Dense
 
     @property
     def params(self):
@@ -76,7 +75,7 @@ class ResidualMLP:
     h0 = relu(x @ Ws + bs), then h <- h + s_i * (relu(h @ w1 + b1) @ w2 + b2)
     per block, and a head reads the last h, or (given one head per block)
     each block's h. A gated net has s_i = sigmoid(pooled * gw_i + gb_i),
-    where pooled = x @ `pool`; an ungated net has no s.
+    where pooled = x @ `pool`; an ungated net has no `pool` and no s.
 
     `terms` gives, on an array with no graph, the logits of the first
     `heads` heads, then the gate values, and their product toward the input.
@@ -85,35 +84,34 @@ class ResidualMLP:
     block runs its blocks only up to the last head it keeps. Called on a
     Tensor, the net gives the same output as one graph node.
 
-    Built once per model, by `ResidualModel._assemble`: the layers' values
-    are packed back to back into a new `theta`, in the order stem, blocks
-    (lin1 then lin2 weight and bias), every gate weight, every gate bias,
-    heads, and each layer (and gate list entry) is rebound to its view of
-    it. Every forward reads theta's current array, so a write to a view's
-    `data` is what the next forward runs on.
+    Built once per model, by `ResidualModel._assemble`, from `arrays` in
+    layout order (stem, each block's lin1 then lin2 weight and bias, every
+    gate weight, every gate bias if gated, heads): they are packed back to
+    back into a new `theta`, and the net cuts its `stem`, `blocks`, `gates`
+    (gate weights, gate biases) and `heads` from theta's views. These are
+    read-only records; every forward reads theta's current array, so a
+    write to a view's `data` is what the next forward runs on.
     """
 
-    def __init__(self, stem, blocks, heads, gates=None, pool=None):
-        if len(heads) not in (1, len(blocks)):
-            raise ValueError("need one head, or one per block")
-        self.num_blocks = len(blocks)
-        self.num_heads = len(heads)
-        self.tap_heads = len(heads) > 1
+    def __init__(self, arrays, num_blocks, pool=None):
+        self.theta, self.params = pack(arrays)
+        n = self.num_blocks = num_blocks
         self.pool = pool
-        trunk, parts = [stem] + [lin for b in blocks for lin in (b.lin1, b.lin2)], gates or ()
-        self.theta, self.params = pack([t for d in trunk for t in (d.weight, d.bias)]
-                                       + [t for part in parts for t in part]
-                                       + [t for d in heads for t in (d.weight, d.bias)])
-        views = iter(self.params)
-        for layer in trunk:
-            layer.weight, layer.bias = next(views), next(views)
-        for part in parts:
-            part[:] = [next(views) for _ in part]
-        for layer in heads:
-            layer.weight, layer.bias = next(views), next(views)
-        self.gated = gates is not None
-        self.input_dim = stem.weight.shape[0]
-        self.out_dim = heads[0].weight.shape[1]
+        self.gated = pool is not None
+        v = self.params
+        self.stem = Dense(*v[:2])
+        self.blocks = tuple(ResidualBlock(Dense(*v[k:k + 2]), Dense(*v[k + 2:k + 4]))
+                            for k in range(2, 2 + 4 * n, 4))
+        rest = 2 + 4 * n
+        self.gates = None
+        if self.gated:
+            self.gates = (tuple(v[rest:rest + n]), tuple(v[rest + n:rest + 2 * n]))
+            rest += 2 * n
+        self.heads = tuple(Dense(*v[k:k + 2]) for k in range(rest, len(v), 2))
+        self.num_heads = len(self.heads)
+        self.tap_heads = self.num_heads > 1
+        self.input_dim = self.stem.weight.shape[0]
+        self.out_dim = self.heads[0].weight.shape[1]
         self._layers_memo = None
 
     def _layers(self):
@@ -446,13 +444,19 @@ def fit_minibatch(batch_terms, theta, X, y, epochs, batch_size, lr, rng, on_epoc
     return history
 
 
+def layer_view(read):
+    """A fitted layer attribute with no setter: `read` of the network the
+    model holds, or None before a fit. A list is a new one on every read."""
+    return property(lambda self: None if self._network is None else read(self._network))
+
+
 class ResidualModel(ParamsMixin):
     """A fitted model that is one `ResidualMLP`: the skip and exit nets, the
     energy estimator and the defense filter.
 
     A subclass names its payload kind, its saved settings and its layout
-    (`kind`, `_SAVED`, `_layout`) and names its layer attributes
-    (`_set_layers`; by default `stem_`, `blocks_` and one `head_`). The base
+    (`kind`, `_SAVED`, `_layout`). Its layer attributes are `layer_view`s
+    of the network, by default `stem_`, `blocks_` and one `head_`. The base
     draws the layers, builds the model's one network and holds it, runs the
     epoch loop and reads and writes the payload. It fits a classifier
     (`fit`, `_batch_terms`); a classifier adds only what it records of the
@@ -463,30 +467,18 @@ class ResidualModel(ParamsMixin):
     _SAVED = ()
     _BLOCKS = "num_blocks"   # the setting that counts the residual blocks
     _GATED = False           # a sigmoid gate per block, on the mean-pooled input
+    _network = None
 
-    def _set_layers(self, stem, blocks, gates, heads):
-        """Keep the layers; `gates` is (gate weights, gate biases) or None."""
-        self.stem_, self.blocks_, (self.head_,) = stem, blocks, heads
+    stem_ = layer_view(lambda net: net.stem)
+    blocks_ = layer_view(lambda net: list(net.blocks))
+    head_ = layer_view(lambda net: net.heads[0])
 
     def _assemble(self, arrays):
         """The model's one network over `arrays`, one per layout entry in
-        theta order, each taken only when its layer is built: the network
-        packs them into its theta, and `_set_layers` keeps the layers, now
-        views of that theta."""
-        arrays, n = iter(arrays), getattr(self, self._BLOCKS)
-
-        def dense():
-            return Dense(next(arrays), next(arrays))
-
-        stem = dense()
-        blocks = [ResidualBlock(dense(), dense()) for _ in range(n)]
-        gates = (tuple([Tensor(next(arrays)) for _ in range(n)] for _ in range(2))
-                 if self._GATED else None)
-        heads = [Dense(weight, next(arrays)) for weight in arrays]   # the rest, in pairs
-        # the gates read the mean over the input features
+        theta order; a gated net's gates read the mean over the input
+        features."""
         pool = np.full((self.input_dim, 1), 1.0 / self.input_dim) if self._GATED else None
-        self._network = ResidualMLP(stem, blocks, heads, gates, pool)
-        self._set_layers(stem, blocks, gates, heads)
+        self._network = ResidualMLP(arrays, getattr(self, self._BLOCKS), pool)
 
     def _build(self, rng):
         """Fresh layers, one draw per layout entry in layout order: a Xavier

@@ -26,6 +26,7 @@ from adnn_energy_lab.models import EarlyExitNet, GatedSkipNet
 from adnn_energy_lab.nn import (Dense, ResidualBlock, ResidualMLP, cross_entropy, fit_minibatch,
                                 one_hot)
 from adnn_energy_lab.optim import Adam
+from adnn_energy_lab.serialize import array_to_json
 
 from oracles import (
     adam_per_parameter_steps,
@@ -520,7 +521,7 @@ def rebuilt(model):
 def network_outputs(model):
     """Every output a model's network gives on a fixed batch, as arrays:
     the soft forward, and the hard inference or the prediction."""
-    X = np.random.default_rng(24).uniform(0, 1, size=(6, 5))
+    X = np.random.default_rng(24).uniform(0, 1, size=(6, model.input_dim))
     outs = [model._net()(Tensor(X)).data]
     if hasattr(model, "forward_terms"):
         outs.append(model.forward_terms(X)[0])
@@ -632,8 +633,7 @@ def test_hard_forward_skips_a_block_no_row_fires():
 
 
 def test_view_reads_and_writes_its_slice_of_the_flat_leaf():
-    a, b = Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.array(7.0))
-    theta, (va, vb) = ad.pack([a, b])
+    theta, (va, vb) = ad.pack([np.arange(6.0).reshape(2, 3), np.array(7.0)])
     assert va.shape == (2, 3) and vb.shape == ()
     assert theta.data.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
     old = theta.data
@@ -721,13 +721,17 @@ def small_fit(kind, **settings):
     return model, X, y
 
 
+# every layer attribute a model may show, in theta order: stem, blocks, gate
+# weights, gate biases, heads
+LAYER_ATTRIBUTES = ("stem_", "blocks_", "segments_", "gate_weights_", "gate_biases_", "head_",
+                    "exit_heads_")
+
+
 def layer_tensors_in_theta_order(model):
     """The layer tensors of every attribute the benchmark's parameter walk
-    reads, taken in theta order: stem, blocks, gate weights, gate biases,
-    heads."""
+    reads, taken in theta order."""
     out = []
-    for attr in ("stem_", "blocks_", "segments_", "gate_weights_", "gate_biases_", "head_",
-                 "exit_heads_"):
+    for attr in LAYER_ATTRIBUTES:
         parts = getattr(model, attr, None)
         for part in parts if isinstance(parts, list) else [parts]:
             if part is not None:
@@ -754,6 +758,47 @@ def test_layer_attributes_are_the_network_views_in_theta_order(kind):
         assert isinstance(heads, list) and all(isinstance(h, Dense) for h in heads + [m.stem_])
         if kind == "skip":
             assert all(isinstance(g, list) for g in (m.gate_weights_, m.gate_biases_))
+
+
+@pytest.mark.parametrize("kind", FIT_KINDS)
+def test_layer_attributes_are_read_only_views_of_the_network_it_runs(kind):
+    """After a fit and after a payload load, no layer attribute and no field
+    of a layer record can be rebound, a list read is the reader's own, and a
+    write to a view's `data` reaches every output and the payload alike."""
+    shown = {"skip": ["stem_", "blocks_", "gate_weights_", "gate_biases_", "head_"],
+             "exit": ["stem_", "segments_", "exit_heads_"]}.get(kind, ["stem_", "blocks_", "head_"])
+    model, X, y = small_fit(kind)
+    model.fit(X, y)
+    for m in (model, type(model).from_payload(model.to_payload())):
+        assert [attr for attr in LAYER_ATTRIBUTES if hasattr(m, attr)] == shown
+        for attr in shown:
+            with pytest.raises(AttributeError):
+                setattr(m, attr, getattr(m, attr))
+            assert attr not in vars(m)
+        blocks = m.segments_ if kind == "exit" else m.blocks_
+        heads = m.exit_heads_ if kind == "exit" else [m.head_]
+        for record in [m.stem_, heads[-1], blocks[0].lin1, blocks[-1].lin2]:
+            for field in ("weight", "bias"):
+                with pytest.raises(AttributeError):
+                    setattr(record, field, getattr(record, field))
+        for field in ("lin1", "lin2"):
+            with pytest.raises(AttributeError):
+                setattr(blocks[0], field, blocks[-1].lin1)
+        for attr in shown:
+            read = getattr(m, attr)
+            if isinstance(read, list):
+                first = read[0]
+                read[0] = read[-1] = None
+                assert getattr(m, attr)[0] is first and getattr(m, attr)[-1] is not None
+        views = [blocks[0].lin1.weight] + ([m.gate_biases_[0]] if kind == "skip" else [])
+        before, payload = network_outputs(m), m.to_payload()
+        keys = {id(p): key for (key, _), p in zip(m._layout(), m._params())}
+        for view in views:
+            view.data = view.data + 0.25
+            payload["params"][keys[id(view)]] = array_to_json(view.data)
+        assert m.to_payload() == payload
+        after = network_outputs(m)
+        assert after != before and after == network_outputs(type(m).from_payload(payload))
 
 
 ATTACK_KINDS = ["input_based", "universal", "ilfo_gate", "ilfo_exit"]
@@ -1008,15 +1053,15 @@ def test_fit_steps_theta_in_one_array_sliced_once(kind, monkeypatch):
 
 def overflow_net(stem_weight, block_weight=1.0, gate_weight=None):
     """A one-block net on 3 inputs, width 3, whose stem weights, block
-    hidden weights and (when given) gate weight are set constants."""
-    stem = Dense(np.full((3, 3), stem_weight), np.zeros(3))
-    block = ResidualBlock(Dense(np.full((3, 3), block_weight), np.zeros(3)),
-                          Dense(np.ones((3, 3)), np.zeros(3)))
-    gates = None
-    if gate_weight is not None:
-        gates = ([Tensor(np.float64(gate_weight))], [Tensor(np.float64(0.0))])
-    return ResidualMLP(stem, [block], [Dense(np.ones((3, 2)), np.zeros(2))], gates=gates,
-                       pool=np.full((3, 1), 1.0))
+    hidden weights and (when given) gate weight are set constants; the
+    gates, if any, read the sum of the inputs."""
+    arrays = [np.full((3, 3), stem_weight), np.zeros(3),
+              np.full((3, 3), block_weight), np.zeros(3), np.ones((3, 3)), np.zeros(3)]
+    gated = gate_weight is not None
+    if gated:
+        arrays += [np.float64(gate_weight), np.float64(0.0)]
+    return ResidualMLP(arrays + [np.ones((3, 2)), np.zeros(2)], 1,
+                       pool=np.full((3, 1), 1.0) if gated else None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -135,7 +135,24 @@ class TestTraining:
         X, y = measured_corpus(25, seed=5)
         with pytest.raises(ValueError, match=next(iter(bad))):
             est.fit(X, y)
-        assert not steps and not hasattr(est, "stem_")
+        assert not steps and est.stem_ is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected_before_a_refit_changes_anything(self, bad, monkeypatch):
+        X, y = measured_corpus(25, seed=5)
+        est = EnergyEstimator(epochs=2, seed=1).fit(X, y)
+        fitted = {k: v for k, v in vars(est).items() if k.endswith("_")}
+        theta = est._net().theta.data.copy()
+        predicted = est.predict(X).tobytes()
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda opt, grads: steps.append(1))
+        y = y.copy()
+        y[3] = bad
+        with pytest.raises(ValueError, match="y contains non-finite"):
+            est.fit(X, y)
+        assert not steps and est.predict(X).tobytes() == predicted
+        assert est._net().theta.data.tobytes() == theta.tobytes()
+        assert {k: v for k, v in vars(est).items() if k.endswith("_")} == fitted
 
     def test_edge_settings_accepted(self):
         EnergyEstimator(input_dim=1, width=1, num_blocks=1, val_fraction=0.0)

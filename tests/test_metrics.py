@@ -146,6 +146,14 @@ class TestAvgSquaredDifference:
             avg_squared_difference([(np.zeros(0), np.zeros(0)),
                                     (np.zeros((2, 0)), np.zeros((2, 0)))])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "f"])
+    def test_non_finite_pixel_rejected(self, bad, side):
+        pair = {"x": np.zeros(3), "f": np.ones(3)}
+        pair[side][1] = bad
+        with pytest.raises(ValueError, match=side + " contains non-finite"):
+            avg_squared_difference([(np.zeros(2), np.ones(2)), (pair["x"], pair["f"])])
+
 
 class TestPsnr:
     def test_identical_capped(self):
@@ -163,6 +171,14 @@ class TestPsnr:
         x = np.zeros(16)
         values = [psnr(x, np.full(16, a)) for a in (0.1, 0.2, 0.4, 0.8)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "f"])
+    def test_non_finite_pixel_rejected(self, bad, side):
+        pair = {"x": np.zeros(4), "f": np.full(4, 0.5)}
+        pair[side][2] = bad
+        with pytest.raises(ValueError, match=side + " contains non-finite"):
+            psnr(pair["x"], pair["f"])
 
 
 class TestSsim:
@@ -192,6 +208,14 @@ class TestSsim:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             ssim(np.array([0.5]), np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "f"])
+    def test_non_finite_pixel_rejected(self, bad, side):
+        pair = {"x": np.linspace(0, 1, 8), "f": np.linspace(1, 0, 8)}
+        pair[side][3] = bad
+        with pytest.raises(ValueError, match=side + " contains non-finite"):
+            ssim(pair["x"], pair["f"])
 
 
 class TestPearson:
@@ -234,6 +258,16 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", [5, 10])   # the exhaustive and the sampled path
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_non_finite_point_rejected(self, n, bad, side):
+        # a NaN once read as r = nan with p = 0.0 (n = 5) or 0.005 (n = 10)
+        points = {"xs": np.arange(1.0, n + 1), "ys": np.arange(1.0, n + 1)}
+        points[side][-1] = bad
+        with pytest.raises(ValueError, match=side + " contains non-finite"):
+            pearson(points["xs"], points["ys"], n_perm=200)
 
     @pytest.mark.parametrize("n", [4, 12])   # the exhaustive and the sampled path
     @pytest.mark.parametrize("field, value", [
