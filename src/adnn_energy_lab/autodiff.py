@@ -13,21 +13,21 @@ hand-written vector-Jacobian product, with no graph:
   `entropy_hinge_terms`) and the attacks' pixel reparameterization
   (`tanh_unit_terms`).
 
-The graph engine stays beside them as the tests' oracle: each array form
-equals, byte for byte, its unfused composition of the primitive ops below
-(matmul, relu / sigmoid / tanh, softmax, log_softmax, elementwise
-arithmetic, reductions, max against a constant, the Euclidean norm, and
-log). The benchmark's traced probes still build graphs, so the graph
-pieces they reach stay in the library until the benchmark stops calling
-them: `Tensor`, `gradients`, the flat leaves, the network as one node
-(`nn.ResidualMLP.__call__`), `columns` and `softmax_cross_entropy`.
+The benchmark's traced probes still build and differentiate graphs, so
+this module keeps only the graph pieces they reach: `Tensor`, `gradients`,
+the flat leaves, and the one-node `columns` and `softmax_cross_entropy`
+(with the network as one node, `nn.ResidualMLP.__call__`). The primitive
+ops (matmul, relu, softmax, the elementwise arithmetic, the reductions and
+the rest) live with the tests, which compose them into the unfused graph
+each array form must equal byte for byte.
 
 A Tensor wraps an ndarray and remembers, for each parent it was computed
-from, a vector-Jacobian closure. Calling an op builds the graph implicitly;
-`gradients` walks it once in reverse topological order and accumulates
-per-parent contributions in a side table, so evaluation never mutates nodes.
-It evaluates only the vector-Jacobian products on paths from the output to
-a tensor in `wrt` (or a view's flat leaf).
+from, a vector-Jacobian closure; it has no operators, and a graph is built
+by calling functions that return Tensors. `gradients` walks it once in
+reverse topological order and accumulates per-parent contributions in a
+side table, so evaluation never mutates nodes. It evaluates only the
+vector-Jacobian products on paths from the output to a tensor in `wrt` (or
+a view's flat leaf).
 
 Parameters live in flat leaves. `pack` puts many parameter arrays back to
 back in one `FlatLeaf`, and hands out a `View` per parameter: a leaf that
@@ -141,29 +141,6 @@ class Tensor:
     def __repr__(self):
         return "Tensor(op=%r, shape=%s)" % (self.op, self.shape)
 
-    # operator sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class FlatLeaf(Tensor):
     """A leaf holding many parameters back to back, made by `pack`.
@@ -238,60 +215,6 @@ def as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` back down to `shape` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _elementwise(a, b, fn, dfa, dfb, op):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = fn(a.data, b.data)
-    except ValueError:
-        raise ShapeError(
-            "op %r cannot broadcast shapes %s and %s" % (op, a.shape, b.shape)
-        ) from None
-    vjps = (
-        (a, lambda g: _unbroadcast(dfa(g, a.data, b.data), a.shape)),
-        (b, lambda g: _unbroadcast(dfb(g, a.data, b.data), b.shape)),
-    )
-    return Tensor(out, vjps, op)
-
-
-def add(a, b):
-    return _elementwise(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, "add")
-
-
-def sub(a, b):
-    return _elementwise(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g, "sub")
-
-
-def mul(a, b):
-    return _elementwise(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim not in (1, 2) or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError("matmul got shapes %s and %s" % (a.shape, b.shape))
-    out = a.data @ b.data
-
-    def grad_a(g):
-        return g @ b.data.T
-
-    def grad_b(g):
-        if a.ndim == 1:
-            return np.outer(a.data, g)
-        return a.data.T @ g
-
-    return Tensor(out, ((a, grad_a), (b, grad_b)), "matmul")
-
-
 def _once_per_gradient(fn):
     """`fn(g)`, computed once for each incoming gradient `g` and shared by the
     vector-Jacobian products of one node.
@@ -315,64 +238,11 @@ def _once_per_gradient(fn):
     return cached
 
 
-def relu(x):
-    x = as_tensor(x)
-    mask = x.data > 0.0
-    return Tensor(np.where(mask, x.data, 0.0), ((x, lambda g: g * mask),), "relu")
-
-
-def sigmoid(x):
-    x = as_tensor(x)
-    # exp overflow at very negative inputs still yields the right limit (0.0)
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-x.data))
-    return Tensor(out, ((x, lambda g: g * out * (1.0 - out)),), "sigmoid")
-
-
-def tanh(x):
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-    return Tensor(out, ((x, lambda g: g * (1.0 - out * out)),), "tanh")
-
-
-def log(x):
-    x = as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
-    _require_finite(out, "log")
-    return Tensor(out, ((x, lambda g: g / x.data),), "log")
-
-
-def softmax(x):
-    """Softmax along the last axis; rows of a 2-D input are independent."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def grad_x(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - inner)
-
-    return Tensor(out, ((x, grad_x),), "softmax")
-
-
 def _log_softmax_rows(x):
     """(exp of the max-shifted x, log_softmax(x)) along the last axis."""
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e, shifted - np.log(np.add.reduce(e, axis=-1, keepdims=True))
-
-
-def log_softmax(x):
-    """log(softmax(x)) computed without underflow, last axis."""
-    x = as_tensor(x)
-    out = _log_softmax_rows(x.data)[1]
-
-    def grad_x(g):
-        return g - np.exp(out) * g.sum(axis=-1, keepdims=True)
-
-    return Tensor(out, ((x, grad_x),), "log_softmax")
 
 
 def _batch_scale(rows, op):
@@ -559,52 +429,6 @@ def tanh_unit_terms(w):
     t = np.tanh(w)
     return (_checked((t + 1.0) * 0.5, "tanh_unit"),
             lambda g: _checked((g * 0.5) * (1.0 - t * t), "tanh_unit.grad"))
-
-
-def tsum(x, axis=None):
-    x = as_tensor(x)
-    out = x.data.sum(axis=axis)
-
-    def grad_x(g):
-        if axis is None:
-            return np.full(x.shape, g)
-        full = np.empty(x.shape)
-        full[...] = np.expand_dims(g, axis)
-        return full
-
-    return Tensor(out, ((x, grad_x),), "sum")
-
-
-def tmean(x, axis=None):
-    x = as_tensor(x)
-    count = x.size if axis is None else x.shape[axis]
-    if count == 0:
-        raise ShapeError("mean over an empty axis")
-    return mul(tsum(x, axis=axis), 1.0 / count)
-
-
-def maximum(x, constant):
-    """Elementwise max(x, constant); the subgradient at the kink is 0."""
-    x = as_tensor(x)
-    c = float(constant)
-    mask = x.data > c
-    return Tensor(np.where(mask, x.data, c), ((x, lambda g: g * mask),), "maximum")
-
-
-def l2_norm(x, axis=None):
-    """Euclidean norm, optionally per row. Subgradient at the origin is 0."""
-    x = as_tensor(x)
-    sq = (x.data * x.data).sum(axis=axis)
-    out = np.sqrt(sq)
-
-    def grad_x(g):
-        denom = np.where(out > 0.0, out, 1.0)
-        scale = g / denom * (out > 0.0)
-        if axis is None:
-            return scale * x.data
-        return np.expand_dims(scale, axis) * x.data
-
-    return Tensor(out, ((x, grad_x),), "l2_norm")
 
 
 def _topo_order(root, wrt):

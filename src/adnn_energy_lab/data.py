@@ -12,7 +12,8 @@ import numpy as np
 
 from .seeding import derive_rng
 from .serialize import DataFormatError, dump_json, load_json
-from .validation import as_label_array, as_sample_matrix, check_unit_range
+from .validation import (INT, NONNEGATIVE, SIZE, as_float_array, as_label_array,
+                         as_sample_matrix, check_params, check_unit_range)
 
 
 def class_prototypes(num_classes, input_dim=64, contrast=0.8):
@@ -43,9 +44,10 @@ class LabeledDataset:
         self.inputs = as_sample_matrix(self.inputs, "inputs")
         check_unit_range(self.inputs, "inputs")
         self.labels = as_label_array(self.labels, "labels", n=len(self.inputs))
-        self.difficulty = np.asarray(self.difficulty, dtype=np.float64)
+        self.difficulty = as_float_array(self.difficulty, "difficulty")
         if self.difficulty.shape != (len(self.inputs),):
             raise ValueError("difficulty must have one value per example")
+        check_unit_range(self.difficulty, "difficulty")
 
     def __len__(self):
         return len(self.inputs)
@@ -91,6 +93,12 @@ class LabeledDataset:
             raise DataFormatError("dataset file is malformed: %s" % err) from None
 
 
+_PROBE_PARAMS = {"num_probes": SIZE, "input_dim": SIZE, "jitter": NONNEGATIVE, "seed": INT}
+_CORPUS_PARAMS = {"num_inputs": SIZE, "input_dim": SIZE, "seed": INT}
+_DATASET_PARAMS = {"num_examples": SIZE, "num_classes": SIZE, "input_dim": SIZE,
+                   "noise_span": NONNEGATIVE, "seed": INT}
+
+
 def probe_inputs(num_probes, input_dim=64, jitter=0.02, seed=0, levels=None):
     """Brightness-sweep probe set for black-box energy profiling.
 
@@ -99,13 +107,12 @@ def probe_inputs(num_probes, input_dim=64, jitter=0.02, seed=0, levels=None):
     through its whole activity range; keeping jitter small stops a
     regressor from keying on pixel idiosyncrasies instead of the level.
     """
-    if num_probes < 1:
-        raise ValueError("num_probes must be positive")
+    check_params(_PROBE_PARAMS, locals())
     rng = derive_rng(seed, "probe")
     if levels is None:
         levels = rng.uniform(0.0, 1.0, size=num_probes)
     else:
-        levels = np.asarray(levels, dtype=np.float64).reshape(-1)
+        levels = as_float_array(levels, "levels").reshape(-1)
         if len(levels) != num_probes:
             raise ValueError("levels must have one entry per probe")
     noise = rng.uniform(-jitter, jitter, size=(num_probes, input_dim))
@@ -122,6 +129,7 @@ def estimator_corpus(num_inputs=500, input_dim=64, seed=0):
     seen that family and cannot be walked into unsupported regions where
     its head extrapolates wildly.
     """
+    check_params(_CORPUS_PARAMS, locals())
     if num_inputs < 10:
         raise ValueError("num_inputs must be at least 10")
     n_probe = int(num_inputs * 0.3)
@@ -144,8 +152,7 @@ def estimator_corpus(num_inputs=500, input_dim=64, seed=0):
 def generate_dataset(num_examples, num_classes=4, input_dim=64, noise_span=0.6,
                      seed=0, contrast=0.8):
     """Balanced labeled set; difficulty is the per-example noise amplitude."""
-    if num_examples < 1:
-        raise ValueError("num_examples must be positive")
+    check_params(_DATASET_PARAMS, locals())
     rng = derive_rng(seed, "dataset")
     protos = class_prototypes(num_classes, input_dim, contrast=contrast)
     labels = np.arange(num_examples, dtype=np.int64) % num_classes

@@ -11,15 +11,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import derive_rng
-from .validation import INT, SIZE, as_float_array, check_params, check_same_length
+from .validation import (INT, POSITIVE, REAL, SIZE, as_float_array, check_params,
+                         check_same_length)
 
 PSNR_CAP_DB = 100.0
+_ENERGY_PARAMS = {"e_orig": POSITIVE, "e_test": REAL}
 
 
 def energy_increase_percent(e_orig, e_test):
-    """Signed percentage change from the original energy."""
-    if not e_orig > 0:
-        raise ValueError("original energy must be positive, got %r" % (e_orig,))
+    """Signed percentage change from the original energy; both energies are
+    finite numbers, and the original is positive."""
+    check_params(_ENERGY_PARAMS, {"e_orig": e_orig, "e_test": e_test})
     return (e_test - e_orig) / e_orig * 100.0
 
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, _require_finite, as_tensor, columns
+from .autodiff import _require_finite, as_tensor, columns
 from .nn import ResidualModel, layer_view, payload_layout
 from .seeding import derive_rng
 from .serialize import DataFormatError, dump_json, load_json, payload_config
@@ -243,30 +243,21 @@ class GatedSkipNet(AdaptiveNet):
 
     # -- forward ------------------------------------------------------
 
-    def forward(self, x, mode="hard"):
-        """Run the network on a Tensor (vector or batch of rows) as a graph.
+    def forward(self, x, mode):
+        """The soft forward of a Tensor (vector or batch of rows) as a graph.
 
         Returns (logits, gate_values, hard_decisions): gate values are one
-        (n, 1) Tensor per block, decisions an (n, num_blocks) boolean array.
-        Soft mode scales each residual branch by its gate value; hard mode
-        executes a block only when its gate clears the threshold.
+        (n, 1) Tensor per block, decisions an (n, num_blocks) boolean array
+        of the gates that clear the threshold. Each residual branch is scaled
+        by its gate value. `mode` must be "soft"; hard inference is `infer`.
         """
-        if mode not in ("hard", "soft"):
-            raise ValueError("mode must be 'hard' or 'soft'")
-        x = as_tensor(x)
+        if mode != "soft":
+            raise ValueError("mode must be 'soft' (hard inference is infer), got %r" % (mode,))
         c, n = self.num_classes, self.num_blocks
-        # gates read the mean-pooled network input, so both modes see the
-        # same gate values and hard decisions match soft thresholding exactly
-        if mode == "soft":
-            out = self._net()(x)
-            gates = [columns(out, c + i, c + i + 1) for i in range(n)]
-            values = out.data.reshape(-1, c + n)[:, c:]
-            logits = columns(out, 0, c)
-        else:
-            (logits,), values = self._net().run(x.data, self.gate_threshold)
-            gates = [Tensor(values[:, i:i + 1].reshape(x.shape[:-1] + (1,))) for i in range(n)]
-            logits = Tensor(logits.reshape(x.shape[:-1] + (c,)))
-        return logits, gates, values >= self.gate_threshold
+        out = self._net()(as_tensor(x))
+        values = out.data.reshape(-1, c + n)[:, c:]
+        gates = [columns(out, c + i, c + i + 1) for i in range(n)]
+        return columns(out, 0, c), gates, values >= self.gate_threshold
 
     def infer(self, x):
         """Hard-mode inference: a TraceBatch for a batch of rows, an
@@ -326,7 +317,7 @@ class EarlyExitNet(AdaptiveNet):
         X = as_sample_matrix(x, "x", feature_dim=self.input_dim)
         all_logits, _ = self._net().run(X)
         logits = np.stack(all_logits, axis=1)
-        # every head's softmax at once, with autodiff.softmax's ufuncs
+        # every head's softmax at once: max shift, exp, then each row over its sum
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         _require_finite(probs, "softmax")

@@ -198,10 +198,8 @@ def normal_rows(seed, labels, keys, scale, size):
 def array_fingerprint(arr):
     """Stable content hash of an array, used to key per-input noise streams:
     the first 8 bytes, big-endian, of the SHA-256 of its float64 bytes in C
-    order."""
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-    digest = hashlib.sha256(a.tobytes()).digest()
-    return int.from_bytes(digest[:8], "big")
+    order, as `array_fingerprints` hashes the array as one row."""
+    return int(array_fingerprints(np.reshape(arr, (1, -1)))[0])
 
 
 def array_fingerprints(X):

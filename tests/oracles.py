@@ -1,8 +1,12 @@
-"""Independent reference implementations used to check the library.
+"""Reference implementations used to check the library.
 
-Everything here is written directly from the defining formulas, without
-importing the code under test, so a bug in the library cannot hide in the
-oracle. Slow O(n^2)/exhaustive forms are fine; these run at test scale.
+Each is written directly from the defining formulas. The graph oracles
+compose the tests' own primitive ops (`graph_ops`) and use of the library
+only its graph node: `Tensor`, `gradients` and the one-node `columns` and
+`softmax_cross_entropy`, which the tests check against these ops in turn.
+The sequential and loop references call per-input pieces of the library,
+and say which. Slow O(n^2)/exhaustive forms are fine; these run at test
+scale.
 """
 
 import itertools
@@ -10,6 +14,11 @@ import math
 import statistics
 
 import numpy as np
+
+from adnn_energy_lab.autodiff import (Tensor, columns, gradients, softmax_cross_entropy,
+                                      tanh_unit_terms)
+
+import graph_ops as ops
 
 
 def finite_difference(fn, arrays, h=1e-6):
@@ -37,6 +46,16 @@ def max_relative_error(ad_grads, fd_grads):
         denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
         worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+def fd_check(build, arrays, tol=1e-6):
+    """Assert that `gradients` of the scalar graph `build(leaves)` toward its
+    leaves, Tensors of `arrays`, is within `tol` of central differences."""
+    tensors = [Tensor(a) for a in arrays]
+    loss = build(tensors)
+    ad_grads = gradients(loss, tensors)
+    fd_grads = finite_difference(lambda arrs: build([Tensor(a) for a in arrs]).item(), arrays)
+    assert max_relative_error(ad_grads, fd_grads) < tol
 
 
 def filter_outliers_reference(samples, factor=1.5):
@@ -73,13 +92,12 @@ def infer_reference(model, x):
     of `ExecutionTrace` fields: a list for a batch, one dict for a vector.
 
     The skip and exit nets run their network's hard forward once
-    (`_net().run`); the exit net's softmax runs head by head through
-    `autodiff.softmax` and its exit is searched row by row. The scripted
+    (`_net().run`); the exit net's softmax runs head by head through the
+    tests' graph `softmax` and its exit is searched row by row. The scripted
     model is evaluated row by row from its thresholds. The nets' FLOPs are
     counted by hand from their sizes: the stem, one head and a block's two
     width x width maps per block run or segment consumed.
     """
-    from adnn_energy_lab.autodiff import Tensor, softmax
 
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rows = []
@@ -112,7 +130,7 @@ def infer_reference(model, x):
         all_logits, _ = model._net().run(X)
         entropies = []
         for logits in all_logits:
-            p = softmax(Tensor(logits)).data
+            p = ops.softmax(Tensor(logits)).data
             entropies.append(-np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
                              .sum(axis=-1))
         for i in range(len(X)):
@@ -219,7 +237,6 @@ def adam_per_parameter_steps(values, grads, state, lr=0.01, beta1=0.9,
 def step_loss(opt, loss):
     """One Adam step on the graph of the scalar Tensor `loss`: the backward
     pass toward every parameter of `opt`, then the update. Returns the loss."""
-    from adnn_energy_lab.autodiff import gradients
     opt.step(gradients(loss, opt.params))
     return float(loss.data)
 
@@ -253,7 +270,6 @@ def random_op_mix_graph(rng):
     maximum input sits at least 1e-4 from its kink and every softmax
     probability stays above 1e-6, so central differences are trustworthy.
     """
-    from adnn_energy_lab import autodiff as ad
 
     n = int(rng.integers(2, 6))
     m = int(rng.integers(2, 5))
@@ -279,23 +295,23 @@ def random_op_mix_graph(rng):
 
     def build(tensors, record=None):
         x, w1, b1, w2, b2, mix, anchor, w3 = tensors
-        pre = ad.add(ad.matmul(x, w1), b1)
-        h1 = ad.relu(pre)
-        h2 = ad.tanh(pre)
-        logits = ad.add(ad.matmul(h2, w2), b2)
-        probs = ad.softmax(logits)
-        picked = ad.tsum(ad.mul(ad.log(probs), mix), axis=-1)
-        clipped = ad.maximum(ad.sub(h1, 0.3), 0.1)
-        gap = ad.sub(h2, anchor)
-        dist = ad.l2_norm(gap)
-        gate = ad.tmean(ad.sigmoid(h1))
-        unit = unfused_tanh_unit(ad.matmul(logits, w3))
-        objectives = ad.add(unfused_hinge_sum([unit], 0.5),
+        pre = ops.add(ops.matmul(x, w1), b1)
+        h1 = ops.relu(pre)
+        h2 = ops.tanh(pre)
+        logits = ops.add(ops.matmul(h2, w2), b2)
+        probs = ops.softmax(logits)
+        picked = ops.tsum(ops.mul(ops.log(probs), mix), axis=-1)
+        clipped = ops.maximum(ops.sub(h1, 0.3), 0.1)
+        gap = ops.sub(h2, anchor)
+        dist = ops.l2_norm(gap)
+        gate = ops.tmean(ops.sigmoid(h1))
+        unit = unfused_tanh_unit(ops.matmul(logits, w3))
+        objectives = ops.add(unfused_hinge_sum([unit], 0.5),
                             unfused_entropy_hinge_sum([logits], 0.6 * math.log(k)))
-        losses = ad.add(ad.softmax_cross_entropy(logits, targets),
-                        unfused_squared_error(h2, ad.Tensor(anchor_rows)))
-        means = unfused_mean_of_means([ad.columns(probs, j, j + 1) for j in range(k)])
-        mixed = ad.add(ad.add(ad.tmean(ad.columns(h1, 1, m)), objectives), ad.add(losses, means))
+        losses = ops.add(softmax_cross_entropy(logits, targets),
+                        unfused_squared_error(h2, Tensor(anchor_rows)))
+        means = unfused_mean_of_means([columns(probs, j, j + 1) for j in range(k)])
+        mixed = ops.add(ops.add(ops.tmean(columns(h1, 1, m)), objectives), ops.add(losses, means))
         if record is not None:
             record.append(("kink", pre.data))
             record.append(("kink", h1.data - 0.3 - 0.1))
@@ -304,14 +320,14 @@ def random_op_mix_graph(rng):
             record.append(("kink", 0.6 * math.log(k) + (p * np.log(p)).sum(axis=-1)))
             record.append(("prob", probs.data))
             record.append(("norm", gap.data))
-        return ad.add(
-            ad.add(ad.add(ad.tmean(picked), dist), mixed),
-            ad.add(ad.mul(ad.tsum(clipped), 0.3), gate),
+        return ops.add(
+            ops.add(ops.add(ops.tmean(picked), dist), mixed),
+            ops.add(ops.mul(ops.tsum(clipped), 0.3), gate),
         )
 
     def valid(arrays):
         record = []
-        build([ad.Tensor(a) for a in arrays], record)
+        build([Tensor(a) for a in arrays], record)
         for kind, data in record:
             if kind == "kink" and np.min(np.abs(data)) < 1e-4:
                 return False
@@ -338,77 +354,67 @@ def random_op_mix_graph(rng):
 
 
 def unfused_affine(x, w, b):
-    from adnn_energy_lab import autodiff as ad
-    return ad.add(ad.matmul(x, w), b)
+    return ops.add(ops.matmul(x, w), b)
 
 
 def unfused_residual_step(h, w1, b1, w2, b2, s=None):
-    from adnn_energy_lab import autodiff as ad
-    branch = unfused_affine(ad.relu(unfused_affine(h, w1, b1)), w2, b2)
-    return ad.add(h, branch if s is None else ad.mul(s, branch))
+    branch = unfused_affine(ops.relu(unfused_affine(h, w1, b1)), w2, b2)
+    return ops.add(h, branch if s is None else ops.mul(s, branch))
 
 
 def unfused_sigmoid_gate(x, w, b):
-    from adnn_energy_lab import autodiff as ad
-    return ad.sigmoid(ad.add(ad.mul(x, w), b))
+    return ops.sigmoid(ops.add(ops.mul(x, w), b))
 
 
 def unfused_softmax_cross_entropy(logits, targets):
-    from adnn_energy_lab import autodiff as ad
-    picked = ad.tsum(ad.mul(ad.log_softmax(logits), targets), axis=-1)
-    return ad.mul(ad.tmean(picked), -1.0)
+    picked = ops.tsum(ops.mul(ops.log_softmax(logits), targets), axis=-1)
+    return ops.mul(ops.tmean(picked), -1.0)
 
 
 def unfused_head_softmax_cross_entropy(logits, targets):
     """The cross-entropy of a (rows, heads, classes) Tensor: each head's
     unfused cross-entropy against its (rows, classes) targets, added left
     to right. A head is a node of its own over its slice of `logits`."""
-    from adnn_energy_lab import autodiff as ad
 
     def head(k):
         def vjp(g):
             full = np.zeros(logits.shape)
             full[:, k] = g
             return full
-        return ad.Tensor(logits.data[:, k], ((logits, vjp),), "head")
+        return Tensor(logits.data[:, k], ((logits, vjp),), "head")
 
     return _fold([unfused_softmax_cross_entropy(head(k), targets[:, k])
                   for k in range(logits.shape[1])])
 
 
 def unfused_squared_error(pred, target):
-    from adnn_energy_lab import autodiff as ad
-    err = ad.sub(pred, target)
-    return ad.tmean(ad.tsum(ad.mul(err, err), axis=-1))
+    err = ops.sub(pred, target)
+    return ops.tmean(ops.tsum(ops.mul(err, err), axis=-1))
 
 
 def unfused_mean_of_means(tensors):
-    from adnn_energy_lab import autodiff as ad
-    total = ad.tmean(tensors[0])
+    total = ops.tmean(tensors[0])
     for t in tensors[1:]:
-        total = ad.add(total, ad.tmean(t))
-    return ad.mul(total, 1.0 / len(tensors))
+        total = ops.add(total, ops.tmean(t))
+    return ops.mul(total, 1.0 / len(tensors))
 
 
 def _fold(terms):
-    from adnn_energy_lab import autodiff as ad
     total = terms[0]
     for t in terms[1:]:
-        total = ad.add(total, t)
+        total = ops.add(total, t)
     return total
 
 
 def unfused_hinge_sum(tensors, level):
     """sum over `tensors`, left to right, of tsum(relu(level - t))."""
-    from adnn_energy_lab import autodiff as ad
-    return _fold([ad.tsum(ad.relu(ad.sub(level, t))) for t in tensors])
+    return _fold([ops.tsum(ops.relu(ops.sub(level, t))) for t in tensors])
 
 
 def unfused_entropy(logits):
     """Shannon entropy of softmax(logits) rows."""
-    from adnn_energy_lab import autodiff as ad
-    plogp = ad.tsum(ad.mul(ad.softmax(logits), ad.log_softmax(logits)), axis=-1)
-    return ad.mul(plogp, -1.0)
+    plogp = ops.tsum(ops.mul(ops.softmax(logits), ops.log_softmax(logits)), axis=-1)
+    return ops.mul(plogp, -1.0)
 
 
 def unfused_entropy_hinge_sum(tensors, level):
@@ -417,15 +423,13 @@ def unfused_entropy_hinge_sum(tensors, level):
 
 
 def unfused_tanh_unit(w):
-    from adnn_energy_lab import autodiff as ad
-    return ad.mul(ad.add(ad.tanh(w), 1.0), 0.5)
+    return ops.mul(ops.add(ops.tanh(w), 1.0), 0.5)
 
 
 def unfused_skip_forward(net, x):
     """A GatedSkipNet's soft forward, unfused: (logits, gate values)."""
-    from adnn_energy_lab import autodiff as ad
-    pooled = ad.matmul(x, ad.Tensor(np.full((net.input_dim, 1), 1.0 / net.input_dim)))
-    h = ad.relu(unfused_affine(x, *net.stem_.params))
+    pooled = ops.matmul(x, Tensor(np.full((net.input_dim, 1), 1.0 / net.input_dim)))
+    h = ops.relu(unfused_affine(x, *net.stem_.params))
     gates = []
     for block, gw, gb in zip(net.blocks_, net.gate_weights_, net.gate_biases_):
         gates.append(unfused_sigmoid_gate(pooled, gw, gb))
@@ -435,8 +439,7 @@ def unfused_skip_forward(net, x):
 
 def unfused_exit_forward(net, x):
     """An EarlyExitNet's forward, unfused: every exit's logits."""
-    from adnn_energy_lab import autodiff as ad
-    h = ad.relu(unfused_affine(x, *net.stem_.params))
+    h = ops.relu(unfused_affine(x, *net.stem_.params))
     logits = []
     for seg, head in zip(net.segments_, net.exit_heads_):
         h = unfused_residual_step(h, *seg.params)
@@ -445,8 +448,7 @@ def unfused_exit_forward(net, x):
 
 
 def _unfused_trunk(stem, blocks, x):
-    from adnn_energy_lab import autodiff as ad
-    h = ad.relu(unfused_affine(x, *stem.params))
+    h = ops.relu(unfused_affine(x, *stem.params))
     for block in blocks:
         h = unfused_residual_step(h, *block.params)
     return h
@@ -463,33 +465,29 @@ def _unfused_labels_loss(logits, y, num_classes):
 
 def unfused_skip_loss(net, X, y):
     """A GatedSkipNet's soft-mode training loss on one batch, unfused."""
-    from adnn_energy_lab import autodiff as ad
-    logits, gates = unfused_skip_forward(net, ad.Tensor(X))
+    logits, gates = unfused_skip_forward(net, Tensor(X))
     loss = _unfused_labels_loss(logits, y, net.num_classes)
     if net.sparsity_weight:
-        loss = ad.add(loss, ad.mul(unfused_mean_of_means(gates), net.sparsity_weight))
+        loss = ops.add(loss, ops.mul(unfused_mean_of_means(gates), net.sparsity_weight))
     return loss
 
 
 def unfused_exit_loss(net, X, y):
     """An EarlyExitNet's training loss on one batch: every exit's
     cross-entropy, summed left to right, unfused."""
-    from adnn_energy_lab import autodiff as ad
     return _fold([_unfused_labels_loss(logits, y, net.num_classes)
-                  for logits in unfused_exit_forward(net, ad.Tensor(X))])
+                  for logits in unfused_exit_forward(net, Tensor(X))])
 
 
 def unfused_estimator_loss(est, X, targets):
     """An EnergyEstimator's training loss on one batch of normalized targets."""
-    from adnn_energy_lab import autodiff as ad
-    pred = unfused_estimator_forward(est, ad.Tensor(X))
-    return unfused_squared_error(pred, ad.Tensor(np.reshape(targets, (-1, 1))))
+    pred = unfused_estimator_forward(est, Tensor(X))
+    return unfused_squared_error(pred, Tensor(np.reshape(targets, (-1, 1))))
 
 
 def unfused_filter_loss(filt, X, y):
     """A FilterModel's training loss on one batch, unfused."""
-    from adnn_energy_lab import autodiff as ad
-    logits = unfused_affine(_unfused_trunk(filt.stem_, filt.blocks_, ad.Tensor(X)),
+    logits = unfused_affine(_unfused_trunk(filt.stem_, filt.blocks_, Tensor(X)),
                             *filt.head_.params)
     return _unfused_labels_loss(logits, y, filt.num_classes)
 
@@ -498,39 +496,35 @@ def unfused_ilfo_loss(model, w, x, target, level, c):
     """ILFO's loss on modifier `w` and seed Tensor `x`, unfused: squared
     distance plus c times the gate hinges, or the hinges of every early
     exit's entropy (`level` then includes the margin)."""
-    from adnn_energy_lab import autodiff as ad
     f = unfused_tanh_unit(w)
-    d = ad.sub(f, x)
+    d = ops.sub(f, x)
     if target == "gate":
         terms = unfused_skip_forward(model, f)[1]
         inter = unfused_hinge_sum(terms, level)
     else:
         inter = unfused_entropy_hinge_sum(unfused_exit_forward(model, f)[:-1], level)
-    return ad.add(ad.tsum(ad.mul(d, d)), ad.mul(inter, c))
+    return ops.add(ops.tsum(ops.mul(d, d)), ops.mul(inter, c))
 
 
 def unfused_estimator_prediction(est, f):
     """An estimator's joule prediction on Tensor `f`, unfused: a stub's own
     graph (its `graph_prediction`), or an EnergyEstimator's network."""
-    from adnn_energy_lab import autodiff as ad
     if hasattr(est, "graph_prediction"):
         return est.graph_prediction(f)
-    return ad.add(ad.mul(unfused_estimator_forward(est, f), ad.Tensor(est.energy_scale_)),
-                  ad.Tensor(est.energy_mean_))
+    return ops.add(ops.mul(unfused_estimator_forward(est, f), Tensor(est.energy_scale_)),
+                  Tensor(est.energy_mean_))
 
 
 def unfused_input_based_loss(est, w, x, c):
     """The input-based attack's loss on modifier `w` and seed `x`, unfused."""
-    from adnn_energy_lab import autodiff as ad
     f = unfused_tanh_unit(w)
     pred = unfused_estimator_prediction(est, f)
-    return ad.sub(ad.l2_norm(ad.sub(f, ad.Tensor(x))), ad.mul(ad.tsum(pred), c))
+    return ops.sub(ops.l2_norm(ops.sub(f, Tensor(x))), ops.mul(ops.tsum(pred), c))
 
 
 def unfused_universal_loss(est, w):
     """The universal attack's loss on modifier `w`, unfused."""
-    from adnn_energy_lab import autodiff as ad
-    return ad.sub(0.0, ad.tsum(unfused_estimator_prediction(est, unfused_tanh_unit(w))))
+    return ops.sub(0.0, ops.tsum(unfused_estimator_prediction(est, unfused_tanh_unit(w))))
 
 
 def unfused_ilfo_attack_loss(attack, w, x):
@@ -545,8 +539,7 @@ def unfused_ilfo_attack_loss(attack, w, x):
 def unfused_uniform_cross_entropy(logits):
     """Cross-entropy of softmax(logits) rows against the uniform distribution,
     -mean log_softmax(logits) over every entry: the gradient feature's loss."""
-    from adnn_energy_lab import autodiff as ad
-    return ad.mul(ad.tmean(ad.log_softmax(logits)), -1.0)
+    return ops.mul(ops.tmean(ops.log_softmax(logits)), -1.0)
 
 
 # -- sequential forms of the batched attack and defense loops -------------
@@ -562,7 +555,6 @@ def input_based_graph_reference(attack, x):
     """The input-based attack with one unfused graph per iterate, which
     scores the iterate and then steps it through `step_loss`. Returns
     (input, history, best_loss, final_loss)."""
-    from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
     from adnn_energy_lab.seeding import array_fingerprint, derive_rng
 
@@ -590,7 +582,6 @@ def universal_graph_reference(attack):
     """The universal attack with one unfused graph per iterate over all
     restarts' rows, stepped by `step_loss`, and each final row scored on its
     own. Returns (inputs, losses, best restart)."""
-    from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
     from adnn_energy_lab.seeding import derive_rng
 
@@ -608,7 +599,6 @@ def universal_graph_reference(attack):
 def ilfo_graph_reference(attack, x):
     """ILFO with one unfused graph per iterate: it scores the iterate, and
     `step_loss` on the same graph steps it. Returns (input, min_losses)."""
-    from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
 
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
@@ -630,7 +620,6 @@ def ilfo_two_forward_reference(attack, x):
     """ILFO with two soft forwards per step: one unfused graph for the
     update, a fresh one to score the new iterate. Returns (input,
     min_losses)."""
-    from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
 
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
@@ -655,7 +644,6 @@ def universal_per_restart_reference(estimator, config):
 
     Returns (restart inputs, restart final losses).
     """
-    from adnn_energy_lab.autodiff import Tensor
     from adnn_energy_lab.optim import Adam
     from adnn_energy_lab.seeding import derive_rng
 
@@ -684,7 +672,6 @@ def input_based_loop_reference(attack, x):
     """The input-based loop: keep the iterate if its loss is the lowest yet,
     step it, record its loss, score the next; then the final iterate."""
     from adnn_energy_lab.attacks import _input_based_scorer
-    from adnn_energy_lab.autodiff import Tensor, tanh_unit_terms
     from adnn_energy_lab.optim import Adam
     from adnn_energy_lab.seeding import array_fingerprint, derive_rng
 
@@ -717,7 +704,6 @@ def universal_loop_reference(attack):
     batch gradient, with no final batch score, then score each final row on
     its own and keep the lowest."""
     from adnn_energy_lab.attacks import _scorer, _universal_terms
-    from adnn_energy_lab.autodiff import Tensor, tanh_unit_terms
     from adnn_energy_lab.optim import Adam
     from adnn_energy_lab.seeding import derive_rng
 
@@ -739,7 +725,6 @@ def universal_loop_reference(attack):
 def ilfo_loop_reference(attack, x):
     """The ILFO loop: score the start at arctanh of the seed, then step,
     score and keep each iterate whose loss is the lowest yet."""
-    from adnn_energy_lab.autodiff import Tensor, tanh_unit_terms
     from adnn_energy_lab.optim import Adam
 
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)

@@ -26,7 +26,7 @@ from adnn_energy_lab.attacks import (
     surrogate_pipeline,
 )
 from adnn_energy_lab.autodiff import (NonFiniteError, ShapeError, Tensor, gradients,
-                                      tanh_unit_terms, tsum)
+                                      tanh_unit_terms)
 from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.energy import EnergyModel, measure_energy
@@ -40,6 +40,7 @@ from adnn_energy_lab.models import (
 from adnn_energy_lab.nn import ResidualMLP
 from adnn_energy_lab.seeding import derive_rng
 
+from graph_ops import add, mul, tsum
 from oracles import (
     ilfo_graph_reference,
     ilfo_loop_reference,
@@ -69,7 +70,7 @@ class ConstantEstimator:
         self.input_dim = input_dim
 
     def graph_prediction(self, f):
-        return Tensor(np.float64(self.value)) + tsum(f) * 0.0
+        return add(Tensor(np.float64(self.value)), mul(tsum(f), 0.0))
 
     def predict_terms(self, f):
         return np.float64(self.value) + f.sum() * 0.0, lambda g: np.full(f.shape, g * 0.0)
@@ -81,7 +82,7 @@ class PixelMeanEstimator:
     input_dim = 64
 
     def graph_prediction(self, f):
-        return tsum(f) * (1.0 / self.input_dim)
+        return mul(tsum(f), 1.0 / self.input_dim)
 
     def predict_terms(self, f):
         scale = 1.0 / self.input_dim
@@ -1135,7 +1136,7 @@ class TestOneNodeObjectives:
         ref = unfused_estimator_prediction(trained_estimator, ft)
         assert pred.tobytes() == ref.data.tobytes()
         seed = np.array([[0.5], [-2.0]])
-        assert vjp(seed).tobytes() == gradients(tsum(ref * Tensor(seed)), [ft])[0].tobytes()
+        assert vjp(seed).tobytes() == gradients(tsum(mul(ref, Tensor(seed))), [ft])[0].tobytes()
 
     def test_objectives_check_their_values(self, trained_skip):
         w = Tensor(np.zeros((1, 64)))

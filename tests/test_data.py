@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,32 @@ class TestProbes:
     def test_corpus_minimum_size(self):
         with pytest.raises(ValueError):
             estimator_corpus(5)
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("call, name", [
+        (lambda: generate_dataset(8, seed=1.7), "seed"),
+        (lambda: generate_dataset(2.5), "num_examples"),
+        (lambda: estimator_corpus(10.5), "num_inputs"),
+        (lambda: estimator_corpus(20, input_dim=0), "input_dim"),
+        (lambda: probe_inputs(3, levels=[0.1, math.nan, 0.5]), "levels"),
+        (lambda: probe_inputs(3, jitter=math.nan), "jitter"),
+    ], ids=["fractional-seed", "fractional-count", "fractional-corpus-size",
+            "no-features", "nan-level", "nan-jitter"])
+    def test_bad_setting_raises_value_error_naming_it(self, call, name):
+        with pytest.raises(ValueError, match=name):
+            call()
+
+    @pytest.mark.parametrize("difficulty", [math.nan, 7.0, -0.5])
+    def test_difficulty_outside_the_unit_range_is_rejected(self, tmp_path, difficulty):
+        inputs, labels = [[0.5] * 3] * 2, [0, 1]
+        with pytest.raises(ValueError, match="difficulty"):
+            LabeledDataset(np.array(inputs), np.array(labels), np.array([0.5, difficulty]))
+        path = tmp_path / "difficulty.json"
+        path.write_text(json.dumps({"inputs": inputs, "labels": labels,
+                                    "difficulty": [0.5, difficulty]}))
+        with pytest.raises(DataFormatError, match="difficulty"):
+            LabeledDataset.load(path)
 
 
 class TestRoundTrip:

@@ -50,6 +50,12 @@ class TestEnergyIncrease:
         with pytest.raises(ValueError, match="positive"):
             energy_increase_percent(math.nan, 5.0)
 
+    @pytest.mark.parametrize("e_orig, e_test", [(math.inf, 1.0), (1.0, math.inf),
+                                                (1.0, math.nan), (2.0, -math.inf)])
+    def test_non_finite_energy_rejected(self, e_orig, e_test):
+        with pytest.raises(ValueError, match="e_orig|e_test"):
+            energy_increase_percent(e_orig, e_test)
+
 
 class TestIncRf:
     def test_hand_values(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adnn_energy_lab.autodiff import NonFiniteError, Tensor, gradients, relu, softmax, tsum
+from adnn_energy_lab.autodiff import NonFiniteError, Tensor, gradients
 from adnn_energy_lab.base import NotFittedError
 from adnn_energy_lab.data import generate_dataset
 from adnn_energy_lab.defense import FilterModel
@@ -34,6 +34,7 @@ from adnn_energy_lab.optim import Adam
 from adnn_energy_lab.seeding import derive_rng
 from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
 
+from graph_ops import mul, relu, softmax, tsum
 from oracles import unfused_affine, xavier_layer
 
 
@@ -264,11 +265,17 @@ class TestGatedSkipNet:
         # equals running or skipping it with no float residue
         for bias in (800.0, -800.0):
             net = self.saturated_net(bias)
-            x = Tensor(derive_rng(2, "agree").uniform(0, 1, size=(5, 64)))
-            hard_logits, _, hard_dec = net.forward(x, mode="hard")
-            soft_logits, _, soft_dec = net.forward(x, mode="soft")
-            assert np.array_equal(hard_logits.data, soft_logits.data)
-            assert np.array_equal(hard_dec, soft_dec)
+            x = derive_rng(2, "agree").uniform(0, 1, size=(5, 64))
+            hard = net.infer(x)
+            soft_logits, _, soft_dec = net.forward(Tensor(x), mode="soft")
+            assert np.array_equal(hard.logits, soft_logits.data)
+            assert np.array_equal(hard.gate_decisions, soft_dec)
+
+    @pytest.mark.parametrize("mode", ["hard", "Soft", None])
+    def test_graph_forward_is_soft_only(self, mode):
+        net = self.saturated_net(800.0)
+        with pytest.raises(ValueError, match="mode must be 'soft'"):
+            net.forward(Tensor(np.full((2, 64), 0.5)), mode=mode)
 
     def test_hard_decisions_match_soft_gate_thresholding(self, trained_skip, skip_dataset):
         X = Tensor(skip_dataset.inputs[:64])
@@ -761,8 +768,8 @@ class TestHeadSelectiveNode:
             seed = rng.normal(size=part.shape)
             seed_full = np.zeros(full.shape)
             seed_full[:, keep] = seed
-            got = gradients(tsum(part * Tensor(seed)), [x, net.theta])
-            want = gradients(tsum(full * Tensor(seed_full)), [x, net.theta])
+            got = gradients(tsum(mul(part, Tensor(seed))), [x, net.theta])
+            want = gradients(tsum(mul(full, Tensor(seed_full))), [x, net.theta])
             assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
     @pytest.mark.parametrize("kind, bad", [
@@ -792,7 +799,7 @@ class TestHeadSelectiveNode:
                 out, vjp = terms(x, k)
                 assert out.shape == node.shape and out.tobytes() == node.data.tobytes()
                 seed = rng.normal(size=out.shape)
-                want = gradients(tsum(node * Tensor(seed)), [xt])[0]
+                want = gradients(tsum(mul(node, Tensor(seed))), [xt])[0]
                 assert vjp(seed).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
