@@ -240,7 +240,7 @@ def _once_per_gradient(fn):
 
 def _log_softmax_rows(x):
     """(exp of the max-shifted x, log_softmax(x)) along the last axis."""
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e, shifted - np.log(np.add.reduce(e, axis=-1, keepdims=True))
 

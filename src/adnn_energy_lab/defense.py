@@ -147,7 +147,7 @@ def gradient_feature(adnn, x):
         logp = _log_softmax_rows(out[:, :c])[1]
         _require_finite(logp, "gradient_feature")
         g = np.full(logp.shape, seed)
-        g_logits = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+        g_logits = g - np.exp(logp) * np.add.reduce(g, axis=-1, keepdims=True)
         _require_finite(g_logits, "gradient_feature.grad")
         return _scatter_columns(out.shape, 0, c, g_logits)
 
@@ -179,9 +179,9 @@ class LinearSvm:
 _SVM_PARAMS = {"lam": POSITIVE, "epochs": SIZE}
 
 
-# a scale below this is folded into the coefficients: the running sum's
-# coefficients S * alpha - beta then lose no more than about eps / _SVM_FOLD
-# of their value to cancellation
+# a scale below this is folded into alpha, so alpha stays within
+# 1 / _SVM_FOLD of the iterate's own coefficients and cannot grow without
+# bound over a long run
 _SVM_FOLD = 1e-3
 
 
@@ -197,16 +197,19 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
     (Shalev-Shwartz et al., Math. Programming 2011, section 4): with u_i =
     y_i [x_i, 1] the signed augmented rows and K = U U^T their n x n Gram
     matrix, the iterate is w = s U^T alpha and the running sum of iterates
-    U^T (S alpha - beta), where S sums the scales s. Every row's margin
-    (K alpha)_i is kept in one array, so a step that keeps its margin
-    updates scalars only; a violating step adds one row of K to that array
-    and moves alpha_i, beta_i and |U^T alpha|^2. The margins and the norm
-    are recomputed from K once per epoch and whenever s is folded into
-    alpha; each epoch's objective comes from K too, and the weights are
-    formed once, at the end. The iterates are the primal loop's in exact
-    arithmetic; in floats they differ by rounding, within 1e-10 relative
-    on the classifier. K takes n * n floats, no more than the features
-    take while n <= d + 1.
+    U^T (summed + S alpha), where S sums the scales s since alpha last
+    changed and `summed` holds the iterates' coefficients from before.
+    Every row's margin (K alpha)_i is kept in one array, so a step that
+    keeps its margin updates scalars only; a violating step adds S alpha
+    to `summed`, one row of K to the margins, and moves alpha_i and
+    |U^T alpha|^2. Every term of `summed`, S and alpha is nonnegative, so
+    the running sum's coefficients lose nothing to cancellation. The
+    margins and the norm are recomputed from K once per epoch and whenever
+    s is folded into alpha; each epoch's objective comes from K too, and
+    the weights are formed once, at the end. The iterates are the primal
+    loop's in exact arithmetic; in floats they differ by rounding, within
+    1e-10 relative on the classifier. K takes n * n floats, no more than
+    the features take while n <= d + 1.
 
     Raises ValueError when an inner product of the augmented rows
     overflows, before the first step.
@@ -228,7 +231,7 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
     if not np.isfinite(gram).all():
         raise ValueError("features too large: the inner products of their rows overflow")
     gram_rows, diag = list(gram), gram.diagonal().tolist()
-    alpha, beta, kalpha, sq_norm = np.zeros(n), np.zeros(n), np.zeros(n), 0.0
+    alpha, summed, kalpha, sq_norm = np.zeros(n), np.zeros(n), np.zeros(n), 0.0
     # the scale is s = p / t: the shrink by 1 - 1/t at step t leaves p as it
     # is, and a violating step adds 1 / (lam p) to its alpha_i
     p, scale_sum, t = 1.0, 0.0, 0
@@ -240,21 +243,21 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
             # w . u_i = s (K alpha)_i < 1 for the iterate before the step,
             # whose scale is p / (t - 1); the first, w = 0, violates them all
             if kalpha.item(i) * p < t - 1 or t == 1:
+                summed += scale_sum * alpha
+                scale_sum = 0.0
                 if p < _SVM_FOLD * t:
-                    beta -= scale_sum * alpha
                     alpha *= p / t
-                    p, scale_sum = float(t), 0.0
+                    p = float(t)
                     kalpha = gram @ alpha
                     sq_norm = float(alpha @ kalpha)
                 step = 1.0 / (lam * p)
-                beta[i] += step * scale_sum
                 alpha[i] += step
                 sq_norm += step * (2.0 * kalpha.item(i) + step * diag[i])
                 kalpha += step * gram_rows[i]
                 if lam * p * p * sq_norm > t * t:    # |w| > 1 / sqrt(lam)
                     p = t / math.sqrt(lam * sq_norm)
             scale_sum += p / t
-        coef = (alpha * scale_sum - beta) / t    # the average iterate is U^T coef
+        coef = (summed + scale_sum * alpha) / t    # the average iterate is U^T coef
         kcoef = gram @ coef
         history.append(0.5 * lam * float(coef @ kcoef)
                        + float(np.maximum(0.0, 1.0 - kcoef).sum()) / n)

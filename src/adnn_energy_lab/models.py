@@ -51,7 +51,7 @@ def entropy(p):
 def _entropies(p):
     """Entropy along the last axis of probabilities known to be normalized."""
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    return -np.add.reduce(terms, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,8 @@ class EarlyExitNet(AdaptiveNet):
         all_logits, _ = self._net().run(X)
         logits = np.stack(all_logits, axis=1)
         # every head's softmax at once: max shift, exp, then each row over its sum
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        probs = e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+        probs = e / np.add.reduce(e, axis=-1, keepdims=True)
         _require_finite(probs, "softmax")
         entropies = _entropies(probs)
         below = entropies < self.entropy_threshold

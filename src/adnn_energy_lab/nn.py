@@ -5,7 +5,10 @@ and one head at the end or one after every block, optionally with a sigmoid
 gate per block, over one flat parameter leaf, `theta`. Its whole forward
 and backward runs on arrays: `terms` gives the product toward the input and
 `theta_terms` the product toward theta (called on a Tensor, it is one graph
-node). It runs only the layers its kept heads and gates read. The network
+node). It runs only the layers its kept heads and gates read. Every
+product goes through `ndarray.dot`, and each weight gradient through
+`np.dot(out=)` into its slice of theta's gradient: `@` makes the same BLAS
+call through the matmul ufunc, whose dispatch costs more per call. The network
 packs the layout's arrays into theta and cuts its layers from theta's
 views: `Dense` and `ResidualBlock` are read-only records of `View`s, and a
 weight changes by a write to its view's `data`.
@@ -161,13 +164,13 @@ class ResidualMLP:
         depth = kept if self.tap_heads else (self.num_blocks if kept else 0)
         mask0 = h = None
         if kept:
-            z0 = x @ ws + bs
+            z0 = x.dot(ws) + bs
             _require_finite(z0, "residual_mlp")
             mask0 = z0 > 0.0
-            h = np.where(mask0, z0, 0.0)
+            h = np.maximum(z0, 0.0)
         gates = scale = pooled = None
         if gate_params is not None:
-            pooled = x @ self.pool
+            pooled = x.dot(self.pool)
             zg = pooled * gate_params[0] + gate_params[1]
             _require_finite(zg, "residual_mlp")
             # exp overflow at very negative inputs still yields the right limit (0.0)
@@ -180,19 +183,19 @@ class ResidualMLP:
             if threshold is not None and s is not None and not s.any():
                 steps.append(None)
             else:
-                z1 = h @ w1 + b1
+                z1 = h.dot(w1) + b1
                 _require_finite(z1, "residual_mlp")
                 mask = z1 > 0.0
-                act = np.where(mask, z1, 0.0)
-                branch = act @ w2 + b2
+                act = np.maximum(z1, 0.0)
+                branch = act.dot(w2) + b2
                 steps.append((h, mask, act, branch, s))
                 h = h + branch if s is None else h + s * branch
             if self.tap_heads:
                 tops.append(h)
-                logits.append(h @ head_params[i][0] + head_params[i][1])
+                logits.append(h.dot(head_params[i][0]) + head_params[i][1])
         if kept and not self.tap_heads:
             tops.append(h)
-            logits.append(h @ head_params[0][0] + head_params[0][1])
+            logits.append(h.dot(head_params[0][0]) + head_params[0][1])
         return logits, gates, (x, mask0, pooled, gates, steps, tops)
 
     def _check_heads(self, heads):
@@ -314,7 +317,7 @@ class ResidualMLP:
             hg = g[:, k * c:(k + 1) * c]
             live = np.count_nonzero(hg)
             head_grads.append(hg if live else None)
-            down.append(hg @ heads[k][2] if live else None)
+            down.append(hg.dot(heads[k][2]) if live else None)
         block_grads, gate_cols = [None] * n, [None] * n
         # what reaches h after block i: its tapped head, then the skip path
         # and the branch of block i + 1 (the one head, past the last block)
@@ -329,11 +332,11 @@ class ResidualMLP:
                 continue
             h, mask, act, branch, s = steps[i]
             g_branch = dh if s is None else dh * s
-            dz1 = (g_branch @ blocks[i][5]) * mask
+            dz1 = g_branch.dot(blocks[i][5]) * mask
             if s is not None and gates:
                 gate_cols[i] = np.add.reduce(dh * branch, axis=-1)
             block_grads[i] = (g_branch, dz1)
-            skip, branch_in = dh, dz1 @ blocks[i][4]
+            skip, branch_in = dh, dz1.dot(blocks[i][4])
         if branch_in is not None:
             skip = branch_in if skip is None else skip + branch_in
         dz0 = None if skip is None else skip * mask0
@@ -353,10 +356,10 @@ class ResidualMLP:
         pool's. The pool's product is formed only here, so a walk toward
         theta alone never computes it."""
         _, _, dz0, grad_z = grads
-        dx = None if dz0 is None else dz0 @ layers[0][2]
+        dx = None if dz0 is None else dz0.dot(layers[0][2])
         if grad_z is not None:
             pooled_grad = np.add.accumulate(grad_z * layers[2][0], axis=1)[:, -1:]
-            pooled_part = pooled_grad @ self.pool.T
+            pooled_part = pooled_grad.dot(self.pool.T)
             dx = pooled_part if dx is None else dx + pooled_part
         return np.zeros(shape) if dx is None else dx.reshape(shape)
 
@@ -371,7 +374,7 @@ class ResidualMLP:
         def put(k, left, right):
             # the weight gradient left.T @ right, then its bias, right's column sums
             (start, stop, shape), (bias_start, bias_stop, _) = layout[k:k + 2]
-            np.matmul(left.T, right, out=out[start:stop].reshape(shape))
+            np.dot(left.T, right, out=out[start:stop].reshape(shape))
             np.add.reduce(right, axis=0, out=out[bias_start:bias_stop])
 
         if dz0 is not None:

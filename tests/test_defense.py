@@ -332,6 +332,7 @@ class TestTrainSvmAgainstPrimalLoop:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 0.0), st.floats(1.0, 3.0),
            st.integers(1, 5))
+    @example(133, 0.0, 2.5, 1)    # the average nearly cancels: 6e-8 and 2e-5 from unit iterates
     def test_matches_the_primal_loop_when_every_step_projects(self, seed, log_lam, log_norm, d):
         # two rows x and x' with x . x' > 0 and both labels, so the signed
         # rows u and v have u . v < 0, over one epoch of two steps: w = 0

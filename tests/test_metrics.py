@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from adnn_energy_lab.energy import EnergyModel
 from adnn_energy_lab.metrics import (
     PSNR_CAP_DB,
-    RobustnessScores,
     TransferRecord,
     auc,
     avg_squared_difference,
@@ -29,7 +28,6 @@ from oracles import (
     auc_reference,
     exhaustive_permutation_p,
     pearson_loop_reference,
-    pearson_r_reference,
     ssim_reference,
 )
 

@@ -19,7 +19,6 @@ from adnn_energy_lab.energy import EnergyModel
 from adnn_energy_lab.estimator import EnergyEstimator
 from adnn_energy_lab.models import (
     EarlyExitNet,
-    ExecutionTrace,
     GatedSkipNet,
     ScriptedAdnn,
     entropy,

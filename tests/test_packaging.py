@@ -1,5 +1,6 @@
 """The installable package's metadata, and the frozen benchmark, point at
-code that exists."""
+code that exists; no module imports a name it never reads; and the network
+walk multiplies through ndarray.dot."""
 
 import ast
 import importlib
@@ -40,11 +41,13 @@ def test_every_library_name_the_benchmark_imports_exists():
     assert found, "no library import found in perfbench/"
 
 
-def test_no_library_module_imports_a_name_it_never_uses():
+def test_no_module_imports_a_name_it_never_uses():
     # a top-level import is used if its bound name is read anywhere in the
-    # module, or listed in __all__; `from __future__` binds nothing
+    # module, or listed in __all__; `from __future__` binds nothing. The
+    # library's modules and the tests' are held to it alike
     unused = []
-    for path in sorted((ROOT / "src" / "adnn_energy_lab").glob("*.py")):
+    paths = sorted((ROOT / "src" / "adnn_energy_lab").glob("*.py"))
+    for path in paths + sorted((ROOT / "tests").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
@@ -60,3 +63,18 @@ def test_no_library_module_imports_a_name_it_never_uses():
                     if bound not in read:
                         unused.append((path.name, alias.name))
     assert not unused
+
+
+def test_the_network_walk_multiplies_through_ndarray_dot():
+    # `@` and np.matmul dispatch through the matmul ufunc, which costs about
+    # 0.6 us more per call than ndarray.dot for the same BLAS call; the
+    # network walk makes about 20 products per one-row iterate
+    path = ROOT / "src" / "adnn_energy_lab" / "nn.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)
+             or (isinstance(node, ast.Attribute) and node.attr == "matmul")
+             or (isinstance(node, ast.Name) and node.id == "matmul")]
+    assert not found, ("nn.py multiplies through the matmul ufunc (%d uses of @ or matmul); "
+                       "use ndarray.dot, or np.dot(out=) into a C-contiguous slice: the "
+                       "ufunc's dispatch costs more per call for the same BLAS call"
+                       % len(found))
