@@ -38,22 +38,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (_ONE, ShapeError, Tensor, _checked, _require_finite, entropy_hinge_terms,
-                       hinge_terms, tanh_unit_terms)
+from .autodiff import (_ONE, ShapeError, Tensor, _checked, entropy_hinge_terms, hinge_terms,
+                       tanh_unit_terms)
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
 from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL, REAL_OR_NONE, SIZE,
                          as_float_array, check_params, check_unit_range)
 
 def _offset(f, x, op):
-    """Array `f` minus the seed array `x`, checked."""
+    """Array `f` minus the seed array `x`; a ShapeError naming `op` where
+    `x` does not take the shape of `f`. It checks no value: a non-finite
+    entry of `x` or of the difference reaches the objective's score, which
+    `_scorer` checks under `op`."""
     x = np.asarray(x, dtype=np.float64)
-    _require_finite(x, op)
     d = f - x
     if d.shape != f.shape:
         raise ShapeError("%s got an input of shape %s and a seed of shape %s"
                          % (op, f.shape, x.shape))
-    _require_finite(d, op)
     return d
 
 
@@ -81,10 +82,7 @@ def _input_based_terms(f, x, pred, c):
     f, product toward pred)."""
     d = _offset(f, x, "input_based_loss")
     norm = np.sqrt(np.add.reduce(d * d, axis=None))
-    energy = np.add.reduce(pred, axis=None)
-    scaled = energy * c
-    for value in (norm, energy, c, scaled):
-        _require_finite(value, "input_based_loss")
+    scaled = np.add.reduce(pred, axis=None) * c
 
     def grad_f(g):
         # the Euclidean norm's subgradient at the origin is 0
@@ -119,18 +117,14 @@ def _ilfo_terms(f, x, out, hinge, c):
     toward f, product toward out). `hinge` is (value, vector-Jacobian
     product) of the intermediate hinge on the model's soft forward `out`."""
     d = _offset(f, x, "ilfo_loss")
-    dd = d * d
-    distance = np.add.reduce(dd, axis=None)
+    distance = np.add.reduce(d * d, axis=None)
     hinge_value, hinge_grad = hinge
-    scaled = hinge_value * c
-    for value in (dd, distance, hinge_value, c, scaled):
-        _require_finite(value, "ilfo_loss")
 
     def grad_f(g):
         half = g * d
         return half + half
 
-    return distance + scaled, grad_f, lambda g: hinge_grad(g * c)
+    return distance + hinge_value * c, grad_f, lambda g: hinge_grad(g * c)
 
 
 def _scorer(forward, objective, op):
@@ -143,6 +137,10 @@ def _scorer(forward, objective, op):
     gradient toward w for the incoming gradient g, 1.0 unless given. It
     adds the objective's term toward f and then the model's, and checks
     the objective's value under `op` and its products under op + ".grad".
+    The value's check is the objective's only one: each of its terms (the
+    seed's offset, `c`, the energy or the hinge) enters it by +, - or *,
+    which carry NaN and infinities through, so a term that is not finite
+    leaves the value not finite.
     """
     def score(w):
         f, f_vjp = tanh_unit_terms(w)

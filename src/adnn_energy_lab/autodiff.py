@@ -48,10 +48,12 @@ relu and sigmoid pre-activation of a network, and the log-probabilities of
 the cross-entropy and the entropy hinge), where a sigmoid or a relu could
 hide a non-finite value. The array forms check a value under its op name
 and its product under op + ".grad", as `gradients` names a contribution.
-A check costs one `math.isfinite` on a number or a 0-d array, and one sum
-of squares on an array: a finite sum proves every entry finite, and only a
-sum that is not finite (a non-finite entry, or an overflow of finite ones)
-has the entries checked one by one.
+An attack objective checks its score alone, not each term: its seed, `c`
+and terms enter the score by +, - or *, which carry NaN and infinities
+through (see `attacks._scorer`). A check costs one `math.isfinite` on a
+number or a 0-d array, and one sum of squares on an array: a finite sum
+proves every entry finite, and only a sum that is not finite (a non-finite
+entry, or an overflow of finite ones) has the entries checked one by one.
 """
 
 import math
@@ -103,9 +105,19 @@ def _checked(data, op):
     return data
 
 
-# d loss / d loss, the gradient `gradients` starts its reverse walk from
-_ONE = np.ones(())
-_ONE.flags.writeable = False
+def _constant(value):
+    """`value` as a read-only 0-d float64 array. A ufunc takes it as an
+    operand of a float64 array as it takes the Python float, with the same
+    bytes, but without converting the float again on every call."""
+    out = np.array(value, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+# d loss / d loss, the gradient `gradients` starts its reverse walk from,
+# and the constants of the relu, the sigmoid, the hinges and tanh_unit
+_ONE = _constant(1.0)
+_ZERO, _HALF = _constant(0.0), _constant(0.5)
 
 
 class Tensor:
@@ -239,10 +251,12 @@ def _once_per_gradient(fn):
 
 
 def _log_softmax_rows(x):
-    """(exp of the max-shifted x, log_softmax(x)) along the last axis."""
+    """(exp of the max-shifted x, its sums, log_softmax(x)) along the last
+    axis, the sums kept as dimensions of size one."""
     shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e, shifted - np.log(np.add.reduce(e, axis=-1, keepdims=True))
+    sums = np.add.reduce(e, axis=-1, keepdims=True)
+    return e, sums, shifted - np.log(sums)
 
 
 def _batch_scale(rows, op):
@@ -269,7 +283,7 @@ def softmax_cross_entropy_terms(logits, t):
     adds separate heads' losses. The log-probabilities and each head's loss
     are checked as "softmax_cross_entropy", and each sum as "add"."""
     x, t = (a if a.ndim == 3 else a.reshape(-1, 1, a.shape[-1]) for a in (logits, t))
-    logp = _log_softmax_rows(x)[1]
+    logp = _log_softmax_rows(x)[2]
     _require_finite(logp, "softmax_cross_entropy")
     picked = np.add.reduce(logp * t, axis=-1)
     scale = _batch_scale(picked[:, 0], "softmax_cross_entropy")
@@ -377,8 +391,8 @@ def hinge_terms(x, level, start, stop):
     product toward `x`; shapes are checked as "hinge_sum"."""
     _check_columns("hinge_sum", x, start, stop)
     shortfall = level - _rows(x)[:, start:stop]
-    mask = shortfall > 0.0
-    sums = _column_sums(np.where(mask, shortfall, 0.0))
+    mask = shortfall > _ZERO
+    sums = _column_sums(np.where(mask, shortfall, _ZERO))
     total = sums[0]
     for s in sums[1:]:
         total = total + s
@@ -399,13 +413,13 @@ def entropy_hinge_terms(x, level, width, count):
     """
     _check_columns("entropy_hinge_sum", x, 0, width * count)
     rows = _rows(x)
-    e, logp = _log_softmax_rows(rows[:, :width * count].reshape(len(rows), count, width))
-    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    e, sums, logp = _log_softmax_rows(rows[:, :width * count].reshape(len(rows), count, width))
+    p = e / sums
     _require_finite(logp, "entropy_hinge_sum")
     entropy = -np.add.reduce(p * logp, axis=-1)
     shortfall = level - entropy
-    mask = shortfall > 0.0
-    terms = _column_sums(np.where(mask, shortfall, 0.0))
+    mask = shortfall > _ZERO
+    terms = _column_sums(np.where(mask, shortfall, _ZERO))
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -427,8 +441,8 @@ def tanh_unit_terms(w):
     vector-Jacobian product toward `w`: the value checked as "tanh_unit", the
     product as "tanh_unit.grad"."""
     t = np.tanh(w)
-    return (_checked((t + 1.0) * 0.5, "tanh_unit"),
-            lambda g: _checked((g * 0.5) * (1.0 - t * t), "tanh_unit.grad"))
+    return (_checked((t + _ONE) * _HALF, "tanh_unit"),
+            lambda g: _checked((g * _HALF) * (_ONE - t * t), "tanh_unit.grad"))
 
 
 def _topo_order(root, wrt):

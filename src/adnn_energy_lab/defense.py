@@ -144,7 +144,7 @@ def gradient_feature(adnn, x):
     def out_grad(out):
         # the forward keeps the first head, whose logits come first: the head
         # of a gated-skip model, the first exit of an early-exit one
-        logp = _log_softmax_rows(out[:, :c])[1]
+        logp = _log_softmax_rows(out[:, :c])[2]
         _require_finite(logp, "gradient_feature")
         g = np.full(logp.shape, seed)
         g_logits = g - np.exp(logp) * np.add.reduce(g, axis=-1, keepdims=True)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import (_ONE, ShapeError, Tensor, View, _checked, _column_sums,
+from .autodiff import (_ONE, _ZERO, ShapeError, Tensor, View, _checked, _column_sums,
                        _once_per_gradient, _require_finite, _scatter_columns, as_tensor,
                        mean_of_column_means_terms, pack, softmax_cross_entropy,
                        softmax_cross_entropy_terms)
@@ -166,8 +166,8 @@ class ResidualMLP:
         if kept:
             z0 = x.dot(ws) + bs
             _require_finite(z0, "residual_mlp")
-            mask0 = z0 > 0.0
-            h = np.maximum(z0, 0.0)
+            mask0 = z0 > _ZERO
+            h = np.maximum(z0, _ZERO)
         gates = scale = pooled = None
         if gate_params is not None:
             pooled = x.dot(self.pool)
@@ -175,7 +175,7 @@ class ResidualMLP:
             _require_finite(zg, "residual_mlp")
             # exp overflow at very negative inputs still yields the right limit (0.0)
             with np.errstate(over="ignore"):
-                gates = 1.0 / (1.0 + np.exp(-zg))
+                gates = _ONE / (_ONE + np.exp(-zg))
             scale = gates if threshold is None else (gates >= threshold).astype(np.float64)
         steps, tops, logits = [], [], []
         for i, (w1, b1, w2, b2, _, _) in enumerate(blocks[:depth]):
@@ -185,8 +185,8 @@ class ResidualMLP:
             else:
                 z1 = h.dot(w1) + b1
                 _require_finite(z1, "residual_mlp")
-                mask = z1 > 0.0
-                act = np.maximum(z1, 0.0)
+                mask = z1 > _ZERO
+                act = np.maximum(z1, _ZERO)
                 branch = act.dot(w2) + b2
                 steps.append((h, mask, act, branch, s))
                 h = h + branch if s is None else h + s * branch
@@ -348,7 +348,7 @@ class ResidualMLP:
             for i, col in enumerate(gate_cols):
                 if col is not None:
                     d_gates[:, i] = col + incoming[:, i]
-            grad_z = d_gates * gate_values * (1.0 - gate_values)
+            grad_z = d_gates * gate_values * (_ONE - gate_values)
         return head_grads, block_grads, dz0, grad_z
 
     def _input_grad(self, layers, grads, shape):

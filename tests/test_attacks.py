@@ -76,6 +76,15 @@ class ConstantEstimator:
         return np.float64(self.value) + f.sum() * 0.0, lambda g: np.full(f.shape, g * 0.0)
 
 
+class SummedOverflowEstimator:
+    """Stub predicting two finite energies per row whose sum overflows."""
+
+    input_dim = 64
+
+    def predict_terms(self, f):
+        return np.full((len(f), 2), 1e308), lambda g: np.zeros(f.shape)
+
+
 class PixelMeanEstimator:
     """Stub whose predicted joules equal the mean pixel value."""
 
@@ -842,20 +851,21 @@ class TestGraphReferences:
                 monkeypatch.setattr(module, "_require_finite", spy)
         return counts
 
-    # each op name and count of the checks of a five-iteration loop, as the
-    # loop that built the one-node graph of each objective (the modifier's
-    # reparameterization, the network and the objective a node each, and
-    # the estimator's de-normalization) made them
+    # each op name and count of the checks of a five-iteration loop: the
+    # modifier's reparameterization, the network and the estimator's
+    # de-normalization check their values and products as the one-node
+    # graph of each made them, and an objective checks its score once (its
+    # seed, `c` and terms reach that score by +, - or *) and its products
     GRAPH_LOOP_CHECKS = {
         "input_based": {"tanh_unit": 7, "residual_mlp": 36, "denormalize": 6,
-                        "input_based_loss": 42, "input_based_loss.grad": 10,
+                        "input_based_loss": 6, "input_based_loss.grad": 10,
                         "denormalize.grad": 5, "residual_mlp.grad": 5, "tanh_unit.grad": 5},
         "universal": {"tanh_unit": 8, "residual_mlp": 42, "denormalize": 7, "universal_loss": 7,
                       "universal_loss.grad": 5, "denormalize.grad": 5, "residual_mlp.grad": 5,
                       "tanh_unit.grad": 5},
-        "gate": {"tanh_unit": 7, "residual_mlp": 12, "ilfo_loss": 48, "ilfo_loss.grad": 10,
+        "gate": {"tanh_unit": 7, "residual_mlp": 12, "ilfo_loss": 6, "ilfo_loss.grad": 10,
                  "residual_mlp.grad": 5, "tanh_unit.grad": 5},
-        "exit": {"tanh_unit": 7, "residual_mlp": 30, "entropy_hinge_sum": 6, "ilfo_loss": 48,
+        "exit": {"tanh_unit": 7, "residual_mlp": 30, "entropy_hinge_sum": 6, "ilfo_loss": 6,
                  "ilfo_loss.grad": 10, "residual_mlp.grad": 5, "tanh_unit.grad": 5},
     }
 
@@ -1150,3 +1160,34 @@ class TestOneNodeObjectives:
         attack = IlfoAttack(trained_skip, IlfoConfig())
         with pytest.raises(NonFiniteError, match="ilfo_loss"):
             attack._score(np.full((1, 64), np.nan))(w.data)
+
+    # a non-finite seed, `c` or term reaches the objective's score, so its
+    # one check raises under the objective's name; the overflows run with
+    # numpy's overflow warning off, so that the check, not the warning, fails
+    @pytest.mark.parametrize("seed, c, estimator", [
+        (np.full((1, 64), np.inf), 1.0, ConstantEstimator(1.0)),
+        (np.full((1, 64), np.nan), 1.0, ConstantEstimator(1.0)),
+        (np.full((1, 64), 0.5), np.inf, ConstantEstimator(1.0)),
+        (np.full((1, 64), 0.5), 1.0, SummedOverflowEstimator()),
+    ], ids=["inf_seed", "nan_seed", "inf_c", "energy_overflow"])
+    def test_input_based_score_check_covers_every_term(self, seed, c, estimator):
+        score = attacks._input_based_scorer(estimator, seed, c)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="input_based_loss"):
+            score(np.zeros((1, 64)))
+
+    @pytest.mark.parametrize("seed, config", [
+        (np.full((1, 64), np.nan), IlfoConfig()),
+        # every gate falls short of 10 by more than 9, so hinge * c > 72e308
+        (np.full((1, 64), 0.5), IlfoConfig(threshold=10.0, c=1e308)),
+    ], ids=["nan_seed", "scaled_overflow"])
+    def test_ilfo_score_check_covers_every_term(self, seed, config, trained_skip):
+        score = IlfoAttack(trained_skip, config)._score(seed)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="ilfo_loss"):
+            score(np.zeros((1, 64)))
+
+    def test_seed_of_the_wrong_shape_names_the_objective(self, trained_skip):
+        w, seed = np.zeros((1, 64)), np.full((2, 64), 0.5)
+        with pytest.raises(ShapeError, match="input_based_loss"):
+            attacks._input_based_scorer(ConstantEstimator(1.0), seed, 1.0)(w)
+        with pytest.raises(ShapeError, match="ilfo_loss"):
+            IlfoAttack(trained_skip, IlfoConfig())._score(seed)(w)
