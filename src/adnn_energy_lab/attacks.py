@@ -42,7 +42,7 @@ from .autodiff import (_ONE, ShapeError, Tensor, _checked, entropy_hinge_terms, 
                        tanh_unit_terms)
 from .optim import Adam
 from .seeding import array_fingerprint, derive_rng
-from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL, REAL_OR_NONE, SIZE,
+from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL_OR_NONE, SIZE,
                          as_float_array, check_params, check_unit_range)
 
 def _offset(f, x, op):
@@ -51,11 +51,14 @@ def _offset(f, x, op):
     entry of `x` or of the difference reaches the objective's score, which
     `_scorer` checks under `op`."""
     x = np.asarray(x, dtype=np.float64)
-    d = f - x
-    if d.shape != f.shape:
-        raise ShapeError("%s got an input of shape %s and a seed of shape %s"
-                         % (op, f.shape, x.shape))
-    return d
+    try:
+        d = f - x
+        if d.shape == f.shape:
+            return d
+    except ValueError:   # the shapes do not broadcast
+        pass
+    raise ShapeError("%s got an input of shape %s and a seed of shape %s"
+                     % (op, f.shape, x.shape))
 
 
 def _one_input(x, width):
@@ -260,43 +263,6 @@ class UniversalAttack:
 
 
 # -- white-box intermediate-target attack --------------------------------
-
-
-def _hinge_sum(shortfalls, op):
-    """math.fsum of `shortfalls` (correctly rounded, so plain per-element
-    accumulation matches it); a ValueError, not inf, where finite inputs
-    overflow."""
-    try:
-        total = math.fsum(shortfalls)
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValueError("%s overflows on these finite inputs" % op)
-    return total
-
-
-def ilfo_gate_loss(gate_values, gate_threshold):
-    """Sum of hinge shortfalls max(0, G_T - g) over a vector of gate values; zero iff all fire.
-    Finite inputs whose shortfalls or sum pass the float range raise ValueError."""
-    check_params({"gate_threshold": REAL}, locals())
-    values = as_float_array(gate_values, "gate_values", ndim=1)
-    with np.errstate(over="ignore"):
-        shortfalls = np.maximum(0.0, gate_threshold - values)
-    return _hinge_sum(shortfalls, "ilfo_gate_loss")
-
-
-def ilfo_exit_loss(exit_entropies, entropy_threshold, margin=0.0):
-    """Hinge shortfall of each constrained exit's entropy below T_H + margin.
-
-    Pass a vector of the entropies of the early exits only; the final head
-    is unconditional and carries no constraint. Finite inputs whose level,
-    shortfalls or sum pass the float range raise ValueError.
-    """
-    check_params({"entropy_threshold": REAL, "margin": NONNEGATIVE}, locals())
-    values = as_float_array(exit_entropies, "exit_entropies", ndim=1)
-    with np.errstate(over="ignore"):
-        shortfalls = np.maximum(0.0, entropy_threshold + margin - values)
-    return _hinge_sum(shortfalls, "ilfo_exit_loss")
 
 
 @dataclass(frozen=True)

@@ -77,24 +77,6 @@ class EnergyModel(ParamsMixin):
             return np.zeros(0)
         return np.array(self._ladder(batch.kind, int(units.max())))[units]
 
-    def step_values(self, max_units):
-        """Noiseless energy ladder for 0..max_units active blocks."""
-        return self._ladder("skip", max_units)
-
-
-def energy_of_trace(model, trace, rng=None):
-    """One energy sample for a trace: step value plus Gaussian read noise.
-
-    Noise perturbs the final reading, not individual blocks, and the
-    result is clamped at zero. A noisy model needs an rng to draw from.
-    """
-    value = model.noiseless_energy(trace)
-    if model.noise_sigma > 0:
-        if rng is None:
-            raise ValueError("a noisy energy model needs an rng to sample from")
-        value += rng.normal(0.0, model.noise_sigma)
-    return max(value, 0.0)
-
 
 @dataclass(frozen=True)
 class MeasurementProtocol:
@@ -113,14 +95,6 @@ class EnergyMeasurement:
     raw_samples: tuple
     retained: tuple
     mean: float
-
-    def to_json_row(self, input_id):
-        return {
-            "input_id": input_id,
-            "raw": list(self.raw_samples),
-            "retained": list(self.retained),
-            "mean": self.mean,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,13 +128,6 @@ class MeasurementBatch:
         # a row that rejects no reading retains its readings' tuple itself
         retained = raw if kept_all else tuple(itertools.compress(raw, self.kept[i].tolist()))
         return EnergyMeasurement(raw, retained, mean)
-
-
-def filter_outliers(samples, protocol=MeasurementProtocol()):
-    """Drop samples above rejection_factor times the median; ties kept.
-    An infinite factor keeps every sample. This is the one-row case of
-    `reject_and_average`."""
-    return list(reject_and_average([list(samples)], protocol.rejection_factor)[0].retained)
 
 
 def _row_medians(raw):

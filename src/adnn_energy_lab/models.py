@@ -32,26 +32,9 @@ import numpy as np
 
 from .autodiff import _require_finite, as_tensor, columns
 from .nn import ResidualModel, layer_view, payload_layout
-from .seeding import derive_rng
-from .serialize import DataFormatError, dump_json, load_json, payload_config
+from .serialize import DataFormatError, payload_config
 from .validation import (COUNT, INT, LADDER, NONNEGATIVE, OPEN_UNIT, SIZE, as_sample_matrix,
                          check_params)
-
-
-def entropy(p):
-    """Shannon entropy in nats of a probability vector; 0 ln 0 = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("entropy expects a single probability vector")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("entropy needs a normalized probability vector")
-    return float(_entropies(p))
-
-
-def _entropies(p):
-    """Entropy along the last axis of probabilities known to be normalized."""
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -np.add.reduce(terms, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -321,7 +304,9 @@ class EarlyExitNet(AdaptiveNet):
         e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
         probs = e / np.add.reduce(e, axis=-1, keepdims=True)
         _require_finite(probs, "softmax")
-        entropies = _entropies(probs)
+        # each exit's entropy in nats, 0 ln 0 = 0
+        terms = np.where(probs > 0, probs * np.log(np.where(probs > 0, probs, 1.0)), 0.0)
+        entropies = -np.add.reduce(terms, axis=-1)
         below = entropies < self.entropy_threshold
         exits = np.where(below.any(axis=1), below.argmax(axis=1), self.num_segments - 1)
         batch = TraceBatch("exit", self.signature,
@@ -388,31 +373,6 @@ class ScriptedAdnn:
         return self.infer(as_sample_matrix(X, "X")).labels
 
 
-def scripted_gate_analogue(thresholds, sharpness=40.0, input_dim=64, width=16, num_classes=4, seed=0):
-    """A GatedSkipNet whose gate i outputs sigmoid(sharpness * (mean(x) - thresholds[i])).
-
-    Stem, blocks and head come from the usual seeded init; only the gates are
-    hand-set, making the model a differentiable twin of a ScriptedAdnn with
-    the same thresholds: the hard decision for gate i is exactly
-    mean(x) >= thresholds[i]. Used as a white-box fixture with known behavior.
-    """
-    thresholds = [float(t) for t in thresholds]
-    net = GatedSkipNet(
-        input_dim=input_dim,
-        width=width,
-        num_blocks=len(thresholds),
-        num_classes=num_classes,
-    )
-    net._build(derive_rng(seed, "scripted-analogue"))
-    for weight, bias, t in zip(net.gate_weights_, net.gate_biases_, thresholds):
-        weight.data, bias.data = np.float64(sharpness), np.float64(-sharpness * t)
-    return net
-
-
-def save_model(model, path):
-    dump_json(model_to_payload(model), path)
-
-
 def model_to_payload(model):
     if isinstance(model, ScriptedAdnn):
         return {"kind": "scripted", "config": {k: getattr(model, k) for k in model.PARAMS},
@@ -431,7 +391,3 @@ def model_from_payload(payload):
                              optional=("num_classes",))
         return ScriptedAdnn(**{k: cfg[k] for k in ScriptedAdnn.PARAMS if k in cfg})
     raise DataFormatError("unknown model kind %r" % kind)
-
-
-def load_model(path):
-    return model_from_payload(load_json(path, "model"))

@@ -58,6 +58,17 @@ def fd_check(build, arrays, tol=1e-6):
     assert max_relative_error(ad_grads, fd_grads) < tol
 
 
+def entropy(p):
+    """Shannon entropy in nats of a probability vector; 0 ln 0 = 0. Its
+    terms are summed as one numpy reduce, as `infer` sums each exit's."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("entropy expects a single probability vector")
+    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("entropy needs a normalized probability vector")
+    return float(-np.add.reduce(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)))
+
+
 def filter_outliers_reference(samples, factor=1.5):
     """Keep values not exceeding factor * median; boundary values stay."""
     med = statistics.median(samples)

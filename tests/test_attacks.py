@@ -4,7 +4,6 @@ white-box hinge objectives, and the surrogate replay pipeline."""
 import collections
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -20,23 +19,16 @@ from adnn_energy_lab.attacks import (
     UniversalAttack,
     _scorer,
     _universal_terms,
-    ilfo_exit_loss,
-    ilfo_gate_loss,
     input_based_loss,
     surrogate_pipeline,
 )
-from adnn_energy_lab.autodiff import (NonFiniteError, ShapeError, Tensor, gradients,
+from adnn_energy_lab.autodiff import (NonFiniteError, ShapeError, Tensor, gradients, hinge_terms,
                                       tanh_unit_terms)
 from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.energy import EnergyModel, measure_energy
 from adnn_energy_lab.estimator import EnergyEstimator
-from adnn_energy_lab.models import (
-    EarlyExitNet,
-    GatedSkipNet,
-    ScriptedAdnn,
-    scripted_gate_analogue,
-)
+from adnn_energy_lab.models import EarlyExitNet, GatedSkipNet, ScriptedAdnn
 from adnn_energy_lab.nn import ResidualMLP
 from adnn_energy_lab.seeding import derive_rng
 
@@ -439,7 +431,7 @@ class TestSeedBoundary:
     input of the model's width, every value in [0, 1]."""
 
     @staticmethod
-    def spied(kind, monkeypatch):
+    def spied(kind, monkeypatch, scripted_gate_analogue):
         """(attack, draws, forwards) for `kind`, recording each rng the
         attack derives and each input its model's forward gets."""
         draws = []
@@ -454,16 +446,18 @@ class TestSeedBoundary:
 
     @pytest.mark.parametrize("kind", ["input_based", "ilfo"])
     @pytest.mark.parametrize("seed", [np.full(10, 0.5), np.full((1, 10), 0.5)])
-    def test_seed_of_another_width_is_rejected(self, kind, seed, monkeypatch):
-        attack, draws, forwards = self.spied(kind, monkeypatch)
+    def test_seed_of_another_width_is_rejected(self, kind, seed, monkeypatch,
+                                               scripted_gate_analogue):
+        attack, draws, forwards = self.spied(kind, monkeypatch, scripted_gate_analogue)
         with pytest.raises(ShapeError, match="x has 10 features, expected 64"):
             attack.generate(seed)
         assert draws == [] and forwards == []
 
     @pytest.mark.parametrize("kind", ["input_based", "ilfo"])
     @pytest.mark.parametrize("value", [1.5, -0.25, 1.0 + 1e-12])
-    def test_seed_outside_the_unit_range_is_rejected(self, kind, value, monkeypatch):
-        attack, draws, forwards = self.spied(kind, monkeypatch)
+    def test_seed_outside_the_unit_range_is_rejected(self, kind, value, monkeypatch,
+                                                     scripted_gate_analogue):
+        attack, draws, forwards = self.spied(kind, monkeypatch, scripted_gate_analogue)
         seed = np.full(64, 0.5)
         seed[7] = value
         with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
@@ -471,7 +465,7 @@ class TestSeedBoundary:
         assert draws == [] and forwards == []
 
     @pytest.mark.parametrize("value", [0.0, 1.0])
-    def test_seed_on_the_unit_range_edge_is_accepted(self, value):
+    def test_seed_on_the_unit_range_edge_is_accepted(self, value, scripted_gate_analogue):
         x = np.full(64, value)
         assert InputBasedAttack(PixelMeanEstimator(), GenConfig(iterations=2)).generate(
             x).shape == (64,)
@@ -480,92 +474,38 @@ class TestSeedBoundary:
 
 
 class TestIlfoHinges:
+    """The gate hinge the attack scores, `hinge_terms`, on one row of gate values."""
+
+    @staticmethod
+    def gate_hinge(values, threshold):
+        values = np.asarray(values, dtype=np.float64).reshape(1, -1)
+        return hinge_terms(values, threshold, 0, values.shape[1])[0]
+
     def test_gate_hand_example(self):
-        assert ilfo_gate_loss([0.6, 0.3], 0.5) == pytest.approx(0.2, abs=1e-12)
+        assert self.gate_hinge([0.6, 0.3], 0.5) == pytest.approx(0.2, abs=1e-12)
 
     def test_gate_all_clear(self):
-        assert ilfo_gate_loss([0.5, 0.7, 0.99], 0.5) == 0.0
+        assert self.gate_hinge([0.5, 0.7, 0.99], 0.5) == 0.0
 
     def test_gate_all_zero_eight_gates(self):
-        assert ilfo_gate_loss(np.zeros(8), 0.5) == 4.0
-
-    def test_exit_hand_example(self):
-        assert ilfo_exit_loss([0.2], 0.5, margin=0.1) == pytest.approx(0.4, abs=1e-12)
-
-    def test_exit_boundary_inclusive_at_zero_margin(self):
-        assert ilfo_exit_loss([0.5], 0.5, margin=0.0) == 0.0
-
-    def test_exit_all_clear(self):
-        assert ilfo_exit_loss([0.8, 0.9], 0.5, margin=0.1) == 0.0
-
-    def test_exit_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            ilfo_exit_loss([0.5], 0.5, margin=-0.01)
+        assert self.gate_hinge(np.zeros(8), 0.5) == 4.0
 
     def test_gate_matches_brute_force_on_random_vectors(self):
+        # the shortfalls are added left to right, as `hinge_terms` documents
         rng = derive_rng(3, "hinge-gate")
         for _ in range(1000):
             n = int(rng.integers(1, 12))
             values = rng.uniform(0, 1, size=n)
             threshold = float(rng.uniform(0, 1))
-            expected = math.fsum(max(0.0, threshold - v) for v in values)
-            assert ilfo_gate_loss(values, threshold) == expected
-
-    def test_exit_matches_brute_force_on_random_vectors(self):
-        rng = derive_rng(4, "hinge-exit")
-        for _ in range(1000):
-            n = int(rng.integers(1, 6))
-            values = rng.uniform(0, 2, size=n)
-            threshold = float(rng.uniform(0, 1.5))
-            margin = float(rng.uniform(0, 0.3))
-            expected = math.fsum(max(0.0, threshold + margin - v) for v in values)
-            assert ilfo_exit_loss(values, threshold, margin) == expected
-
-    @pytest.mark.parametrize("args, match", [
-        (([0.6, math.nan], 0.5), "gate_values"), (([[0.6, 0.3]], 0.5), "gate_values"),
-        (([0.6], math.nan), "gate_threshold"), (([0.6], math.inf), "gate_threshold"),
-        (([0.6], True), "gate_threshold"),
-    ])
-    def test_gate_rejects_bad_input(self, args, match):
-        with pytest.raises(ValueError, match=match):
-            ilfo_gate_loss(*args)
-
-    @pytest.mark.parametrize("args, match", [
-        (([math.nan], 0.5, 0.1), "exit_entropies"), (([[0.2]], 0.5, 0.1), "exit_entropies"),
-        (([0.2], math.nan, 0.1), "entropy_threshold"),
-        (([0.2], -math.inf, 0.1), "entropy_threshold"),
-        (([0.2], 0.5, math.nan), "margin"), (([0.2], 0.5, True), "margin"),
-        (([0.2], 0.5, math.inf), "margin"),
-    ])
-    def test_exit_rejects_bad_input(self, args, match):
-        with pytest.raises(ValueError, match=match):
-            ilfo_exit_loss(*args)
-
-    @pytest.mark.parametrize("loss, args", [
-        (ilfo_exit_loss, ([0.2], 1e308, 1e308)),
-        (ilfo_exit_loss, ([0.2], np.float64(1e308), np.float64(1e308))),
-        (ilfo_gate_loss, ([-1e308], 1e308)),
-        (ilfo_gate_loss, ([0.0, 0.0], 1e308)),
-    ], ids=["exit level", "exit numpy level", "gate shortfall", "gate sum"])
-    def test_overflow_of_finite_inputs_rejected(self, loss, args):
-        # the threshold plus the margin, the threshold minus a value, or
-        # the sum of the shortfalls is past the largest float
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="%s overflows" % loss.__name__):
-                loss(*args)
-
-    def test_shortfall_below_the_float_range_is_zero(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ilfo_gate_loss([1e308], -1e308) == 0.0
+            expected = sum(max(0.0, threshold - v) for v in values)
+            assert self.gate_hinge(values, threshold) == expected
 
     def test_zero_exactly_on_feasible_set(self):
         rng = derive_rng(5, "hinge-feasible")
         for _ in range(200):
             values = rng.uniform(0, 1, size=4)
             threshold = float(rng.uniform(0.1, 0.9))
-            loss = ilfo_gate_loss(values, threshold)
+            loss = self.gate_hinge(values, threshold)
             if np.all(values >= threshold):
                 assert loss == 0.0
             else:
@@ -573,7 +513,7 @@ class TestIlfoHinges:
 
 
 class TestIlfoAttack:
-    def test_min_loss_sequence_non_increasing(self):
+    def test_min_loss_sequence_non_increasing(self, scripted_gate_analogue):
         net = scripted_gate_analogue([0.3, 0.5, 0.7])
         attack = IlfoAttack(net, IlfoConfig(iterations=60))
         attack.generate(np.full(64, 0.2))
@@ -581,13 +521,13 @@ class TestIlfoAttack:
         assert len(seq) == 61
         assert all(b <= a for a, b in zip(seq, seq[1:]))
 
-    def test_already_feasible_seed_stays_put(self):
+    def test_already_feasible_seed_stays_put(self, scripted_gate_analogue):
         net = scripted_gate_analogue([0.2, 0.4, 0.6])
         x = np.full(64, 0.9)
         f = IlfoAttack(net, IlfoConfig(iterations=50)).generate(x)
         assert float(np.linalg.norm(f - x)) < 1e-3
 
-    def test_activates_all_gates_from_low_mean_seed(self):
+    def test_activates_all_gates_from_low_mean_seed(self, scripted_gate_analogue):
         net = scripted_gate_analogue([0.3, 0.45, 0.6, 0.75])
         x = np.full(64, 0.2)
         before = net.infer(x)
@@ -597,7 +537,7 @@ class TestIlfoAttack:
         assert sum(after.gate_decisions) == 4
 
     @pytest.mark.parametrize("shape", [(2, 64), (1, 1, 64), ()])
-    def test_takes_one_input_only(self, shape):
+    def test_takes_one_input_only(self, shape, scripted_gate_analogue):
         # rejected before the first forward, not joined into one wide row
         net = scripted_gate_analogue([0.3, 0.6])
         attack, calls = IlfoAttack(net, IlfoConfig(iterations=1)), []
@@ -606,7 +546,7 @@ class TestIlfoAttack:
             attack.generate(np.full(shape, 0.5))
         assert calls == []
 
-    def test_threshold_falls_back_to_model_attribute(self):
+    def test_threshold_falls_back_to_model_attribute(self, scripted_gate_analogue):
         net = scripted_gate_analogue([0.3, 0.6])
         attack = IlfoAttack(net, IlfoConfig(iterations=0))
         assert attack._threshold() == net.gate_threshold
@@ -624,7 +564,7 @@ class TestIlfoAttack:
         assert all(b <= a for a, b in zip(seq, seq[1:]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_gate_pre_activation_raises(self):
+    def test_non_finite_gate_pre_activation_raises(self, scripted_gate_analogue):
         # the gate-only forward still runs, and checks, every gate
         net = scripted_gate_analogue([0.3, 0.6])
         net.gate_weights_[1].data = np.float64(1.5e308)
@@ -634,7 +574,7 @@ class TestIlfoAttack:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("target", ["gate", "exit"])
-    def test_objective_runs_only_the_layers_it_reads(self, target):
+    def test_objective_runs_only_the_layers_it_reads(self, target, scripted_gate_analogue):
         # the gate hinge reads no head, the exit hinge every exit but the last
         if target == "gate":
             net = scripted_gate_analogue([0.3, 0.6])
@@ -664,7 +604,7 @@ class TestIlfoAttack:
         attack._score(x.reshape(1, -1))(np.zeros((1, 64)))
         assert shapes == [(1, kept)]
 
-    def test_deterministic(self):
+    def test_deterministic(self, scripted_gate_analogue):
         net = scripted_gate_analogue([0.4, 0.6])
         x = np.full(64, 0.1)
         a = IlfoAttack(net, IlfoConfig(iterations=20)).generate(x)
@@ -694,14 +634,14 @@ class TestIlfoTargetCheck:
 
     @pytest.mark.parametrize("target, attr", [("gate", "num_blocks"), ("exit", "num_classes"),
                                               ("gate", "input_dim"), ("exit", "input_dim")])
-    def test_missing_size_is_rejected(self, target, attr):
+    def test_missing_size_is_rejected(self, target, attr, scripted_gate_analogue):
         net = scripted_gate_analogue([0.3, 0.6]) if target == "gate" else EarlyExitNet()
         delattr(net, attr)
         with pytest.raises(ValueError, match=attr):
             IlfoAttack(net, IlfoConfig(target=target))
 
     @pytest.mark.parametrize("target", ["gate", "exit"])
-    def test_only_what_the_attack_calls_is_needed(self, target):
+    def test_only_what_the_attack_calls_is_needed(self, target, scripted_gate_analogue):
         class Bare:
             """forward_terms(x, heads), the sizes and the threshold, and no other
             method: no forward(x, mode), no graph node."""
@@ -725,7 +665,7 @@ class TestIlfoTargetCheck:
 
     @pytest.mark.parametrize("target, attr", [("gate", "gate_threshold"),
                                               ("exit", "entropy_threshold")])
-    def test_missing_threshold_is_rejected(self, target, attr):
+    def test_missing_threshold_is_rejected(self, target, attr, scripted_gate_analogue):
         net = scripted_gate_analogue([0.3, 0.6]) if target == "gate" else EarlyExitNet()
         delattr(net, attr)
         with pytest.raises(ValueError, match=attr):
@@ -737,11 +677,10 @@ class TestIlfoTargetCheck:
         attack = IlfoAttack(net, IlfoConfig(target="exit", threshold=0.5, iterations=2))
         assert attack.generate(np.full(64, 0.2)).shape == (64,)
 
-    @pytest.mark.parametrize("model, target", [
-        (scripted_gate_analogue([0.3, 0.6]), "gate"),
-        (EarlyExitNet(num_segments=2), "exit"),
-    ])
-    def test_model_with_the_target_is_accepted(self, model, target):
+    @pytest.mark.parametrize("target", ["gate", "exit"])
+    def test_model_with_the_target_is_accepted(self, target, scripted_gate_analogue):
+        model = (scripted_gate_analogue([0.3, 0.6]) if target == "gate" else
+                 EarlyExitNet(num_segments=2))
         assert IlfoAttack(model, IlfoConfig(target=target)).model is model
 
     @pytest.mark.parametrize("base, target", [(GatedSkipNet, "gate"), (EarlyExitNet, "exit")])
@@ -926,12 +865,15 @@ class FrozenSurrogate(GatedSkipNet):
         return self
 
 
-def frozen_analogue(thresholds, **sizes):
-    return FrozenSurrogate.from_payload(scripted_gate_analogue(thresholds, **sizes).to_payload())
+@pytest.fixture
+def frozen_analogue(scripted_gate_analogue):
+    """A factory of `FrozenSurrogate`s with a gate analogue's weights."""
+    return lambda thresholds, **sizes: FrozenSurrogate.from_payload(
+        scripted_gate_analogue(thresholds, **sizes).to_payload())
 
 
 class TestSurrogatePipeline:
-    def test_self_transfer_is_perfect(self):
+    def test_self_transfer_is_perfect(self, frozen_analogue):
         net = frozen_analogue([0.25, 0.4, 0.55, 0.7])
         rng = derive_rng(6, "self-transfer")
         inputs = rng.uniform(0.1, 0.2, size=(5, 64))
@@ -941,7 +883,7 @@ class TestSurrogatePipeline:
         assert report["etp"] == 100.0
         assert len(tests) == 5
 
-    def test_mismatched_target_reports_without_error(self):
+    def test_mismatched_target_reports_without_error(self, frozen_analogue):
         surrogate = frozen_analogue([0.3, 0.5])
         target = ScriptedAdnn([0.98, 0.99], base_flops=100, block_flops=50)
         rng = derive_rng(7, "mismatch")
@@ -951,7 +893,7 @@ class TestSurrogatePipeline:
         assert report["itp"] == 0.0
         assert report["etp"] == 0.0
 
-    def test_inputs_already_at_max_are_excluded(self):
+    def test_inputs_already_at_max_are_excluded(self, frozen_analogue):
         net = frozen_analogue([0.25, 0.4])
         rng = derive_rng(8, "excluded")
         low = rng.uniform(0.1, 0.2, size=(3, 64))
@@ -980,14 +922,14 @@ class TestSurrogatePipeline:
         for got, want in zip(tests, want_tests):
             assert np.array_equal(got, want)
 
-    def test_empty_replay_set_raises(self):
+    def test_empty_replay_set_raises(self, frozen_analogue):
         surrogate = frozen_analogue([0.3, 0.5])
         target = ScriptedAdnn([0.01, 0.02], base_flops=100, block_flops=50)
         inputs = np.full((3, 64), 0.9)
         with pytest.raises(ValueError):
             surrogate_pipeline(target, surrogate, inputs, IlfoConfig(iterations=5))
 
-    def test_rejects_empty_input_matrix(self):
+    def test_rejects_empty_input_matrix(self, frozen_analogue):
         surrogate = frozen_analogue([0.5])
         with pytest.raises(ValueError):
             surrogate_pipeline(SCRIPTED, surrogate, np.empty((0, 64)))
@@ -998,7 +940,7 @@ class TestSurrogateBoundary:
     sizes before the target is queried or the surrogate fitted."""
 
     @pytest.fixture
-    def pair(self):
+    def pair(self, frozen_analogue):
         target, surrogate = frozen_analogue([0.3, 0.5]), frozen_analogue([0.3, 0.5])
         target.infer = lambda x: pytest.fail("the target was queried")
         surrogate.fit = lambda X, y: pytest.fail("the surrogate was fitted")
@@ -1024,7 +966,7 @@ class TestSurrogateBoundary:
         ({"num_classes": 2}, ValueError, "the surrogate has 2 classes, below the target's 4")],
         ids=["input_dim", "num_classes"])
     def test_a_surrogate_the_inputs_or_labels_do_not_fit_is_rejected(self, pair, sizes, error,
-                                                                      match):
+                                                                      match, frozen_analogue):
         target, watched = pair
         surrogate = frozen_analogue([0.3, 0.5], **sizes)
         surrogate.fit = watched.fit
@@ -1185,8 +1127,10 @@ class TestOneNodeObjectives:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="ilfo_loss"):
             score(np.zeros((1, 64)))
 
-    def test_seed_of_the_wrong_shape_names_the_objective(self, trained_skip):
-        w, seed = np.zeros((1, 64)), np.full((2, 64), 0.5)
+    # a seed that broadcasts to another shape, and one that does not broadcast
+    @pytest.mark.parametrize("shape", [(2, 64), (3,)])
+    def test_seed_of_the_wrong_shape_names_the_objective(self, trained_skip, shape):
+        w, seed = np.zeros((1, 64)), np.full(shape, 0.5)
         with pytest.raises(ShapeError, match="input_based_loss"):
             attacks._input_based_scorer(ConstantEstimator(1.0), seed, 1.0)(w)
         with pytest.raises(ShapeError, match="ilfo_loss"):

@@ -13,8 +13,6 @@ from adnn_energy_lab.energy import (
     EnergyModel,
     MeasurementBatch,
     MeasurementProtocol,
-    energy_of_trace,
-    filter_outliers,
     measure_energy,
     measure_many,
     reject_and_average,
@@ -35,6 +33,11 @@ def skip_trace(active, total=4):
     )
 
 
+def retained(samples, factor=1.5):
+    """The readings one row of `samples` keeps, as a list."""
+    return list(reject_and_average([samples], factor)[0].retained)
+
+
 def exit_trace(index):
     return ExecutionTrace(
         kind="exit", flops=0, logits=np.zeros(4), signature=("test",),
@@ -42,59 +45,40 @@ def exit_trace(index):
     )
 
 
-class TestEnergyOfTrace:
+class TestNoiselessEnergy:
     def test_two_active_blocks(self):
         model = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
-        assert energy_of_trace(model, skip_trace(2)) == 2.0
+        assert model.noiseless_energy(skip_trace(2)) == 2.0
 
     def test_zero_active_is_base_exactly(self):
         model = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
-        assert energy_of_trace(model, skip_trace(0)) == 1.0
+        assert model.noiseless_energy(skip_trace(0)) == 1.0
 
     def test_exit_prefix_sum(self):
         model = EnergyModel(base_joules=1.0, per_block_joules=[1, 1, 1, 1],
                             noise_sigma=0.0)
-        assert energy_of_trace(model, exit_trace(3)) == 5.0
+        assert model.noiseless_energy(exit_trace(3)) == 5.0
 
     def test_exit_with_scalar_steps(self):
         model = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
-        assert energy_of_trace(model, exit_trace(1)) == 2.0
+        assert model.noiseless_energy(exit_trace(1)) == 2.0
 
     def test_strict_monotone_ladder_gap(self):
         model = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
-        ladder = model.step_values(8)
+        ladder = [model.noiseless_energy(skip_trace(k, total=8)) for k in range(9)]
         gaps = np.diff(ladder)
         assert np.all(gaps > 0)
         assert np.allclose(gaps, 0.5)
 
-    def test_noise_perturbs_reading(self):
-        model = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.3,
-                            seed=1)
-        rng = derive_rng(1, "energy")
-        values = {energy_of_trace(model, skip_trace(2), rng) for _ in range(8)}
-        assert len(values) > 1
-
-    def test_never_negative(self):
-        model = EnergyModel(base_joules=0.01, per_block_joules=0.01,
-                            noise_sigma=50.0, seed=3)
-        rng = derive_rng(3, "energy")
-        samples = [energy_of_trace(model, skip_trace(0), rng) for _ in range(200)]
-        assert min(samples) == 0.0
-
-    def test_noisy_model_needs_rng(self):
-        model = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.1)
-        with pytest.raises(ValueError):
-            energy_of_trace(model, skip_trace(2))
-
     def test_block_trace_needs_scalar_steps(self):
         model = EnergyModel(base_joules=1.0, per_block_joules=[1, 1], noise_sigma=0.0)
         with pytest.raises(ValueError):
-            energy_of_trace(model, skip_trace(1))
+            model.noiseless_energy(skip_trace(1))
 
     def test_exit_beyond_priced_segments(self):
         model = EnergyModel(base_joules=1.0, per_block_joules=[1, 1], noise_sigma=0.0)
         with pytest.raises(ValueError):
-            energy_of_trace(model, exit_trace(3))
+            model.noiseless_energy(exit_trace(3))
 
 
 class TestValidation:
@@ -183,9 +167,9 @@ class TestValidation:
 
     def test_infinite_rejection_factor_keeps_every_reading(self):
         keep_all = MeasurementProtocol(rejection_factor=math.inf)
-        assert filter_outliers([10, 10, 10, 16], keep_all) == [10, 10, 10, 16]
+        assert retained([10, 10, 10, 16], math.inf) == [10, 10, 10, 16]
         # a zero median makes inf * median NaN; nothing may be dropped for it
-        assert filter_outliers([0.0, 0.0, 0.0, 5.0], keep_all) == [0.0, 0.0, 0.0, 5.0]
+        assert retained([0.0, 0.0, 0.0, 5.0], math.inf) == [0.0, 0.0, 0.0, 5.0]
         em = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.6, seed=4)
         X = derive_rng(2, "scripted-inputs").uniform(0, 1, size=(24, 64))
         default, kept = measure_many(SCRIPTED, em, X), measure_many(SCRIPTED, em, X, keep_all)
@@ -200,29 +184,29 @@ class TestValidation:
             assert m.retained == m.raw_samples and m.mean == np.mean(m.raw_samples)
 
 
-class TestFilterOutliers:
+class TestOneRowRejection:
+    """`reject_and_average` on a matrix of one row of readings."""
+
     def test_high_sample_dropped(self):
-        assert filter_outliers([10, 10, 10, 16]) == [10, 10, 10]
+        assert retained([10, 10, 10, 16]) == [10, 10, 10]
 
     def test_uniform_all_kept(self):
-        assert filter_outliers([5, 5, 5, 5]) == [5, 5, 5, 5]
+        assert retained([5, 5, 5, 5]) == [5, 5, 5, 5]
 
     def test_boundary_inclusive(self):
-        assert filter_outliers([1, 2, 3]) == [1, 2, 3]
+        assert retained([1, 2, 3]) == [1, 2, 3]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            filter_outliers([])
+            retained([])
 
     def test_matches_bruteforce_reference(self):
         rng = np.random.default_rng(42)
-        protocol = MeasurementProtocol()
+        factor = MeasurementProtocol().rejection_factor
         for _ in range(1000):
             n = int(rng.integers(1, 25))
             samples = rng.uniform(0.0, 10.0, size=n).tolist()
-            assert filter_outliers(samples, protocol) == filter_outliers_reference(
-                samples, protocol.rejection_factor
-            )
+            assert retained(samples, factor) == filter_outliers_reference(samples, factor)
 
 
 # dyadic readings make ties at the cutoff (1.5 * 1.0, 2.0 * 1.5) likely
@@ -278,9 +262,7 @@ class TestRejectAndAverage:
             assert type(m.mean) is float and repr(m.mean) == repr(float(np.mean(kept)))
             indexed = result[i - len(rows)]
             assert indexed == m and type(indexed.mean) is float
-            if factor > 1:
-                protocol = MeasurementProtocol(rejection_factor=factor)
-                assert filter_outliers(row, protocol) == kept
+            assert retained(row, factor) == kept
         for i in (len(rows), -len(rows) - 1):
             with pytest.raises(IndexError):
                 result[i]
@@ -433,11 +415,6 @@ class TestMeasureEnergy:
         assert traces.logits.shape == (0, 4) and traces.gate_decisions.shape == (0, 4)
         batch = measure_many(adnn, EnergyModel(), np.empty((0, 0)))
         assert len(batch) == 0 and list(batch) == []
-
-    def test_json_row_shape(self):
-        row = EnergyMeasurement((1.0, 2.0), (1.0,), 1.0).to_json_row("x07")
-        assert row == {"input_id": "x07", "raw": [1.0, 2.0], "retained": [1.0],
-                       "mean": 1.0}
 
 
 class TestMeasureMatchesSequentialReference:

@@ -21,20 +21,16 @@ from adnn_energy_lab.models import (
     EarlyExitNet,
     GatedSkipNet,
     ScriptedAdnn,
-    entropy,
     flops_of_trace,
-    load_model,
     model_from_payload,
     model_to_payload,
-    save_model,
-    scripted_gate_analogue,
 )
 from adnn_energy_lab.optim import Adam
 from adnn_energy_lab.seeding import derive_rng
 from adnn_energy_lab.serialize import DataFormatError, dump_json, load_json
 
 from graph_ops import mul, relu, softmax, tsum
-from oracles import unfused_affine, xavier_layer
+from oracles import entropy, unfused_affine, xavier_layer
 
 
 class TestEntropy:
@@ -226,7 +222,7 @@ class TestGatedSkipNet:
             weight.data, gate_bias.data = 0.0, bias
         return net
 
-    def test_calibrated_and_analogue_gates_are_what_the_forward_reads(self):
+    def test_calibrated_and_analogue_gates_are_what_the_forward_reads(self, scripted_gate_analogue):
         rng = derive_rng(3, "gate-writes")
         X = rng.uniform(0, 1, size=(20, 6))
         pooled = X @ np.full((6, 1), 1.0 / 6)
@@ -322,13 +318,13 @@ class TestGatedSkipNet:
 
 
 class TestGateAnalogue:
-    def test_hard_decisions_follow_mean_thresholds(self):
+    def test_hard_decisions_follow_mean_thresholds(self, scripted_gate_analogue):
         net = scripted_gate_analogue([0.25, 0.5, 0.75])
         for level, expected in ((0.1, 0), (0.3, 1), (0.6, 2), (0.9, 3)):
             trace = net.infer(np.full(64, level))
             assert trace.active_units == expected
 
-    def test_matches_scripted_twin_on_random_inputs(self):
+    def test_matches_scripted_twin_on_random_inputs(self, scripted_gate_analogue):
         thresholds = [0.2, 0.4, 0.6, 0.8]
         analogue = scripted_gate_analogue(thresholds)
         scripted = ScriptedAdnn(thresholds, base_flops=analogue.base_flops,
@@ -527,8 +523,8 @@ class TestFitSettings:
 class TestSerialization:
     def test_skip_roundtrip_is_bitwise(self, trained_skip, skip_dataset, tmp_path):
         path = tmp_path / "skip.json"
-        save_model(trained_skip, path)
-        loaded = load_model(path)
+        dump_json(model_to_payload(trained_skip), path)
+        loaded = model_from_payload(load_json(path, "model"))
         X = skip_dataset.inputs[:16]
         assert np.array_equal(loaded.predict(X), trained_skip.predict(X))
         for a, b in zip(loaded._params(), trained_skip._params()):
@@ -536,8 +532,8 @@ class TestSerialization:
 
     def test_exit_roundtrip_is_bitwise(self, trained_exit, exit_dataset, tmp_path):
         path = tmp_path / "exit.json"
-        save_model(trained_exit, path)
-        loaded = load_model(path)
+        dump_json(model_to_payload(trained_exit), path)
+        loaded = model_from_payload(load_json(path, "model"))
         X = exit_dataset.inputs[:16]
         assert np.array_equal(loaded.predict(X), trained_exit.predict(X))
         assert loaded.entropy_threshold == trained_exit.entropy_threshold
@@ -545,8 +541,8 @@ class TestSerialization:
     def test_scripted_roundtrip(self, tmp_path):
         model = ScriptedAdnn([0.25, 0.5, 0.75], base_flops=100, block_flops=50)
         path = tmp_path / "scripted.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        dump_json(model_to_payload(model), path)
+        loaded = model_from_payload(load_json(path, "model"))
         assert loaded.thresholds == model.thresholds
         assert loaded.base_flops == model.base_flops
         assert loaded.block_flops == model.block_flops
@@ -555,7 +551,7 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "mystery", "config": {}, "params": {}}\n')
         with pytest.raises(DataFormatError):
-            load_model(path)
+            model_from_payload(load_json(path, "model"))
 
     @pytest.fixture(params=["skip", "exit"])
     def payload(self, request, trained_skip, trained_exit):
@@ -594,7 +590,7 @@ class TestSerialization:
         path = tmp_path / "trunc.json"
         path.write_text('{"kind": "skip", "config"')
         with pytest.raises(DataFormatError):
-            load_model(path)
+            model_from_payload(load_json(path, "model"))
 
 
 def _small_payloads():

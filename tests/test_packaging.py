@@ -1,9 +1,12 @@
-"""The installable package's metadata, and the frozen benchmark, point at
-code that exists; no module imports a name it never reads; and the network
-walk multiplies through ndarray.dot."""
+"""The installable package's metadata, the frozen benchmark and README point
+at code that exists; the system reads every public name of the library; no
+module imports a name it never reads; and the network walk multiplies
+through ndarray.dot."""
 
 import ast
+import collections
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,50 @@ def test_every_library_name_the_benchmark_imports_exists():
                     imported = importlib.import_module(module)
                     assert name is None or hasattr(imported, name), (path.name, module, name)
     assert found, "no library import found in perfbench/"
+
+
+# public names that no file of src/ or perfbench/ reads, kept on purpose
+READ_BY_TESTS_ONLY = {
+    # one-input contracts, which the tests compare the batch forms against
+    "measure_energy", "guarded_inference",
+    # input-quality scores, which wait for a run record to read them
+    "psnr", "ssim", "avg_squared_difference",
+}
+
+
+def _reads(node):
+    """Counter of the names read under `node`, as a name or an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_library_name_is_read_by_the_system():
+    # a public top-level function or class of the library is read by some
+    # file of src/ or perfbench/ outside its own def: one that only tests
+    # call twins a path the system runs, or belongs with the tests
+    library = sorted((ROOT / "src" / "adnn_energy_lab").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in library + sorted((ROOT / "perfbench").glob("*.py"))}
+    reads = sum((_reads(tree) for tree in trees.values()), collections.Counter())
+    unread = [(path.name, node.name) for path in library for node in trees[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in READ_BY_TESTS_ONLY
+              and reads[node.name] == _reads(node)[node.name]]
+    assert not unread, unread
+
+
+def test_every_library_name_readme_cites_exists():
+    # a backticked `module.name` whose module is one of the library's; a
+    # file name such as `nn.py` is no citation
+    package = ROOT / "src" / "adnn_energy_lab"
+    modules = {path.stem for path in package.glob("*.py")}
+    cites = [(module, name) for module, name in
+             re.findall(r"`(\w+)\.(\w+)", (ROOT / "README.md").read_text())
+             if module in modules and name != "py"]
+    missing = [cite for cite in cites
+               if not hasattr(importlib.import_module("adnn_energy_lab." + cite[0]), cite[1])]
+    assert cites and not missing, missing
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -112,11 +112,11 @@ class TestNoiselessEnergies:
         assert energies.dtype == np.float64 and energies.tolist() == expected
         assert all(type(e) is float for e in expected)
 
-    def test_ladder_is_step_values(self):
+    def test_ladder_is_base_plus_steps(self):
         em = EnergyModel(base_joules=1.0, per_block_joules=0.5)
         batch = SCRIPTED.infer(np.repeat(np.linspace(0, 1, 9)[:, None], 64, axis=1))
-        ladder = em.step_values(SCRIPTED.num_blocks)
-        assert em.noiseless_energies(batch).tolist() == [ladder[k] for k in batch.active_units]
+        assert em.noiseless_energies(batch).tolist() == [1.0 + 0.5 * k
+                                                         for k in batch.active_units]
 
 
 def exit_batch(indices, segments=4):
