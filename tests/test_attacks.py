@@ -22,8 +22,8 @@ from adnn_energy_lab.attacks import (
     input_based_loss,
     surrogate_pipeline,
 )
-from adnn_energy_lab.autodiff import (NonFiniteError, ShapeError, Tensor, gradients, hinge_terms,
-                                      tanh_unit_terms)
+from adnn_energy_lab.autodiff import (NonFiniteError, ShapeError, Tensor, entropy_hinge_terms,
+                                      gradients, hinge_terms, tanh_unit_terms)
 from adnn_energy_lab.data import estimator_corpus, generate_dataset
 from adnn_energy_lab.defense import FilterModel
 from adnn_energy_lab.energy import EnergyModel, measure_energy
@@ -34,6 +34,7 @@ from adnn_energy_lab.seeding import derive_rng
 
 from graph_ops import add, mul, tsum
 from oracles import (
+    entropy,
     ilfo_graph_reference,
     ilfo_loop_reference,
     ilfo_two_forward_reference,
@@ -474,12 +475,26 @@ class TestSeedBoundary:
 
 
 class TestIlfoHinges:
-    """The gate hinge the attack scores, `hinge_terms`, on one row of gate values."""
+    """The hinges the attack scores on one row: `hinge_terms` of the gate
+    values, and `entropy_hinge_terms` of the early exits' logits at the level
+    threshold + margin that `IlfoAttack._score` passes."""
 
     @staticmethod
     def gate_hinge(values, threshold):
         values = np.asarray(values, dtype=np.float64).reshape(1, -1)
         return hinge_terms(values, threshold, 0, values.shape[1])[0]
+
+    @staticmethod
+    def exit_hinge(logits, threshold, margin):
+        """`logits` holds one row of logits per exit."""
+        logits = np.asarray(logits, dtype=np.float64)
+        count, width = logits.shape
+        return entropy_hinge_terms(logits.reshape(1, -1), threshold + margin, width, count)[0]
+
+    @staticmethod
+    def softmax(row):
+        e = np.exp(row - row.max())
+        return e / e.sum()
 
     def test_gate_hand_example(self):
         assert self.gate_hinge([0.6, 0.3], 0.5) == pytest.approx(0.2, abs=1e-12)
@@ -489,6 +504,80 @@ class TestIlfoHinges:
 
     def test_gate_all_zero_eight_gates(self):
         assert self.gate_hinge(np.zeros(8), 0.5) == 4.0
+
+    def test_exit_hand_example(self):
+        # two equal logits: the exit's entropy is ln 2
+        assert self.exit_hinge([[0.0, 0.0]], 0.5, margin=0.3) == pytest.approx(
+            0.8 - math.log(2), abs=1e-12)
+
+    def test_exit_boundary_inclusive_at_zero_margin(self):
+        # a certain exit, p = (1, 0), has entropy 0: a shortfall of exactly 0
+        assert self.exit_hinge([[0.0, -1000.0]], 0.0, margin=0.0) == 0.0
+
+    def test_exit_all_clear(self):
+        # four equal logits: entropy ln 4 = 1.39 above the level 0.6
+        assert self.exit_hinge(np.zeros((2, 4)), 0.5, margin=0.1) == 0.0
+
+    def test_exit_matches_brute_force_on_random_vectors(self):
+        rng = derive_rng(4, "hinge-exit")
+        for _ in range(1000):
+            count, width = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            logits = rng.normal(0, 2, size=(count, width))
+            threshold = float(rng.uniform(0, 1.5))
+            margin = float(rng.uniform(0, 0.3))
+            expected = sum(max(0.0, threshold + margin - entropy(self.softmax(row)))
+                           for row in logits)
+            assert self.exit_hinge(logits, threshold, margin) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("values, start, stop", [
+        (np.zeros((1, 2, 2)), 0, 2), (np.float64(0.5), 0, 1), (np.zeros((1, 2)), 1, 1),
+        (np.zeros((1, 2)), 0, 3), (np.zeros((1, 2)), 2, 1),
+    ], ids=["three_dims", "no_dims", "no_columns", "past_the_width", "reversed"])
+    def test_gate_rejects_bad_input(self, values, start, stop):
+        with pytest.raises(ShapeError, match="hinge_sum"):
+            hinge_terms(values, 0.5, start, stop)
+
+    # a logit that is not finite leaves a log-probability that is not, which
+    # the hinge checks, since p * log p would hide it (inf - inf warns first)
+    @pytest.mark.parametrize("logits, width, count, error", [
+        ([[0.2, math.nan]], 2, 1, NonFiniteError), ([[0.2, math.inf]], 2, 1, NonFiniteError),
+        ([[0.2, -math.inf]], 2, 1, NonFiniteError),
+        (np.zeros((1, 1, 2)), 2, 1, ShapeError), (np.float64(0.2), 1, 1, ShapeError),
+        ([[0.2, 0.3, 0.4]], 2, 2, ShapeError), ([[0.2, 0.3]], 2, 0, ShapeError),
+    ], ids=["nan_logit", "inf_logit", "minus_inf_logit", "three_dims", "no_dims",
+            "too_few_columns", "no_exits"])
+    def test_exit_rejects_bad_input(self, logits, width, count, error):
+        with np.errstate(invalid="ignore"), pytest.raises(error, match="entropy_hinge_sum"):
+            entropy_hinge_terms(np.asarray(logits, dtype=np.float64), 0.5, width, count)
+
+    # the level (threshold + margin) or the sum of the hinge's terms is past
+    # the largest float, so the score's check names the objective; numpy's
+    # overflow warning is off, so that the check, not the warning, fails
+    @pytest.mark.parametrize("target, config", [
+        ("exit", IlfoConfig(target="exit", threshold=1e308, margin=1e308)),
+        ("exit", IlfoConfig(target="exit", threshold=np.float64(1e308),
+                            margin=np.float64(1e308))),
+        ("exit", IlfoConfig(target="exit", threshold=1e308, margin=0.0, c=1e-300)),
+        ("gate", IlfoConfig(threshold=1e308, c=1e-300)),
+    ], ids=["exit level", "exit numpy level", "exit sum", "gate sum"])
+    def test_overflow_of_finite_inputs_rejected(self, target, config, scripted_gate_analogue,
+                                                trained_exit):
+        net = scripted_gate_analogue([0.3, 0.6]) if target == "gate" else trained_exit
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="ilfo_loss"):
+            IlfoAttack(net, config)._score(np.full((1, 64), 0.5))(np.zeros((1, 64)))
+
+    # every gate value and entropy is far above the level, and the shortfall
+    # level - value stays in the float range: the hinge is 0, the score the
+    # seed's distance alone, with no overflow warning
+    @pytest.mark.parametrize("target", ["gate", "exit"])
+    def test_shortfall_below_the_float_range_is_zero(self, target, scripted_gate_analogue,
+                                                     trained_exit):
+        net = scripted_gate_analogue([0.3, 0.6]) if target == "gate" else trained_exit
+        x = np.full((1, 64), 0.2)
+        score = IlfoAttack(net, IlfoConfig(target=target, threshold=-1e308))._score(x)
+        d = np.full((1, 64), 0.5) - x
+        assert score(np.zeros((1, 64)))[0] == np.add.reduce(d * d, axis=None)
 
     def test_gate_matches_brute_force_on_random_vectors(self):
         # the shortfalls are added left to right, as `hinge_terms` documents

@@ -334,6 +334,19 @@ class TestMeasureEnergy:
         meas = measure_energy(SCRIPTED, em, x, MeasurementProtocol(repetitions=1000))
         assert abs(meas.mean - em.noiseless_energy(SCRIPTED.infer(x))) < 0.02
 
+    def test_noise_perturbs_reading(self):
+        em = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.3, seed=1)
+        raw = measure_many(SCRIPTED, em, np.full((1, 64), 0.5), MeasurementProtocol(8)).raw
+        assert len(set(raw[0].tolist())) > 1
+
+    def test_never_negative(self):
+        # the noise dwarfs the 0.01 J of a run with no block, and a reading
+        # below zero is clamped to it
+        em = EnergyModel(base_joules=0.01, per_block_joules=0.01, noise_sigma=50.0, seed=3)
+        raw = measure_many(SCRIPTED, em, np.full((1, 64), 0.01),
+                           MeasurementProtocol(repetitions=200)).raw
+        assert raw.min() == 0.0 and np.all(raw >= 0.0)
+
     def test_noiseless_is_pure_function_of_trace_class(self):
         em = EnergyModel(base_joules=1.0, per_block_joules=0.5, noise_sigma=0.0)
         # both inputs fire 2 of 4 gates, so F(x) must agree exactly
