@@ -422,25 +422,27 @@ def payload_layout(input_dim, width, num_blocks, out_dim, block_key, head_keys, 
 def fit_minibatch(batch_terms, theta, X, y, epochs, batch_size, lr, rng, on_epoch=None):
     """Adam on `theta` over shuffled minibatches; each epoch's mean loss.
 
-    Every epoch draws one `rng.permutation(len(X))` and steps once per
-    batch of `batch_size` rows on `batch_terms(X[idx], y[idx])`, which
-    gives the batch's loss and its gradient toward theta on plain arrays.
-    Adam steps `theta.data` in place, in its own copy, so the network's
-    layer slices are cut once per fit. `on_epoch(epoch, opt)` runs after
-    each epoch; it may set `opt.lr` for the next one or rebind
-    `theta.data`. The caller checks the settings against its parameter
-    table before it builds anything.
+    Every epoch draws one `rng.permutation(len(X))`, gathers the rows of
+    `X` and `y` in that order once, and steps once per batch of
+    `batch_size` consecutive rows of the gathered arrays on
+    `batch_terms(rows, targets)`, which gives the batch's loss and its
+    gradient toward theta on plain arrays. Adam steps `theta.data` in
+    place, in its own copy, so the network's layer slices are cut once per
+    fit. `on_epoch(epoch, opt)` runs after each epoch; it may set `opt.lr`
+    for the next one or rebind `theta.data`. The caller checks the settings
+    against its parameter table before it builds anything.
     """
     opt = Adam([theta], lr=lr)
     history = []
     for epoch in range(epochs):
         perm = rng.permutation(len(X))
+        X_epoch, y_epoch = X[perm], y[perm]
         epoch_loss = 0.0
         for start in range(0, len(X), batch_size):
-            idx = perm[start:start + batch_size]
-            loss, grad = batch_terms(X[idx], y[idx])
+            rows = X_epoch[start:start + batch_size]
+            loss, grad = batch_terms(rows, y_epoch[start:start + batch_size])
             opt.step([grad])
-            epoch_loss += float(loss) * len(idx)
+            epoch_loss += float(loss) * len(rows)
         history.append(epoch_loss / len(X))
         if on_epoch is not None:
             on_epoch(epoch, opt)
@@ -542,22 +544,23 @@ class ResidualModel(ParamsMixin):
         X = self._nonempty(X, "fit on")
         return X, as_label_array(y, n=len(X), num_classes=self.num_classes)
 
-    def _train(self, X, y, rng, on_epoch=None):
-        """`fit_minibatch` on (X, y) over the network's theta; the epoch
-        losses go to `history_`."""
-        self.history_ = fit_minibatch(self._batch_terms, self._net().theta,
-                                      X, y, self.epochs, self.batch_size, self.lr, rng, on_epoch)
+    def _train(self, X, targets, rng, on_epoch=None):
+        """`fit_minibatch` on (X, targets) over the network's theta; the
+        epoch losses go to `history_`."""
+        self.history_ = fit_minibatch(self._batch_terms, self._net().theta, X, targets,
+                                      self.epochs, self.batch_size, self.lr, rng, on_epoch)
 
     def fit(self, X, y):
         """Fit a classifier: the inputs checked by `_labeled`, the layers
         drawn from `derive_rng(seed, kind + "-init")`, a gated net's gates
         calibrated on `X`, and the epoch loop on the `kind + "-batches"`
-        stream. `_fitted` then keeps what the model records of the fit."""
+        stream, over the labels' one-hot rows, built once per fit. `_fitted`
+        then keeps what the model records of the fit."""
         X, y = self._labeled(X, y)
         self._build(derive_rng(self.seed, self.kind + "-init"))
         if self._GATED:
             self._calibrate_gates(X)
-        self._train(X, y, derive_rng(self.seed, self.kind + "-batches"))
+        self._train(X, one_hot(y, self.num_classes), derive_rng(self.seed, self.kind + "-batches"))
         self._fitted(X, y)
         return self
 
@@ -565,11 +568,12 @@ class ResidualModel(ParamsMixin):
         """What a classifier records of its fit beyond the network, from the
         checked inputs: nothing here."""
 
-    def _batch_terms(self, X, y):
-        """A classifier's training loss on one batch and its gradient toward
-        theta, on arrays: every head's mean cross-entropy, over the (rows,
-        heads, classes) view of the output's logit columns, plus, in a gated
-        net, `sparsity_weight` times the mean gate value. Arithmetic and
+    def _batch_terms(self, X, targets):
+        """A classifier's training loss on one batch, its rows `X` and their
+        one-hot `targets`, and its gradient toward theta, on arrays: every
+        head's mean cross-entropy, over the (rows, heads, classes) view of
+        the output's logit columns, plus, in a gated net, `sparsity_weight`
+        times the mean gate value. Arithmetic and
         addition order are the graph's: columns -> softmax_cross_entropy per
         head, folded with add, then add(loss, mul(mean_of_column_means,
         weight)). So are the checks (by op name) of every value that can
@@ -579,7 +583,7 @@ class ResidualModel(ParamsMixin):
         out, grad_theta = net.theta_terms(X)
         c, heads = self.num_classes, net.num_heads
         loss, loss_grad = softmax_cross_entropy_terms(
-            out[:, :heads * c].reshape(len(out), heads, c), one_hot(y, c))
+            out[:, :heads * c].reshape(len(out), heads, c), targets)
         weight = self._GATED and self.sparsity_weight
         if weight:
             gates, gates_grad = mean_of_column_means_terms(out, heads * c, out.shape[1])

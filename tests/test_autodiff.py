@@ -793,10 +793,16 @@ def training_step_cases():
     }
 
 
+def batch_targets(model, y):
+    """The targets a fit hands `_batch_terms`: a classifier's labels as
+    one-hot rows, the estimator's normalized joules as they are."""
+    return y if isinstance(model, EnergyEstimator) else one_hot(y, model.num_classes)
+
+
 @pytest.mark.parametrize("kind", FIT_KINDS)
 def test_training_step_equals_unfused_oracle_graph(training_step_cases, kind):
     model, params, X, y, oracle = training_step_cases[kind]
-    loss, grad = model._batch_terms(X, y)
+    loss, grad = model._batch_terms(X, batch_targets(model, y))
     want = oracle(model, X, y)
     assert np.float64(loss).tobytes() == want.data.tobytes()
     for view, g in zip(params, gradients(want, params)):
@@ -819,7 +825,7 @@ def test_batch_terms_equal_the_unfused_graph_step(kind, settings):
         y = (y - model.energy_mean_) / model.energy_scale_
     params = model._net().params
     for rows in (slice(0, 32), slice(32, 40)):
-        loss, grad = model._batch_terms(X[rows], y[rows])
+        loss, grad = model._batch_terms(X[rows], batch_targets(model, y[rows]))
         want = UNFUSED_LOSSES[kind](model, X[rows], y[rows])
         want_grad = np.concatenate([g.reshape(-1) for g in gradients(want, params)])
         assert np.float64(loss).tobytes() == want.data.tobytes()
@@ -856,7 +862,7 @@ def test_one_pass_head_loss_equals_the_per_head_loop(kind, heads, rows):
     X, y = rng.uniform(0, 1, size=(rows, 6)), rng.integers(0, 4, size=rows)
     out, grad_theta = model._net().theta_terms(X)
     want, g_out = _per_head_loss_terms(out, y, heads, 4)
-    loss, grad = model._batch_terms(X, y)
+    loss, grad = model._batch_terms(X, batch_targets(model, y))
     assert np.float64(loss).tobytes() == np.float64(want).tobytes()
     assert grad.tobytes() == grad_theta(g_out).tobytes()
 
@@ -900,7 +906,7 @@ def test_training_step_overflow_names_the_op_the_graph_step_names(kind, where, o
     y = rng.normal(size=6) if kind == "estimator" else np.arange(6) % classes
     op = op or ("squared_error" if kind == "estimator" else "softmax_cross_entropy")
     with pytest.raises(NonFiniteError, match="op '%s' produced" % op):
-        model._batch_terms(X, y)
+        model._batch_terms(X, batch_targets(model, y))
 
 
 @pytest.mark.parametrize("kind", FIT_KINDS)
