@@ -199,6 +199,9 @@ class TestGenConfig:
         if self.mode not in ("input_based", "universal"):
             raise ValueError("mode must be 'input_based' or 'universal'")
         check_params(self.PARAMS, vars(self))
+        if self.track_best and self.mode == "universal":
+            raise ValueError("track_best applies to mode 'input_based' only: the universal "
+                             "attack returns the final iterate of its best restart")
 
 
 def _config_of(mode, config):

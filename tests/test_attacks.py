@@ -239,6 +239,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             IlfoConfig(**{field: value})
 
+    @pytest.mark.parametrize("track_best", [True, np.bool_(True)])
+    def test_universal_rejects_track_best(self, track_best):
+        # the universal attack scores no iterate but each restart's last,
+        # so a best iterate to return does not exist
+        with pytest.raises(ValueError, match="track_best"):
+            GenConfig(mode="universal", track_best=track_best)
+        assert GenConfig(mode="universal", track_best=False).track_best is False
+
     def test_numpy_numbers_accepted(self):
         cfg = GenConfig(c=np.float64(2.0), lr=np.float32(0.1), iterations=np.int64(3),
                         restarts=np.int32(2), seed=np.int64(7))
@@ -1105,7 +1113,7 @@ class TestDescentLoopOracle:
         elif kind == "universal":
             attack = UniversalAttack(model, GenConfig(
                 mode="universal", c=c, lr=lr, iterations=iterations, restarts=restarts,
-                track_best=track_best, seed=seed))
+                seed=seed))
             got, (want, recorded) = attack.generate(), universal_loop_reference(attack)
         else:
             attack = IlfoAttack(model, IlfoConfig(target=kind, c=c, lr=lr,
