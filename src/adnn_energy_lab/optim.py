@@ -1,25 +1,39 @@
-"""Adam with bias correction.
+"""Adam with bias correction, in the folded form of Kingma & Ba (ICLR 2015, §2).
 
 Parameters are leaf Tensors, and `step` takes one gradient array per
-parameter. The moments `m` and `v` are single flat arrays, updated in place,
-and the update's temporaries go to two scratch arrays allocated with them.
-The squared gradient is `np.square(g)`, the bytes of `g * g` in about half
-the time of `np.multiply(g, g)`.
+parameter. Each step makes 11 full-length passes, all in place or into two
+scratch arrays allocated with the moments:
+
+- the first moment, m <- b1 m + (1 - b1) g (three passes);
+- the second moment unscaled, v <- b2 v + g^2 (three passes; the
+  squared gradient is `np.square(g)`, the bytes of `g * g` in about half
+  the time of `np.multiply(g, g)`);
+- the step alpha m / (sqrt(v) + eps_hat) (five passes), with both bias
+  corrections and v's missing factor 1 - b2 folded into the two scalars
+  alpha = lr / (1 - b1^t) * sqrt((1 - b2^t) / (1 - b2)) and
+  eps_hat = eps * sqrt((1 - b2^t) / (1 - b2)).
+
+This equals the textbook update lr m_hat / (sqrt(v_hat) + eps) up to
+rounding. The first moment keeps its (1 - b1) factor: a convex mix of
+finite gradients cannot overflow, whereas an unscaled sum of gradients
+near the largest float would reach inf and turn the step into inf / inf.
 
 One parameter (a network's flat leaf, an attack's modifier; not a `View`)
-is stepped in place: Adam copies its array when built and binds the
-parameter to the copy, so the caller's array is never written and the
-parameter keeps one array from step to step. Several parameters are
-stepped as one flat vector: their gradients and current `p.data` are
-concatenated, the update runs once, and each `p.data` is rebound to its
-slice of the new vector, so an old array is never written. Either way
-`p.data` is read afresh on every step, so a caller may rebind it (say, to
-restore a checkpoint) between steps; a rebound single parameter is copied
-again before it is stepped, and one rebound to another size is rejected
-before `t` or a moment moves. With bias correction the very first update has
-magnitude close to `lr` in every coordinate with a nonzero gradient, which
-makes the step size directly interpretable.
+is stepped in place, with moments shaped like it: Adam copies its array
+when built and binds the parameter to the copy, so the caller's array is
+never written and the parameter keeps one array from step to step. Several
+parameters are stepped as one flat vector: their gradients and current
+`p.data` are concatenated, the update runs once, and each `p.data` is
+rebound to its slice of the new vector, so an old array is never written.
+Either way `p.data` is read afresh on every step, so a caller may rebind it
+(say, to restore a checkpoint) between steps; a rebound single parameter
+is copied again before it is stepped, and one rebound to another size is
+rejected before `t` or a moment moves. With bias correction the very first
+update has magnitude close to `lr` in every coordinate with a nonzero
+gradient, which makes the step size directly interpretable.
 """
+
+import math
 
 import numpy as np
 
@@ -49,11 +63,14 @@ class Adam:
         self._own = self._adopt() if one else None
 
     def _adopt(self):
-        """Bind the one parameter to a fresh C-ordered copy of its array, and
-        return that copy: the array every in-place step writes."""
+        """Bind the one parameter to a fresh C-ordered copy of its array, shape
+        the moments and the scratch arrays like it, and return the copy: the
+        array every in-place step writes."""
         p = self.params[0]
         own = np.array(p.data, dtype=np.float64, order="C")
         p.data = own
+        self._m, self._v = self._m.reshape(own.shape), self._v.reshape(own.shape)
+        self._scratch = tuple(a.reshape(own.shape) for a in self._scratch)
         return own
 
     def step(self, grads):
@@ -76,29 +93,27 @@ class Adam:
         if not self.params:
             return
         if own is not None:
-            g = np.ravel(grads[0])
-            data = own.reshape(-1)
+            g, data = grads[0], own
         else:
             g = np.concatenate([np.ravel(g) for g in grads])
             data = np.concatenate([p.data.ravel() for p in self.params])
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        scale = math.sqrt((1.0 - b2 ** self.t) / (1.0 - b2))
+        alpha = self.lr / (1.0 - b1 ** self.t) * scale
         m, v = self._m, self._v
         s, u = self._scratch
-        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, in place
+        # m = b1 m + (1 - b1) g and v = b2 v + g^2, in place
         m *= b1
         m += np.multiply(1.0 - b1, g, out=s)
         v *= b2
-        np.square(g, out=s)
-        v += np.multiply(1.0 - b2, s, out=s)
-        # update = (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=s)
-        np.sqrt(np.divide(v, bc2, out=u), out=u)
-        np.divide(s, np.add(u, self.eps, out=u), out=s)
-        np.multiply(self.lr, s, out=s)
+        v += np.square(g, out=s)
+        # update = alpha m / (sqrt(v) + eps_hat)
+        np.sqrt(v, out=u)
+        u += self.eps * scale
+        np.divide(m, u, out=s)
+        s *= alpha
         if own is not None:
-            np.subtract(data, s, out=data)
+            data -= s
             return
         data = data - s
         start = 0

@@ -227,7 +227,10 @@ def adam_reference_steps(p0, grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def adam_per_parameter_steps(values, grads, state, lr=0.01, beta1=0.9,
                              beta2=0.999, eps=1e-8):
-    """One Adam step run parameter by parameter on plain arrays.
+    """One Adam step run parameter by parameter on plain arrays, in the
+    folded form: the second moment v kept without its (1 - beta2) factor,
+    and both bias corrections and that factor folded into the step size
+    and eps.
 
     `values` and `grads` are lists of arrays; `state` is a dict holding the
     step count and per-parameter moments, created empty and carried between
@@ -236,12 +239,13 @@ def adam_per_parameter_steps(values, grads, state, lr=0.01, beta1=0.9,
     t = state["t"] = state.get("t", 0) + 1
     ms = state.setdefault("m", [np.zeros(np.shape(v)) for v in values])
     vs = state.setdefault("v", [np.zeros(np.shape(v)) for v in values])
+    scale = math.sqrt((1.0 - beta2**t) / (1.0 - beta2))
+    alpha = lr / (1.0 - beta1**t) * scale
     out = []
     for i, (p, g) in enumerate(zip(values, grads)):
         ms[i] = beta1 * ms[i] + (1.0 - beta1) * g
-        vs[i] = beta2 * vs[i] + (1.0 - beta2) * (g * g)
-        update = (ms[i] / (1.0 - beta1**t)) / (np.sqrt(vs[i] / (1.0 - beta2**t)) + eps)
-        out.append(p - lr * update)
+        vs[i] = beta2 * vs[i] + g * g
+        out.append(p - alpha * (ms[i] / (np.sqrt(vs[i]) + eps * scale)))
     return out
 
 

@@ -1212,6 +1212,24 @@ def test_one_parameter_adam_steps_its_own_copy_in_place():
     assert restored.tobytes() == kept.tobytes()
 
 
+@pytest.mark.parametrize("shapes", [[(2, 6)], [(), (3, 4), (5,)]], ids=["one", "several"])
+def test_adam_keeps_finite_gradients_near_the_float_limit_finite(shapes):
+    # each coordinate keeps its sign from step to step, so an unscaled sum of
+    # gradients overflows to inf and the step turns into inf / inf; the first
+    # moment, a convex mix of finite gradients, cannot. g * g overflows in
+    # the second moment, so numpy's overflow warning is off
+    rng = np.random.default_rng(17)
+    params = [Tensor(rng.normal(size=s)) for s in shapes]
+    signs = [rng.choice([-1.0, 1.0], size=s) for s in shapes]
+    opt = Adam(params, lr=0.01)
+    with np.errstate(over="ignore"):
+        for _ in range(6):
+            opt.step([sign * rng.choice([1.7e308, 1e308, 1e200, 1.0], size=np.shape(sign))
+                      for sign in signs])
+            for p in params:
+                assert np.isfinite(p.data).all()
+
+
 def test_flat_adam_matches_scalar_recurrence_per_coordinate():
     rng = np.random.default_rng(12)
     shapes = [(), (3,), (2, 2)]
