@@ -41,7 +41,7 @@ import numpy as np
 from .autodiff import (_ONE, ShapeError, Tensor, _checked, entropy_hinge_terms, hinge_terms,
                        tanh_unit_terms)
 from .optim import Adam
-from .seeding import array_fingerprint, derive_rng
+from .seeding import array_fingerprints, derive_rng
 from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL_OR_NONE, SIZE,
                          as_float_array, check_params, check_unit_range)
 
@@ -73,6 +73,18 @@ def _one_input(x, width):
     return check_unit_range(x, "x").reshape(1, -1)
 
 
+def _seed_rows(X, width):
+    """The seeds `X`, a matrix of one or more rows of `width` values in
+    [0, 1]."""
+    X = as_float_array(X, "X")
+    if X.ndim != 2 or len(X) == 0:
+        raise ValueError("X must be a matrix of one or more seeds, one per row, got shape %s"
+                         % (X.shape,))
+    if X.shape[1] != width:
+        raise ShapeError("X has %d features, expected %d" % (X.shape[1], width))
+    return check_unit_range(X, "X")
+
+
 def _filled(shape, value):
     """A new array of `shape` with every entry `value`."""
     out = np.empty(shape)
@@ -81,17 +93,18 @@ def _filled(shape, value):
 
 
 def _input_based_terms(f, x, pred, c):
-    """l2_norm(f - x) - tsum(pred) * c on arrays: (value, product toward
-    f, product toward pred)."""
+    """l2_norm(f - x) - tsum(pred) * c for each row of the modifier's image
+    `f` and of the seeds `x`, on arrays: (the rows' values, product of their
+    sum toward f, product toward pred)."""
     d = _offset(f, x, "input_based_loss")
-    norm = np.sqrt(np.add.reduce(d * d, axis=None))
-    scaled = np.add.reduce(pred, axis=None) * c
+    norm = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))
+    scaled = np.add.reduce(np.reshape(pred, (len(f), -1)), axis=1) * c
 
     def grad_f(g):
-        # the Euclidean norm's subgradient at the origin is 0
-        return g / norm * d if norm > 0.0 else g * 0.0 * d
+        # the Euclidean norm's subgradient at the origin is 0: g / inf
+        return g / np.where(norm > 0.0, norm, math.inf) * d
 
-    return norm - scaled, grad_f, lambda g: _filled(pred.shape, (-g) * c)
+    return norm[:, 0] - scaled, grad_f, lambda g: _filled(pred.shape, (-g) * c)
 
 
 def _input_based_scorer(estimator, x, c):
@@ -101,12 +114,13 @@ def _input_based_scorer(estimator, x, c):
 
 
 def input_based_loss(w, x, c, estimator):
-    """Distance-to-seed minus c times predicted energy, as one node over the
-    modifier Tensor `w`: l2_norm(f - x) - tsum(pred) * c, where f is
-    (tanh(w) + 1) / 2 and pred the estimator's joules on f. Its value and
-    vector-Jacobian product are the input-based loop's own."""
+    """Distance-to-seed minus c times predicted energy, as one scalar node
+    over the modifier Tensor `w`: the sum over rows of l2_norm(f - x) -
+    tsum(pred) * c, where f is (tanh(w) + 1) / 2 and pred the estimator's
+    joules on f. On one row its value and vector-Jacobian product are the
+    input-based loop's own."""
     value, grad = _input_based_scorer(estimator, x, c)(w.data)
-    return Tensor(value, ((w, grad),), "input_based_loss")
+    return Tensor(np.add.reduce(value), ((w, grad),), "input_based_loss")
 
 
 def _universal_terms(f, pred):
@@ -116,11 +130,12 @@ def _universal_terms(f, pred):
 
 
 def _ilfo_terms(f, x, out, hinge, c):
-    """tsum(d * d) + hinge * c with d = f - x, on arrays: (value, product
-    toward f, product toward out). `hinge` is (value, vector-Jacobian
-    product) of the intermediate hinge on the model's soft forward `out`."""
+    """tsum(d * d) + hinge * c with d = f - x, for each row, on arrays: (the
+    rows' values, product of their sum toward f, product toward out).
+    `hinge` is (the rows' values, vector-Jacobian product) of the
+    intermediate hinge on the model's soft forward `out`."""
     d = _offset(f, x, "ilfo_loss")
-    distance = np.add.reduce(d * d, axis=None)
+    distance = np.add.reduce(d * d, axis=1)
     hinge_value, hinge_grad = hinge
 
     def grad_f(g):
@@ -136,8 +151,10 @@ def _scorer(forward, objective, op):
     Returns score(w): f = (tanh(w) + 1) / 2 feeds `forward`, a function
     giving the model's output and its product toward f, and
     `objective(f, out)`, which gives (value, product toward f or None,
-    product toward out). score(w) is (value, grad), and grad(g) is the
-    gradient toward w for the incoming gradient g, 1.0 unless given. It
+    product toward out). score(w) is (value, grad): the value is one loss
+    per row of w, or one for all rows (the universal attack's), and grad(g)
+    is the gradient of their sum toward w for the scalar incoming gradient
+    g, 1.0 unless given. It
     adds the objective's term toward f and then the model's, and checks
     the objective's value under `op` and its products under op + ".grad".
     The value's check is the objective's only one: each of its terms (the
@@ -161,22 +178,29 @@ def _scorer(forward, objective, op):
 
 
 def _descend(w, score, lr, iterations, final=True):
-    """Adam on the modifier rows `w`: `iterations` steps, each from the pass
-    that scores its iterate (`score` as `_scorer` gives it), and the final
-    iterate scored unless `final` is False. Returns the final rows, the
-    scored losses and a copy of the first lowest-loss iterate, or None
-    without the final one, which a lowest over the others would pass over."""
+    """Adam on the modifier rows `w`: `iterations` steps, each the gradient
+    of the rows' summed losses from the pass that scores the iterate
+    (`score` as `_scorer` gives it), and the final iterate scored unless
+    `final` is False. Adam works per coordinate, so each row descends as it
+    would alone. Returns the final rows, the losses of every scored iterate
+    as an (iterations + 1, rows) array, and each row's first lowest-loss
+    iterate. Without the final score, when a lowest over the others would
+    pass over it, the losses and the lowest are None, and a score may give
+    one loss for all rows."""
     w = Tensor(w)
     opt = Adam([w], lr=lr)
-    losses, best, lowest = [], None, math.inf
+    losses, best, lowest = [], np.empty(w.data.shape), _filled(len(w.data), math.inf)
     for step in range(iterations + final):
         loss, grad = score(w.data)
-        losses.append(float(loss))
-        if final and loss < lowest:
-            lowest, best = loss, w.data.copy()
+        if final:
+            losses.append(loss)
+            np.copyto(best, w.data, where=(loss < lowest)[:, None])
+            np.minimum(lowest, loss, out=lowest)
         if step < iterations:
             opt.step([grad()])
-    return w.data, losses, best
+    if not final:
+        return w.data, None, None
+    return w.data, np.array(losses), best
 
 
 @dataclass(frozen=True)
@@ -213,27 +237,59 @@ def _config_of(mode, config):
     return config
 
 
-class InputBasedAttack:
+class _SeededAttack:
+    """An attack that crafts one test per seed input.
+
+    `generate_many(X)` runs the k seeds of the rows of `X` as the rows of
+    one (k, d) modifier under one Adam, returns the (k, d) tests, and
+    records each attribute as a list by row. `generate(x)` is the same
+    descent on one row: it returns that row's test and records each
+    attribute's one entry. A subclass gives the seeds' width (`_width`) and
+    the descent (`_attack`), which returns the tests and the attributes by
+    name, each a list by row.
+    """
+
+    def generate(self, x):
+        tests, record = self._attack(_one_input(x, self._width()))
+        for name, rows in record.items():
+            setattr(self, name, rows[0])
+        return tests[0]
+
+    def generate_many(self, X):
+        tests, record = self._attack(_seed_rows(X, self._width()))
+        for name, rows in record.items():
+            setattr(self, name, rows)
+        return tests
+
+
+class InputBasedAttack(_SeededAttack):
     """Craft a near-seed input that raises the estimator's predicted energy.
 
     Black-box: consumes only the estimator. Runs exactly `iterations` Adam
     steps and returns the final iterate (set track_best to return the
-    lowest-loss iterate instead).
+    lowest-loss iterate instead). Each seed row starts from its own stream,
+    `derive_rng(seed, "testgen", "input_based", fingerprint of the row)`,
+    and records its `history_`, `final_loss_` and `best_loss_`.
     """
 
     def __init__(self, estimator, config=None):
         self.estimator = estimator
         self.config = _config_of("input_based", config)
 
-    def generate(self, x):
+    def _width(self):
+        return self.estimator.input_dim
+
+    def _attack(self, X):
         cfg = self.config
-        x = _one_input(x, self.estimator.input_dim)
-        rng = derive_rng(cfg.seed, "testgen", "input_based", array_fingerprint(x))
-        w, losses, best = _descend(rng.normal(0.0, 0.1, size=x.shape),
-                                   _input_based_scorer(self.estimator, x, cfg.c), cfg.lr,
-                                   cfg.iterations)
-        self.history_, self.final_loss_, self.best_loss_ = losses[:-1], losses[-1], min(losses)
-        return tanh_unit_terms(best if cfg.track_best else w)[0].reshape(-1)
+        start = np.concatenate([
+            derive_rng(cfg.seed, "testgen", "input_based", int(key)).normal(
+                0.0, 0.1, size=(1, X.shape[1])) for key in array_fingerprints(X)])
+        w, losses, best = _descend(start, _input_based_scorer(self.estimator, X, cfg.c),
+                                   cfg.lr, cfg.iterations)
+        rows = losses.T.tolist()
+        return tanh_unit_terms(best if cfg.track_best else w)[0], {
+            "history_": [row[:-1] for row in rows], "final_loss_": [row[-1] for row in rows],
+            "best_loss_": [min(row) for row in rows]}
 
 
 class UniversalAttack:
@@ -286,14 +342,16 @@ class IlfoConfig:
         check_params(self.PARAMS, vars(self))
 
 
-class IlfoAttack:
+class IlfoAttack(_SeededAttack):
     """White-box attack on the model's own intermediate outputs.
 
     Minimizes squared distance to the seed plus c times the hinge loss of
     the chosen intermediate target, differentiating through the soft
     forward pass. The modifier starts at zero perturbation (arctanh of the
-    seed) and the minimum-loss iterate is returned. Each iterate costs one
-    soft forward: the pass that scores it also gives the next step. The
+    seed) and the minimum-loss iterate is returned; each seed row records
+    its running minimum `min_losses_` and its `best_loss_`. Each iterate
+    costs one soft forward: the pass that scores it also gives the next
+    step. The
     model's `forward_terms(x, heads)` gives that forward on an array, the
     kept heads' logits first and gate values last, with its product toward
     the input. It keeps no head for a gate target and every early exit for
@@ -313,11 +371,14 @@ class IlfoAttack:
             return self.model.gate_threshold
         return self.model.entropy_threshold
 
+    def _width(self):
+        return self.model.input_dim
+
     def _score(self, x):
-        """The iterate for seed `x` (see `_scorer`): tsum(d * d) + hinge * c,
-        d = f - x. The hinge is the summed hinge of every gate, over a soft
-        forward that keeps no head, or of every early exit's entropy, over
-        one that keeps those exits (all but the last)."""
+        """The iterate for the seed rows `x` (see `_scorer`): tsum(d * d) +
+        hinge * c per row, d = f - x. A row's hinge is the summed hinge of
+        every gate, over a soft forward that keeps no head, or of every early
+        exit's entropy, over one that keeps those exits (all but the last)."""
         cfg, model = self.config, self.model
         level = self._threshold()
         if cfg.target == "gate":
@@ -336,15 +397,14 @@ class IlfoAttack:
         return _scorer(lambda f: forward(f, heads),
                        lambda f, out: _ilfo_terms(f, x, out, hinge(out), cfg.c), "ilfo_loss")
 
-    def generate(self, x):
-        x = _one_input(x, self.model.input_dim)
+    def _attack(self, X):
         # the start is the seed itself, w = arctanh(2x - 1), with x kept off
         # 0 and 1, where arctanh is infinite
-        start = np.arctanh(2.0 * np.clip(x, 1e-6, 1.0 - 1e-6) - 1.0)
-        _, losses, best = _descend(start, self._score(x), self.config.lr, self.config.iterations)
-        self.min_losses_ = list(itertools.accumulate(losses, min))
-        self.best_loss_ = self.min_losses_[-1]
-        return tanh_unit_terms(best)[0].reshape(-1)
+        start = np.arctanh(2.0 * np.clip(X, 1e-6, 1.0 - 1e-6) - 1.0)
+        _, losses, best = _descend(start, self._score(X), self.config.lr, self.config.iterations)
+        min_losses = [list(itertools.accumulate(row, min)) for row in losses.T.tolist()]
+        return tanh_unit_terms(best)[0], {"min_losses_": min_losses,
+                                          "best_loss_": [row[-1] for row in min_losses]}
 
 
 def _check_ilfo_target(model, config):
@@ -417,9 +477,9 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     surrogate.fit(inputs, labels)
 
     chosen = inputs[:num_attack]
-    test_inputs = [attack.generate(x) for x in chosen]
+    test_inputs = attack.generate_many(chosen)
     flops = [model.infer(batch).flops.tolist() for model in (surrogate, target)
-             for batch in (chosen, np.array(test_inputs))]
+             for batch in (chosen, test_inputs)]
     records, excluded = [], 0
     for base_before, base_after, target_before, target_after in zip(*flops):
         if base_before == surrogate.max_flops or target_before == target.max_flops:
@@ -434,7 +494,7 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     if not records:
         raise ValueError("replay set is empty: every input was excluded")
     itp, etp = transfer_metrics(records)
-    return test_inputs, {
+    return list(test_inputs), {
         "itp": itp,
         "etp": etp,
         "excluded": excluded,

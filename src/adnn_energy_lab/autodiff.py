@@ -9,9 +9,9 @@ hand-written vector-Jacobian product, with no graph:
 - the classification, regression and gate-sparsity losses
   (`softmax_cross_entropy_terms`, `squared_error_terms` and
   `mean_of_column_means_terms`);
-- the white-box attack's gate and exit-entropy hinges (`hinge_terms`,
-  `entropy_hinge_terms`) and the attacks' pixel reparameterization
-  (`tanh_unit_terms`).
+- the white-box attack's gate and exit-entropy hinges, one value per row
+  (`hinge_terms`, `entropy_hinge_terms`), and the attacks' pixel
+  reparameterization (`tanh_unit_terms`).
 
 The benchmark's traced probes still build and differentiate graphs, so
 this module keeps only the graph pieces they reach: `Tensor`, `gradients`,
@@ -385,31 +385,34 @@ def mean_of_column_means_terms(x, start, stop):
     return total * inv_count, grad_x
 
 
+def _row_sums(terms):
+    """Each row's sum of the columns of `terms`, added left to right: the
+    last column of their running sum."""
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
 def hinge_terms(x, level, start, stop):
-    """The sum over columns start..stop-1 of array `x`, left to right, of
-    each column's sum over rows of max(0, level - x), and its vector-Jacobian
-    product toward `x`; shapes are checked as "hinge_sum"."""
+    """Each row's sum over columns start..stop-1 of array `x`, left to right,
+    of max(0, level - x), one value per row, and the vector-Jacobian product
+    of their sum toward `x` for a scalar incoming gradient; shapes are
+    checked as "hinge_sum"."""
     _check_columns("hinge_sum", x, start, stop)
     shortfall = level - _rows(x)[:, start:stop]
     mask = shortfall > _ZERO
-    sums = _column_sums(np.where(mask, shortfall, _ZERO))
-    total = sums[0]
-    for s in sums[1:]:
-        total = total + s
-    return total, lambda g: _scatter_columns(x.shape, start, stop, -(g * mask))
+    return (_row_sums(np.where(mask, shortfall, _ZERO)),
+            lambda g: _scatter_columns(x.shape, start, stop, -(g * mask)))
 
 
 def entropy_hinge_terms(x, level, width, count):
-    """The sum over k < count, left to right, of the sum over rows of
-    max(0, level - H_k), where H_k is the entropy of the softmax of columns
-    k * width .. (k + 1) * width - 1 of array `x`, and its vector-Jacobian
-    product toward `x`. Shapes and the log-probabilities, where the product
-    p * log p would otherwise hide an overflow, are checked as
-    "entropy_hinge_sum".
+    """Each row's sum over k < count, left to right, of max(0, level - H_k),
+    one value per row, where H_k is the entropy of the softmax of columns
+    k * width .. (k + 1) * width - 1 of array `x`, and the vector-Jacobian
+    product of their sum toward `x` for a scalar incoming gradient. Shapes
+    and the log-probabilities, where the product p * log p would otherwise
+    hide an overflow, are checked as "entropy_hinge_sum".
 
     Every exit runs in one pass over the (rows, count, width) view of the
-    columns; each exit's term is its own sum over rows, and the terms are
-    added left to right.
+    columns, and each row adds its exits' terms left to right.
     """
     _check_columns("entropy_hinge_sum", x, 0, width * count)
     rows = _rows(x)
@@ -419,10 +422,7 @@ def entropy_hinge_terms(x, level, width, count):
     entropy = -np.add.reduce(p * logp, axis=-1)
     shortfall = level - entropy
     mask = shortfall > _ZERO
-    terms = _column_sums(np.where(mask, shortfall, _ZERO))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
+    total = _row_sums(np.where(mask, shortfall, _ZERO))
 
     def grad_x(g):
         # d/d(sum p log p) of level + sum p log p, where the hinge is live

@@ -11,7 +11,8 @@ arrays and seeds `PCG64` from the result as `PCG64(SeedSequence(...))` does.
 Each row draws its standard normals in place, into its row of the output,
 and one pass over the whole output scales them as `Generator.normal` does.
 A batch's keys may travel as one uint64 array: `array_fingerprints` hashes
-every row of a matrix into one, each entry the row's `array_fingerprint`.
+every row of a matrix into one, each entry the SHA-256 fingerprint of the
+row's bytes.
 That this mapping stays fixed across numpy releases is numpy's own promise
 (NEP 19, "Random number generator policy"); the tests check it against
 `SeedSequence` itself.
@@ -195,15 +196,10 @@ def normal_rows(seed, labels, keys, scale, size):
     return out
 
 
-def array_fingerprint(arr):
-    """Stable content hash of an array, used to key per-input noise streams:
-    the first 8 bytes, big-endian, of the SHA-256 of its float64 bytes in C
-    order, as `array_fingerprints` hashes the array as one row."""
-    return int(array_fingerprints(np.reshape(arr, (1, -1)))[0])
-
-
 def array_fingerprints(X):
-    """`array_fingerprint(X[i])` for every row i of X, as an (n,) uint64 array.
+    """A stable content hash of every row i of X, used to key per-input
+    streams, as an (n,) uint64 array: the first 8 bytes, big-endian, of the
+    SHA-256 of the row's float64 bytes in C order.
 
     Each row's bytes are hashed from one C-contiguous float64 buffer of the
     whole of X, at byte offsets laid out before the loop; the digests' first

@@ -9,6 +9,7 @@ and say which. Slow O(n^2)/exhaustive forms are fine; these run at test
 scale.
 """
 
+import hashlib
 import itertools
 import math
 import statistics
@@ -19,6 +20,14 @@ from adnn_energy_lab.autodiff import (Tensor, columns, gradients, softmax_cross_
                                       tanh_unit_terms)
 
 import graph_ops as ops
+
+
+def array_fingerprint(arr):
+    """The fingerprint that keys one input's streams, from its definition:
+    the first 8 bytes, big-endian, of the SHA-256 of the input's float64
+    bytes in C order."""
+    data = np.asarray(arr, dtype=np.float64).tobytes(order="C")
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
 def finite_difference(fn, arrays, h=1e-6):
@@ -571,7 +580,7 @@ def input_based_graph_reference(attack, x):
     scores the iterate and then steps it through `step_loss`. Returns
     (input, history, best_loss, final_loss)."""
     from adnn_energy_lab.optim import Adam
-    from adnn_energy_lab.seeding import array_fingerprint, derive_rng
+    from adnn_energy_lab.seeding import derive_rng
 
     cfg, est = attack.config, attack.estimator
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
@@ -679,8 +688,9 @@ def universal_per_restart_reference(estimator, config):
 # Each attack's generate once wrote out its own Adam loop and best-iterate
 # bookkeeping. These keep those loops on the library's scorers, so they
 # check the one shared loop and what each attack reads from it, not the
-# scorers, which the graph references above check. Each returns (test,
-# the attributes generate records, by name).
+# scorers, which the graph references above check. A scorer gives one
+# loss per row of the modifier, and these loops run one row. Each returns
+# (test, the attributes generate records, by name).
 
 
 def input_based_loop_reference(attack, x):
@@ -688,7 +698,7 @@ def input_based_loop_reference(attack, x):
     step it, record its loss, score the next; then the final iterate."""
     from adnn_energy_lab.attacks import _input_based_scorer
     from adnn_energy_lab.optim import Adam
-    from adnn_energy_lab.seeding import array_fingerprint, derive_rng
+    from adnn_energy_lab.seeding import derive_rng
 
     cfg = attack.config
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
@@ -698,13 +708,13 @@ def input_based_loop_reference(attack, x):
     score = _input_based_scorer(attack.estimator, x, cfg.c)
     history = []
     best = (np.inf, w.data.copy())
-    loss, grad = score(w.data)
+    (loss,), grad = score(w.data)
     for _ in range(cfg.iterations):
         if loss < best[0]:
             best = (float(loss), w.data.copy())
         opt.step([grad()])
         history.append(float(loss))
-        loss, grad = score(w.data)
+        (loss,), grad = score(w.data)
     final = float(loss)
     if final < best[0]:
         best = (final, w.data.copy())
@@ -746,13 +756,13 @@ def ilfo_loop_reference(attack, x):
     w = Tensor(np.arctanh(2.0 * np.clip(x, 1e-6, 1.0 - 1e-6) - 1.0))
     opt = Adam([w], lr=attack.config.lr)
     score = attack._score(x)
-    loss, grad = score(w.data)
+    (loss,), grad = score(w.data)
     best_loss = float(loss)
     best_w = w.data.copy()
     min_losses = [best_loss]
     for _ in range(attack.config.iterations):
         opt.step([grad()])
-        loss, grad = score(w.data)
+        (loss,), grad = score(w.data)
         current = float(loss)
         if current < best_loss:
             best_loss = current
@@ -765,7 +775,9 @@ def ilfo_loop_reference(attack, x):
 def surrogate_records_reference(target, surrogate, inputs, config, num_attack):
     """Surrogate study with four one-row replays per attacked input.
 
-    Fits `surrogate` on the target's labels, like the library does.
+    Fits `surrogate` on the target's labels, like the library does, and
+    attacks the chosen inputs with one `IlfoAttack.generate_many`, whose
+    rows the attack tests compare with one-row `generate`.
     Returns (test inputs, transfer records, excluded count).
     """
     from adnn_energy_lab.attacks import IlfoAttack
@@ -773,10 +785,9 @@ def surrogate_records_reference(target, surrogate, inputs, config, num_attack):
 
     labels = np.array([target.infer(x).label for x in inputs])
     surrogate.fit(inputs, labels)
-    tests, records, excluded = [], [], 0
-    for x in inputs[:num_attack]:
-        f = IlfoAttack(surrogate, config).generate(x)
-        tests.append(f)
+    chosen = inputs[:num_attack]
+    tests, records, excluded = list(IlfoAttack(surrogate, config).generate_many(chosen)), [], 0
+    for x, f in zip(chosen, tests):
         base_before = surrogate.infer(x).flops
         base_after = surrogate.infer(f).flops
         target_before = target.infer(x).flops

@@ -482,6 +482,84 @@ class TestSeedBoundary:
         assert IlfoAttack(net, IlfoConfig(iterations=2)).generate(x).shape == (64,)
 
 
+class TestGenerateMany:
+    """`generate_many(X)` runs the seed rows of `X` as the rows of one
+    modifier. Row r is `generate(X[r])` within 1e-12 (a batch's matrix
+    products may round otherwise than one row's) and picks the same
+    iterate; on one row it is `generate` byte for byte. It checks `X`
+    before any draw, forward or Adam step."""
+
+    @staticmethod
+    def attack_and_seeds(kind, k, trained_estimator, trained_skip, trained_exit, skip_dataset,
+                         exit_dataset):
+        """A factory of fresh attacks of `kind`, and k seeds for them."""
+        if kind == "input_based":
+            seeds = derive_rng(11, "many").uniform(0.0, 1.0, size=(k, 64))
+            cfg = GenConfig(c=10.0, lr=0.1, iterations=30, track_best=True, seed=3)
+            return lambda: InputBasedAttack(trained_estimator, cfg), seeds
+        model, data = ((trained_skip, skip_dataset) if kind == "gate"
+                       else (trained_exit, exit_dataset))
+        cfg = IlfoConfig(target=kind, iterations=30, lr=0.1)
+        return lambda: IlfoAttack(model, cfg), data.inputs[:k]
+
+    @staticmethod
+    def recorded(attack):
+        return {name: value for name, value in vars(attack).items() if name.endswith("_")}
+
+    @staticmethod
+    def chosen_step(record):
+        """The step of the first lowest-loss iterate: the one returned by the
+        ILFO attack, and by the input-based attack with track_best."""
+        if "min_losses_" in record:
+            return record["min_losses_"].index(record["best_loss_"])
+        losses = record["history_"] + [record["final_loss_"]]
+        return losses.index(min(losses))
+
+    @pytest.mark.parametrize("kind", ["input_based", "gate", "exit"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_rows_equal_one_row_generate(self, kind, k, trained_estimator, trained_skip,
+                                         trained_exit, skip_dataset, exit_dataset):
+        make, X = self.attack_and_seeds(kind, k, trained_estimator, trained_skip, trained_exit,
+                                        skip_dataset, exit_dataset)
+        many = make()
+        tests = many.generate_many(X)
+        rows = self.recorded(many)
+        assert tests.shape == X.shape
+        assert all(len(value) == k for value in rows.values())
+        for r, x in enumerate(X):
+            one = make()
+            test, want = one.generate(x), self.recorded(one)
+            assert set(rows) == set(want)
+            got = {name: value[r] for name, value in rows.items()}
+            np.testing.assert_allclose(tests[r], test, rtol=0, atol=1e-12)
+            for name in want:
+                np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12)
+            assert self.chosen_step(got) == self.chosen_step(want)
+            if k == 1:
+                assert tests[0].tobytes() == test.tobytes()
+                assert {name: exact(value) for name, value in got.items()} == want
+
+    @pytest.mark.parametrize("kind", ["input_based", "ilfo"])
+    @pytest.mark.parametrize("X, error, match", [
+        (np.full((2, 10), 0.5), ShapeError, "X has 10 features, expected 64"),
+        (np.full((2, 64), 1.5), ValueError, r"X must lie in \[0, 1\]"),
+        (np.full((2, 64), -0.25), ValueError, r"X must lie in \[0, 1\]"),
+        (np.empty((0, 64)), ValueError, "X must be a matrix of one or more seeds"),
+        (np.full((1, 2, 64), 0.5), ValueError, "X must be a matrix of one or more seeds"),
+        (np.full(64, 0.5), ValueError, "X must be a matrix of one or more seeds"),
+        (np.full((2, 64), np.nan), ValueError, "X contains non-finite values"),
+    ], ids=["width", "above_one", "below_zero", "empty", "three_dims", "vector", "nan"])
+    def test_bad_seeds_are_rejected_before_any_step(self, kind, X, error, match, monkeypatch,
+                                                    scripted_gate_analogue):
+        attack, draws, forwards = TestSeedBoundary.spied(kind, monkeypatch,
+                                                         scripted_gate_analogue)
+        steps = []
+        monkeypatch.setattr(attacks.Adam, "step", lambda opt, grads: steps.append(grads))
+        with pytest.raises(error, match=match):
+            attack.generate_many(X)
+        assert steps == [] and draws == [] and forwards == []
+
+
 class TestIlfoHinges:
     """The hinges the attack scores on one row: `hinge_terms` of the gate
     values, and `entropy_hinge_terms` of the early exits' logits at the level

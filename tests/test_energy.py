@@ -18,9 +18,9 @@ from adnn_energy_lab.energy import (
     reject_and_average,
 )
 from adnn_energy_lab.models import ExecutionTrace, ScriptedAdnn
-from adnn_energy_lab.seeding import array_fingerprint, derive_rng
+from adnn_energy_lab.seeding import derive_rng
 
-from oracles import filter_outliers_reference, measure_sequential_reference
+from oracles import array_fingerprint, filter_outliers_reference, measure_sequential_reference
 
 SCRIPTED = ScriptedAdnn([0.2, 0.4, 0.6, 0.8], base_flops=100, block_flops=256)
 

@@ -28,7 +28,9 @@ import numpy as np
 
 from adnn_energy_lab.energy import EnergyModel, measure_many
 from adnn_energy_lab.models import ScriptedAdnn
-from adnn_energy_lab.seeding import array_fingerprint, derive_rng
+from adnn_energy_lab.seeding import derive_rng
+
+from oracles import array_fingerprint
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "measure_golden.jsonl"
 SEEDS = (0, 1, 2, 3)

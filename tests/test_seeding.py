@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adnn_energy_lab.seeding import array_fingerprint, array_fingerprints, derive_rng, normal_rows
+from adnn_energy_lab.seeding import array_fingerprints, derive_rng, normal_rows
+
+from oracles import array_fingerprint
 
 # draws of derive_rng(7, *labels).integers(0, 2**32, size=3), pinned: the
 # per-input measurement and test-generation streams depend on them
@@ -156,7 +158,8 @@ class TestNormalRows:
 
 
 class TestArrayFingerprints:
-    """The batch fingerprint of each row is that row's own fingerprint."""
+    """The batch fingerprint of each row is that row's own fingerprint, as
+    `oracles.array_fingerprint` writes it from its definition."""
 
     @staticmethod
     def assert_rows_match(X):
