@@ -46,11 +46,10 @@ from .validation import (COUNT, FLAG, INT, NONNEGATIVE, POSITIVE, REAL_OR_NONE, 
                          as_float_array, check_params, check_unit_range)
 
 def _offset(f, x, op):
-    """Array `f` minus the seed array `x`; a ShapeError naming `op` where
-    `x` does not take the shape of `f`. It checks no value: a non-finite
-    entry of `x` or of the difference reaches the objective's score, which
-    `_scorer` checks under `op`."""
-    x = np.asarray(x, dtype=np.float64)
+    """Array `f` minus the float64 seed array `x`; a ShapeError naming `op`
+    where `x` does not take the shape of `f`. It checks no value: a
+    non-finite entry of `x` or of the difference reaches the objective's
+    score, which `_scorer` checks under `op`."""
     try:
         d = f - x
         if d.shape == f.shape:
@@ -98,17 +97,20 @@ def _input_based_terms(f, x, pred, c):
     sum toward f, product toward pred)."""
     d = _offset(f, x, "input_based_loss")
     norm = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))
-    scaled = np.add.reduce(np.reshape(pred, (len(f), -1)), axis=1) * c
+    scaled = np.add.reduce(pred.reshape(len(f), -1), axis=1) * c
 
     def grad_f(g):
-        # the Euclidean norm's subgradient at the origin is 0: g / inf
-        return g / np.where(norm > 0.0, norm, math.inf) * d
+        if np.count_nonzero(norm) == len(norm):
+            return g / norm * d
+        # the Euclidean norm's subgradient at the origin is 0
+        return np.divide(g, norm, out=np.zeros(norm.shape), where=norm > 0.0) * d
 
     return norm[:, 0] - scaled, grad_f, lambda g: _filled(pred.shape, (-g) * c)
 
 
 def _input_based_scorer(estimator, x, c):
-    """The input-based iterate for seed `x` (see `_scorer`)."""
+    """The input-based iterate for the seed rows `x` (see `_scorer`)."""
+    x = np.asarray(x, dtype=np.float64)
     return _scorer(estimator.predict_terms, lambda f, pred: _input_based_terms(f, x, pred, c),
                    "input_based_loss")
 
@@ -162,19 +164,25 @@ def _scorer(forward, objective, op):
     which carry NaN and infinities through, so a term that is not finite
     leaves the value not finite.
     """
+    grad_op = op + ".grad"
+
     def score(w):
         f, f_vjp = tanh_unit_terms(w)
         out, out_vjp = forward(f)
         value, grad_f, grad_out = objective(f, out)
 
         def grad(g=_ONE):
-            near = None if grad_f is None else _checked(grad_f(g), op + ".grad")
-            far = out_vjp(_checked(grad_out(g), op + ".grad"))
+            near = None if grad_f is None else _checked(grad_f(g), grad_op)
+            far = out_vjp(_checked(grad_out(g), grad_op))
             return f_vjp(far if near is None else near + far)
 
         return _checked(value, op), grad
 
     return score
+
+
+# the scored iterates `_descend` holds before it keeps each row's lowest
+_HELD = 32
 
 
 def _descend(w, score, lr, iterations, final=True):
@@ -186,21 +194,40 @@ def _descend(w, score, lr, iterations, final=True):
     as an (iterations + 1, rows) array, and each row's first lowest-loss
     iterate. Without the final score, when a lowest over the others would
     pass over it, the losses and the lowest are None, and a score may give
-    one loss for all rows."""
+    one loss for all rows.
+
+    Each scored iterate is copied whole, and every `_HELD` copies (and at
+    the end) each row keeps its first lowest of them: a copy per iterate
+    costs less than a per-row comparison and masked copy, and the held
+    copies stay bounded.
+    """
     w = Tensor(w)
     opt = Adam([w], lr=lr)
-    losses, best, lowest = [], np.empty(w.data.shape), _filled(len(w.data), math.inf)
+    losses, held = [], []
+    best, lowest = np.empty(w.data.shape), _filled(len(w.data), math.inf)
     for step in range(iterations + final):
         loss, grad = score(w.data)
         if final:
             losses.append(loss)
-            np.copyto(best, w.data, where=(loss < lowest)[:, None])
-            np.minimum(lowest, loss, out=lowest)
+            held.append(w.data.copy())
+            if len(held) == _HELD or step == iterations:
+                _keep_lowest(best, lowest, losses[-len(held):], held)
+                held = []
         if step < iterations:
             opt.step([grad()])
     if not final:
         return w.data, None, None
     return w.data, np.array(losses), best
+
+
+def _keep_lowest(best, lowest, losses, iterates):
+    """Set row r of `best` to row r of its first lowest-loss iterate among
+    `iterates`, scored `losses` (one array of row losses each), where that
+    loss is below `lowest[r]`, which then takes it."""
+    losses = np.array(losses)
+    for r, t in enumerate(np.argmin(losses, axis=0).tolist()):
+        if losses[t, r] < lowest[r]:
+            lowest[r], best[r] = losses[t, r], iterates[t][r]
 
 
 @dataclass(frozen=True)
@@ -380,7 +407,7 @@ class IlfoAttack(_SeededAttack):
         every gate, over a soft forward that keeps no head, or of every early
         exit's entropy, over one that keeps those exits (all but the last)."""
         cfg, model = self.config, self.model
-        level = self._threshold()
+        x, level = np.asarray(x, dtype=np.float64), self._threshold()
         if cfg.target == "gate":
             heads, count = 0, model.num_blocks
 
