@@ -27,8 +27,15 @@ as one graph node over the modifier, for the benchmark's traced probe, so
 the probe times the same path as the loop.
 
 Every attack runs one descent loop, `_descend`, and supplies only its
-start, its scorer and how it reads the scored losses. A seed passes one
-boundary, `_one_input`, before any draw or forward.
+start, its scorer and how it reads the scored losses. The input-based and
+ILFO objectives give one loss per row of the modifier, and a step is the
+gradient of their sum; Adam works per coordinate, so the rows stay
+independent. So `generate_many(X)` runs k seeds as the rows of one (k, d)
+modifier under one Adam, and `generate(x)` is that descent on one row.
+Row r agrees with `generate(X[r])` within float rounding, as a batch's
+matrix products may round otherwise than one row's, and byte for byte on
+one row. A seed passes one boundary, `_one_input` for `generate` and
+`_seed_rows` for `generate_many`, before any draw, forward or step.
 """
 
 import inspect
@@ -156,13 +163,12 @@ def _scorer(forward, objective, op):
     product toward out). score(w) is (value, grad): the value is one loss
     per row of w, or one for all rows (the universal attack's), and grad(g)
     is the gradient of their sum toward w for the scalar incoming gradient
-    g, 1.0 unless given. It
-    adds the objective's term toward f and then the model's, and checks
-    the objective's value under `op` and its products under op + ".grad".
-    The value's check is the objective's only one: each of its terms (the
-    seed's offset, `c`, the energy or the hinge) enters it by +, - or *,
-    which carry NaN and infinities through, so a term that is not finite
-    leaves the value not finite.
+    g, 1.0 unless given. It adds the objective's term toward f and then the
+    model's, and checks the objective's value under `op` and its products
+    under op + ".grad". The value's check is the objective's only one:
+    each of its terms (the seed's offset, `c`, the energy or the hinge)
+    enters it by +, - or *, which carry NaN and infinities through, so a
+    term that is not finite leaves the value not finite.
     """
     grad_op = op + ".grad"
 
@@ -267,8 +273,8 @@ def _config_of(mode, config):
 class _SeededAttack:
     """An attack that crafts one test per seed input.
 
-    `generate_many(X)` runs the k seeds of the rows of `X` as the rows of
-    one (k, d) modifier under one Adam, returns the (k, d) tests, and
+    `generate_many(X)` runs the k seed rows of `X` as the rows of one
+    (k, d) modifier under one Adam, returns the (k, d) tests, and
     records each attribute as a list by row. `generate(x)` is the same
     descent on one row: it returns that row's test and records each
     attribute's one entry. A subclass gives the seeds' width (`_width`) and
@@ -277,12 +283,14 @@ class _SeededAttack:
     """
 
     def generate(self, x):
+        """The test crafted from the one seed `x`, a vector or a single row."""
         tests, record = self._attack(_one_input(x, self._width()))
         for name, rows in record.items():
             setattr(self, name, rows[0])
         return tests[0]
 
     def generate_many(self, X):
+        """The (k, d) tests crafted from the k seed rows of the matrix `X`."""
         tests, record = self._attack(_seed_rows(X, self._width()))
         for name, rows in record.items():
             setattr(self, name, rows)
@@ -378,12 +386,12 @@ class IlfoAttack(_SeededAttack):
     seed) and the minimum-loss iterate is returned; each seed row records
     its running minimum `min_losses_` and its `best_loss_`. Each iterate
     costs one soft forward: the pass that scores it also gives the next
-    step. The
-    model's `forward_terms(x, heads)` gives that forward on an array, the
-    kept heads' logits first and gate values last, with its product toward
-    the input. It keeps no head for a gate target and every early exit for
-    an exit target, so the layers that would feed only unread outputs do
-    not run; their values are neither computed nor checked.
+    step. The model's `forward_terms(x, heads)` gives that forward on an
+    array, the kept heads' logits first and gate values last, with its
+    product toward the input. It keeps no head for a gate target and every
+    early exit for an exit target, so the layers that would feed only
+    unread outputs do not run; their values are neither computed nor
+    checked.
     """
 
     def __init__(self, model, config=None):

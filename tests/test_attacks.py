@@ -241,8 +241,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("track_best", [True, np.bool_(True)])
     def test_universal_rejects_track_best(self, track_best):
-        # the universal attack scores no iterate but each restart's last,
-        # so a best iterate to return does not exist
+        # the universal attack returns its best restart's final iterate, so
+        # there is no iterate for track_best to pick
         with pytest.raises(ValueError, match="track_best"):
             GenConfig(mode="universal", track_best=track_best)
         assert GenConfig(mode="universal", track_best=False).track_best is False
