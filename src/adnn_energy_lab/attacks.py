@@ -22,7 +22,8 @@ alone: no stem, block or head runs), the exit hinge for every early exit
 
 Each objective has this one form. The tests check a loop's values and
 gradients, byte for byte, against one unfused graph per iterate built from
-the engine's primitive ops. `input_based_loss` wraps the input-based scorer
+the engine's primitive ops, stepped by a hand-written loop per attack that
+`tests/oracles.py` keeps. `input_based_loss` wraps the input-based scorer
 as one graph node over the modifier, for the benchmark's traced probe, so
 the probe times the same path as the loop.
 
@@ -32,10 +33,11 @@ ILFO objectives give one loss per row of the modifier, and a step is the
 gradient of their sum; Adam works per coordinate, so the rows stay
 independent. So `generate_many(X)` runs k seeds as the rows of one (k, d)
 modifier under one Adam, and `generate(x)` is that descent on one row.
-Row r agrees with `generate(X[r])` within float rounding, as a batch's
-matrix products may round otherwise than one row's, and byte for byte on
-one row. A seed passes one boundary, `_one_input` for `generate` and
-`_seed_rows` for `generate_many`, before any draw, forward or step.
+Row r agrees with `generate(X[r])` within 1e-12, as a batch's matrix
+products may round otherwise than one row's, and picks the same iterate;
+on one row the two agree byte for byte. A seed passes one boundary,
+`_one_input` for `generate` and `_seed_rows` for `generate_many`, before
+any draw, forward or step.
 """
 
 import inspect
@@ -101,7 +103,12 @@ def _filled(shape, value):
 def _input_based_terms(f, x, pred, c):
     """l2_norm(f - x) - tsum(pred) * c for each row of the modifier's image
     `f` and of the seeds `x`, on arrays: (the rows' values, product of their
-    sum toward f, product toward pred)."""
+    sum toward f, product toward pred). `pred` holds each row's own
+    energies, as an estimator's `predict_terms` must give them: a whole
+    number of entries per row of `f`."""
+    if np.size(pred) % len(f):
+        raise ShapeError("input_based_loss needs each row's own energies from the estimator's "
+                         "predict_terms, got %d for %d rows" % (np.size(pred), len(f)))
     d = _offset(f, x, "input_based_loss")
     norm = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True))
     scaled = np.add.reduce(pred.reshape(len(f), -1), axis=1) * c
@@ -333,7 +340,8 @@ class UniversalAttack:
     All restarts run as the rows of one (restarts, d) modifier under one
     Adam, so the estimator's `predict_terms` must treat batch rows
     independently. Restart r keeps its own seeded start and its final loss
-    is scored on its row alone, within float rounding of a one-row run.
+    is scored on its row alone: its input and loss agree with a one-row run
+    within 1e-12, and the chosen restart is the same.
     The restart whose final loss is lowest wins; per-restart losses and
     final inputs are kept on the instance for inspection.
     """
@@ -479,11 +487,14 @@ def surrogate_pipeline(target, surrogate, inputs, config=None, num_attack=None):
     """Label-oracle surrogate study: train a stand-in on the target's
     labels, attack the stand-in, replay on the target.
 
-    The surrogate must take the inputs' width and, where both models count
-    their classes, have at least the target's; both are checked before the
-    target is queried. The target contributes only predicted labels and
-    replay traces. Inputs already running at maximum FLOPs on either model
-    are excluded from the transfer averages and reported separately.
+    `inputs` must be a non-empty matrix of the target's width (when it has
+    one) with values in [0, 1], and `num_attack` at most its row count. The
+    surrogate must take the inputs' width and, where both models count
+    their classes, have at least the target's. All of these are checked
+    before the target is queried or the surrogate fitted. The target
+    contributes only predicted labels and replay traces. Inputs already
+    running at maximum FLOPs on either model are excluded from the transfer
+    averages and reported separately.
     """
     from .metrics import TransferRecord, inc_rf, transfer_metrics
 

@@ -108,7 +108,8 @@ def _checked(data, op):
 def _constant(value):
     """`value` as a read-only 0-d float64 array. A ufunc takes it as an
     operand of a float64 array as it takes the Python float, with the same
-    bytes, but without converting the float again on every call."""
+    bytes (under numpy's value-based casting and NEP 50 alike), but without
+    converting the float again on every call."""
     out = np.array(value, dtype=np.float64)
     out.flags.writeable = False
     return out

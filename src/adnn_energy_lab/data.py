@@ -36,6 +36,9 @@ def class_prototypes(num_classes, input_dim=64, contrast=0.8):
 
 @dataclass
 class LabeledDataset:
+    """Inputs in [0, 1], their integer labels and a finite difficulty in
+    [0, 1] per example, checked when built and so when loaded."""
+
     inputs: np.ndarray      # (n, input_dim) float64 in [0, 1]
     labels: np.ndarray      # (n,) int64
     difficulty: np.ndarray  # (n,) float64 in [0, 1]
@@ -99,7 +102,7 @@ _DATASET_PARAMS = {"num_examples": SIZE, "num_classes": SIZE, "input_dim": SIZE,
                    "noise_span": NONNEGATIVE, "seed": INT}
 
 
-def probe_inputs(num_probes, input_dim=64, jitter=0.02, seed=0, levels=None):
+def probe_inputs(num_probes, input_dim=64, jitter=0.02, seed=0):
     """Brightness-sweep probe set for black-box energy profiling.
 
     Each probe is a near-uniform image at a random level in [0, 1] with a
@@ -109,12 +112,7 @@ def probe_inputs(num_probes, input_dim=64, jitter=0.02, seed=0, levels=None):
     """
     check_params(_PROBE_PARAMS, locals())
     rng = derive_rng(seed, "probe")
-    if levels is None:
-        levels = rng.uniform(0.0, 1.0, size=num_probes)
-    else:
-        levels = as_float_array(levels, "levels").reshape(-1)
-        if len(levels) != num_probes:
-            raise ValueError("levels must have one entry per probe")
+    levels = rng.uniform(0.0, 1.0, size=num_probes)
     noise = rng.uniform(-jitter, jitter, size=(num_probes, input_dim))
     return np.clip(levels[:, None] + noise, 0.0, 1.0)
 

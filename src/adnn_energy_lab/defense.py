@@ -123,7 +123,9 @@ def gradient_feature(adnn, x):
     forward keeps the first head alone, the only one the loss reads, so an
     early-exit model runs its first segment and no other. A row of a batch
     equals the one-input feature up to the rounding of the network's
-    batched matrix products.
+    batched matrix products, within 1e-12 of the pool's largest entry; a
+    one-input feature is bit-identical to the stem slice of the full theta
+    gradient.
 
     Limitation: an input whose stem relu units are all dead (z0 <= 0 in
     every unit) passes no gradient to the stem, so its feature is all zeros
@@ -208,8 +210,9 @@ def train_svm(features, labels, lam=1e-4, epochs=200, seed=0):
     s is folded into alpha; each epoch's objective comes from K too, and
     the weights are formed once, at the end. The iterates are the primal
     loop's in exact arithmetic; in floats they differ by rounding, within
-    1e-10 relative on the classifier. K takes n * n floats, no more than
-    the features take while n <= d + 1.
+    1e-10 relative on the classifier and 1e-8 on each epoch's objective
+    (against the primal loop in `tests/oracles.py`). K takes n * n floats,
+    no more than the features take while n <= d + 1.
 
     Raises ValueError when an inner product of the augmented rows
     overflows, before the first step.

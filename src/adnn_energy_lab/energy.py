@@ -12,6 +12,14 @@ matrix of readings in columns: one median per row, and one row-wise sum for
 every group of rows that keep the same number of readings. It returns a
 `MeasurementBatch` of the readings, the kept mask and the means, whose
 `EnergyMeasurement` rows are built only when they are read.
+
+An adnn's `infer` must be deterministic and, on a batch of rows, return a
+`TraceBatch`: each input is inferred once, and the repetitions resample
+only the read noise. An adnn whose execution varies from call to call
+would need one inference per repetition, which this protocol does not do.
+A per-segment price list shorter than an exit net's segments raises only
+for a batch in which some row exits past its end, so an empty batch never
+raises.
 """
 
 import itertools
@@ -104,7 +112,9 @@ class MeasurementBatch:
     `raw` is the (n, repetitions) matrix of readings, `kept` the same-shaped
     bool mask of the readings the rejection rule keeps, and `means` the (n,)
     means of the kept readings. Row `i` is `batch[i]`, an `EnergyMeasurement`
-    of Python floats built only when it is read.
+    of Python floats built only when it is read; a slice or an index array
+    raises `TypeError`, so take rows of the columns instead. The batch
+    compares by identity: compare `list(batch)` with a list of rows.
     """
 
     raw: np.ndarray

@@ -62,9 +62,9 @@ class EnergyEstimator(ResidualModel):
     # -- training ----------------------------------------------------------
 
     def fit(self, X, y):
-        """Regress measured joules on inputs; holds out a seeded 10% split.
-        The settings, `X` and `y` (finite joules) are checked before any
-        fitted state changes."""
+        """Regress measured joules on inputs, holding out a seeded split of
+        `val_fraction` of the rows (at least one). The settings, `X` and `y`
+        (finite joules) are checked before any fitted state changes."""
         check_params(self.PARAMS, vars(self))
         X = as_sample_matrix(X, "X", feature_dim=self.input_dim)
         y = as_float_array(y, "y").reshape(-1)

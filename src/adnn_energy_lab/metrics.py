@@ -223,6 +223,9 @@ def robustness_scores(adnn, energy_model, seed_inputs, budget, input_tests,
     increase over the seed inputs; zero perturbation is always admissible,
     so it is never positive. e_universal negates the highest energy any
     universal test input reaches.
+
+    Each input is inferred alone: a batched forward can round differently,
+    by up to 4e-14, and so flip a gate.
     """
     seed_inputs = [np.asarray(x, dtype=np.float64).reshape(-1) for x in seed_inputs]
     input_tests = [np.asarray(f, dtype=np.float64).reshape(-1) for f in input_tests]

@@ -22,7 +22,18 @@ differentiable) and deployed hard.
 `infer` on a batch of rows returns a `TraceBatch`: one array per trace
 field (FLOPs, logits, gate values and decisions or exit indices and
 entropies), built without a per-row loop. Indexing or iterating it gives
-`ExecutionTrace` rows, which are what `infer` returns for a single vector.
+`ExecutionTrace` rows, which are what `infer` returns for a single vector;
+a row equals, field by field and by type, the trace a one-row `infer`
+gives (`tests/test_traces.py` checks it against `oracles.infer_reference`).
+The exit net takes every head's softmax at once with the ufuncs of the
+tests' graph `softmax`, which that oracle runs head by head.
+
+The estimator and the filter are plain `ResidualModel`s with no
+`forward_terms`, so `IlfoAttack` rejects them when it is built.
+`model_to_payload` and `model_from_payload` save and load the target kinds
+(skip, exit, scripted): `serialize.dump_json(model_to_payload(model), path)`
+and `model_from_payload(serialize.load_json(path, "model"))`. The estimator
+and the filter load through their own `from_payload`.
 """
 
 from dataclasses import dataclass

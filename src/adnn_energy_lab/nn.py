@@ -8,23 +8,29 @@ and backward runs on arrays: `terms` gives the product toward the input and
 node). It runs only the layers its kept heads and gates read. Every
 product goes through `ndarray.dot`, and each weight gradient through
 `np.dot(out=)` into its slice of theta's gradient: `@` makes the same BLAS
-call through the matmul ufunc, whose dispatch costs more per call. The network
-packs the layout's arrays into theta and cuts its layers from theta's
-views: `Dense` and `ResidualBlock` are read-only records of `View`s, and a
-weight changes by a write to its view's `data`.
+call through the matmul ufunc, whose dispatch costs more per call, and
+`tests/test_packaging.py` keeps `@` and `matmul` out of this module. The
+relu is `np.maximum(z, 0.0)`, with the mask `z > 0.0` kept for the
+backward, so a -0.0 pre-activation gives +0.0. The network packs the
+layout's arrays into theta and cuts its layers from theta's views: `Dense`
+and `ResidualBlock` are read-only records (named tuples) of `View`s, and a
+weight changes by a write to its view's `data`. The network holds no
+reference to its model, so a dropped model is freed at once.
 
 The four models are `ResidualModel`s. The base draws the layers, builds and
 holds the model's one network, shows its layers as read-only attributes
-(`layer_view`) and runs the one epoch loop, `fit_minibatch`:
-each step takes a batch's loss and theta gradient from the model's
-`_batch_terms`, and Adam writes them into theta's one array in place, so
-the layer slices are cut once per fit. It also holds the classifiers' one
-fit and one batch loss, every head's cross-entropy plus a gated net's gate
-penalty, which the skip and exit nets and the filter share; the estimator
-gives its own regression loss and fit. The
-draw, `to_payload` and `from_payload` walk one layout, `payload_layout`: a
-(payload key, shape) per theta view, in theta order; the draw and the
-loader build the network with one method, `ResidualModel._assemble`.
+(`layer_view`) and runs the one epoch loop, `fit_minibatch`: each step
+takes a batch's loss and theta gradient from the model's `_batch_terms`,
+and Adam writes them into theta's one array in place, so the layer slices
+are cut once per fit. It also holds the classifiers' one fit and one batch
+loss, every head's cross-entropy plus a gated net's gate penalty, which
+the skip and exit nets and the filter share; the estimator gives its own
+regression loss and fit. A step builds no graph; the tests compare each
+step, byte for byte, with the unfused graph of the batch's loss in
+`tests/oracles.py`. The draw, `to_payload` and `from_payload` walk one
+layout, `payload_layout`: a (payload key, shape) per theta view, in theta
+order; the draw and the loader build the network with one method,
+`ResidualModel._assemble`.
 """
 
 from typing import NamedTuple
@@ -509,8 +515,10 @@ class ResidualModel(ParamsMixin):
         """Set hyperparameters as `ParamsMixin.set_params` does. A change to
         a setting the layout reads (the input, width, block or segment and
         class counts) drops the fit, since the held network no longer has
-        the settings' shape: every fitted attribute becomes None until the
-        next `fit`. Any other setting keeps the fit."""
+        the settings' shape: every fitted attribute becomes None, and
+        `infer`, `predict`, `forward_terms`, `predict_terms` and `to_payload`
+        raise `NotFittedError`, until the next `fit`. Any other setting (a
+        threshold, `epochs`, `lr`, `seed`) keeps the fit."""
         layout = list(self._layout())
         super().set_params(**params)
         if list(self._layout()) != layout:

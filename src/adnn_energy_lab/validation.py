@@ -1,4 +1,6 @@
-"""Input validation helpers used at public API boundaries."""
+"""Input validation helpers used at public API boundaries, and the kinds of
+setting value that a settings table maps each setting to (README.md,
+"Settings", lists them)."""
 
 import math
 import numbers
@@ -80,8 +82,11 @@ def check_params(table, values):
 
     A settings class keeps one such table, its `PARAMS`, and checks its
     constructor's arguments (`locals()`) or attributes (`vars(self)`)
-    against it when it is built, and its attributes again when it fits; its
-    payload loader reads the kinds of the saved keys from the same table.
+    against it when it is built (and so in `set_params`), and its
+    attributes again when it fits, so that an attribute assigned directly
+    is refused before a step. Its payload loader reads the kinds of the
+    saved keys from the same table and raises `DataFormatError`, so a model
+    that builds also loads from its own payload.
     """
     for name, kind in table.items():
         if name in values and not KINDS[kind](values[name]):
@@ -118,9 +123,9 @@ def as_sample_matrix(x, name="X", feature_dim=None):
     return arr
 
 
-def check_unit_range(x, name="x", tol=0.0):
+def check_unit_range(x, name="x"):
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (arr.min() < -tol or arr.max() > 1.0 + tol):
+    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise ValueError(
             "%s must lie in [0, 1], got range [%g, %g]" % (name, arr.min(), arr.max())
         )

@@ -559,6 +559,19 @@ class TestGenerateMany:
             attack.generate_many(X)
         assert steps == [] and draws == [] and forwards == []
 
+    def test_an_estimator_with_one_energy_per_batch_is_named(self, monkeypatch):
+        # the stub sums the whole batch into one energy: a ShapeError naming
+        # the objective and the estimator's contract, before any step
+        steps = []
+        monkeypatch.setattr(attacks.Adam, "step", lambda opt, grads: steps.append(grads))
+        attack = InputBasedAttack(PixelMeanEstimator(), GenConfig(iterations=3))
+        with pytest.raises(ShapeError, match="input_based_loss needs each row's own energies"):
+            attack.generate_many(np.full((2, 64), 0.5))
+        assert steps == []
+        monkeypatch.undo()
+        assert InputBasedAttack(PixelMeanEstimator(), GenConfig(iterations=3)).generate(
+            np.full(64, 0.5)).shape == (64,)
+
 
 class TestIlfoHinges:
     """The hinges the attack scores on one row: `hinge_terms` of the gate

@@ -97,18 +97,12 @@ class TestProbes:
         assert X.shape == (32, 64)
         assert X.min() >= 0.0 and X.max() <= 1.0
 
-    def test_levels_override(self):
-        X = probe_inputs(3, jitter=0.0, levels=[0.1, 0.5, 0.9])
-        assert np.allclose(X.mean(axis=1), [0.1, 0.5, 0.9])
-
     def test_deterministic(self):
         assert np.array_equal(probe_inputs(16, seed=4), probe_inputs(16, seed=4))
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
             probe_inputs(0)
-        with pytest.raises(ValueError):
-            probe_inputs(4, levels=[0.5])
 
     def test_corpus_composition(self):
         X = estimator_corpus(500, seed=0)
@@ -131,10 +125,9 @@ class TestSettingChecks:
         (lambda: generate_dataset(2.5), "num_examples"),
         (lambda: estimator_corpus(10.5), "num_inputs"),
         (lambda: estimator_corpus(20, input_dim=0), "input_dim"),
-        (lambda: probe_inputs(3, levels=[0.1, math.nan, 0.5]), "levels"),
         (lambda: probe_inputs(3, jitter=math.nan), "jitter"),
     ], ids=["fractional-seed", "fractional-count", "fractional-corpus-size",
-            "no-features", "nan-level", "nan-jitter"])
+            "no-features", "nan-jitter"])
     def test_bad_setting_raises_value_error_naming_it(self, call, name):
         with pytest.raises(ValueError, match=name):
             call()

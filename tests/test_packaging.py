@@ -88,6 +88,19 @@ def test_every_library_name_readme_cites_exists():
     assert cites and not missing, missing
 
 
+def test_readme_is_a_module_reference():
+    # README is a short reference with one section per library module; the
+    # module docstrings hold the detail
+    lines = (ROOT / "README.md").read_text().splitlines()
+    assert len(lines) <= 300, "README.md has %d lines, above 300" % len(lines)
+    headings = [line for line in lines if line.startswith("#")]
+    modules = sorted(path.stem for path in (ROOT / "src" / "adnn_energy_lab").glob("*.py")
+                     if path.stem != "__init__")
+    missing = [module for module in modules
+               if not any(re.search(r"\b%s\b" % module, heading) for heading in headings)]
+    assert not missing, missing
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # a top-level import is used if its bound name is read anywhere in the
     # module, or listed in __all__; `from __future__` binds nothing. The
@@ -113,9 +126,8 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_the_network_walk_multiplies_through_ndarray_dot():
-    # `@` and np.matmul dispatch through the matmul ufunc, which costs about
-    # 0.6 us more per call than ndarray.dot for the same BLAS call; the
-    # network walk makes about 20 products per one-row iterate
+    # `@` and np.matmul dispatch through the matmul ufunc, which costs more
+    # per call than ndarray.dot for the same BLAS call (see nn's docstring)
     path = ROOT / "src" / "adnn_energy_lab" / "nn.py"
     tree = ast.parse(path.read_text(), str(path))
     found = [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)
